@@ -1,0 +1,566 @@
+//! Compaction on the engine side: planning against the current version,
+//! running the merge through the scheduler, and installing the outputs.
+
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
+
+use lsm_cache::{plan_prefetch, PrefetchCandidate};
+use lsm_obs::EventKind;
+use lsm_storage::{StorageError, StorageResult};
+
+use super::{heat_key, DbCore, Inner};
+use crate::compaction::exec::{merge_tables, MergeResult};
+use crate::compaction::picker::pick_file;
+use crate::compaction::scheduler::{JobIoReport, JobPriority, JobSpec};
+use crate::compaction::subcompact::{self, ShardExec};
+use crate::compaction::{self, CompactionTask};
+use crate::config::CompactionGranularity;
+use crate::sstable::Table;
+use crate::stats::DbStats;
+use crate::version::{SortedRun, Version};
+
+/// A compaction resolved to concrete inputs, ready to merge. Built under
+/// the write lock; the merge itself runs without it.
+struct PreparedCompaction {
+    level: usize,
+    target: usize,
+    bits: f64,
+    inputs: Vec<Arc<Table>>,
+    drop_tombstones: bool,
+    apply: CompactionApply,
+    /// Trace pairing id (the `CompactionStart` was emitted at prepare
+    /// time; `install_compaction` emits the matching end).
+    trace_id: u64,
+    /// Input accounting captured at prepare time, repeated in the end
+    /// event so each event stands alone.
+    input_entries: u64,
+    input_bytes: u64,
+    /// Engine clock at prepare time, for the compaction-latency histogram.
+    started_ns: u64,
+}
+
+/// How a merge's outputs are spliced back into the version.
+enum CompactionApply {
+    /// Replace the target level with one run: surviving target tables +
+    /// outputs, sorted by key.
+    ReplaceTargetRun,
+    /// Prepend the outputs as the target level's youngest run (tiering).
+    AppendRun,
+    /// The outputs replace the level's own merged runs (in-place merge).
+    InPlace,
+}
+
+/// Every table of `runs`, youngest run first.
+fn all_tables(runs: &[SortedRun]) -> Vec<Arc<Table>> {
+    runs.iter().flat_map(|r| r.tables.iter().cloned()).collect()
+}
+
+/// Smallest min key and largest max key across `tables`.
+fn key_span(tables: &[Arc<Table>]) -> (Vec<u8>, Vec<u8>) {
+    let lo = tables.iter().map(|t| &t.meta().min_key).min();
+    let hi = tables.iter().map(|t| &t.meta().max_key).max();
+    (lo.cloned().unwrap_or_default(), hi.cloned().unwrap_or_default())
+}
+
+impl DbCore {
+    /// Current L0 run count from the lock-free backpressure gauge. This
+    /// is the signal the engine's own slowdown/stall bands key off
+    /// ([`LsmConfig::l0_slowdown_runs`] / [`LsmConfig::l0_stall_runs`]);
+    /// it is exposed so admission control can shed load *before* a
+    /// writer blocks inside the engine.
+    pub fn l0_run_count(&self) -> usize {
+        self.l0_runs.load(Ordering::Acquire)
+    }
+
+    /// Runs the compaction cascade to quiescence without flushing.
+    pub fn compact(&self) -> StorageResult<()> {
+        self.check_bg_error()?;
+        if self.threaded() {
+            return self.compact_to_quiescence(|| false);
+        }
+        let mut inner = self.inner.write();
+        self.maybe_compact_locked(&mut inner)
+    }
+
+    /// Major compaction: flushes, then merges *everything* into a single
+    /// run at the bottom level, garbage-collecting all tombstones and
+    /// obsolete versions. The classic "full compaction" maintenance knob.
+    pub fn major_compact(&self) -> StorageResult<()> {
+        self.check_bg_error()?;
+        let _c = self.threaded().then(|| self.compaction_lock.lock());
+        let mut inner = self.inner.write();
+        self.flush_both_locked(&mut inner)?;
+        self.maybe_compact_locked(&mut inner)?;
+        let version = (*inner.version).clone();
+        let Some(last) = version.last_occupied_level() else {
+            return Ok(());
+        };
+        let inputs: Vec<Arc<Table>> = version.tables().cloned().collect();
+        if inputs.len() <= 1 && version.total_runs() <= 1 {
+            return Ok(());
+        }
+        let bits = self.bits_for_level(&version, last);
+        let prep = self.start_compaction(0, last, bits, inputs, true, CompactionApply::InPlace);
+        let result = self.run_merge_scheduled(&prep)?;
+        let mut new_version = Version::new();
+        new_version.ensure_levels(last + 1);
+        if !result.tables.is_empty() {
+            new_version.levels[last].runs = vec![SortedRun::from_tables(result.tables.clone())];
+        }
+        self.finish_compaction(&mut inner, &prep, &result, new_version)
+    }
+
+    /// Holds queued background compactions (flushes still run). Paired
+    /// with [`DbCore::resume_compaction`]; a test hook for building L0
+    /// pressure deterministically.
+    pub fn pause_compaction(&self) {
+        self.bg.pause_compaction();
+    }
+
+    /// Releases [`DbCore::pause_compaction`].
+    pub fn resume_compaction(&self) {
+        self.bg.resume_compaction();
+    }
+
+    /// Whether the planner sees work to do (used by the background worker
+    /// to close the quiesce-vs-new-flush race).
+    pub(crate) fn compaction_needed(&self) -> bool {
+        let cfg = self.effective_config();
+        let inner = self.inner.read();
+        compaction::plan(&inner.version, &cfg).is_some()
+    }
+
+    /// Runs the compaction cascade to quiescence, taking `inner` only
+    /// briefly around planning and installs; the merges themselves run
+    /// without any engine lock. `stop` is polled between steps so a
+    /// pause/shutdown aborts promptly. Serialized by `compaction_lock`.
+    pub(crate) fn compact_to_quiescence(&self, stop: impl Fn() -> bool) -> StorageResult<()> {
+        let _c = self.compaction_lock.lock();
+        self.compaction_cascade(None, stop)
+    }
+
+    /// Runs the compaction cascade to quiescence under the held write
+    /// guard (the `Inline` path — merges included, deterministically).
+    pub(super) fn maybe_compact_locked(&self, inner: &mut Inner) -> StorageResult<()> {
+        self.compaction_cascade(Some(inner), || false)
+    }
+
+    /// The cascade itself: plan → prepare → merge → install until the
+    /// planner is satisfied, on the caller's guard when one is `held`,
+    /// else locking around each plan and each install.
+    fn compaction_cascade(
+        &self,
+        mut held: Option<&mut Inner>,
+        stop: impl Fn() -> bool,
+    ) -> StorageResult<()> {
+        // a generous bound: each step strictly reduces pressure, so hitting
+        // it means a planner bug, not a big workload
+        for _ in 0..10_000 {
+            if stop() {
+                return Ok(());
+            }
+            // re-read per step so a retune staged mid-cascade is
+            // picked up by the next planning pass
+            let cfg = self.effective_config();
+            let prep = self.with_inner(&mut held, |inner| {
+                match compaction::plan(&inner.version, &cfg) {
+                    Some(task) => self.prepare_compaction(inner, task),
+                    None => Ok(None),
+                }
+            })?;
+            let Some(prep) = prep else {
+                return Ok(());
+            };
+            let result = self.run_merge_scheduled(&prep)?;
+            self.with_inner(&mut held, |inner| self.install_compaction(inner, &prep, result))?;
+            self.bg.notify_progress();
+        }
+        Err(StorageError::Corruption(
+            "compaction cascade failed to converge".into(),
+        ))
+    }
+
+    /// Runs one prepared compaction's merge through the scheduler:
+    /// submit → admit → merge (serial or sharded per
+    /// `max_subcompactions`) → throttle → complete with the job's I/O
+    /// report. The engine runs one compaction at a time
+    /// (`compaction_lock`), so admission always succeeds immediately; the
+    /// scheduler still enforces and accounts the full policy so its
+    /// invariants hold when tests drive it with N jobs.
+    fn run_merge_scheduled(&self, prep: &PreparedCompaction) -> StorageResult<MergeResult> {
+        let (lo, hi) = key_span(&prep.inputs);
+        let priority = if prep.level == 0 {
+            JobPriority::L0Pressure
+        } else {
+            JobPriority::SizeTriggered
+        };
+        let job = self.sched.submit(JobSpec {
+            level: prep.level,
+            target: prep.target,
+            lo,
+            hi,
+            priority,
+        });
+        let admitted = self.sched.try_dequeue();
+        debug_assert!(
+            admitted.as_ref().is_some_and(|(id, _)| *id == job),
+            "single-compactor engine must admit its own job"
+        );
+        let result = self.execute_merge(prep);
+        match &result {
+            Ok(m) => {
+                // The throttle paces *wall* bytes: debit input + output and
+                // sleep the owed time. Inline mode accounts nothing and
+                // never sleeps — its determinism (and the byte-identity
+                // battery) must not depend on wall time.
+                if self.threaded() {
+                    let wait = self
+                        .sched
+                        .throttle_debit(prep.input_bytes + m.output_bytes);
+                    if !wait.is_zero() {
+                        std::thread::sleep(wait.min(std::time::Duration::from_secs(1)));
+                    }
+                }
+                self.sched.complete(
+                    job,
+                    Ok(JobIoReport {
+                        input_bytes: prep.input_bytes,
+                        output_bytes: m.output_bytes,
+                        input_entries: prep.input_entries,
+                        entries_written: m.entries_written,
+                    }),
+                );
+            }
+            Err(e) => self.sched.complete(job, Err(e.to_string())),
+        }
+        result
+    }
+
+    /// The merge itself: serial `merge_tables` when `max_subcompactions`
+    /// is 1 (or no boundary exists), otherwise the sharded path — fanned
+    /// out across the worker pool under `Threaded`, executed serially
+    /// under `Inline` (same shards, same bytes, no threads). Emits
+    /// per-shard `SubcompactionStart`/`End` events around the fan-out.
+    fn execute_merge(&self, prep: &PreparedCompaction) -> StorageResult<MergeResult> {
+        let boundaries = if self.cfg.max_subcompactions > 1 {
+            subcompact::shard_boundaries(&prep.inputs, self.cfg.max_subcompactions)
+        } else {
+            Vec::new()
+        };
+        if boundaries.is_empty() {
+            // one shard ≡ the legacy serial path, I/O pattern included
+            return merge_tables(
+                &self.device,
+                &self.cfg,
+                self.cfg.index,
+                prep.bits,
+                &prep.inputs,
+                prep.drop_tombstones,
+            );
+        }
+        let shards = boundaries.len() + 1;
+        let ids: Vec<u64> = (0..shards)
+            .map(|_| self.obs.next_subcompaction_id())
+            .collect();
+        for (i, id) in ids.iter().enumerate() {
+            self.obs.event(EventKind::SubcompactionStart {
+                id: *id,
+                compaction: prep.trace_id,
+                shard: i as u32,
+                shards: shards as u32,
+            });
+        }
+        let exec = if self.threaded() {
+            ShardExec::Pool(&self.bg)
+        } else {
+            ShardExec::Serial
+        };
+        let sharded = subcompact::merge_tables_sharded_with(
+            &self.device,
+            &self.cfg,
+            self.cfg.index,
+            prep.bits,
+            &prep.inputs,
+            prep.drop_tombstones,
+            &boundaries,
+            exec,
+        )?;
+        for (i, (id, acc)) in ids.iter().zip(&sharded.shards).enumerate() {
+            self.obs.event(EventKind::SubcompactionEnd {
+                id: *id,
+                compaction: prep.trace_id,
+                shard: i as u32,
+                input_entries: acc.entries_in,
+                entries_written: acc.entries_written,
+                tombstones_dropped: acc.tombstones_dropped,
+                versions_dropped: acc.versions_dropped,
+            });
+        }
+        Ok(sharded.merge)
+    }
+
+    /// Resolves a planned task into concrete inputs against the current
+    /// version. Pure bookkeeping — no table I/O. Returns `None` when the
+    /// task turns out to be vacuous.
+    fn prepare_compaction(
+        &self,
+        inner: &mut Inner,
+        task: CompactionTask,
+    ) -> StorageResult<Option<PreparedCompaction>> {
+        let version = Arc::clone(&inner.version);
+        let level = task.level();
+        let target = match task {
+            CompactionTask::MergeInPlace { .. } => level,
+            _ => level + 1,
+        };
+        let bits = self.bits_for_level(&version, target);
+        // every task but a partial one consumes its whole source level
+        let mut inputs: Vec<Arc<Table>> = match task {
+            CompactionTask::PartialIntoNext { .. } => Vec::new(),
+            _ => all_tables(&version.levels[level].runs),
+        };
+        let drop_tombstones;
+        let apply;
+        match task {
+            CompactionTask::MergeIntoNext { .. } => {
+                let (lo, hi) = key_span(&inputs);
+                match version.levels.get(target).map_or(&[][..], |l| &l.runs) {
+                    // a single-run target keeps its non-overlapping tables
+                    [] => {}
+                    [run] => inputs.extend(run.overlapping(&lo, &hi).iter().cloned()),
+                    // transient multi-run target: fold everything in
+                    runs => inputs.extend(all_tables(runs)),
+                }
+                drop_tombstones = compaction::may_drop_tombstones(&version, target, true);
+                apply = CompactionApply::ReplaceTargetRun;
+            }
+            CompactionTask::AppendToNext { .. } => {
+                drop_tombstones = compaction::may_drop_tombstones(&version, target, false)
+                    && version.levels.get(target).is_none_or(|l| l.is_empty());
+                apply = CompactionApply::AppendRun;
+            }
+            CompactionTask::MergeInPlace { .. } => {
+                drop_tombstones = compaction::may_drop_tombstones(&version, level, true);
+                apply = CompactionApply::InPlace;
+            }
+            CompactionTask::PartialIntoNext { .. } => {
+                let CompactionGranularity::Partial(picker) = self.cfg.granularity else {
+                    return Err(StorageError::Corruption(
+                        "partial task without partial granularity".into(),
+                    ));
+                };
+                let run = version.levels[level]
+                    .runs
+                    .first()
+                    .cloned()
+                    .unwrap_or_default();
+                if run.tables.is_empty() {
+                    return Ok(None);
+                }
+                if inner.rr_cursors.len() <= level {
+                    inner.rr_cursors.resize(level + 1, 0);
+                }
+                let next_run = version.levels.get(target).and_then(|l| l.runs.first());
+                let idx = pick_file(picker, &run, next_run, &mut inner.rr_cursors[level]);
+                let victim = &run.tables[idx];
+                inputs.push(Arc::clone(victim));
+                if let Some(trun) = next_run {
+                    let meta = victim.meta();
+                    inputs.extend(trun.overlapping(&meta.min_key, &meta.max_key).iter().cloned());
+                }
+                drop_tombstones = compaction::may_drop_tombstones(&version, target, true);
+                apply = CompactionApply::ReplaceTargetRun;
+            }
+        }
+        Ok(Some(self.start_compaction(level, target, bits, inputs, drop_tombstones, apply)))
+    }
+
+    /// Opens a compaction's trace: stamps the clock, totals the inputs,
+    /// emits `CompactionStart`, and returns the job ready to merge.
+    fn start_compaction(
+        &self,
+        level: usize,
+        target: usize,
+        bits: f64,
+        inputs: Vec<Arc<Table>>,
+        drop_tombstones: bool,
+        apply: CompactionApply,
+    ) -> PreparedCompaction {
+        let trace_id = self.obs.next_compaction_id();
+        let input_entries: u64 = inputs.iter().map(|t| t.meta().num_entries).sum();
+        let input_bytes: u64 = inputs.iter().map(|t| t.data_bytes()).sum();
+        let started_ns = self.obs.now_ns();
+        self.obs.event(EventKind::CompactionStart {
+            id: trace_id,
+            level: level as u32,
+            target: target as u32,
+            input_tables: inputs.len() as u64,
+            input_entries,
+            input_bytes,
+        });
+        PreparedCompaction {
+            level,
+            target,
+            bits,
+            inputs,
+            drop_tombstones,
+            apply,
+            trace_id,
+            input_entries,
+            input_bytes,
+            started_ns,
+        }
+    }
+
+    /// Installs a merge's outputs by *rebasing* onto the current version:
+    /// every input table is filtered out wherever it sits, surviving runs
+    /// are kept in order, and the outputs are spliced per the task shape.
+    /// With no concurrent version changes (the `Inline` path) this is
+    /// exactly the direct splice; under `Threaded`, runs flushed to L0
+    /// during the merge survive untouched — the single-compactor
+    /// invariant (`compaction_lock`) guarantees nothing else moved.
+    fn install_compaction(
+        &self,
+        inner: &mut Inner,
+        prep: &PreparedCompaction,
+        result: MergeResult,
+    ) -> StorageResult<()> {
+        let input_ids: std::collections::HashSet<u64> =
+            prep.inputs.iter().map(|t| t.id()).collect();
+        let cur = &inner.version;
+        let mut new_version = Version::new();
+        new_version.ensure_levels(cur.levels.len().max(prep.target + 1));
+        for (i, level) in cur.levels.iter().enumerate() {
+            for run in &level.runs {
+                let kept: Vec<Arc<Table>> = run
+                    .tables
+                    .iter()
+                    .filter(|t| !input_ids.contains(&t.id()))
+                    .cloned()
+                    .collect();
+                if !kept.is_empty() {
+                    new_version.levels[i].runs.push(SortedRun::from_tables(kept));
+                }
+            }
+        }
+        match prep.apply {
+            CompactionApply::ReplaceTargetRun => {
+                let mut tables: Vec<Arc<Table>> = new_version.levels[prep.target]
+                    .runs
+                    .drain(..)
+                    .flat_map(|r| r.tables)
+                    .collect();
+                tables.extend(result.tables.iter().cloned());
+                tables.sort_by(|a, b| a.meta().min_key.cmp(&b.meta().min_key));
+                new_version.levels[prep.target].runs = if tables.is_empty() {
+                    Vec::new()
+                } else {
+                    vec![SortedRun::from_tables(tables)]
+                };
+            }
+            CompactionApply::AppendRun => {
+                if !result.tables.is_empty() {
+                    new_version.levels[prep.target]
+                        .runs
+                        .insert(0, SortedRun::from_tables(result.tables.clone()));
+                }
+            }
+            CompactionApply::InPlace => {
+                // outputs merge the *oldest* runs of the level, so they go
+                // after any runs flushed while the merge ran
+                if !result.tables.is_empty() {
+                    new_version.levels[prep.level]
+                        .runs
+                        .push(SortedRun::from_tables(result.tables.clone()));
+                }
+            }
+        }
+
+        DbStats::record_max(
+            &self.stats.largest_compaction_entries,
+            result.entries_written,
+        );
+        self.finish_compaction(inner, prep, &result, new_version)?;
+
+        // Leaper-style prefetch: re-admit hot blocks of the new tables
+        if self.cfg.prefetch_after_compaction {
+            if let Some(cache) = &self.cache {
+                let mut candidates = Vec::new();
+                for t in &result.tables {
+                    let meta = t.meta();
+                    let mut prev_fence: Option<&[u8]> = None;
+                    for (i, fence) in meta.fences.iter().enumerate() {
+                        let min_key = prev_fence.unwrap_or(meta.min_key.as_slice());
+                        candidates.push(PrefetchCandidate {
+                            file: t.id(),
+                            block: i as u64,
+                            min_key: heat_key(min_key),
+                            max_key: heat_key(fence),
+                        });
+                        prev_fence = Some(fence.as_slice());
+                    }
+                }
+                let plan = {
+                    let heat = self.heat.lock();
+                    plan_prefetch(&heat, &candidates, 0.90, 256)
+                };
+                for key in plan {
+                    if let Some(t) = result.tables.iter().find(|t| t.id() == key.file) {
+                        t.read_data_block(key.block as usize, Some(cache))?;
+                        DbStats::bump(&self.stats.prefetched_blocks);
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// The tail every compaction shares once its new version is built:
+    /// account the merge, swap the version in, persist the manifest, emit
+    /// the `CompactionEnd` paired with `prep`'s start event, and retire
+    /// the inputs.
+    fn finish_compaction(
+        &self,
+        inner: &mut Inner,
+        prep: &PreparedCompaction,
+        result: &MergeResult,
+        new_version: Version,
+    ) -> StorageResult<()> {
+        DbStats::bump(&self.stats.compactions);
+        self.stats
+            .add(&self.stats.compaction_entries, result.entries_written);
+        self.stats
+            .add(&self.stats.tombstones_dropped, result.tombstones_dropped);
+        self.stats
+            .add(&self.stats.versions_dropped, result.versions_dropped);
+        self.install_version(inner, new_version);
+        self.persist_manifest(inner)?;
+        self.obs.event(EventKind::CompactionEnd {
+            id: prep.trace_id,
+            level: prep.level as u32,
+            target: prep.target as u32,
+            input_tables: prep.inputs.len() as u64,
+            input_entries: prep.input_entries,
+            input_bytes: prep.input_bytes,
+            output_tables: result.tables.len() as u64,
+            entries_written: result.entries_written,
+            output_bytes: result.output_bytes,
+            tombstones_dropped: result.tombstones_dropped,
+            versions_dropped: result.versions_dropped,
+        });
+        self.obs
+            .compaction_ns
+            .record(self.obs.now_ns().saturating_sub(prep.started_ns));
+        // invalidate cached blocks of consumed tables and mark them
+        // obsolete: their files are physically deleted when the last
+        // reference (a snapshot or an in-flight iterator) drops
+        for t in &prep.inputs {
+            if let Some(cache) = &self.cache {
+                let max_block = t.meta().data_blocks.len().saturating_sub(1) as u64;
+                cache.invalidate_file(t.id(), max_block);
+            }
+            t.mark_obsolete();
+        }
+        Ok(())
+    }
+}

@@ -1,0 +1,307 @@
+//! Introspection and operator surface: configuration and its dynamic
+//! overlay, counters and metrics, level summaries, split-key suggestion,
+//! and value-log GC.
+
+use std::ops::Bound;
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
+
+use lsm_obs::{Event, EventKind, MetricsSnapshot};
+use lsm_storage::{IoCategory, IoStatsSnapshot, StorageDevice, StorageError, StorageResult};
+
+use super::DbCore;
+use crate::config::LsmConfig;
+use crate::dynamic::{DynamicSnapshot, DynamicUpdate};
+use crate::kv_sep::{decode_value, ValueLog};
+use crate::obs::EngineMetrics;
+use crate::stats::DbStats;
+
+impl DbCore {
+    /// The engine configuration as booted. Maintenance decisions run
+    /// under [`DbCore::effective_config`], which layers the dynamic
+    /// overrides on top.
+    pub fn config(&self) -> &LsmConfig {
+        &self.cfg
+    }
+
+    /// The boot configuration with every staged dynamic override applied
+    /// — what compaction planning, filter sizing, and backpressure
+    /// currently run under.
+    pub fn effective_config(&self) -> LsmConfig {
+        self.dynamic.effective(&self.cfg)
+    }
+
+    /// Currently staged dynamic overrides (`None` fields = boot value).
+    pub fn dynamic_overrides(&self) -> DynamicSnapshot {
+        self.dynamic.snapshot()
+    }
+
+    /// Stages a validated dynamic-config update. Changes take effect at
+    /// the next decision point that reads the knob: filter budgets at the
+    /// next table build, layout/size-ratio at the next compaction-planning
+    /// pass, L0 thresholds at the next write. Existing data is never
+    /// rewritten eagerly. Errors (an update whose merged config fails
+    /// [`LsmConfig::validate`]) leave the overlay untouched.
+    pub fn set_dynamic(&self, update: &DynamicUpdate) -> Result<(), String> {
+        self.dynamic.apply(&self.cfg, update)?;
+        // Let the threaded picker notice a newly-violated invariant
+        // without waiting for the next write.
+        if self.threaded() {
+            self.bg.schedule_compact();
+        }
+        Ok(())
+    }
+
+    /// Appends an externally-generated event (e.g. a tuner decision) to
+    /// the engine's trace ring, stamped with the engine clock.
+    pub fn record_event(&self, kind: EventKind) {
+        self.obs.event(kind);
+    }
+
+    /// The storage device (for I/O statistics and simulated time).
+    pub fn device(&self) -> &Arc<dyn StorageDevice> {
+        &self.device
+    }
+
+    /// Engine counters.
+    pub fn stats(&self) -> &DbStats {
+        &self.stats
+    }
+
+    /// Device I/O counters.
+    pub fn io_stats(&self) -> IoStatsSnapshot {
+        self.device.stats().snapshot()
+    }
+
+    /// Block-cache counters, when caching is enabled.
+    pub fn cache_stats(&self) -> Option<(u64, u64)> {
+        self.cache.as_ref().map(|c| (c.stats().hits(), c.stats().misses()))
+    }
+
+    /// Point-in-time snapshot of every engine metric: `db.*` engine
+    /// counters, `io.*` per-category device counters, `cache.*`
+    /// block-cache counters (global and per shard), `latency.*`
+    /// histograms for get/put/scan/flush/compaction, and `engine.*`
+    /// gauges. Byte-identical across repeated runs of the same workload
+    /// under [`BackgroundMode::Inline`] (the histograms are driven by the
+    /// simulated device clock).
+    pub fn metrics(&self) -> MetricsSnapshot {
+        self.sync_registry();
+        self.obs.snapshot()
+    }
+
+    /// Drains the structured event trace, oldest first. `seq` is globally
+    /// monotone, so a consumer can detect ring overflow as a gap (see
+    /// also [`DbCore::events_dropped`]).
+    pub fn drain_events(&self) -> Vec<Event> {
+        self.obs.drain_events()
+    }
+
+    /// Events evicted from the trace ring because it was full.
+    pub fn events_dropped(&self) -> u64 {
+        self.obs.dropped_events()
+    }
+
+    /// Engine observability state (hook for the background workers).
+    pub(crate) fn obs(&self) -> &EngineMetrics {
+        &self.obs
+    }
+
+    /// Mirrors the engine/device/cache counters into the metrics registry
+    /// as absolute values. All sources are monotone, so registry counters
+    /// only ever move forward (asserted by the regression tests).
+    fn sync_registry(&self) {
+        let reg = self.obs.registry();
+        let sync = |name: &str, target: u64| {
+            let c = reg.counter(name);
+            let cur = c.get();
+            if target > cur {
+                c.add(target - cur);
+            }
+        };
+        for (name, value) in self.stats.snapshot().fields() {
+            sync(&format!("db.{name}"), value);
+        }
+        let io = self.device.stats().snapshot();
+        for cat in IoCategory::ALL {
+            let c = io.category(cat);
+            let label = cat.label();
+            sync(&format!("io.{label}.read_blocks"), c.read_blocks);
+            sync(&format!("io.{label}.written_blocks"), c.written_blocks);
+            sync(&format!("io.{label}.read_ops"), c.read_ops);
+            sync(&format!("io.{label}.write_ops"), c.write_ops);
+        }
+        sync("io.retries", io.retries);
+        sync("io.corruption_detected", io.corruption_detected);
+        sync("io.write_slowdowns", io.write_slowdowns);
+        sync("io.write_stalls", io.write_stalls);
+        let sched = self.sched.totals();
+        sync("sched.jobs_submitted", sched.submitted);
+        sync("sched.jobs_admitted", sched.admitted);
+        sync("sched.jobs_completed", sched.completed);
+        sync("sched.jobs_failed", sched.failed);
+        sync("sched.input_bytes", sched.input_bytes);
+        sync("sched.output_bytes", sched.output_bytes);
+        sync("sched.throttle_waits", sched.throttle_waits);
+        sync("sched.throttle_wait_ns", sched.throttle_wait_ns);
+        if let Some(cache) = &self.cache {
+            let s = cache.stats();
+            sync("cache.hits", s.hits());
+            sync("cache.misses", s.misses());
+            sync("cache.inserts", s.inserts());
+            sync("cache.evictions", s.evictions());
+            for (i, shard) in cache.shard_stats().iter().enumerate() {
+                sync(&format!("cache.shard{i}.hits"), shard.hits);
+                sync(&format!("cache.shard{i}.misses"), shard.misses);
+                sync(&format!("cache.shard{i}.evictions"), shard.evictions);
+            }
+        }
+    }
+
+    /// Per-level `(runs, bytes, entries)` summary.
+    pub fn level_summary(&self) -> Vec<(usize, u64, u64)> {
+        let inner = self.inner.read();
+        inner
+            .version
+            .levels
+            .iter()
+            .map(|l| {
+                (
+                    l.runs.iter().filter(|r| !r.is_empty()).count(),
+                    l.bytes(),
+                    l.num_entries(),
+                )
+            })
+            .collect()
+    }
+
+    /// Total sorted runs a lookup may probe.
+    pub fn total_runs(&self) -> usize {
+        self.inner.read().version.total_runs()
+    }
+
+    /// Total in-memory filter bits across live tables.
+    pub fn total_filter_bits(&self) -> usize {
+        let inner = self.inner.read();
+        inner.version.tables().map(|t| t.filter_size_bits()).sum()
+    }
+
+    /// Total in-memory block-index bits across live tables.
+    pub fn total_index_bits(&self) -> usize {
+        let inner = self.inner.read();
+        inner.version.tables().map(|t| t.index_size_bits()).sum()
+    }
+
+    /// Live entries visible to readers (excluding shadowed versions).
+    pub fn approximate_entries(&self) -> u64 {
+        let inner = self.inner.read();
+        inner.version.total_entries()
+            + inner.mem.len() as u64
+            + inner.imm.as_ref().map_or(0, |m| m.len() as u64)
+    }
+
+    /// Suggests a key splitting the data in `(lo, hi)` into two roughly
+    /// equal halves by entry count, without reading any data block: the
+    /// candidates are table fence pointers (each weighted by its table's
+    /// entries-per-block, since one fence stands for one block) plus
+    /// memtable keys (weight 1), and the pick is the weighted median.
+    /// `None` when the range holds no candidate strictly inside it — an
+    /// empty or single-key range cannot be split.
+    pub fn suggest_split_key(&self, lo: &[u8], hi: Option<&[u8]>) -> Option<Vec<u8>> {
+        let inner = self.inner.read();
+        let in_range = |k: &[u8]| k > lo && hi.is_none_or(|h| k < h);
+        let mut keys: Vec<(Vec<u8>, u64)> = Vec::new();
+        for t in inner.version.tables() {
+            let m = t.meta();
+            let w = (m.num_entries / m.fences.len().max(1) as u64).max(1);
+            for f in &m.fences {
+                if in_range(f) {
+                    keys.push((f.clone(), w));
+                }
+            }
+        }
+        let hi_bound = match hi {
+            Some(h) => Bound::Excluded(h),
+            None => Bound::Unbounded,
+        };
+        for e in inner.mem.range(Bound::Excluded(lo), hi_bound) {
+            keys.push((e.key, 1));
+        }
+        if let Some(imm) = &inner.imm {
+            for e in imm.range(Bound::Excluded(lo), hi_bound) {
+                keys.push((e.key, 1));
+            }
+        }
+        drop(inner);
+        if keys.is_empty() {
+            return None;
+        }
+        keys.sort();
+        // collapse duplicates (a key in several sources), summing weights
+        let mut merged: Vec<(Vec<u8>, u64)> = Vec::with_capacity(keys.len());
+        for (k, w) in keys {
+            match merged.last_mut() {
+                Some(last) if last.0 == k => last.1 += w,
+                _ => merged.push((k, w)),
+            }
+        }
+        let total: u64 = merged.iter().map(|(_, w)| w).sum();
+        let mut cum = 0u64;
+        for (k, w) in &merged {
+            cum += w;
+            if cum * 2 >= total {
+                return Some(k.clone());
+            }
+        }
+        merged.pop().map(|(k, _)| k)
+    }
+
+    // ------------------------------------------------------------------
+    // Value-log GC (key-value separation extension)
+    // ------------------------------------------------------------------
+
+    /// Garbage-collects the active value log: rewrites live values through
+    /// the normal write path and destroys the old log. Returns
+    /// `(live_rewritten, dead_dropped)`.
+    ///
+    /// Refuses to run while snapshots are outstanding: their pointers may
+    /// reference the log this call would destroy.
+    pub fn gc_value_log(&self) -> StorageResult<(u64, u64)> {
+        if self.cfg.kv_separation.is_none() {
+            return Ok((0, 0));
+        }
+        if self.snapshot_count.load(Ordering::Acquire) > 0 {
+            return Err(StorageError::Corruption(
+                "value-log GC refused: outstanding snapshots reference the log".into(),
+            ));
+        }
+        // swap in a fresh log
+        let old = {
+            let mut inner = self.inner.write();
+            let fresh = ValueLog::create(Arc::clone(&self.device))?;
+            let old = inner.vlog.replace(fresh);
+            self.persist_manifest(&mut inner)?;
+            old
+        };
+        let Some(old) = old else { return Ok((0, 0)) };
+        let records = old.scan_all()?;
+        let mut live = 0u64;
+        let mut dead = 0u64;
+        for (key, value, ptr) in records {
+            // the record is live iff the engine's current raw value still
+            // points at it
+            let is_live = self
+                .raw_stored_value(&key)?
+                .and_then(|raw| decode_value(&raw).and_then(|d| d.err()))
+                .is_some_and(|p| p == ptr);
+            if is_live {
+                self.put(key, value)?;
+                live += 1;
+            } else {
+                dead += 1;
+            }
+        }
+        old.destroy()?;
+        Ok((live, dead))
+    }
+}

@@ -1,0 +1,400 @@
+//! The read path: one borrowed view — write buffers, a pinned version,
+//! the block cache, a value resolver — that answers point lookups and
+//! assembles scan sources for the engine, snapshots, transactions and
+//! value-log GC alike (tutorial Module I.1: buffer first, then levels
+//! young-to-old; per run: key range → filter → fence → block).
+
+use std::ops::{Bound, Range};
+use std::sync::Arc;
+
+use lsm_cache::ShardedCache;
+use lsm_storage::{Block, StorageDevice, StorageError, StorageResult};
+
+use super::{heat_key, DbCore, Inner};
+use crate::entry::{InternalEntry, ValueKind};
+use crate::iter::{MergingIter, RunIterator, Source};
+use crate::kv_sep::{decode_value, read_pointer_from_device, ValueLog};
+use crate::memtable::Memtable;
+use crate::snapshot::{Snapshot, SnapshotPin};
+use crate::stats::DbStats;
+use crate::version::Version;
+
+/// Turns a stored value into the user's value under key-value
+/// separation (a pointer chase that may read the value log).
+pub(crate) type Resolver<'a> = &'a dyn Fn(&[u8]) -> StorageResult<Vec<u8>>;
+
+/// Decodes a separated value: inline bytes are copied out, a pointer is
+/// read from `active` when it targets that (possibly unsynced) log, else
+/// from the device.
+pub(crate) fn resolve_stored(
+    device: &Arc<dyn StorageDevice>,
+    active: Option<&ValueLog>,
+    stats: &DbStats,
+    raw: &[u8],
+) -> StorageResult<Vec<u8>> {
+    match decode_value(raw) {
+        Some(Ok(inline)) => Ok(inline.to_vec()),
+        Some(Err(ptr)) => {
+            DbStats::bump(&stats.vlog_resolves);
+            match active {
+                Some(log) if log.id() == ptr.file => log.read(ptr),
+                _ => read_pointer_from_device(device, ptr),
+            }
+        }
+        None => Err(StorageError::Corruption("bad separated value".into())),
+    }
+}
+
+/// The table half of a read: everything below the write buffers. The
+/// engine runs it on a cloned `Arc<Version>` with no lock held.
+pub(crate) struct TableView<'a> {
+    pub version: &'a Version,
+    pub cache: Option<&'a Arc<ShardedCache<Block>>>,
+    pub stats: &'a DbStats,
+    /// `None` = stored bytes are the value (no key-value separation, or
+    /// a caller that wants the raw stored form): the zero-copy path.
+    pub resolve: Option<Resolver<'a>>,
+}
+
+/// A borrowed, consistent view of the tree: both write buffers plus the
+/// [`TableView`] under them.
+pub(crate) struct ReadView<'a> {
+    pub mem: &'a Memtable,
+    /// Frozen memtable awaiting flush; older than `mem`, younger than
+    /// every sorted run.
+    pub imm: Option<&'a Memtable>,
+    pub tables: TableView<'a>,
+}
+
+/// Hands `value` (resolved first, under key-value separation) to the
+/// caller's one-shot closure.
+fn deliver<R, F: FnOnce(&[u8]) -> R>(
+    resolve: Option<Resolver<'_>>,
+    f: &mut Option<F>,
+    value: &[u8],
+) -> StorageResult<R> {
+    let f = f.take().expect("lookup closure runs at most once");
+    Ok(match resolve {
+        Some(resolve) => f(&resolve(value)?),
+        None => f(value),
+    })
+}
+
+impl TableView<'_> {
+    /// The level/run walk of a point lookup, youngest first: the first
+    /// run holding any version of `key` decides. `f` runs on the value
+    /// bytes in the cached block, at most once, never for a tombstone.
+    pub(crate) fn get_with<R, F: FnOnce(&[u8]) -> R>(
+        &self,
+        key: &[u8],
+        f: &mut Option<F>,
+    ) -> StorageResult<Option<R>> {
+        for level in &self.version.levels {
+            for run in &level.runs {
+                let Some(table) = run.table_for(key) else {
+                    DbStats::bump(&self.stats.range_prunes);
+                    continue;
+                };
+                DbStats::bump(&self.stats.runs_probed);
+                // the slot dance keeps `f` available for the next table
+                // when this one misses
+                let (hit, probe) = table.get_with(key, self.cache.map(|c| c.as_ref()), |e| match e.kind {
+                    ValueKind::Delete => Ok(None),
+                    ValueKind::Put => deliver(self.resolve, f, e.value).map(Some),
+                })?;
+                if probe.filter_pruned {
+                    DbStats::bump(&self.stats.filter_prunes);
+                }
+                self.stats
+                    .add(&self.stats.blocks_examined, probe.blocks_examined as u64);
+                if let Some(found) = hit {
+                    let found: Option<R> = found?;
+                    if found.is_some() {
+                        DbStats::bump(&self.stats.gets_found);
+                    }
+                    return Ok(found);
+                }
+            }
+        }
+        Ok(None)
+    }
+
+    /// Drains a scan's merged sources through `f(key, value)`: live
+    /// entries in key order, stopping at `end` (exclusive) or `limit`.
+    /// Returns how many were visited.
+    pub(crate) fn merge_scan(
+        &self,
+        sources: Vec<Source>,
+        end: Option<&[u8]>,
+        limit: usize,
+        mut f: impl FnMut(&[u8], &[u8]),
+    ) -> StorageResult<usize> {
+        let mut merger = MergingIter::new(sources, false)?;
+        let mut n = 0usize;
+        while n < limit && merger.advance_visible()? {
+            if end.is_some_and(|end| merger.key() >= end) {
+                break;
+            }
+            match self.resolve {
+                // pointer chase: the resolved value is owned by necessity
+                Some(resolve) => f(merger.key(), &resolve(merger.value())?),
+                None => f(merger.key(), merger.value()),
+            }
+            n += 1;
+        }
+        self.stats.add(&self.stats.scan_entries, n as u64);
+        Ok(n)
+    }
+}
+
+impl ReadView<'_> {
+    /// The buffer half of a point lookup: `Some(outcome)` when either
+    /// memtable holds a version of `key` (a tombstone yields
+    /// `Some(None)`), `None` when the tables must be consulted.
+    pub(crate) fn get_buffered<R, F: FnOnce(&[u8]) -> R>(
+        &self,
+        key: &[u8],
+        f: &mut Option<F>,
+    ) -> StorageResult<Option<Option<R>>> {
+        DbStats::bump(&self.tables.stats.gets);
+        let hit = self
+            .mem
+            .get_ref(key)
+            .or_else(|| self.imm.and_then(|m| m.get_ref(key)));
+        Ok(match hit {
+            None => None,
+            Some(e) if e.kind == ValueKind::Delete => Some(None),
+            Some(e) => {
+                DbStats::bump(&self.tables.stats.gets_found);
+                Some(Some(deliver(self.tables.resolve, f, e.value)?))
+            }
+        })
+    }
+
+    /// Point lookup: the newest visible value for `key`, handed to `f`
+    /// in place (memtable arena or cached block).
+    pub(crate) fn get_with<R>(
+        &self,
+        key: &[u8],
+        f: impl FnOnce(&[u8]) -> R,
+    ) -> StorageResult<Option<R>> {
+        let mut f = Some(f);
+        match self.get_buffered(key, &mut f)? {
+            Some(outcome) => Ok(outcome),
+            None => self.tables.get_with(key, &mut f),
+        }
+    }
+
+    /// Assembles merge sources for a scan of `[start, end)` (`end ==
+    /// None`: to the end of the keyspace): memtable copies (rank 0 =
+    /// youngest, frozen memtable next), then sorted runs youngest
+    /// level/run first. Range-filter pruning is an in-memory probe, so it
+    /// happens up front, while data blocks are only read lazily as the
+    /// merge reaches each table. An empty or inverted range has no
+    /// sources.
+    pub(crate) fn sources(&self, start: &[u8], end: Option<&[u8]>) -> Vec<Source> {
+        let stats = self.tables.stats;
+        DbStats::bump(&stats.scans);
+        let mut sources = Vec::new();
+        if end.is_some_and(|end| start >= end) {
+            return sources;
+        }
+        let hi = end.map_or(Bound::Unbounded, Bound::Excluded);
+        for mem in std::iter::once(self.mem).chain(self.imm) {
+            let entries: Vec<InternalEntry> = mem.range(Bound::Included(start), hi).collect();
+            sources.push(Source::mem(entries));
+        }
+        for level in &self.tables.version.levels {
+            for run in &level.runs {
+                let candidates = match end {
+                    Some(end) => run.overlapping(start, end),
+                    None => {
+                        let from = run
+                            .tables
+                            .partition_point(|t| t.meta().max_key.as_slice() < start);
+                        &run.tables[from..]
+                    }
+                };
+                let tables: Vec<_> = candidates
+                    .iter()
+                    .filter(|table| {
+                        let keep = table.range_may_overlap(Bound::Included(start), hi);
+                        if !keep {
+                            DbStats::bump(&stats.range_filter_prunes);
+                        }
+                        keep
+                    })
+                    .cloned()
+                    .collect();
+                if !tables.is_empty() {
+                    sources.push(Source::Run(RunIterator::new(
+                        tables,
+                        start.to_vec(),
+                        self.tables.cache.cloned(),
+                    )));
+                }
+            }
+        }
+        sources
+    }
+
+    /// Streaming scan of `[start, end)` through borrowed views.
+    pub(crate) fn scan_with(
+        &self,
+        start: &[u8],
+        end: Option<&[u8]>,
+        limit: usize,
+        f: impl FnMut(&[u8], &[u8]),
+    ) -> StorageResult<usize> {
+        self.tables
+            .merge_scan(self.sources(start, end), end, limit, f)
+    }
+}
+
+impl DbCore {
+    /// The engine's table view over `version`. `resolve` is dropped when
+    /// key-value separation is off — stored bytes are then the value.
+    fn tables<'a>(&'a self, version: &'a Version, resolve: Option<Resolver<'a>>) -> TableView<'a> {
+        TableView {
+            version,
+            cache: self.cache.as_ref(),
+            stats: &self.stats,
+            resolve: resolve.filter(|_| self.cfg.kv_separation.is_some()),
+        }
+    }
+
+    /// The engine's full view under a held guard.
+    fn view<'a>(&'a self, inner: &'a Inner, resolve: Option<Resolver<'a>>) -> ReadView<'a> {
+        ReadView {
+            mem: &inner.mem,
+            imm: inner.imm.as_deref(),
+            tables: self.tables(&inner.version, resolve),
+        }
+    }
+
+    /// Resolves a stored value with no lock held (the table and merge
+    /// phases): takes a brief read lock for the active value log.
+    fn resolve_unlocked(&self, raw: &[u8]) -> StorageResult<Vec<u8>> {
+        let inner = self.inner.read();
+        resolve_stored(&self.device, inner.vlog.as_ref(), &self.stats, raw)
+    }
+
+    /// Point lookup: the newest visible value for `key`. Takes a version
+    /// snapshot and probes tables without holding any engine lock.
+    pub fn get(&self, key: &[u8]) -> StorageResult<Option<Vec<u8>>> {
+        self.get_with(key, |v| v.to_vec())
+    }
+
+    /// Point lookup into a caller-owned buffer: `buf` is cleared and
+    /// filled with the value when the key is live. Returns whether the
+    /// key was found. With a warm block cache this path performs no heap
+    /// allocation at all (without key-value separation) — the value bytes
+    /// are copied straight from the cached block into `buf`.
+    pub fn get_into(&self, key: &[u8], buf: &mut Vec<u8>) -> StorageResult<bool> {
+        let found = self.get_with(key, |v| {
+            buf.clear();
+            buf.extend_from_slice(v);
+        })?;
+        Ok(found.is_some())
+    }
+
+    /// Point lookup through a borrowed view: `f` runs on the value bytes
+    /// in place — in the memtable arena or the cached block — and its
+    /// result is returned. This is the zero-copy primitive [`DbCore::get`]
+    /// and [`DbCore::get_into`] are wrappers over. `f` is called at most
+    /// once, and never for a tombstone.
+    pub fn get_with<R>(
+        &self,
+        key: &[u8],
+        f: impl FnOnce(&[u8]) -> R,
+    ) -> StorageResult<Option<R>> {
+        self.obs.timed(&self.obs.get_ns, || {
+            if self.cfg.prefetch_after_compaction {
+                self.heat.lock().record(heat_key(key));
+            }
+            let mut f = Some(f);
+            // buffers under a brief read lock, tables lock-free on the
+            // version that was current while it was held
+            let version = {
+                let inner = self.inner.read();
+                let resolve = |raw: &[u8]| {
+                    resolve_stored(&self.device, inner.vlog.as_ref(), &self.stats, raw)
+                };
+                if let Some(out) = self.view(&inner, Some(&resolve)).get_buffered(key, &mut f)? {
+                    return Ok(out);
+                }
+                Arc::clone(&inner.version)
+            };
+            let resolve = |raw: &[u8]| self.resolve_unlocked(raw);
+            self.tables(&version, Some(&resolve)).get_with(key, &mut f)
+        })
+    }
+
+    /// Range scan: up to `limit` live entries with `range.start ≤ key <
+    /// range.end`, in key order, over a consistent snapshot. Memtable
+    /// state is copied under a brief read lock; table I/O and the merge
+    /// run lock-free against the version snapshot.
+    pub fn scan(&self, range: Range<Vec<u8>>, limit: usize) -> StorageResult<Vec<(Vec<u8>, Vec<u8>)>> {
+        let mut out = Vec::new();
+        self.scan_with(&range.start, &range.end, limit, |k, v| out.push((k.to_vec(), v.to_vec())))?;
+        Ok(out)
+    }
+
+    /// Streaming range scan through borrowed views: calls `f(key, value)`
+    /// for each live entry with `start ≤ key < end`, in key order, up to
+    /// `limit` entries, and returns how many were visited. The bytes are
+    /// borrowed from the merge cursor (cached blocks / memtable copies) —
+    /// no per-entry key/value `Vec`s are materialized, which is what
+    /// [`DbCore::scan`] pays to build its owned result.
+    pub fn scan_with(
+        &self,
+        start: &[u8],
+        end: &[u8],
+        limit: usize,
+        f: impl FnMut(&[u8], &[u8]),
+    ) -> StorageResult<usize> {
+        self.obs.timed(&self.obs.scan_ns, || {
+            let (sources, version) = {
+                let inner = self.inner.read();
+                (self.view(&inner, None).sources(start, Some(end)), Arc::clone(&inner.version))
+            };
+            let resolve = |raw: &[u8]| self.resolve_unlocked(raw);
+            self.tables(&version, Some(&resolve)).merge_scan(sources, Some(end), limit, f)
+        })
+    }
+
+    /// Newest raw (unresolved) engine value for `key`, if any and live —
+    /// the stored pointer value-log GC checks a log record against.
+    pub(super) fn raw_stored_value(&self, key: &[u8]) -> StorageResult<Option<Vec<u8>>> {
+        self.view(&self.inner.read(), None).get_with(key, |v| v.to_vec())
+    }
+
+    /// Takes a long-lived point-in-time snapshot. It holds no lock:
+    /// writers and compactions proceed freely, and the snapshot's files
+    /// stay alive (deletion is deferred to the last reference) until it
+    /// is dropped.
+    ///
+    /// The memtable is copied (O(buffer size)); with key-value separation
+    /// the value-log tail is synced first so pointer reads need no access
+    /// to engine internals.
+    pub fn snapshot(&self) -> StorageResult<Snapshot> {
+        self.pin_snapshot(&mut self.inner.write())
+    }
+
+    /// Builds a [`Snapshot`] of the state under the held write guard.
+    pub(super) fn pin_snapshot(&self, inner: &mut Inner) -> StorageResult<Snapshot> {
+        if let Some(vlog) = &mut inner.vlog {
+            vlog.sync()?;
+        }
+        Ok(Snapshot {
+            mem: inner.mem.clone(),
+            imm: inner.imm.clone(),
+            version: Arc::clone(&inner.version),
+            cache: self.cache.clone(),
+            device: Arc::clone(&self.device),
+            stats: Arc::clone(&self.stats),
+            kv_separation: self.cfg.kv_separation.is_some(),
+            pin: SnapshotPin::new(Arc::clone(&self.snapshot_count)),
+        })
+    }
+}

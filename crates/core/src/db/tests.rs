@@ -1,0 +1,322 @@
+use super::*;
+
+fn small() -> LsmConfig {
+    LsmConfig::small_for_tests()
+}
+
+#[test]
+fn put_get_roundtrip() {
+    let db = Db::open_in_memory(small()).unwrap();
+    db.put(b"hello".to_vec(), b"world".to_vec()).unwrap();
+    assert_eq!(db.get(b"hello").unwrap(), Some(b"world".to_vec()));
+    assert_eq!(db.get(b"missing").unwrap(), None);
+}
+
+#[test]
+fn overwrite_returns_newest() {
+    let db = Db::open_in_memory(small()).unwrap();
+    db.put(b"k".to_vec(), b"v1".to_vec()).unwrap();
+    db.put(b"k".to_vec(), b"v2".to_vec()).unwrap();
+    assert_eq!(db.get(b"k").unwrap(), Some(b"v2".to_vec()));
+}
+
+#[test]
+fn delete_hides_older_versions_across_flushes() {
+    let db = Db::open_in_memory(small()).unwrap();
+    db.put(b"k".to_vec(), b"v".to_vec()).unwrap();
+    db.flush().unwrap();
+    db.delete(b"k".to_vec()).unwrap();
+    assert_eq!(db.get(b"k").unwrap(), None);
+    db.flush().unwrap();
+    assert_eq!(db.get(b"k").unwrap(), None);
+}
+
+#[test]
+fn write_batch_is_one_wal_append_and_reads_like_singles() {
+    let cfg = LsmConfig {
+        wal: true,
+        ..small()
+    };
+    let db = Db::open_in_memory(cfg).unwrap();
+    let mut batch = WriteBatch::new();
+    for i in 0..20u32 {
+        batch.put(format!("bk{i:03}").into_bytes(), format!("bv{i}").into_bytes());
+    }
+    batch.delete(b"bk003".to_vec());
+    batch.put(b"bk004".to_vec(), b"rewritten".to_vec());
+    assert_eq!(batch.len(), 22);
+    db.write_batch(batch).unwrap();
+    let s = db.stats().snapshot();
+    assert_eq!(s.wal_appends, 1, "a batch must cost one WAL append");
+    assert_eq!(s.write_batches, 1);
+    assert_eq!(s.batched_writes, 22);
+    assert_eq!(s.puts, 21);
+    assert_eq!(s.deletes, 1);
+    // in-order application: later ops shadow earlier ones
+    assert_eq!(db.get(b"bk003").unwrap(), None);
+    assert_eq!(db.get(b"bk004").unwrap(), Some(b"rewritten".to_vec()));
+    assert_eq!(db.get(b"bk019").unwrap(), Some(b"bv19".to_vec()));
+    // an empty batch is a no-op
+    db.write_batch(WriteBatch::new()).unwrap();
+    assert_eq!(db.stats().snapshot().write_batches, 1);
+}
+
+#[test]
+fn write_batch_survives_crash_recovery() {
+    let cfg = LsmConfig {
+        wal: true,
+        ..small()
+    };
+    let device: Arc<dyn StorageDevice> =
+        Arc::new(lsm_storage::MemDevice::new(cfg.block_size, Default::default()));
+    {
+        let db = Db::open(Arc::clone(&device), cfg.clone()).unwrap();
+        let mut batch = WriteBatch::new();
+        for i in 0..50u32 {
+            batch.put(format!("ck{i:03}").into_bytes(), format!("cv{i}").into_bytes());
+        }
+        db.write_batch(batch).unwrap();
+        db.sync().unwrap();
+        // drop without flush: recovery must come from the batched WAL
+    }
+    let db = Db::open(device, cfg).unwrap();
+    for i in 0..50u32 {
+        assert_eq!(
+            db.get(format!("ck{i:03}").as_bytes()).unwrap(),
+            Some(format!("cv{i}").into_bytes()),
+            "ck{i:03}"
+        );
+    }
+}
+
+#[test]
+fn replicated_batches_advance_and_persist_the_watermark() {
+    let cfg = LsmConfig {
+        wal: true,
+        ..small()
+    };
+    let device: Arc<dyn StorageDevice> =
+        Arc::new(lsm_storage::MemDevice::new(cfg.block_size, Default::default()));
+    {
+        let db = Db::open(Arc::clone(&device), cfg.clone()).unwrap();
+        assert_eq!(db.applied_seq(), 0, "fresh engine is not a replica");
+        let mut batch = WriteBatch::new();
+        batch.put(b"rk1".to_vec(), b"rv1".to_vec());
+        db.write_batch_replicated(&mut batch, 1).unwrap();
+        assert_eq!(db.applied_seq(), 1);
+        // an empty batch (all ops routed to other shards) still moves it
+        db.write_batch_replicated(&mut WriteBatch::new(), 2).unwrap();
+        assert_eq!(db.applied_seq(), 2);
+        // the watermark never regresses on out-of-order maxima
+        let mut batch = WriteBatch::new();
+        batch.put(b"rk2".to_vec(), b"rv2".to_vec());
+        db.write_batch_replicated(&mut batch, 1).unwrap();
+        assert_eq!(db.applied_seq(), 2);
+        // flush writes a manifest carrying the watermark
+        db.flush_all().unwrap();
+    }
+    let db = Db::open(device, cfg).unwrap();
+    assert_eq!(db.applied_seq(), 2, "watermark must survive reopen");
+    assert_eq!(db.get(b"rk1").unwrap(), Some(b"rv1".to_vec()));
+    assert_eq!(db.get(b"rk2").unwrap(), Some(b"rv2".to_vec()));
+}
+
+#[test]
+fn write_batch_triggers_flush_when_memtable_fills() {
+    let db = Db::open_in_memory(small()).unwrap();
+    // several batches, together far past buffer_bytes (4 KiB)
+    for b in 0..8u32 {
+        let mut batch = WriteBatch::new();
+        for i in 0..64u32 {
+            let id = b * 64 + i;
+            batch.put(format!("fk{id:05}").into_bytes(), vec![b as u8; 32]);
+        }
+        db.write_batch(batch).unwrap();
+    }
+    db.wait_background_idle();
+    assert!(db.stats().snapshot().flushes > 0, "batches must rotate the memtable");
+    assert_eq!(db.get(b"fk00000").unwrap(), Some(vec![0u8; 32]));
+    assert_eq!(db.get(b"fk00511").unwrap(), Some(vec![7u8; 32]));
+}
+
+#[test]
+fn flush_all_quiesces_and_empties_memtables() {
+    let db = Db::open_in_memory(small()).unwrap();
+    for i in 0..800u32 {
+        db.put(format!("q{i:05}").into_bytes(), vec![1u8; 16]).unwrap();
+    }
+    db.flush_all().unwrap();
+    let inner = db.inner.read();
+    assert_eq!(inner.mem.bytes(), 0, "active memtable must be empty");
+    assert!(inner.imm.is_none(), "immutable slot must be drained");
+    drop(inner);
+    assert_eq!(db.get(b"q00799").unwrap(), Some(vec![1u8; 16]));
+}
+
+#[test]
+fn l0_run_count_tracks_gauge() {
+    let db = Db::open_in_memory(small()).unwrap();
+    assert_eq!(db.l0_run_count(), 0);
+    for i in 0..3000u32 {
+        db.put(format!("g{i:06}").into_bytes(), vec![0u8; 16]).unwrap();
+    }
+    db.wait_background_idle();
+    // gauge mirrors the installed version's L0 run count
+    let inner = db.inner.read();
+    let expect = DbCore::count_l0_runs(&inner.version);
+    drop(inner);
+    assert_eq!(db.l0_run_count(), expect);
+}
+
+#[test]
+fn many_writes_trigger_flush_and_compaction() {
+    let db = Db::open_in_memory(small()).unwrap();
+    for i in 0..3000u32 {
+        db.put(
+            format!("key{i:06}").as_bytes().to_vec(),
+            format!("value{i:06}").into_bytes(),
+        )
+        .unwrap();
+    }
+    db.wait_background_idle();
+    let s = db.stats().snapshot();
+    assert!(s.flushes > 0, "no flush happened");
+    assert!(s.compactions > 0, "no compaction happened");
+    // everything still readable
+    for i in (0..3000u32).step_by(113) {
+        let key = format!("key{i:06}");
+        assert_eq!(
+            db.get(key.as_bytes()).unwrap(),
+            Some(format!("value{i:06}").into_bytes()),
+            "{key}"
+        );
+    }
+}
+
+#[test]
+fn clones_share_one_engine() {
+    let db = Db::open_in_memory(small()).unwrap();
+    let db2 = db.clone();
+    db.put(b"a".to_vec(), b"1".to_vec()).unwrap();
+    db2.put(b"b".to_vec(), b"2".to_vec()).unwrap();
+    assert_eq!(db2.get(b"a").unwrap(), Some(b"1".to_vec()));
+    assert_eq!(db.get(b"b").unwrap(), Some(b"2".to_vec()));
+    drop(db);
+    // the engine stays alive through the surviving clone
+    assert_eq!(db2.get(b"a").unwrap(), Some(b"1".to_vec()));
+}
+
+#[test]
+fn handle_is_send_sync_clone() {
+    fn assert_handle<T: Send + Sync + Clone>() {}
+    assert_handle::<Db>();
+}
+
+#[test]
+fn threaded_mode_basic_workload() {
+    let mut cfg = small();
+    cfg.background = BackgroundMode::Threaded;
+    let db = Db::open_in_memory(cfg).unwrap();
+    for i in 0..3000u32 {
+        db.put(
+            format!("key{i:06}").as_bytes().to_vec(),
+            format!("value{i:06}").into_bytes(),
+        )
+        .unwrap();
+    }
+    db.wait_background_idle();
+    assert!(db.stats().snapshot().flushes > 0, "no flush happened");
+    for i in (0..3000u32).step_by(113) {
+        let key = format!("key{i:06}");
+        assert_eq!(
+            db.get(key.as_bytes()).unwrap(),
+            Some(format!("value{i:06}").into_bytes()),
+            "{key}"
+        );
+    }
+    let got = db
+        .scan(b"key000000".to_vec()..b"key003000".to_vec(), usize::MAX)
+        .unwrap();
+    assert_eq!(got.len(), 3000);
+}
+
+#[test]
+fn scan_merges_memtable_and_tables() {
+    let db = Db::open_in_memory(small()).unwrap();
+    for i in 0..500u32 {
+        db.put(format!("key{i:04}").into_bytes(), format!("v{i}").into_bytes())
+            .unwrap();
+    }
+    db.flush().unwrap();
+    // overwrite a few in the memtable
+    db.put(b"key0100".to_vec(), b"NEW".to_vec()).unwrap();
+    db.delete(b"key0101".to_vec()).unwrap();
+    let got = db.scan(b"key0099".to_vec()..b"key0103".to_vec(), 100).unwrap();
+    let keys: Vec<_> = got.iter().map(|(k, _)| k.clone()).collect();
+    assert_eq!(
+        keys,
+        vec![b"key0099".to_vec(), b"key0100".to_vec(), b"key0102".to_vec()]
+    );
+    assert_eq!(got[1].1, b"NEW".to_vec());
+}
+
+#[test]
+fn snapshot_scan_with_matches_scan() {
+    let db = Db::open_in_memory(small()).unwrap();
+    for i in 0..800u32 {
+        db.put(format!("key{i:04}").into_bytes(), format!("v{i}").into_bytes())
+            .unwrap();
+    }
+    db.delete(b"key0100".to_vec()).unwrap();
+    let scanned = db.scan(b"key0050".to_vec()..b"key0150".to_vec(), usize::MAX).unwrap();
+    let mut streamed = Vec::new();
+    db.snapshot()
+        .unwrap()
+        .scan_with(b"key0050", Some(b"key0150"), usize::MAX, |k, v| {
+            streamed.push((k.to_vec(), v.to_vec()))
+        })
+        .unwrap();
+    assert_eq!(scanned, streamed);
+    assert_eq!(streamed.len(), 99, "100 keys minus one delete");
+}
+
+#[test]
+fn unbounded_scan_reaches_the_end_of_the_keyspace() {
+    let db = Db::open_in_memory(small()).unwrap();
+    for i in 0..300u32 {
+        db.put(format!("key{i:04}").into_bytes(), b"v".to_vec()).unwrap();
+    }
+    db.flush().unwrap();
+    // a key past any fixed-width "max key" sentinel must still be seen
+    db.put(vec![0xFF; 65], b"v".to_vec()).unwrap();
+    let snap = db.snapshot().unwrap();
+    let n = snap.scan_with(b"key0250", None, usize::MAX, |_, _| {}).unwrap();
+    assert_eq!(n, 51);
+}
+
+#[test]
+fn inverted_and_empty_ranges_are_empty_not_panicking() {
+    let db = Db::open_in_memory(small()).unwrap();
+    for i in 0..100u32 {
+        db.put(format!("k{i:03}").into_bytes(), b"v".to_vec()).unwrap();
+    }
+    assert!(db.scan(b"k050".to_vec()..b"k010".to_vec(), 10).unwrap().is_empty());
+    assert!(db.scan(b"k050".to_vec()..b"k050".to_vec(), 10).unwrap().is_empty());
+    let snap = db.snapshot().unwrap();
+    assert_eq!(snap.scan_with(b"k050", Some(b"k010"), 10, |_, _| {}).unwrap(), 0);
+    assert!(snap.scan(b"z".to_vec()..b"a".to_vec(), 10).unwrap().is_empty());
+}
+
+#[test]
+fn scan_respects_limit_and_order() {
+    let db = Db::open_in_memory(small()).unwrap();
+    for i in (0..1000u32).rev() {
+        db.put(format!("key{i:04}").into_bytes(), b"v".to_vec()).unwrap();
+    }
+    let got = db.scan(b"key0000".to_vec()..b"key9999".to_vec(), 17).unwrap();
+    assert_eq!(got.len(), 17);
+    for w in got.windows(2) {
+        assert!(w[0].0 < w[1].0);
+    }
+    assert_eq!(got[0].0, b"key0000".to_vec());
+}

@@ -1,0 +1,518 @@
+//! The write path: every write — a `put`/`delete`, a group-commit or
+//! replicated batch, a transaction's write-set — is a slice of
+//! [`Record`]s handed to [`DbCore::commit`] under the write guard, then
+//! [`DbCore::after_write`] for the memtable-full tail. Backpressure and
+//! the memtable freeze live here too.
+
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
+
+use parking_lot::RwLockWriteGuard;
+
+use lsm_obs::{EventKind, StallReason};
+use lsm_storage::{StorageError, StorageResult};
+
+use super::{DbCore, Inner, Record, WriteBatch};
+use crate::entry::ValueKind;
+use crate::kv_sep::{encode_inline, encode_pointer};
+use crate::memtable::Memtable;
+use crate::stats::DbStats;
+use crate::wal::Wal;
+
+/// How a commit's records are framed in the WAL.
+enum WalFraming {
+    /// Independent records sharing one append ([`Wal::append_batch`]):
+    /// a crash may persist any prefix.
+    Stream,
+    /// One all-or-nothing group ([`Wal::append_atomic`]): recovery
+    /// replays all of it or none.
+    Atomic,
+}
+
+/// Prune `Inner::txn_recent` on transaction end once it exceeds this
+/// many keys (below the oldest live snapshot floor nothing can conflict).
+const TXN_RECENT_PRUNE_LEN: usize = 1024;
+
+/// Global commit-stamp source for transaction commits. The stamp is
+/// fetched while every involved engine's write lock is held, so stamp
+/// order is consistent with each engine's apply order — replaying
+/// committed transactions in stamp order reproduces the exact final
+/// state (the serializability oracle in
+/// `crates/server/tests/transactions.rs` relies on this).
+static TXN_STAMP: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+
+/// One engine's slice of a transaction commit (built by
+/// [`crate::txn::Txn::commit`] and the server's cross-shard commit path).
+pub(crate) struct TxnApplyPart<'a> {
+    /// The engine this part applies to. Parts must target distinct
+    /// engines — the commit takes each engine's write lock once.
+    pub db: &'a DbCore,
+    /// The sub-transaction's snapshot floor on `db`.
+    pub snap_seqno: u64,
+    /// Keys read through the snapshot, validated first-committer-wins.
+    pub read_set: Vec<Vec<u8>>,
+    /// Buffered writes, folded into one atomic WAL group on success.
+    pub write_set: WriteBatch,
+}
+
+/// Validates and applies a transaction atomically across its parts.
+///
+/// All involved engines' write locks are taken in one stable global
+/// order (by engine address — two concurrent multi-engine commits can
+/// never deadlock), every part's read-set is validated against
+/// `Inner::txn_recent`, and only if **all** parts validate clean are the
+/// write-sets applied — each as one [`Wal::append_atomic`] group, so a
+/// crash can never expose a partial write-set on any single engine.
+/// Memtable-full maintenance is deferred to after the locks drop
+/// ([`DbCore::after_write`]) so a multi-engine commit never flushes while
+/// holding several engines' locks.
+///
+/// Returns `Ok(Err(conflict))` when validation fails (the transaction
+/// must abort and retry) and `Ok(Ok(stamp))` with the global commit
+/// stamp on success.
+pub(crate) fn commit_txn_parts(
+    parts: &mut [TxnApplyPart<'_>],
+) -> StorageResult<Result<u64, crate::txn::Conflict>> {
+    // Backpressure and background-error checks happen before any lock is
+    // taken, exactly like the plain write path.
+    for p in parts.iter() {
+        p.db.admit_write()?;
+    }
+    let dbs: Vec<&DbCore> = parts.iter().map(|p| p.db).collect();
+    let mut order: Vec<usize> = (0..parts.len()).collect();
+    order.sort_by_key(|&i| dbs[i] as *const DbCore as usize);
+    debug_assert!(
+        order
+            .windows(2)
+            .all(|w| !std::ptr::eq(dbs[w[0]], dbs[w[1]])),
+        "txn parts must target distinct engines"
+    );
+    let mut guards: Vec<(usize, RwLockWriteGuard<'_, Inner>)> = Vec::with_capacity(order.len());
+    for &i in &order {
+        guards.push((i, dbs[i].inner.write()));
+    }
+    // First-committer-wins validation: every read key must be unchanged
+    // since its sub-transaction's snapshot. All guards are held, so a
+    // clean validation cannot be invalidated before the apply below.
+    let mut conflict: Option<(usize, crate::txn::Conflict)> = None;
+    'validate: for (i, guard) in &guards {
+        let p = &parts[*i];
+        for key in &p.read_set {
+            if let Some(&seqno) = guard.txn_recent.get(key) {
+                if seqno > p.snap_seqno {
+                    conflict = Some((
+                        *i,
+                        crate::txn::Conflict {
+                            key: key.clone(),
+                            snap_seqno: p.snap_seqno,
+                            conflict_seqno: seqno,
+                        },
+                    ));
+                    break 'validate;
+                }
+            }
+        }
+    }
+    if let Some((i, c)) = conflict {
+        drop(guards);
+        dbs[i].obs.txn_conflicts.inc();
+        dbs[i].obs.event(EventKind::TxnConflict {
+            snap_seqno: c.snap_seqno,
+            conflict_seqno: c.conflict_seqno,
+        });
+        return Ok(Err(c));
+    }
+    // Validation clean on every engine: apply the write-sets. Per-part
+    // sizes are captured first (apply drains the batch) for the events.
+    let counts: Vec<(u64, u64)> = parts
+        .iter()
+        .map(|p| (p.write_set.len() as u64, p.read_set.len() as u64))
+        .collect();
+    for (i, guard) in guards.iter_mut() {
+        let ops = &mut parts[*i].write_set.ops;
+        let out = dbs[*i].commit(guard, ops, WalFraming::Atomic, None);
+        ops.clear();
+        out?;
+    }
+    let stamp = TXN_STAMP.fetch_add(1, Ordering::AcqRel) + 1;
+    drop(guards);
+    for (i, (writes, reads)) in counts.into_iter().enumerate() {
+        dbs[i].obs.txn_commits.inc();
+        dbs[i].obs.event(EventKind::TxnCommit {
+            stamp,
+            writes,
+            reads,
+        });
+    }
+    for db in &dbs {
+        db.after_write(db.inner.write())?;
+    }
+    Ok(Ok(stamp))
+}
+
+impl DbCore {
+    /// Inserts or updates a key.
+    pub fn put(&self, key: Vec<u8>, value: Vec<u8>) -> StorageResult<()> {
+        self.write(&mut [(0, ValueKind::Put, key, value)], None)
+    }
+
+    /// Deletes a key (writes a tombstone).
+    pub fn delete(&self, key: Vec<u8>) -> StorageResult<()> {
+        self.write(&mut [(0, ValueKind::Delete, key, Vec::new())], None)
+    }
+
+    /// Applies a [`WriteBatch`] with **one** WAL append (group commit).
+    ///
+    /// All operations receive consecutive sequence numbers under a single
+    /// acquisition of the write lock, their WAL frames are concatenated
+    /// into one [`Wal::append_batch`] call, and backpressure is paid once
+    /// per batch instead of once per operation. Recovery replays the
+    /// batch exactly like the equivalent sequence of single writes. This
+    /// is the entry point a serving layer's group-commit batcher uses to
+    /// coalesce concurrent client writes per shard.
+    pub fn write_batch(&self, mut batch: WriteBatch) -> StorageResult<()> {
+        self.write_batch_mut(&mut batch)
+    }
+
+    /// [`DbCore::write_batch`] for a reusable batch: applies and drains
+    /// the operations, leaving the batch empty with its capacity intact.
+    /// The batch's own storage is what the commit stages and logs, so a
+    /// group-commit loop calling this with one long-lived batch allocates
+    /// nothing per commit beyond the engine's per-entry copies.
+    pub fn write_batch_mut(&self, batch: &mut WriteBatch) -> StorageResult<()> {
+        if batch.is_empty() {
+            return Ok(());
+        }
+        self.write_batch_inner(batch, None)
+    }
+
+    /// Replica apply: [`DbCore::write_batch_mut`] plus an atomic advance
+    /// of the replication watermark to `seq`, under the same write lock —
+    /// so the engine state and the watermark can never disagree about
+    /// which replication-log batches are reflected. Used by a replica
+    /// applying a shipped `REPL_BATCH`; the watermark reaches the
+    /// manifest at the next manifest write (see
+    /// [`lsm_core::manifest::ManifestState::applied_seq`]).
+    ///
+    /// An empty batch still advances the watermark (a replicated batch
+    /// whose ops all routed to other shards is applied "by omission").
+    pub fn write_batch_replicated(&self, batch: &mut WriteBatch, seq: u64) -> StorageResult<()> {
+        if batch.is_empty() {
+            return self.commit(&mut self.inner.write(), &mut [], WalFraming::Stream, Some(seq));
+        }
+        self.write_batch_inner(batch, Some(seq))
+    }
+
+    fn write_batch_inner(&self, batch: &mut WriteBatch, applied_seq: Option<u64>) -> StorageResult<()> {
+        DbStats::bump(&self.stats.write_batches);
+        self.stats
+            .add(&self.stats.batched_writes, batch.ops.len() as u64);
+        let out = self.write(&mut batch.ops, applied_seq);
+        batch.ops.clear();
+        out
+    }
+
+    /// Current replication watermark: the highest replication-log
+    /// sequence applied via [`DbCore::write_batch_replicated`] (0 if this
+    /// engine never acted as a replica). After a crash this is recovered
+    /// from the manifest and may lag the data (the WAL carries the
+    /// batches applied since the last manifest write), so resubscribing
+    /// from `applied_seq + 1` may re-deliver a suffix — which re-applies
+    /// idempotently as long as delivery stays in sequence order.
+    pub fn applied_seq(&self) -> u64 {
+        self.inner.read().applied_seq
+    }
+
+    /// Background-error check and L0 backpressure, paid once per write
+    /// call before any lock is taken. No-op in `Inline` mode.
+    fn admit_write(&self) -> StorageResult<()> {
+        if self.threaded() {
+            self.check_bg_error()?;
+            self.backpressure();
+        }
+        Ok(())
+    }
+
+    /// L0 backpressure (`Threaded` only): checked *before* taking `inner`
+    /// so delayed writers never hold any engine lock — readers proceed
+    /// untouched while a writer sleeps or stalls.
+    fn backpressure(&self) {
+        let (dyn_slow, dyn_stall) = self.dynamic.l0_thresholds();
+        let slowdown = dyn_slow.unwrap_or(self.cfg.l0_slowdown_runs);
+        let stall = dyn_stall.unwrap_or(self.cfg.l0_stall_runs);
+        let l0 = self.l0_runs.load(Ordering::Acquire);
+        self.obs.backpressure_band(l0, slowdown, stall);
+        if l0 >= stall {
+            self.device.stats().record_write_stall();
+            self.bg.schedule_compact();
+            self.bg
+                .wait_progress_until(|| self.l0_runs.load(Ordering::Acquire) < stall);
+            // Compaction drained L0 below the stall line while we slept;
+            // reconcile the band so the StallExit lands in the trace now
+            // rather than on some later write.
+            self.obs.backpressure_band(
+                self.l0_runs.load(Ordering::Acquire),
+                slowdown,
+                stall,
+            );
+        } else if l0 >= slowdown {
+            self.device.stats().record_write_slowdown();
+            self.bg.schedule_compact();
+            std::thread::sleep(std::time::Duration::from_micros(self.cfg.slowdown_micros));
+        }
+    }
+
+    /// The shared body of every non-transactional write, timed into the
+    /// put histogram (a write's latency includes any backpressure delay
+    /// and, under `Inline`, the flush/compaction cascade it triggers).
+    fn write(&self, records: &mut [Record], applied_seq: Option<u64>) -> StorageResult<()> {
+        self.obs.timed(&self.obs.put_ns, || {
+            self.admit_write()?;
+            let mut inner = self.inner.write();
+            self.commit(&mut inner, records, WalFraming::Stream, applied_seq)?;
+            self.after_write(inner)
+        })
+    }
+
+    /// The one commit routine, run under the write guard: stage each
+    /// record in place (seqno, counters, key-value separation), append
+    /// them to the WAL as one `framing` group, insert them into the
+    /// memtable, record them for OCC validation, and — for a replicated
+    /// batch — advance the replication watermark. Memtable-full
+    /// maintenance is the caller's ([`DbCore::after_write`]).
+    fn commit(
+        &self,
+        inner: &mut Inner,
+        records: &mut [Record],
+        framing: WalFraming,
+        applied_seq: Option<u64>,
+    ) -> StorageResult<()> {
+        for (seqno, kind, key, value) in records.iter_mut() {
+            *seqno = inner.next_seqno;
+            inner.next_seqno += 1;
+            match kind {
+                ValueKind::Put => DbStats::bump(&self.stats.puts),
+                ValueKind::Delete => DbStats::bump(&self.stats.deletes),
+            }
+            self.stats
+                .add(&self.stats.bytes_ingested, (key.len() + value.len()) as u64);
+            // key-value separation
+            if let (Some(sep), ValueKind::Put) = (self.cfg.kv_separation, *kind) {
+                *value = if value.len() >= sep.min_value_bytes {
+                    let vlog = inner.vlog.as_mut().ok_or_else(|| {
+                        StorageError::Corruption(
+                            "kv separation enabled but no value log is open".into(),
+                        )
+                    })?;
+                    let ptr = vlog.append(key, value)?;
+                    DbStats::bump(&self.stats.vlog_values);
+                    encode_pointer(ptr)
+                } else {
+                    encode_inline(value)
+                };
+            }
+        }
+        if !records.is_empty() {
+            if let Some(wal) = &mut inner.wal {
+                match framing {
+                    WalFraming::Stream => wal.append_batch(records)?,
+                    WalFraming::Atomic => wal.append_atomic(records)?,
+                }
+                DbStats::bump(&self.stats.wal_appends);
+            }
+            // OCC recording only while a transaction is live, so the plain
+            // write path pays one branch when none is
+            let track = !inner.txn_floors.is_empty();
+            for (seqno, kind, key, stored) in records.iter() {
+                inner.mem.insert(key, *seqno, *kind, stored);
+                if track {
+                    match inner.txn_recent.get_mut(key) {
+                        Some(s) => *s = *seqno,
+                        None => {
+                            inner.txn_recent.insert(key.clone(), *seqno);
+                        }
+                    }
+                }
+            }
+            self.obs.memtable_bytes_gauge.set(inner.mem.bytes() as i64);
+        }
+        if let Some(seq) = applied_seq {
+            inner.applied_seq = inner.applied_seq.max(seq);
+        }
+        Ok(())
+    }
+
+    /// The memtable-full tail of every write: `Inline` flushes and
+    /// compacts under the held guard; `Threaded` freezes the memtable for
+    /// the background flush (or waits for the previous one). Transaction
+    /// commits call it with a fresh guard after releasing their own, so
+    /// a multi-engine commit never runs maintenance under several
+    /// engines' locks.
+    fn after_write(&self, mut inner: RwLockWriteGuard<'_, Inner>) -> StorageResult<()> {
+        if inner.mem.bytes() < self.cfg.buffer_bytes {
+            return Ok(());
+        }
+        if self.threaded() {
+            return self.freeze_or_wait(inner);
+        }
+        self.flush_memtable(super::flush::FlushSource::Active, Some(&mut inner))?;
+        self.maybe_compact_locked(&mut inner)
+    }
+
+    /// `Threaded` write path for a full memtable: freeze it into the
+    /// immutable slot if free, else wait (counted as a stall) for the
+    /// in-flight flush to drain it. Consumes the write guard so the wait
+    /// holds no engine lock.
+    fn freeze_or_wait<'a>(&'a self, mut inner: RwLockWriteGuard<'a, Inner>) -> StorageResult<()> {
+        loop {
+            if inner.imm.is_none() {
+                self.freeze_memtable(&mut inner)?;
+                return Ok(());
+            }
+            drop(inner);
+            self.device.stats().record_write_stall();
+            let l0 = self.l0_runs.load(Ordering::Acquire) as u64;
+            self.obs.event(EventKind::StallEnter {
+                reason: StallReason::MemtableRotation,
+                l0_runs: l0,
+            });
+            self.bg.wait_flush_drained();
+            self.obs.event(EventKind::StallExit {
+                reason: StallReason::MemtableRotation,
+                l0_runs: self.l0_runs.load(Ordering::Acquire) as u64,
+            });
+            self.check_bg_error()?;
+            inner = self.inner.write();
+            if inner.mem.bytes() < self.cfg.buffer_bytes {
+                // another writer froze (or a flush drained) in the window
+                return Ok(());
+            }
+        }
+    }
+
+    /// Freezes the active memtable into the immutable slot and queues its
+    /// flush. Syncs both logs first so every record covered by the frozen
+    /// memtable is durable before its WAL stops receiving writes.
+    fn freeze_memtable(&self, inner: &mut Inner) -> StorageResult<()> {
+        if inner.mem.is_empty() {
+            return Ok(());
+        }
+        self.sync_logs(inner)?;
+        let frozen = std::mem::replace(
+            &mut inner.mem,
+            Memtable::with_front(self.cfg.buffer_front_bytes),
+        );
+        inner.imm = Some(Arc::new(frozen));
+        if let Err(e) = self.rotate_logs_for_frozen(inner) {
+            // The frozen memtable's flush never got enqueued, so the
+            // immutable slot stays occupied with nothing scheduled to
+            // drain it. Without a sticky failure, `freeze_or_wait` (and
+            // any stalled writer) would wait forever for that drain —
+            // poison the engine so they bail with this error instead.
+            let copy = StorageError::Io(std::io::Error::other(e.to_string()));
+            self.bg.record_failure(e);
+            return Err(copy);
+        }
+        self.bg.enqueue_flush();
+        Ok(())
+    }
+
+    /// The fallible tail of a memtable freeze: WAL rotation and the
+    /// manifest write that records it. Split out so `freeze_memtable`
+    /// can turn any failure here into a sticky engine error — after the
+    /// immutable slot is occupied, an unrecorded failure would strand
+    /// every later writer.
+    fn rotate_logs_for_frozen(&self, inner: &mut Inner) -> StorageResult<()> {
+        inner.imm_wal = self.rotate_wal(inner)?;
+        // the manifest names both WALs, so a crash here replays the frozen
+        // records (wal_prev) before the new active WAL
+        self.persist_manifest(inner)
+    }
+
+    /// Swaps in a fresh active WAL and returns the one it replaces (both
+    /// `None` when the WAL is disabled). The caller owns the old log's
+    /// fate: it may only be deleted once a manifest no longer naming it
+    /// is durable.
+    pub(super) fn rotate_wal(&self, inner: &mut Inner) -> StorageResult<Option<Wal>> {
+        if !self.cfg.wal {
+            return Ok(None);
+        }
+        let old = inner.wal.take();
+        inner.wal = Some(Wal::create(Arc::clone(&self.device))?);
+        if let (Some(old), Some(new)) = (&old, &inner.wal) {
+            self.obs.event(EventKind::WalRotation {
+                old_wal: old.id().0,
+                new_wal: new.id().0,
+                old_records: old.records(),
+            });
+        }
+        Ok(old)
+    }
+
+    /// Forces the WAL tail to the device (group commit / `fsync`). Writes
+    /// issued before `sync` returns survive a crash; unsynced tail records
+    /// may be lost (standard torn-tail semantics).
+    pub fn sync(&self) -> StorageResult<()> {
+        self.sync_logs(&mut self.inner.write())
+    }
+
+    fn sync_logs(&self, inner: &mut Inner) -> StorageResult<()> {
+        // Value log first: a WAL record referencing a separated value must
+        // never become durable before the value bytes it points at —
+        // otherwise a crash leaves an acknowledged pointer dangling past
+        // the persisted end of the log.
+        if let Some(vlog) = &mut inner.vlog {
+            vlog.sync()?;
+        }
+        if let Some(wal) = &mut inner.wal {
+            wal.sync()?;
+        }
+        Ok(())
+    }
+
+    // ------------------------------------------------------------------
+    // Optimistic transactions (see `crate::txn` for the handle API)
+    // ------------------------------------------------------------------
+
+    /// Begins an optimistic transaction on this engine: registers its
+    /// snapshot floor in `txn_floors` and captures the snapshot **under
+    /// the same lock acquisition**, so every write committed after the
+    /// floor is guaranteed to be recorded in `txn_recent` (writers check
+    /// `txn_floors` while holding the write lock).
+    pub(crate) fn txn_begin(&self) -> StorageResult<(crate::snapshot::Snapshot, u64)> {
+        let mut inner = self.inner.write();
+        let snap = self.pin_snapshot(&mut inner)?;
+        let snap_seqno = inner.next_seqno - 1;
+        *inner.txn_floors.entry(snap_seqno).or_insert(0) += 1;
+        drop(inner);
+        self.obs.txn_begins.inc();
+        self.obs.event(EventKind::TxnBegin { snap_seqno });
+        Ok((snap, snap_seqno))
+    }
+
+    /// Deregisters a transaction's snapshot floor. When the last live
+    /// transaction ends the OCC map is dropped wholesale; otherwise it is
+    /// pruned below the oldest surviving floor (entries at or below every
+    /// live floor can never produce a conflict), so `txn_recent` is
+    /// bounded by the write traffic within the oldest live transaction's
+    /// lifetime — not by total history.
+    pub(crate) fn txn_end(&self, snap_seqno: u64) {
+        let mut inner = self.inner.write();
+        if let Some(c) = inner.txn_floors.get_mut(&snap_seqno) {
+            *c -= 1;
+            if *c == 0 {
+                inner.txn_floors.remove(&snap_seqno);
+            }
+        }
+        if inner.txn_floors.is_empty() {
+            inner.txn_recent = std::collections::HashMap::new();
+        } else if inner.txn_recent.len() > TXN_RECENT_PRUNE_LEN {
+            let min = *inner
+                .txn_floors
+                .keys()
+                .next()
+                .expect("floors checked non-empty");
+            inner.txn_recent.retain(|_, s| *s > min);
+        }
+    }
+}

@@ -376,39 +376,6 @@ impl MergingIter {
             None
         })
     }
-
-    /// Collects up to `limit` visible entries with key ≤ `end` (inclusive
-    /// when `Some`).
-    pub fn collect_until(
-        &mut self,
-        end: Option<&[u8]>,
-        end_inclusive: bool,
-        limit: usize,
-    ) -> StorageResult<Vec<InternalEntry>> {
-        let mut out = Vec::new();
-        while out.len() < limit {
-            if !self.advance_visible()? {
-                break;
-            }
-            if let Some(end) = end {
-                let past = if end_inclusive {
-                    self.key() > end
-                } else {
-                    self.key() >= end
-                };
-                if past {
-                    break;
-                }
-            }
-            out.push(InternalEntry {
-                key: self.key().to_vec(),
-                seqno: self.seqno(),
-                kind: self.kind(),
-                value: self.value().to_vec(),
-            });
-        }
-        Ok(out)
-    }
 }
 
 #[cfg(test)]
@@ -468,27 +435,6 @@ mod tests {
         assert_eq!(e.kind, ValueKind::Delete);
         assert_eq!(e.seqno, 9);
         assert!(m.next_visible().unwrap().is_none(), "old version still dropped");
-    }
-
-    #[test]
-    fn collect_until_respects_end_and_limit() {
-        let src = mem(vec![
-            ("a", 1, ValueKind::Put, ""),
-            ("b", 2, ValueKind::Put, ""),
-            ("c", 3, ValueKind::Put, ""),
-            ("d", 4, ValueKind::Put, ""),
-        ]);
-        let mut m = MergingIter::new(vec![src], false).unwrap();
-        let got = m.collect_until(Some(b"c"), false, 100).unwrap();
-        assert_eq!(got.len(), 2, "exclusive end");
-        let src = mem(vec![
-            ("a", 1, ValueKind::Put, ""),
-            ("b", 2, ValueKind::Put, ""),
-            ("c", 3, ValueKind::Put, ""),
-        ]);
-        let mut m = MergingIter::new(vec![src], false).unwrap();
-        let got = m.collect_until(Some(b"c"), true, 2).unwrap();
-        assert_eq!(got.len(), 2, "limit");
     }
 
     #[test]

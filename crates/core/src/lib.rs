@@ -68,7 +68,7 @@ pub mod wal;
 pub use config::{
     BackgroundMode, CompactionGranularity, FilePicker, FilterAllocation, LsmConfig, MergeLayout,
 };
-pub use db::{Db, DbCore, DbIterator, WriteBatch};
+pub use db::{Db, DbCore, WriteBatch};
 pub use dynamic::{DynamicConfig, DynamicSnapshot, DynamicUpdate};
 pub use partitioned::PartitionedDb;
 pub use snapshot::Snapshot;

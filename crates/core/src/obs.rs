@@ -150,6 +150,14 @@ impl EngineMetrics {
         self.clock.now_ns()
     }
 
+    /// Runs `op` and records its duration on this clock into `hist`.
+    pub fn timed<R>(&self, hist: &Histogram, op: impl FnOnce() -> R) -> R {
+        let start = self.now_ns();
+        let out = op();
+        hist.record(self.now_ns().saturating_sub(start));
+        out
+    }
+
     /// The metrics registry (for ad-hoc counters, e.g. background jobs).
     pub fn registry(&self) -> &MetricsRegistry {
         &self.registry

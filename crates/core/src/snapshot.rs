@@ -6,19 +6,20 @@
 //! tables keep their files alive even after compactions supersede them
 //! (physical deletion happens when the last reference drops), so a
 //! snapshot stays readable for as long as it is held — without blocking
-//! writers, unlike [`crate::Db::iter_range`]'s lock-holding iterator.
+//! writers. Its reads run on the engine's own read view
+//! (`crate::db::ReadView`), so they take the same filter, fence and
+//! range-filter shortcuts and feed the same counters.
 
-use std::ops::{Bound, Range};
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use lsm_cache::ShardedCache;
-use lsm_storage::{Block, StorageDevice, StorageError, StorageResult};
+use lsm_storage::{Block, StorageDevice, StorageResult};
 
-use crate::entry::{InternalEntry, ValueKind};
-use crate::iter::{MergingIter, RunIterator, Source};
-use crate::kv_sep::{decode_value, read_pointer_from_device};
+use crate::db::{resolve_stored, ReadView, Resolver, TableView};
 use crate::memtable::Memtable;
+use crate::stats::DbStats;
 use crate::version::Version;
 
 /// An immutable point-in-time view of the database.
@@ -30,6 +31,7 @@ pub struct Snapshot {
     pub(crate) version: Arc<Version>,
     pub(crate) cache: Option<Arc<ShardedCache<Block>>>,
     pub(crate) device: Arc<dyn StorageDevice>,
+    pub(crate) stats: Arc<DbStats>,
     pub(crate) kv_separation: bool,
     /// Keeps the engine's snapshot count accurate; value-log GC refuses to
     /// run while snapshots are outstanding (their pointers reference logs
@@ -57,42 +59,29 @@ impl Drop for SnapshotPin {
 }
 
 impl Snapshot {
-    fn resolve(&self, raw: Vec<u8>) -> StorageResult<Vec<u8>> {
-        if !self.kv_separation {
-            return Ok(raw);
+    /// The snapshot's read view. Separated values resolve through the
+    /// device alone: the log tail was synced when the snapshot was taken.
+    fn view<'a>(&'a self, resolve: Resolver<'a>) -> ReadView<'a> {
+        ReadView {
+            mem: &self.mem,
+            imm: self.imm.as_deref(),
+            tables: TableView {
+                version: &self.version,
+                cache: self.cache.as_ref(),
+                stats: &self.stats,
+                resolve: self.kv_separation.then_some(resolve),
+            },
         }
-        match decode_value(&raw) {
-            Some(Ok(inline)) => Ok(inline.to_vec()),
-            Some(Err(ptr)) => read_pointer_from_device(&self.device, ptr),
-            None => Err(StorageError::Corruption("bad separated value".into())),
-        }
+    }
+
+    fn resolve(&self, raw: &[u8]) -> StorageResult<Vec<u8>> {
+        resolve_stored(&self.device, None, &self.stats, raw)
     }
 
     /// Point lookup against the snapshot.
     pub fn get(&self, key: &[u8]) -> StorageResult<Option<Vec<u8>>> {
-        let mem_hit = self
-            .mem
-            .get(key)
-            .or_else(|| self.imm.as_ref().and_then(|m| m.get(key)));
-        if let Some(e) = mem_hit {
-            return match e.kind {
-                ValueKind::Delete => Ok(None),
-                ValueKind::Put => Ok(Some(self.resolve(e.value)?)),
-            };
-        }
-        for level in &self.version.levels {
-            for run in &level.runs {
-                let Some(table) = run.table_for(key) else { continue };
-                let got = table.get(key, self.cache.as_deref())?;
-                if let Some(e) = got.entry {
-                    return match e.kind {
-                        ValueKind::Delete => Ok(None),
-                        ValueKind::Put => Ok(Some(self.resolve(e.value)?)),
-                    };
-                }
-            }
-        }
-        Ok(None)
+        self.view(&|raw| self.resolve(raw))
+            .get_with(key, |v| v.to_vec())
     }
 
     /// Range scan against the snapshot: up to `limit` live entries with
@@ -102,48 +91,25 @@ impl Snapshot {
         range: Range<Vec<u8>>,
         limit: usize,
     ) -> StorageResult<Vec<(Vec<u8>, Vec<u8>)>> {
-        if range.start >= range.end {
-            return Ok(Vec::new());
-        }
-        let start = range.start.as_slice();
-        let end = range.end.as_slice();
-        let mut sources = Vec::new();
-        let mem_entries: Vec<InternalEntry> = self
-            .mem
-            .range(Bound::Included(start), Bound::Excluded(end))
-            .collect();
-        sources.push(Source::mem(mem_entries));
-        if let Some(imm) = &self.imm {
-            let imm_entries: Vec<InternalEntry> = imm
-                .range(Bound::Included(start), Bound::Excluded(end))
-                .collect();
-            sources.push(Source::mem(imm_entries));
-        }
-        for level in &self.version.levels {
-            for run in &level.runs {
-                let tables: Vec<_> = run.overlapping(start, end).to_vec();
-                if !tables.is_empty() {
-                    sources.push(Source::Run(RunIterator::new(
-                        tables,
-                        start.to_vec(),
-                        self.cache.clone(),
-                    )));
-                }
-            }
-        }
-        let mut merger = MergingIter::new(sources, false)?;
-        let entries = merger.collect_until(Some(end), false, limit)?;
-        entries
-            .into_iter()
-            .map(|e| Ok((e.key, self.resolve(e.value)?)))
-            .collect()
+        let mut out = Vec::new();
+        self.scan_with(&range.start, Some(&range.end), limit, |k, v| {
+            out.push((k.to_vec(), v.to_vec()))
+        })?;
+        Ok(out)
     }
 
-    /// Number of entries visible to the snapshot (approximate: shadowed
-    /// versions across runs counted once per run).
-    pub fn approximate_entries(&self) -> u64 {
-        self.version.total_entries()
-            + self.mem.len() as u64
-            + self.imm.as_ref().map_or(0, |m| m.len() as u64)
+    /// Streaming scan through borrowed views: calls `f(key, value)` for
+    /// each live entry with `start ≤ key < end` in key order, up to
+    /// `limit`, and returns how many were visited. `end == None` scans to
+    /// the end of the keyspace, whatever the key length.
+    pub fn scan_with(
+        &self,
+        start: &[u8],
+        end: Option<&[u8]>,
+        limit: usize,
+        f: impl FnMut(&[u8], &[u8]),
+    ) -> StorageResult<usize> {
+        self.view(&|raw| self.resolve(raw))
+            .scan_with(start, end, limit, f)
     }
 }

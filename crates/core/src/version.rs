@@ -156,17 +156,17 @@ impl Version {
         self.levels.iter().map(|l| l.num_entries()).collect()
     }
 
+    /// Every table of this version, youngest level and run first.
+    pub fn tables(&self) -> impl Iterator<Item = &Arc<Table>> {
+        self.levels
+            .iter()
+            .flat_map(|l| &l.runs)
+            .flat_map(|r| &r.tables)
+    }
+
     /// Every table id referenced by this version.
     pub fn all_table_ids(&self) -> Vec<u64> {
-        let mut ids = Vec::new();
-        for l in &self.levels {
-            for r in &l.runs {
-                for t in &r.tables {
-                    ids.push(t.id());
-                }
-            }
-        }
-        ids
+        self.tables().map(|t| t.id()).collect()
     }
 
     /// Ensures `levels` has at least `n` entries.

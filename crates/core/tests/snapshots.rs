@@ -3,7 +3,8 @@
 //! compactions that physically supersede every file the snapshot reads.
 
 use lsm_core::config::KvSeparation;
-use lsm_core::{Db, LsmConfig, MergeLayout};
+use lsm_core::{Db, LsmConfig, MergeLayout, RangeFilterKind};
+use lsm_storage::IoCategory;
 
 fn key(i: u32) -> Vec<u8> {
     format!("user{i:08}").into_bytes()
@@ -237,4 +238,44 @@ fn many_concurrent_snapshots() {
             );
         }
     }
+}
+
+/// A snapshot scan takes the same read optimisations as `Db::scan`: with
+/// a range filter configured, scans over empty gaps between keys are
+/// pruned before any data block is read.
+#[test]
+fn snapshot_scans_honour_the_range_filter() {
+    let cfg = LsmConfig {
+        range_filter: RangeFilterKind::Surf { suffix_bits: 8 },
+        layout: MergeLayout::Tiered, // many runs → many prune chances
+        cache_bytes: 0,
+        wal: false,
+        ..LsmConfig::small_for_tests()
+    };
+    let db = Db::open_in_memory(cfg).unwrap();
+    for i in 0..4000u32 {
+        db.put(key(i), vec![0x5A; 32]).unwrap();
+    }
+    db.flush().unwrap();
+    db.wait_background_idle();
+    let snap = db.snapshot().unwrap();
+    // just past a real key .. still before the next one
+    let gaps = || {
+        (0..300u32).map(|i| key(i * 7 % 4000)).map(|k| [&k[..], b"a"].concat()..[&k[..], b"zz"].concat())
+    };
+    let data_reads = || db.io_stats().category(IoCategory::Data).read_blocks;
+    let prunes = || db.stats().snapshot().range_filter_prunes;
+
+    let (io0, p0) = (data_reads(), prunes());
+    for gap in gaps() {
+        assert!(db.scan(gap, 10).unwrap().is_empty());
+    }
+    let (io1, p1) = (data_reads(), prunes());
+    for gap in gaps() {
+        assert!(snap.scan(gap, 10).unwrap().is_empty());
+    }
+    let (io2, p2) = (data_reads(), prunes());
+    assert!(p1 > p0, "the engine scan never pruned");
+    assert_eq!(p2 - p1, p1 - p0, "snapshot scans must prune like engine scans");
+    assert_eq!(io2 - io1, io1 - io0, "snapshot scans must read like engine scans");
 }

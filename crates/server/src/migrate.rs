@@ -75,12 +75,6 @@ impl Drop for TapGuard<'_> {
     }
 }
 
-/// `[start, end)` with `end == None` meaning "to the end of the
-/// keyspace", materialized for `Snapshot::scan`'s owned range.
-fn end_key(hi: Option<&[u8]>) -> Vec<u8> {
-    hi.map(<[u8]>::to_vec).unwrap_or_else(|| vec![0xFF; 64])
-}
-
 /// Applies one tapped ops region to `dst` as a single batch.
 fn apply_region(dst: &Db, region: &[u8]) -> Result<(), String> {
     let mut batch = WriteBatch::new();
@@ -93,6 +87,36 @@ fn apply_region(dst: &Db, region: &[u8]) -> Result<(), String> {
     dst.write_batch_mut(&mut batch).map_err(|e| e.to_string())
 }
 
+/// Feeds `snap`'s live entries in `[lo, hi)` (`hi == None`: to the end
+/// of the keyspace) through `stage` into write batches of
+/// [`COPY_CHUNK`] ops, each applied to `dst`. Returns the entry count.
+fn rewrite_range(
+    snap: &lsm_core::snapshot::Snapshot,
+    lo: &[u8],
+    hi: Option<&[u8]>,
+    dst: &Db,
+    stage: impl Fn(&mut WriteBatch, &[u8], &[u8]),
+) -> Result<u64, String> {
+    let mut cursor = lo.to_vec();
+    let mut total = 0u64;
+    let mut batch = WriteBatch::new();
+    loop {
+        let from = std::mem::take(&mut cursor);
+        snap.scan_with(&from, hi, COPY_CHUNK, |k, v| {
+            stage(&mut batch, k, v);
+            cursor.clear();
+            cursor.extend_from_slice(k);
+        })
+        .map_err(|e| e.to_string())?;
+        if batch.is_empty() {
+            return Ok(total);
+        }
+        cursor.push(0); // successor: resume strictly after the last key
+        total += batch.len() as u64;
+        dst.write_batch_mut(&mut batch).map_err(|e| e.to_string())?;
+    }
+}
+
 /// Streams `snap`'s live entries in `[lo, hi)` into `dst`, chunked.
 fn copy_range(
     snap: &lsm_core::snapshot::Snapshot,
@@ -100,50 +124,15 @@ fn copy_range(
     hi: Option<&[u8]>,
     dst: &Db,
 ) -> Result<u64, String> {
-    let end = end_key(hi);
-    let mut cursor = lo.to_vec();
-    let mut copied = 0u64;
-    loop {
-        let chunk = snap
-            .scan(cursor.clone()..end.clone(), COPY_CHUNK)
-            .map_err(|e| e.to_string())?;
-        let Some((last, _)) = chunk.last() else {
-            return Ok(copied);
-        };
-        cursor = last.clone();
-        cursor.push(0); // successor: resume strictly after the last key
-        let mut batch = WriteBatch::new();
-        for (k, v) in chunk {
-            batch.put(k, v);
-        }
-        copied += batch.len() as u64;
-        dst.write_batch_mut(&mut batch).map_err(|e| e.to_string())?;
-    }
+    rewrite_range(snap, lo, hi, dst, |batch, k, v| batch.put(k.to_vec(), v.to_vec()))
 }
 
 /// Writes a tombstone over every live key `db` holds in `[lo, hi)` — the
 /// anti-resurrection step before a merge copies into a shard that may
 /// hold a stale copy of the range from an earlier split.
 fn clear_range(db: &Db, lo: &[u8], hi: Option<&[u8]>) -> Result<u64, String> {
-    let end = end_key(hi);
-    let mut cursor = lo.to_vec();
-    let mut cleared = 0u64;
-    loop {
-        let chunk = db
-            .scan(cursor.clone()..end.clone(), COPY_CHUNK)
-            .map_err(|e| e.to_string())?;
-        let Some((last, _)) = chunk.last() else {
-            return Ok(cleared);
-        };
-        cursor = last.clone();
-        cursor.push(0);
-        let mut batch = WriteBatch::new();
-        for (k, _) in chunk {
-            batch.delete(k);
-        }
-        cleared += batch.len() as u64;
-        db.write_batch_mut(&mut batch).map_err(|e| e.to_string())?;
-    }
+    let snap = db.snapshot().map_err(|e| e.to_string())?;
+    rewrite_range(&snap, lo, hi, db, |batch, k, _| batch.delete(k.to_vec()))
 }
 
 /// Drains whatever the tap has buffered and applies it to `dst`.

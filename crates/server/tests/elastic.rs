@@ -239,6 +239,45 @@ fn concurrent_clients_survive_splits_and_merges() {
     assert_eq!(after, want, "reopened cluster diverged from oracle");
 }
 
+/// Regression: migration materialised "end of keyspace" as `[0xFF; 64]`,
+/// so a last-shard split never copied keys at or above that sentinel,
+/// although the wire accepts much longer keys.
+#[test]
+fn keys_past_a_64_byte_sentinel_survive_a_last_shard_split() {
+    let cluster =
+        start_elastic_cluster(ShardMap::uniform(2), wal_cfg(), ServerConfig::default(), None);
+    let server = cluster.server.as_ref().unwrap();
+    let mut c = cluster.client();
+    let (short, long) = (vec![0xFF; 8], vec![0xFF; 65]);
+    c.put(&short, b"short").unwrap();
+    c.put(&long, b"long").unwrap();
+    let last = server.shard_map().unwrap().len() - 1;
+    server.split_shard(last, Some(vec![0xF0])).unwrap();
+    assert_eq!(c.get(&short).unwrap(), Some(b"short".to_vec()));
+    assert_eq!(c.get(&long).unwrap(), Some(b"long".to_vec()), "lost by the split");
+}
+
+/// The merge side of the same bug: the copy back into the left shard
+/// skipped such keys, and the anti-resurrection pass never tombstoned
+/// the left shard's stale copy of one deleted since the split.
+#[test]
+fn keys_past_a_64_byte_sentinel_survive_a_last_shard_merge() {
+    let cluster =
+        start_elastic_cluster(ShardMap::uniform(2), wal_cfg(), ServerConfig::default(), None);
+    let server = cluster.server.as_ref().unwrap();
+    let mut c = cluster.client();
+    let (deleted, late) = (vec![0xFF; 66], vec![0xFF; 67]);
+    c.put(&deleted, b"stale").unwrap();
+    let last = server.shard_map().unwrap().len() - 1;
+    server.split_shard(last, Some(vec![0xF0])).unwrap();
+    // the new last shard diverges from the copy its donor kept
+    c.delete(&deleted).unwrap();
+    c.put(&late, b"late").unwrap();
+    server.merge_shards(last).unwrap();
+    assert_eq!(c.get(&late).unwrap(), Some(b"late".to_vec()), "lost by the merge");
+    assert_eq!(c.get(&deleted).unwrap(), None, "resurrected by the merge");
+}
+
 #[test]
 fn rebalancer_splits_under_hotspot_and_merges_when_idle() {
     let policy = RebalancePolicy {

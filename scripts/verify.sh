@@ -1,29 +1,18 @@
 #!/usr/bin/env bash
-# Tier-1 verification: release build, full test suite, and lint-clean
-# clippy. CI runs exactly this script; run it locally before pushing.
+# Tier-1 verification: release build, every workspace test under both
+# background modes, the seed-printing crash sweeps, and lint-clean clippy.
+# CI runs exactly this script; run it locally before pushing.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 echo "==> cargo build --release"
 cargo build --release
 
-echo "==> cargo test -q (inline background)"
-cargo test -q
+echo "==> cargo test -q --workspace (inline background)"
+cargo test -q --workspace
 
-echo "==> LSM_BACKGROUND=threaded cargo test -q"
-LSM_BACKGROUND=threaded cargo test -q
-
-echo "==> cargo test -q -p lsm-obs (both background modes)"
-cargo test -q -p lsm-obs
-LSM_BACKGROUND=threaded cargo test -q -p lsm-obs
-
-echo "==> parallel-compaction differential battery (both background modes)"
-cargo test -q -p lsm-core --test parallel_compaction
-LSM_BACKGROUND=threaded cargo test -q -p lsm-core --test parallel_compaction
-
-echo "==> server suite: protocol fuzz + differential + crash (both background modes)"
-cargo test -q -p lsm-server
-LSM_BACKGROUND=threaded cargo test -q -p lsm-server
+echo "==> LSM_BACKGROUND=threaded cargo test -q --workspace"
+LSM_BACKGROUND=threaded cargo test -q --workspace
 
 echo "==> replication failover crash sweep (both background modes, seed ${LSM_SEED:-default})"
 cargo test -q --test replication_crash -- --nocapture
@@ -36,10 +25,6 @@ LSM_BACKGROUND=threaded cargo test -q --test migration_crash -- --nocapture
 echo "==> transaction-commit crash sweep (both background modes, seed ${LSM_SEED:-default})"
 cargo test -q --test txn_crash -- --nocapture
 LSM_BACKGROUND=threaded cargo test -q --test txn_crash -- --nocapture
-
-echo "==> self-tuner suite (both background modes)"
-cargo test -q -p lsm-tuner
-LSM_BACKGROUND=threaded cargo test -q -p lsm-tuner
 
 echo "==> retune crash sweep (both background modes, seed ${LSM_SEED:-default})"
 cargo test -q --test retune_crash -- --nocapture
@@ -72,4 +57,4 @@ cargo run -q -p lsm-bench --release --bin metrics_lint results/e25_self_tuning.m
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace -- -D warnings
 
-echo "OK: build, tests (both modes), obs + server suites, metrics artifacts, clippy all clean"
+echo "OK: build, workspace tests (both modes), crash sweeps, metrics artifacts, clippy all clean"
