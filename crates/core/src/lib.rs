@@ -52,6 +52,7 @@ pub mod config;
 pub mod db;
 pub mod dynamic;
 pub mod entry;
+pub(crate) mod integrity;
 pub mod iter;
 pub mod kv_sep;
 pub mod manifest;

@@ -11,8 +11,13 @@
 //! restart_offset: u32 * num_restarts
 //! num_restarts: u32
 //! hash_index_len: u32      (0 = no hash index)
-//! checksum: u32            (FNV-1a over everything above)
+//! checksum: u32            (`integrity::checksum32` of everything above)
 //! ```
+//!
+//! The checksum is verified once, on the device read
+//! (`Table::read_data_block`'s miss path), before the block can enter the
+//! cache; [`BlockIter::new`] verifies too, because it accepts bytes from
+//! anywhere.
 //!
 //! Decoding is zero-copy: [`BlockIter`] is a cursor whose `key()`/`value()`
 //! accessors borrow from the block bytes (restart-aligned keys directly;
@@ -24,19 +29,10 @@ use lsm_index::block_hash::{BlockHashIndex, HashProbe};
 use lsm_storage::{StorageError, StorageResult};
 
 use crate::entry::{get_varint, put_varint, ValueKind};
+use crate::integrity;
 
 /// Maximum restart ordinal representable in the hash index.
 const MAX_HASH_RESTARTS: usize = 250;
-
-/// FNV-1a, truncated to 32 bits — the per-block integrity checksum.
-fn block_checksum(bytes: &[u8]) -> u32 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    (h ^ (h >> 32)) as u32
-}
 
 /// One decoded block entry (owned). The hot paths work with
 /// [`EntryRef`] views instead; this exists for API boundaries that
@@ -271,8 +267,7 @@ impl BlockBuilder {
         }
         out.extend_from_slice(&(self.restarts.len() as u32).to_le_bytes());
         out.extend_from_slice(&(hash_bytes.len() as u32).to_le_bytes());
-        let sum = block_checksum(&out);
-        out.extend_from_slice(&sum.to_le_bytes());
+        integrity::seal(&mut out);
         // reset
         self.restarts = vec![0];
         self.count_since_restart = 0;
@@ -322,16 +317,22 @@ pub struct BlockIter<D: AsRef<[u8]>> {
 }
 
 impl<D: AsRef<[u8]>> BlockIter<D> {
-    /// Parses a block produced by [`BlockBuilder::finish`].
+    /// Verifies and parses a block produced by [`BlockBuilder::finish`].
+    /// `None` if any bit of it differs from what the builder sealed.
     pub fn new(data: D) -> Option<Self> {
+        // integrity first: a corrupt block must never decode silently
+        integrity::unseal(data.as_ref())?;
+        Self::from_verified(data)
+    }
+
+    /// Parses a block without re-hashing it. The one condition on the
+    /// caller: `data` came from `Table::read_data_block`, which verified
+    /// the checksum when the bytes left the device (a cached block was
+    /// verified before it was admitted).
+    pub(crate) fn from_verified(data: D) -> Option<Self> {
         let (entries_end, restarts_off, num_restarts, hash_range) = {
             let d = data.as_ref();
             if d.len() < 16 {
-                return None;
-            }
-            // integrity first: a corrupt block must never decode silently
-            let stored = u32::from_le_bytes(d[d.len() - 4..].try_into().ok()?);
-            if block_checksum(&d[..d.len() - 4]) != stored {
                 return None;
             }
             let d = &d[..d.len() - 4];
@@ -412,9 +413,10 @@ impl<D: AsRef<[u8]>> BlockIter<D> {
 
     /// Moves to the next entry. `Ok(false)` means the entries are cleanly
     /// exhausted (the cursor is no longer valid); `Err(Corruption)` means
-    /// the bytes at the current offset do not decode even though the
-    /// block's checksum verified — in-memory corruption after
-    /// verification, or a writer bug.
+    /// the bytes at the current offset do not decode. The block's checksum
+    /// verified when it was read from the device, so this is a writer bug
+    /// or memory corrupted since (a cached block is not re-hashed on a
+    /// hit).
     pub fn advance(&mut self) -> StorageResult<bool> {
         if self.offset >= self.entries_end {
             self.valid = false;
@@ -728,8 +730,7 @@ mod tests {
         data.extend_from_slice(&0u32.to_le_bytes()); // restart offset
         data.extend_from_slice(&1u32.to_le_bytes()); // num_restarts
         data.extend_from_slice(&0u32.to_le_bytes()); // hash_index_len
-        let sum = block_checksum(&data);
-        data.extend_from_slice(&sum.to_le_bytes());
+        integrity::seal(&mut data);
         let mut it = BlockIter::new(data.as_slice()).unwrap();
         match it.try_next_entry() {
             Err(StorageError::Corruption(msg)) => assert!(msg.contains("undecodable"), "{msg}"),
@@ -779,14 +780,23 @@ mod tests {
 
     #[test]
     fn single_bit_flips_are_detected_anywhere() {
-        let data = build_block(30, 8, true);
-        for pos in (0..data.len()).step_by(37) {
-            let mut corrupt = data.clone();
-            corrupt[pos] ^= 0x10;
+        // a full 4 KiB block, every one of its 8·len bits
+        let mut b = BlockBuilder::new(16, true);
+        let mut i = 0u64;
+        while b.estimated_size() < 4096 - 64 {
+            b.add(format!("key{i:08}").as_bytes(), i, ValueKind::Put, &[i as u8; 100]);
+            i += 1;
+        }
+        let mut data = b.finish();
+        assert!(data.len() > 3900, "not a full block: {} bytes", data.len());
+        assert!(BlockIter::new(data.as_slice()).is_some());
+        for bit in 0..data.len() * 8 {
+            data[bit / 8] ^= 1 << (bit % 8);
             assert!(
-                BlockIter::new(corrupt.as_slice()).is_none(),
-                "bit flip at byte {pos} undetected"
+                BlockIter::new(data.as_slice()).is_none(),
+                "flip of bit {bit} undetected"
             );
+            data[bit / 8] ^= 1 << (bit % 8);
         }
     }
 

@@ -3,7 +3,9 @@
 //! Entries are cut into prefix-compressed data blocks aligned to device
 //! blocks; the filter, range-filter, and meta sections each start on a
 //! block boundary and are charged to their own I/O category, so the
-//! experiment suite can attribute every written byte.
+//! experiment suite can attribute every written byte. Every unit a reader
+//! fetches separately — data block, monolithic filter or filter
+//! partition, range filter, meta — is sealed with an integrity trailer.
 
 use lsm_filters::serialize::SerializableRangeFilter;
 use lsm_filters::{FilterKind, RangeFilterKind};
@@ -13,6 +15,7 @@ use std::sync::Arc;
 
 use crate::config::LsmConfig;
 use crate::entry::ValueKind;
+use crate::integrity;
 use crate::sstable::block::BlockBuilder;
 use crate::sstable::meta::{encode_footer, BlockLocation, Section, TableMeta};
 
@@ -39,7 +42,7 @@ pub struct TableBuilder {
     keys: Vec<Vec<u8>>,
     /// Keys of the block currently being built (partitioned filters).
     block_keys: Vec<Vec<u8>>,
-    /// Serialized filter partitions, one per cut block.
+    /// Serialized, sealed filter partitions, one per cut block.
     partitions: Vec<Vec<u8>>,
     num_entries: u64,
     num_tombstones: u64,
@@ -159,6 +162,8 @@ impl TableBuilder {
         Ok(())
     }
 
+    /// One separately-read point-filter unit (the monolithic filter or one
+    /// partition): tag byte, filter bytes, integrity trailer.
     fn tag_filter(kind: FilterKind, f: &dyn lsm_filters::PointFilter) -> Vec<u8> {
         let tag = match kind {
             FilterKind::Bloom => FILTER_TAG_BLOOM,
@@ -170,6 +175,7 @@ impl TableBuilder {
         };
         let mut b = vec![tag];
         b.extend_from_slice(&f.to_bytes());
+        integrity::seal(&mut b);
         b
     }
 
@@ -211,7 +217,11 @@ impl TableBuilder {
         let range_bytes =
             match SerializableRangeFilter::build(self.range_filter_kind, &key_refs, self.bits_per_key)
             {
-                Some(f) => f.to_bytes(),
+                Some(f) => {
+                    let mut b = f.to_bytes();
+                    integrity::seal(&mut b);
+                    b
+                }
                 None => Vec::new(),
             };
         drop(key_refs);
@@ -240,14 +250,14 @@ impl TableBuilder {
             },
             filter_bits_milli: (self.bits_per_key * 1000.0).round().max(0.0) as u64,
         };
-        self.file.set_category(IoCategory::Index);
-        let meta_bytes = meta.to_bytes();
-        let meta_start = self.file.offset() / self.block_size as u64;
-        self.file.append(&meta_bytes)?;
-        self.file.pad_to_block()?;
+        let mut meta_bytes = meta.to_bytes();
+        integrity::seal(&mut meta_bytes);
+        let meta_section = self.write_section(&meta_bytes, IoCategory::Index)?;
         self.file.set_category(IoCategory::Misc);
-        self.file
-            .append(&encode_footer(meta_start, meta_bytes.len() as u64))?;
+        self.file.append(&encode_footer(
+            meta_section.start_block,
+            meta_section.byte_len,
+        ))?;
         let file = self.file.seal()?;
         Ok((file, meta))
     }
@@ -315,8 +325,8 @@ mod tests {
         let meta_bytes = file
             .read_bytes(meta_start * 512, meta_len as usize, IoCategory::Index)
             .unwrap();
-        let decoded = TableMeta::from_bytes(&meta_bytes).unwrap();
-        assert_eq!(decoded, meta);
+        let body = integrity::unseal(&meta_bytes).expect("meta section is sealed");
+        assert_eq!(TableMeta::from_bytes(body).unwrap(), meta);
     }
 
     #[test]

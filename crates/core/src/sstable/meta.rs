@@ -1,9 +1,10 @@
 //! Table metadata and footer.
 //!
 //! The meta section is the table's self-description: key range, entry
-//! counts, section locations, and per-data-block locations. The footer is
-//! a fixed 24-byte record at the start of the file's final device block
-//! pointing at the meta section.
+//! counts, section locations, and per-data-block locations; on the device
+//! it is sealed with an integrity trailer like the sections it points at.
+//! The footer is a fixed 24-byte record at the start of the file's final
+//! device block pointing at the meta section.
 
 use crate::entry::{get_varint, put_varint};
 
@@ -26,7 +27,7 @@ pub struct BlockLocation {
 pub struct Section {
     /// First device block (0 with `byte_len == 0` means absent).
     pub start_block: u64,
-    /// Exact byte length (0 = absent).
+    /// Exact byte length, integrity trailer included (0 = absent).
     pub byte_len: u64,
 }
 
@@ -61,7 +62,8 @@ pub struct TableMeta {
     pub range_filter: Section,
     /// Byte length of each filter partition within the filter section
     /// (empty = monolithic filter). Partition `i` guards data block `i`;
-    /// partitions are laid out back to back from the section start.
+    /// partitions are laid out back to back from the section start, each
+    /// sealed with its own integrity trailer (counted in its length).
     pub filter_partitions: Vec<u32>,
     /// Serialized filter tag this table was built with (one of the
     /// `FILTER_TAG_*` constants; 0 = no point filter). Readers trust this,

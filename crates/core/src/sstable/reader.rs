@@ -3,6 +3,11 @@
 //! Opening a table loads its metadata, point/range filters, and block
 //! index into memory (production engines pin these; tutorial Module II.1).
 //! Data blocks are fetched on demand through the shared block cache.
+//!
+//! Integrity is checked where bytes leave the device, once: sections in
+//! [`Table::open`], data blocks and filter partitions on their cache-miss
+//! path, before they are admitted to the cache. A cache hit re-hashes
+//! nothing, and a read that fails verification is never cached.
 
 use std::ops::Bound;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -18,6 +23,7 @@ use lsm_index::{BlockLocator, FencePointers, IndexKind, PlaIndex, RadixSplineInd
 use lsm_storage::{Block, ImmutableFile, IoCategory, StorageError, StorageResult};
 
 use crate::entry::ValueKind;
+use crate::integrity;
 use crate::sstable::block::{BlockEntry, BlockIter, EntryRef};
 use crate::sstable::builder::{
     FILTER_TAG_BLOCKED, FILTER_TAG_BLOOM, FILTER_TAG_CUCKOO, FILTER_TAG_RIBBON, FILTER_TAG_XOR,
@@ -34,6 +40,29 @@ fn deserialize_filter(bytes: &[u8]) -> Option<Box<dyn PointFilter>> {
         FILTER_TAG_RIBBON => Some(Box::new(RibbonFilter::from_bytes(rest)?)),
         _ => None,
     }
+}
+
+/// Counts a detected corruption on `file`'s device and builds its error.
+fn corruption(file: &ImmutableFile, msg: impl Into<String>) -> StorageError {
+    file.stats().record_corruption();
+    StorageError::Corruption(msg.into())
+}
+
+/// Reads one sealed unit (`len` bytes at byte `offset`), verifies it and
+/// returns it without its trailer; `what` names it in the error.
+fn read_sealed(
+    file: &ImmutableFile,
+    offset: u64,
+    len: usize,
+    cat: IoCategory,
+    what: &str,
+) -> StorageResult<Vec<u8>> {
+    let mut bytes = file.read_bytes(offset, len, cat)?;
+    let body_len = integrity::unseal(&bytes)
+        .ok_or_else(|| corruption(file, format!("{what} failed its checksum")))?
+        .len();
+    bytes.truncate(body_len);
+    Ok(bytes)
 }
 
 /// The in-memory block locator, built from the fences at open time
@@ -127,16 +156,18 @@ impl Table {
         if file.len_blocks() == 0 {
             return Err(StorageError::Corruption("empty table file".into()));
         }
-        let corrupt = |msg: &str| {
-            file.stats().record_corruption();
-            StorageError::Corruption(msg.into())
-        };
         let footer_block = file.read_blocks(file.len_blocks() - 1, 1, IoCategory::Misc)?;
         let (meta_start, meta_len) =
-            decode_footer(&footer_block).ok_or_else(|| corrupt("bad table footer"))?;
-        let meta_bytes = file.read_bytes(meta_start * bs, meta_len as usize, IoCategory::Index)?;
-        let meta =
-            TableMeta::from_bytes(&meta_bytes).ok_or_else(|| corrupt("bad table meta"))?;
+            decode_footer(&footer_block).ok_or_else(|| corruption(&file, "bad table footer"))?;
+        let meta_bytes = read_sealed(
+            &file,
+            meta_start * bs,
+            meta_len as usize,
+            IoCategory::Index,
+            "table meta",
+        )?;
+        let meta = TableMeta::from_bytes(&meta_bytes)
+            .ok_or_else(|| corruption(&file, "bad table meta"))?;
         // partitioned filters stay on storage and are fetched through the
         // cache per probe; monolithic filters are loaded (pinned) here
         let mut partition_offsets = Vec::new();
@@ -148,24 +179,31 @@ impl Table {
             }
             None
         } else if meta.filter.is_present() {
-            let bytes = file.read_bytes(
+            let bytes = read_sealed(
+                &file,
                 meta.filter.start_block * bs,
                 meta.filter.byte_len as usize,
                 IoCategory::Filter,
+                "filter section",
             )?;
-            Some(deserialize_filter(&bytes).ok_or_else(|| corrupt("bad filter section"))?)
+            Some(
+                deserialize_filter(&bytes)
+                    .ok_or_else(|| corruption(&file, "bad filter section"))?,
+            )
         } else {
             None
         };
         let range_filter = if meta.range_filter.is_present() {
-            let bytes = file.read_bytes(
+            let bytes = read_sealed(
+                &file,
                 meta.range_filter.start_block * bs,
                 meta.range_filter.byte_len as usize,
                 IoCategory::Filter,
+                "range-filter section",
             )?;
             Some(
                 SerializableRangeFilter::try_from_bytes(&bytes)
-                    .map_err(|e| corrupt(&e.to_string()))?,
+                    .map_err(|e| corruption(&file, e.to_string()))?,
             )
         } else {
             None
@@ -279,21 +317,25 @@ impl Table {
         } else {
             let bs = self.file.block_size() as u64;
             let start = self.meta.filter.start_block * bs + self.partition_offsets[idx];
-            let bytes = self.file.read_bytes(start, len, IoCategory::Filter)?;
+            // verified before the cache sees it; hits skip the hash
+            let bytes =
+                read_sealed(&self.file, start, len, IoCategory::Filter, "filter partition")?;
             let b = Block::new(bytes);
             if let Some(c) = cache {
                 c.insert(cache_key, b.clone(), b.charge());
             }
             b
         };
-        let f = deserialize_filter(block.data()).ok_or_else(|| {
-            self.file.stats().record_corruption();
-            StorageError::Corruption("bad filter partition".into())
-        })?;
+        let f = deserialize_filter(block.data())
+            .ok_or_else(|| corruption(&self.file, "bad filter partition"))?;
         Ok(f.may_contain(key))
     }
 
-    /// Reads (via cache when provided) the `idx`-th data block.
+    /// Reads (via cache when provided) the `idx`-th data block. A block
+    /// read from the device is verified here, before it is cached or
+    /// returned, so every block this hands out has passed its checksum
+    /// exactly once and a flipped read is retried on the device, not
+    /// served again from the cache.
     pub fn read_data_block(
         &self,
         idx: usize,
@@ -310,11 +352,32 @@ impl Table {
             .file
             .read_blocks(loc.start_block, loc.num_blocks, IoCategory::Data)?;
         raw.truncate(loc.byte_len as usize);
+        if integrity::unseal(&raw).is_none() {
+            return Err(self.bad_block(idx));
+        }
         let block = Block::new(raw);
         if let Some(c) = cache {
             c.insert(key, block.clone(), block.charge());
         }
         Ok(block)
+    }
+
+    fn bad_block(&self, idx: usize) -> StorageError {
+        corruption(
+            &self.file,
+            format!("bad data block {idx} in table f{}", self.id()),
+        )
+    }
+
+    /// A cursor over the `idx`-th data block, opened without re-hashing:
+    /// [`Table::read_data_block`] verified the bytes.
+    fn open_block(
+        &self,
+        idx: usize,
+        cache: Option<&ShardedCache<Block>>,
+    ) -> StorageResult<BlockIter<Block>> {
+        let block = self.read_data_block(idx, cache)?;
+        BlockIter::from_verified(block).ok_or_else(|| self.bad_block(idx))
     }
 
     /// Point lookup within this table, yielding a borrowed view.
@@ -377,12 +440,8 @@ impl Table {
         }
         if lo == hi {
             // exact fence hit: one block, hash-index fast path applies
-            let block = self.read_data_block(lo, cache)?;
+            let mut it = self.open_block(lo, cache)?;
             blocks_examined += 1;
-            let mut it = BlockIter::new(block).ok_or_else(|| {
-                self.file.stats().record_corruption();
-                StorageError::Corruption("bad data block".into())
-            })?;
             let (found, _used_hash) = it.get(key)?;
             let r = found.then(|| (f.take().unwrap())(it.current()));
             return Ok((r, miss(false, blocks_examined)));
@@ -392,12 +451,8 @@ impl Table {
         // accurate prediction costs one block regardless of ε
         while lo <= hi {
             let mid = lo + (hi - lo) / 2;
-            let block = self.read_data_block(mid, cache)?;
+            let mut it = self.open_block(mid, cache)?;
             blocks_examined += 1;
-            let mut it = BlockIter::new(block).ok_or_else(|| {
-                self.file.stats().record_corruption();
-                StorageError::Corruption("bad data block".into())
-            })?;
             if it.seek(key)? {
                 if it.key() == key {
                     let r = (f.take().unwrap())(it.current());
@@ -513,21 +568,13 @@ pub struct TableIterator {
 impl TableIterator {
     fn load_next_block(&mut self) -> StorageResult<()> {
         if self.next_block < self.table.meta.data_blocks.len() {
-            let block = self
+            // A bad block must fail the scan. Skipping it would silently
+            // truncate the result set — the caller would see a shorter
+            // range, not an error.
+            let it = self
                 .table
-                .read_data_block(self.next_block, self.cache.as_deref())?;
+                .open_block(self.next_block, self.cache.as_deref())?;
             self.next_block += 1;
-            // An undecodable block must fail the scan. Skipping it would
-            // silently truncate the result set — the caller would see a
-            // shorter range, not an error.
-            let Some(it) = BlockIter::new(block) else {
-                self.table.file.stats().record_corruption();
-                return Err(StorageError::Corruption(format!(
-                    "bad data block {} in table f{}",
-                    self.next_block - 1,
-                    self.table.id()
-                )));
-            };
             self.current = Some(it);
         } else {
             self.current = None;
@@ -767,12 +814,18 @@ mod tests {
         assert_eq!(t.accesses(), 2);
     }
 
-    #[test]
-    fn corrupted_data_block_surfaces_as_error_not_wrong_data() {
+    /// Builds a 200-key table and returns its device with an on-device
+    /// copy of the file in which the byte at offset `at(meta, file)` is
+    /// flipped.
+    fn corrupted_copy(
+        partitioned_filters: bool,
+        at: impl Fn(&TableMeta, &ImmutableFile) -> u64,
+    ) -> (Arc<MemDevice>, ImmutableFile) {
         let dev: Arc<MemDevice> = Arc::new(MemDevice::new(512, DeviceProfile::free()));
         let dev_dyn: Arc<dyn StorageDevice> = dev.clone();
         let cfg = LsmConfig {
             block_size: 512,
+            partitioned_filters,
             ..LsmConfig::small_for_tests()
         };
         let mut b = TableBuilder::new(dev_dyn, &cfg, 10.0).unwrap();
@@ -781,26 +834,92 @@ mod tests {
                 .unwrap();
         }
         let (file, meta) = b.finish().unwrap();
-        // flip one byte inside the first data block, on the device
-        let loc = meta.data_blocks[0];
-        let mut raw = dev
-            .read(file.id(), loc.start_block, loc.num_blocks, IoCategory::Data)
-            .unwrap();
-        raw[10] ^= 0xFF;
-        let id2 = dev.create().unwrap();
-        // rebuild a corrupted copy of the whole file
         let total = dev.len_blocks(file.id()).unwrap();
         let mut all = dev.read(file.id(), 0, total, IoCategory::Data).unwrap();
-        all[(loc.start_block * 512 + 10) as usize] ^= 0xFF;
+        all[at(&meta, &file) as usize] ^= 0xFF;
+        let id2 = dev.create().unwrap();
         dev.append(id2, &all, IoCategory::Data).unwrap();
         dev.seal(id2).unwrap();
-        let corrupt_file = lsm_storage::ImmutableFile::open(dev.clone(), id2).unwrap();
+        let copy = ImmutableFile::open(dev.clone(), id2).unwrap();
+        (dev, copy)
+    }
+
+    fn corruption_count(dev: &MemDevice) -> u64 {
+        dev.stats().snapshot().corruption_detected
+    }
+
+    #[test]
+    fn corrupted_data_block_surfaces_as_error_not_wrong_data() {
+        // flip one byte inside the first data block
+        let (dev, corrupt_file) =
+            corrupted_copy(false, |meta, _| meta.data_blocks[0].start_block * 512 + 10);
         let table = Table::open(corrupt_file, IndexKind::Fence).unwrap();
-        let err = table.get(b"key000000", None);
+        let cache = ShardedCache::new(lsm_cache::CachePolicy::Lru, 1 << 20, 2);
+        for _ in 0..2 {
+            let err = table.get(b"key000000", Some(&cache));
+            assert!(
+                matches!(err, Err(lsm_storage::StorageError::Corruption(_))),
+                "corruption must surface as an error: {err:?}"
+            );
+        }
+        // each lookup went back to the device: the bad block was never cached
+        assert_eq!(cache.stats().hits(), 0);
+        assert_eq!(corruption_count(&dev), 2);
+    }
+
+    #[test]
+    fn corrupted_filter_section_fails_open() {
+        // a cleared Bloom bit would be a false negative: a present key
+        // silently reading as absent
+        let (dev, f) = corrupted_copy(false, |meta, _| {
+            meta.filter.start_block * 512 + meta.filter.byte_len / 2
+        });
+        let err = Table::open(f, IndexKind::Fence).map(|_| ());
         assert!(
             matches!(err, Err(lsm_storage::StorageError::Corruption(_))),
-            "corruption must surface as an error: {err:?}"
+            "a flipped filter byte must fail the open: {err:?}"
         );
+        assert_eq!(corruption_count(&dev), 1);
+    }
+
+    #[test]
+    fn corrupted_filter_partition_fails_the_probe_and_is_never_cached() {
+        // the first partition guards the first data block
+        let (dev, f) = corrupted_copy(true, |meta, _| {
+            meta.filter.start_block * 512 + meta.filter_partitions[0] as u64 / 2
+        });
+        let table = Table::open(f, IndexKind::Fence).unwrap();
+        assert!(table.partitioned_filters());
+        let cache = ShardedCache::new(lsm_cache::CachePolicy::Lru, 1 << 20, 2);
+        for n in 1..=2 {
+            let err = table.get(b"key000000", Some(&cache));
+            assert!(
+                matches!(err, Err(lsm_storage::StorageError::Corruption(_))),
+                "a flipped partition byte must fail the probe: {err:?}"
+            );
+            assert_eq!(corruption_count(&dev), n);
+        }
+        assert_eq!(cache.stats().hits(), 0);
+        // the other partitions are intact and still serve
+        assert!(table.get(b"key000199", Some(&cache)).unwrap().entry.is_some());
+    }
+
+    #[test]
+    fn corrupted_meta_section_fails_open() {
+        // a flipped fence pointer would misroute lookups
+        let (dev, f) = corrupted_copy(false, |_, file| {
+            let last = file
+                .read_blocks(file.len_blocks() - 1, 1, IoCategory::Misc)
+                .unwrap();
+            let (meta_start, meta_len) = decode_footer(&last).unwrap();
+            meta_start * 512 + meta_len / 2
+        });
+        let err = Table::open(f, IndexKind::Fence).map(|_| ());
+        assert!(
+            matches!(err, Err(lsm_storage::StorageError::Corruption(_))),
+            "a flipped meta byte must fail the open: {err:?}"
+        );
+        assert_eq!(corruption_count(&dev), 1);
     }
 
     #[test]

@@ -1,17 +1,19 @@
 //! Write-ahead log: durability for the memtable (tutorial Module I.1's
 //! out-of-place ingestion contract).
 //!
-//! Records are framed with a marker byte and a checksum and streamed into
-//! an append-only file. The device persists whole blocks, so a crash loses
-//! at most the unsynced tail of the final block — recovery stops at the
-//! first record that fails its frame or checksum (standard torn-write
-//! semantics).
+//! Records are framed with a marker byte and a checksum
+//! (`integrity::checksum32` of the payload, verified once, on replay) and
+//! streamed into an append-only file. The device persists whole blocks, so
+//! a crash loses at most the unsynced tail of the final block — recovery
+//! stops at the first record that fails its frame or checksum (standard
+//! torn-write semantics).
 
 use std::sync::Arc;
 
 use lsm_storage::{FileId, ImmutableFile, IoCategory, StorageDevice, StorageResult, WritableFile};
 
 use crate::entry::{get_varint, put_varint, ValueKind};
+use crate::integrity::checksum32;
 
 const RECORD_MARKER: u8 = 0xA7;
 /// Marks an all-or-nothing record group ([`Wal::append_atomic`]): one
@@ -30,16 +32,6 @@ pub struct WalRecord {
     pub key: Vec<u8>,
     /// Value (empty for tombstones).
     pub value: Vec<u8>,
-}
-
-fn checksum(bytes: &[u8]) -> u32 {
-    // FNV-1a, truncated
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    (h ^ (h >> 32)) as u32
 }
 
 /// An open write-ahead log.
@@ -130,7 +122,7 @@ impl Wal {
         }
         put_varint(&mut self.scratch, inner.len() as u64);
         self.scratch
-            .extend_from_slice(&checksum(&inner).to_le_bytes());
+            .extend_from_slice(&checksum32(&inner).to_le_bytes());
         self.scratch.extend_from_slice(&inner);
         self.file.append(&self.scratch)?;
         self.records += records.len() as u64;
@@ -180,7 +172,7 @@ fn encode_frame(out: &mut Vec<u8>, seqno: u64, kind: ValueKind, key: &[u8], valu
     put_varint(out, value.len() as u64);
     out.extend_from_slice(value);
     debug_assert_eq!(out.len() - payload_start, payload_len);
-    let sum = checksum(&out[payload_start..]).to_le_bytes();
+    let sum = checksum32(&out[payload_start..]).to_le_bytes();
     out[sum_at..sum_at + 4].copy_from_slice(&sum);
 }
 
@@ -253,7 +245,7 @@ pub fn recover(device: Arc<dyn StorageDevice>, id: FileId) -> StorageResult<Vec<
                 u32::from_le_bytes([bytes[off], bytes[off + 1], bytes[off + 2], bytes[off + 3]]);
             off += 4;
             let group = &bytes[off..off + glen as usize];
-            if checksum(group) != stored_sum {
+            if checksum32(group) != stored_sum {
                 device.stats().record_corruption();
                 break;
             }
@@ -314,7 +306,7 @@ pub fn recover(device: Arc<dyn StorageDevice>, id: FileId) -> StorageResult<Vec<
             u32::from_le_bytes([bytes[off], bytes[off + 1], bytes[off + 2], bytes[off + 3]]);
         off += 4;
         let payload = &bytes[off..off + plen as usize];
-        if checksum(payload) != stored_sum {
+        if checksum32(payload) != stored_sum {
             device.stats().record_corruption();
             break;
         }

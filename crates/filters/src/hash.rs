@@ -98,6 +98,11 @@ pub fn hash64_seed(data: &[u8], seed: u64) -> u64 {
 }
 
 /// Unseeded convenience wrapper around [`hash64_seed`].
+///
+/// `lsm-core` seals every data block, table section and WAL frame with
+/// the low 32 bits of this function, so its output is an on-device format:
+/// an edit that changes it makes existing files unreadable, and
+/// `lsm-core`'s `integrity` known-answer test fails to say so.
 pub fn hash64(data: &[u8]) -> u64 {
     hash64_seed(data, 0)
 }

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 verification: release build, every workspace test under both
-# background modes, the seed-printing crash sweeps, and lint-clean clippy.
+# background modes, the seed-printing crash sweeps, the benchmark package's
+# own build and tests, and lint-clean clippy.
 # CI runs exactly this script; run it locally before pushing.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -54,7 +55,10 @@ cargo run -q -p lsm-bench --release --bin metrics_lint results/e24_transactions.
 cargo run -q -p lsm-bench --release --bin e25_self_tuning -- --metrics
 cargo run -q -p lsm-bench --release --bin metrics_lint results/e25_self_tuning.metrics.jsonl
 
+echo "==> lsmbench (outside the workspace): compiles against the items it pins, unit + smoke tests, names vs BENCHMARK.json"
+CARGO_TARGET_DIR=.bench_build cargo test --release --offline --manifest-path lsmbench/Cargo.toml
+
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace -- -D warnings
 
-echo "OK: build, workspace tests (both modes), crash sweeps, metrics artifacts, clippy all clean"
+echo "OK: build, workspace tests (both modes), crash sweeps, metrics artifacts, lsmbench, clippy all clean"

@@ -306,6 +306,18 @@ fn torn_wal_tail_is_silent_and_loses_nothing_acked() {
 // Read-path corruption
 // ---------------------------------------------------------------------
 
+/// `key000..key039` (value `i` is `64 + i` bytes of `v`), synced and
+/// flushed into one SSTable, so the next read I/O is a data block's.
+fn forty_keys_in_one_table(fault: &Arc<FaultDevice>, cfg: LsmConfig) -> Db {
+    let db = Db::open(erased(fault), cfg).unwrap();
+    for i in 0..40usize {
+        db.put(format!("key{i:03}").into_bytes(), vec![b'v'; 64 + i]).unwrap();
+    }
+    db.sync().unwrap();
+    db.flush().unwrap();
+    db
+}
+
 /// A bit flip in a data block read fails the block checksum: the read
 /// surfaces `StorageError::Corruption`, bumps `corruption_detected`, and
 /// the next (clean) read of the same key succeeds.
@@ -318,12 +330,7 @@ fn bit_flip_on_read_is_detected_and_counted() {
         cache_bytes: 0,
         ..small_cfg()
     };
-    let db = Db::open(erased(&fault), cfg).unwrap();
-    for i in 0..40usize {
-        db.put(format!("key{i:03}").into_bytes(), vec![b'v'; 64 + i]).unwrap();
-    }
-    db.sync().unwrap();
-    db.flush().unwrap(); // move everything into an SSTable
+    let db = forty_keys_in_one_table(&fault, cfg);
 
     let before = db.io_stats().corruption_detected;
     fault.schedule(fault.ops_performed(), FaultKind::BitFlip);
@@ -340,6 +347,31 @@ fn bit_flip_on_read_is_detected_and_counted() {
 
     // The fault was consumed; the same key now reads back intact.
     assert_eq!(db.get(b"key007").unwrap(), Some(vec![b'v'; 64 + 7]));
+}
+
+/// The same flip with the block cache on: the flipped read must be
+/// rejected *before* it is admitted to the cache, so it is counted once
+/// and the retry goes back to the device instead of being served the
+/// poisoned block until eviction.
+#[test]
+fn bit_flip_on_read_never_enters_the_block_cache() {
+    let fault = fault_device(7);
+    assert!(small_cfg().cache_bytes > 0, "this variant needs the cache on");
+    let db = forty_keys_in_one_table(&fault, small_cfg());
+
+    let before = db.io_stats().corruption_detected;
+    fault.schedule(fault.ops_performed(), FaultKind::BitFlip);
+    match db.get(b"key007") {
+        Err(StorageError::Corruption(_)) => {}
+        other => panic!("flipped block read should fail with Corruption, got {other:?}"),
+    }
+    assert_eq!(db.get(b"key007").unwrap(), Some(vec![b'v'; 64 + 7]));
+    assert_eq!(db.get(b"key007").unwrap(), Some(vec![b'v'; 64 + 7]));
+    assert_eq!(
+        db.io_stats().corruption_detected,
+        before + 1,
+        "one flipped read is one detected corruption"
+    );
 }
 
 /// A value-log pointer whose target file is gone (e.g. the log was
