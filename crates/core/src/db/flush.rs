@@ -11,7 +11,7 @@ use lsm_storage::StorageResult;
 
 use super::{DbCore, Inner};
 use crate::config::FilterAllocation;
-use crate::entry::InternalEntry;
+use crate::memtable::Memtable;
 use crate::sstable::{Table, TableBuilder};
 use crate::stats::DbStats;
 use crate::version::{SortedRun, Version};
@@ -19,13 +19,25 @@ use crate::wal::Wal;
 
 /// Which memtable a flush persists.
 pub(super) enum FlushSource {
-    /// The active memtable, drained in place. Needs the caller's write
-    /// guard for the whole flush: the drained entries are readable again
-    /// only once the table is installed.
+    /// The active memtable, streamed out and cleared in place. Needs the
+    /// caller's write guard for the whole flush: between the clear and
+    /// the install its entries are readable nowhere.
     Active,
     /// The frozen memtable in the immutable slot, which stays readable
     /// until the install swaps it for its table.
     Frozen,
+}
+
+/// The buffer a flush streams into the table builder (it is never
+/// copied): the frozen memtable through its shared `Arc` — the background
+/// job holds no lock while it builds — or the active one through the
+/// caller's guard.
+fn flush_buffer<'a>(frozen: &'a Option<Arc<Memtable>>, held: &'a Option<&mut Inner>) -> &'a Memtable {
+    match (frozen, held) {
+        (Some(imm), _) => imm,
+        (None, Some(inner)) => &inner.mem,
+        (None, None) => unreachable!("the active memtable flushes under the caller's guard"),
+    }
 }
 
 impl DbCore {
@@ -50,29 +62,19 @@ impl DbCore {
             let version = Arc::clone(&inner.version);
             match source {
                 FlushSource::Active if inner.mem.is_empty() => None,
-                FlushSource::Active => {
-                    let entries = inner.mem.drain_sorted();
-                    self.obs.memtable_bytes_gauge.set(0);
-                    Some((entries, None, version))
-                }
-                FlushSource::Frozen => {
-                    let imm = inner.imm.clone()?;
-                    Some((Vec::new(), Some(imm), version))
-                }
+                FlushSource::Active => Some((None, version)),
+                FlushSource::Frozen => Some((Some(inner.imm.clone()?), version)),
             }
         });
-        let Some((mut entries, frozen, version)) = claimed else {
+        let Some((frozen, version)) = claimed else {
             return Ok(());
         };
-        if let Some(imm) = &frozen {
-            // copied here, not above: the background job holds no lock now
-            entries = imm.range(Bound::Unbounded, Bound::Unbounded).collect();
-        }
+        let entries = flush_buffer(&frozen, &held).len() as u64;
         let flush_id = self.obs.next_flush_id();
         let flush_start = self.obs.now_ns();
         self.obs.event(EventKind::FlushStart {
             id: flush_id,
-            entries: entries.len() as u64,
+            entries,
         });
         if frozen.is_none() {
             // Separated values referenced by these entries must be durable
@@ -84,11 +86,17 @@ impl DbCore {
                 None => Ok(()),
             })?;
         }
-        let table = if entries.is_empty() {
+        let table = if entries == 0 {
             None
         } else {
-            Some(self.build_l0_table(&version, &entries)?)
+            Some(self.build_l0_table(&version, flush_buffer(&frozen, &held))?)
         };
+        if frozen.is_none() {
+            // the entries are readable again once the table is installed,
+            // below, under the same guard
+            self.with_inner(&mut held, |inner| inner.mem.clear());
+            self.obs.memtable_bytes_gauge.set(0);
+        }
         let old_wal = self.with_inner(&mut held, |inner| -> StorageResult<Option<Wal>> {
             let still_ours = frozen
                 .as_ref()
@@ -110,7 +118,7 @@ impl DbCore {
             }
             self.obs.event(EventKind::FlushEnd {
                 id: flush_id,
-                entries: entries.len() as u64,
+                entries,
                 output_bytes,
                 l0_runs: self.l0_runs.load(Ordering::Acquire) as u64,
             });
@@ -227,13 +235,13 @@ impl DbCore {
         }
     }
 
-    /// Builds one L0 table from sorted memtable entries. `version` only
-    /// informs the Monkey filter allocation.
-    fn build_l0_table(&self, version: &Version, entries: &[InternalEntry]) -> StorageResult<Arc<Table>> {
+    /// Builds one L0 table from a memtable's entries, streamed in key
+    /// order. `version` only informs the Monkey filter allocation.
+    fn build_l0_table(&self, version: &Version, mem: &Memtable) -> StorageResult<Arc<Table>> {
         let bits = self.bits_for_level(version, 0);
         let mut builder = TableBuilder::new(Arc::clone(&self.device), &self.cfg, bits)?;
-        for e in entries {
-            builder.add(&e.key, e.seqno, e.kind, &e.value)?;
+        for e in mem.range(Bound::Unbounded, Bound::Unbounded) {
+            builder.add(e.key, e.seqno, e.kind, e.value)?;
         }
         let (file, _meta) = builder.finish()?;
         Table::open(file, self.cfg.index)

@@ -224,13 +224,8 @@ impl DbCore {
             Some(h) => Bound::Excluded(h),
             None => Bound::Unbounded,
         };
-        for e in inner.mem.range(Bound::Excluded(lo), hi_bound) {
-            keys.push((e.key, 1));
-        }
-        if let Some(imm) = &inner.imm {
-            for e in imm.range(Bound::Excluded(lo), hi_bound) {
-                keys.push((e.key, 1));
-            }
+        for mem in std::iter::once(&inner.mem).chain(inner.imm.as_deref()) {
+            keys.extend(mem.range(Bound::Excluded(lo), hi_bound).map(|e| (e.key.to_vec(), 1)));
         }
         drop(inner);
         if keys.is_empty() {

@@ -18,7 +18,6 @@ use crate::background::BgState;
 use crate::compaction::scheduler::{CompactionScheduler, TokenBucket};
 use crate::config::{BackgroundMode, LsmConfig};
 use crate::dynamic::DynamicConfig;
-use crate::entry::InternalEntry;
 use crate::kv_sep::ValueLog;
 use crate::manifest::{find_manifest_candidates, ManifestState};
 use crate::memtable::Memtable;
@@ -128,12 +127,8 @@ impl Db {
         if cfg.wal {
             let mut new_wal = Wal::create(Arc::clone(&device))?;
             // re-log the replayed records so they stay durable
-            let mem_snapshot: Vec<InternalEntry> = inner
-                .mem
-                .range(Bound::Unbounded, Bound::Unbounded)
-                .collect();
-            for e in mem_snapshot {
-                new_wal.append(e.seqno, e.kind, &e.key, &e.value)?;
+            for e in inner.mem.range(Bound::Unbounded, Bound::Unbounded) {
+                new_wal.append(e.seqno, e.kind, e.key, e.value)?;
             }
             new_wal.sync()?;
             inner.wal = Some(new_wal);

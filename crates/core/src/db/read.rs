@@ -11,8 +11,8 @@ use lsm_cache::ShardedCache;
 use lsm_storage::{Block, StorageDevice, StorageError, StorageResult};
 
 use super::{heat_key, DbCore, Inner};
-use crate::entry::{InternalEntry, ValueKind};
-use crate::iter::{MergingIter, RunIterator, Source};
+use crate::entry::ValueKind;
+use crate::iter::{MemSource, MergingIter, RunIterator, Source};
 use crate::kv_sep::{decode_value, read_pointer_from_device, ValueLog};
 use crate::memtable::Memtable;
 use crate::snapshot::{Snapshot, SnapshotPin};
@@ -185,14 +185,27 @@ impl ReadView<'_> {
         }
     }
 
-    /// Assembles merge sources for a scan of `[start, end)` (`end ==
-    /// None`: to the end of the keyspace): memtable copies (rank 0 =
-    /// youngest, frozen memtable next), then sorted runs youngest
-    /// level/run first. Range-filter pruning is an in-memory probe, so it
-    /// happens up front, while data blocks are only read lazily as the
-    /// merge reaches each table. An empty or inverted range has no
-    /// sources.
-    pub(crate) fn sources(&self, start: &[u8], end: Option<&[u8]>) -> Vec<Source> {
+    /// Assembles merge sources for a scan of up to `limit` rows of
+    /// `[start, end)` (`end == None`: to the end of the keyspace): a
+    /// limit-bounded copy of each write buffer (rank 0 = youngest, frozen
+    /// memtable next), then sorted runs youngest level/run first.
+    ///
+    /// **The prefix rule.** A buffered entry is *certain* when it is a
+    /// `Put` and no younger buffer holds its key: it is the newest version
+    /// of its key in the whole tree, so the merge must emit it as a row.
+    /// Once a buffer's walk from `start` has passed `limit` certain
+    /// entries, the merge has produced `limit` rows at or before that key
+    /// and never asks the buffer for another entry. So each buffer is
+    /// copied — tombstones and shadowed entries included, the merge needs
+    /// them for suppression — only until `limit` certain entries are
+    /// taken or `end` is reached: O(limit), exact, no refill, one
+    /// consistency point. `limit == usize::MAX` copies the whole range,
+    /// and nothing is pre-sized by `limit` (it may be a client's number).
+    ///
+    /// Range-filter pruning is an in-memory probe, so it happens up
+    /// front, while data blocks are only read lazily as the merge reaches
+    /// each table. An empty or inverted range has no sources.
+    pub(crate) fn sources(&self, start: &[u8], end: Option<&[u8]>, limit: usize) -> Vec<Source> {
         let stats = self.tables.stats;
         DbStats::bump(&stats.scans);
         let mut sources = Vec::new();
@@ -200,9 +213,18 @@ impl ReadView<'_> {
             return sources;
         }
         let hi = end.map_or(Bound::Unbounded, Bound::Excluded);
-        for mem in std::iter::once(self.mem).chain(self.imm) {
-            let entries: Vec<InternalEntry> = mem.range(Bound::Included(start), hi).collect();
-            sources.push(Source::mem(entries));
+        for (rank, mem) in std::iter::once(self.mem).chain(self.imm).enumerate() {
+            let mut run = MemSource::default();
+            let mut entries = mem.range(Bound::Included(start), hi);
+            let mut certain = 0usize;
+            while certain < limit {
+                let Some(e) = entries.next() else { break };
+                run.push(e);
+                if e.kind == ValueKind::Put && (rank == 0 || self.mem.get_ref(e.key).is_none()) {
+                    certain += 1;
+                }
+            }
+            sources.push(Source::Mem(run));
         }
         for level in &self.tables.version.levels {
             for run in &level.runs {
@@ -247,7 +269,7 @@ impl ReadView<'_> {
         f: impl FnMut(&[u8], &[u8]),
     ) -> StorageResult<usize> {
         self.tables
-            .merge_scan(self.sources(start, end), end, limit, f)
+            .merge_scan(self.sources(start, end, limit), end, limit, f)
     }
 }
 
@@ -331,9 +353,10 @@ impl DbCore {
     }
 
     /// Range scan: up to `limit` live entries with `range.start ≤ key <
-    /// range.end`, in key order, over a consistent snapshot. Memtable
-    /// state is copied under a brief read lock; table I/O and the merge
-    /// run lock-free against the version snapshot.
+    /// range.end`, in key order, over a consistent snapshot. Only as much
+    /// of each write buffer as can reach the result is copied, under a
+    /// brief read lock (the prefix rule, [`ReadView::sources`]); table I/O
+    /// and the merge run lock-free against the version snapshot.
     pub fn scan(&self, range: Range<Vec<u8>>, limit: usize) -> StorageResult<Vec<(Vec<u8>, Vec<u8>)>> {
         let mut out = Vec::new();
         self.scan_with(&range.start, &range.end, limit, |k, v| out.push((k.to_vec(), v.to_vec())))?;
@@ -343,9 +366,11 @@ impl DbCore {
     /// Streaming range scan through borrowed views: calls `f(key, value)`
     /// for each live entry with `start ≤ key < end`, in key order, up to
     /// `limit` entries, and returns how many were visited. The bytes are
-    /// borrowed from the merge cursor (cached blocks / memtable copies) —
-    /// no per-entry key/value `Vec`s are materialized, which is what
-    /// [`DbCore::scan`] pays to build its owned result.
+    /// borrowed from the merge cursor (cached blocks / the limit-bounded
+    /// flat copy of each write buffer) — no per-entry key/value `Vec`s are
+    /// materialized, which is what [`DbCore::scan`] pays to build its
+    /// owned result. Set-up costs O(sources + `limit`), whatever the
+    /// buffers hold.
     pub fn scan_with(
         &self,
         start: &[u8],
@@ -356,7 +381,7 @@ impl DbCore {
         self.obs.timed(&self.obs.scan_ns, || {
             let (sources, version) = {
                 let inner = self.inner.read();
-                (self.view(&inner, None).sources(start, Some(end)), Arc::clone(&inner.version))
+                (self.view(&inner, None).sources(start, Some(end), limit), Arc::clone(&inner.version))
             };
             let resolve = |raw: &[u8]| self.resolve_unlocked(raw);
             self.tables(&version, Some(&resolve)).merge_scan(sources, Some(end), limit, f)

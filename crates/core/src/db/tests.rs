@@ -320,3 +320,211 @@ fn scan_respects_limit_and_order() {
     }
     assert_eq!(got[0].0, b"key0000".to_vec());
 }
+
+// ---------------------------------------------------------------------------
+// The prefix rule (`ReadView::sources`): a limit-bounded copy of each write
+// buffer yields exactly the rows a full copy would
+// ---------------------------------------------------------------------------
+
+mod prefix_rule {
+    use std::collections::BTreeMap;
+
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+
+    use super::super::*;
+    use crate::iter::Source;
+    use crate::sstable::{Table, TableBuilder};
+    use crate::version::SortedRun;
+
+    /// `(key, Some(value byte))` = put, `(key, None)` = delete.
+    type Op = (u8, Option<u8>);
+    /// One layer's latest versions: key → (seqno, put value or tombstone).
+    type Layer = BTreeMap<Vec<u8>, (u64, Option<Vec<u8>>)>;
+
+    const KEYS: u8 = 48;
+    const LIMITS: [usize; 6] = [0, 1, 2, 7, 50, usize::MAX];
+
+    fn key(k: u8) -> Vec<u8> {
+        format!("k{k:03}").into_bytes()
+    }
+
+    /// `ops` as `(key, seqno, value)` versions, seqnos from `first_seqno`.
+    fn versions(ops: &[Op], first_seqno: u64) -> impl Iterator<Item = (Vec<u8>, u64, Option<Vec<u8>>)> + '_ {
+        ops.iter()
+            .zip(first_seqno..)
+            .map(|(&(k, v), seqno)| (key(k), seqno, v.map(|v| vec![v; 1 + v as usize % 4])))
+    }
+
+    fn kind_of(v: &Option<Vec<u8>>) -> ValueKind {
+        if v.is_some() { ValueKind::Put } else { ValueKind::Delete }
+    }
+
+    /// The latest version of every key `ops` touches.
+    fn layer(ops: &[Op], first_seqno: u64) -> Layer {
+        versions(ops, first_seqno).map(|(k, seqno, v)| (k, (seqno, v))).collect()
+    }
+
+    fn memtable(ops: &[Op], first_seqno: u64, front: usize) -> Memtable {
+        let mut mem = Memtable::with_front(front);
+        for (k, seqno, v) in versions(ops, first_seqno) {
+            mem.insert(&k, seqno, kind_of(&v), v.as_deref().unwrap_or(b""));
+        }
+        mem
+    }
+
+    /// A version whose one L0 run holds `layer` (empty layer: no run).
+    fn version_of(layer: &Layer) -> Version {
+        let mut version = Version::new();
+        if layer.is_empty() {
+            return version;
+        }
+        let cfg = LsmConfig::small_for_tests();
+        let dev: Arc<dyn StorageDevice> =
+            Arc::new(lsm_storage::MemDevice::new(cfg.block_size, Default::default()));
+        let mut b = TableBuilder::new(dev, &cfg, 10.0).unwrap();
+        for (k, (seqno, v)) in layer {
+            b.add(k, *seqno, kind_of(v), v.as_deref().unwrap_or(b"")).unwrap();
+        }
+        let (file, _) = b.finish().unwrap();
+        version.ensure_levels(1);
+        version.levels[0]
+            .runs
+            .push(SortedRun::single(Table::open(file, cfg.index).unwrap()));
+        version
+    }
+
+    /// Builds run ← frozen ← active from the three op lists (oldest
+    /// first), then checks every limit × end × front width from `start`:
+    /// the rows equal the model's, and each buffer's copy is the shortest
+    /// prefix of its range holding `limit` certain entries.
+    fn check(run_ops: &[Op], imm_ops: &[Op], mem_ops: &[Op], start: u8, span: u8) {
+        let imm_first = 1 + run_ops.len() as u64;
+        let mem_first = imm_first + imm_ops.len() as u64;
+        let run = layer(run_ops, 1);
+        let imm = layer(imm_ops, imm_first);
+        let mem = layer(mem_ops, mem_first);
+        let mut model = BTreeMap::new();
+        for l in [&run, &imm, &mem] {
+            for (k, (_, v)) in l {
+                match v {
+                    Some(v) => model.insert(k.clone(), v.clone()),
+                    None => model.remove(k),
+                };
+            }
+        }
+        let version = version_of(&run);
+        let stats = DbStats::default();
+        let (start, bounded_end) = (key(start), key(start.saturating_add(span)));
+        for front in [0usize, 96] {
+            let active = memtable(mem_ops, mem_first, front);
+            let frozen = memtable(imm_ops, imm_first, front);
+            let view = ReadView {
+                mem: &active,
+                imm: Some(&frozen),
+                tables: TableView {
+                    version: &version,
+                    cache: None,
+                    stats: &stats,
+                    resolve: None,
+                },
+            };
+            for end in [None, Some(bounded_end.as_slice())] {
+                let in_range = |k: &[u8]| k >= start.as_slice() && end.is_none_or(|e| k < e);
+                for limit in LIMITS {
+                    let mut rows = Vec::new();
+                    view.scan_with(&start, end, limit, |k, v| rows.push((k.to_vec(), v.to_vec())))
+                        .unwrap();
+                    let expect: Vec<_> = model
+                        .iter()
+                        .filter(|(k, _)| in_range(k))
+                        .take(limit)
+                        .map(|(k, v)| (k.clone(), v.clone()))
+                        .collect();
+                    assert_eq!(rows, expect, "front {front} end {end:?} limit {limit}");
+
+                    let sources = view.sources(&start, end, limit);
+                    for (rank, buffer) in [&mem, &imm].into_iter().enumerate() {
+                        let Source::Mem(copy) = &sources[rank] else {
+                            panic!("source {rank} must be a buffer copy");
+                        };
+                        let ranged: Vec<_> = buffer.iter().filter(|(k, _)| in_range(k)).collect();
+                        assert!(copy.len() <= ranged.len());
+                        let certain = |(k, (_, v)): &(&Vec<u8>, &(u64, Option<Vec<u8>>))| {
+                            v.is_some() && (rank == 0 || !mem.contains_key(*k))
+                        };
+                        let taken = ranged[..copy.len()].iter().filter(|e| certain(e)).count();
+                        assert!(
+                            taken <= limit,
+                            "buffer {rank}: {} entries copied, {taken} certain, limit {limit}",
+                            copy.len()
+                        );
+                        // the copy stops on the limit-th certain entry, so it holds at
+                        // most `limit` + the tombstones and shadowed entries before it
+                        if copy.len() < ranged.len() {
+                            assert_eq!(taken, limit, "buffer {rank} cut before {limit} certain entries");
+                            let last = ranged[..copy.len()].last();
+                            assert!(last.is_none_or(certain), "buffer {rank} copied past the cut");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    fn arb_ops(max: usize) -> impl Strategy<Value = Vec<Op>> {
+        vec((0..KEYS, prop_oneof![3 => any::<u8>().prop_map(Some), 1 => Just(None)]), 0..max)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn limited_scans_match_the_model(
+            run_ops in arb_ops(60),
+            imm_ops in arb_ops(60),
+            mem_ops in arb_ops(60),
+            start in 0..KEYS,
+            span in 1..KEYS,
+        ) {
+            check(&run_ops, &imm_ops, &mem_ops, start, span);
+        }
+    }
+
+    #[test]
+    fn rows_come_from_beyond_frozen_puts_the_active_buffer_shadows() {
+        // 60 frozen puts — more than any finite limit tried — every one
+        // tombstoned (even keys) or overwritten (odd keys) in the active
+        // buffer; untouched frozen puts and run-only keys lie beyond them
+        let run: Vec<Op> = (0..100).map(|k| (k, Some(1))).collect();
+        let imm: Vec<Op> = (0..80).map(|k| (k, Some(2))).collect();
+        let mem: Vec<Op> = (0..60).map(|k| (k, (k % 2 == 1).then_some(3))).collect();
+        check(&run, &imm, &mem, 0, 100);
+        // and with nothing but tombstones in front: rows only from the tail
+        let mem: Vec<Op> = (0..60).map(|k| (k, None)).collect();
+        check(&run, &imm, &mem, 0, 100);
+    }
+
+    #[test]
+    fn a_range_that_opens_with_tombstones_is_copied_through_them() {
+        // the first 3 × 50 active entries are tombstones over live run
+        // keys; the rows start at the first put behind them
+        let run: Vec<Op> = (0..200).map(|k| (k, Some(1))).collect();
+        let mem: Vec<Op> = (0..150)
+            .map(|k| (k, None))
+            .chain((150..200).map(|k| (k, Some(4))))
+            .collect();
+        check(&run, &[], &mem, 0, 200);
+        check(&run, &mem, &[], 0, 200);
+    }
+
+    #[test]
+    fn a_limit_larger_than_the_range_copies_the_range() {
+        let run: Vec<Op> = (0..30).map(|k| (k, Some(1))).collect();
+        let imm: Vec<Op> = (5..15).map(|k| (k, Some(2))).collect();
+        let mem: Vec<Op> = vec![(7, None), (8, Some(3)), (20, Some(3))];
+        // 12 keys in [k005, k017): limits 50 and MAX exceed it
+        check(&run, &imm, &mem, 5, 12);
+        check(&[], &[], &[], 0, 10);
+    }
+}

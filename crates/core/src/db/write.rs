@@ -349,7 +349,7 @@ impl DbCore {
     /// a multi-engine commit never runs maintenance under several
     /// engines' locks.
     fn after_write(&self, mut inner: RwLockWriteGuard<'_, Inner>) -> StorageResult<()> {
-        if inner.mem.bytes() < self.cfg.buffer_bytes {
+        if !inner.mem.is_full(self.cfg.buffer_bytes) {
             return Ok(());
         }
         if self.threaded() {
@@ -383,7 +383,7 @@ impl DbCore {
             });
             self.check_bg_error()?;
             inner = self.inner.write();
-            if inner.mem.bytes() < self.cfg.buffer_bytes {
+            if !inner.mem.is_full(self.cfg.buffer_bytes) {
                 // another writer froze (or a flush drained) in the window
                 return Ok(());
             }

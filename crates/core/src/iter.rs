@@ -17,7 +17,7 @@ use lsm_storage::{Block, StorageResult};
 
 use crate::entry::{InternalEntry, ValueKind};
 use crate::sstable::block::KeyBuf;
-use crate::sstable::{Table, TableIterator};
+use crate::sstable::{EntryRef, Table, TableIterator};
 
 /// Lazily chains the iterators of a run's key-ordered, disjoint tables:
 /// a table is opened (and its first block read) only when the scan
@@ -162,23 +162,67 @@ impl BoundedTableIter {
     }
 }
 
-/// In-memory source over already-sorted owned entries (memtable drains,
-/// tests).
+/// In-memory source: a flat copy of a key-ordered stretch of a write
+/// buffer — every entry's key and value bytes back to back in one
+/// buffer, plus one index — so a source costs two allocations however
+/// many entries it holds.
+#[derive(Default)]
 pub struct MemSource {
-    entries: Vec<InternalEntry>,
+    bytes: Vec<u8>,
+    index: Vec<MemSlot>,
     /// Index of the next entry to serve; `cur = next - 1` once advanced.
     next: usize,
 }
 
+/// One entry of a [`MemSource`]: its key starts at `off` in the byte
+/// buffer and its value follows.
+struct MemSlot {
+    off: usize,
+    key_len: usize,
+    val_len: usize,
+    seqno: u64,
+    kind: ValueKind,
+}
+
 impl MemSource {
-    fn cur(&self) -> &InternalEntry {
-        &self.entries[self.next - 1]
+    /// Appends the next entry; the caller supplies ascending keys.
+    pub(crate) fn push(&mut self, e: EntryRef<'_>) {
+        self.index.push(MemSlot {
+            off: self.bytes.len(),
+            key_len: e.key.len(),
+            val_len: e.value.len(),
+            seqno: e.seqno,
+            kind: e.kind,
+        });
+        self.bytes.extend_from_slice(e.key);
+        self.bytes.extend_from_slice(e.value);
+    }
+
+    /// Entries held.
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
+        self.index.len()
+    }
+
+    fn cur(&self) -> &MemSlot {
+        &self.index[self.next - 1]
+    }
+
+    fn key(&self) -> &[u8] {
+        let s = self.cur();
+        &self.bytes[s.off..s.off + s.key_len]
+    }
+
+    fn value(&self) -> &[u8] {
+        let s = self.cur();
+        let from = s.off + s.key_len;
+        &self.bytes[from..from + s.val_len]
     }
 }
 
 /// A source of key-ordered entries.
 pub enum Source {
-    /// Drained memtable entries (already key-ordered).
+    /// Copied write-buffer entries (already key-ordered).
     Mem(MemSource),
     /// A table iterator.
     Table(TableIterator),
@@ -189,15 +233,25 @@ pub enum Source {
 }
 
 impl Source {
-    /// In-memory source over sorted owned entries.
+    /// In-memory source over sorted owned entries (the test constructor;
+    /// the read path fills a [`MemSource`] from a borrowed cursor).
     pub fn mem(entries: Vec<InternalEntry>) -> Source {
-        Source::Mem(MemSource { entries, next: 0 })
+        let mut run = MemSource::default();
+        for e in &entries {
+            run.push(EntryRef {
+                key: &e.key,
+                seqno: e.seqno,
+                kind: e.kind,
+                value: &e.value,
+            });
+        }
+        Source::Mem(run)
     }
 
     fn advance(&mut self) -> StorageResult<bool> {
         match self {
             Source::Mem(s) => {
-                if s.next < s.entries.len() {
+                if s.next < s.index.len() {
                     s.next += 1;
                     Ok(true)
                 } else {
@@ -212,7 +266,7 @@ impl Source {
 
     fn key(&self) -> &[u8] {
         match self {
-            Source::Mem(s) => &s.cur().key,
+            Source::Mem(s) => s.key(),
             Source::Table(it) => it.key(),
             Source::Run(it) => it.key(),
             Source::BoundedTable(it) => it.key(),
@@ -221,7 +275,7 @@ impl Source {
 
     fn value(&self) -> &[u8] {
         match self {
-            Source::Mem(s) => &s.cur().value,
+            Source::Mem(s) => s.value(),
             Source::Table(it) => it.value(),
             Source::Run(it) => it.value(),
             Source::BoundedTable(it) => it.value(),

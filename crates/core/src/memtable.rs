@@ -24,6 +24,7 @@ use std::collections::HashMap;
 use std::ops::Bound;
 
 use crate::entry::{InternalEntry, ValueKind};
+use crate::sstable::EntryRef;
 
 #[derive(Clone, Debug)]
 struct MemValue {
@@ -34,6 +35,10 @@ struct MemValue {
 
 /// Skiplist fanout: p = 1/4, so 12 levels cover ~4^12 entries.
 const MAX_HEIGHT: usize = 12;
+/// Flush backstop for rewritten keys: a memtable also counts as full
+/// once this many times the budget has been written into it, however
+/// little of that is still the latest version ([`Memtable::is_full`]).
+const WRITTEN_BUDGET_FACTOR: usize = 8;
 /// Null link (also "head" when used as a predecessor).
 const NIL: u32 = u32::MAX;
 
@@ -259,6 +264,10 @@ pub struct Memtable {
     front_budget: usize,
     bytes: usize,
     peak_bytes: usize,
+    /// Entry cost of every insert since the buffer was last empty,
+    /// superseded versions included: an upper bound on the arena, and
+    /// what the WAL segment covering this buffer holds.
+    written: usize,
 }
 
 impl Memtable {
@@ -302,6 +311,7 @@ impl Memtable {
 
     fn insert_inner(&mut self, key: &[u8], seqno: u64, kind: ValueKind, value: &[u8]) {
         let new_cost = Self::entry_cost(key, value);
+        self.written += new_cost;
         if self.front_budget > 0 {
             match self.front.insert(
                 key.to_vec(),
@@ -342,16 +352,30 @@ impl Memtable {
         self.bytes
     }
 
+    /// The one flush trigger: the logical footprint reached `budget`, or
+    /// — a few keys rewritten (or re-deleted, or absorbed by the hash
+    /// front) over and over never grow that, while the arena and the WAL
+    /// do — [`WRITTEN_BUDGET_FACTOR`] times it has been written in.
+    pub fn is_full(&self, budget: usize) -> bool {
+        self.bytes >= budget || self.written >= budget.saturating_mul(WRITTEN_BUDGET_FACTOR)
+    }
+
     /// High-water mark of [`Memtable::bytes`] over this memtable's
-    /// lifetime (observability gauge; survives `drain_sorted`).
+    /// lifetime (observability gauge; survives [`Memtable::clear`]).
     pub fn peak_bytes(&self) -> usize {
         self.peak_bytes
     }
 
-    /// Number of (latest-version) entries, including tombstones. With a
-    /// front active this may double-count keys present in both levels.
+    /// Number of (latest-version) entries, including tombstones: what
+    /// [`Memtable::range`] over everything yields. A key held by both
+    /// levels counts once.
     pub fn len(&self) -> usize {
-        self.list.nodes.len() + self.front.len()
+        let front_only = self
+            .front
+            .keys()
+            .filter(|k| self.list.seek_exact(k).is_none())
+            .count();
+        self.list.nodes.len() + front_only
     }
 
     /// Whether the buffer holds nothing.
@@ -389,14 +413,16 @@ impl Memtable {
         })
     }
 
-    /// Entries within the bound pair, ascending by key. With a hash front
-    /// active, its in-range entries are sorted and merged on the fly
-    /// (front entries shadow sorted ones) — the price FloDB pays on scans.
+    /// Entries within the bound pair, ascending by key, as borrowed views:
+    /// key and value point into the arena (or the hash front) and nothing
+    /// is allocated per entry. With a hash front active, its in-range
+    /// entries are sorted and merged on the fly (front entries shadow
+    /// sorted ones) — the price FloDB pays on scans.
     pub fn range<'a>(
         &'a self,
         lo: Bound<&'a [u8]>,
         hi: Bound<&'a [u8]>,
-    ) -> impl Iterator<Item = InternalEntry> + 'a {
+    ) -> impl Iterator<Item = EntryRef<'a>> + 'a {
         let in_bounds = |k: &[u8]| -> bool {
             (match lo {
                 Bound::Included(b) => k >= b,
@@ -453,49 +479,35 @@ impl Memtable {
                 (None, None) => return None,
             };
             if take_front {
-                let (k, v) = front.next().unwrap();
-                Some(InternalEntry {
-                    key: k.clone(),
+                let (k, v) = front.next().expect("peeked above");
+                Some(EntryRef {
+                    key: k,
                     seqno: v.seqno,
                     kind: v.kind,
-                    value: v.value.clone(),
+                    value: &v.value,
                 })
             } else {
                 let id = cur;
-                cur = self.list.nodes[id as usize].next[0];
                 let n = &self.list.nodes[id as usize];
-                Some(InternalEntry {
-                    key: self.list.key_of(id).to_vec(),
+                cur = n.next[0];
+                Some(EntryRef {
+                    key: self.list.key_of(id),
                     seqno: n.seqno,
                     kind: n.kind,
-                    value: self.list.value_of(id).to_vec(),
+                    value: self.list.value_of(id),
                 })
             }
         })
     }
 
-    /// Drains into a sorted entry list for flushing; the memtable is empty
-    /// afterwards (the arena is released wholesale).
-    pub fn drain_sorted(&mut self) -> Vec<InternalEntry> {
-        if !self.front.is_empty() {
-            self.spill_front();
-        }
-        let mut out = Vec::with_capacity(self.list.nodes.len());
-        let mut cur = self.list.first();
-        while cur != NIL {
-            let n = &self.list.nodes[cur as usize];
-            out.push(InternalEntry {
-                key: self.list.key_of(cur).to_vec(),
-                seqno: n.seqno,
-                kind: n.kind,
-                value: self.list.value_of(cur).to_vec(),
-            });
-            cur = n.next[0];
-        }
+    /// Empties the buffer after a flush. The arena and node vector keep
+    /// their capacity for the next fill.
+    pub fn clear(&mut self) {
         self.list.reset();
-        self.bytes = 0;
+        self.front.clear();
         self.front_bytes = 0;
-        out
+        self.bytes = 0;
+        self.written = 0;
     }
 
     /// Benchmark helper: force-spills the front into the sorted level so
@@ -589,23 +601,62 @@ mod tests {
         assert!(m.get_ref(b"zz").is_none());
     }
 
+    fn all(m: &Memtable) -> Vec<EntryRef<'_>> {
+        m.range(Bound::Unbounded, Bound::Unbounded).collect()
+    }
+
     #[test]
-    fn drain_is_sorted_and_empties() {
+    fn full_range_is_sorted_and_clear_empties() {
         let mut m = Memtable::new();
         for k in ["c", "a", "b"] {
             m.insert(k.as_bytes(), 1, ValueKind::Put, b"");
         }
-        let drained = m.drain_sorted();
         assert_eq!(
-            drained.iter().map(|e| e.key.clone()).collect::<Vec<_>>(),
-            vec![b"a".to_vec(), b"b".to_vec(), b"c".to_vec()]
+            all(&m).iter().map(|e| e.key).collect::<Vec<_>>(),
+            vec![b"a", b"b", b"c"]
         );
+        let peak = m.peak_bytes();
+        m.clear();
         assert!(m.is_empty());
         assert_eq!(m.bytes(), 0);
+        assert_eq!(m.peak_bytes(), peak, "the gauge's high-water mark survives");
+        m.insert(b"d", 2, ValueKind::Put, b"again");
+        assert_eq!(m.get(b"d").unwrap().value, b"again");
+        assert!(m.get(b"a").is_none());
     }
 
     #[test]
-    fn large_random_order_insert_drains_sorted() {
+    fn rewrites_of_one_key_fill_the_buffer_without_growing_its_logical_bytes() {
+        let budget = 4096;
+        // plain, absorbed by the hash front, and re-deleted (no value bytes)
+        for (front, kind, value) in [
+            (0, ValueKind::Put, &[7u8; 100][..]),
+            (1024, ValueKind::Put, &[7u8; 100][..]),
+            (0, ValueKind::Delete, &[][..]),
+        ] {
+            let mut m = Memtable::with_front(front);
+            let mut writes = 0u64;
+            while !m.is_full(budget) {
+                writes += 1;
+                m.insert(b"hot", writes, kind, value);
+                assert!(writes < 2_000, "a rewritten key must fill the buffer eventually");
+            }
+            assert!(m.bytes() < budget, "logical bytes count the latest version only");
+            assert_eq!(m.len(), 1);
+            assert!(writes as usize * (3 + value.len() + 24) >= WRITTEN_BUDGET_FACTOR * budget);
+            m.clear();
+            assert!(!m.is_full(budget));
+        }
+        // a fresh-key fill trips the logical half first
+        let mut m = Memtable::new();
+        for i in 0..100u64 {
+            m.insert(&i.to_be_bytes(), i, ValueKind::Put, &[0u8; 100]);
+        }
+        assert!(m.is_full(m.bytes()) && !m.is_full(m.bytes() + 1));
+    }
+
+    #[test]
+    fn large_random_order_insert_ranges_sorted() {
         let mut m = Memtable::new();
         // deterministic pseudo-shuffle over 4000 keys
         for i in 0..4000u64 {
@@ -613,10 +664,10 @@ mod tests {
             m.insert(format!("key{k:06}").as_bytes(), i, ValueKind::Put, format!("v{k}").as_bytes());
         }
         assert_eq!(m.len(), 4000);
-        let drained = m.drain_sorted();
-        assert_eq!(drained.len(), 4000);
-        for w in drained.windows(2) {
-            assert!(w[0].key < w[1].key, "drain must be strictly sorted");
+        let entries = all(&m);
+        assert_eq!(entries.len(), 4000);
+        for w in entries.windows(2) {
+            assert!(w[0].key < w[1].key, "range must be strictly sorted");
         }
     }
 
@@ -667,36 +718,42 @@ mod tests {
 
     #[test]
     fn two_level_range_merges_front_and_sorted() {
-        let mut m = Memtable::with_front(10_000); // never spills
-        // interleave: evens via a pre-spilled path, odds stay in the front
+        // evens spilled into the sorted level (k004 and k010 twice: their
+        // front versions must shadow the sorted ones), odds only in the front
+        let mut m = Memtable::with_front(10_000); // never spills by itself
         for i in (0..20u32).step_by(2) {
-            m.insert(format!("k{i:03}").as_bytes(), i as u64, ValueKind::Put, b"");
-        }
-        m.drain_sorted(); // reset
-        let mut m = Memtable::with_front(10_000);
-        for i in 0..20u32 {
             m.insert(format!("k{i:03}").as_bytes(), i as u64, ValueKind::Put, &[i as u8]);
+        }
+        m.drain_into_sorted_for_bench();
+        for i in [1u32, 3, 4, 5, 7, 9, 10, 11, 13, 15, 17, 19] {
+            m.insert(format!("k{i:03}").as_bytes(), 100 + i as u64, ValueKind::Put, &[i as u8]);
         }
         let got: Vec<_> = m
             .range(Bound::Included(&b"k003"[..]), Bound::Excluded(&b"k015"[..]))
             .collect();
         assert_eq!(got.len(), 12);
+        assert_eq!(m.len(), 20, "k004 and k010 sit in both levels and count once");
         for (j, e) in got.iter().enumerate() {
-            assert_eq!(e.key, format!("k{:03}", j + 3).into_bytes());
+            let i = j as u32 + 3;
+            assert_eq!(e.key, format!("k{i:03}").into_bytes());
+            assert_eq!(e.value, [i as u8]);
+            let in_front = i % 2 == 1 || i == 4 || i == 10;
+            assert_eq!(e.seqno, if in_front { 100 + i as u64 } else { i as u64 });
         }
     }
 
     #[test]
-    fn two_level_drain_is_complete_and_sorted() {
+    fn two_level_full_range_is_complete_and_sorted() {
         let mut m = Memtable::with_front(150);
         for i in (0..30u32).rev() {
             m.insert(format!("k{i:03}").as_bytes(), i as u64, ValueKind::Put, &[1u8; 4]);
         }
-        let drained = m.drain_sorted();
-        assert_eq!(drained.len(), 30);
-        for w in drained.windows(2) {
+        let entries = all(&m);
+        assert_eq!(entries.len(), 30);
+        for w in entries.windows(2) {
             assert!(w[0].key < w[1].key);
         }
+        m.clear();
         assert!(m.is_empty());
         assert_eq!(m.bytes(), 0);
     }

@@ -10,6 +10,8 @@
 //!   heap allocations through [`Db::get_with`] / [`Db::get_into`];
 //! - a scan's allocation cost is its *setup* only — independent of how
 //!   many entries it visits;
+//! - that setup is O(sources + limit): it copies only as much of the
+//!   write buffers as the result can use, however full they are;
 //! - steady-state puts stay within a small constant of allocations per
 //!   operation (memtable arena + WAL scratch reuse).
 //!
@@ -26,12 +28,14 @@ use lsm_core::{BackgroundMode, Db, LsmConfig};
 struct CountingAlloc;
 
 static ALLOC_COUNT: AtomicU64 = AtomicU64::new(0);
+static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
 static COUNTING: AtomicBool = AtomicBool::new(false);
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         if COUNTING.load(Ordering::Relaxed) {
             ALLOC_COUNT.fetch_add(1, Ordering::Relaxed);
+            ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         }
         unsafe { System.alloc(layout) }
     }
@@ -43,6 +47,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         if COUNTING.load(Ordering::Relaxed) {
             ALLOC_COUNT.fetch_add(1, Ordering::Relaxed);
+            ALLOC_BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
         }
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -63,11 +68,20 @@ fn lock() -> std::sync::MutexGuard<'static, ()> {
 /// Runs `f` with allocation counting enabled; returns how many heap
 /// allocations (malloc + realloc) happened anywhere in the process.
 fn count_allocs(f: impl FnOnce()) -> u64 {
-    let before = ALLOC_COUNT.load(Ordering::SeqCst);
+    count_allocs_and_bytes(f).0
+}
+
+/// [`count_allocs`] plus the bytes those allocations asked for (a
+/// realloc counts its whole new size).
+fn count_allocs_and_bytes(f: impl FnOnce()) -> (u64, u64) {
+    let before = (ALLOC_COUNT.load(Ordering::SeqCst), ALLOC_BYTES.load(Ordering::SeqCst));
     COUNTING.store(true, Ordering::SeqCst);
     f();
     COUNTING.store(false, Ordering::SeqCst);
-    ALLOC_COUNT.load(Ordering::SeqCst) - before
+    (
+        ALLOC_COUNT.load(Ordering::SeqCst) - before.0,
+        ALLOC_BYTES.load(Ordering::SeqCst) - before.1,
+    )
 }
 
 /// Inline mode pins all maintenance to this thread, so an allocation
@@ -178,6 +192,56 @@ fn scan_allocation_cost_is_setup_only() {
         short, long,
         "scan allocations must be setup-only: {short} allocs for 50 entries vs {long} for 2000 \
          — a per-entry allocation crept back in"
+    );
+}
+
+/// "O(sources), not O(memtable)": a short scan to a far `end` copies only
+/// the stretch of the write buffer its rows can come from (the prefix
+/// rule, `ReadView::sources`), so neither its allocation count nor its
+/// allocated bytes may depend on how full the buffer is.
+#[test]
+fn short_scan_setup_does_not_grow_with_the_memtable() {
+    let _g = lock();
+    let db = warm_db(2000);
+    let flushes = db.stats().snapshot().flushes;
+    let far_end = key(999_999);
+    let scan_cost = |limit: usize| {
+        let mut bytes_seen = 0usize;
+        let cost = count_allocs_and_bytes(|| {
+            let n = db
+                .scan_with(&key(0), &far_end, limit, |k, v| bytes_seen += k.len() + v.len())
+                .unwrap();
+            assert_eq!(n, limit);
+        });
+        assert!(bytes_seen > 0);
+        cost
+    };
+    // key + value + per-entry overhead ≈ 65 bytes of a 1 MiB buffer
+    let mut filled = 0u32;
+    let mut costs = Vec::new();
+    for (percent, entries) in [(10, 1_600u32), (90, 14_500)] {
+        for i in filled..entries {
+            db.put(key(i), value(i)).unwrap();
+        }
+        filled = entries;
+        assert_eq!(db.stats().snapshot().flushes, flushes, "the buffer must hold the fill");
+        for limit in [1usize, 50] {
+            scan_cost(limit); // warm lazily-grown scratch
+            let (allocs, bytes) = scan_cost(limit);
+            // a row here is ≈ 42 bytes; 16 KiB of set-up covers the sources'
+            // fixed cost, and the buffer holds 100 KiB to 900 KiB
+            assert!(
+                bytes <= 16 * 1024 + 256 * limit as u64,
+                "limit-{limit} scan over a {percent} % full buffer allocated {bytes} bytes in \
+                 {allocs} allocations — it is copying the memtable"
+            );
+            costs.push((limit, allocs));
+        }
+    }
+    assert_eq!(
+        costs[..2],
+        costs[2..],
+        "(limit, allocations) at 10 % vs 90 % fill: scan set-up grew with the memtable"
     );
 }
 

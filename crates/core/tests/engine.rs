@@ -693,3 +693,49 @@ fn singles_and_one_op_batches_write_identical_bytes() {
     assert!(!recovered.is_empty());
     assert_eq!(recovered, recover(dev_batched));
 }
+
+/// The regression: rewriting one key grows the memtable arena and the WAL
+/// but never the *logical* byte count, so a trigger on logical bytes alone
+/// never flushed — the WAL was never rotated and the arena grew until its
+/// `u32` offsets wrapped. Same for rewrites the hash front absorbs and for
+/// re-deletes, which do not even grow the arena.
+#[test]
+fn a_rewritten_key_still_flushes_and_rotates_the_wal() {
+    let rewrites = 100_000u32;
+    let shapes = [("rewrites", 0, true), ("front-absorbed rewrites", 1 << 10, true), ("re-deletes", 0, false)];
+    for background in [BackgroundMode::Inline, BackgroundMode::Threaded] {
+        for (shape, buffer_front_bytes, put) in shapes {
+            let cfg = LsmConfig {
+                wal: true,
+                background,
+                buffer_front_bytes,
+                ..LsmConfig::small_for_tests()
+            };
+            let device: Arc<dyn StorageDevice> =
+                Arc::new(MemDevice::new(cfg.block_size, DeviceProfile::free()));
+            let db = Db::open(Arc::clone(&device), cfg).unwrap();
+            let mut live_blocks = 0;
+            for i in 0..rewrites {
+                if put {
+                    db.put(b"hot-key".to_vec(), format!("{i:0100}").into_bytes()).unwrap();
+                } else {
+                    db.delete(b"hot-key".to_vec()).unwrap();
+                }
+                if i % 1000 == 999 {
+                    live_blocks = live_blocks.max(device.live_blocks());
+                }
+            }
+            db.wait_background_idle();
+            let flushes = db.stats().snapshot().flushes;
+            assert!(flushes > 0, "{background:?}: {rewrites} {shape} of one key never flushed");
+            // never rotated, the WAL alone would hold ≈ 6k (re-deletes) to
+            // ≈ 21k (rewrites) 512-byte blocks by now
+            assert!(
+                live_blocks < 1_000,
+                "{background:?}, {shape}: {live_blocks} live blocks — the WAL is not being rotated"
+            );
+            let last = put.then(|| format!("{:0100}", rewrites - 1).into_bytes());
+            assert_eq!(db.get(b"hot-key").unwrap(), last, "{background:?}, {shape}");
+        }
+    }
+}
