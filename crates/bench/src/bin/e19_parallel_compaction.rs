@@ -63,14 +63,6 @@ fn run(subcompactions: usize, n: u64, t: &TablePrinter) {
     lat.sort_unstable();
     let s = db.stats().snapshot();
     let io = db.device().stats().snapshot();
-    write_metrics_artifact(
-        &db,
-        "e19_parallel_compaction",
-        &[
-            ("experiment", "e19_parallel_compaction"),
-            ("config", &format!("subcompactions{subcompactions}")),
-        ],
-    );
     t.print(&[
         subcompactions.to_string(),
         format!("{:.1}", percentile(&lat, 0.50) as f64 / 1000.0),

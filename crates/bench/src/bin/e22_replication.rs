@@ -199,7 +199,7 @@ struct ClusterResult {
 /// One full cluster run: start `replicas` replica nodes and a primary
 /// with `ack_quorum = replicas`, load `n` keys, saturate the read path
 /// across all nodes, then (with replicas) kill the primary and promote.
-fn run_cluster(replicas: usize, n: u64, rate_per_sec: f64, tag: &str) -> ClusterResult {
+fn run_cluster(replicas: usize, n: u64, rate_per_sec: f64) -> ClusterResult {
     let mut replica_nodes: Vec<ReplicaNode> = (0..replicas).map(|_| start_replica()).collect();
     let role = if replicas == 0 {
         ReplicationRole::None
@@ -249,17 +249,7 @@ fn run_cluster(replicas: usize, n: u64, rate_per_sec: f64, tag: &str) -> Cluster
     let read_wall = start.elapsed().as_secs_f64();
     lats.sort_unstable();
 
-    let metrics = primary.metrics();
-    let repl_ack_p99_us = metrics.repl_ack_ns.snapshot().p99() as f64 / 1000.0;
-    let snap = metrics.snapshot();
-    let mut lines = vec![snap.to_json_line_tagged(&[
-        ("experiment", "e22_replication"),
-        ("scope", "primary"),
-        ("config", tag),
-    ])];
-    for e in metrics.drain_events() {
-        lines.push(e.to_json_line());
-    }
+    let repl_ack_p99_us = primary.metrics().repl_ack_ns.snapshot().p99() as f64 / 1000.0;
 
     // failover: abort the primary mid-flight, promote replica 0, and
     // time the write-unavailability window to the first acked PUT
@@ -278,15 +268,6 @@ fn run_cluster(replicas: usize, n: u64, rate_per_sec: f64, tag: &str) -> Cluster
             Some(b"promoted".to_vec())
         );
         drop(c);
-        let pmetrics = promoted.server.metrics();
-        lines.push(pmetrics.snapshot().to_json_line_tagged(&[
-            ("experiment", "e22_replication"),
-            ("scope", "promoted"),
-            ("config", tag),
-        ]));
-        for e in pmetrics.drain_events() {
-            lines.push(e.to_json_line());
-        }
         drop(promoted.server.shutdown().expect("promoted shutdown"));
         (Some(window), promoted.adopted_seq)
     } else {
@@ -296,7 +277,6 @@ fn run_cluster(replicas: usize, n: u64, rate_per_sec: f64, tag: &str) -> Cluster
     for node in replica_nodes {
         drop(node.server.shutdown().expect("replica shutdown"));
     }
-    write_metrics_lines("e22_replication", &lines);
 
     ClusterResult {
         load_kops: n as f64 / load_secs / 1000.0,
@@ -330,7 +310,7 @@ fn main() {
     let mut by_nodes = Vec::new();
     for replicas in [0usize, 2] {
         let nodes = replicas + 1;
-        let r = run_cluster(replicas, n, rate, &format!("nodes{nodes}"));
+        let r = run_cluster(replicas, n, rate);
         assert_eq!(r.misses, 0, "every acked key must be readable on every node");
         if replicas > 0 {
             assert!(r.adopted_seq > 0, "promotion must adopt a replicated watermark");

@@ -258,27 +258,7 @@ fn run_topology(topo: Topo, conns: usize, window: usize, total_ops: u64, rate: f
         .shard_map()
         .map(|m| (m.len(), m.version))
         .unwrap_or((START_SHARDS, 0));
-    let metrics = server.metrics();
-    let server_snap = metrics.snapshot();
-    let mut lines = Vec::new();
-    lines.push(server_snap.to_json_line_tagged(&[
-        ("experiment", "e23_elastic"),
-        ("scope", "server"),
-        ("config", topo.tag()),
-    ]));
-    for e in metrics.drain_events() {
-        lines.push(e.to_json_line());
-    }
-    let dbs = server.shutdown().expect("graceful shutdown");
-    for (s, db) in dbs.iter().enumerate() {
-        lines.push(db.metrics().to_json_line_tagged(&[
-            ("experiment", "e23_elastic"),
-            ("scope", "shard"),
-            ("shard", &s.to_string()),
-            ("config", topo.tag()),
-        ]));
-    }
-    write_metrics_lines("e23_elastic", &lines);
+    drop(server.shutdown().expect("graceful shutdown"));
 
     RunResult {
         throughput: oks as f64 / wall,

@@ -88,7 +88,7 @@ struct RunResult {
     commit_p99_us: f64,
 }
 
-fn run_level(theta: f64, label: &str, total_txns: u64) -> RunResult {
+fn run_level(theta: f64, total_txns: u64) -> RunResult {
     let server =
         Server::start(open_shards(SHARDS), ServerConfig::default()).expect("start server");
     let addr = server.addr();
@@ -114,29 +114,10 @@ fn run_level(theta: f64, label: &str, total_txns: u64) -> RunResult {
     }
     let wall = start.elapsed().as_secs_f64();
 
-    let metrics = server.metrics();
-    let snap = metrics.snapshot();
+    let snap = server.metrics().snapshot();
     let commit_hist = snap.histograms.get("server.txn_commit_ns");
     let (p50, p99) = commit_hist.map(|h| (h.p50(), h.p99())).unwrap_or((0, 0));
-    let mut lines = Vec::new();
-    lines.push(snap.to_json_line_tagged(&[
-        ("experiment", "e24_transactions"),
-        ("scope", "server"),
-        ("config", label),
-    ]));
-    for e in metrics.drain_events() {
-        lines.push(e.to_json_line());
-    }
-    let dbs = server.shutdown().expect("graceful shutdown");
-    for (s, db) in dbs.iter().enumerate() {
-        lines.push(db.metrics().to_json_line_tagged(&[
-            ("experiment", "e24_transactions"),
-            ("scope", "shard"),
-            ("shard", &s.to_string()),
-            ("config", label),
-        ]));
-    }
-    write_metrics_lines("e24_transactions", &lines);
+    drop(server.shutdown().expect("graceful shutdown"));
 
     let attempts = committed + conflicted;
     RunResult {
@@ -176,7 +157,7 @@ fn main() {
     ]);
     let mut rates = Vec::new();
     for (theta, label) in levels {
-        let r = run_level(theta, label, txns);
+        let r = run_level(theta, txns);
         t.print(&[
             label.to_string(),
             format!("{:.0}", r.committed_per_s),

@@ -15,7 +15,7 @@
 //! phase, but the adaptive engine's *total* cost beats every static
 //! config — the whole point of self-driving tuning. The retune trail
 //! (policy switches, bloom reallocations, predicted vs observed gain)
-//! is printed and, with `--metrics`, written to the artifact.
+//! is printed.
 
 use lsm_bench::*;
 use lsm_core::{Db, EventKind, FilterAllocation, LsmConfig, MergeLayout};
@@ -23,8 +23,6 @@ use lsm_obs::Event;
 use lsm_tuner::{Tuner, TunerConfig};
 use lsm_workload::mixshift::{MixShift, MixShiftSpec};
 use lsm_workload::{encode_key, Operation};
-
-const BIN: &str = "e25_self_tuning";
 
 fn spec(phase_ops: u64, key_space: u64) -> MixShiftSpec {
     let mut s = MixShiftSpec::default();
@@ -71,7 +69,6 @@ struct RunResult {
     total: f64,
     decisions: u64,
     events: Vec<Event>,
-    metrics_line: String,
 }
 
 /// Runs the full MixShift schedule on one engine. `adaptive` attaches a
@@ -83,7 +80,6 @@ fn run_engine(
     phase_ops: u64,
     key_space: u64,
     tick_every: u64,
-    tags: &[(&str, &str)],
 ) -> RunResult {
     let db = Db::open_in_memory(cfg).unwrap();
     let mut tuner = adaptive.then(|| Tuner::new(db.clone(), tuner_cfg(&db)));
@@ -112,7 +108,6 @@ fn run_engine(
         total,
         decisions: tuner.as_ref().map_or(0, |t| t.decisions()),
         events: db.drain_events(),
-        metrics_line: db.metrics().to_json_line_tagged(tags),
     }
 }
 
@@ -154,17 +149,9 @@ fn main() {
         "scan blk/op",
         "total blk/op",
     ]);
-    let mut artifact = Vec::new();
     let mut best_static = f64::INFINITY;
     for (label, cfg) in &statics {
-        let r = run_engine(
-            cfg.clone(),
-            false,
-            phase_ops,
-            key_space,
-            tick_every,
-            &[("experiment", "e25"), ("engine", label)],
-        );
+        let r = run_engine(cfg.clone(), false, phase_ops, key_space, tick_every);
         t.print(&[
             label.to_string(),
             f3(r.per_phase[0]),
@@ -173,16 +160,8 @@ fn main() {
             f3(r.total),
         ]);
         best_static = best_static.min(r.total);
-        artifact.push(r.metrics_line);
     }
-    let adaptive = run_engine(
-        base_config(),
-        true,
-        phase_ops,
-        key_space,
-        tick_every,
-        &[("experiment", "e25"), ("engine", "adaptive")],
-    );
+    let adaptive = run_engine(base_config(), true, phase_ops, key_space, tick_every);
     t.print(&[
         "adaptive (tuner)".to_string(),
         f3(adaptive.per_phase[0]),
@@ -231,9 +210,6 @@ fn main() {
             _ => {}
         }
     }
-    artifact.push(adaptive.metrics_line.clone());
-    artifact.extend(adaptive.events.iter().map(|e| e.to_json_line()));
-    write_metrics_lines(BIN, &artifact);
 
     println!(
         "\nadaptive {:.3} blk/op vs best static {:.3} blk/op ({:+.1}%)",

@@ -1,0 +1,472 @@
+//! Module I.2 — data layout and compaction: the read/write tradeoff (E1),
+//! compaction granularity and file picking (E8), hybrid shapes (E9),
+//! key-value separation (E13) and write-stall tails (E18).
+
+use lsm_core::config::KvSeparation;
+use lsm_core::{CompactionGranularity, Db, FilePicker, LsmConfig, MergeLayout, PartitionedDb};
+use lsm_storage::DeviceProfile;
+use lsm_workload::encode_key;
+
+use super::{join, within};
+use crate::*;
+
+const CITE: &str = "Module I.2";
+/// "Constructing and Analyzing the LSM Compaction Design Space" (PAPERS.md).
+const CITE_COMPACTION: &str = "Module I.2 (compaction design space: granularity)";
+
+/// E1 — sweeps merge policy × size ratio and reports write amplification,
+/// space amplification, and zero-result, present-key and short-scan I/O.
+pub fn e01(scale: Scale, r: &mut Report) {
+    let n = scale.pick(DEFAULT_N, 12_000);
+    let (gets, scans) = scale.pick((2000, 300), (500, 100));
+    r.line(format!("{n} keys, 64 B values, then half the keys rewritten"));
+    struct Point {
+        wa: f64,
+        sa: f64,
+        empty: f64,
+        scan: f64,
+    }
+    let layouts = [MergeLayout::Leveled, MergeLayout::Tiered, MergeLayout::LazyLeveled];
+    let ratios = [2usize, 4, 6, 8, 10];
+    let mut rows = Vec::new();
+    let mut points = Vec::new();
+    for layout in &layouts {
+        for &size_ratio in &ratios {
+            let mut cfg = base_config();
+            cfg.layout = layout.clone();
+            cfg.size_ratio = size_ratio;
+            let db = Db::open_in_memory(cfg).unwrap();
+            fill_scattered(&db, n, 64);
+            // update churn: half the keys again, so obsolete versions
+            // accumulate (tiering retains them until its lazy merges)
+            fill_scattered(&db, n / 2, 64);
+            let wa = write_amp(&db);
+            // space amplification: live device bytes over unique logical data
+            let logical = n as f64 * (16.0 + 64.0);
+            let sa = db.device().live_blocks() as f64 * db.config().block_size as f64 / logical;
+            let empty = measure_empty_gets(&db, n, gets);
+            let present = measure_present_gets(&db, n, gets);
+            let scan = measure_scans(&db, n, scans, 32);
+            rows.push(vec![
+                layout.label().to_string(),
+                size_ratio.to_string(),
+                db.total_runs().to_string(),
+                f2(wa),
+                f2(sa),
+                f3(empty.data_blocks_per_op),
+                f3(present.data_blocks_per_op),
+                f2(scan.data_blocks_per_op),
+            ]);
+            points.push(Point {
+                wa,
+                sa,
+                empty: empty.data_blocks_per_op,
+                scan: scan.data_blocks_per_op,
+            });
+        }
+    }
+    r.table(
+        &["layout", "T", "runs", "write-amp", "space-amp", "0-result IO", "point IO", "scan IO"],
+        &rows,
+    );
+    // rows are layout-major: leveled 0..5, tiered 5..10, lazy-leveled 10..15
+    let at = |layout: usize, t: usize| layout * ratios.len() + ratios.iter().position(|&x| x == t).unwrap();
+    let (lev, tie) = (0, 1);
+    let t2: Vec<&[String]> = (0..3).map(|layout| &rows[at(layout, 2)][2..]).collect();
+    r.claim(
+        CITE,
+        "at T=2 leveling, tiering and lazy leveling are the same tree",
+        t2[0] == t2[1] && t2[0] == t2[2],
+        format!("T=2 rows {} / {} / {}", t2[0].join(" "), t2[1].join(" "), t2[2].join(" ")),
+    );
+    let (l10, t10) = (&points[at(lev, 10)], &points[at(tie, 10)]);
+    // 12,000 keys never fill a T=10 tree's second level: T=6, 8 and 10 coincide
+    r.claim_at_full_scale(
+        CITE,
+        "at T=10 leveling writes at least 3x what tiering writes",
+        l10.wa >= 3.0 * t10.wa,
+        format!("write-amp {:.2} vs {:.2}", l10.wa, t10.wa),
+    );
+    for (cost, leveled, tiered) in [
+        ("zero-result lookup I/O", l10.empty, t10.empty),
+        ("short-scan I/O", l10.scan, t10.scan),
+        ("space amplification", l10.sa, t10.sa),
+    ] {
+        r.claim(
+            CITE,
+            &format!("at T=10 tiering pays more {cost} than leveling"),
+            leveled < tiered,
+            format!("{leveled:.3} vs {tiered:.3}"),
+        );
+    }
+    let (l4, t4) = (&points[at(lev, 4)], &points[at(tie, 4)]);
+    r.claim(
+        CITE,
+        "a larger T (4 to 10) moves the policies in opposite directions: leveling writes more, tiering less",
+        l4.wa < l10.wa && t4.wa > t10.wa,
+        format!("leveled {:.2} -> {:.2}, tiered {:.2} -> {:.2}", l4.wa, l10.wa, t4.wa, t10.wa),
+    );
+}
+
+/// E8 — full-level merges vs partial (one file at a time) under each
+/// picking policy; part B: delete-aware picking (Lethe) under 50 % deletes.
+pub fn e08(scale: Scale, r: &mut Report) {
+    let n = scale.pick(DEFAULT_N, 20_000);
+    r.line(format!("{n} keys, leveled T=4, 32 KiB files, then half the keys rewritten"));
+    struct Point {
+        name: String,
+        wa: f64,
+        compactions: u64,
+        largest: u64,
+    }
+    let mut variants = vec![("full".to_string(), CompactionGranularity::Full)];
+    for p in FilePicker::ALL {
+        variants.push((format!("partial/{}", p.label()), CompactionGranularity::Partial(p)));
+    }
+    let mut rows = Vec::new();
+    let mut points = Vec::new();
+    for (name, granularity) in variants {
+        // small files so picking matters
+        let cfg = LsmConfig { granularity, target_table_bytes: 32 << 10, ..base_config() };
+        let db = Db::open_in_memory(cfg).unwrap();
+        fill_scattered(&db, n, 64);
+        // update churn to keep compactions coming
+        fill_scattered(&db, n / 2, 64);
+        let s = db.stats().snapshot();
+        let avg = s.compaction_entries as f64 / s.compactions.max(1) as f64;
+        let wa = write_amp(&db);
+        // stall proxy: entries of the largest single (synchronous)
+        // compaction — the longest write stall a client put saw
+        rows.push(vec![
+            name.clone(),
+            f2(wa),
+            s.compactions.to_string(),
+            format!("{avg:.0}"),
+            s.largest_compaction_entries.to_string(),
+            format!("{:.1}x avg", s.largest_compaction_entries as f64 / avg.max(1.0)),
+        ]);
+        points.push(Point {
+            name,
+            wa,
+            compactions: s.compactions,
+            largest: s.largest_compaction_entries,
+        });
+    }
+    r.table(
+        &["granularity", "write-amp", "compactions", "avg entries", "largest", "stall proxy"],
+        &rows,
+    );
+    let (full, partial) = points.split_first().unwrap();
+    let counts: Vec<u64> = partial.iter().map(|p| p.compactions).collect();
+    let largest: Vec<u64> = partial.iter().map(|p| p.largest).collect();
+    r.claim(
+        CITE_COMPACTION,
+        "partial compaction runs at least 5x as many compactions as full",
+        counts.iter().all(|&c| c >= 5 * full.compactions),
+        format!("{counts:?} vs {}", full.compactions),
+    );
+    // in a two-level tree one file's overlap is most of the last level
+    r.claim_at_full_scale(
+        CITE_COMPACTION,
+        "every picker's largest single compaction is at most half of full's",
+        largest.iter().all(|&l| 2 * l <= full.largest),
+        format!("{largest:?} vs {} entries", full.largest),
+    );
+    let min_overlap = format!("partial/{}", FilePicker::MinOverlap.label());
+    let min_overlap = partial.iter().find(|p| p.name == min_overlap).unwrap();
+    r.claim(
+        CITE_COMPACTION,
+        "min-overlap is the cheapest picker",
+        partial.iter().all(|p| min_overlap.wa <= p.wa),
+        format!("write-amp {:.2} of {}", min_overlap.wa, join(&partial.iter().map(|p| p.wa).collect::<Vec<_>>(), 2)),
+    );
+    r.claim(
+        CITE_COMPACTION,
+        "bounding the stall costs little: min-overlap's write-amp is within 1.3x of full's",
+        min_overlap.wa <= 1.3 * full.wa,
+        format!("{:.2} vs {:.2}", min_overlap.wa, full.wa),
+    );
+
+    r.line("\nE8b: delete-aware picking — half the key space deleted, a quarter rewritten");
+    let pickers = [FilePicker::RoundRobin, FilePicker::Oldest, FilePicker::MostTombstones];
+    let mut rows = Vec::new();
+    let mut dropped = Vec::new();
+    let mut live = Vec::new();
+    for picker in pickers {
+        let granularity = CompactionGranularity::Partial(picker);
+        let cfg = LsmConfig { granularity, target_table_bytes: 32 << 10, ..base_config() };
+        let db = Db::open_in_memory(cfg).unwrap();
+        fill_scattered(&db, n, 64);
+        // delete half the key space, then keep writing the other half so
+        // partial compactions keep running
+        for i in (0..n).step_by(2) {
+            db.delete(encode_key(i)).unwrap();
+        }
+        for i in (1..n).step_by(2).take((n / 4) as usize) {
+            db.put(encode_key(i), value_of(i, 64)).unwrap();
+        }
+        let s = db.stats().snapshot();
+        rows.push(vec![
+            picker.label().to_string(),
+            s.tombstones_dropped.to_string(),
+            db.device().live_blocks().to_string(),
+            f2(write_amp(&db)),
+        ]);
+        dropped.push(s.tombstones_dropped);
+        live.push(db.device().live_blocks());
+    }
+    r.table(&["picker", "tombstones GC'd", "live blocks", "write-amp"], &rows);
+    r.claim(
+        "Module I.2 (Lethe)",
+        "the most-tombstones picker purges at least as many tombstones as round-robin",
+        dropped[2] >= dropped[0],
+        format!("{} vs {}", dropped[2], dropped[0]),
+    );
+    r.claim(
+        "Module I.2 (Lethe)",
+        "no picker leaves less dead space than most-tombstones, and round-robin leaves more",
+        live[2] <= live[1] && live[2] < live[0],
+        format!("live blocks {} vs {} (oldest) and {} (round-robin)", live[2], live[1], live[0]),
+    );
+}
+
+/// E9 — all four cost dimensions for leveled, tiered, lazy-leveled and an
+/// explicit hybrid shape.
+pub fn e09(scale: Scale, r: &mut Report) {
+    let n = scale.pick(DEFAULT_N, 20_000);
+    let (gets, short_scans, long_scans) = scale.pick((2000, 300, 60), (500, 100, 20));
+    r.line(format!("{n} keys, T=6"));
+    let layouts = [
+        MergeLayout::Leveled,
+        MergeLayout::Tiered,
+        MergeLayout::LazyLeveled,
+        MergeLayout::Hybrid(vec![5, 3, 1]),
+    ];
+    let mut rows = Vec::new();
+    let mut wa = Vec::new();
+    let mut long = Vec::new();
+    for layout in layouts {
+        let mut cfg = base_config();
+        cfg.layout = layout.clone();
+        cfg.size_ratio = 6;
+        let db = Db::open_in_memory(cfg).unwrap();
+        fill_scattered(&db, n, 64);
+        wa.push(write_amp(&db));
+        let empty = measure_empty_gets(&db, n, gets);
+        let present = measure_present_gets(&db, n, gets);
+        let short = measure_scans(&db, n, short_scans, 8);
+        let long_scan = measure_scans(&db, n, long_scans, 2000);
+        long.push(long_scan.data_blocks_per_op);
+        rows.push(vec![
+            layout.label().to_string(),
+            f2(wa[wa.len() - 1]),
+            f3(empty.data_blocks_per_op),
+            f3(present.data_blocks_per_op),
+            f2(short.data_blocks_per_op),
+            f2(long_scan.data_blocks_per_op),
+        ]);
+    }
+    r.table(
+        &["layout", "write-amp", "0-result IO", "point IO", "short-scan IO", "long-scan IO"],
+        &rows,
+    );
+    let (leveled, tiered, lazy) = (0, 1, 2);
+    let cite = "Modules I.2, II.4 (Dostoevsky)";
+    r.claim(
+        cite,
+        "tiering writes less than leveling",
+        wa[tiered] < wa[leveled],
+        format!("write-amp {:.2} vs {:.2}", wa[tiered], wa[leveled]),
+    );
+    // with 20,000 keys the tree has two levels, where lazy leveling *is* leveling
+    r.claim_at_full_scale(
+        cite,
+        "lazy leveling's write cost sits strictly between tiering's and leveling's",
+        wa[tiered] < wa[lazy] && wa[lazy] < wa[leveled],
+        format!("write-amp tiered {:.2}, lazy-leveled {:.2}, leveled {:.2}", wa[tiered], wa[lazy], wa[leveled]),
+    );
+    r.claim(
+        cite,
+        "lazy leveling keeps leveling's long-scan cost (within 2 %)",
+        within(long[lazy], long[leveled], 0.02),
+        format!("{:.2} vs {:.2} blocks", long[lazy], long[leveled]),
+    );
+    r.gap(
+        cite,
+        "lazy leveling writes about as little as tiering (within 25 %)",
+        wa[lazy] <= 1.25 * wa[tiered],
+        format!(
+            "write-amp {:.2} vs {:.2}: it recovers {:.0} % of leveling's {:.2}",
+            wa[lazy],
+            wa[tiered],
+            (1.0 - wa[lazy] / wa[leveled]) * 100.0,
+            wa[leveled]
+        ),
+        "the last level is still leveled, and in a three-level tree at T=6 rewriting that one \
+         level is most of leveling's write cost; the tutorial's ≈ needs many more levels than T",
+    );
+}
+
+/// E13 — value size × separation on/off under update churn (WiscKey).
+pub fn e13(scale: Scale, r: &mut Report) {
+    let budget = scale.pick(16u64 << 20, 4 << 20);
+    let (scans, gets) = scale.pick((100, 1000), (40, 300));
+    r.line(format!(
+        "load + 2 rounds of update churn, 128 B threshold, {} KiB of key-value data per round",
+        budget >> 13
+    ));
+    let run = |value_len: usize, sep: bool, n: u64| {
+        let mut cfg = base_config();
+        cfg.kv_separation = sep.then_some(KvSeparation { min_value_bytes: 128 });
+        let db = Db::open_in_memory(cfg).unwrap();
+        for round in 0..3u64 {
+            for i in 0..n {
+                let id = i.wrapping_mul(2654435761) % n;
+                db.put(encode_key(id), value_of(id ^ round, value_len)).unwrap();
+            }
+        }
+        let wa = write_amp(&db);
+        let scan = measure_scans(&db, n, scans, 100);
+        let point = measure_present_gets(&db, n, gets);
+        [wa, scan.blocks_per_op, point.blocks_per_op]
+    };
+    let mut rows = Vec::new();
+    let mut plain = Vec::new();
+    let mut separated = Vec::new();
+    for value_len in [64usize, 256, 1024, 4096] {
+        // shrink n as values grow so runtime stays bounded
+        let n = budget / (value_len as u64 + 16) / 8;
+        let (p, s) = (run(value_len, false, n), run(value_len, true, n));
+        rows.push(vec![value_len.to_string(), f2(p[0]), f2(s[0]), f2(p[1]), f2(s[1]), f2(p[2]), f2(s[2])]);
+        plain.push(p);
+        separated.push(s);
+    }
+    r.table(
+        &["value B", "wa plain", "wa kv-sep", "scan plain", "scan kv-sep", "get plain", "get kv-sep"],
+        &rows,
+    );
+    let cite = "Module I.2 (WiscKey)";
+    let wa = |v: &[[f64; 3]]| v[1..].iter().map(|x| x[0]).collect::<Vec<f64>>();
+    // both absolute write-amp claims need the full budget: with a quarter of it the two
+    // 64 B trees differ by 30 % (incidental tree state) and 4 KiB values see too few merges
+    r.claim_at_full_scale(
+        cite,
+        "below the threshold separation changes nothing: write-amp agrees within 1 %",
+        within(separated[0][0], plain[0][0], 0.01),
+        format!("{:.2} vs {:.2} at 64 B", separated[0][0], plain[0][0]),
+    );
+    r.claim(
+        cite,
+        "past the threshold the separated tree moves pointers: write-amp at most 2",
+        wa(&separated).iter().all(|&w| w <= 2.0),
+        join(&wa(&separated), 2),
+    );
+    r.claim_at_full_scale(
+        cite,
+        "past the threshold the plain tree re-copies values: write-amp at least 4",
+        wa(&plain).iter().all(|&w| w >= 4.0),
+        join(&wa(&plain), 2),
+    );
+    r.claim(
+        cite,
+        "past the threshold a separated get pays the value-log indirection",
+        (1..4).all(|i| separated[i][2] >= plain[i][2]),
+        (1..4)
+            .map(|i| format!("{:.2} vs {:.2}", separated[i][2], plain[i][2]))
+            .collect::<Vec<_>>()
+            .join(", "),
+    );
+}
+
+/// E18 — the simulated latency of every individual put. Maintenance runs
+/// synchronously inside the triggering put, so a put's latency *is* the
+/// stall its client sees.
+pub fn e18(scale: Scale, r: &mut Report) {
+    let n = scale.pick(DEFAULT_N, 30_000);
+    r.line(format!("{n} puts on simulated NVMe, leveled T=4 unless named, 32 KiB files"));
+    // the per-put latencies of one put stream, sorted
+    let stalls = |now: &dyn Fn() -> u64, put: &dyn Fn(Vec<u8>, Vec<u8>)| {
+        let mut lat: Vec<u64> = (0..n)
+            .map(|i| {
+                let id = i.wrapping_mul(2654435761) % n;
+                let t0 = now();
+                put(encode_key(id), value_of(id, 64));
+                now() - t0
+            })
+            .collect();
+        lat.sort_unstable();
+        lat
+    };
+    let mut rows = Vec::new();
+    let mut p50 = Vec::new();
+    let mut max = Vec::new();
+    let mut record = |name: &str, lat: Vec<u64>, compactions: u64, wa: String| {
+        let at = |p: f64| lat[((lat.len() as f64 - 1.0) * p) as usize];
+        rows.push(vec![
+            name.to_string(),
+            format!("{:.1}", at(0.50) as f64 / 1000.0),
+            format!("{:.1}", at(0.99) as f64 / 1000.0),
+            format!("{:.0}", at(0.999) as f64 / 1000.0),
+            format!("{:.0}", at(1.0) as f64 / 1000.0),
+            compactions.to_string(),
+            wa,
+        ]);
+        p50.push(at(0.50));
+        max.push(at(1.0));
+    };
+    // leveled with full-level merges unless the variant says otherwise
+    let small_files = || LsmConfig { target_table_bytes: 32 << 10, ..base_config() };
+    let min_overlap = CompactionGranularity::Partial(FilePicker::MinOverlap);
+    let variants = [
+        ("full", small_files()),
+        ("partial/min-overlap", LsmConfig { granularity: min_overlap, ..small_files() }),
+        ("tiered (lazy merges)", LsmConfig { layout: MergeLayout::Tiered, ..small_files() }),
+    ];
+    let mut wa = Vec::new();
+    for (name, cfg) in variants {
+        let db = Db::open_simulated(cfg, DeviceProfile::nvme_ssd()).unwrap();
+        let clock = db.device().latency().clock();
+        let lat = stalls(&|| clock.now_ns(), &|k, v| db.put(k, v).unwrap());
+        wa.push(write_amp(&db));
+        record(name, lat, db.stats().snapshot().compactions, f2(wa[wa.len() - 1]));
+    }
+    // key-space partitioning: 4 trees, each a quarter of the data
+    // (write-amp across four devices is not reported)
+    let pdb = PartitionedDb::open_simulated(
+        small_files(),
+        (1..4).map(|i| format!("user{:012}", n * i / 4).into_bytes()).collect(),
+        DeviceProfile::nvme_ssd(),
+    )
+    .unwrap();
+    let lat = stalls(&|| pdb.sim_now_total_ns(), &|k, v| pdb.put(k, v).unwrap());
+    record("full × 4 partitions", lat, pdb.stats().compactions, "-".to_string());
+    r.table(
+        &["granularity", "p50 µs", "p99 µs", "p99.9 µs", "max µs", "compactions", "write-amp"],
+        &rows,
+    );
+    let (full, partial, tiered, partitioned) = (0, 1, 2, 3);
+    r.claim(
+        "Modules I.2, III.2",
+        "the median put never sees maintenance: p50 is the same everywhere",
+        p50.iter().all(|&p| p == p50[full]),
+        format!("{p50:?} sim ns"),
+    );
+    r.claim(
+        CITE_COMPACTION,
+        "the worst stall orders partial < tiered < full",
+        max[partial] < max[tiered] && max[tiered] < max[full],
+        format!("partial {}, tiered {}, full {} sim µs", max[partial] / 1000, max[tiered] / 1000, max[full] / 1000),
+    );
+    r.claim(
+        "Modules I.2, III.2",
+        "four key-space partitions cut the worst stall to a quarter or less",
+        4 * max[partitioned] <= max[full],
+        format!("{} vs {} sim µs", max[partitioned] / 1000, max[full] / 1000),
+    );
+    r.claim(
+        CITE_COMPACTION,
+        "bounding the stall costs little: partial write-amp within 1.25x of full's",
+        wa[partial] <= 1.25 * wa[full],
+        format!("{:.2} vs {:.2}", wa[partial], wa[full]),
+    );
+}

@@ -1,22 +1,32 @@
 //! # lsm-bench
 //!
-//! The experiment harness. One binary per experiment in DESIGN.md's index
-//! (`cargo run -p lsm-bench --release --bin e01_rw_tradeoff`, …); each
-//! regenerates one tradeoff curve from the tutorial and prints the series
-//! as an aligned table. Criterion micro-benches live in `benches/`.
+//! The experiment harness. [`experiments::ALL`] is the registry of the
+//! tutorial's tradeoff curves (E1–E18): each entry regenerates one curve
+//! on the simulated device and states the shape it must have as claims
+//! on a [`Report`]. `cargo run -p lsm-bench --release --bin experiments`
+//! runs them at [`Scale::Full`] (its stdout is `results/experiments.txt`)
+//! and the root `tests/claims.rs` runs the same functions at
+//! [`Scale::Reduced`]. The remaining `eNN_*` binaries are wall-clock,
+//! threaded measurements of the subsystems the ledger (`lsmbench/`) does
+//! not cover yet.
 //!
 //! The shared helpers here load engines with deterministic workloads and
 //! measure the quantities the tutorial's cost models are stated in:
 //! blocks read per lookup, write amplification, hit rates, and simulated
 //! device time.
 
-use lsm_core::{Db, FilterAllocation, LsmConfig, MergeLayout};
+pub mod experiments;
+mod report;
+
+pub use report::{Report, Scale};
+
+use lsm_core::{BackgroundMode, Db, FilterAllocation, LsmConfig, MergeLayout};
 use lsm_model::{Candidate, MergePolicy, WorkloadProfile};
 use lsm_storage::IoCategory;
 use lsm_tuner::WorkloadEstimate;
 use lsm_workload::{encode_key, Operation, Trace, ZipfSampler, KEY_LEN};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 /// Standard experiment scale: enough data for a 3-4 level tree with the
 /// default experiment config, small enough that a full sweep runs in
@@ -27,6 +37,9 @@ pub const DEFAULT_N: u64 = 80_000;
 /// overrides the axis it sweeps).
 pub fn base_config() -> LsmConfig {
     LsmConfig {
+        // not `LSM_BACKGROUND`'s choice: worker scheduling would perturb
+        // the I/O counts the curves are stated in
+        background: BackgroundMode::Inline,
         block_size: 1024,
         buffer_bytes: 64 << 10,
         size_ratio: 4,
@@ -38,75 +51,15 @@ pub fn base_config() -> LsmConfig {
     }
 }
 
-/// Experiment scale: `LSM_BENCH_N` overrides [`DEFAULT_N`], so smoke
-/// runs (CI, `verify.sh`) can shrink every experiment without touching
-/// the binaries.
+/// Scale of the timed binaries: `LSM_BENCH_N` overrides [`DEFAULT_N`],
+/// so smoke runs (CI, `verify.sh`) can shrink them without touching the
+/// binaries. The registry takes a [`Scale`] instead.
 pub fn bench_n() -> u64 {
     std::env::var("LSM_BENCH_N")
         .ok()
         .and_then(|v| v.parse().ok())
         .filter(|&n| n > 0)
         .unwrap_or(DEFAULT_N)
-}
-
-/// Whether the experiment was invoked with `--metrics` (or
-/// `LSM_BENCH_METRICS=1`): opt-in because the artifact drains the
-/// engine's event trace.
-pub fn metrics_enabled() -> bool {
-    std::env::args().any(|a| a == "--metrics")
-        || std::env::var("LSM_BENCH_METRICS").is_ok_and(|v| v == "1")
-}
-
-/// Files already written by this process, so one experiment appending
-/// several engines' metrics truncates stale artifacts exactly once.
-static METRICS_FILES: std::sync::OnceLock<std::sync::Mutex<std::collections::HashSet<String>>> =
-    std::sync::OnceLock::new();
-
-/// When metrics are enabled, appends raw JSON lines to
-/// `results/<bin>.metrics.jsonl`. The first write per process truncates
-/// the file; later writes append. No-op otherwise. This is the generic
-/// sink — [`write_metrics_artifact`] is the engine-shaped convenience
-/// over it; benches with non-engine sources (e.g. a server's own
-/// registry) call this directly.
-pub fn write_metrics_lines(bin: &str, lines: &[String]) {
-    use std::io::Write;
-    if !metrics_enabled() {
-        return;
-    }
-    let path = format!("results/{bin}.metrics.jsonl");
-    let first = METRICS_FILES
-        .get_or_init(Default::default)
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .insert(path.clone());
-    let _ = std::fs::create_dir_all("results");
-    let mut f = std::fs::OpenOptions::new()
-        .create(true)
-        .write(true)
-        .truncate(first)
-        .append(!first)
-        .open(&path)
-        .expect("open metrics artifact");
-    let mut out = String::new();
-    for line in lines {
-        out.push_str(line);
-        out.push('\n');
-    }
-    f.write_all(out.as_bytes()).expect("write metrics artifact");
-}
-
-/// When metrics are enabled, appends one metrics-snapshot JSON line
-/// (tagged with `tags`) plus the drained event trace to
-/// `results/<bin>.metrics.jsonl`. No-op otherwise.
-pub fn write_metrics_artifact(db: &Db, bin: &str, tags: &[(&str, &str)]) {
-    if !metrics_enabled() {
-        return;
-    }
-    let mut lines = vec![db.metrics().to_json_line_tagged(tags)];
-    for e in db.drain_events() {
-        lines.push(e.to_json_line());
-    }
-    write_metrics_lines(bin, &lines);
 }
 
 /// Deterministic value payload.
@@ -369,25 +322,6 @@ pub fn pct(v: f64) -> String {
     format!("{:.1}%", v * 100.0)
 }
 
-/// Generates `n` keys that are definitely absent from an id-encoded key
-/// space (used by standalone filter experiments).
-pub fn absent_byte_keys(n: usize) -> Vec<Vec<u8>> {
-    (0..n).map(|i| format!("absent-{i:012}").into_bytes()).collect()
-}
-
-/// Deterministic seed derived from a label.
-pub fn seed_for(label: &str) -> u64 {
-    label.bytes().fold(0xcbf29ce484222325u64, |h, b| {
-        (h ^ b as u64).wrapping_mul(0x100000001b3)
-    })
-}
-
-/// Uniform random u64 sampler with a fixed seed (shared by experiments).
-pub fn uniform_ids(n: usize, max: u64, seed: u64) -> Vec<u64> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    (0..n).map(|_| rng.gen_range(0..max)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -418,7 +352,5 @@ mod tests {
         assert_eq!(f2(1.005), "1.00");
         assert_eq!(f3(0.1234), "0.123");
         assert_eq!(pct(0.5), "50.0%");
-        assert_ne!(seed_for("a"), seed_for("b"));
-        assert_eq!(uniform_ids(5, 100, 1), uniform_ids(5, 100, 1));
     }
 }

@@ -16,9 +16,8 @@
 //! spills into the sorted level in batches. The win is skewed updates
 //! against a large sorted level — hot keys are overwritten in the cheap
 //! hash and (since replacements don't grow the front) may never touch the
-//! tree; on unique-key ingest the front is overhead, which the criterion
-//! bench shows honestly. The front stores owned buffers (it is opt-in
-//! and off by default).
+//! tree; on unique-key ingest the front is pure overhead. The front
+//! stores owned buffers (it is opt-in and off by default).
 
 use std::collections::HashMap;
 use std::ops::Bound;
@@ -510,13 +509,6 @@ impl Memtable {
         self.written = 0;
     }
 
-    /// Benchmark helper: force-spills the front into the sorted level so
-    /// a preloaded two-level memtable starts with an empty front.
-    #[doc(hidden)]
-    pub fn drain_into_sorted_for_bench(&mut self) {
-        self.spill_front();
-    }
-
     /// Smallest and largest buffered keys.
     pub fn key_range(&self) -> Option<(Vec<u8>, Vec<u8>)> {
         let mut first = (self.list.first() != NIL).then(|| self.list.key_of(self.list.first()).to_vec());
@@ -724,7 +716,7 @@ mod tests {
         for i in (0..20u32).step_by(2) {
             m.insert(format!("k{i:03}").as_bytes(), i as u64, ValueKind::Put, &[i as u8]);
         }
-        m.drain_into_sorted_for_bench();
+        m.spill_front();
         for i in [1u32, 3, 4, 5, 7, 9, 10, 11, 13, 15, 17, 19] {
             m.insert(format!("k{i:03}").as_bytes(), 100 + i as u64, ValueKind::Put, &[i as u8]);
         }

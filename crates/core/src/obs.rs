@@ -150,7 +150,9 @@ impl EngineMetrics {
         self.clock.now_ns()
     }
 
-    /// Runs `op` and records its duration on this clock into `hist`.
+    /// Runs `op` and records its duration on this clock into `hist`:
+    /// under Inline mode that is the operation's simulated I/O cost, so
+    /// the histogram repeats exactly.
     pub fn timed<R>(&self, hist: &Histogram, op: impl FnOnce() -> R) -> R {
         let start = self.now_ns();
         let out = op();
@@ -248,16 +250,6 @@ impl EngineMetrics {
             cur = next;
         }
     }
-
-    /// Times `f`, recording its duration into `hist`. The duration is
-    /// measured on the metric clock, so under Inline mode it equals the
-    /// simulated I/O cost of the operation (deterministic).
-    pub fn time<T>(&self, hist: &Histogram, f: impl FnOnce() -> T) -> T {
-        let start = self.clock.now_ns();
-        let out = f();
-        hist.record(self.clock.now_ns().saturating_sub(start));
-        out
-    }
 }
 
 #[cfg(test)]
@@ -302,10 +294,10 @@ mod tests {
     }
 
     #[test]
-    fn time_records_simulated_cost() {
+    fn timed_records_simulated_cost() {
         let clock = SimClock::new();
         let m = EngineMetrics::simulated(clock.clone(), 16);
-        m.time(&m.get_ns, || clock.advance(4096));
+        m.timed(&m.get_ns, || clock.advance(4096));
         let snap = m.get_ns.snapshot();
         assert_eq!(snap.count, 1);
         assert_eq!(snap.max, 4096);

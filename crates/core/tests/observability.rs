@@ -62,7 +62,7 @@ fn inline_metrics_and_trace_are_byte_identical_across_runs() {
         let cfg = LsmConfig { background: BackgroundMode::Inline, ..small() };
         let db = Db::open_simulated(cfg, DeviceProfile::nvme_ssd()).unwrap();
         mixed_workload(&db);
-        let metrics = db.metrics().to_json_line();
+        let metrics = db.metrics().to_json_line_tagged(&[("config", "inline")]);
         let events: Vec<String> = db.drain_events().iter().map(Event::to_json_line).collect();
         (metrics, events)
     };
@@ -70,6 +70,9 @@ fn inline_metrics_and_trace_are_byte_identical_across_runs() {
     let (m2, e2) = run();
     assert_eq!(m1, m2, "metrics snapshot differs between identical Inline runs");
     assert_eq!(e1, e2, "event trace differs between identical Inline runs");
+    // what the engine emits is line-delimited JSON a consumer can parse
+    let text = format!("{m1}\n{}\n", e1.join("\n"));
+    assert_eq!(lsm_obs::json::validate_json_lines(&text), Ok(1 + e1.len()));
 }
 
 #[test]

@@ -1,9 +1,9 @@
 //! Minimal JSON emission and validation.
 //!
 //! The workspace has no serde (offline build), so metrics snapshots and
-//! events serialize through this hand-rolled writer, and the bench
-//! tooling validates emitted `*.metrics.jsonl` artifacts with the
-//! validator here (see `lsm-bench`'s `metrics_lint` binary). Only the
+//! events serialize through this hand-rolled writer, and the tests
+//! check what the engine and the server emit with the validator here
+//! (`observability.rs` in `lsm-core`, `harness.rs` in `lsm-server`). Only the
 //! subset of JSON the emitters produce is supported on the write side;
 //! the validator accepts any RFC 8259 document.
 

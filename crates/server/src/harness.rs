@@ -255,6 +255,7 @@ mod tests {
         assert!(entries.windows(2).all(|w| w[0].0 < w[1].0));
         let stats = c.stats().unwrap();
         assert!(stats.contains("server.requests"), "stats JSON: {stats}");
+        lsm_obs::json::validate_json(&stats).unwrap_or_else(|e| panic!("{e}: {stats}"));
         drop(c);
         let dbs = cluster.server.take().unwrap().shutdown().unwrap();
         assert_eq!(dbs.len(), 2);

@@ -12,7 +12,8 @@
 //! profiled duration of each append/read, so independent shards on
 //! separate devices genuinely overlap their I/O waits (sleeping threads
 //! occupy no core) while a single shard's single-compactor invariant
-//! serializes its own. `e20_server_throughput` uses it to measure
+//! serializes its own. The replication and elastic-sharding benches
+//! (`e22_replication`, `e23_elastic`) use it to measure node- and
 //! shard-count scaling the way a real disk-backed deployment would
 //! exhibit it.
 //!
