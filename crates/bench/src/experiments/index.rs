@@ -28,7 +28,6 @@ pub fn e10(scale: Scale, r: &mut Report) {
         ("sparse r=16", IndexKind::Sparse { rate: 16 }),
         ("pla ε=2", IndexKind::Pla { epsilon: 2 }),
         ("pla ε=8", IndexKind::Pla { epsilon: 8 }),
-        ("radix-spline ε=2", IndexKind::RadixSpline { radix_bits: 12, epsilon: 2 }),
     ];
     let mut rows = Vec::new();
     let mut kib = Vec::new();

@@ -5,8 +5,6 @@
 //! - eviction policies behind one trait: [`LruShard`], [`LfuShard`],
 //!   [`ClockShard`], [`FifoShard`];
 //! - a thread-safe [`ShardedCache`] front with hit/miss accounting;
-//! - [`PinnedTier`] for filter/index blocks, which production engines pin
-//!   separately from data blocks;
 //! - a key-range [`HeatMap`] plus a Leaper-style post-compaction
 //!   [`prefetch`] planner, addressing the cache-invalidation-by-compaction
 //!   problem the tutorial highlights (Leaper, VLDB '20).
@@ -16,7 +14,6 @@ pub mod fifo;
 pub mod heat;
 pub mod lfu;
 pub mod lru;
-pub mod pinning;
 pub mod prefetch;
 pub mod sharded;
 pub mod traits;
@@ -26,7 +23,6 @@ pub use fifo::FifoShard;
 pub use heat::HeatMap;
 pub use lfu::LfuShard;
 pub use lru::LruShard;
-pub use pinning::PinnedTier;
 pub use prefetch::{plan_prefetch, PrefetchCandidate};
 pub use sharded::{CacheStats, ShardStatsSnapshot, ShardedCache};
 pub use traits::{CacheKey, CachePolicy, CacheShard};

@@ -5,7 +5,7 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-use lsm_cache::{CacheKey, CachePolicy, PinnedTier, ShardedCache};
+use lsm_cache::{CacheKey, CachePolicy, ShardedCache};
 
 #[derive(Clone, Debug)]
 enum Op {
@@ -73,23 +73,6 @@ proptest! {
         for b in 0..=255u8 {
             prop_assert!(cache.get(&CacheKey::new(0, b as u64)).is_none());
         }
-    }
-
-    #[test]
-    fn pinned_tier_never_exceeds_budget(
-        pins in vec((any::<u8>(), any::<u8>(), 1u8..40), 1..100),
-    ) {
-        let tier: PinnedTier<u8> = PinnedTier::new(256);
-        for (f, b, c) in &pins {
-            let _ = tier.pin(CacheKey::new(*f as u64, *b as u64), *f, *c as usize);
-            prop_assert!(tier.used() <= tier.budget());
-        }
-        // unpinning everything returns to zero
-        for (f, b, _) in &pins {
-            tier.unpin(&CacheKey::new(*f as u64, *b as u64));
-        }
-        prop_assert_eq!(tier.used(), 0);
-        prop_assert!(tier.is_empty());
     }
 }
 

@@ -7,7 +7,6 @@
 
 pub mod exec;
 pub mod picker;
-pub mod scheduler;
 pub mod subcompact;
 
 use crate::config::LsmConfig;

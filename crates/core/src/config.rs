@@ -231,19 +231,6 @@ pub struct LsmConfig {
     /// `Threaded` mode (and run serially, but through the sharded path,
     /// inline) — the output tables are byte-identical either way.
     pub max_subcompactions: usize,
-    /// Concurrent compaction jobs the scheduler admits (jobs must be
-    /// disjoint in (level, key-range); see
-    /// [`crate::compaction::scheduler::CompactionScheduler`]).
-    pub max_background_jobs: usize,
-    /// Token-bucket compaction I/O throttle: sustained merge byte rate
-    /// (input + output data bytes) per second. `0` disables. Waits are
-    /// real sleeps, so the throttle shapes *wall-clock* pacing in
-    /// `Threaded` mode; under `Inline`'s simulated clock it never changes
-    /// any byte written, only elapsed wall time.
-    pub compaction_throttle_bytes_per_sec: u64,
-    /// Token-bucket burst capacity in bytes (the largest debit that never
-    /// waits). Ignored when the throttle is disabled.
-    pub compaction_throttle_burst_bytes: u64,
     /// L0 run count at which writers are *slowed* (a short sleep per
     /// write) in threaded mode, giving compaction a chance to catch up.
     pub l0_slowdown_runs: usize,
@@ -251,8 +238,6 @@ pub struct LsmConfig {
     /// drains L0 below the threshold) in threaded mode. Readers are never
     /// blocked by backpressure.
     pub l0_stall_runs: usize,
-    /// Per-write delay applied in the slowdown band, in microseconds.
-    pub slowdown_micros: u64,
     /// Capacity of the structured event ring ([`crate::Db::drain_events`]);
     /// when full, the oldest events are dropped and counted.
     pub event_ring_capacity: usize,
@@ -285,12 +270,8 @@ impl Default for LsmConfig {
             background: BackgroundMode::from_env(),
             background_workers: 2,
             max_subcompactions: 1,
-            max_background_jobs: 2,
-            compaction_throttle_bytes_per_sec: 0,
-            compaction_throttle_burst_bytes: 1 << 20,
             l0_slowdown_runs: 8,
             l0_stall_runs: 12,
-            slowdown_micros: 100,
             event_ring_capacity: 4096,
         }
     }
@@ -335,6 +316,9 @@ impl LsmConfig {
         if self.restart_interval == 0 {
             return Err("restart_interval must be ≥ 1".into());
         }
+        if !self.bits_per_key.is_finite() || self.bits_per_key < 0.0 {
+            return Err(format!("bits_per_key {} must be finite and ≥ 0", self.bits_per_key));
+        }
         if self.target_table_bytes < self.block_size {
             return Err("target_table_bytes must be ≥ block_size".into());
         }
@@ -348,14 +332,6 @@ impl LsmConfig {
         }
         if self.max_subcompactions == 0 || self.max_subcompactions > 64 {
             return Err("max_subcompactions must be in 1..=64".into());
-        }
-        if self.max_background_jobs == 0 {
-            return Err("max_background_jobs must be ≥ 1".into());
-        }
-        if self.compaction_throttle_bytes_per_sec > 0
-            && self.compaction_throttle_burst_bytes == 0
-        {
-            return Err("an enabled compaction throttle needs a nonzero burst".into());
         }
         if self.l0_slowdown_runs == 0 || self.l0_stall_runs < self.l0_slowdown_runs {
             return Err("need 1 ≤ l0_slowdown_runs ≤ l0_stall_runs".into());
@@ -384,12 +360,8 @@ mod tests {
     fn invalid_configs_rejected() {
         let cases: [LsmConfig; 11] = [
             LsmConfig { max_subcompactions: 0, ..Default::default() },
-            LsmConfig { max_background_jobs: 0, ..Default::default() },
-            LsmConfig {
-                compaction_throttle_bytes_per_sec: 1 << 20,
-                compaction_throttle_burst_bytes: 0,
-                ..Default::default()
-            },
+            LsmConfig { bits_per_key: f64::NAN, ..Default::default() },
+            LsmConfig { bits_per_key: -3.0, ..Default::default() },
             LsmConfig { size_ratio: 1, ..Default::default() },
             LsmConfig { block_size: 8, ..Default::default() },
             LsmConfig { buffer_bytes: 100, ..Default::default() },

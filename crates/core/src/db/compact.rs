@@ -1,5 +1,5 @@
 //! Compaction on the engine side: planning against the current version,
-//! running the merge through the scheduler, and installing the outputs.
+//! running the merge, and installing the outputs.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -11,7 +11,6 @@ use lsm_storage::{StorageError, StorageResult};
 use super::{heat_key, DbCore, Inner};
 use crate::compaction::exec::{merge_tables, MergeResult};
 use crate::compaction::picker::pick_file;
-use crate::compaction::scheduler::{JobIoReport, JobPriority, JobSpec};
 use crate::compaction::subcompact::{self, ShardExec};
 use crate::compaction::{self, CompactionTask};
 use crate::config::CompactionGranularity;
@@ -101,7 +100,7 @@ impl DbCore {
         }
         let bits = self.bits_for_level(&version, last);
         let prep = self.start_compaction(0, last, bits, inputs, true, CompactionApply::InPlace);
-        let result = self.run_merge_scheduled(&prep)?;
+        let result = self.execute_merge(&prep)?;
         let mut new_version = Version::new();
         new_version.ensure_levels(last + 1);
         if !result.tables.is_empty() {
@@ -171,69 +170,13 @@ impl DbCore {
             let Some(prep) = prep else {
                 return Ok(());
             };
-            let result = self.run_merge_scheduled(&prep)?;
+            let result = self.execute_merge(&prep)?;
             self.with_inner(&mut held, |inner| self.install_compaction(inner, &prep, result))?;
             self.bg.notify_progress();
         }
         Err(StorageError::Corruption(
             "compaction cascade failed to converge".into(),
         ))
-    }
-
-    /// Runs one prepared compaction's merge through the scheduler:
-    /// submit → admit → merge (serial or sharded per
-    /// `max_subcompactions`) → throttle → complete with the job's I/O
-    /// report. The engine runs one compaction at a time
-    /// (`compaction_lock`), so admission always succeeds immediately; the
-    /// scheduler still enforces and accounts the full policy so its
-    /// invariants hold when tests drive it with N jobs.
-    fn run_merge_scheduled(&self, prep: &PreparedCompaction) -> StorageResult<MergeResult> {
-        let (lo, hi) = key_span(&prep.inputs);
-        let priority = if prep.level == 0 {
-            JobPriority::L0Pressure
-        } else {
-            JobPriority::SizeTriggered
-        };
-        let job = self.sched.submit(JobSpec {
-            level: prep.level,
-            target: prep.target,
-            lo,
-            hi,
-            priority,
-        });
-        let admitted = self.sched.try_dequeue();
-        debug_assert!(
-            admitted.as_ref().is_some_and(|(id, _)| *id == job),
-            "single-compactor engine must admit its own job"
-        );
-        let result = self.execute_merge(prep);
-        match &result {
-            Ok(m) => {
-                // The throttle paces *wall* bytes: debit input + output and
-                // sleep the owed time. Inline mode accounts nothing and
-                // never sleeps — its determinism (and the byte-identity
-                // battery) must not depend on wall time.
-                if self.threaded() {
-                    let wait = self
-                        .sched
-                        .throttle_debit(prep.input_bytes + m.output_bytes);
-                    if !wait.is_zero() {
-                        std::thread::sleep(wait.min(std::time::Duration::from_secs(1)));
-                    }
-                }
-                self.sched.complete(
-                    job,
-                    Ok(JobIoReport {
-                        input_bytes: prep.input_bytes,
-                        output_bytes: m.output_bytes,
-                        input_entries: prep.input_entries,
-                        entries_written: m.entries_written,
-                    }),
-                );
-            }
-            Err(e) => self.sched.complete(job, Err(e.to_string())),
-        }
-        result
     }
 
     /// The merge itself: serial `merge_tables` when `max_subcompactions`

@@ -135,15 +135,6 @@ impl DbCore {
         sync("io.corruption_detected", io.corruption_detected);
         sync("io.write_slowdowns", io.write_slowdowns);
         sync("io.write_stalls", io.write_stalls);
-        let sched = self.sched.totals();
-        sync("sched.jobs_submitted", sched.submitted);
-        sync("sched.jobs_admitted", sched.admitted);
-        sync("sched.jobs_completed", sched.completed);
-        sync("sched.jobs_failed", sched.failed);
-        sync("sched.input_bytes", sched.input_bytes);
-        sync("sched.output_bytes", sched.output_bytes);
-        sync("sched.throttle_waits", sched.throttle_waits);
-        sync("sched.throttle_wait_ns", sched.throttle_wait_ns);
         if let Some(cache) = &self.cache {
             let s = cache.stats();
             sync("cache.hits", s.hits());

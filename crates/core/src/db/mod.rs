@@ -35,7 +35,6 @@ use lsm_cache::{HeatMap, ShardedCache};
 use lsm_storage::{Block, FileId, StorageDevice, StorageResult};
 
 use crate::background::BgState;
-use crate::compaction::scheduler::CompactionScheduler;
 use crate::config::{BackgroundMode, LsmConfig};
 use crate::dynamic::DynamicConfig;
 use crate::entry::ValueKind;
@@ -214,10 +213,6 @@ pub struct DbCore {
     /// Metrics registry, latency histograms, and the structured event
     /// trace (see [`crate::obs`]).
     obs: EngineMetrics,
-    /// Compaction job admission + accounting + I/O throttle (see
-    /// [`crate::compaction::scheduler`]). Every merge the engine runs is
-    /// submitted, admitted, and completed through it.
-    sched: CompactionScheduler,
 }
 
 impl DbCore {

@@ -15,7 +15,6 @@ use lsm_storage::{
 
 use super::{Db, DbCore, Inner};
 use crate::background::BgState;
-use crate::compaction::scheduler::{CompactionScheduler, TokenBucket};
 use crate::config::{BackgroundMode, LsmConfig};
 use crate::dynamic::DynamicConfig;
 use crate::kv_sep::ValueLog;
@@ -140,13 +139,6 @@ impl Db {
         }
         let threaded = cfg.background == BackgroundMode::Threaded;
         let workers = cfg.background_workers;
-        let sched = CompactionScheduler::new(
-            cfg.max_background_jobs,
-            TokenBucket::new(
-                cfg.compaction_throttle_bytes_per_sec,
-                cfg.compaction_throttle_burst_bytes,
-            ),
-        );
         let db = Db {
             core: Arc::new(DbCore {
                 device,
@@ -163,7 +155,6 @@ impl Db {
                 user_handles: AtomicUsize::new(1),
                 snapshot_count: Arc::new(AtomicUsize::new(0)),
                 obs,
-                sched,
             }),
         };
         {

@@ -33,6 +33,10 @@ enum WalFraming {
 /// many keys (below the oldest live snapshot floor nothing can conflict).
 const TXN_RECENT_PRUNE_LEN: usize = 1024;
 
+/// Per-write delay in the L0 slowdown band: long enough for compaction
+/// to gain on the writers, short next to a stall.
+const SLOWDOWN_DELAY: std::time::Duration = std::time::Duration::from_micros(100);
+
 /// Global commit-stamp source for transaction commits. The stamp is
 /// fetched while every involved engine's write lock is held, so stamp
 /// order is consistent with each engine's apply order — replaying
@@ -258,7 +262,7 @@ impl DbCore {
         } else if l0 >= slowdown {
             self.device.stats().record_write_slowdown();
             self.bg.schedule_compact();
-            std::thread::sleep(std::time::Duration::from_micros(self.cfg.slowdown_micros));
+            std::thread::sleep(SLOWDOWN_DELAY);
         }
     }
 

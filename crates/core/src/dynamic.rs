@@ -205,10 +205,9 @@ impl DynamicConfig {
     /// Validates `update` against `base` merged with the current
     /// overrides, then publishes it. Errors leave the overlay untouched.
     pub fn apply(&self, base: &LsmConfig, update: &DynamicUpdate) -> Result<(), String> {
-        if let Some(b) = update.bits_per_key {
-            if !(b.is_finite() && (0.0..=64.0).contains(&b)) {
-                return Err(format!("dynamic bits_per_key {b} out of range 0..=64"));
-            }
+        // the online cap only; `validate()` below rejects NaN and negatives
+        if let Some(b) = update.bits_per_key.filter(|b| *b > 64.0) {
+            return Err(format!("dynamic bits_per_key {b} above the online cap of 64"));
         }
         if let Some(MergeLayout::Hybrid(_)) = update.layout {
             return Err("hybrid layout cannot be set dynamically".into());

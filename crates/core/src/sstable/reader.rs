@@ -19,7 +19,7 @@ use lsm_filters::{
     BlockedBloomFilter, BloomFilter, CuckooFilter, PointFilter, RangeFilter, RibbonFilter,
     XorFilter,
 };
-use lsm_index::{BlockLocator, FencePointers, IndexKind, PlaIndex, RadixSplineIndex, SparseIndex};
+use lsm_index::{BlockLocator, FencePointers, IndexKind, PlaIndex, SparseIndex};
 use lsm_storage::{Block, ImmutableFile, IoCategory, StorageError, StorageResult};
 
 use crate::entry::ValueKind;
@@ -71,7 +71,6 @@ enum Locator {
     Fence(FencePointers),
     Sparse(SparseIndex),
     Pla(PlaIndex),
-    Spline(RadixSplineIndex),
 }
 
 impl Locator {
@@ -85,9 +84,6 @@ impl Locator {
                 Locator::Sparse(SparseIndex::build(meta.min_key.clone(), &meta.fences, rate))
             }
             IndexKind::Pla { epsilon } => Locator::Pla(PlaIndex::build(&meta.fences, epsilon)),
-            IndexKind::RadixSpline { radix_bits, epsilon } => {
-                Locator::Spline(RadixSplineIndex::build(&meta.fences, radix_bits, epsilon))
-            }
         }
     }
 
@@ -97,7 +93,6 @@ impl Locator {
             Locator::Fence(f) => f.locate(key).map(|b| b..=b),
             Locator::Sparse(s) => s.candidate_window(key),
             Locator::Pla(p) => p.window_for(key),
-            Locator::Spline(s) => s.window_for(key),
         }
     }
 
@@ -106,7 +101,6 @@ impl Locator {
             Locator::Fence(f) => f.size_bits(),
             Locator::Sparse(s) => s.size_bits(),
             Locator::Pla(p) => p.size_bits(),
-            Locator::Spline(s) => s.size_bits(),
         }
     }
 }
@@ -242,12 +236,6 @@ impl Table {
     /// the engine's current (possibly retuned) config says.
     pub fn filter_kind_tag(&self) -> u8 {
         self.meta.filter_kind_tag
-    }
-
-    /// Bits per key the builder used for this table's filters, recovered
-    /// from the footer (not from global config).
-    pub fn filter_bits_per_key(&self) -> f64 {
-        self.meta.filter_bits_milli as f64 / 1000.0
     }
 
     /// Lookups served since open (drives the "coldest" file picker).
@@ -726,10 +714,6 @@ mod tests {
             IndexKind::Fence,
             IndexKind::Sparse { rate: 4 },
             IndexKind::Pla { epsilon: 4 },
-            IndexKind::RadixSpline {
-                radix_bits: 10,
-                epsilon: 4,
-            },
         ] {
             let (_dev, t) = build_table(800, kind);
             for i in (0..800).step_by(37) {

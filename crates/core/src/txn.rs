@@ -118,20 +118,9 @@ impl Txn {
         })
     }
 
-    /// The highest sequence number visible to this transaction's
-    /// snapshot — its validation floor.
-    pub fn snapshot_seqno(&self) -> u64 {
-        self.snap_seqno
-    }
-
     /// Keys read so far (validated at commit).
     pub fn read_set_len(&self) -> usize {
         self.read_set.len()
-    }
-
-    /// Writes buffered so far.
-    pub fn write_set_len(&self) -> usize {
-        self.writes.len()
     }
 
     /// Transactional read: own buffered writes first, then the snapshot.

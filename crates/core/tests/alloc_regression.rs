@@ -20,7 +20,8 @@
 //! whichever background mode `LSM_BACKGROUND` selects.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use lsm_core::{BackgroundMode, Db, LsmConfig};
@@ -29,11 +30,19 @@ struct CountingAlloc;
 
 static ALLOC_COUNT: AtomicU64 = AtomicU64::new(0);
 static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
-static COUNTING: AtomicBool = AtomicBool::new(false);
+thread_local! {
+    /// Set on the measuring thread only: the test harness's own threads
+    /// (printing a result, spawning the next test) allocate at any time.
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+}
+
+fn counting() -> bool {
+    COUNTING.try_with(Cell::get).unwrap_or(false)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
+        if counting() {
             ALLOC_COUNT.fetch_add(1, Ordering::Relaxed);
             ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         }
@@ -45,7 +54,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
+        if counting() {
             ALLOC_COUNT.fetch_add(1, Ordering::Relaxed);
             ALLOC_BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
         }
@@ -56,7 +65,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-/// The counter sees every thread's allocations, so counting tests must
+/// The counters are process-wide, so counting tests must
 /// not overlap each other (or the differential tests, which allocate
 /// freely). One lock serializes every test in this binary.
 static TEST_LOCK: Mutex<()> = Mutex::new(());
@@ -66,7 +75,7 @@ fn lock() -> std::sync::MutexGuard<'static, ()> {
 }
 
 /// Runs `f` with allocation counting enabled; returns how many heap
-/// allocations (malloc + realloc) happened anywhere in the process.
+/// allocations (malloc + realloc) this thread made.
 fn count_allocs(f: impl FnOnce()) -> u64 {
     count_allocs_and_bytes(f).0
 }
@@ -75,9 +84,9 @@ fn count_allocs(f: impl FnOnce()) -> u64 {
 /// realloc counts its whole new size).
 fn count_allocs_and_bytes(f: impl FnOnce()) -> (u64, u64) {
     let before = (ALLOC_COUNT.load(Ordering::SeqCst), ALLOC_BYTES.load(Ordering::SeqCst));
-    COUNTING.store(true, Ordering::SeqCst);
+    COUNTING.set(true);
     f();
-    COUNTING.store(false, Ordering::SeqCst);
+    COUNTING.set(false);
     (
         ALLOC_COUNT.load(Ordering::SeqCst) - before.0,
         ALLOC_BYTES.load(Ordering::SeqCst) - before.1,

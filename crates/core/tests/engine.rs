@@ -218,10 +218,6 @@ fn all_index_kinds_work_end_to_end() {
         IndexKind::Fence,
         IndexKind::Sparse { rate: 4 },
         IndexKind::Pla { epsilon: 8 },
-        IndexKind::RadixSpline {
-            radix_bits: 10,
-            epsilon: 8,
-        },
     ] {
         let cfg = LsmConfig {
             index,

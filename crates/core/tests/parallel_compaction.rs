@@ -12,10 +12,8 @@
 //!    over the same inputs for every fan-out 1..=8, plus a proptest over
 //!    random keyspaces/deletes/overwrites *and* arbitrary shard-boundary
 //!    choices (not just the balanced ones the engine picks).
-//! 3. **Policy properties** — the compaction scheduler (no overlapping
-//!    admissions, L0-pressure first, error latch + drain) and the file
-//!    picker (in-range, round-robin coverage) are model-checked under
-//!    random drives.
+//! 3. **Policy properties** — the file picker (in-range, round-robin
+//!    coverage) is model-checked under random drives.
 //!
 //! Reproducibility: every randomized test derives its seed from
 //! `LSM_SEED` when set (`LSM_SEED=... cargo test ...`) and prints the
@@ -31,9 +29,6 @@ use rand::{Rng, SeedableRng};
 
 use lsm_core::compaction::exec::merge_tables;
 use lsm_core::compaction::picker::pick_file;
-use lsm_core::compaction::scheduler::{
-    CompactionScheduler, JobIoReport, JobPriority, JobSpec, TokenBucket,
-};
 use lsm_core::compaction::subcompact::{merge_tables_sharded, shard_boundaries};
 use lsm_core::manifest::find_manifest;
 use lsm_core::sstable::{Table, TableBuilder};
@@ -463,89 +458,6 @@ proptest! {
         boundaries.sort();
         boundaries.dedup();
         assert_merges_identical(&dev, &inputs, drop_tombstones, &boundaries);
-    }
-
-    /// Scheduler model check: drive random submits/dequeues/completes and
-    /// assert (a) running jobs never overlap in (level span, key range),
-    /// (b) every dequeue returns the highest-priority admissible job with
-    /// FIFO tiebreak (so L0 pressure always wins), (c) an error latches
-    /// while the queue drains to empty — the scheduler never wedges.
-    #[test]
-    fn scheduler_admission_model_check(
-        specs in vec((0usize..4, 0usize..3, 0u8..6, 0u8..6, 0u8..3), 1..24),
-        fail_mask in any::<u32>(),
-    ) {
-        let sched = CompactionScheduler::new(3, TokenBucket::new(0, 0));
-        // mirror model: id -> (spec, seq)
-        let mut queued: Vec<(u64, JobSpec, u64)> = Vec::new();
-        let mut running: Vec<(u64, JobSpec)> = Vec::new();
-        let mut seq = 0u64;
-        let mut failures = 0u64;
-        for (level, span, lo, hi_off, pri) in &specs {
-            let (lo_k, hi_k) = (*lo, lo + hi_off + 1);
-            let spec = JobSpec {
-                level: *level,
-                target: level + span,
-                lo: vec![lo_k],
-                hi: vec![hi_k],
-                priority: match pri {
-                    0 => JobPriority::Manual,
-                    1 => JobPriority::SizeTriggered,
-                    _ => JobPriority::L0Pressure,
-                },
-            };
-            let id = sched.submit(spec.clone());
-            queued.push((id, spec, seq));
-            seq += 1;
-        }
-        let mut step = 0u32;
-        loop {
-            match sched.try_dequeue() {
-                Some((id, spec)) => {
-                    // (a) no overlap with anything running
-                    for (_, r) in &running {
-                        prop_assert!(!r.conflicts(&spec),
-                            "admitted job overlaps a running job");
-                    }
-                    // (b) it is the best admissible queued job
-                    let admissible: Vec<&(u64, JobSpec, u64)> = queued
-                        .iter()
-                        .filter(|(_, s, _)| !running.iter().any(|(_, r)| r.conflicts(s)))
-                        .collect();
-                    let best = admissible
-                        .iter()
-                        .max_by_key(|(_, s, sq)| (s.priority, std::cmp::Reverse(*sq)))
-                        .unwrap();
-                    prop_assert_eq!(best.0, id, "dequeue must return the best admissible job");
-                    queued.retain(|(qid, _, _)| *qid != id);
-                    running.push((id, spec));
-                }
-                None => {
-                    // blocked or done: complete one running job (randomly
-                    // failing per the mask) and continue
-                    let Some((id, _)) = running.pop() else { break };
-                    if fail_mask & (1 << (step % 32)) != 0 {
-                        failures += 1;
-                        sched.complete(id, Err("injected".into()));
-                    } else {
-                        sched.complete(id, Ok(JobIoReport::default()));
-                    }
-                }
-            }
-            step += 1;
-            prop_assert!(step < 10_000, "scheduler drive must terminate");
-        }
-        // (c) everything drained despite failures
-        prop_assert_eq!(sched.queued_len(), 0);
-        prop_assert_eq!(sched.running_len(), 0);
-        prop_assert_eq!(sched.has_failed(), failures > 0);
-        if failures > 0 {
-            prop_assert!(sched.take_error().is_some());
-        }
-        let t = sched.totals();
-        prop_assert_eq!(t.submitted, specs.len() as u64);
-        prop_assert_eq!(t.completed + t.failed, specs.len() as u64);
-        prop_assert_eq!(t.failed, failures);
     }
 
     /// Picker properties: every picker returns an in-range index, and

@@ -55,11 +55,6 @@ impl ElasticFilterGroup {
         self.enabled
     }
 
-    /// Total number of built units.
-    pub fn total_units(&self) -> usize {
-        self.units.len()
-    }
-
     /// Lookups served since the last [`Self::take_accesses`].
     pub fn accesses(&self) -> u64 {
         self.accesses

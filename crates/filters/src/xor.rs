@@ -7,7 +7,7 @@
 //! key set at once (a perfect match for immutable LSM runs, per the
 //! tutorial's observation that immutability enables static structures).
 
-use crate::hash::{hash64, hash64_seed, mix64};
+use crate::hash::{hash64, mix64};
 use crate::traits::PointFilter;
 
 /// An 8-bit-fingerprint xor filter.
@@ -179,12 +179,6 @@ impl XorFilter {
             segment_len,
             num_keys,
         })
-    }
-
-    /// Internal helper exposed for the shared-hash experiment: hash with a
-    /// per-filter seed.
-    pub fn hash_key(key: &[u8], seed: u64) -> u64 {
-        hash64_seed(key, seed)
     }
 }
 

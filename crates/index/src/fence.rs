@@ -63,12 +63,6 @@ impl FencePointers {
         }
     }
 
-    /// Builds by sampling block boundaries from an iterator of
-    /// `(block_index, last_key)` pairs produced by an SSTable builder.
-    pub fn from_boundaries(first_key: Vec<u8>, boundaries: impl IntoIterator<Item = Vec<u8>>) -> Self {
-        Self::new(first_key, boundaries.into_iter().collect())
-    }
-
     fn key_at(&self, i: usize) -> &[u8] {
         &self.bytes[self.offsets[i] as usize..self.offsets[i + 1] as usize]
     }

@@ -1,22 +1,21 @@
-//! Learned indexes over sorted runs (tutorial Module II.4).
+//! Learned index over sorted runs (tutorial Module II.4).
 //!
-//! Both models treat keys as `u64`s (via a monotone 8-byte-prefix map for
-//! byte keys) and predict the *block index* of a key with a bounded error
+//! The model treats keys as `u64`s (via a monotone 8-byte-prefix map for
+//! byte keys) and predicts the *block index* of a key with a bounded error
 //! `ε`; the reader then searches at most `2ε + 1` blocks — usually a much
 //! smaller in-memory structure than fence pointers, which the tutorial
 //! (citing Google's production study) highlights as the learned-index win
 //! for immutable LSM runs.
 
 pub mod pla;
-pub mod spline;
 
 /// Monotone map from byte keys to the u64 model domain (first 8 bytes,
-/// big-endian, zero padded). Shared by both learned models.
+/// big-endian, zero padded).
 pub fn key_to_u64(key: &[u8]) -> u64 {
     key_to_u64_skipping(key, 0)
 }
 
-/// Like [`key_to_u64`] but over `key[skip..]`. Both learned indexes strip
+/// Like [`key_to_u64`] but over `key[skip..]`. The learned index strips
 /// the common prefix of a run's fences before mapping, so long shared
 /// prefixes (e.g. `user00000…`) don't collapse every key onto one model
 /// point. The map stays monotone for all keys sharing the stripped

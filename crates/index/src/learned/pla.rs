@@ -33,7 +33,6 @@ pub struct PlaIndex {
     segments: Vec<PlaSegment>,
     epsilon: usize,
     num_blocks: usize,
-    min_key: u64,
     max_key: u64,
     /// Common-prefix bytes stripped before the u64 map (0 for raw builds).
     prefix_skip: usize,
@@ -69,7 +68,6 @@ impl PlaIndex {
                 segments,
                 epsilon: epsilon.max(1),
                 num_blocks: 0,
-                min_key: 0,
                 max_key: 0,
                 prefix_skip: 0,
                 min_key_raw: Vec::new(),
@@ -128,7 +126,6 @@ impl PlaIndex {
             segments,
             epsilon: epsilon.max(1),
             num_blocks: n,
-            min_key: points[0],
             max_key: points[n - 1],
             prefix_skip: 0,
             min_key_raw: Vec::new(),
@@ -149,11 +146,6 @@ impl PlaIndex {
     /// Number of linear segments.
     pub fn num_segments(&self) -> usize {
         self.segments.len()
-    }
-
-    /// Smallest and largest model-domain keys covered.
-    pub fn key_bounds(&self) -> (u64, u64) {
-        (self.min_key, self.max_key)
     }
 
     /// Predicted block for a model-domain key, clamped to valid blocks.

@@ -10,10 +10,9 @@
 //!   trading memory for an extra intra-gap scan;
 //! - [`block_hash`]: RocksDB-style in-block hash index that replaces the
 //!   binary search *inside* a data block with an O(1) lookup;
-//! - [`learned`]: learned replacements for fence pointers — a bounded-error
-//!   piecewise-linear model (PGM-style) and a RadixSpline-style radix table
-//!   over spline knots, both exploiting the immutability of LSM runs
-//!   (single-pass build, no inserts needed).
+//! - [`learned`]: a learned replacement for fence pointers — a
+//!   bounded-error piecewise-linear model (PGM-style) exploiting the
+//!   immutability of LSM runs (single-pass build, no inserts needed).
 //!
 //! [`traits::BlockLocator`] unifies them so the engine treats the index
 //! choice as one configuration axis.
@@ -27,6 +26,5 @@ pub mod traits;
 pub use block_hash::BlockHashIndex;
 pub use fence::FencePointers;
 pub use learned::pla::{PlaIndex, PlaSegment};
-pub use learned::spline::RadixSplineIndex;
 pub use sparse::SparseIndex;
 pub use traits::{BlockLocator, IndexKind};

@@ -38,13 +38,6 @@ pub enum IndexKind {
         /// Maximum block-index error the model may make.
         epsilon: usize,
     },
-    /// RadixSpline-style learned index.
-    RadixSpline {
-        /// Number of radix-table prefix bits.
-        radix_bits: u32,
-        /// Maximum block-index error the spline may make.
-        epsilon: usize,
-    },
 }
 
 impl IndexKind {
@@ -54,7 +47,6 @@ impl IndexKind {
             IndexKind::Fence => "fence",
             IndexKind::Sparse { .. } => "sparse",
             IndexKind::Pla { .. } => "pla",
-            IndexKind::RadixSpline { .. } => "radix-spline",
         }
     }
 }
@@ -69,10 +61,6 @@ mod tests {
             IndexKind::Fence,
             IndexKind::Sparse { rate: 4 },
             IndexKind::Pla { epsilon: 4 },
-            IndexKind::RadixSpline {
-                radix_bits: 12,
-                epsilon: 4,
-            },
         ];
         let mut labels: Vec<_> = kinds.iter().map(|k| k.label()).collect();
         labels.sort_unstable();

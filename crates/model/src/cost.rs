@@ -208,11 +208,6 @@ impl CostModel {
         }
     }
 
-    /// Write amplification: total bytes written per byte ingested.
-    pub fn write_amplification(&self) -> f64 {
-        self.write_cost() * self.entries_per_block as f64
-    }
-
     /// Space amplification upper bound (obsolete-entry overhead).
     pub fn space_amplification(&self) -> f64 {
         let t = self.design.size_ratio.max(2) as f64;

@@ -4,10 +4,10 @@
 //! reader threads submit [`WriteReq`]s into the committer's channel and
 //! return immediately (the response is sent from the completion
 //! callback). The committer takes one request, then drains whatever else
-//! has queued up to `max_batch`, folds them into a single
+//! has queued up to `MAX_BATCH`, folds them into a single
 //! [`WriteBatch`], and commits it through `Db::write_batch` — one WAL
-//! append — followed by one `Db::sync` when durability-per-ack is
-//! configured. The batch size is therefore *adaptive*: an idle shard
+//! append — followed by one `Db::sync`, so an `Ok` ack implies the write
+//! survives a crash. The batch size is therefore *adaptive*: an idle shard
 //! commits singles with no added latency, while a busy shard's queue
 //! depth becomes its batch size, amortizing the sync cost exactly when
 //! it matters (the classic group-commit curve).
@@ -37,6 +37,10 @@ use lsm_storage::StorageError;
 use crate::metrics::ServerMetrics;
 use crate::protocol::ReplOpsBuilder;
 use crate::replication::Replicator;
+
+/// Most operations folded into one group-commit batch: bounds the ack
+/// latency of the first write in a batch on a saturated shard.
+const MAX_BATCH: usize = 64;
 
 /// How a submitted write ended.
 #[derive(Debug)]
@@ -189,8 +193,6 @@ impl GroupCommitter {
     /// until the replica quorum acks (or the wait times out).
     pub fn start(
         db: Db,
-        max_batch: usize,
-        sync_each_batch: bool,
         metrics: Arc<ServerMetrics>,
         replicator: Option<Arc<Replicator>>,
     ) -> Self {
@@ -199,9 +201,7 @@ impl GroupCommitter {
         let tap2 = Arc::clone(&tap);
         let handle = std::thread::Builder::new()
             .name("lsm-server-committer".into())
-            .spawn(move || {
-                committer_loop(db, rx, max_batch.max(1), sync_each_batch, metrics, replicator, tap2)
-            })
+            .spawn(move || committer_loop(db, rx, metrics, replicator, tap2))
             .expect("spawn committer thread");
         GroupCommitter {
             tx: Mutex::new(Some(tx)),
@@ -295,8 +295,6 @@ impl Drop for GroupCommitter {
 fn committer_loop(
     db: Db,
     rx: Receiver<Msg>,
-    max_batch: usize,
-    sync_each_batch: bool,
     metrics: Arc<ServerMetrics>,
     replicator: Option<Arc<Replicator>>,
     tap: Arc<Mutex<Option<MigrationTap>>>,
@@ -318,11 +316,11 @@ fn committer_loop(
                 continue;
             }
             Msg::Txn(t) => {
-                run_txn_commit(t, sync_each_batch, &metrics, &replicator, &tap);
+                run_txn_commit(t, &metrics, &replicator, &tap);
                 continue;
             }
         }
-        while reqs.len() < max_batch && pending_barrier.is_none() && pending_txn.is_none() {
+        while reqs.len() < MAX_BATCH && pending_barrier.is_none() && pending_txn.is_none() {
             match rx.try_recv() {
                 Ok(Msg::Req(r)) => reqs.push(r),
                 // stop collecting: the barrier must observe this batch
@@ -364,12 +362,9 @@ fn committer_loop(
         }
         metrics.batch_ops.record(dones.len() as u64);
         metrics.batches.inc();
-        let mut result = db.write_batch_mut(&mut batch);
-        if result.is_ok() && sync_each_batch {
-            // the ack promises durability: pad the WAL tail once per
-            // batch, not once per operation — the group-commit win
-            result = db.sync();
-        }
+        // the ack promises durability: pad the WAL tail once per batch,
+        // not once per operation — the group-commit win
+        let result = db.write_batch_mut(&mut batch).and_then(|()| db.sync());
         if result.is_ok() {
             // tee to the migration tap only what is committed and synced
             // locally: the tap's receiver treats every region as durable
@@ -408,20 +403,19 @@ fn committer_loop(
             let _ = ack.send(());
         }
         if let Some(t) = pending_txn {
-            run_txn_commit(t, sync_each_batch, &metrics, &replicator, &tap);
+            run_txn_commit(t, &metrics, &replicator, &tap);
         }
     }
 }
 
 /// Executes one transaction commit inside the committer thread:
-/// validate-and-apply atomically, sync per the durability policy, then
+/// validate-and-apply atomically, sync every involved engine, then
 /// tee the write-set to the migration tap and publish it to the
 /// replicator — exactly the order a group-commit batch follows, under
 /// the same tap guard, so a migration or a replica observes txn writes
 /// in true commit order relative to plain writes on this shard.
 fn run_txn_commit(
     req: TxnCommitReq,
-    sync_each_batch: bool,
     metrics: &Arc<ServerMetrics>,
     replicator: &Option<Arc<Replicator>>,
     tap: &Arc<Mutex<Option<MigrationTap>>>,
@@ -437,16 +431,7 @@ fn run_txn_commit(
     let tap_guard = tap.lock().unwrap();
     let outcome = match lsm_core::commit_parts(parts) {
         Ok(stamp) => {
-            let mut synced = Ok(());
-            if sync_each_batch {
-                for d in &dbs {
-                    if let Err(e) = d.sync() {
-                        synced = Err(e);
-                        break;
-                    }
-                }
-            }
-            match synced {
+            match dbs.iter().try_for_each(|d| d.sync()) {
                 Ok(()) => {
                     // tee only what is committed and synced locally, same
                     // contract as the batch path
@@ -529,7 +514,7 @@ mod tests {
         let metrics = ServerMetrics::new();
         let acks = Arc::new(AtomicUsize::new(0));
         let errs = Arc::new(AtomicUsize::new(0));
-        let committer = GroupCommitter::start(db.clone(), 64, true, Arc::clone(&metrics), None);
+        let committer = GroupCommitter::start(db.clone(), Arc::clone(&metrics), None);
         for i in 0..500u32 {
             assert!(committer.submit(put_req(i, &acks, &errs)));
         }
@@ -559,7 +544,7 @@ mod tests {
         let metrics = ServerMetrics::new();
         let acks = Arc::new(AtomicUsize::new(0));
         let errs = Arc::new(AtomicUsize::new(0));
-        let committer = GroupCommitter::start(db, 8, false, metrics, None);
+        let committer = GroupCommitter::start(db, metrics, None);
         committer.shutdown();
         assert!(!committer.submit(put_req(0, &acks, &errs)));
         assert_eq!(errs.load(Ordering::SeqCst), 1);
@@ -572,7 +557,7 @@ mod tests {
         let db = Db::open_in_memory(LsmConfig::small_for_tests()).unwrap();
         let metrics = ServerMetrics::new();
         let order = Arc::new(Mutex::new(Vec::new()));
-        let committer = GroupCommitter::start(db, 16, false, metrics, None);
+        let committer = GroupCommitter::start(db, metrics, None);
         for i in 0..200u32 {
             let order = Arc::clone(&order);
             committer.submit(WriteReq {
@@ -595,7 +580,7 @@ mod tests {
         let metrics = ServerMetrics::new();
         let acks = Arc::new(AtomicUsize::new(0));
         let errs = Arc::new(AtomicUsize::new(0));
-        let committer = GroupCommitter::start(db.clone(), 4, false, metrics, None);
+        let committer = GroupCommitter::start(db.clone(), metrics, None);
         for i in 0..100u32 {
             committer.submit(put_req(i, &acks, &errs));
         }
@@ -613,7 +598,7 @@ mod tests {
         let metrics = ServerMetrics::new();
         let acks = Arc::new(AtomicUsize::new(0));
         let errs = Arc::new(AtomicUsize::new(0));
-        let committer = GroupCommitter::start(db, 8, false, metrics, None);
+        let committer = GroupCommitter::start(db, metrics, None);
         // pre-tap write: must not be teed
         committer.submit(put_req(0, &acks, &errs));
         assert!(committer.barrier());

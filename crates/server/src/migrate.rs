@@ -221,8 +221,6 @@ pub(crate) fn split_shard(
         drop(meta_file);
         let new_committer = Arc::new(GroupCommitter::start(
             recipient.clone(),
-            inner.cfg.max_batch,
-            inner.cfg.sync_each_batch,
             Arc::clone(&inner.metrics),
             None,
         ));

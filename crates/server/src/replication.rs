@@ -262,13 +262,6 @@ impl Replicator {
         }
     }
 
-    /// Lowest sequence acked by every replica (== committed redundancy
-    /// frontier).
-    pub fn min_acked(&self) -> u64 {
-        let g = self.state.lock().unwrap();
-        g.acked.iter().copied().min().unwrap_or(self.base)
-    }
-
     fn record_ack(&self, idx: usize, seq: u64) {
         let mut g = self.state.lock().unwrap();
         if seq > g.acked[idx] {

@@ -117,11 +117,6 @@ pub struct ServerConfig {
     /// Maximum writes a connection may have in flight before its reader
     /// blocks; this queue depth is what group commit batches.
     pub pipeline_depth: usize,
-    /// Maximum operations folded into one group-commit batch.
-    pub max_batch: usize,
-    /// Sync the shard WAL once per batch, so an `Ok` ack implies the
-    /// write survives a crash.
-    pub sync_each_batch: bool,
     /// Shed writes (reply `Busy`) when the target shard's L0 run count
     /// reaches this; `None` derives each shard's line from its
     /// `l0_stall_runs`.
@@ -147,8 +142,6 @@ impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             pipeline_depth: 32,
-            max_batch: 64,
-            sync_each_batch: true,
             shed_l0_runs: None,
             max_frame_bytes: MAX_FRAME_BYTES,
             role: ReplicationRole::None,
@@ -362,8 +355,6 @@ impl Server {
             .map(|db| {
                 Arc::new(GroupCommitter::start(
                     db.clone(),
-                    cfg.max_batch,
-                    cfg.sync_each_batch,
                     Arc::clone(&metrics),
                     replicator.clone(),
                 ))

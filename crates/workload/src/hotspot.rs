@@ -86,12 +86,6 @@ impl ShiftingHotspot {
         (phase + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15) % span
     }
 
-    /// The current hot range as encoded `[start, end)` keys.
-    pub fn hot_range(&self) -> (Vec<u8>, Vec<u8>) {
-        let lo = self.window_start(self.phase());
-        (encode_key(lo), encode_key(lo + self.spec.hot_width))
-    }
-
     fn draw_id(&mut self) -> u64 {
         let phase = self.phase();
         if self.rng.gen::<f64>() < self.spec.hot_fraction {

@@ -66,7 +66,7 @@ diff -u results/experiments.txt "$regenerated"
 echo "tutorial shapes this engine does not reproduce (registered gaps):"
 grep -F ' [gap] ' "$regenerated" | cut -d';' -f1
 
-stage "timed bins smoke run (threaded, wall-clock: awaiting the ledger, ROADMAP item 4)"
+stage "timed bins smoke run (threaded, wall-clock: awaiting the ledger, ROADMAP item 5)"
 for bin in e19_parallel_compaction e22_replication e23_elastic e24_transactions e25_self_tuning; do
     if [ "$bin" = e25_self_tuning ]; then
         # e25 floors its own scale at DEFAULT_N (it asserts adaptive-beats-static,

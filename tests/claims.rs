@@ -6,6 +6,9 @@
 //! `scripts/verify.sh`.
 
 use lsm_bench::{experiments, Scale};
+use lsm_design_space::core::{
+    CachePolicy, FilePicker, FilterKind, IndexKind, MergeLayout, RangeFilterKind,
+};
 
 #[test]
 fn every_registered_claim_holds_at_reduced_scale() {
@@ -18,4 +21,31 @@ fn every_registered_claim_holds_at_reduced_scale() {
     // a bent curve is shown with the table it was read from
     let bent: Vec<&str> = reports.iter().filter(|r| r.failed()).map(|r| r.render()).collect();
     assert!(bent.is_empty(), "{} experiments have failed claims:\n{}", bent.len(), bent.join("\n"));
+
+    // DESIGN.md's knob table says every variant of a config enum is told
+    // from its neighbours by an experiment: each label is a word of some report
+    let mut labels: Vec<&str> = Vec::new();
+    labels.extend(FilterKind::ALL.map(|k| k.label()));
+    labels.extend(CachePolicy::ALL.map(|p| p.label()));
+    labels.extend(FilePicker::ALL.map(|p| p.label()));
+    let hybrid = MergeLayout::Hybrid(vec![]);
+    labels.extend([MergeLayout::Leveled, MergeLayout::Tiered, MergeLayout::LazyLeveled, hybrid].map(|l| l.label()));
+    labels.extend(
+        [IndexKind::Fence, IndexKind::Sparse { rate: 1 }, IndexKind::Pla { epsilon: 1 }].map(|i| i.label()),
+    );
+    labels.extend(
+        [
+            RangeFilterKind::PrefixBloom { prefix_len: 1 },
+            RangeFilterKind::Surf { suffix_bits: 0 },
+            RangeFilterKind::Rosetta,
+            RangeFilterKind::Snarf,
+        ]
+        .map(|f| f.label()),
+    );
+    let words: std::collections::HashSet<&str> = reports
+        .iter()
+        .flat_map(|r| r.render().split(|c: char| !c.is_alphanumeric() && c != '-'))
+        .collect();
+    labels.retain(|l| !words.contains(l));
+    assert!(labels.is_empty(), "config enum variants that no experiment reports: {labels:?}");
 }

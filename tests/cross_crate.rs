@@ -204,3 +204,30 @@ fn filters_crate_composes_with_engine_tables() {
         );
     }
 }
+
+/// DESIGN.md's knob table maps every config field to the claim, ledger
+/// metric or test that sees it; a field added without a row fails here.
+#[test]
+fn every_config_field_has_a_knob_table_row() {
+    let design = include_str!("../DESIGN.md");
+    let (_, rest) = design.split_once("\n## Knob table\n").expect("DESIGN.md has a knob table");
+    let table = rest.split("\n## ").next().unwrap();
+    let configs = [
+        format!("{:#?}", LsmConfig::default()),
+        format!("{:#?}", lsm_server::ServerConfig::default()),
+    ];
+    // `{:#?}` prints a struct's own fields at exactly one indent level;
+    // deeper lines still start with a space after the strip
+    let fields: Vec<&str> = configs
+        .iter()
+        .flat_map(|c| c.lines())
+        .filter_map(|l| {
+            let name = l.strip_prefix("    ")?.split_once(": ")?.0;
+            name.starts_with(|c: char| c.is_ascii_lowercase()).then_some(name)
+        })
+        .collect();
+    assert!(fields.contains(&"block_size") && fields.contains(&"pipeline_depth"), "{fields:?}");
+    let missing: Vec<&str> =
+        fields.into_iter().filter(|f| !table.contains(&format!("\n| `{f}` |"))).collect();
+    assert!(missing.is_empty(), "config fields without a row in DESIGN.md's knob table: {missing:?}");
+}
