@@ -28,14 +28,14 @@
 //!   step.
 
 use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 
 use lsm_core::{Db, WriteBatch};
 use lsm_storage::StorageError;
 
 use crate::metrics::ServerMetrics;
-use crate::protocol::ReplOpsBuilder;
+use crate::protocol::{ReplOpsBuilder, WriteOp};
 use crate::replication::Replicator;
 
 /// Most operations folded into one group-commit batch: bounds the ack
@@ -57,30 +57,6 @@ pub enum WriteOutcome {
 
 /// Completion callback: receives the batch's commit outcome.
 pub type WriteCallback = Box<dyn FnOnce(WriteOutcome) + Send + 'static>;
-
-/// The write operation carried by a [`WriteReq`].
-pub enum WriteOp {
-    /// Insert/update.
-    Put {
-        /// Key to write.
-        key: Vec<u8>,
-        /// Value to associate.
-        value: Vec<u8>,
-    },
-    /// Tombstone.
-    Delete {
-        /// Key to delete.
-        key: Vec<u8>,
-    },
-}
-
-impl WriteOp {
-    fn key(&self) -> &[u8] {
-        match self {
-            WriteOp::Put { key, .. } | WriteOp::Delete { key } => key,
-        }
-    }
-}
 
 /// One queued write and its completion callback.
 pub struct WriteReq {
@@ -334,66 +310,20 @@ fn committer_loop(
         // the tap guard is held across fold + commit + sync + tee, so
         // install_tap has a clean cut: batches fully before it are
         // visible to a subsequent snapshot, batches after are tapped
-        let tap_guard = tap.lock().unwrap();
-        // when replicating, encode the ops region while folding: the
-        // shipped frame is built exactly once per batch, here
-        let mut ops = replicator.as_ref().map(|_| ReplOpsBuilder::new());
-        let mut tap_ops = tap_guard.as_ref().map(|_| ReplOpsBuilder::new());
+        let mut outbox = Outbox::open(&tap, &replicator);
         for r in reqs.drain(..) {
-            if let Some(b) = &mut ops {
-                match &r.op {
-                    WriteOp::Put { key, value } => b.put(key, value),
-                    WriteOp::Delete { key } => b.delete(key),
-                }
-            }
-            if let (Some(b), Some(t)) = (&mut tap_ops, tap_guard.as_ref()) {
-                if t.covers(r.op.key()) {
-                    match &r.op {
-                        WriteOp::Put { key, value } => b.put(key, value),
-                        WriteOp::Delete { key } => b.delete(key),
-                    }
-                }
-            }
-            match r.op {
-                WriteOp::Put { key, value } => batch.put(key, value),
-                WriteOp::Delete { key } => batch.delete(key),
-            }
+            outbox.record(&r.op);
+            r.op.add_to(&mut batch);
             dones.push(r.done);
         }
         metrics.batch_ops.record(dones.len() as u64);
         metrics.batches.inc();
         // the ack promises durability: pad the WAL tail once per batch,
         // not once per operation — the group-commit win
-        let result = db.write_batch_mut(&mut batch).and_then(|()| db.sync());
-        if result.is_ok() {
-            // tee to the migration tap only what is committed and synced
-            // locally: the tap's receiver treats every region as durable
-            // on the donor
-            if let (Some(t), Some(ops)) = (tap_guard.as_ref(), tap_ops) {
-                if ops.count() > 0 {
-                    let _ = t.tx.send(ops.finish());
-                }
-            }
-        }
-        drop(tap_guard);
-        let outcome = match result {
-            Ok(()) => match (&replicator, ops) {
-                (Some(rep), Some(ops)) => {
-                    // publish only what committed locally: a batch that
-                    // failed here must never reach a replica, or a
-                    // failover could resurrect a write the client saw fail
-                    let t0 = metrics.now_ns();
-                    let seq = rep.publish(ops.finish());
-                    if rep.wait_quorum(seq) {
-                        metrics.repl_ack_ns.record(metrics.now_ns().saturating_sub(t0));
-                        WriteOutcome::Ok
-                    } else {
-                        metrics.repl_lag_timeouts.inc();
-                        WriteOutcome::ReplicaLag
-                    }
-                }
-                _ => WriteOutcome::Ok,
-            },
+        let committed = db.write_batch_mut(&mut batch).and_then(|()| db.sync());
+        let outcome = match outbox.deliver(committed, &replicator, &metrics) {
+            Ok(((), true)) => WriteOutcome::Ok,
+            Ok(((), false)) => WriteOutcome::ReplicaLag,
             Err(e) => WriteOutcome::Err(e),
         };
         for done in dones.drain(..) {
@@ -408,12 +338,82 @@ fn committer_loop(
     }
 }
 
+/// What a durable commit hands on, built while its ops are folded: the
+/// ops region for the replicator (when replicating) and the in-range ops
+/// for the migration tap (when one is installed). Group-commit batches
+/// and transaction commits share it, so both reach a migration and a
+/// replica in true commit order. Holds the tap guard from `open` until
+/// [`Outbox::deliver`].
+struct Outbox<'t> {
+    tap: MutexGuard<'t, Option<MigrationTap>>,
+    tap_ops: Option<ReplOpsBuilder>,
+    repl_ops: Option<ReplOpsBuilder>,
+}
+
+impl<'t> Outbox<'t> {
+    fn open(tap: &'t Mutex<Option<MigrationTap>>, replicator: &Option<Arc<Replicator>>) -> Self {
+        let tap = tap.lock().unwrap();
+        Outbox {
+            tap_ops: tap.as_ref().map(|_| ReplOpsBuilder::new()),
+            repl_ops: replicator.as_ref().map(|_| ReplOpsBuilder::new()),
+            tap,
+        }
+    }
+
+    fn record<B: AsRef<[u8]>>(&mut self, op: &WriteOp<B>) {
+        if let Some(b) = &mut self.repl_ops {
+            b.push(op);
+        }
+        if let (Some(b), Some(t)) = (&mut self.tap_ops, self.tap.as_ref()) {
+            if t.covers(op.key()) {
+                b.push(op);
+            }
+        }
+    }
+
+    /// Hands on a commit once `committed` says it is durable locally
+    /// (the tap's receiver treats every region as durable on the donor,
+    /// and a commit that failed must never reach a replica, or a failover
+    /// could resurrect a write the client saw fail): tees under the tap
+    /// guard, releases it, then publishes and waits for the replica
+    /// quorum. Returns the commit's value and whether the quorum acked in
+    /// time (`true` when not replicating); a failed commit hands on
+    /// nothing and returns its error.
+    fn deliver<T, E>(
+        self,
+        committed: Result<T, E>,
+        replicator: &Option<Arc<Replicator>>,
+        metrics: &ServerMetrics,
+    ) -> Result<(T, bool), E> {
+        let Outbox { tap, tap_ops, repl_ops } = self;
+        let value = committed?;
+        if let (Some(t), Some(ops)) = (tap.as_ref(), tap_ops) {
+            if ops.count() > 0 {
+                let _ = t.tx.send(ops.finish());
+            }
+        }
+        drop(tap);
+        match (replicator, repl_ops) {
+            (Some(rep), Some(ops)) if ops.count() > 0 => {
+                let t0 = metrics.now_ns();
+                let seq = rep.publish(ops.finish());
+                if rep.wait_quorum(seq) {
+                    metrics.repl_ack_ns.record(metrics.now_ns().saturating_sub(t0));
+                    Ok((value, true))
+                } else {
+                    metrics.repl_lag_timeouts.inc();
+                    Ok((value, false))
+                }
+            }
+            _ => Ok((value, true)),
+        }
+    }
+}
+
 /// Executes one transaction commit inside the committer thread:
-/// validate-and-apply atomically, sync every involved engine, then
-/// tee the write-set to the migration tap and publish it to the
-/// replicator — exactly the order a group-commit batch follows, under
-/// the same tap guard, so a migration or a replica observes txn writes
-/// in true commit order relative to plain writes on this shard.
+/// validate-and-apply atomically, sync every involved engine, then hand
+/// the write-set on through the same [`Outbox`] step a group-commit batch
+/// takes.
 fn run_txn_commit(
     req: TxnCommitReq,
     metrics: &Arc<ServerMetrics>,
@@ -421,61 +421,28 @@ fn run_txn_commit(
     tap: &Arc<Mutex<Option<MigrationTap>>>,
 ) {
     let TxnCommitReq { parts, done } = req;
-    // capture the involved engines and the flattened write-set before
+    // capture the involved engines and record the write-set before
     // commit_parts consumes the parts
     let dbs: Vec<Db> = parts.iter().map(|p| p.db().clone()).collect();
-    let writes: Vec<(Vec<u8>, Option<Vec<u8>>)> = parts
-        .iter()
-        .flat_map(|p| p.writes().iter().cloned())
-        .collect();
-    let tap_guard = tap.lock().unwrap();
-    let outcome = match lsm_core::commit_parts(parts) {
-        Ok(stamp) => {
-            match dbs.iter().try_for_each(|d| d.sync()) {
-                Ok(()) => {
-                    // tee only what is committed and synced locally, same
-                    // contract as the batch path
-                    if let Some(t) = tap_guard.as_ref() {
-                        let mut b = ReplOpsBuilder::new();
-                        for (k, v) in writes.iter().filter(|(k, _)| t.covers(k)) {
-                            match v {
-                                Some(v) => b.put(k, v),
-                                None => b.delete(k),
-                            }
-                        }
-                        if b.count() > 0 {
-                            let _ = t.tx.send(b.finish());
-                        }
-                    }
-                    match replicator {
-                        Some(rep) if !writes.is_empty() => {
-                            let mut b = ReplOpsBuilder::new();
-                            for (k, v) in &writes {
-                                match v {
-                                    Some(v) => b.put(k, v),
-                                    None => b.delete(k),
-                                }
-                            }
-                            let t0 = metrics.now_ns();
-                            let seq = rep.publish(b.finish());
-                            if rep.wait_quorum(seq) {
-                                metrics.repl_ack_ns.record(metrics.now_ns().saturating_sub(t0));
-                                TxnOutcome::Committed(stamp)
-                            } else {
-                                metrics.repl_lag_timeouts.inc();
-                                TxnOutcome::CommittedLag(stamp)
-                            }
-                        }
-                        _ => TxnOutcome::Committed(stamp),
-                    }
-                }
-                Err(e) => TxnOutcome::Err(e),
-            }
-        }
+    let mut outbox = Outbox::open(tap, replicator);
+    for (key, value) in parts.iter().flat_map(|p| p.writes()) {
+        outbox.record(&match value {
+            Some(value) => WriteOp::Put { key, value },
+            None => WriteOp::Delete { key },
+        });
+    }
+    let committed = lsm_core::commit_parts(parts).and_then(|stamp| {
+        dbs.iter()
+            .try_for_each(|d| d.sync())
+            .map_err(lsm_core::TxnError::Storage)?;
+        Ok(stamp)
+    });
+    let outcome = match outbox.deliver(committed, replicator, metrics) {
+        Ok((stamp, true)) => TxnOutcome::Committed(stamp),
+        Ok((stamp, false)) => TxnOutcome::CommittedLag(stamp),
         Err(lsm_core::TxnError::Conflict(c)) => TxnOutcome::Conflict(c),
         Err(lsm_core::TxnError::Storage(e)) => TxnOutcome::Err(e),
     };
-    drop(tap_guard);
     done(outcome);
 }
 
@@ -593,7 +560,7 @@ mod tests {
 
     #[test]
     fn tap_tees_exactly_the_in_range_committed_ops_in_order() {
-        use crate::protocol::{repl_ops, ReplOpRef};
+        use crate::protocol::repl_ops;
         let db = Db::open_in_memory(LsmConfig::small_for_tests()).unwrap();
         let metrics = ServerMetrics::new();
         let acks = Arc::new(AtomicUsize::new(0));
@@ -620,8 +587,8 @@ mod tests {
         while let Ok(region) = rx.try_recv() {
             for op in repl_ops(&region).unwrap() {
                 match op.unwrap() {
-                    ReplOpRef::Put { key, .. } => teed.push(key.to_vec()),
-                    ReplOpRef::Delete { key } => teed.push(key.to_vec()),
+                    WriteOp::Put { key, .. } => teed.push(key.to_vec()),
+                    WriteOp::Delete { key } => teed.push(key.to_vec()),
                 }
             }
         }

@@ -73,8 +73,8 @@ impl Client {
 
     /// Receives the next response in arrival order.
     pub fn recv(&mut self) -> io::Result<(u64, Response)> {
-        match self.reader.next_frame(|| true).map_err(frame_to_io)? {
-            Some(payload) => decode_response(&payload)
+        match self.reader.next_frame_ref(|| true).map_err(frame_to_io)? {
+            Some(payload) => decode_response(payload)
                 .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string())),
             None => Err(io::Error::new(
                 io::ErrorKind::UnexpectedEof,

@@ -296,4 +296,46 @@ mod tests {
             "64 pipelined puts took {appends} WAL appends — no group commit"
         );
     }
+
+    #[test]
+    fn oversized_scan_reply_is_a_typed_error_and_the_connection_survives() {
+        // one buffer holds every write, so no flush can shed a put
+        let cfg = LsmConfig {
+            buffer_bytes: 4 << 20,
+            ..wal_cfg()
+        };
+        let cluster = start_cluster(1, cfg, ServerConfig::default());
+        let mut c = cluster.client();
+        let value = vec![b'v'; 1000];
+        for i in 0..1200u32 {
+            c.put(format!("k{i:05}").as_bytes(), &value).unwrap();
+        }
+        // ≈ 1.2 MB of entries: past the 1 MiB frame cap either side holds
+        let err = c.scan(b"k", b"l", 10_000).unwrap_err();
+        assert!(err.to_string().contains("frame cap"), "{err}");
+        // the same connection keeps serving
+        assert_eq!(c.get(b"k00007").unwrap(), Some(value));
+        assert_eq!(c.scan(b"k", b"l", 10).unwrap().len(), 10);
+    }
+
+    #[test]
+    fn elastic_start_with_a_replication_role_is_invalid_input() {
+        let cfg = wal_cfg();
+        let db = Db::open_in_memory(cfg.clone()).unwrap();
+        let meta_dev: Arc<dyn StorageDevice> =
+            Arc::new(MemDevice::new(cfg.block_size, DeviceProfile::free()));
+        let elastic = ElasticOptions {
+            meta_dev,
+            factory: registry_factory(ShardDeviceRegistry::default(), cfg.block_size),
+            policy: None,
+        };
+        let server_cfg = ServerConfig {
+            role: ReplicationRole::Replica,
+            ..ServerConfig::default()
+        };
+        let err = Server::start_elastic(vec![db], ShardMap::uniform(1), elastic, server_cfg)
+            .err()
+            .expect("a replication role must be refused");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+    }
 }

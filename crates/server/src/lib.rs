@@ -1,13 +1,18 @@
-//! `lsm-server`: a dependency-free TCP serving layer over hash-sharded
-//! LSM engines.
+//! `lsm-server`: a dependency-free TCP serving layer over hash- or
+//! range-sharded LSM engines.
 //!
 //! The crate turns N independent [`lsm_core::Db`] instances into one
 //! network-addressable store:
 //!
 //! - [`protocol`] — the length-prefixed binary wire format (GET / PUT /
-//!   DELETE / SCAN / STATS), request-id'd so clients can pipeline;
-//! - [`router`] — shard routing: FNV hash partitioning or a versioned
-//!   range [`shardmap::ShardMap`], with cross-shard scan stitching;
+//!   DELETE / SCAN / STATS / REPL_* / SHARD_MAP / TXN_* / TUNE_STATUS),
+//!   request-id'd so clients can pipeline. Each shape exists once:
+//!   [`Request`] and [`WriteOp`] are generic over owned or borrowed
+//!   bytes ([`protocol::RequestRef`] is the borrowed request), with one
+//!   decoder and one frame reader;
+//! - [`router`] — [`ShardSet`], the one key-space partitioner: FNV hash
+//!   partitioning or a versioned range [`shardmap::ShardMap`], with one
+//!   cross-shard scan;
 //! - [`shardmap`] — the versioned, manifest-persisted cluster shard map
 //!   (contiguous key ranges, split/merge edits, crash-safe recovery);
 //! - [`migrate`] — online shard split/merge: snapshot copy plus a
@@ -44,7 +49,7 @@ pub mod server;
 pub mod shardmap;
 
 pub use batcher::{
-    GroupCommitter, MigrationTap, TxnCommitReq, TxnOutcome, WriteOp, WriteOutcome, WriteReq,
+    GroupCommitter, MigrationTap, TxnCommitReq, TxnOutcome, WriteOutcome, WriteReq,
 };
 pub use client::{Client, ShardMapEntries, TxnCommitStatus};
 pub use failover::{promote_replica, Promotion};
@@ -55,9 +60,8 @@ pub use harness::{
 };
 pub use metrics::ServerMetrics;
 pub use protocol::{
-    decode_request, decode_response, encode_request, encode_response, repl_ops, FrameError,
-    FrameReader, ProtocolError, ReplOpRef, ReplOpsBuilder, ReplOpsIter, Request, Response,
-    MAX_FRAME_BYTES,
+    decode_request, decode_response, encode_request, repl_ops, FrameError, FrameReader,
+    ProtocolError, ReplOpsBuilder, ReplOpsIter, Request, Response, WriteOp, MAX_FRAME_BYTES,
 };
 pub use replication::{
     ApplyError, PrimaryReplication, ReplicaState, ReplicationRole, Replicator,

@@ -57,7 +57,7 @@ use lsm_core::{Db, WriteBatch};
 use lsm_obs::EventKind;
 
 use crate::batcher::{GroupCommitter, MigrationTap};
-use crate::protocol::{repl_ops, ReplOpRef};
+use crate::protocol::repl_ops;
 use crate::router::ShardSet;
 use crate::server::ServerInner;
 use crate::shardmap::{write_cluster_meta, ShardMap};
@@ -79,10 +79,7 @@ impl Drop for TapGuard<'_> {
 fn apply_region(dst: &Db, region: &[u8]) -> Result<(), String> {
     let mut batch = WriteBatch::new();
     for op in repl_ops(region).map_err(|e| e.to_string())? {
-        match op.map_err(|e| e.to_string())? {
-            ReplOpRef::Put { key, value } => batch.put(key.to_vec(), value.to_vec()),
-            ReplOpRef::Delete { key } => batch.delete(key.to_vec()),
-        }
+        op.map_err(|e| e.to_string())?.add_to(&mut batch);
     }
     dst.write_batch_mut(&mut batch).map_err(|e| e.to_string())
 }

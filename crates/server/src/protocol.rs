@@ -14,7 +14,8 @@
 //! resynchronized (nothing marks the next frame boundary), so the server
 //! closes the connection. Errors *inside* a well-framed payload leave the
 //! stream intact, so the server replies with a typed [`Response::Error`]
-//! and keeps the connection.
+//! and keeps the connection. The cap binds the server's replies too: a
+//! SCAN whose ENTRIES reply would exceed it is answered with ERROR.
 //!
 //! ## Payloads
 //!
@@ -76,41 +77,47 @@
 //! *ops region*: `u32` count, then `count` ops, each `[u8 kind][key]`
 //! (kind 2 = delete) or `[u8 kind][key][value]` (kind 1 = put). The
 //! region is forwarded opaquely by [`Request::ReplBatch`] and decoded
-//! lazily through [`ReplOpsIter`], so the shipper encodes once and the
-//! replica validates exactly where it applies.
+//! lazily through [`ReplOpsIter`] into [`WriteOp`]s, so the shipper
+//! encodes once and the replica validates exactly where it applies.
 
 use std::fmt;
 use std::io::Read;
 
+use lsm_core::WriteBatch;
+
 /// Default cap on a frame's payload size (1 MiB).
 pub const MAX_FRAME_BYTES: usize = 1 << 20;
 
-/// One decoded client request.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Request {
+/// One client request, generic over how its key/value bytes are held:
+/// `Request` (owned `Vec<u8>`, what a client builds) or [`RequestRef`]
+/// (views into the frame payload, what the server dispatches — GET/SCAN
+/// bytes go straight into the engine's borrowed APIs, PUT/DELETE bytes
+/// are copied exactly once into the write queue).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Request<B = Vec<u8>> {
     /// Point lookup.
     Get {
         /// Key to look up.
-        key: Vec<u8>,
+        key: B,
     },
     /// Insert or update.
     Put {
         /// Key to write.
-        key: Vec<u8>,
+        key: B,
         /// Value to associate.
-        value: Vec<u8>,
+        value: B,
     },
     /// Tombstone write.
     Delete {
         /// Key to delete.
-        key: Vec<u8>,
+        key: B,
     },
     /// Ordered range scan over `[start, end)`, at most `limit` entries.
     Scan {
         /// Inclusive start key.
-        start: Vec<u8>,
+        start: B,
         /// Exclusive end key.
-        end: Vec<u8>,
+        end: B,
         /// Maximum entries returned.
         limit: u32,
     },
@@ -132,7 +139,7 @@ pub enum Request {
         /// replica rejects gaps).
         seq: u64,
         /// Encoded ops region: `u32` count + ops.
-        ops: Vec<u8>,
+        ops: B,
     },
     /// The server's shard map — range-routed topology and its version.
     ShardMap,
@@ -142,19 +149,19 @@ pub enum Request {
     /// joins the read-set, sees the transaction's own buffered writes.
     TxnGet {
         /// Key to look up.
-        key: Vec<u8>,
+        key: B,
     },
     /// Buffers an insert/update in the open transaction.
     TxnPut {
         /// Key to write.
-        key: Vec<u8>,
+        key: B,
         /// Value to associate.
-        value: Vec<u8>,
+        value: B,
     },
     /// Buffers a tombstone in the open transaction.
     TxnDelete {
         /// Key to delete.
-        key: Vec<u8>,
+        key: B,
     },
     /// Validates and atomically applies the open transaction.
     TxnCommit,
@@ -164,125 +171,8 @@ pub enum Request {
     TuneStatus,
 }
 
-/// A request decoded as borrowed views into the frame payload — the
-/// zero-copy twin of [`Request`] used on the server's hot path, where
-/// key/value bytes are either forwarded into the engine's borrowed APIs
-/// (GET/SCAN) or copied exactly once into the write queue (PUT/DELETE).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RequestRef<'a> {
-    /// Point lookup.
-    Get {
-        /// Key to look up.
-        key: &'a [u8],
-    },
-    /// Insert or update.
-    Put {
-        /// Key to write.
-        key: &'a [u8],
-        /// Value to associate.
-        value: &'a [u8],
-    },
-    /// Tombstone write.
-    Delete {
-        /// Key to delete.
-        key: &'a [u8],
-    },
-    /// Ordered range scan over `[start, end)`, at most `limit` entries.
-    Scan {
-        /// Inclusive start key.
-        start: &'a [u8],
-        /// Exclusive end key.
-        end: &'a [u8],
-        /// Maximum entries returned.
-        limit: u32,
-    },
-    /// Server metrics snapshot.
-    Stats,
-    /// Replica handshake (see [`Request::ReplSubscribe`]).
-    ReplSubscribe {
-        /// Replica id (index in the primary's replica list).
-        replica_id: u64,
-        /// First replication sequence the replica has *not* applied.
-        from_seq: u64,
-    },
-    /// Sequenced batch frame (see [`Request::ReplBatch`]); `ops` borrows
-    /// the raw ops region straight from the read buffer.
-    ReplBatch {
-        /// Replication-log sequence of this batch.
-        seq: u64,
-        /// Encoded ops region: `u32` count + ops.
-        ops: &'a [u8],
-    },
-    /// Shard-map query (see [`Request::ShardMap`]).
-    ShardMap,
-    /// Opens an optimistic transaction (see [`Request::TxnBegin`]).
-    TxnBegin,
-    /// Transactional read (see [`Request::TxnGet`]).
-    TxnGet {
-        /// Key to look up.
-        key: &'a [u8],
-    },
-    /// Buffered transactional write (see [`Request::TxnPut`]).
-    TxnPut {
-        /// Key to write.
-        key: &'a [u8],
-        /// Value to associate.
-        value: &'a [u8],
-    },
-    /// Buffered transactional delete (see [`Request::TxnDelete`]).
-    TxnDelete {
-        /// Key to delete.
-        key: &'a [u8],
-    },
-    /// Commit request (see [`Request::TxnCommit`]).
-    TxnCommit,
-    /// Abort request (see [`Request::TxnAbort`]).
-    TxnAbort,
-    /// Tuner status query (see [`Request::TuneStatus`]).
-    TuneStatus,
-}
-
-impl RequestRef<'_> {
-    /// Copies the borrowed views into an owned [`Request`].
-    pub fn to_owned(self) -> Request {
-        match self {
-            RequestRef::Get { key } => Request::Get { key: key.to_vec() },
-            RequestRef::Put { key, value } => Request::Put {
-                key: key.to_vec(),
-                value: value.to_vec(),
-            },
-            RequestRef::Delete { key } => Request::Delete { key: key.to_vec() },
-            RequestRef::Scan { start, end, limit } => Request::Scan {
-                start: start.to_vec(),
-                end: end.to_vec(),
-                limit,
-            },
-            RequestRef::Stats => Request::Stats,
-            RequestRef::ReplSubscribe {
-                replica_id,
-                from_seq,
-            } => Request::ReplSubscribe {
-                replica_id,
-                from_seq,
-            },
-            RequestRef::ReplBatch { seq, ops } => Request::ReplBatch {
-                seq,
-                ops: ops.to_vec(),
-            },
-            RequestRef::ShardMap => Request::ShardMap,
-            RequestRef::TxnBegin => Request::TxnBegin,
-            RequestRef::TxnGet { key } => Request::TxnGet { key: key.to_vec() },
-            RequestRef::TxnPut { key, value } => Request::TxnPut {
-                key: key.to_vec(),
-                value: value.to_vec(),
-            },
-            RequestRef::TxnDelete { key } => Request::TxnDelete { key: key.to_vec() },
-            RequestRef::TxnCommit => Request::TxnCommit,
-            RequestRef::TxnAbort => Request::TxnAbort,
-            RequestRef::TuneStatus => Request::TuneStatus,
-        }
-    }
-}
+/// A request decoded as borrowed views into the frame payload.
+pub type RequestRef<'a> = Request<&'a [u8]>;
 
 /// One decoded server response.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -408,23 +298,10 @@ impl fmt::Display for FrameError {
 // Encoding
 // ---------------------------------------------------------------------------
 
-fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
+fn put_bytes(out: &mut Vec<u8>, b: impl AsRef<[u8]>) {
+    let b = b.as_ref();
     out.extend_from_slice(&(b.len() as u32).to_le_bytes());
     out.extend_from_slice(b);
-}
-
-fn finish_frame(mut payload: Vec<u8>) -> Vec<u8> {
-    let len = (payload.len() - 4) as u32;
-    payload[..4].copy_from_slice(&len.to_le_bytes());
-    payload
-}
-
-fn frame_header(id: u64, tag: u8) -> Vec<u8> {
-    let mut out = Vec::with_capacity(64);
-    out.extend_from_slice(&[0u8; 4]); // length, patched by finish_frame
-    out.extend_from_slice(&id.to_le_bytes());
-    out.push(tag);
-    out
 }
 
 /// Starts a frame appended to `out` (which may already hold other
@@ -444,75 +321,116 @@ fn end_frame_at(out: &mut [u8], start: usize) {
     out[start..start + 4].copy_from_slice(&len.to_le_bytes());
 }
 
-/// Encodes a request as a complete frame (length prefix included).
-pub fn encode_request(id: u64, req: &Request) -> Vec<u8> {
-    let mut out;
+/// Encodes a request, owned or borrowed, as a complete frame (length
+/// prefix included).
+pub fn encode_request<B: AsRef<[u8]>>(id: u64, req: &Request<B>) -> Vec<u8> {
+    let mut out = Vec::with_capacity(64);
     match req {
         Request::Get { key } => {
-            out = frame_header(id, 1);
+            begin_frame_at(&mut out, id, 1);
             put_bytes(&mut out, key);
         }
         Request::Put { key, value } => {
-            out = frame_header(id, 2);
+            begin_frame_at(&mut out, id, 2);
             put_bytes(&mut out, key);
             put_bytes(&mut out, value);
         }
         Request::Delete { key } => {
-            out = frame_header(id, 3);
+            begin_frame_at(&mut out, id, 3);
             put_bytes(&mut out, key);
         }
         Request::Scan { start, end, limit } => {
-            out = frame_header(id, 4);
+            begin_frame_at(&mut out, id, 4);
             put_bytes(&mut out, start);
             put_bytes(&mut out, end);
             out.extend_from_slice(&limit.to_le_bytes());
         }
         Request::Stats => {
-            out = frame_header(id, 5);
+            begin_frame_at(&mut out, id, 5);
         }
         Request::ReplSubscribe {
             replica_id,
             from_seq,
         } => {
-            out = frame_header(id, 6);
+            begin_frame_at(&mut out, id, 6);
             out.extend_from_slice(&replica_id.to_le_bytes());
             out.extend_from_slice(&from_seq.to_le_bytes());
         }
         Request::ReplBatch { seq, ops } => {
-            out = frame_header(id, 7);
+            begin_frame_at(&mut out, id, 7);
             out.extend_from_slice(&seq.to_le_bytes());
-            out.extend_from_slice(ops);
+            out.extend_from_slice(ops.as_ref());
         }
         Request::ShardMap => {
-            out = frame_header(id, 8);
+            begin_frame_at(&mut out, id, 8);
         }
         Request::TxnBegin => {
-            out = frame_header(id, 9);
+            begin_frame_at(&mut out, id, 9);
         }
         Request::TxnGet { key } => {
-            out = frame_header(id, 10);
+            begin_frame_at(&mut out, id, 10);
             put_bytes(&mut out, key);
         }
         Request::TxnPut { key, value } => {
-            out = frame_header(id, 11);
+            begin_frame_at(&mut out, id, 11);
             put_bytes(&mut out, key);
             put_bytes(&mut out, value);
         }
         Request::TxnDelete { key } => {
-            out = frame_header(id, 12);
+            begin_frame_at(&mut out, id, 12);
             put_bytes(&mut out, key);
         }
         Request::TxnCommit => {
-            out = frame_header(id, 13);
+            begin_frame_at(&mut out, id, 13);
         }
         Request::TxnAbort => {
-            out = frame_header(id, 14);
+            begin_frame_at(&mut out, id, 14);
         }
         Request::TuneStatus => {
-            out = frame_header(id, 15);
+            begin_frame_at(&mut out, id, 15);
         }
     }
-    finish_frame(out)
+    end_frame_at(&mut out, 0);
+    out
+}
+
+/// One write, generic over how its bytes are held like [`Request`]: the
+/// owned `WriteOp` is what a client PUT/DELETE queues for group commit;
+/// `WriteOp<&[u8]>` is what [`repl_ops`] decodes out of an ops region.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum WriteOp<B = Vec<u8>> {
+    /// Insert or update.
+    Put {
+        /// Key to write.
+        key: B,
+        /// Value to associate.
+        value: B,
+    },
+    /// Tombstone write.
+    Delete {
+        /// Key to delete.
+        key: B,
+    },
+}
+
+impl<B: AsRef<[u8]>> WriteOp<B> {
+    /// The key the op writes.
+    pub(crate) fn key(&self) -> &[u8] {
+        match self {
+            WriteOp::Put { key, .. } | WriteOp::Delete { key } => key.as_ref(),
+        }
+    }
+}
+
+impl<B: Into<Vec<u8>>> WriteOp<B> {
+    /// Queues the op on an engine batch: owned bytes move, views are
+    /// copied.
+    pub(crate) fn add_to(self, batch: &mut WriteBatch) {
+        match self {
+            WriteOp::Put { key, value } => batch.put(key.into(), value.into()),
+            WriteOp::Delete { key } => batch.delete(key.into()),
+        }
+    }
 }
 
 /// Builds the ops region of a REPL_BATCH request: `u32` count + ops. The
@@ -547,6 +465,14 @@ impl ReplOpsBuilder {
         self.count += 1;
     }
 
+    /// Appends `op`.
+    pub fn push<B: AsRef<[u8]>>(&mut self, op: &WriteOp<B>) {
+        match op {
+            WriteOp::Put { key, value } => self.put(key.as_ref(), value.as_ref()),
+            WriteOp::Delete { key } => self.delete(key.as_ref()),
+        }
+    }
+
     /// Ops appended so far.
     pub fn count(&self) -> u32 {
         self.count
@@ -563,23 +489,6 @@ impl Default for ReplOpsBuilder {
     fn default() -> Self {
         ReplOpsBuilder::new()
     }
-}
-
-/// One op decoded from a REPL_BATCH ops region, borrowing the region.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ReplOpRef<'a> {
-    /// Insert or update.
-    Put {
-        /// Key to write.
-        key: &'a [u8],
-        /// Value to associate.
-        value: &'a [u8],
-    },
-    /// Tombstone write.
-    Delete {
-        /// Key to delete.
-        key: &'a [u8],
-    },
 }
 
 /// Lazy, bounds-checked decoder over a REPL_BATCH ops region. Yields
@@ -604,7 +513,7 @@ pub fn repl_ops(ops: &[u8]) -> Result<ReplOpsIter<'_>, ProtocolError> {
 }
 
 impl<'a> Iterator for ReplOpsIter<'a> {
-    type Item = Result<ReplOpRef<'a>, ProtocolError>;
+    type Item = Result<WriteOp<&'a [u8]>, ProtocolError>;
 
     fn next(&mut self) -> Option<Self::Item> {
         if self.failed || self.remaining == 0 {
@@ -622,11 +531,11 @@ impl<'a> Iterator for ReplOpsIter<'a> {
         self.remaining -= 1;
         let op = (|| {
             Ok(match self.cur.u8()? {
-                1 => ReplOpRef::Put {
+                1 => WriteOp::Put {
                     key: self.cur.bytes_ref()?,
                     value: self.cur.bytes_ref()?,
                 },
-                2 => ReplOpRef::Delete {
+                2 => WriteOp::Delete {
                     key: self.cur.bytes_ref()?,
                 },
                 other => return Err(ProtocolError::BadTag(other)),
@@ -639,16 +548,9 @@ impl<'a> Iterator for ReplOpsIter<'a> {
     }
 }
 
-/// Encodes a response as a complete frame (length prefix included).
-pub fn encode_response(id: u64, resp: &Response) -> Vec<u8> {
-    let mut out = Vec::with_capacity(64);
-    encode_response_into(&mut out, id, resp);
-    out
-}
-
-/// Appends a complete response frame to `out` — the reusable-buffer form
-/// of [`encode_response`]: a connection's writer recycles one buffer per
-/// response instead of allocating a fresh frame `Vec` each time.
+/// Appends a complete response frame to `out`, so a connection's writer
+/// recycles one buffer per response instead of allocating a fresh frame
+/// `Vec` each time.
 pub fn encode_response_into(out: &mut Vec<u8>, id: u64, resp: &Response) {
     match resp {
         Response::Ok => {
@@ -661,7 +563,7 @@ pub fn encode_response_into(out: &mut Vec<u8>, id: u64, resp: &Response) {
             end_frame_at(out, s);
         }
         Response::Entries(entries) => {
-            let mut enc = begin_entries_response(out, id);
+            let mut enc = begin_entries_response(out, id, usize::MAX);
             for (k, v) in entries {
                 enc.push(k, v);
             }
@@ -669,12 +571,12 @@ pub fn encode_response_into(out: &mut Vec<u8>, id: u64, resp: &Response) {
         }
         Response::Stats(json) => {
             let s = begin_frame_at(out, id, 4);
-            put_bytes(out, json.as_bytes());
+            put_bytes(out, json);
             end_frame_at(out, s);
         }
         Response::Error(msg) => {
             let s = begin_frame_at(out, id, 5);
-            put_bytes(out, msg.as_bytes());
+            put_bytes(out, msg);
             end_frame_at(out, s);
         }
         Response::Busy => {
@@ -723,7 +625,7 @@ pub fn encode_response_into(out: &mut Vec<u8>, id: u64, resp: &Response) {
             out.extend_from_slice(&(entries.len() as u32).to_le_bytes());
             for (shard_id, json) in entries {
                 out.extend_from_slice(&shard_id.to_le_bytes());
-                put_bytes(out, json.as_bytes());
+                put_bytes(out, json);
             }
             end_frame_at(out, s);
         }
@@ -748,10 +650,13 @@ pub struct EntriesEncoder<'a> {
     start: usize,
     count_at: usize,
     count: u32,
+    /// Payload cap; pairs pushed once the payload exceeds it are dropped.
+    max: usize,
 }
 
-/// Opens an ENTRIES response frame appended to `out`.
-pub fn begin_entries_response(out: &mut Vec<u8>, id: u64) -> EntriesEncoder<'_> {
+/// Opens an ENTRIES response frame appended to `out`, whose payload may
+/// hold at most `max` bytes (the peer's frame cap).
+pub fn begin_entries_response(out: &mut Vec<u8>, id: u64, max: usize) -> EntriesEncoder<'_> {
     let start = begin_frame_at(out, id, 3);
     let count_at = out.len();
     out.extend_from_slice(&[0u8; 4]);
@@ -760,21 +665,37 @@ pub fn begin_entries_response(out: &mut Vec<u8>, id: u64) -> EntriesEncoder<'_> 
         start,
         count_at,
         count: 0,
+        max,
     }
 }
 
 impl EntriesEncoder<'_> {
+    fn oversize(&self) -> bool {
+        self.out.len() - self.start - 4 > self.max
+    }
+
     /// Appends one key/value pair.
     pub fn push(&mut self, key: &[u8], value: &[u8]) {
+        if self.oversize() {
+            return;
+        }
         put_bytes(self.out, key);
         put_bytes(self.out, value);
         self.count += 1;
     }
 
-    /// Patches the count and length prefix, sealing the frame.
-    pub fn finish(self) {
+    /// Patches the count and length prefix, sealing the frame. Returns
+    /// `false` instead, with the partial frame removed from `out`, when
+    /// the pairs overflowed the payload cap: a frame no reader accepts
+    /// would cost the connection, not just the reply.
+    pub fn finish(self) -> bool {
+        if self.oversize() {
+            self.out.truncate(self.start);
+            return false;
+        }
         self.out[self.count_at..self.count_at + 4].copy_from_slice(&self.count.to_le_bytes());
         end_frame_at(self.out, self.start);
+        true
     }
 }
 
@@ -827,8 +748,9 @@ impl<'a> Cur<'a> {
         Ok(s)
     }
 
-    fn bytes(&mut self) -> Result<Vec<u8>, ProtocolError> {
-        self.bytes_ref().map(<[u8]>::to_vec)
+    /// A length-prefixed field held as `B` (a view or an owned copy).
+    fn bytes<B: From<&'a [u8]>>(&mut self) -> Result<B, ProtocolError> {
+        self.bytes_ref().map(B::from)
     }
 
     fn string(&mut self) -> Result<String, ProtocolError> {
@@ -865,52 +787,59 @@ pub fn peek_request_id(payload: &[u8]) -> Option<u64> {
         .map(|s| u64::from_le_bytes(s.try_into().unwrap()))
 }
 
-/// Decodes a request payload (the bytes after the length prefix).
+/// Decodes a request payload (the bytes after the length prefix) into
+/// owned bytes.
 pub fn decode_request(payload: &[u8]) -> Result<(u64, Request), ProtocolError> {
-    decode_request_ref(payload).map(|(id, r)| (id, r.to_owned()))
+    decode(payload)
 }
 
 /// Decodes a request payload into borrowed views — no key/value copies.
 /// The views live as long as `payload`, so the server can dispatch a GET
 /// or SCAN straight off the connection's read buffer.
 pub fn decode_request_ref(payload: &[u8]) -> Result<(u64, RequestRef<'_>), ProtocolError> {
+    decode(payload)
+}
+
+/// The one request decoder behind [`decode_request`] and
+/// [`decode_request_ref`]; `B` is how the operands are held.
+fn decode<'a, B: From<&'a [u8]>>(payload: &'a [u8]) -> Result<(u64, Request<B>), ProtocolError> {
     let mut c = Cur::new(payload);
     let id = c.u64()?;
     let op = c.u8()?;
     let req = match op {
-        1 => RequestRef::Get { key: c.bytes_ref()? },
-        2 => RequestRef::Put {
-            key: c.bytes_ref()?,
-            value: c.bytes_ref()?,
+        1 => Request::Get { key: c.bytes()? },
+        2 => Request::Put {
+            key: c.bytes()?,
+            value: c.bytes()?,
         },
-        3 => RequestRef::Delete { key: c.bytes_ref()? },
-        4 => RequestRef::Scan {
-            start: c.bytes_ref()?,
-            end: c.bytes_ref()?,
+        3 => Request::Delete { key: c.bytes()? },
+        4 => Request::Scan {
+            start: c.bytes()?,
+            end: c.bytes()?,
             limit: c.u32()?,
         },
-        5 => RequestRef::Stats,
-        6 => RequestRef::ReplSubscribe {
+        5 => Request::Stats,
+        6 => Request::ReplSubscribe {
             replica_id: c.u64()?,
             from_seq: c.u64()?,
         },
-        7 => RequestRef::ReplBatch {
+        7 => Request::ReplBatch {
             seq: c.u64()?,
             // the ops region is the remainder of the payload; it is
             // validated lazily by `repl_ops` at apply time
-            ops: c.rest(),
+            ops: B::from(c.rest()),
         },
-        8 => RequestRef::ShardMap,
-        9 => RequestRef::TxnBegin,
-        10 => RequestRef::TxnGet { key: c.bytes_ref()? },
-        11 => RequestRef::TxnPut {
-            key: c.bytes_ref()?,
-            value: c.bytes_ref()?,
+        8 => Request::ShardMap,
+        9 => Request::TxnBegin,
+        10 => Request::TxnGet { key: c.bytes()? },
+        11 => Request::TxnPut {
+            key: c.bytes()?,
+            value: c.bytes()?,
         },
-        12 => RequestRef::TxnDelete { key: c.bytes_ref()? },
-        13 => RequestRef::TxnCommit,
-        14 => RequestRef::TxnAbort,
-        15 => RequestRef::TuneStatus,
+        12 => Request::TxnDelete { key: c.bytes()? },
+        13 => Request::TxnCommit,
+        14 => Request::TxnAbort,
+        15 => Request::TuneStatus,
         other => return Err(ProtocolError::BadTag(other)),
     };
     c.finish()?;
@@ -980,7 +909,7 @@ pub fn decode_response(payload: &[u8]) -> Result<(u64, Response), ProtocolError>
 
 /// Reads frames off a byte stream, tolerating read timeouts.
 ///
-/// `next_frame` polls `keep_waiting` whenever the underlying reader
+/// `next_frame_ref` polls `keep_waiting` whenever the underlying reader
 /// times out with no bytes pending; returning `false` ends the stream
 /// (clean [`None`] at a frame boundary, [`FrameError::Truncated`] inside
 /// one). This is how a server drain interrupts readers parked on idle
@@ -1034,20 +963,11 @@ impl<R: Read> FrameReader<R> {
         Ok(true)
     }
 
-    /// Returns the next frame's payload, `Ok(None)` on a clean end of
-    /// stream (EOF or `keep_waiting() == false` at a frame boundary), or
-    /// a [`FrameError`] the connection cannot recover from.
-    pub fn next_frame(
-        &mut self,
-        keep_waiting: impl FnMut() -> bool,
-    ) -> Result<Option<Vec<u8>>, FrameError> {
-        Ok(self.next_frame_ref(keep_waiting)?.map(<[u8]>::to_vec))
-    }
-
-    /// Like [`FrameReader::next_frame`] but returns the payload as a view
-    /// into the reader's internal buffer — valid until the next call.
-    /// This is the server's steady-state read path: the buffer is filled
-    /// in place, decoded in place, and never reallocated once it has
+    /// Returns the next frame's payload as a view into the reader's
+    /// internal buffer, valid until the next call: `Ok(None)` on a clean
+    /// end of stream (EOF or `keep_waiting() == false` at a frame
+    /// boundary), or a [`FrameError`] the connection cannot recover from.
+    /// The buffer is filled in place and never reallocated once it has
     /// grown to the connection's largest frame.
     pub fn next_frame_ref(
         &mut self,
@@ -1082,15 +1002,22 @@ impl<R: Read> FrameReader<R> {
 mod tests {
     use super::*;
 
+    /// encode∘decode is the identity through both decoder
+    /// instantiations, and the borrowed decode re-encodes to the same
+    /// frame as the owned one.
     fn roundtrip_request(req: Request) {
         let frame = encode_request(42, &req);
         let (id, back) = decode_request(&frame[4..]).unwrap();
         assert_eq!(id, 42);
         assert_eq!(back, req);
+        let (id, by_ref) = decode_request_ref(&frame[4..]).unwrap();
+        assert_eq!(id, 42);
+        assert_eq!(encode_request(42, &by_ref), frame, "{by_ref:?} vs {req:?}");
     }
 
     fn roundtrip_response(resp: Response) {
-        let frame = encode_response(7, &resp);
+        let mut frame = Vec::new();
+        encode_response_into(&mut frame, 7, &resp);
         let (id, back) = decode_response(&frame[4..]).unwrap();
         assert_eq!(id, 7);
         assert_eq!(back, resp);
@@ -1176,17 +1103,15 @@ mod tests {
         assert_eq!(b.count(), 3);
         let region = b.finish();
         let decoded: Vec<_> = repl_ops(&region).unwrap().map(Result::unwrap).collect();
-        assert_eq!(
-            decoded,
-            vec![
-                ReplOpRef::Put {
-                    key: b"alpha",
-                    value: b"1"
-                },
-                ReplOpRef::Delete { key: b"beta" },
-                ReplOpRef::Put { key: b"", value: b"" },
-            ]
-        );
+        let expect: [WriteOp<&[u8]>; 3] = [
+            WriteOp::Put {
+                key: b"alpha",
+                value: b"1",
+            },
+            WriteOp::Delete { key: b"beta" },
+            WriteOp::Put { key: b"", value: b"" },
+        ];
+        assert_eq!(decoded, expect);
 
         // empty region: zero ops, no error
         assert_eq!(repl_ops(&ReplOpsBuilder::new().finish()).unwrap().count(), 0);
@@ -1231,39 +1156,27 @@ mod tests {
         p.extend_from_slice(&u32::MAX.to_le_bytes());
         assert_eq!(decode_request(&p), Err(ProtocolError::Truncated));
         // trailing garbage after a complete message
-        let mut frame = encode_request(1, &Request::Stats);
+        let mut frame = encode_request(1, &RequestRef::Stats);
         frame.push(0xEE);
         assert_eq!(decode_request(&frame[4..]), Err(ProtocolError::TrailingBytes(1)));
-    }
-
-    #[test]
-    fn frame_reader_reads_back_to_back_frames() {
-        let mut stream = Vec::new();
-        stream.extend_from_slice(&encode_request(1, &Request::Get { key: b"a".to_vec() }));
-        stream.extend_from_slice(&encode_request(2, &Request::Stats));
-        let mut fr = FrameReader::new(&stream[..], MAX_FRAME_BYTES);
-        let p1 = fr.next_frame(|| true).unwrap().unwrap();
-        assert_eq!(decode_request(&p1).unwrap().0, 1);
-        let p2 = fr.next_frame(|| true).unwrap().unwrap();
-        assert_eq!(decode_request(&p2).unwrap().0, 2);
-        assert!(fr.next_frame(|| true).unwrap().is_none(), "clean EOF");
+        assert_eq!(decode_request_ref(&frame[4..]), Err(ProtocolError::TrailingBytes(1)));
     }
 
     #[test]
     fn frame_reader_rejects_bad_prefixes() {
         let zero = 0u32.to_le_bytes();
         let mut fr = FrameReader::new(&zero[..], 64);
-        assert!(matches!(fr.next_frame(|| true), Err(FrameError::ZeroLength)));
+        assert!(matches!(fr.next_frame_ref(|| true), Err(FrameError::ZeroLength)));
 
         let huge = u32::MAX.to_le_bytes();
         let mut fr = FrameReader::new(&huge[..], 64);
-        assert!(matches!(fr.next_frame(|| true), Err(FrameError::Oversize { .. })));
+        assert!(matches!(fr.next_frame_ref(|| true), Err(FrameError::Oversize { .. })));
 
         // truncated: header promises 10 bytes, stream has 3
         let mut bytes = 10u32.to_le_bytes().to_vec();
         bytes.extend_from_slice(&[1, 2, 3]);
         let mut fr = FrameReader::new(&bytes[..], 64);
-        assert!(matches!(fr.next_frame(|| true), Err(FrameError::Truncated)));
+        assert!(matches!(fr.next_frame_ref(|| true), Err(FrameError::Truncated)));
     }
 
     #[test]
@@ -1273,70 +1186,42 @@ mod tests {
     }
 
     #[test]
-    fn decode_request_ref_matches_owned_decode() {
-        let reqs = [
-            Request::Get { key: b"k".to_vec() },
-            Request::Put {
-                key: b"key".to_vec(),
-                value: vec![0, 255, 7],
-            },
-            Request::Delete { key: Vec::new() },
-            Request::Scan {
-                start: b"a".to_vec(),
-                end: b"z".to_vec(),
-                limit: 1000,
-            },
-            Request::Stats,
-            Request::TxnBegin,
-            Request::TxnGet { key: b"tk".to_vec() },
-            Request::TxnPut {
-                key: b"tk".to_vec(),
-                value: b"tv".to_vec(),
-            },
-            Request::TxnDelete { key: b"tk".to_vec() },
-            Request::TxnCommit,
-            Request::TxnAbort,
-        ];
-        for req in reqs {
-            let frame = encode_request(9, &req);
-            let (id, by_ref) = decode_request_ref(&frame[4..]).unwrap();
-            assert_eq!(id, 9);
-            assert_eq!(by_ref.to_owned(), req);
-        }
-        assert_eq!(decode_request_ref(&[]), Err(ProtocolError::Truncated));
-        assert_eq!(decode_request_ref(&[0; 9]), Err(ProtocolError::BadTag(0)));
-    }
-
-    #[test]
     fn encode_into_appends_frames_to_a_shared_buffer() {
         let mut out = Vec::new();
         encode_response_into(&mut out, 1, &Response::Ok);
         encode_value_response_into(&mut out, 2, b"vv");
-        let mut enc = begin_entries_response(&mut out, 3);
+        let mut enc = begin_entries_response(&mut out, 3, MAX_FRAME_BYTES);
         enc.push(b"a", b"1");
         enc.push(b"b", b"");
-        enc.finish();
+        assert!(enc.finish());
+        // entries past the payload cap leave no partial frame behind
+        let sealed = out.len();
+        let mut enc = begin_entries_response(&mut out, 4, 24);
+        enc.push(b"key", &[7; 16]);
+        enc.push(b"more", b"");
+        assert!(!enc.finish(), "a 40-byte payload is over a 24-byte cap");
+        assert_eq!(out.len(), sealed);
         let mut fr = FrameReader::new(&out[..], MAX_FRAME_BYTES);
-        let p1 = fr.next_frame(|| true).unwrap().unwrap();
-        assert_eq!(decode_response(&p1).unwrap(), (1, Response::Ok));
-        let p2 = fr.next_frame(|| true).unwrap().unwrap();
-        assert_eq!(decode_response(&p2).unwrap(), (2, Response::Value(b"vv".to_vec())));
-        let p3 = fr.next_frame(|| true).unwrap().unwrap();
+        let p1 = fr.next_frame_ref(|| true).unwrap().unwrap();
+        assert_eq!(decode_response(p1).unwrap(), (1, Response::Ok));
+        let p2 = fr.next_frame_ref(|| true).unwrap().unwrap();
+        assert_eq!(decode_response(p2).unwrap(), (2, Response::Value(b"vv".to_vec())));
+        let p3 = fr.next_frame_ref(|| true).unwrap().unwrap();
         assert_eq!(
-            decode_response(&p3).unwrap(),
+            decode_response(p3).unwrap(),
             (
                 3,
                 Response::Entries(vec![(b"a".to_vec(), b"1".to_vec()), (b"b".to_vec(), Vec::new())])
             )
         );
-        assert!(fr.next_frame(|| true).unwrap().is_none());
+        assert!(fr.next_frame_ref(|| true).unwrap().is_none());
     }
 
     #[test]
     fn next_frame_ref_reads_back_to_back_frames_in_place() {
         let mut stream = Vec::new();
         stream.extend_from_slice(&encode_request(1, &Request::Get { key: b"a".to_vec() }));
-        stream.extend_from_slice(&encode_request(2, &Request::Stats));
+        stream.extend_from_slice(&encode_request(2, &RequestRef::Stats));
         let mut fr = FrameReader::new(&stream[..], MAX_FRAME_BYTES);
         {
             let p = fr.next_frame_ref(|| true).unwrap().unwrap();

@@ -68,8 +68,7 @@ use lsm_obs::EventKind;
 
 use crate::metrics::ServerMetrics;
 use crate::protocol::{
-    decode_response, encode_request, repl_ops, FrameReader, ReplOpRef, Request, Response,
-    MAX_FRAME_BYTES,
+    decode_response, encode_request, repl_ops, FrameReader, RequestRef, Response, MAX_FRAME_BYTES,
 };
 use crate::router::ShardSet;
 
@@ -320,7 +319,7 @@ fn shipper_loop(rep: Arc<Replicator>, idx: usize, addr: SocketAddr) {
         let mut next_id = 1u64;
 
         // handshake: the replica's watermark decides where we start
-        let sub = Request::ReplSubscribe {
+        let sub = RequestRef::ReplSubscribe {
             replica_id: idx as u64,
             from_seq: rep.base + 1,
         };
@@ -346,11 +345,13 @@ fn shipper_loop(rep: Arc<Replicator>, idx: usize, addr: SocketAddr) {
         loop {
             // ship everything published, pipelined
             while let Some(ops) = rep.entry_or_wait(next, Duration::from_millis(0)) {
+                // encoded straight off the shared log entry: no copy of
+                // the ops region per frame or per replica
                 let frame = encode_request(
                     next_id,
-                    &Request::ReplBatch {
+                    &RequestRef::ReplBatch {
                         seq: next,
-                        ops: ops.as_ref().clone(),
+                        ops: &ops,
                     },
                 );
                 next_id += 1;
@@ -394,8 +395,8 @@ enum AckRead {
 }
 
 fn read_ack(reader: &mut FrameReader<TcpStream>, rep: &Replicator) -> AckRead {
-    match reader.next_frame(|| !rep.stopping()) {
-        Ok(Some(payload)) => match decode_response(&payload) {
+    match reader.next_frame_ref(|| !rep.stopping()) {
+        Ok(Some(payload)) => match decode_response(payload) {
             Ok((_, Response::ReplAck { seq })) => AckRead::Ack(seq),
             // anything else (a typed rejection, a draining replica, or
             // garbage) invalidates the session; resubscribing resyncs
@@ -494,14 +495,8 @@ impl ReplicaState {
         let mut per_shard: Vec<WriteBatch> = (0..n).map(|_| WriteBatch::new()).collect();
         let iter = repl_ops(ops).map_err(|e| ApplyError::Malformed(e.to_string()))?;
         for op in iter {
-            match op.map_err(|e| ApplyError::Malformed(e.to_string()))? {
-                ReplOpRef::Put { key, value } => {
-                    per_shard[shards.shard_index(key)].put(key.to_vec(), value.to_vec());
-                }
-                ReplOpRef::Delete { key } => {
-                    per_shard[shards.shard_index(key)].delete(key.to_vec());
-                }
-            }
+            let op = op.map_err(|e| ApplyError::Malformed(e.to_string()))?;
+            op.add_to(&mut per_shard[shards.shard_index(op.key())]);
         }
         // every shard advances its watermark; shards that received ops
         // are synced so the ack implies durability at the replica

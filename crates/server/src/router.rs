@@ -138,13 +138,14 @@ impl ShardSet {
         (s, e)
     }
 
-    /// Streaming cross-shard scan: calls `f(key, value)` for each entry
-    /// in key order, up to `limit`, and returns how many were visited.
-    /// Range routing visits only the owning shards, in partition order —
-    /// ordered concatenation, no merge. Hash routing with one shard
-    /// streams straight off the engine's merge cursor; with multiple
-    /// shards the per-shard results must be materialized for the k-way
-    /// merge first.
+    /// The one cross-shard scan: calls `f(key, value)` for each entry of
+    /// `[start, end)` in key order, up to `limit`, and returns how many
+    /// were visited. Range routing visits only the owning shards, in
+    /// partition order, each scan clamped to its shard's range — ordered
+    /// concatenation, no merge. Hash routing with one shard streams
+    /// straight off the engine's merge cursor; with more, every shard's
+    /// first `limit` entries are materialized and k-way merged — correct
+    /// because the global first `limit` are a subset of their union.
     pub fn scan_with(
         &self,
         start: &[u8],
@@ -171,63 +172,36 @@ impl ShardSet {
                 self.shards[0].scan_with(start, end, limit, f)
             }
             Routing::Hash => {
-                let merged = self.scan(start, end, limit)?;
-                let n = merged.len();
-                for (k, v) in &merged {
+                let per_shard = self
+                    .shards
+                    .iter()
+                    .map(|db| db.scan(start.to_vec()..end.to_vec(), limit))
+                    .collect::<StorageResult<Vec<_>>>()?;
+                // shards partition the keyspace disjointly, so no key
+                // appears twice and ties cannot happen
+                let mut cursors = vec![0usize; per_shard.len()];
+                let mut n = 0usize;
+                while n < limit {
+                    let best = (0..per_shard.len())
+                        .filter(|&s| cursors[s] < per_shard[s].len())
+                        .min_by(|&a, &b| {
+                            per_shard[a][cursors[a]].0.cmp(&per_shard[b][cursors[b]].0)
+                        });
+                    let Some(s) = best else { break };
+                    let (k, v) = &per_shard[s][cursors[s]];
                     f(k, v);
+                    cursors[s] += 1;
+                    n += 1;
                 }
                 Ok(n)
             }
         }
     }
 
-    /// Cross-shard ordered scan of `[start, end)`, at most `limit`
-    /// entries. Range routing concatenates the owning shards' clamped
-    /// scans in partition order; hash routing stitches every shard's
-    /// scan with a k-way merge.
+    /// [`ShardSet::scan_with`], collected into owned pairs.
     pub fn scan(&self, start: &[u8], end: &[u8], limit: usize) -> StorageResult<Vec<(Vec<u8>, Vec<u8>)>> {
-        if limit == 0 || start >= end {
-            return Ok(Vec::new());
-        }
-        if let Routing::Range(map) = &self.routing {
-            let mut out = Vec::new();
-            for idx in map.overlapping(start, end) {
-                let (s, e) = Self::clamp(map, idx, start, end);
-                let mut part = self.shards[idx].scan(s.to_vec()..e.to_vec(), limit - out.len())?;
-                out.append(&mut part);
-                if out.len() >= limit {
-                    break;
-                }
-            }
-            return Ok(out);
-        }
-        let mut per_shard: Vec<Vec<(Vec<u8>, Vec<u8>)>> = Vec::with_capacity(self.shards.len());
-        for db in &self.shards {
-            per_shard.push(db.scan(start.to_vec()..end.to_vec(), limit)?);
-        }
-        // k-way merge by key; shards partition the keyspace disjointly,
-        // so no key appears twice and ties cannot happen
-        let mut cursors = vec![0usize; per_shard.len()];
-        let mut out = Vec::with_capacity(limit.min(1024));
-        while out.len() < limit {
-            let mut best: Option<usize> = None;
-            for (s, list) in per_shard.iter().enumerate() {
-                if cursors[s] >= list.len() {
-                    continue;
-                }
-                let candidate = &list[cursors[s]].0;
-                if best.is_none_or(|b| candidate < &per_shard[b][cursors[b]].0) {
-                    best = Some(s);
-                }
-            }
-            match best {
-                Some(s) => {
-                    out.push(per_shard[s][cursors[s]].clone());
-                    cursors[s] += 1;
-                }
-                None => break,
-            }
-        }
+        let mut out = Vec::new();
+        self.scan_with(start, end, limit, |k, v| out.push((k.to_vec(), v.to_vec())))?;
         Ok(out)
     }
 

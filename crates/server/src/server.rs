@@ -62,11 +62,11 @@ use lsm_core::Db;
 use lsm_obs::EventKind;
 use lsm_storage::{FileId, StorageDevice, StorageResult};
 
-use crate::batcher::{GroupCommitter, TxnCommitReq, TxnOutcome, WriteOp, WriteOutcome, WriteReq};
+use crate::batcher::{GroupCommitter, TxnCommitReq, TxnOutcome, WriteOutcome, WriteReq};
 use crate::metrics::ServerMetrics;
 use crate::protocol::{
     begin_entries_response, encode_response_into, encode_value_response_into, peek_request_id,
-    FrameReader, RequestRef, Response, MAX_FRAME_BYTES,
+    FrameReader, RequestRef, Response, WriteOp, MAX_FRAME_BYTES,
 };
 use crate::replication::{ReplicaState, ReplicationRole, Replicator};
 use crate::router::ShardSet;
@@ -294,17 +294,19 @@ impl Server {
     /// found there), and splits/merges become available — automatic when
     /// `elastic.policy` is set, and always via [`Server::split_shard`] /
     /// [`Server::merge_shards`]. Elastic topology does not compose with
-    /// replication roles yet.
+    /// replication roles yet: any role but `None` is `InvalidInput`.
     pub fn start_elastic(
         shards: Vec<Db>,
         map: ShardMap,
         elastic: ElasticOptions,
         cfg: ServerConfig,
     ) -> std::io::Result<Server> {
-        assert!(
-            matches!(cfg.role, ReplicationRole::None),
-            "elastic topology does not compose with replication roles"
-        );
+        if !matches!(cfg.role, ReplicationRole::None) {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                "elastic topology does not compose with replication roles",
+            ));
+        }
         // make the starting map the durable newest: adopt the file when
         // it already encodes exactly this map, supersede it otherwise
         let meta_file = match find_cluster_meta(&elastic.meta_dev).map_err(io_err)? {
@@ -853,18 +855,25 @@ fn handle_frame(
             // the count is patched in when the scan completes. One read
             // lock for the whole scan = one map version for the whole
             // scan, so a concurrent flip cannot tear it
+            let max = inner.cfg.max_frame_bytes;
             let mut buf = pool.take();
-            let mut enc = begin_entries_response(&mut buf, id);
+            let mut enc = begin_entries_response(&mut buf, id, max);
             let topo = inner.topo.read().unwrap();
-            match topo
+            let err = match topo
                 .shards
                 .scan_with(start, end, limit as usize, |k, v| enc.push(k, v))
             {
-                Ok(_) => enc.finish(),
-                Err(e) => {
-                    buf.clear();
-                    encode_response_into(&mut buf, id, &Response::Error(e.to_string()));
-                }
+                Ok(_) if enc.finish() => None,
+                // the client would drop the connection over a frame past
+                // its cap; a typed error costs only this reply
+                Ok(_) => Some(format!(
+                    "scan reply exceeds the {max}-byte frame cap; lower the limit or narrow the range"
+                )),
+                Err(e) => Some(e.to_string()),
+            };
+            if let Some(msg) = err {
+                buf.clear();
+                encode_response_into(&mut buf, id, &Response::Error(msg));
             }
             drop(topo);
             inner.metrics.scan_ns.record(inner.metrics.now_ns().saturating_sub(t0));
@@ -1311,16 +1320,12 @@ fn submit_write(
     // happen BEFORE the routing lock so a slow connection can never
     // stall a migration cut-over
     state.wait_until(inner.cfg.pipeline_depth.saturating_sub(1));
-    let key = match &op {
-        WriteOp::Put { key, .. } => key,
-        WriteOp::Delete { key } => key,
-    };
     // route + shed + submit under one read lock: the write lands in the
     // committer of the map version it was routed by, and the cut-over
     // barrier (which needs the write lock first) is guaranteed to drain
     // it into the recipient
     let topo = inner.topo.read().unwrap();
-    let shard = topo.shards.shard_index(key);
+    let shard = topo.shards.shard_index(op.key());
     // admission control: shed where the engine would hard-stall
     let l0 = topo.shards.db(shard).l0_run_count();
     if l0 >= topo.shed_l0[shard] {

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 verification: release build, every workspace test under both
-# background modes, the seed-printing crash sweeps, the experiment registry
-# at full scale (claims + freshness of the tracked tables), the benchmark
-# package's own build and tests, and lint-clean clippy.
+# background modes (crash sweeps included; a failing sweep's captured
+# output names its LSM_SEED), the experiment registry at full scale
+# (claims + freshness of the tracked tables), the benchmark package's own
+# build and tests, and lint-clean clippy.
 # CI runs exactly this script; run it locally before pushing.
 # Every stage prints its wall time when it ends, and the run its total:
 # the cost of the gate is measured like everything else.
@@ -31,22 +32,6 @@ cargo test -q --workspace
 
 stage "LSM_BACKGROUND=threaded cargo test -q --workspace"
 LSM_BACKGROUND=threaded cargo test -q --workspace
-
-stage "replication failover crash sweep (both background modes, seed ${LSM_SEED:-default})"
-cargo test -q --test replication_crash -- --nocapture
-LSM_BACKGROUND=threaded cargo test -q --test replication_crash -- --nocapture
-
-stage "live-split migration crash sweep (both background modes, seed ${LSM_SEED:-default})"
-cargo test -q --test migration_crash -- --nocapture
-LSM_BACKGROUND=threaded cargo test -q --test migration_crash -- --nocapture
-
-stage "transaction-commit crash sweep (both background modes, seed ${LSM_SEED:-default})"
-cargo test -q --test txn_crash -- --nocapture
-LSM_BACKGROUND=threaded cargo test -q --test txn_crash -- --nocapture
-
-stage "retune crash sweep (both background modes, seed ${LSM_SEED:-default})"
-cargo test -q --test retune_crash -- --nocapture
-LSM_BACKGROUND=threaded cargo test -q --test retune_crash -- --nocapture
 
 stage "allocation-regression battery (counting allocator + borrowed-vs-owned differential)"
 cargo test -q -p lsm-core --release --test alloc_regression
