@@ -909,6 +909,11 @@ pub fn decode_response(payload: &[u8]) -> Result<(u64, Response), ProtocolError>
 
 /// Reads frames off a byte stream, tolerating read timeouts.
 ///
+/// Each read takes whatever the stream has ready, up to the buffer's
+/// free space, so a pipelined burst arrives in one call and its frames
+/// are then handed out one after another with no further reads
+/// ([`FrameReader::frame_buffered`] says when that is the case).
+///
 /// `next_frame_ref` polls `keep_waiting` whenever the underlying reader
 /// times out with no bytes pending; returning `false` ends the stream
 /// (clean [`None`] at a frame boundary, [`FrameError::Truncated`] inside
@@ -918,9 +923,13 @@ pub struct FrameReader<R: Read> {
     r: R,
     max: usize,
     buf: Vec<u8>,
-    /// Bytes of `buf` that are valid.
-    filled: usize,
+    /// `buf[start..end]` is read but not yet handed out.
+    start: usize,
+    end: usize,
 }
+
+/// Initial read buffer; it grows only to hold a larger frame.
+const READ_BUF_BYTES: usize = 64 * 1024;
 
 fn is_timeout(e: &std::io::Error) -> bool {
     matches!(
@@ -936,21 +945,43 @@ impl<R: Read> FrameReader<R> {
         FrameReader {
             r,
             max,
-            buf: vec![0u8; 4096],
-            filled: 0,
+            buf: vec![0u8; READ_BUF_BYTES],
+            start: 0,
+            end: 0,
         }
     }
 
-    /// Reads until `buf[..want]` is filled. `Ok(false)` means the stream
-    /// ended (EOF or abandoned wait) first.
+    /// Whether the next [`FrameReader::next_frame_ref`] returns without
+    /// reading the stream: the next frame is complete in the buffer (or
+    /// its buffered length prefix is already known to be invalid).
+    pub fn frame_buffered(&self) -> bool {
+        self.next_len()
+            .is_some_and(|len| len > self.max || self.end - self.start - 4 >= len)
+    }
+
+    /// The next frame's length prefix, once its four bytes are buffered.
+    fn next_len(&self) -> Option<usize> {
+        let prefix = self.buf[self.start..self.end].get(..4)?;
+        Some(u32::from_le_bytes(prefix.try_into().unwrap()) as usize)
+    }
+
+    /// Reads until at least `want` unhanded bytes are buffered, taking
+    /// whatever the stream has ready on each read. `Ok(false)` means the
+    /// stream ended (EOF or abandoned wait) first.
     fn fill(&mut self, want: usize, keep_waiting: &mut dyn FnMut() -> bool) -> Result<bool, FrameError> {
-        if self.buf.len() < want {
-            self.buf.resize(want, 0);
+        if self.start + want > self.buf.len() {
+            // the handed-out prefix makes room before the buffer grows
+            self.buf.copy_within(self.start..self.end, 0);
+            self.end -= self.start;
+            self.start = 0;
+            if self.buf.len() < want {
+                self.buf.resize(want, 0);
+            }
         }
-        while self.filled < want {
-            match self.r.read(&mut self.buf[self.filled..want]) {
+        while self.end - self.start < want {
+            match self.r.read(&mut self.buf[self.end..]) {
                 Ok(0) => return Ok(false),
-                Ok(n) => self.filled += n,
+                Ok(n) => self.end += n,
                 Err(e) if is_timeout(&e) => {
                     if !keep_waiting() {
                         return Ok(false);
@@ -974,13 +1005,13 @@ impl<R: Read> FrameReader<R> {
         mut keep_waiting: impl FnMut() -> bool,
     ) -> Result<Option<&[u8]>, FrameError> {
         if !self.fill(4, &mut keep_waiting)? {
-            return if self.filled == 0 {
+            return if self.start == self.end {
                 Ok(None)
             } else {
                 Err(FrameError::Truncated)
             };
         }
-        let len = u32::from_le_bytes(self.buf[..4].try_into().unwrap()) as usize;
+        let len = self.next_len().expect("fill(4) buffered a length prefix");
         if len == 0 {
             return Err(FrameError::ZeroLength);
         }
@@ -993,13 +1024,21 @@ impl<R: Read> FrameReader<R> {
         if !self.fill(4 + len, &mut keep_waiting)? {
             return Err(FrameError::Truncated);
         }
-        self.filled = 0;
-        Ok(Some(&self.buf[4..4 + len]))
+        // `fill` may have moved the frame to the front of the buffer
+        let at = self.start + 4;
+        self.start = at + len;
+        if self.start == self.end {
+            (self.start, self.end) = (0, 0);
+        }
+        Ok(Some(&self.buf[at..at + len]))
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+
     use super::*;
 
     /// encode∘decode is the identity through both decoder
@@ -1234,5 +1273,99 @@ mod tests {
             assert_eq!(decode_request_ref(p).unwrap(), (2, RequestRef::Stats));
         }
         assert!(fr.next_frame_ref(|| true).unwrap().is_none(), "clean EOF");
+    }
+
+    /// Serves `data` in `chunks`-sized reads (cycled; a 0 is one read
+    /// timeout), counting read calls; past the end every read times out.
+    struct Chunked<'a> {
+        data: &'a [u8],
+        chunks: &'a [usize],
+        reads: usize,
+    }
+
+    impl Read for Chunked<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let chunk = self.chunks[self.reads % self.chunks.len()];
+            self.reads += 1;
+            if chunk == 0 || self.data.is_empty() {
+                return Err(std::io::ErrorKind::WouldBlock.into());
+            }
+            let n = chunk.min(buf.len()).min(self.data.len());
+            buf[..n].copy_from_slice(&self.data[..n]);
+            self.data = &self.data[n..];
+            Ok(n)
+        }
+    }
+
+    /// Reads every frame of `stream` but the last through `fr`, checking
+    /// each payload and that `frame_buffered` predicts the absence of a
+    /// read exactly.
+    fn read_all_but_last(fr: &mut FrameReader<Chunked<'_>>, frames: &[Vec<u8>]) {
+        for frame in &frames[..frames.len() - 1] {
+            let buffered = fr.frame_buffered();
+            let reads = fr.r.reads;
+            let payload = fr.next_frame_ref(|| true).unwrap().expect("a frame");
+            assert_eq!(payload, &frame[4..]);
+            assert_eq!(buffered, fr.r.reads == reads, "frame_buffered mispredicted a read");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// However the stream is cut into reads, the same payloads come
+        /// out in order; a timeout that abandons the wait mid-frame is
+        /// `Truncated` and one at a frame boundary a clean end.
+        #[test]
+        fn frame_reader_is_independent_of_read_chunking(
+            ops in vec((0u8..4, vec(any::<u8>(), 0..40)), 1..24),
+            big_at in 0usize..24,
+            chunks in vec(
+                prop_oneof![
+                    1 => Just(0usize),
+                    2 => 1usize..8,
+                    4 => 1usize..256, // about a frame: stops mid-prefix and mid-payload
+                    2 => 1usize..4096,
+                    2 => 1usize..200_000,
+                ],
+                1..16,
+            ),
+            kept_of_last in 1usize..usize::MAX,
+        ) {
+            // all-timeout chunks would never deliver a byte
+            prop_assume!(chunks.iter().any(|&c| c > 0));
+            let mut frames: Vec<Vec<u8>> = ops
+                .iter()
+                .enumerate()
+                .map(|(i, (kind, key))| {
+                    let key = key.clone();
+                    let req = match kind {
+                        0 => Request::Get { key },
+                        1 => Request::Put { value: key.repeat(2), key },
+                        2 => Request::Delete { key },
+                        _ => Request::Stats,
+                    };
+                    encode_request(i as u64, &req)
+                })
+                .collect();
+            // one frame larger than the initial read buffer
+            let big = Request::Put { key: b"big".to_vec(), value: vec![0xAB; READ_BUF_BYTES + 4321] };
+            frames.insert(big_at.min(frames.len()), encode_request(999, &big));
+            let stream = frames.concat();
+            // whole stream: the last frame, then a timeout at the boundary
+            let mut fr = FrameReader::new(Chunked { data: &stream, chunks: &chunks, reads: 0 }, MAX_FRAME_BYTES);
+            read_all_but_last(&mut fr, &frames);
+            let last = frames.last().unwrap();
+            assert_eq!(fr.next_frame_ref(|| true).unwrap().expect("last frame"), &last[4..]);
+            assert!(!fr.frame_buffered());
+            assert!(fr.next_frame_ref(|| false).unwrap().is_none(), "timeout at a boundary");
+            // cut inside the last frame: the abandoned wait is Truncated
+            let cut = stream.len() - last.len() + kept_of_last % last.len();
+            let mut fr = FrameReader::new(Chunked { data: &stream[..cut], chunks: &chunks, reads: 0 }, MAX_FRAME_BYTES);
+            read_all_but_last(&mut fr, &frames);
+            if cut > stream.len() - last.len() {
+                assert!(matches!(fr.next_frame_ref(|| false), Err(FrameError::Truncated)));
+            }
+        }
     }
 }

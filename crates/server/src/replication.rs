@@ -17,7 +17,8 @@
 //! is a *client* of the replica's server: it connects, sends
 //! `REPL_SUBSCRIBE`, learns the replica's applied watermark from the
 //! `REPL_ACK` reply, and then streams `REPL_BATCH` frames from
-//! `watermark + 1`, pipelining sends and draining acks. A dropped
+//! `watermark + 1`, pipelining sends, but at most
+//! `MAX_UNACKED_BATCHES` ahead of the acks it has read. A dropped
 //! connection is retried with backoff; the resubscribe handshake resyncs
 //! the stream position, so duplicated delivery after a reconnect is
 //! normal and handled by the replica's duplicate rule.
@@ -294,6 +295,11 @@ impl Replicator {
     }
 }
 
+/// Batches a shipper keeps in flight before it reads an ack. Their acks
+/// (about 21 bytes each) must fit the socket buffers between replica and
+/// primary with room to spare.
+const MAX_UNACKED_BATCHES: usize = 1024;
+
 /// One shipper thread: connect → subscribe → stream batches, drain acks.
 fn shipper_loop(rep: Arc<Replicator>, idx: usize, addr: SocketAddr) {
     'sessions: while !rep.stopping() {
@@ -343,8 +349,14 @@ fn shipper_loop(rep: Arc<Replicator>, idx: usize, addr: SocketAddr) {
         let mut outstanding = 0usize;
 
         loop {
-            // ship everything published, pipelined
-            while let Some(ops) = rep.entry_or_wait(next, Duration::from_millis(0)) {
+            // ship what is published, pipelined, but never more than
+            // MAX_UNACKED_BATCHES ahead of the acks: the replica answers
+            // each batch on the thread that reads the next one, so acks
+            // nobody reads would stall it, and then this write, for good
+            while outstanding < MAX_UNACKED_BATCHES {
+                let Some(ops) = rep.entry_or_wait(next, Duration::from_millis(0)) else {
+                    break;
+                };
                 // encoded straight off the shared log entry: no copy of
                 // the ops region per frame or per replica
                 let frame = encode_request(

@@ -5,25 +5,45 @@
 //! ## Thread model
 //!
 //! One accept thread polls a non-blocking listener. Each accepted
-//! connection gets a **reader** thread (decodes frames, executes reads,
-//! routes writes to the owning shard's group committer) and a **writer**
-//! thread (serializes response frames from an mpsc channel onto the
-//! socket). Write completions are callbacks fired by the committer, so a
-//! connection can keep `pipeline_depth` writes in flight while the
-//! reader keeps decoding — that queue depth is precisely what the
-//! group-commit batcher converts into batch size. An elastic server adds
-//! one **rebalancer** thread that watches per-shard write rates and
+//! connection gets a **reader** thread and a **writer** thread. The
+//! reader decodes frames, answers every request it can answer itself
+//! (reads, scans, stats, errors, `Busy`, the synchronous txn replies)
+//! into one per-connection output buffer, and routes writes to the
+//! owning shard's group committer. It reads whatever the socket has
+//! ready, so a pipelined burst arrives in one call, and writes the
+//! burst's replies in one call once its last buffered frame is
+//! answered: a served GET touches only the reader thread. The writer
+//! carries only the replies that complete asynchronously — write acks,
+//! quorum acks, txn commits — which committer callbacks queue on an
+//! mpsc channel, since a committer must never block on a slow client's
+//! socket; it coalesces whatever is queued into one write. Both write
+//! whole frames under one per-connection socket lock. A connection can
+//! keep `pipeline_depth` writes in flight while the reader keeps
+//! decoding — that queue depth is precisely what the group-commit
+//! batcher converts into batch size. An elastic server adds one
+//! **rebalancer** thread that watches per-shard write rates and
 //! triggers splits and merges (see [`RebalancePolicy`]).
 //!
 //! ## Ordering contract
 //!
-//! Responses carry the request id and may arrive out of order across
-//! *different* operation kinds (a pipelined write's ack can overtake
-//! nothing, but a later read's reply can overtake an earlier write's
-//! ack is *not* possible either: reads wait). Concretely, each
-//! connection gets **read-your-writes**: a GET/SCAN blocks until every
-//! write this connection has submitted is acked, so a client that
-//! pipelines `PUT k` then issues `GET k` observes its own write.
+//! Responses carry the request id and may arrive in any order: the
+//! reader's replies and the writer's acks interleave frame by frame.
+//! Each connection gets **read-your-writes**: a GET/SCAN blocks until
+//! every write this connection has submitted is acked, so a client that
+//! pipelines `PUT k` then `GET k` observes its own write (even if the
+//! GET's reply reaches it before the PUT's ack). Before any such wait
+//! the reader writes the replies it has already answered, so none of
+//! them waits behind a commit.
+//!
+//! ## Backpressure
+//!
+//! A client must read replies while it pipelines. The reader writes
+//! replies on its own thread, so a client that only sends fills the
+//! socket buffers and then stalls its own connection (TCP backpressure);
+//! per-connection buffering stays bounded by the socket buffers plus
+//! about 64 KiB of answered replies instead of growing with the
+//! pipeline. The replication shipper is such a client: it reads acks
+//! once it has `MAX_UNACKED_BATCHES` batches in flight.
 //!
 //! ## Routing topology
 //!
@@ -51,7 +71,7 @@
 //! where the engine would stall, and delays where it would slow down.
 
 use std::collections::HashMap;
-use std::io::{BufWriter, Write};
+use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -71,45 +91,6 @@ use crate::protocol::{
 use crate::replication::{ReplicaState, ReplicationRole, Replicator};
 use crate::router::ShardSet;
 use crate::shardmap::{find_cluster_meta, write_cluster_meta, ShardMap};
-
-/// Pool of response-frame buffers shared by a connection's reader, its
-/// write-completion callbacks, and its writer thread. A buffer makes one
-/// round trip — taken, filled with a frame, sent to the writer, written,
-/// returned — so a connection in steady state encodes every response into
-/// recycled memory instead of allocating a `Vec` per reply.
-struct BufPool {
-    bufs: Mutex<Vec<Vec<u8>>>,
-}
-
-/// Buffers retained per connection; more in flight than this (deep write
-/// pipelines) fall back to fresh allocations that the pool then absorbs.
-const POOL_MAX_BUFS: usize = 64;
-/// A buffer that grew past this (a huge scan) is dropped rather than
-/// pooled, so one outlier response can't pin megabytes per connection.
-const POOL_MAX_BUF_BYTES: usize = 64 * 1024;
-
-impl BufPool {
-    fn new() -> Arc<Self> {
-        Arc::new(BufPool {
-            bufs: Mutex::new(Vec::new()),
-        })
-    }
-
-    fn take(&self) -> Vec<u8> {
-        self.bufs.lock().unwrap().pop().unwrap_or_default()
-    }
-
-    fn put(&self, mut buf: Vec<u8>) {
-        if buf.capacity() == 0 || buf.capacity() > POOL_MAX_BUF_BYTES {
-            return;
-        }
-        buf.clear();
-        let mut g = self.bufs.lock().unwrap();
-        if g.len() < POOL_MAX_BUFS {
-            g.push(buf);
-        }
-    }
-}
 
 /// Serving-layer knobs (the engine's own knobs stay in `LsmConfig`).
 #[derive(Clone, Debug)]
@@ -665,6 +646,8 @@ struct ConnState {
     /// Writes submitted to a committer but not yet acked.
     pending: Mutex<usize>,
     cv: Condvar,
+    /// Replies completed on a committer thread, to the writer thread.
+    resp_tx: Sender<(u64, Response)>,
 }
 
 impl ConnState {
@@ -680,7 +663,11 @@ impl ConnState {
         *self.pending.lock().unwrap() += 1;
     }
 
-    fn decr(&self) {
+    /// Queues a committer's reply for the writer thread and retires its
+    /// write. The connection may already be gone; the bookkeeping still
+    /// runs so drains observe `pending == 0`.
+    fn complete(&self, id: u64, resp: Response) {
+        let _ = self.resp_tx.send((id, resp));
         let mut g = self.pending.lock().unwrap();
         *g = g.saturating_sub(1);
         drop(g);
@@ -688,55 +675,43 @@ impl ConnState {
     }
 }
 
-fn writer_loop(stream: TcpStream, rx: Receiver<Vec<u8>>, pool: Arc<BufPool>) {
-    let mut w = BufWriter::new(stream);
-    while let Ok(frame) = rx.recv() {
-        let ok = w.write_all(&frame).is_ok();
-        pool.put(frame);
-        if !ok {
-            break;
+/// Writes the replies committer callbacks queue: whatever is queued is
+/// encoded into one reused buffer and written in one call, under the
+/// lock the reader writes under too, so frames never interleave.
+fn writer_loop(sock: Arc<Mutex<TcpStream>>, rx: Receiver<(u64, Response)>) {
+    let mut batch = Vec::new();
+    while let Ok((id, resp)) = rx.recv() {
+        batch.clear();
+        encode_response_into(&mut batch, id, &resp);
+        while let Ok((id, resp)) = rx.try_recv() {
+            encode_response_into(&mut batch, id, &resp);
         }
-        // coalesce whatever else is queued before paying the flush
-        let mut dead = false;
-        while let Ok(next) = rx.try_recv() {
-            let ok = w.write_all(&next).is_ok();
-            pool.put(next);
-            if !ok {
-                dead = true;
-                break;
-            }
-        }
-        if dead || w.flush().is_err() {
+        if sock.lock().unwrap().write_all(&batch).is_err() {
             break;
         }
     }
     // wake the reader out of its timeout loop if we died first
-    let _ = w.get_ref().shutdown(std::net::Shutdown::Both);
+    let _ = sock.lock().unwrap().shutdown(std::net::Shutdown::Both);
 }
 
 fn serve_conn(inner: Arc<ServerInner>, stream: TcpStream, conn_id: u64) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(Duration::from_millis(25)));
-    let (resp_tx, resp_rx) = channel::<Vec<u8>>();
-    let pool = BufPool::new();
+    let sock = match stream.try_clone() {
+        Ok(s) => Arc::new(Mutex::new(s)),
+        Err(_) => {
+            inner.metrics.connections.add(-1);
+            return;
+        }
+    };
+    let (resp_tx, resp_rx) = channel::<(u64, Response)>();
     let writer = {
-        let ws = match stream.try_clone() {
-            Ok(s) => s,
-            Err(_) => {
-                inner.metrics.connections.add(-1);
-                return;
-            }
-        };
-        let pool = Arc::clone(&pool);
+        let sock = Arc::clone(&sock);
         std::thread::Builder::new()
             .name("lsm-server-conn-writer".into())
-            .spawn(move || writer_loop(ws, resp_rx, pool))
+            .spawn(move || writer_loop(sock, resp_rx))
             .expect("spawn connection writer")
     };
-    let state = Arc::new(ConnState {
-        pending: Mutex::new(0),
-        cv: Condvar::new(),
-    });
     // the txn slot is registered so the sweeper can reap it while this
     // thread is parked on the socket
     let txn_slot = Arc::new(Mutex::new(TxnSlot::Idle));
@@ -745,12 +720,30 @@ fn serve_conn(inner: Arc<ServerInner>, stream: TcpStream, conn_id: u64) {
         .lock()
         .unwrap()
         .insert(conn_id, Arc::clone(&txn_slot));
+    let mut conn = Conn {
+        inner: Arc::clone(&inner),
+        state: Arc::new(ConnState {
+            pending: Mutex::new(0),
+            cv: Condvar::new(),
+            resp_tx,
+        }),
+        txn_slot,
+        out: Vec::new(),
+        sock,
+        alive: true,
+    };
     let mut reader = FrameReader::new(stream, inner.cfg.max_frame_bytes);
     loop {
         let keep_waiting = || !inner.draining.load(Ordering::Acquire);
         match reader.next_frame_ref(keep_waiting) {
             Ok(Some(payload)) => {
-                if !handle_frame(&inner, &state, &resp_tx, &pool, &txn_slot, payload) {
+                if !conn.handle_frame(payload) {
+                    break;
+                }
+                // a burst's replies go out together once its last buffered
+                // frame is answered, or sooner once they fill OUT_KEEP_BYTES
+                let flush = !reader.frame_buffered() || conn.out.len() >= OUT_KEEP_BYTES;
+                if flush && !conn.flush() {
                     break;
                 }
             }
@@ -758,20 +751,19 @@ fn serve_conn(inner: Arc<ServerInner>, stream: TcpStream, conn_id: u64) {
             Err(e) => {
                 // framing is unrecoverable: best-effort typed error, close
                 inner.metrics.malformed.inc();
-                let mut buf = pool.take();
-                encode_response_into(&mut buf, 0, &Response::Error(e.to_string()));
-                let _ = resp_tx.send(buf);
+                conn.reply(0, &Response::Error(e.to_string()));
                 break;
             }
         }
     }
+    conn.flush();
     // a dead connection abandons its transaction: dropping the slot's
     // ConnTxn releases every snapshot pin and floor
     inner.txns.lock().unwrap().remove(&conn_id);
-    *txn_slot.lock().unwrap() = TxnSlot::Idle;
+    *conn.txn_slot.lock().unwrap() = TxnSlot::Idle;
     // finish in-flight writes so their acks reach the wire before close
-    state.wait_until(0);
-    drop(resp_tx); // writer drains and exits once callbacks release theirs
+    conn.state.wait_until(0);
+    drop(conn); // the writer drains and exits once callbacks release theirs
     let _ = writer.join();
     inner.metrics.connections.add(-1);
 }
@@ -793,309 +785,492 @@ fn build_tuners(cfg: &Option<lsm_tuner::TunerConfig>, dbs: &[Db]) -> Vec<lsm_tun
     }
 }
 
-/// Encodes `resp` into a pooled buffer and queues it for the writer.
-fn send_pooled(resp_tx: &Sender<Vec<u8>>, pool: &BufPool, id: u64, resp: &Response) -> bool {
-    let mut buf = pool.take();
-    encode_response_into(&mut buf, id, resp);
-    resp_tx.send(buf).is_ok()
+/// A connection as its reader thread sees it. Every reply the reader
+/// computes is appended to `out`, which reaches the socket in one write
+/// per drained burst; only replies completed by a committer go through
+/// the writer thread.
+struct Conn {
+    inner: Arc<ServerInner>,
+    state: Arc<ConnState>,
+    txn_slot: Arc<Mutex<TxnSlot>>,
+    /// Replies answered on this thread and not yet written.
+    out: Vec<u8>,
+    /// The socket's write half, shared with the writer thread.
+    sock: Arc<Mutex<TcpStream>>,
+    /// `false` once a socket write failed.
+    alive: bool,
 }
 
-/// Handles one well-framed payload. Returns `false` to close the
-/// connection.
-fn handle_frame(
-    inner: &Arc<ServerInner>,
-    state: &Arc<ConnState>,
-    resp_tx: &Sender<Vec<u8>>,
-    pool: &Arc<BufPool>,
-    txn_slot: &Arc<Mutex<TxnSlot>>,
-    payload: &[u8],
-) -> bool {
-    inner.metrics.requests.inc();
-    let (id, req) = match crate::protocol::decode_request_ref(payload) {
-        Ok(ok) => ok,
-        Err(e) => {
-            // the frame boundary is intact, so the connection survives a
-            // payload the decoder rejects — reply typed, keep reading
-            inner.metrics.malformed.inc();
-            let id = peek_request_id(payload).unwrap_or(0);
-            return send_pooled(resp_tx, pool, id, &Response::Error(e.to_string()));
-        }
-    };
-    if inner.draining.load(Ordering::Acquire) {
-        return send_pooled(resp_tx, pool, id, &Response::ShuttingDown);
+/// `out` is flushed once it holds this much, and keeps this capacity
+/// across flushes; one outsized reply (a huge scan) must not pin its
+/// buffer for the connection's lifetime.
+const OUT_KEEP_BYTES: usize = 64 * 1024;
+
+impl Conn {
+    /// Appends `resp` to the replies awaiting the next flush.
+    fn reply(&mut self, id: u64, resp: &Response) {
+        encode_response_into(&mut self.out, id, resp);
     }
-    match req {
-        RequestRef::Get { key } => {
-            state.wait_until(0); // read-your-writes
-            let t0 = inner.metrics.now_ns();
-            // the value bytes go straight from the engine's borrowed view
-            // (cached block / memtable arena) into the wire buffer; the
-            // routing read lock pins one map version for the lookup
-            let mut buf = pool.take();
-            let topo = inner.topo.read().unwrap();
-            match topo
-                .shards
-                .get_with(key, |v| encode_value_response_into(&mut buf, id, v))
+
+    /// Writes every reply answered so far in one socket call. `false`
+    /// once the socket has failed.
+    fn flush(&mut self) -> bool {
+        if self.alive && !self.out.is_empty() {
+            self.alive = self.sock.lock().unwrap().write_all(&self.out).is_ok();
+        }
+        self.out.clear();
+        self.out.shrink_to(OUT_KEEP_BYTES);
+        self.alive
+    }
+
+    /// Blocks until at most `limit` of this connection's writes are in
+    /// flight, writing the replies already answered first, so none of
+    /// them waits behind a commit.
+    fn wait_acks(&mut self, limit: usize) {
+        if *self.state.pending.lock().unwrap() > limit {
+            self.flush();
+            self.state.wait_until(limit);
+        }
+    }
+
+    /// Handles one well-framed payload. Returns `false` to close the
+    /// connection.
+    fn handle_frame(&mut self, payload: &[u8]) -> bool {
+        self.inner.metrics.requests.inc();
+        let (id, req) = match crate::protocol::decode_request_ref(payload) {
+            Ok(ok) => ok,
+            Err(e) => {
+                // the frame boundary is intact, so the connection survives a
+                // payload the decoder rejects — reply typed, keep reading
+                self.inner.metrics.malformed.inc();
+                let id = peek_request_id(payload).unwrap_or(0);
+                self.reply(id, &Response::Error(e.to_string()));
+                return true;
+            }
+        };
+        if self.inner.draining.load(Ordering::Acquire) {
+            self.reply(id, &Response::ShuttingDown);
+            return true;
+        }
+        match req {
+            // a replica takes writes only through the replication stream;
+            // clients must write to the primary
+            RequestRef::Put { .. } | RequestRef::Delete { .. } | RequestRef::TxnBegin
+                if self.inner.replica.is_some() =>
             {
-                Ok(Some(())) => {}
-                Ok(None) => encode_response_into(&mut buf, id, &Response::NotFound),
-                Err(e) => {
-                    buf.clear();
-                    encode_response_into(&mut buf, id, &Response::Error(e.to_string()));
-                }
+                self.reply(id, &Response::Error("replica is read-only".into()))
             }
-            drop(topo);
-            inner.metrics.get_ns.record(inner.metrics.now_ns().saturating_sub(t0));
-            resp_tx.send(buf).is_ok()
-        }
-        RequestRef::Scan { start, end, limit } => {
-            state.wait_until(0);
-            let t0 = inner.metrics.now_ns();
-            // stream entries off the merge cursor into the wire buffer;
-            // the count is patched in when the scan completes. One read
-            // lock for the whole scan = one map version for the whole
-            // scan, so a concurrent flip cannot tear it
-            let max = inner.cfg.max_frame_bytes;
-            let mut buf = pool.take();
-            let mut enc = begin_entries_response(&mut buf, id, max);
-            let topo = inner.topo.read().unwrap();
-            let err = match topo
-                .shards
-                .scan_with(start, end, limit as usize, |k, v| enc.push(k, v))
-            {
-                Ok(_) if enc.finish() => None,
-                // the client would drop the connection over a frame past
-                // its cap; a typed error costs only this reply
-                Ok(_) => Some(format!(
-                    "scan reply exceeds the {max}-byte frame cap; lower the limit or narrow the range"
-                )),
-                Err(e) => Some(e.to_string()),
-            };
-            if let Some(msg) = err {
-                buf.clear();
-                encode_response_into(&mut buf, id, &Response::Error(msg));
-            }
-            drop(topo);
-            inner.metrics.scan_ns.record(inner.metrics.now_ns().saturating_sub(t0));
-            resp_tx.send(buf).is_ok()
-        }
-        RequestRef::Stats => {
-            let json = inner
-                .metrics
-                .snapshot()
-                .to_json_line_tagged(&[("scope", "server")]);
-            send_pooled(resp_tx, pool, id, &Response::Stats(json))
-        }
-        RequestRef::ShardMap => {
-            // hash-routed servers report version 0 with no entries
-            let topo = inner.topo.read().unwrap();
-            let resp = match topo.shards.map() {
-                Some(m) => Response::ShardMap {
-                    version: m.version,
-                    entries: m
-                        .entries
-                        .iter()
-                        .map(|e| (e.shard_id, e.start.clone()))
-                        .collect(),
-                },
-                None => Response::ShardMap {
-                    version: 0,
-                    entries: Vec::new(),
-                },
-            };
-            drop(topo);
-            send_pooled(resp_tx, pool, id, &resp)
-        }
-        RequestRef::TuneStatus => {
-            // pull-model tuning: the request itself is the tick, so the
-            // decision sequence is a deterministic function of the
-            // request stream (no timer thread to race)
-            let resp = if inner.cfg.tuner.is_none() {
-                Response::TuneStatus(Vec::new())
-            } else {
-                let topo = inner.topo.read().unwrap();
-                let mut tuners = inner.tuners.lock().unwrap();
-                // a split/merge since the last tick leaves stale engine
-                // handles behind; restart tuning on the new topology
-                let stale = tuners.len() != topo.shards.dbs().len()
-                    || tuners
-                        .iter()
-                        .zip(topo.shards.dbs())
-                        .any(|(t, db)| !t.db().same_engine(db));
-                if stale {
-                    *tuners = build_tuners(&inner.cfg.tuner, topo.shards.dbs());
-                }
-                let entries = tuners
-                    .iter_mut()
-                    .enumerate()
-                    .map(|(i, t)| {
-                        t.tick();
-                        (i as u64, t.status_json())
-                    })
-                    .collect();
-                drop(topo);
-                Response::TuneStatus(entries)
-            };
-            send_pooled(resp_tx, pool, id, &resp)
-        }
-        RequestRef::Put { key, value } => {
-            if inner.replica.is_some() {
-                // a replica takes writes only through the replication
-                // stream; clients must write to the primary
-                return send_pooled(
-                    resp_tx,
-                    pool,
-                    id,
-                    &Response::Error("replica is read-only".into()),
-                );
-            }
-            // the single copy on the write path: key/value leave the read
-            // buffer here to cross into the committer's queue
-            let op = WriteOp::Put {
-                key: key.to_vec(),
-                value: value.to_vec(),
-            };
-            submit_write(inner, state, resp_tx, pool, id, op)
-        }
-        RequestRef::Delete { key } => {
-            if inner.replica.is_some() {
-                return send_pooled(
-                    resp_tx,
-                    pool,
-                    id,
-                    &Response::Error("replica is read-only".into()),
-                );
-            }
-            let op = WriteOp::Delete { key: key.to_vec() };
-            submit_write(inner, state, resp_tx, pool, id, op)
-        }
-        RequestRef::ReplSubscribe { .. } => {
-            // the reply tells the shipper where to start: our watermark
-            match &inner.replica {
-                Some(r) => send_pooled(
-                    resp_tx,
-                    pool,
-                    id,
-                    &Response::ReplAck { seq: r.applied() },
-                ),
-                None => send_pooled(
-                    resp_tx,
-                    pool,
-                    id,
-                    &Response::Error("not a replica".into()),
-                ),
-            }
-        }
-        RequestRef::ReplBatch { seq, ops } => match &inner.replica {
-            Some(r) => {
-                let t0 = inner.metrics.now_ns();
-                let topo = inner.topo.read().unwrap();
-                let resp = match r.apply_batch(&topo.shards, seq, ops) {
-                    Ok(watermark) => Response::ReplAck { seq: watermark },
+            RequestRef::Get { key } => {
+                self.wait_acks(0); // read-your-writes
+                let metrics = &self.inner.metrics;
+                let t0 = metrics.now_ns();
+                // the value bytes go straight from the engine's borrowed view
+                // (cached block / memtable arena) into the wire buffer; the
+                // routing read lock pins one map version for the lookup
+                let mark = self.out.len();
+                let out = &mut self.out;
+                let topo = self.inner.topo.read().unwrap();
+                match topo
+                    .shards
+                    .get_with(key, |v| encode_value_response_into(out, id, v))
+                {
+                    Ok(Some(())) => {}
+                    Ok(None) => encode_response_into(out, id, &Response::NotFound),
                     Err(e) => {
-                        inner.metrics.malformed.inc();
-                        Response::Error(e.to_string())
+                        out.truncate(mark);
+                        encode_response_into(out, id, &Response::Error(e.to_string()));
                     }
+                }
+                drop(topo);
+                metrics.get_ns.record(metrics.now_ns().saturating_sub(t0));
+            }
+            RequestRef::Scan { start, end, limit } => {
+                self.wait_acks(0);
+                let metrics = &self.inner.metrics;
+                let t0 = metrics.now_ns();
+                // stream entries off the merge cursor into the wire buffer;
+                // the count is patched in when the scan completes. One read
+                // lock for the whole scan = one map version for the whole
+                // scan, so a concurrent flip cannot tear it
+                let max = self.inner.cfg.max_frame_bytes;
+                let mark = self.out.len();
+                let mut enc = begin_entries_response(&mut self.out, id, max);
+                let topo = self.inner.topo.read().unwrap();
+                let err = match topo
+                    .shards
+                    .scan_with(start, end, limit as usize, |k, v| enc.push(k, v))
+                {
+                    Ok(_) if enc.finish() => None,
+                    // the client would drop the connection over a frame past
+                    // its cap; a typed error costs only this reply
+                    Ok(_) => Some(format!(
+                        "scan reply exceeds the {max}-byte frame cap; lower the limit or narrow the range"
+                    )),
+                    Err(e) => Some(e.to_string()),
                 };
                 drop(topo);
-                inner
+                if let Some(msg) = err {
+                    self.out.truncate(mark);
+                    encode_response_into(&mut self.out, id, &Response::Error(msg));
+                }
+                metrics.scan_ns.record(metrics.now_ns().saturating_sub(t0));
+            }
+            RequestRef::Stats => {
+                let json = self
+                    .inner
                     .metrics
-                    .put_ns
-                    .record(inner.metrics.now_ns().saturating_sub(t0));
-                send_pooled(resp_tx, pool, id, &resp)
+                    .snapshot()
+                    .to_json_line_tagged(&[("scope", "server")]);
+                self.reply(id, &Response::Stats(json))
             }
-            None => send_pooled(
-                resp_tx,
-                pool,
+            RequestRef::ShardMap => {
+                // hash-routed servers report version 0 with no entries
+                let topo = self.inner.topo.read().unwrap();
+                let resp = match topo.shards.map() {
+                    Some(m) => Response::ShardMap {
+                        version: m.version,
+                        entries: m
+                            .entries
+                            .iter()
+                            .map(|e| (e.shard_id, e.start.clone()))
+                            .collect(),
+                    },
+                    None => Response::ShardMap {
+                        version: 0,
+                        entries: Vec::new(),
+                    },
+                };
+                drop(topo);
+                self.reply(id, &resp)
+            }
+            RequestRef::TuneStatus => {
+                let resp = Response::TuneStatus(self.tune_status());
+                self.reply(id, &resp)
+            }
+            RequestRef::Put { key, value } => {
+                // the single copy on the write path: key/value leave the read
+                // buffer here to cross into the committer's queue
+                let op = WriteOp::Put {
+                    key: key.to_vec(),
+                    value: value.to_vec(),
+                };
+                return self.submit_write(id, op);
+            }
+            RequestRef::Delete { key } => {
+                return self.submit_write(id, WriteOp::Delete { key: key.to_vec() });
+            }
+            RequestRef::ReplSubscribe { .. } => {
+                // the reply tells the shipper where to start: our watermark
+                let resp = match &self.inner.replica {
+                    Some(r) => Response::ReplAck { seq: r.applied() },
+                    None => Response::Error("not a replica".into()),
+                };
+                self.reply(id, &resp)
+            }
+            RequestRef::ReplBatch { seq, ops } => {
+                let resp = match &self.inner.replica {
+                    Some(r) => {
+                        let metrics = &self.inner.metrics;
+                        let t0 = metrics.now_ns();
+                        let topo = self.inner.topo.read().unwrap();
+                        let resp = match r.apply_batch(&topo.shards, seq, ops) {
+                            Ok(watermark) => Response::ReplAck { seq: watermark },
+                            Err(e) => {
+                                metrics.malformed.inc();
+                                Response::Error(e.to_string())
+                            }
+                        };
+                        drop(topo);
+                        metrics.put_ns.record(metrics.now_ns().saturating_sub(t0));
+                        resp
+                    }
+                    None => Response::Error("not a replica".into()),
+                };
+                self.reply(id, &resp)
+            }
+            RequestRef::TxnBegin => {
+                // read-your-writes: the snapshot must cover every write this
+                // connection has already been acked for
+                self.wait_acks(0);
+                let resp = self.txn_begin();
+                self.reply(id, &resp)
+            }
+            RequestRef::TxnGet { key } => {
+                let resp = self.txn_op(key, |t| match t.get(key) {
+                    Ok(Some(v)) => Response::Value(v),
+                    Ok(None) => Response::NotFound,
+                    Err(e) => Response::Error(e.to_string()),
+                });
+                self.reply(id, &resp)
+            }
+            // the ack only means "buffered in the transaction" —
+            // durability comes at commit
+            RequestRef::TxnPut { key, value } => {
+                let resp = self.txn_op(key, |t| {
+                    t.put(key.to_vec(), value.to_vec());
+                    Response::Ok
+                });
+                self.reply(id, &resp)
+            }
+            RequestRef::TxnDelete { key } => {
+                let resp = self.txn_op(key, |t| {
+                    t.delete(key.to_vec());
+                    Response::Ok
+                });
+                self.reply(id, &resp)
+            }
+            RequestRef::TxnCommit => return self.txn_commit(id),
+            RequestRef::TxnAbort => {
+                // idempotent: aborting with nothing open is still Ok; the
+                // old slot (dropped after the lock) releases any pins
+                let was = std::mem::replace(&mut *self.txn_slot.lock().unwrap(), TxnSlot::Idle);
+                drop(was);
+                self.reply(id, &Response::Ok)
+            }
+        }
+        true
+    }
+
+    /// Pull-model tuning: the request itself is the tick, so the decision
+    /// sequence is a deterministic function of the request stream (no
+    /// timer thread to race). Empty when the server runs without a tuner.
+    fn tune_status(&self) -> Vec<(u64, String)> {
+        if self.inner.cfg.tuner.is_none() {
+            return Vec::new();
+        }
+        let topo = self.inner.topo.read().unwrap();
+        let mut tuners = self.inner.tuners.lock().unwrap();
+        // a split/merge since the last tick leaves stale engine handles
+        // behind; restart tuning on the new topology
+        let stale = tuners.len() != topo.shards.dbs().len()
+            || tuners
+                .iter()
+                .zip(topo.shards.dbs())
+                .any(|(t, db)| !t.db().same_engine(db));
+        if stale {
+            *tuners = build_tuners(&self.inner.cfg.tuner, topo.shards.dbs());
+        }
+        tuners
+            .iter_mut()
+            .enumerate()
+            .map(|(i, t)| {
+                t.tick();
+                (i as u64, t.status_json())
+            })
+            .collect()
+    }
+
+    /// Opens a transaction on this connection at the current map version.
+    fn txn_begin(&self) -> Response {
+        let mut g = self.txn_slot.lock().unwrap();
+        if matches!(&*g, TxnSlot::Active { .. }) {
+            return Response::Error("transaction already active on this connection".into());
+        }
+        let map_version = {
+            let topo = self.inner.topo.read().unwrap();
+            topo.shards.map().map_or(0, |m| m.version)
+        };
+        *g = TxnSlot::Active {
+            txn: ConnTxn {
+                map_version,
+                parts: HashMap::new(),
+            },
+            last_active: Instant::now(),
+        };
+        self.inner.metrics.txn_begins.inc();
+        Response::Ok
+    }
+
+    /// Runs `op` on the open transaction's sub-txn for `key`'s shard:
+    /// `NoTxn` with none open, and the conflict reply (aborting the
+    /// transaction) when the shard map flipped since it began.
+    fn txn_op(&self, key: &[u8], op: impl FnOnce(&mut lsm_core::Txn) -> Response) -> Response {
+        let mut g = self.txn_slot.lock().unwrap();
+        match &mut *g {
+            TxnSlot::Active { txn: ct, last_active } => {
+                *last_active = Instant::now();
+                let topo = self.inner.topo.read().unwrap();
+                match txn_route(&self.inner, ct, &topo, key) {
+                    Ok(shard) => match txn_shard(ct, &topo, shard) {
+                        Ok(t) => op(t),
+                        Err(e) => Response::Error(e.to_string()),
+                    },
+                    Err(resp) => {
+                        *g = TxnSlot::Idle; // map flip: abort the txn
+                        resp
+                    }
+                }
+            }
+            TxnSlot::TimedOut => {
+                *g = TxnSlot::Idle;
+                Response::NoTxn
+            }
+            TxnSlot::Idle => Response::NoTxn,
+        }
+    }
+
+    /// Executes TXN_COMMIT: takes the transaction out of the slot,
+    /// re-checks the shard map and admission control, then hands the parts
+    /// to a committer thread — the owning shard's for a single-shard
+    /// transaction (the fast path: its commit serializes with that shard's
+    /// batches, so migration taps and replication stay in commit order), or
+    /// the lowest-involved shard's for a cross-shard one. Cross-shard
+    /// commits are refused on elastic or replicated servers, where
+    /// out-of-band engine applies would race the tap tee / publish
+    /// ordering.
+    fn txn_commit(&mut self, id: u64) -> bool {
+        self.wait_acks(self.inner.cfg.pipeline_depth.saturating_sub(1));
+        let inner = Arc::clone(&self.inner);
+        let t0 = inner.metrics.now_ns();
+        let taken = std::mem::replace(&mut *self.txn_slot.lock().unwrap(), TxnSlot::Idle);
+        let TxnSlot::Active { txn: ct, .. } = taken else {
+            self.reply(id, &Response::NoTxn);
+            return true;
+        };
+        if ct.parts.is_empty() {
+            // a transaction that neither read nor wrote serializes anywhere;
+            // stamp 0 marks "empty" (real stamps start at 1)
+            inner.metrics.txn_commits.inc();
+            inner
+                .metrics
+                .txn_commit_ns
+                .record(inner.metrics.now_ns().saturating_sub(t0));
+            self.reply(id, &Response::TxnCommitted { stamp: 0 });
+            return true;
+        }
+        let topo = inner.topo.read().unwrap();
+        // the map must not have flipped: shard indices captured by the
+        // sub-txns would be stale
+        let version = topo.shards.map().map_or(0, |m| m.version);
+        if version != ct.map_version {
+            drop(topo);
+            drop(ct); // releases pins + floors
+            inner.metrics.txn_conflicts.inc();
+            self.reply(id, &Response::TxnConflict { key: Vec::new() });
+            return true;
+        }
+        let mut shards: Vec<usize> = ct.parts.keys().copied().collect();
+        shards.sort_unstable();
+        if shards.len() > 1 && (inner.replicator.is_some() || inner.elastic.is_some()) {
+            drop(topo);
+            drop(ct);
+            self.reply(
                 id,
-                &Response::Error("not a replica".into()),
-            ),
-        },
-        RequestRef::TxnBegin => {
-            if inner.replica.is_some() {
-                return send_pooled(
-                    resp_tx,
-                    pool,
-                    id,
-                    &Response::Error("replica is read-only".into()),
-                );
-            }
-            // read-your-writes: the snapshot must cover every write this
-            // connection has already been acked for
-            state.wait_until(0);
-            let mut g = txn_slot.lock().unwrap();
-            if matches!(&*g, TxnSlot::Active { .. }) {
-                drop(g);
-                return send_pooled(
-                    resp_tx,
-                    pool,
-                    id,
-                    &Response::Error("transaction already active on this connection".into()),
-                );
-            }
-            let map_version = {
-                let topo = inner.topo.read().unwrap();
-                topo.shards.map().map_or(0, |m| m.version)
-            };
-            *g = TxnSlot::Active {
-                txn: ConnTxn {
-                    map_version,
-                    parts: HashMap::new(),
-                },
-                last_active: Instant::now(),
-            };
-            drop(g);
-            inner.metrics.txn_begins.inc();
-            send_pooled(resp_tx, pool, id, &Response::Ok)
+                &Response::Error(
+                    "cross-shard transactions are not supported on elastic or replicated servers"
+                        .into(),
+                ),
+            );
+            return true;
         }
-        RequestRef::TxnGet { key } => {
-            let mut g = txn_slot.lock().unwrap();
-            match &mut *g {
-                TxnSlot::Active { txn: ct, last_active } => {
-                    *last_active = Instant::now();
-                    let topo = inner.topo.read().unwrap();
-                    let resp = match txn_route(inner, ct, &topo, key) {
-                        Ok(shard) => match txn_shard(ct, &topo, shard)
-                            .and_then(|t| t.get(key))
-                        {
-                            Ok(Some(v)) => Response::Value(v),
-                            Ok(None) => Response::NotFound,
-                            Err(e) => Response::Error(e.to_string()),
-                        },
-                        Err(resp) => {
-                            *g = TxnSlot::Idle; // map flip: abort the txn
-                            resp
-                        }
-                    };
-                    drop(g);
-                    send_pooled(resp_tx, pool, id, &resp)
-                }
-                TxnSlot::TimedOut => {
-                    *g = TxnSlot::Idle;
-                    drop(g);
-                    send_pooled(resp_tx, pool, id, &Response::NoTxn)
-                }
-                TxnSlot::Idle => {
-                    drop(g);
-                    send_pooled(resp_tx, pool, id, &Response::NoTxn)
-                }
+        // admission control, same shed line as plain writes, per shard
+        for &s in &shards {
+            let l0 = topo.shards.db(s).l0_run_count();
+            if l0 >= topo.shed_l0[s] {
+                drop(topo);
+                // the transaction survives a shed: the client may retry the
+                // commit after backing off
+                *self.txn_slot.lock().unwrap() = TxnSlot::Active {
+                    txn: ct,
+                    last_active: Instant::now(),
+                };
+                inner.metrics.sheds.inc();
+                inner.metrics.event(EventKind::ServerShed {
+                    shard: s as u32,
+                    l0_runs: l0 as u64,
+                });
+                self.reply(id, &Response::Busy);
+                return true;
             }
         }
-        RequestRef::TxnPut { key, value } => {
-            txn_buffer(inner, txn_slot, resp_tx, pool, id, key, Some(value))
+        let target = shards[0];
+        let parts: Vec<lsm_core::TxnPart> = {
+            let mut by_shard: Vec<(usize, lsm_core::Txn)> = ct.parts.into_iter().collect();
+            by_shard.sort_unstable_by_key(|(s, _)| *s);
+            by_shard.into_iter().map(|(_, t)| t.into_part()).collect()
+        };
+        self.state.incr();
+        inner.metrics.inflight.add(1);
+        let metrics = Arc::clone(&inner.metrics);
+        let state = Arc::clone(&self.state);
+        let submitted = topo.committers[target].submit_txn(TxnCommitReq {
+            parts,
+            done: Box::new(move |outcome| {
+                let resp = match outcome {
+                    TxnOutcome::Committed(stamp) => {
+                        metrics.txn_commits.inc();
+                        Response::TxnCommitted { stamp }
+                    }
+                    TxnOutcome::CommittedLag(_) => {
+                        // durable + committed locally; the client learns the
+                        // redundancy guarantee was not met in time
+                        metrics.txn_commits.inc();
+                        Response::ReplicaLag
+                    }
+                    TxnOutcome::Conflict(c) => {
+                        metrics.txn_conflicts.inc();
+                        Response::TxnConflict { key: c.key }
+                    }
+                    TxnOutcome::Err(e) => Response::Error(e.to_string()),
+                };
+                metrics
+                    .txn_commit_ns
+                    .record(metrics.now_ns().saturating_sub(t0));
+                metrics.inflight.add(-1);
+                state.complete(id, resp);
+            }),
+        });
+        drop(topo);
+        submitted || !inner.draining.load(Ordering::Acquire)
+    }
+
+    fn submit_write(&mut self, id: u64, op: WriteOp) -> bool {
+        // bounded pipelining: cap this connection's in-flight writes. Waits
+        // happen BEFORE the routing lock so a slow connection can never
+        // stall a migration cut-over
+        self.wait_acks(self.inner.cfg.pipeline_depth.saturating_sub(1));
+        let inner = Arc::clone(&self.inner);
+        // route + shed + submit under one read lock: the write lands in the
+        // committer of the map version it was routed by, and the cut-over
+        // barrier (which needs the write lock first) is guaranteed to drain
+        // it into the recipient
+        let topo = inner.topo.read().unwrap();
+        let shard = topo.shards.shard_index(op.key());
+        // admission control: shed where the engine would hard-stall
+        let l0 = topo.shards.db(shard).l0_run_count();
+        if l0 >= topo.shed_l0[shard] {
+            drop(topo);
+            inner.metrics.sheds.inc();
+            inner.metrics.event(EventKind::ServerShed {
+                shard: shard as u32,
+                l0_runs: l0 as u64,
+            });
+            self.reply(id, &Response::Busy);
+            return true;
         }
-        RequestRef::TxnDelete { key } => {
-            txn_buffer(inner, txn_slot, resp_tx, pool, id, key, None)
-        }
-        RequestRef::TxnCommit => txn_commit(inner, state, resp_tx, pool, txn_slot, id),
-        RequestRef::TxnAbort => {
-            // idempotent: aborting with nothing open is still Ok
-            let mut g = txn_slot.lock().unwrap();
-            let was = std::mem::replace(&mut *g, TxnSlot::Idle);
-            drop(g);
-            drop(was); // releases the snapshot pins, if any
-            send_pooled(resp_tx, pool, id, &Response::Ok)
-        }
+        self.state.incr();
+        inner.metrics.inflight.add(1);
+        let is_delete = matches!(op, WriteOp::Delete { .. });
+        let metrics = Arc::clone(&inner.metrics);
+        let state = Arc::clone(&self.state);
+        let t0 = metrics.now_ns();
+        let submitted = topo.committers[shard].submit(WriteReq {
+            op,
+            done: Box::new(move |outcome| {
+                let resp = match outcome {
+                    WriteOutcome::Ok => Response::Ok,
+                    WriteOutcome::ReplicaLag => Response::ReplicaLag,
+                    WriteOutcome::Err(e) => Response::Error(e.to_string()),
+                };
+                let h = if is_delete { &metrics.delete_ns } else { &metrics.put_ns };
+                h.record(metrics.now_ns().saturating_sub(t0));
+                metrics.inflight.add(-1);
+                state.complete(id, resp);
+            }),
+        });
+        drop(topo);
+        // on a shut-down committer the callback already fired with an error
+        submitted || !inner.draining.load(Ordering::Acquire)
     }
 }
 
@@ -1128,241 +1303,4 @@ fn txn_shard<'a>(
         Entry::Occupied(e) => Ok(e.into_mut()),
         Entry::Vacant(v) => Ok(v.insert(topo.shards.db(shard).begin_txn()?)),
     }
-}
-
-/// Buffers a transactional put (`Some`) or delete (`None`). The ack only
-/// means "buffered in the transaction" — durability comes at commit.
-fn txn_buffer(
-    inner: &Arc<ServerInner>,
-    txn_slot: &Arc<Mutex<TxnSlot>>,
-    resp_tx: &Sender<Vec<u8>>,
-    pool: &Arc<BufPool>,
-    id: u64,
-    key: &[u8],
-    value: Option<&[u8]>,
-) -> bool {
-    let mut g = txn_slot.lock().unwrap();
-    match &mut *g {
-        TxnSlot::Active { txn: ct, last_active } => {
-            *last_active = Instant::now();
-            let topo = inner.topo.read().unwrap();
-            let resp = match txn_route(inner, ct, &topo, key) {
-                Ok(shard) => match txn_shard(ct, &topo, shard) {
-                    Ok(t) => {
-                        match value {
-                            Some(v) => t.put(key.to_vec(), v.to_vec()),
-                            None => t.delete(key.to_vec()),
-                        }
-                        Response::Ok
-                    }
-                    Err(e) => Response::Error(e.to_string()),
-                },
-                Err(resp) => {
-                    *g = TxnSlot::Idle;
-                    resp
-                }
-            };
-            drop(g);
-            send_pooled(resp_tx, pool, id, &resp)
-        }
-        TxnSlot::TimedOut => {
-            *g = TxnSlot::Idle;
-            drop(g);
-            send_pooled(resp_tx, pool, id, &Response::NoTxn)
-        }
-        TxnSlot::Idle => {
-            drop(g);
-            send_pooled(resp_tx, pool, id, &Response::NoTxn)
-        }
-    }
-}
-
-/// Executes TXN_COMMIT: takes the transaction out of the slot, re-checks
-/// the shard map and admission control, then hands the parts to a
-/// committer thread — the owning shard's for a single-shard transaction
-/// (the fast path: its commit serializes with that shard's batches, so
-/// migration taps and replication stay in commit order), or the
-/// lowest-involved shard's for a cross-shard one. Cross-shard commits
-/// are refused on elastic or replicated servers, where out-of-band
-/// engine applies would race the tap tee / publish ordering.
-fn txn_commit(
-    inner: &Arc<ServerInner>,
-    state: &Arc<ConnState>,
-    resp_tx: &Sender<Vec<u8>>,
-    pool: &Arc<BufPool>,
-    txn_slot: &Arc<Mutex<TxnSlot>>,
-    id: u64,
-) -> bool {
-    state.wait_until(inner.cfg.pipeline_depth.saturating_sub(1));
-    let t0 = inner.metrics.now_ns();
-    let ct = {
-        let mut g = txn_slot.lock().unwrap();
-        match std::mem::replace(&mut *g, TxnSlot::Idle) {
-            TxnSlot::Active { txn, .. } => txn,
-            TxnSlot::TimedOut | TxnSlot::Idle => {
-                drop(g);
-                return send_pooled(resp_tx, pool, id, &Response::NoTxn);
-            }
-        }
-    };
-    if ct.parts.is_empty() {
-        // a transaction that neither read nor wrote serializes anywhere;
-        // stamp 0 marks "empty" (real stamps start at 1)
-        inner.metrics.txn_commits.inc();
-        inner
-            .metrics
-            .txn_commit_ns
-            .record(inner.metrics.now_ns().saturating_sub(t0));
-        return send_pooled(resp_tx, pool, id, &Response::TxnCommitted { stamp: 0 });
-    }
-    let topo = inner.topo.read().unwrap();
-    // the map must not have flipped: shard indices captured by the
-    // sub-txns would be stale
-    let version = topo.shards.map().map_or(0, |m| m.version);
-    if version != ct.map_version {
-        drop(topo);
-        drop(ct); // releases pins + floors
-        inner.metrics.txn_conflicts.inc();
-        return send_pooled(
-            resp_tx,
-            pool,
-            id,
-            &Response::TxnConflict { key: Vec::new() },
-        );
-    }
-    let mut shards: Vec<usize> = ct.parts.keys().copied().collect();
-    shards.sort_unstable();
-    if shards.len() > 1 && (inner.replicator.is_some() || inner.elastic.is_some()) {
-        drop(topo);
-        drop(ct);
-        return send_pooled(
-            resp_tx,
-            pool,
-            id,
-            &Response::Error(
-                "cross-shard transactions are not supported on elastic or replicated servers"
-                    .into(),
-            ),
-        );
-    }
-    // admission control, same shed line as plain writes, per shard
-    for &s in &shards {
-        let l0 = topo.shards.db(s).l0_run_count();
-        if l0 >= topo.shed_l0[s] {
-            drop(topo);
-            // the transaction survives a shed: the client may retry the
-            // commit after backing off
-            *txn_slot.lock().unwrap() = TxnSlot::Active {
-                txn: ct,
-                last_active: Instant::now(),
-            };
-            inner.metrics.sheds.inc();
-            inner.metrics.event(EventKind::ServerShed {
-                shard: s as u32,
-                l0_runs: l0 as u64,
-            });
-            return send_pooled(resp_tx, pool, id, &Response::Busy);
-        }
-    }
-    let target = shards[0];
-    let parts: Vec<lsm_core::TxnPart> = {
-        let mut by_shard: Vec<(usize, lsm_core::Txn)> = ct.parts.into_iter().collect();
-        by_shard.sort_unstable_by_key(|(s, _)| *s);
-        by_shard.into_iter().map(|(_, t)| t.into_part()).collect()
-    };
-    state.incr();
-    inner.metrics.inflight.add(1);
-    let metrics = Arc::clone(&inner.metrics);
-    let state2 = Arc::clone(state);
-    let resp_tx2 = resp_tx.clone();
-    let pool2 = Arc::clone(pool);
-    let submitted = topo.committers[target].submit_txn(TxnCommitReq {
-        parts,
-        done: Box::new(move |outcome| {
-            let resp = match outcome {
-                TxnOutcome::Committed(stamp) => {
-                    metrics.txn_commits.inc();
-                    Response::TxnCommitted { stamp }
-                }
-                TxnOutcome::CommittedLag(_) => {
-                    // durable + committed locally; the client learns the
-                    // redundancy guarantee was not met in time
-                    metrics.txn_commits.inc();
-                    Response::ReplicaLag
-                }
-                TxnOutcome::Conflict(c) => {
-                    metrics.txn_conflicts.inc();
-                    Response::TxnConflict { key: c.key }
-                }
-                TxnOutcome::Err(e) => Response::Error(e.to_string()),
-            };
-            metrics
-                .txn_commit_ns
-                .record(metrics.now_ns().saturating_sub(t0));
-            metrics.inflight.add(-1);
-            let _ = send_pooled(&resp_tx2, &pool2, id, &resp);
-            state2.decr();
-        }),
-    });
-    drop(topo);
-    submitted || !inner.draining.load(Ordering::Acquire)
-}
-
-fn submit_write(
-    inner: &Arc<ServerInner>,
-    state: &Arc<ConnState>,
-    resp_tx: &Sender<Vec<u8>>,
-    pool: &Arc<BufPool>,
-    id: u64,
-    op: WriteOp,
-) -> bool {
-    // bounded pipelining: cap this connection's in-flight writes. Waits
-    // happen BEFORE the routing lock so a slow connection can never
-    // stall a migration cut-over
-    state.wait_until(inner.cfg.pipeline_depth.saturating_sub(1));
-    // route + shed + submit under one read lock: the write lands in the
-    // committer of the map version it was routed by, and the cut-over
-    // barrier (which needs the write lock first) is guaranteed to drain
-    // it into the recipient
-    let topo = inner.topo.read().unwrap();
-    let shard = topo.shards.shard_index(op.key());
-    // admission control: shed where the engine would hard-stall
-    let l0 = topo.shards.db(shard).l0_run_count();
-    if l0 >= topo.shed_l0[shard] {
-        drop(topo);
-        inner.metrics.sheds.inc();
-        inner.metrics.event(EventKind::ServerShed {
-            shard: shard as u32,
-            l0_runs: l0 as u64,
-        });
-        return send_pooled(resp_tx, pool, id, &Response::Busy);
-    }
-    state.incr();
-    inner.metrics.inflight.add(1);
-    let is_delete = matches!(op, WriteOp::Delete { .. });
-    let metrics = Arc::clone(&inner.metrics);
-    let state2 = Arc::clone(state);
-    let resp_tx2 = resp_tx.clone();
-    let pool2 = Arc::clone(pool);
-    let t0 = metrics.now_ns();
-    let submitted = topo.committers[shard].submit(WriteReq {
-        op,
-        done: Box::new(move |outcome| {
-            let resp = match outcome {
-                WriteOutcome::Ok => Response::Ok,
-                WriteOutcome::ReplicaLag => Response::ReplicaLag,
-                WriteOutcome::Err(e) => Response::Error(e.to_string()),
-            };
-            let h = if is_delete { &metrics.delete_ns } else { &metrics.put_ns };
-            h.record(metrics.now_ns().saturating_sub(t0));
-            metrics.inflight.add(-1);
-            // the connection may already be gone; the ack bookkeeping
-            // must still run so drains observe pending == 0
-            let _ = send_pooled(&resp_tx2, &pool2, id, &resp);
-            state2.decr();
-        }),
-    });
-    drop(topo);
-    // on a shut-down committer the callback already fired with an error
-    submitted || !inner.draining.load(Ordering::Acquire)
 }

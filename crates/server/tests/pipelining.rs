@@ -1,0 +1,177 @@
+//! Pipelined traffic on one connection: replies the reader answers in
+//! place, the acks the writer thread carries, and the backpressure
+//! contract between them.
+//!
+//! Replies may arrive in any order (they are matched by id), but
+//! read-your-writes must hold for every GET in a burst, a burst must be
+//! answered without the client sending anything more, and a client that
+//! reads while it pipelines must get every reply however much it sends.
+
+use std::collections::HashMap;
+use std::io::Write;
+use std::net::{SocketAddr, TcpStream};
+use std::time::{Duration, Instant};
+
+use lsm_core::LsmConfig;
+use lsm_server::harness::{start_cluster, TestCluster};
+use lsm_server::{
+    decode_response, encode_request, FrameReader, PrimaryReplication, ReplicationRole, Request,
+    Response, ServerConfig, MAX_FRAME_BYTES,
+};
+
+fn cluster() -> TestCluster {
+    let cfg = LsmConfig {
+        wal: true,
+        ..LsmConfig::small_for_tests()
+    };
+    start_cluster(2, cfg, ServerConfig::default())
+}
+
+fn put(key: &[u8], value: &[u8]) -> Request {
+    Request::Put {
+        key: key.to_vec(),
+        value: value.to_vec(),
+    }
+}
+
+fn get(key: &[u8]) -> Request {
+    Request::Get { key: key.to_vec() }
+}
+
+/// A raw connection whose reads fail, rather than hang, once a reply is
+/// overdue.
+struct Wire {
+    tx: TcpStream,
+    rx: FrameReader<TcpStream>,
+}
+
+impl Wire {
+    fn connect(addr: SocketAddr) -> Wire {
+        let tx = TcpStream::connect(addr).unwrap();
+        tx.set_nodelay(true).unwrap();
+        let rx = tx.try_clone().unwrap();
+        rx.set_read_timeout(Some(Duration::from_millis(25))).unwrap();
+        Wire {
+            tx,
+            rx: FrameReader::new(rx, MAX_FRAME_BYTES),
+        }
+    }
+
+    /// Writes `reqs`, numbered from `first`, in one `write_all`.
+    fn send(&mut self, first: u64, reqs: &[Request]) {
+        let bytes: Vec<u8> = (first..)
+            .zip(reqs)
+            .flat_map(|(id, r)| encode_request(id, r))
+            .collect();
+        self.tx.write_all(&bytes).unwrap();
+    }
+
+    /// The next reply to arrive, within `within`.
+    fn recv(&mut self, within: Duration) -> (u64, Response) {
+        let deadline = Instant::now() + within;
+        let payload = self
+            .rx
+            .next_frame_ref(|| Instant::now() < deadline)
+            .unwrap()
+            .expect("a reply before the deadline");
+        decode_response(payload).unwrap()
+    }
+
+    /// Sends `reqs` as one burst and collects one reply per request by id.
+    fn burst(&mut self, first: u64, reqs: &[Request]) -> HashMap<u64, Response> {
+        self.send(first, reqs);
+        let replies: HashMap<u64, Response> = (0..reqs.len())
+            .map(|_| self.recv(Duration::from_secs(10)))
+            .collect();
+        assert_eq!(replies.len(), reqs.len(), "one reply per id");
+        replies
+    }
+}
+
+#[test]
+fn every_pipelined_get_reads_its_own_preceding_put() {
+    let mut cluster = cluster();
+    let mut w = Wire::connect(cluster.addr());
+    // one write: a GET ahead of any PUT, 64 PUT/GET pairs, a missing key;
+    // every reply must arrive with nothing more sent
+    let mut reqs = vec![get(b"k")];
+    reqs.extend((0..64).flat_map(|i| [put(b"k", format!("v{i}").as_bytes()), get(b"k")]));
+    reqs.push(get(b"absent"));
+    let replies = w.burst(1, &reqs);
+    assert_eq!(replies[&1], Response::NotFound, "GET before any PUT");
+    for i in 0..64u64 {
+        assert_eq!(replies[&(2 * i + 2)], Response::Ok, "PUT #{i}");
+        assert_eq!(
+            replies[&(2 * i + 3)],
+            Response::Value(format!("v{i}").into_bytes()),
+            "GET #{i} must see the PUT just before it"
+        );
+    }
+    assert_eq!(replies[&130], Response::NotFound, "GET of a missing key");
+    cluster.server.take().unwrap().shutdown().unwrap();
+}
+
+#[test]
+fn replies_answered_before_a_read_your_writes_wait_do_not_wait_for_the_commit() {
+    const ACK_TIMEOUT: Duration = Duration::from_secs(3);
+    // a primary whose one replica never answers: every write's ack waits
+    // out the quorum timeout, and a GET after it waits with it
+    let nobody = std::net::TcpListener::bind("127.0.0.1:0")
+        .unwrap()
+        .local_addr()
+        .unwrap();
+    let server_cfg = ServerConfig {
+        role: ReplicationRole::Primary(PrimaryReplication {
+            replicas: vec![nobody],
+            ack_quorum: 1,
+            ack_timeout_ms: ACK_TIMEOUT.as_millis() as u64,
+            drain_timeout_ms: 50,
+        }),
+        ..ServerConfig::default()
+    };
+    let mut cluster = start_cluster(1, LsmConfig::small_for_tests(), server_cfg);
+    let mut w = Wire::connect(cluster.addr());
+    w.send(10, &[get(b"x"), put(b"y", b"1"), get(b"y")]);
+    assert_eq!(
+        w.recv(ACK_TIMEOUT / 2),
+        (10, Response::NotFound),
+        "GET x was answered before the wait, so it must not wait for the ack"
+    );
+    let rest: HashMap<u64, Response> = (0..2).map(|_| w.recv(ACK_TIMEOUT * 3)).collect();
+    assert_eq!(rest[&11], Response::ReplicaLag);
+    assert_eq!(rest[&12], Response::Value(b"1".to_vec()));
+    drop(cluster.server.take().unwrap().abort());
+}
+
+#[test]
+fn a_client_that_reads_while_it_pipelines_gets_every_reply() {
+    const BYTES: usize = 4 << 20;
+    let mut cluster = cluster();
+    let mut w = Wire::connect(cluster.addr());
+    assert_eq!(w.burst(1, &[put(b"hot", b"value")])[&1], Response::Ok);
+    let n = (BYTES / encode_request(0, &get(b"hot")).len() + 1) as u64;
+    let first = 1_000_000u64;
+    let mut tx = w.tx.try_clone().unwrap();
+    let sender = std::thread::spawn(move || {
+        let mut chunk = Vec::new();
+        let mut id = first;
+        while id < first + n {
+            chunk.clear();
+            for _ in 0..4096.min(first + n - id) {
+                chunk.extend_from_slice(&encode_request(id, &get(b"hot")));
+                id += 1;
+            }
+            tx.write_all(&chunk).unwrap();
+        }
+    });
+    for want in first..first + n {
+        let (id, resp) = w.recv(Duration::from_secs(10));
+        assert_eq!(id, want, "a GET-only stream is answered in order");
+        assert_eq!(resp, Response::Value(b"value".to_vec()));
+    }
+    sender.join().unwrap();
+    // the connection is still healthy
+    let replies = w.burst(2, &[put(b"after", b"x"), get(b"after")]);
+    assert_eq!(replies[&3], Response::Value(b"x".to_vec()));
+    cluster.server.take().unwrap().shutdown().unwrap();
+}

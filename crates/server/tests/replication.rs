@@ -34,8 +34,8 @@ use lsm_storage::{DeviceProfile, IoCategory, MemDevice, StorageDevice};
 use lsm_server::harness::{reopen_shards, start_cluster, start_replicated_cluster};
 use lsm_server::protocol::{ReplOpsBuilder, Request, Response};
 use lsm_server::{
-    promote_replica, Client, PrimaryReplication, ReplicaState, ReplicationRole, ServerConfig,
-    ShardSet,
+    promote_replica, Client, PrimaryReplication, ReplicaState, ReplicationRole, Replicator,
+    ServerConfig, ServerMetrics, ShardSet,
 };
 
 /// Tiny deterministic xorshift; good enough to scatter ops.
@@ -334,6 +334,52 @@ fn shutdown_drain_waits_for_replica_acks() {
             "write dr{i:04} lost by the shutdown drain"
         );
     }
+}
+
+/// The replica acks each batch on the thread that reads the next one,
+/// so a shipper that streamed a long backlog without reading acks filled
+/// the ack direction's socket buffers, stalled the replica's reader, and
+/// then blocked in its own write: both ends stuck, the drain timed out
+/// and stopping the replicator hung joining the shipper. 400k one-op
+/// batches carry about 8 MB of acks, past loopback's autotuned socket
+/// buffers in both directions.
+#[test]
+fn a_backlog_whose_acks_outgrow_the_socket_buffers_is_shipped() {
+    const BATCHES: u32 = 400_000;
+    let replica = start_cluster(
+        1,
+        inline_cfg(),
+        ServerConfig {
+            role: ReplicationRole::Replica,
+            ..ServerConfig::default()
+        },
+    );
+    let rep = Replicator::start(
+        0,
+        PrimaryReplication {
+            replicas: vec![replica.addr()],
+            drain_timeout_ms: 60_000,
+            ..PrimaryReplication::default()
+        },
+        ServerMetrics::new(),
+    );
+    for i in 0..BATCHES {
+        let mut ops = ReplOpsBuilder::new();
+        ops.put(format!("bl{:02}", i % 64).as_bytes(), &i.to_le_bytes());
+        rep.publish(ops.finish());
+    }
+    if !rep.drain() {
+        // a wedged replica reader would hang the cluster's drop
+        std::mem::forget(replica);
+        panic!("the replica never acked the whole backlog");
+    }
+    rep.stop();
+    let mut rc = replica.client();
+    let last = BATCHES - 1;
+    assert_eq!(
+        rc.get(format!("bl{:02}", last % 64).as_bytes()).unwrap(),
+        Some(last.to_le_bytes().to_vec())
+    );
 }
 
 // ---------------------------------------------------------------------------

@@ -624,13 +624,21 @@ mod tests {
         let db = Db::open_in_memory(LsmConfig::small_for_tests()).unwrap();
         let mut tuner = tuner_for(&db);
         write_burst(&db, 3_000, 0);
+        // each tick observes a quiescent tree, so the observed window is
+        // the same under threaded background work as inline
+        db.wait_background_idle();
         assert!(matches!(tuner.tick(), TickOutcome::Retuned { .. }));
         db.drain_events();
+        // drained after every tick: under threaded background work the
+        // next burst's stall events can push an older audit out of the
+        // bounded ring
+        let mut events = Vec::new();
         for tag in 1..4 {
             write_burst(&db, 2_000, tag);
+            db.wait_background_idle();
             tuner.tick();
+            events.extend(db.drain_events());
         }
-        let events = db.drain_events();
         assert!(
             events
                 .iter()
