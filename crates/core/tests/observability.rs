@@ -246,17 +246,27 @@ fn backpressure_events_are_ordered_slowdown_then_stall_then_exit() {
             }
         })
     };
-    // wait until L0 is pinned at the stall wall
+    // wait until the writer has entered the L0 stall band. L0 reaching 5
+    // runs is not enough: resumed compaction can drain it before the
+    // writer's next put looks, and then no StallEnter is ever emitted
+    let mut events = Vec::new();
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
-    while db.level_summary().first().map_or(0, |l| l.0) < 5 {
+    while !events.iter().any(|e: &Event| {
+        matches!(e.kind, EventKind::StallEnter { reason: StallReason::L0, .. })
+    }) {
         assert!(std::time::Instant::now() < deadline, "writer never stalled");
         std::thread::sleep(std::time::Duration::from_millis(2));
+        events.extend(db.drain_events());
     }
     db.resume_compaction();
     writer.join().unwrap();
     db.wait_background_idle();
+    // the band is reconciled on the write path only: if the writer's last
+    // put still saw the slowdown band, one write after the drain lets the
+    // walker see the drained L0 and emit the SlowdownExit
+    db.put(key(2000), value(2000, 592)).unwrap();
 
-    let events = db.drain_events();
+    events.extend(db.drain_events());
     let l0_marks: Vec<&Event> = events
         .iter()
         .filter(|e| {

@@ -12,6 +12,14 @@
 //! depth becomes its batch size, amortizing the sync cost exactly when
 //! it matters (the classic group-commit curve).
 //!
+//! How deep the queue gets is up to the connections. A reader stops
+//! decoding only for a GET whose own key has a write in flight (see
+//! `server`), so the writes of a pipelined mixed burst queue up together.
+//! On the ledger's `served-mixed` (YCSB-A; 2 connections × 16 in flight,
+//! then depth-1 and paced phases) `server.batcher.batch_ops_mean` is 1.9,
+//! against 1.4 when every GET waited for all of its connection's writes.
+//! A depth-1 client's writes are batches of one by construction.
+//!
 //! Every callback fires exactly once, also on error and also for
 //! requests still queued when the batcher shuts down (those see an
 //! error), so a pipelined connection can always account for its

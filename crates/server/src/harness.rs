@@ -298,6 +298,61 @@ mod tests {
     }
 
     #[test]
+    fn gets_of_other_keys_leave_a_burst_of_puts_to_group_commit() {
+        use crate::protocol::{decode_response, encode_request, FrameReader, Request, Response};
+        use crate::router::shard_of;
+        use lsm_storage::WallLatencyDevice;
+        use std::io::Write;
+        // every device write on shard 0 takes 10 ms of wall time, so the
+        // reader has decoded the whole burst long before its first commit
+        // returns. The GETs go to shard 1: `Db::sync` holds the engine's
+        // write lock across the device write, so a GET on the committing
+        // shard would wait out each sync and race the committer for the
+        // next PUT, and the batch sizes would depend on the scheduler
+        let cfg = wal_cfg();
+        let mem: Arc<dyn StorageDevice> =
+            Arc::new(MemDevice::new(cfg.block_size, DeviceProfile::free()));
+        let slow = DeviceProfile {
+            random_write_ns: 10_000_000,
+            ..DeviceProfile::free()
+        };
+        let slow_dev = Arc::new(WallLatencyDevice::new(mem, slow));
+        let committing = Db::open(slow_dev, cfg.clone()).unwrap();
+        let reading = Db::open_in_memory(cfg).unwrap();
+        let server = Server::start(vec![committing, reading], ServerConfig::default()).unwrap();
+        let on_shard = |shard: usize, prefix: &'static str| {
+            (0u32..)
+                .map(move |i| format!("{prefix}{i:03}").into_bytes())
+                .filter(move |k| shard_of(k, 2) == shard)
+        };
+        let mut burst = Vec::new();
+        let pairs = on_shard(0, "k").zip(on_shard(1, "unrelated")).take(32);
+        for (i, (key, other)) in (0u64..).zip(pairs) {
+            let put = Request::Put {
+                key,
+                value: b"v".to_vec(),
+            };
+            burst.extend(encode_request(2 * i, &put));
+            burst.extend(encode_request(2 * i + 1, &Request::Get { key: other }));
+        }
+        let mut tx = std::net::TcpStream::connect(server.addr()).unwrap();
+        let mut rx = FrameReader::new(tx.try_clone().unwrap(), crate::MAX_FRAME_BYTES);
+        tx.write_all(&burst).unwrap();
+        for _ in 0..64 {
+            let (id, resp) = decode_response(rx.next_frame_ref(|| true).unwrap().unwrap()).unwrap();
+            let want = if id % 2 == 0 { Response::Ok } else { Response::NotFound };
+            assert_eq!(resp, want, "request {id}");
+        }
+        let dbs = server.shutdown().unwrap();
+        assert_eq!(dbs[0].stats().snapshot().puts, 32, "every PUT went to shard 0");
+        let appends = dbs[0].stats().snapshot().wal_appends;
+        assert!(
+            appends <= 4,
+            "32 PUTs interleaved with GETs of other keys took {appends} WAL appends"
+        );
+    }
+
+    #[test]
     fn oversized_scan_reply_is_a_typed_error_and_the_connection_survives() {
         // one buffer holds every write, so no flush can shed a put
         let cfg = LsmConfig {

@@ -19,17 +19,23 @@ use lsm_storage::StorageResult;
 
 use crate::shardmap::ShardMap;
 
-/// FNV-1a over the key, reduced mod `shards`. Stable across runs and
-/// processes (the protocol does not carry shard ids; clients never need
-/// to know the layout).
-pub fn shard_of(key: &[u8], shards: usize) -> usize {
-    debug_assert!(shards > 0);
+/// 64-bit FNV-1a: the crate's one hash, for routing and for a
+/// connection's pending-write fingerprints.
+pub(crate) fn fnv1a(key: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf29ce484222325;
     for &b in key {
         h ^= b as u64;
         h = h.wrapping_mul(0x100000001b3);
     }
-    (h % shards.max(1) as u64) as usize
+    h
+}
+
+/// FNV-1a over the key, reduced mod `shards`. Stable across runs and
+/// processes (the protocol does not carry shard ids; clients never need
+/// to know the layout).
+pub fn shard_of(key: &[u8], shards: usize) -> usize {
+    debug_assert!(shards > 0);
+    (fnv1a(key) % shards.max(1) as u64) as usize
 }
 
 /// How a [`ShardSet`] maps keys to shards.
@@ -239,6 +245,14 @@ mod tests {
                 .collect(),
             ShardMap::uniform(n),
         )
+    }
+
+    #[test]
+    fn fnv1a_matches_the_published_vectors() {
+        assert_eq!(fnv1a(b""), 0xcbf29ce484222325);
+        assert_eq!(fnv1a(b"a"), 0xaf63dc4c8601ec8c);
+        assert_eq!(fnv1a(b"foobar"), 0x85944171f73967e8);
+        assert_eq!(shard_of(b"foobar", 7), (0x85944171f73967e8u64 % 7) as usize);
     }
 
     #[test]

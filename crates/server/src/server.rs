@@ -19,21 +19,30 @@
 //! socket; it coalesces whatever is queued into one write. Both write
 //! whole frames under one per-connection socket lock. A connection can
 //! keep `pipeline_depth` writes in flight while the reader keeps
-//! decoding — that queue depth is precisely what the group-commit
-//! batcher converts into batch size. An elastic server adds one
-//! **rebalancer** thread that watches per-shard write rates and
-//! triggers splits and merges (see [`RebalancePolicy`]).
+//! decoding, and a GET stops the reader only when its own key has a
+//! write pending, so in a mixed burst the writes reach the committer
+//! together: that queue depth is what the group-commit batcher converts
+//! into batch size. An elastic server adds one **rebalancer** thread
+//! that watches per-shard write rates and triggers splits and merges
+//! (see [`RebalancePolicy`]).
 //!
 //! ## Ordering contract
 //!
 //! Responses carry the request id and may arrive in any order: the
 //! reader's replies and the writer's acks interleave frame by frame.
-//! Each connection gets **read-your-writes**: a GET/SCAN blocks until
-//! every write this connection has submitted is acked, so a client that
-//! pipelines `PUT k` then `GET k` observes its own write (even if the
-//! GET's reply reaches it before the PUT's ack). Before any such wait
-//! the reader writes the replies it has already answered, so none of
-//! them waits behind a commit.
+//! Each connection gets **read-your-writes, per key**: a GET blocks
+//! until every write this connection has submitted *to its key* is
+//! acked (and every transaction commit it has submitted, since a commit
+//! may write any key), so a client that pipelines `PUT k` then `GET k`
+//! observes its own write (even if the GET's reply reaches it before
+//! the PUT's ack), while a `GET j` in the same burst is answered at
+//! once. SCAN and TXN_BEGIN read a range or a snapshot, so they wait for
+//! all of the connection's writes. The reader tracks pending keys by
+//! 64-bit FNV-1a fingerprint (`Pending`). That is safe because a key
+//! with a pending write always has its fingerprint in the set: a
+//! collision can only make a GET wait for a write it did not need, never
+//! skip one it did. Before any wait the reader writes the replies it has
+//! already answered, so none of them waits behind a commit.
 //!
 //! ## Backpressure
 //!
@@ -89,7 +98,7 @@ use crate::protocol::{
     FrameReader, RequestRef, Response, WriteOp, MAX_FRAME_BYTES,
 };
 use crate::replication::{ReplicaState, ReplicationRole, Replicator};
-use crate::router::ShardSet;
+use crate::router::{fnv1a, ShardSet};
 use crate::shardmap::{find_cluster_meta, write_cluster_meta, ShardMap};
 
 /// Serving-layer knobs (the engine's own knobs stay in `LsmConfig`).
@@ -641,36 +650,84 @@ fn accept_loop(
     }
 }
 
+/// One submission a connection has in flight, as [`Pending`] counts it.
+#[derive(Clone, Copy, Debug)]
+enum InFlight {
+    /// A PUT or DELETE, by its key's FNV-1a fingerprint.
+    Write(u64),
+    /// A transaction commit, which may write any key.
+    TxnCommit,
+}
+
+/// A connection's in-flight submissions, as its reader's waits need
+/// them: one fingerprint per pending PUT/DELETE (a key written twice is
+/// in it twice, so at most `pipeline_depth` entries and a scan that
+/// allocates nothing once warm) and the count of pending txn commits.
+#[derive(Debug, Default)]
+struct Pending {
+    keys: Vec<u64>,
+    txns: usize,
+}
+
+impl Pending {
+    /// Everything in flight: bounded by `pipeline_depth`, drained on close.
+    fn total(&self) -> usize {
+        self.keys.len() + self.txns
+    }
+
+    fn add(&mut self, w: InFlight) {
+        match w {
+            InFlight::Write(fp) => self.keys.push(fp),
+            InFlight::TxnCommit => self.txns += 1,
+        }
+    }
+
+    fn retire(&mut self, w: InFlight) {
+        match w {
+            InFlight::Write(fp) => {
+                let i = self.keys.iter().position(|&k| k == fp);
+                self.keys.swap_remove(i.expect("a retired write was added"));
+            }
+            InFlight::TxnCommit => self.txns -= 1,
+        }
+    }
+
+    /// Whether a GET of the key fingerprinted `fp` must wait: a write to
+    /// it (or to a colliding key), or any txn commit, is pending.
+    fn blocks_get(&self, fp: u64) -> bool {
+        self.txns > 0 || self.keys.contains(&fp)
+    }
+}
+
 /// Per-connection state shared between the reader and write callbacks.
 struct ConnState {
-    /// Writes submitted to a committer but not yet acked.
-    pending: Mutex<usize>,
+    /// Submissions handed to a committer but not yet acked.
+    pending: Mutex<Pending>,
+    /// Signalled whenever a submission retires.
     cv: Condvar,
     /// Replies completed on a committer thread, to the writer thread.
     resp_tx: Sender<(u64, Response)>,
 }
 
 impl ConnState {
-    fn wait_until(&self, limit: usize) {
+    /// Blocks while `busy` holds of the pending set.
+    fn wait_while(&self, busy: impl Fn(&Pending) -> bool) {
         let mut g = self.pending.lock().unwrap();
-        while *g > limit {
-            let (g2, _) = self.cv.wait_timeout(g, Duration::from_millis(50)).unwrap();
-            g = g2;
+        while busy(&g) {
+            g = self.cv.wait_timeout(g, Duration::from_millis(50)).unwrap().0;
         }
     }
 
-    fn incr(&self) {
-        *self.pending.lock().unwrap() += 1;
+    fn add(&self, w: InFlight) {
+        self.pending.lock().unwrap().add(w);
     }
 
     /// Queues a committer's reply for the writer thread and retires its
-    /// write. The connection may already be gone; the bookkeeping still
-    /// runs so drains observe `pending == 0`.
-    fn complete(&self, id: u64, resp: Response) {
+    /// submission. The connection may already be gone; the bookkeeping
+    /// still runs so a drain observes an empty set.
+    fn complete(&self, id: u64, resp: Response, w: InFlight) {
         let _ = self.resp_tx.send((id, resp));
-        let mut g = self.pending.lock().unwrap();
-        *g = g.saturating_sub(1);
-        drop(g);
+        self.pending.lock().unwrap().retire(w);
         self.cv.notify_all();
     }
 }
@@ -723,7 +780,7 @@ fn serve_conn(inner: Arc<ServerInner>, stream: TcpStream, conn_id: u64) {
     let mut conn = Conn {
         inner: Arc::clone(&inner),
         state: Arc::new(ConnState {
-            pending: Mutex::new(0),
+            pending: Mutex::default(),
             cv: Condvar::new(),
             resp_tx,
         }),
@@ -762,7 +819,7 @@ fn serve_conn(inner: Arc<ServerInner>, stream: TcpStream, conn_id: u64) {
     inner.txns.lock().unwrap().remove(&conn_id);
     *conn.txn_slot.lock().unwrap() = TxnSlot::Idle;
     // finish in-flight writes so their acks reach the wire before close
-    conn.state.wait_until(0);
+    conn.state.wait_while(|p| p.total() > 0);
     drop(conn); // the writer drains and exits once callbacks release theirs
     let _ = writer.join();
     inner.metrics.connections.add(-1);
@@ -823,13 +880,18 @@ impl Conn {
         self.alive
     }
 
-    /// Blocks until at most `limit` of this connection's writes are in
-    /// flight, writing the replies already answered first, so none of
-    /// them waits behind a commit.
-    fn wait_acks(&mut self, limit: usize) {
-        if *self.state.pending.lock().unwrap() > limit {
+    /// Blocks while `busy` holds of this connection's pending set,
+    /// writing the replies already answered first, so none of them waits
+    /// behind a commit. With nothing pending it never waits (and a GET
+    /// hashes nothing).
+    fn wait_while(&mut self, busy: impl Fn(&Pending) -> bool) {
+        let must_wait = {
+            let p = self.state.pending.lock().unwrap();
+            p.total() > 0 && busy(&p)
+        };
+        if must_wait {
             self.flush();
-            self.state.wait_until(limit);
+            self.state.wait_while(busy);
         }
     }
 
@@ -861,7 +923,8 @@ impl Conn {
                 self.reply(id, &Response::Error("replica is read-only".into()))
             }
             RequestRef::Get { key } => {
-                self.wait_acks(0); // read-your-writes
+                // read-your-writes for this key only
+                self.wait_while(|p| p.blocks_get(fnv1a(key)));
                 let metrics = &self.inner.metrics;
                 let t0 = metrics.now_ns();
                 // the value bytes go straight from the engine's borrowed view
@@ -885,7 +948,8 @@ impl Conn {
                 metrics.get_ns.record(metrics.now_ns().saturating_sub(t0));
             }
             RequestRef::Scan { start, end, limit } => {
-                self.wait_acks(0);
+                // a range may hold any pending key
+                self.wait_while(|p| p.total() > 0);
                 let metrics = &self.inner.metrics;
                 let t0 = metrics.now_ns();
                 // stream entries off the merge cursor into the wire buffer;
@@ -990,8 +1054,8 @@ impl Conn {
             }
             RequestRef::TxnBegin => {
                 // read-your-writes: the snapshot must cover every write this
-                // connection has already been acked for
-                self.wait_acks(0);
+                // connection has submitted
+                self.wait_while(|p| p.total() > 0);
                 let resp = self.txn_begin();
                 self.reply(id, &resp)
             }
@@ -1119,7 +1183,8 @@ impl Conn {
     /// out-of-band engine applies would race the tap tee / publish
     /// ordering.
     fn txn_commit(&mut self, id: u64) -> bool {
-        self.wait_acks(self.inner.cfg.pipeline_depth.saturating_sub(1));
+        let limit = self.inner.cfg.pipeline_depth.saturating_sub(1);
+        self.wait_while(|p| p.total() > limit);
         let inner = Arc::clone(&self.inner);
         let t0 = inner.metrics.now_ns();
         let taken = std::mem::replace(&mut *self.txn_slot.lock().unwrap(), TxnSlot::Idle);
@@ -1189,7 +1254,7 @@ impl Conn {
             by_shard.sort_unstable_by_key(|(s, _)| *s);
             by_shard.into_iter().map(|(_, t)| t.into_part()).collect()
         };
-        self.state.incr();
+        self.state.add(InFlight::TxnCommit);
         inner.metrics.inflight.add(1);
         let metrics = Arc::clone(&inner.metrics);
         let state = Arc::clone(&self.state);
@@ -1217,7 +1282,7 @@ impl Conn {
                     .txn_commit_ns
                     .record(metrics.now_ns().saturating_sub(t0));
                 metrics.inflight.add(-1);
-                state.complete(id, resp);
+                state.complete(id, resp, InFlight::TxnCommit);
             }),
         });
         drop(topo);
@@ -1228,7 +1293,8 @@ impl Conn {
         // bounded pipelining: cap this connection's in-flight writes. Waits
         // happen BEFORE the routing lock so a slow connection can never
         // stall a migration cut-over
-        self.wait_acks(self.inner.cfg.pipeline_depth.saturating_sub(1));
+        let limit = self.inner.cfg.pipeline_depth.saturating_sub(1);
+        self.wait_while(|p| p.total() > limit);
         let inner = Arc::clone(&self.inner);
         // route + shed + submit under one read lock: the write lands in the
         // committer of the map version it was routed by, and the cut-over
@@ -1248,7 +1314,8 @@ impl Conn {
             self.reply(id, &Response::Busy);
             return true;
         }
-        self.state.incr();
+        let w = InFlight::Write(fnv1a(op.key()));
+        self.state.add(w);
         inner.metrics.inflight.add(1);
         let is_delete = matches!(op, WriteOp::Delete { .. });
         let metrics = Arc::clone(&inner.metrics);
@@ -1265,7 +1332,7 @@ impl Conn {
                 let h = if is_delete { &metrics.delete_ns } else { &metrics.put_ns };
                 h.record(metrics.now_ns().saturating_sub(t0));
                 metrics.inflight.add(-1);
-                state.complete(id, resp);
+                state.complete(id, resp, w);
             }),
         });
         drop(topo);
@@ -1302,5 +1369,88 @@ fn txn_shard<'a>(
     match ct.parts.entry(shard) {
         Entry::Occupied(e) => Ok(e.into_mut()),
         Entry::Vacant(v) => Ok(v.insert(topo.shards.db(shard).begin_txn()?)),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn put_k() -> InFlight {
+        InFlight::Write(fnv1a(b"k"))
+    }
+
+    #[test]
+    fn a_get_waits_while_any_write_to_its_key_is_pending() {
+        let mut p = Pending::default();
+        p.add(put_k());
+        p.add(put_k());
+        p.retire(put_k());
+        assert!(p.blocks_get(fnv1a(b"k")), "one of two PUTs to k is still pending");
+        assert!(!p.blocks_get(fnv1a(b"j")), "nothing is pending for j");
+        p.retire(put_k());
+        assert!(!p.blocks_get(fnv1a(b"k")));
+    }
+
+    #[test]
+    fn a_fingerprint_collision_only_makes_a_get_wait() {
+        // keys a and b forced to one fingerprint: the set cannot tell them
+        // apart, so it errs towards waiting, and retiring a's write never
+        // retires b's
+        const SHARED: u64 = 0x5eed;
+        let (a, b) = (InFlight::Write(SHARED), InFlight::Write(SHARED));
+        let mut p = Pending::default();
+        p.add(a);
+        assert!(p.blocks_get(SHARED), "GET b waits for a's write: a wait, not a wrong read");
+        p.add(b);
+        p.retire(a);
+        assert!(p.blocks_get(SHARED), "b's write is still pending");
+        p.retire(b);
+        assert!(!p.blocks_get(SHARED));
+    }
+
+    #[test]
+    fn a_pending_txn_commit_makes_every_get_wait() {
+        let mut p = Pending::default();
+        p.add(InFlight::TxnCommit);
+        for key in [&b"k"[..], b"j", b""] {
+            assert!(p.blocks_get(fnv1a(key)), "{key:?}");
+        }
+        p.retire(InFlight::TxnCommit);
+        assert!(!p.blocks_get(fnv1a(b"k")));
+    }
+
+    #[test]
+    fn the_total_drains_to_zero_as_completions_arrive() {
+        let (resp_tx, resp_rx) = channel();
+        let state = Arc::new(ConnState {
+            pending: Mutex::default(),
+            cv: Condvar::new(),
+            resp_tx,
+        });
+        let subs: Vec<InFlight> = (0..16u64)
+            .map(|i| match i % 4 {
+                0 => InFlight::TxnCommit,
+                1 => put_k(),
+                _ => InFlight::Write(fnv1a(&i.to_le_bytes())),
+            })
+            .collect();
+        for &w in &subs {
+            state.add(w);
+        }
+        let completer = {
+            let state = Arc::clone(&state);
+            std::thread::spawn(move || {
+                for (id, w) in (0..).zip(subs.into_iter().rev()) {
+                    std::thread::sleep(Duration::from_millis(1));
+                    state.complete(id, Response::Ok, w);
+                }
+            })
+        };
+        state.wait_while(|p| p.total() > 0);
+        completer.join().unwrap();
+        let p = state.pending.lock().unwrap();
+        assert_eq!((p.keys.len(), p.txns), (0, 0));
+        assert_eq!(resp_rx.try_iter().count(), 16, "every reply was queued");
     }
 }

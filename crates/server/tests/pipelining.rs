@@ -3,9 +3,10 @@
 //! contract between them.
 //!
 //! Replies may arrive in any order (they are matched by id), but
-//! read-your-writes must hold for every GET in a burst, a burst must be
-//! answered without the client sending anything more, and a client that
-//! reads while it pipelines must get every reply however much it sends.
+//! read-your-writes must hold for every GET in a burst, a GET must wait
+//! only for writes to its own key, a burst must be answered without the
+//! client sending anything more, and a client that reads while it
+//! pipelines must get every reply however much it sends.
 
 use std::collections::HashMap;
 use std::io::Write;
@@ -18,6 +19,11 @@ use lsm_server::{
     decode_response, encode_request, FrameReader, PrimaryReplication, ReplicationRole, Request,
     Response, ServerConfig, MAX_FRAME_BYTES,
 };
+use proptest::prelude::*;
+
+/// How long a write's ack waits for the quorum on
+/// [`primary_with_an_unreachable_replica`].
+const ACK_TIMEOUT: Duration = Duration::from_secs(3);
 
 fn cluster() -> TestCluster {
     let cfg = LsmConfig {
@@ -36,6 +42,30 @@ fn put(key: &[u8], value: &[u8]) -> Request {
 
 fn get(key: &[u8]) -> Request {
     Request::Get { key: key.to_vec() }
+}
+
+fn delete(key: &[u8]) -> Request {
+    Request::Delete { key: key.to_vec() }
+}
+
+/// A one-shard primary whose one replica never answers: every write's
+/// ack waits out [`ACK_TIMEOUT`], and so does every read that waits for
+/// that write.
+fn primary_with_an_unreachable_replica() -> TestCluster {
+    let nobody = std::net::TcpListener::bind("127.0.0.1:0")
+        .unwrap()
+        .local_addr()
+        .unwrap();
+    let server_cfg = ServerConfig {
+        role: ReplicationRole::Primary(PrimaryReplication {
+            replicas: vec![nobody],
+            ack_quorum: 1,
+            ack_timeout_ms: ACK_TIMEOUT.as_millis() as u64,
+            drain_timeout_ms: 50,
+        }),
+        ..ServerConfig::default()
+    };
+    start_cluster(1, LsmConfig::small_for_tests(), server_cfg)
 }
 
 /// A raw connection whose reads fail, rather than hang, once a reply is
@@ -113,23 +143,7 @@ fn every_pipelined_get_reads_its_own_preceding_put() {
 
 #[test]
 fn replies_answered_before_a_read_your_writes_wait_do_not_wait_for_the_commit() {
-    const ACK_TIMEOUT: Duration = Duration::from_secs(3);
-    // a primary whose one replica never answers: every write's ack waits
-    // out the quorum timeout, and a GET after it waits with it
-    let nobody = std::net::TcpListener::bind("127.0.0.1:0")
-        .unwrap()
-        .local_addr()
-        .unwrap();
-    let server_cfg = ServerConfig {
-        role: ReplicationRole::Primary(PrimaryReplication {
-            replicas: vec![nobody],
-            ack_quorum: 1,
-            ack_timeout_ms: ACK_TIMEOUT.as_millis() as u64,
-            drain_timeout_ms: 50,
-        }),
-        ..ServerConfig::default()
-    };
-    let mut cluster = start_cluster(1, LsmConfig::small_for_tests(), server_cfg);
+    let mut cluster = primary_with_an_unreachable_replica();
     let mut w = Wire::connect(cluster.addr());
     w.send(10, &[get(b"x"), put(b"y", b"1"), get(b"y")]);
     assert_eq!(
@@ -140,6 +154,40 @@ fn replies_answered_before_a_read_your_writes_wait_do_not_wait_for_the_commit() 
     let rest: HashMap<u64, Response> = (0..2).map(|_| w.recv(ACK_TIMEOUT * 3)).collect();
     assert_eq!(rest[&11], Response::ReplicaLag);
     assert_eq!(rest[&12], Response::Value(b"1".to_vec()));
+    drop(cluster.server.take().unwrap().abort());
+}
+
+#[test]
+fn a_get_of_another_key_does_not_wait_for_a_pending_write() {
+    let mut cluster = primary_with_an_unreachable_replica();
+    let mut w = Wire::connect(cluster.addr());
+    let sent = Instant::now();
+    w.send(
+        20,
+        &[put(b"y", b"1"), get(b"x"), delete(b"z"), get(b"w"), get(b"y")],
+    );
+    let first: HashMap<u64, Response> = (0..2).map(|_| w.recv(ACK_TIMEOUT / 2)).collect();
+    assert_eq!(
+        first,
+        HashMap::from([(21, Response::NotFound), (23, Response::NotFound)]),
+        "GET x and GET w have no pending write, so neither waits for an ack"
+    );
+    let mut rest = HashMap::new();
+    let mut get_y_after = Duration::ZERO;
+    for _ in 0..3 {
+        let (id, resp) = w.recv(ACK_TIMEOUT * 3);
+        if id == 24 {
+            get_y_after = sent.elapsed();
+        }
+        rest.insert(id, resp);
+    }
+    assert_eq!(rest[&20], Response::ReplicaLag, "PUT y");
+    assert_eq!(rest[&22], Response::ReplicaLag, "DELETE z");
+    assert_eq!(rest[&24], Response::Value(b"1".to_vec()), "GET y reads its own PUT");
+    assert!(
+        get_y_after >= ACK_TIMEOUT,
+        "GET y was answered after {get_y_after:?}, before PUT y's ack could exist"
+    );
     drop(cluster.server.take().unwrap().abort());
 }
 
@@ -174,4 +222,71 @@ fn a_client_that_reads_while_it_pipelines_gets_every_reply() {
     let replies = w.burst(2, &[put(b"after", b"x"), get(b"after")]);
     assert_eq!(replies[&3], Response::Value(b"x".to_vec()));
     cluster.server.take().unwrap().shutdown().unwrap();
+}
+
+/// One pipelined request and what the model expects of it.
+#[derive(Clone, Copy, Debug)]
+enum Op {
+    Put(u8),
+    Delete(u8),
+    Get(u8),
+}
+
+fn op_strategy() -> impl Strategy<Value = Op> {
+    (0u8..3, 0u8..4).prop_map(|(kind, key)| match kind {
+        0 => Op::Put(key),
+        1 => Op::Delete(key),
+        _ => Op::Get(key),
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Bursts of PUT/DELETE/GET over four keys on two shards, each sent
+    /// in one write: GETs land both on keys with a write in flight and on
+    /// keys without one, and every GET must read the latest earlier write
+    /// to its key on this connection (`NotFound` after a DELETE).
+    #[test]
+    fn pipelined_gets_read_the_latest_earlier_write_to_their_key(
+        bursts in proptest::collection::vec(proptest::collection::vec(op_strategy(), 1..40), 1..4),
+    ) {
+        let mut cluster = cluster();
+        let mut w = Wire::connect(cluster.addr());
+        let mut model: HashMap<u8, Vec<u8>> = HashMap::new();
+        let mut next_id = 1u64;
+        let key = |k: u8| [b'p', b'k', b'0' + k];
+        for (b, burst) in bursts.iter().enumerate() {
+            let mut reqs = Vec::new();
+            let mut want = Vec::new();
+            for (i, &op) in burst.iter().enumerate() {
+                match op {
+                    Op::Put(k) => {
+                        let value = format!("v{b}-{i}").into_bytes();
+                        reqs.push(put(&key(k), &value));
+                        model.insert(k, value);
+                        want.push(Response::Ok);
+                    }
+                    Op::Delete(k) => {
+                        reqs.push(delete(&key(k)));
+                        model.remove(&k);
+                        want.push(Response::Ok);
+                    }
+                    Op::Get(k) => {
+                        reqs.push(get(&key(k)));
+                        want.push(match model.get(&k) {
+                            Some(v) => Response::Value(v.clone()),
+                            None => Response::NotFound,
+                        });
+                    }
+                }
+            }
+            let replies = w.burst(next_id, &reqs);
+            for (id, (op, want)) in (next_id..).zip(burst.iter().zip(want)) {
+                prop_assert_eq!(&replies[&id], &want, "burst {} request {:?} (id {})", b, op, id);
+            }
+            next_id += reqs.len() as u64;
+        }
+        cluster.server.take().unwrap().shutdown().unwrap();
+    }
 }
