@@ -31,10 +31,10 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use lsm_bench::*;
-use lsm_core::{BackgroundMode, Db, LsmConfig};
+use lsm_core::{BackgroundMode, LsmConfig};
+use lsm_server::harness::{Cluster, Layout};
 use lsm_server::{
-    promote_replica, Client, PrimaryReplication, ReplicationRole, Request, Response, Server,
-    ServerConfig,
+    promote_replica, Client, PrimaryReplication, ReplicationRole, Request, Response, ServerConfig,
 };
 use lsm_storage::{DeviceProfile, MemDevice, StorageDevice, WallLatencyDevice};
 use lsm_workload::{encode_key, Arrivals, OpenLoopSchedule};
@@ -79,25 +79,20 @@ fn percentile(sorted: &[u64], p: f64) -> u64 {
     sorted[((sorted.len() as f64 - 1.0) * p) as usize]
 }
 
-/// One replica node: its server and the device it can be promoted from.
-struct ReplicaNode {
-    server: Server,
-    devices: Vec<Arc<dyn StorageDevice>>,
+/// Starts one single-shard node on its own modeled disk, serving as
+/// `role`; the cluster keeps the disk, so a replica can be promoted.
+fn start_node(role: ReplicationRole, server_cfg: ServerConfig) -> Cluster {
+    let mut node = Cluster::new(node_config(), |_| node_device());
+    node.serve(Layout::Hash(1), role, server_cfg).expect("start node");
+    node
 }
 
-fn start_replica() -> ReplicaNode {
-    let dev = node_device();
-    let db = Db::open(Arc::clone(&dev), node_config()).expect("open replica shard");
+fn start_replica() -> Cluster {
     let server_cfg = ServerConfig {
-        role: ReplicationRole::Replica,
         shed_l0_runs: Some(usize::MAX),
         ..ServerConfig::default()
     };
-    let server = Server::start(vec![db], server_cfg).expect("start replica");
-    ReplicaNode {
-        server,
-        devices: vec![dev],
-    }
+    start_node(ReplicationRole::Replica, server_cfg)
 }
 
 /// Loads `n` distinct keys through one pipelined connection (closed
@@ -200,32 +195,29 @@ struct ClusterResult {
 /// with `ack_quorum = replicas`, load `n` keys, saturate the read path
 /// across all nodes, then (with replicas) kill the primary and promote.
 fn run_cluster(replicas: usize, n: u64, rate_per_sec: f64) -> ClusterResult {
-    let mut replica_nodes: Vec<ReplicaNode> = (0..replicas).map(|_| start_replica()).collect();
+    let mut replica_nodes: Vec<Cluster> = (0..replicas).map(|_| start_replica()).collect();
     let role = if replicas == 0 {
         ReplicationRole::None
     } else {
         ReplicationRole::Primary(PrimaryReplication {
-            replicas: replica_nodes.iter().map(|r| r.server.addr()).collect(),
+            replicas: replica_nodes.iter().map(Cluster::addr).collect(),
             ack_quorum: replicas,
             ack_timeout_ms: 10_000,
             drain_timeout_ms: 5_000,
         })
     };
-    let primary_dev = node_device();
-    let db = Db::open(Arc::clone(&primary_dev), node_config()).expect("open primary shard");
     let server_cfg = ServerConfig {
         pipeline_depth: 32,
         shed_l0_runs: Some(usize::MAX),
-        role,
         ..ServerConfig::default()
     };
-    let primary = Server::start(vec![db], server_cfg).expect("start primary");
+    let primary = start_node(role, server_cfg).server.take().unwrap();
 
     let load_secs = load_keys(primary.addr(), n);
 
     // every node — primary included — serves CONNS_PER_NODE read lanes
     let mut node_addrs = vec![primary.addr()];
-    node_addrs.extend(replica_nodes.iter().map(|r| r.server.addr()));
+    node_addrs.extend(replica_nodes.iter().map(Cluster::addr));
     let conns = node_addrs.len() * CONNS_PER_NODE;
     let per_conn = (n / conns as u64).max(1);
     let start = Instant::now();
@@ -256,10 +248,10 @@ fn run_cluster(replicas: usize, n: u64, rate_per_sec: f64) -> ClusterResult {
     let (failover_ms, adopted_seq) = if replicas > 0 {
         let t0 = Instant::now();
         drop(primary.abort());
-        let node = replica_nodes.remove(0);
-        drop(node.server.abort());
-        let promoted = promote_replica(&node.devices, &node_config(), ServerConfig::default())
-            .expect("promotion");
+        let mut node = replica_nodes.remove(0);
+        drop(node.server.take().unwrap().abort());
+        let recovered = node.reopen().expect("reopen replica").expect("replica shard");
+        let promoted = promote_replica(recovered, ServerConfig::default()).expect("promotion");
         let mut c = Client::connect(promoted.server.addr()).expect("connect promoted");
         c.put(b"e22-failover-sentinel", b"promoted").expect("promoted write");
         let window = t0.elapsed().as_secs_f64() * 1000.0;
@@ -274,8 +266,9 @@ fn run_cluster(replicas: usize, n: u64, rate_per_sec: f64) -> ClusterResult {
         drop(primary.shutdown().expect("primary shutdown"));
         (None, 0)
     };
-    for node in replica_nodes {
-        drop(node.server.shutdown().expect("replica shutdown"));
+    for mut node in replica_nodes {
+        let server = node.server.take().unwrap();
+        drop(server.shutdown().expect("replica shutdown"));
     }
 
     ClusterResult {

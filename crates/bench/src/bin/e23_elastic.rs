@@ -36,7 +36,8 @@ use std::time::{Duration, Instant};
 use lsm_bench::*;
 use lsm_core::{BackgroundMode, Db, LsmConfig};
 use lsm_server::{
-    Client, ElasticOptions, RebalancePolicy, Request, Response, Server, ServerConfig, ShardMap,
+    Client, ElasticOptions, RebalancePolicy, ReplicationRole, Request, Response, Server,
+    ServerConfig, ShardMap, Topology,
 };
 use lsm_storage::{DeviceProfile, MemDevice, StorageDevice, WallLatencyDevice};
 use lsm_workload::hotspot::{HotspotSpec, ShiftingHotspot};
@@ -206,32 +207,27 @@ fn run_topology(topo: Topo, conns: usize, window: usize, total_ops: u64, rate: f
         shed_l0_runs: Some(usize::MAX),
         ..ServerConfig::default()
     };
-    let server = match topo {
-        Topo::Hash4 => Server::start(open_shards(START_SHARDS), server_cfg).expect("start hash"),
-        Topo::Range4 | Topo::Elastic => {
-            let policy = (topo == Topo::Elastic).then_some(RebalancePolicy {
-                interval_ms: 50,
-                split_puts_per_interval: 600,
-                merge_puts_per_interval: 20,
-                max_shards: 8,
-                min_shards: START_SHARDS,
-            });
-            Server::start_elastic(
-                open_shards(START_SHARDS),
-                ShardMap::uniform(START_SHARDS),
-                ElasticOptions {
-                    meta_dev: Arc::new(MemDevice::new(
-                        shard_config().block_size,
-                        DeviceProfile::free(),
-                    )),
-                    factory: Box::new(|_shard_id| shard_device()),
-                    policy,
-                },
-                server_cfg,
-            )
-            .expect("start elastic")
-        }
+    let elastic = (topo != Topo::Hash4).then(|| ElasticOptions {
+        map: ShardMap::uniform(START_SHARDS),
+        meta_dev: Arc::new(MemDevice::new(
+            shard_config().block_size,
+            DeviceProfile::free(),
+        )),
+        factory: Box::new(|_shard_id| shard_device()),
+        policy: (topo == Topo::Elastic).then_some(RebalancePolicy {
+            interval_ms: 50,
+            split_puts_per_interval: 600,
+            merge_puts_per_interval: 20,
+            max_shards: 8,
+            min_shards: START_SHARDS,
+        }),
+    });
+    let topology = Topology {
+        shards: open_shards(START_SHARDS),
+        elastic,
+        role: ReplicationRole::None,
     };
+    let server = Server::serve(topology, server_cfg).expect("start topology");
     let addr = server.addr();
     let per_conn = (total_ops / conns as u64).max(1);
     let start = Instant::now();

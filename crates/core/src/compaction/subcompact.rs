@@ -16,7 +16,7 @@
 //!    ranges, so their outputs concatenate into exactly the entry stream
 //!    the serial merge would have produced.
 //! 2. **Stitch phase (serial).** The concatenated stream is fed through
-//!    the same [`OutputWriter`](super::exec::OutputWriter) cut loop the
+//!    the same `OutputWriter` cut loop the
 //!    serial path uses, so output tables are cut at the same entries and
 //!    files are allocated in the same order.
 //!

@@ -238,7 +238,7 @@ pub struct LsmConfig {
     /// drains L0 below the threshold) in threaded mode. Readers are never
     /// blocked by backpressure.
     pub l0_stall_runs: usize,
-    /// Capacity of the structured event ring ([`crate::Db::drain_events`]);
+    /// Capacity of the structured event ring ([`crate::DbCore::drain_events`]);
     /// when full, the oldest events are dropped and counted.
     pub event_ring_capacity: usize,
 }

@@ -64,7 +64,7 @@ fn key_span(tables: &[Arc<Table>]) -> (Vec<u8>, Vec<u8>) {
 impl DbCore {
     /// Current L0 run count from the lock-free backpressure gauge. This
     /// is the signal the engine's own slowdown/stall bands key off
-    /// ([`LsmConfig::l0_slowdown_runs`] / [`LsmConfig::l0_stall_runs`]);
+    /// ([`crate::LsmConfig::l0_slowdown_runs`] / [`crate::LsmConfig::l0_stall_runs`]);
     /// it is exposed so admission control can shed load *before* a
     /// writer blocks inside the engine.
     pub fn l0_run_count(&self) -> usize {

@@ -83,7 +83,7 @@ impl DbCore {
     /// block-cache counters (global and per shard), `latency.*`
     /// histograms for get/put/scan/flush/compaction, and `engine.*`
     /// gauges. Byte-identical across repeated runs of the same workload
-    /// under [`BackgroundMode::Inline`] (the histograms are driven by the
+    /// under [`crate::BackgroundMode::Inline`] (the histograms are driven by the
     /// simulated device clock).
     pub fn metrics(&self) -> MetricsSnapshot {
         self.sync_registry();

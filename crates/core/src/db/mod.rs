@@ -11,7 +11,7 @@
 //! on maintenance, while writers block only on L0 backpressure.
 //!
 //! Lock hierarchy (outermost first): `compaction_lock` → `inner` →
-//! the background queue mutex inside [`crate::background::BgState`].
+//! the background queue mutex inside `background::BgState`.
 //!
 //! Each mechanism lives once, in the submodule named after it; DESIGN.md
 //! ("Module map") says which function owns commit, flush and the read

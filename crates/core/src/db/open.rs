@@ -18,7 +18,7 @@ use crate::background::BgState;
 use crate::config::{BackgroundMode, LsmConfig};
 use crate::dynamic::DynamicConfig;
 use crate::kv_sep::ValueLog;
-use crate::manifest::{find_manifest_candidates, ManifestState};
+use crate::manifest::{find_records, ManifestState, MANIFEST_MAGIC};
 use crate::memtable::Memtable;
 use crate::obs::EngineMetrics;
 use crate::sstable::Table;
@@ -73,15 +73,20 @@ impl Db {
         // never made it to disk; an older manifest (plus its WALs) is then
         // the consistent state to restart from. Starting empty when
         // manifests exist but none is usable would silently drop data, so
-        // that case is a typed error instead.
-        let candidates = find_manifest_candidates(&device)?;
+        // that case is a typed error instead — and a manifest that fails
+        // its checksum is such a candidate, not an absent one.
+        let candidates = find_records(&device, MANIFEST_MAGIC, ManifestState::from_bytes)?;
         let had_candidates = !candidates.is_empty();
         let mut recovered_ok = !had_candidates;
         let mut old_wals: Vec<FileId> = Vec::new();
         let mut last_reject: Option<StorageError> = None;
         for (mid, state) in candidates {
-            match DbCore::recover_from_manifest(&device, &cfg, &state, &obs) {
-                Ok((version, mem, next_seqno)) => {
+            let recovered = state.and_then(|state| {
+                let r = DbCore::recover_from_manifest(&device, &cfg, &state, &obs)?;
+                Ok((state, r))
+            });
+            match recovered {
+                Ok((state, (version, mem, next_seqno))) => {
                     obs.event(EventKind::RecoveryStep {
                         step: "manifest_loaded",
                         detail: format!("manifest {} levels {}", mid.0, state.levels.len()),

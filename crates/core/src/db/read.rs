@@ -355,7 +355,7 @@ impl DbCore {
     /// Range scan: up to `limit` live entries with `range.start ≤ key <
     /// range.end`, in key order, over a consistent snapshot. Only as much
     /// of each write buffer as can reach the result is copied, under a
-    /// brief read lock (the prefix rule, [`ReadView::sources`]); table I/O
+    /// brief read lock (the prefix rule, `ReadView::sources`); table I/O
     /// and the merge run lock-free against the version snapshot.
     pub fn scan(&self, range: Range<Vec<u8>>, limit: usize) -> StorageResult<Vec<(Vec<u8>, Vec<u8>)>> {
         let mut out = Vec::new();

@@ -196,7 +196,7 @@ impl DbCore {
     /// which replication-log batches are reflected. Used by a replica
     /// applying a shipped `REPL_BATCH`; the watermark reaches the
     /// manifest at the next manifest write (see
-    /// [`lsm_core::manifest::ManifestState::applied_seq`]).
+    /// [`crate::manifest::ManifestState::applied_seq`]).
     ///
     /// An empty batch still advances the watermark (a replicated batch
     /// whose ops all routed to other shards is applied "by omission").

@@ -1,20 +1,22 @@
 //! Integrity: the one checksum every sealed on-device structure carries.
 //!
 //! Data blocks, the table's meta / point-filter / range-filter sections
-//! (each filter partition separately) and WAL frames are all covered by
-//! [`checksum32`]. Blocks and sections store it as a 4-byte little-endian
-//! trailer ([`seal`] / [`unseal`]); WAL frames store it in their header.
+//! (each filter partition separately), WAL frames and the record files
+//! (the manifest, the server's shard map) are all covered by
+//! [`checksum32`]. Blocks, sections and records store it as a 4-byte
+//! little-endian trailer ([`seal`] / [`unseal`]); WAL frames store it in
+//! their header.
 //!
 //! Verification happens exactly where bytes leave the device — a
 //! `Table::read_data_block` miss, `Table::open`, a filter-partition miss,
-//! WAL replay — and *before* anything is admitted to the block cache, so
-//! a cache hit is hash-free and a transiently flipped read can never be
-//! served twice.
+//! WAL replay, a record-file scan — and *before* anything is admitted to
+//! the block cache, so a cache hit is hash-free and a transiently flipped
+//! read can never be served twice.
 
 use lsm_filters::hash::hash64;
 
 /// Bytes [`seal`] appends.
-const TRAILER_LEN: usize = 4;
+pub(crate) const TRAILER_LEN: usize = 4;
 
 /// The integrity checksum: the low 32 bits of the filters' xxhash64-style
 /// hash, which consumes 32 bytes per step in four independent lanes. This

@@ -1,15 +1,27 @@
-//! The manifest: durable description of the current version.
+//! The manifest: durable description of the current version — and the
+//! one durable record file it and the server's shard map are stored in.
 //!
 //! Rewritten atomically (new file, then delete the old) on every flush and
 //! compaction. Recovery scans the device for the newest file carrying the
 //! manifest magic, reopens the tables it lists, and replays the WAL it
 //! points at.
+//!
+//! ## Record files
+//!
+//! [`write_record`] and [`find_records`] are the whole protocol, generic
+//! over the record's magic and parser: a record is written to a new file,
+//! sealed with the integrity checksum in the file's last 4 bytes, and
+//! only then is its predecessor deleted. A crash in between leaves two;
+//! a torn or bit-flipped newer one fails its checksum, so recovery falls
+//! back to the older one — and a lone damaged record is an error, never
+//! an empty store.
 
 use std::sync::Arc;
 
-use lsm_storage::{FileId, IoCategory, StorageDevice, StorageResult, WritableFile};
+use lsm_storage::{FileId, IoCategory, StorageDevice, StorageError, StorageResult, WritableFile};
 
 use crate::entry::{get_varint, put_varint};
+use crate::integrity;
 
 /// Magic marking a manifest file's first bytes.
 pub const MANIFEST_MAGIC: u64 = 0x4C_53_4D_4D_41_4E_0A; // "LSM MAN\n"
@@ -135,54 +147,85 @@ impl ManifestState {
     }
 }
 
-/// Writes a new manifest file and deletes the previous one. Returns the
-/// new manifest's file id.
-pub fn write_manifest(
+/// Writes `body` to a new record file, sealed, and then deletes
+/// `previous` (best effort: a missing predecessor is not fatal). Returns
+/// the new file's id. Once this returns, recovery finds the new record.
+pub fn write_record(
     device: &Arc<dyn StorageDevice>,
-    state: &ManifestState,
+    body: &[u8],
     previous: Option<FileId>,
 ) -> StorageResult<FileId> {
+    // zero-pad so the trailer lands in the file's last bytes: a reader
+    // finds it without a length field
+    let bs = device.block_size();
+    let mut sealed = body.to_vec();
+    sealed.resize(
+        (body.len() + integrity::TRAILER_LEN).div_ceil(bs) * bs - integrity::TRAILER_LEN,
+        0,
+    );
+    integrity::seal(&mut sealed);
     let mut f = WritableFile::create(Arc::clone(device), IoCategory::Misc)?;
-    f.append(&state.to_bytes())?;
-    let file = f.seal()?;
-    let id = file.id();
+    f.append(&sealed)?;
+    let id = f.seal()?.id();
     if let Some(prev) = previous {
-        // best effort: a missing previous manifest is not fatal
         let _ = device.delete(prev);
     }
     Ok(id)
 }
 
-/// Scans the device for every parseable manifest, newest first.
-///
-/// Normally at most one manifest is live, but a crash between writing a new
-/// manifest and deleting its predecessor leaves two; recovery tries the
-/// newest and falls back to older candidates if the files it references
-/// turn out to be missing or corrupt.
-pub fn find_manifest_candidates(
+/// Every file on `device` whose first 8 bytes are within one bit of
+/// `magic`, newest first: `Ok` when its seal verifies and `parse` (which
+/// sees the whole file) accepts it, `Corruption` otherwise. A damaged
+/// record is reported, not skipped, so it cannot pass for an empty store.
+pub fn find_records<T>(
     device: &Arc<dyn StorageDevice>,
-) -> StorageResult<Vec<(FileId, ManifestState)>> {
-    let mut found: Vec<(FileId, ManifestState)> = Vec::new();
+    magic: u64,
+    parse: impl Fn(&[u8]) -> Option<T>,
+) -> StorageResult<Vec<(FileId, StorageResult<T>)>> {
+    let mut found = Vec::new();
     for id in device.live_files() {
         let len = device.len_blocks(id)?;
         if len == 0 {
             continue;
         }
-        let first = device.read(id, 0, len, IoCategory::Misc)?;
-        if let Some(state) = ManifestState::from_bytes(&first) {
-            found.push((id, state));
+        let bytes = device.read(id, 0, len, IoCategory::Misc)?;
+        match bytes.first_chunk::<8>() {
+            Some(head) if (u64::from_le_bytes(*head) ^ magic).count_ones() <= 1 => {}
+            _ => continue,
         }
+        let record = integrity::unseal(&bytes)
+            .and_then(|_| parse(&bytes))
+            .ok_or_else(|| StorageError::Corruption(format!("record file {} is damaged", id.0)));
+        found.push((id, record));
     }
     found.sort_by_key(|(id, _)| std::cmp::Reverse(id.0));
     Ok(found)
 }
 
-/// Scans the device for the newest parseable manifest. Returns it with its
-/// file id.
-pub fn find_manifest(
+/// The newest intact record [`find_records`] finds; `Ok(None)` when there
+/// is no record, `Corruption` when every one is damaged.
+pub fn find_record<T>(
     device: &Arc<dyn StorageDevice>,
-) -> StorageResult<Option<(FileId, ManifestState)>> {
-    Ok(find_manifest_candidates(device)?.into_iter().next())
+    magic: u64,
+    parse: impl Fn(&[u8]) -> Option<T>,
+) -> StorageResult<Option<(FileId, T)>> {
+    let mut damaged = None;
+    for (id, record) in find_records(device, magic, parse)? {
+        match record {
+            Ok(record) => return Ok(Some((id, record))),
+            Err(e) => damaged = Some(e),
+        }
+    }
+    damaged.map_or(Ok(None), Err)
+}
+
+/// Writes `state` as the newest manifest, deleting `previous`.
+pub fn write_manifest(
+    device: &Arc<dyn StorageDevice>,
+    state: &ManifestState,
+    previous: Option<FileId>,
+) -> StorageResult<FileId> {
+    write_record(device, &state.to_bytes(), previous)
 }
 
 #[cfg(test)]
@@ -192,6 +235,12 @@ mod tests {
 
     fn device() -> Arc<dyn StorageDevice> {
         Arc::new(MemDevice::new(512, DeviceProfile::free()))
+    }
+
+    fn find_manifest(
+        dev: &Arc<dyn StorageDevice>,
+    ) -> StorageResult<Option<(FileId, ManifestState)>> {
+        find_record(dev, MANIFEST_MAGIC, ManifestState::from_bytes)
     }
 
     fn sample() -> ManifestState {
@@ -280,11 +329,40 @@ mod tests {
         s2.next_seqno = 777;
         // simulate a crash before the old manifest was deleted
         let id2 = write_manifest(&dev, &s2, None).unwrap();
-        let cands = find_manifest_candidates(&dev).unwrap();
+        let cands = find_records(&dev, MANIFEST_MAGIC, ManifestState::from_bytes).unwrap();
         assert_eq!(cands.len(), 2);
         assert_eq!(cands[0].0, id2);
-        assert_eq!(cands[0].1.next_seqno, 777);
+        assert_eq!(cands[0].1.as_ref().unwrap().next_seqno, 777);
         assert_eq!(cands[1].0, id1);
+    }
+
+    /// Any single-bit flip of the newer record (magic, body, padding or
+    /// trailer) breaks its seal, so the finder falls back to the older
+    /// record rather than return one that merely parses; with no older
+    /// record the flip is a typed error, never an empty device.
+    #[test]
+    fn every_bit_flip_is_a_fallback_or_a_typed_error() {
+        let (older, mut newer) = (sample(), sample());
+        newer.next_seqno = 777;
+        let scratch = device();
+        let fid = write_manifest(&scratch, &newer, None).unwrap();
+        let blocks = scratch.len_blocks(fid).unwrap();
+        let sealed = scratch.read(fid, 0, blocks, IoCategory::Misc).unwrap();
+        for bit in 0..sealed.len() * 8 {
+            let dev = device();
+            let older_id = write_manifest(&dev, &older, None).unwrap();
+            let mut flipped = sealed.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            let mut w = WritableFile::create(Arc::clone(&dev), IoCategory::Misc).unwrap();
+            w.append(&flipped).unwrap();
+            w.seal().unwrap();
+            assert_eq!(find_manifest(&dev).unwrap().unwrap().1, older, "bit {bit}");
+            dev.delete(older_id).unwrap();
+            assert!(
+                matches!(find_manifest(&dev), Err(StorageError::Corruption(_))),
+                "bit {bit}: a lone damaged manifest must be an error"
+            );
+        }
     }
 
     #[test]

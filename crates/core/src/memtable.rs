@@ -354,7 +354,7 @@ impl Memtable {
     /// The one flush trigger: the logical footprint reached `budget`, or
     /// — a few keys rewritten (or re-deleted, or absorbed by the hash
     /// front) over and over never grow that, while the arena and the WAL
-    /// do — [`WRITTEN_BUDGET_FACTOR`] times it has been written in.
+    /// do — `WRITTEN_BUDGET_FACTOR` times it has been written in.
     pub fn is_full(&self, budget: usize) -> bool {
         self.bytes >= budget || self.written >= budget.saturating_mul(WRITTEN_BUDGET_FACTOR)
     }

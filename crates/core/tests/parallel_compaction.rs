@@ -30,7 +30,7 @@ use rand::{Rng, SeedableRng};
 use lsm_core::compaction::exec::merge_tables;
 use lsm_core::compaction::picker::pick_file;
 use lsm_core::compaction::subcompact::{merge_tables_sharded, shard_boundaries};
-use lsm_core::manifest::find_manifest;
+use lsm_core::manifest::{find_record, ManifestState, MANIFEST_MAGIC};
 use lsm_core::sstable::{Table, TableBuilder};
 use lsm_core::{
     BackgroundMode, Db, EventKind, FilePicker, IndexKind, LsmConfig, SortedRun, ValueKind,
@@ -201,8 +201,12 @@ fn inline_engine_differential_serial_vs_sharded() {
     assert_eq!(db_parallel.events_dropped(), 0, "ring must not drop mid-test");
 
     // version state: identical manifests (same levels, same table ids)
-    let (_, m_serial) = find_manifest(&dev_serial).unwrap().unwrap();
-    let (_, m_parallel) = find_manifest(&dev_parallel).unwrap().unwrap();
+    let manifest = |dev| {
+        find_record(dev, MANIFEST_MAGIC, ManifestState::from_bytes)
+            .unwrap()
+            .unwrap()
+    };
+    let ((_, m_serial), (_, m_parallel)) = (manifest(&dev_serial), manifest(&dev_parallel));
     assert_eq!(m_serial, m_parallel, "manifest state must be identical");
 
     // every referenced table byte-identical across the two devices

@@ -7,7 +7,8 @@
 //!
 //! 1. stop the replica's server (if still running);
 //! 2. reopen every shard from its device — `Db::open` replays the WAL
-//!    tail, exactly as after a crash;
+//!    tail, exactly as after a crash ([`Cluster::reopen`] does this for
+//!    a harness node);
 //! 3. adopt the **max** of the shards' recovered `applied_seq`
 //!    watermarks as the committed replication sequence. Max is correct
 //!    because all shards advance their watermark in lockstep on every
@@ -17,23 +18,20 @@
 //!    not yet captured by a manifest write) is still present via WAL
 //!    replay; the watermark only governs where a *new* replication log
 //!    starts.
-//! 4. start a new server over the recovered shards. If the new role is
-//!    `Primary`, `Server::start` seeds its replication log at the
+//! 4. serve the recovered shards in the topology's new role. If it is
+//!    `Primary`, [`Server::serve`] seeds its replication log at the
 //!    adopted sequence automatically (the log base is always the max
 //!    shard watermark at startup).
 //!
 //! Every write the old primary quorum-acked was, by definition, applied
 //! and synced on `ack_quorum` replicas before the client saw `OK` — so
 //! promoting any replica in the quorum preserves every acked write.
+//!
+//! [`Cluster::reopen`]: crate::harness::Cluster::reopen
 
-use std::sync::Arc;
-
-use lsm_core::LsmConfig;
 use lsm_obs::EventKind;
-use lsm_storage::{StorageDevice, StorageError, StorageResult};
 
-use crate::harness::reopen_shards;
-use crate::server::{Server, ServerConfig};
+use crate::server::{Server, ServerConfig, Topology};
 
 /// The result of promoting a replica.
 pub struct Promotion {
@@ -43,21 +41,19 @@ pub struct Promotion {
     pub adopted_seq: u64,
 }
 
-/// Reopens a (stopped) replica's shard devices, replaying WAL tails,
-/// and starts a new server over them — the failover path. The caller
-/// chooses the new role via `server_cfg.role` (standalone, or primary
-/// over the surviving replicas).
-pub fn promote_replica(
-    devices: &[Arc<dyn StorageDevice>],
-    cfg: &LsmConfig,
-    server_cfg: ServerConfig,
-) -> StorageResult<Promotion> {
-    let dbs = reopen_shards(devices, cfg)?;
-    let adopted_seq = dbs.iter().map(|db| db.applied_seq()).max().unwrap_or(0);
-    let server = Server::start(dbs, server_cfg).map_err(StorageError::Io)?;
-    server
-        .metrics()
-        .event(EventKind::Failover { adopted_seq });
+/// Starts a new server over a stopped replica's recovered shards — the
+/// failover path. `topology.shards` are the replica's engines reopened
+/// from its devices; `topology.role` is the new role (standalone, or
+/// primary over the surviving replicas).
+pub fn promote_replica(topology: Topology, server_cfg: ServerConfig) -> std::io::Result<Promotion> {
+    let adopted_seq = topology
+        .shards
+        .iter()
+        .map(|db| db.applied_seq())
+        .max()
+        .unwrap_or(0);
+    let server = Server::serve(topology, server_cfg)?;
+    server.metrics().event(EventKind::Failover { adopted_seq });
     Ok(Promotion {
         server,
         adopted_seq,

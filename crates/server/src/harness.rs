@@ -1,179 +1,140 @@
-//! Deterministic in-process test harness: a loopback server over
-//! in-memory shard devices.
+//! Deterministic in-process test harness: loopback nodes over shard
+//! devices the harness keeps.
 //!
-//! The harness keeps the `Arc` handles to every shard's device, so a
-//! test can [`Server::abort`] the server (the in-process stand-in for
-//! `kill -9`), drop the engines, and reopen the same devices with
-//! [`reopen_shards`] to prove recovery — exactly the lifecycle a real
-//! deployment gets from persistent disks, minus the filesystem.
+//! A [`Cluster`] is one node — a server plus every device its shards ever
+//! lived on, registered by stable shard id — and starts from a [`Layout`]
+//! and a role, the same data a [`Topology`] carries. A test can
+//! [`Server::abort`] the server (the in-process stand-in for `kill -9`),
+//! drop the engines, and [`Cluster::reopen`] the same devices to prove
+//! recovery — exactly the lifecycle a real deployment gets from
+//! persistent disks, minus the filesystem. A replicated deployment is
+//! several clusters: start the replicas, then a primary whose role names
+//! their addresses.
 
 use std::collections::HashMap;
 use std::net::SocketAddr;
 use std::sync::{Arc, Mutex};
 
+use lsm_core::manifest::find_record;
 use lsm_core::{Db, LsmConfig};
 use lsm_storage::{DeviceProfile, MemDevice, StorageDevice, StorageResult};
 
 use crate::client::Client;
-use crate::replication::{PrimaryReplication, ReplicationRole};
-use crate::server::{ElasticOptions, RebalancePolicy, Server, ServerConfig};
-use crate::shardmap::{find_cluster_meta, ShardMap};
+use crate::replication::ReplicationRole;
+use crate::server::{
+    ElasticOptions, RebalancePolicy, Server, ServerConfig, ShardDeviceFactory, Topology,
+};
+use crate::shardmap::{ShardMap, CLUSTER_META_MAGIC};
 
-/// A running loopback cluster plus the handles tests need to poke it.
-pub struct TestCluster {
-    /// The server; take it out (`Option::take`) to shut down or abort.
-    pub server: Option<Server>,
-    /// Per-shard devices, kept alive across a server abort for reopen.
-    pub devices: Vec<Arc<dyn StorageDevice>>,
-    /// The engine config every shard was opened with.
-    pub cfg: LsmConfig,
-}
-
-/// Opens one engine per device (crash-recovering whatever the device
-/// holds) — the reopen half of a kill-the-server test.
-pub fn reopen_shards(
-    devices: &[Arc<dyn StorageDevice>],
-    cfg: &LsmConfig,
-) -> StorageResult<Vec<Db>> {
-    devices
-        .iter()
-        .map(|d| Db::open(Arc::clone(d), cfg.clone()))
-        .collect()
-}
-
-/// Starts a cluster of `shards` fresh in-memory shards.
-pub fn start_cluster(shards: usize, cfg: LsmConfig, server_cfg: ServerConfig) -> TestCluster {
-    let devices: Vec<Arc<dyn StorageDevice>> = (0..shards)
-        .map(|_| {
-            Arc::new(MemDevice::new(cfg.block_size, DeviceProfile::free()))
-                as Arc<dyn StorageDevice>
-        })
-        .collect();
-    let dbs = reopen_shards(&devices, &cfg).expect("open fresh shards");
-    let server = Server::start(dbs, server_cfg).expect("start loopback server");
-    TestCluster {
-        server: Some(server),
-        devices,
-        cfg,
-    }
-}
-
-impl TestCluster {
-    /// The loopback address.
-    pub fn addr(&self) -> SocketAddr {
-        self.server.as_ref().expect("server running").addr()
-    }
-
-    /// A fresh client connection.
-    pub fn client(&self) -> Client {
-        Client::connect(self.addr()).expect("connect loopback client")
-    }
-
-    /// Reopens every shard from the kept devices (after an abort).
-    pub fn reopen(&self) -> StorageResult<Vec<Db>> {
-        reopen_shards(&self.devices, &self.cfg)
-    }
-}
-
-/// Shared shard-id → device registry for elastic clusters. The server's
-/// device factory inserts every shard it creates, so after an abort the
-/// test can reopen exactly the shards the (possibly rebalanced) map
-/// names.
+/// Every shard device a cluster created, by stable shard id.
 pub type ShardDeviceRegistry = Arc<Mutex<HashMap<u64, Arc<dyn StorageDevice>>>>;
 
-/// A running elastic (range-routed) loopback cluster.
-pub struct ElasticCluster {
+/// The shards a [`Cluster`] starts with and how keys route to them.
+pub enum Layout {
+    /// `n` hash-routed shards with ids `0..n`.
+    Hash(usize),
+    /// One shard per map entry, range-routed and elastic, rebalanced
+    /// automatically when a policy is given.
+    Elastic(ShardMap, Option<RebalancePolicy>),
+}
+
+/// One loopback node and the devices it can be recovered from.
+pub struct Cluster {
     /// The server; take it out (`Option::take`) to shut down or abort.
     pub server: Option<Server>,
-    /// Every shard device ever created, keyed by stable shard id.
+    /// Every shard device the cluster created, by stable shard id.
     pub devices: ShardDeviceRegistry,
-    /// The cluster-metadata device holding the persisted shard map.
+    /// Holds an elastic cluster's shard map. In memory by default;
+    /// replace it before [`Cluster::serve`] to put the map elsewhere.
     pub meta_dev: Arc<dyn StorageDevice>,
-    /// The engine config every shard was opened with.
+    /// The engine config every shard is opened with.
     pub cfg: LsmConfig,
+    mint: Arc<dyn Fn(u64) -> Arc<dyn StorageDevice> + Send + Sync>,
+    elastic: bool,
 }
 
-/// A [`crate::server::ShardDeviceFactory`] that mints fresh in-memory
-/// devices and records them in `registry` under the new shard's id.
-pub fn registry_factory(
-    registry: ShardDeviceRegistry,
-    block_size: usize,
-) -> crate::server::ShardDeviceFactory {
-    Box::new(move |shard_id| {
-        let dev: Arc<dyn StorageDevice> =
-            Arc::new(MemDevice::new(block_size, DeviceProfile::free()));
-        registry
-            .lock()
-            .unwrap()
-            .insert(shard_id, Arc::clone(&dev));
-        dev
-    })
-}
+impl Cluster {
+    /// Starts `layout` over fresh in-memory devices, serving as `role`.
+    pub fn start(
+        layout: Layout,
+        role: ReplicationRole,
+        cfg: LsmConfig,
+        server_cfg: ServerConfig,
+    ) -> Cluster {
+        let block_size = cfg.block_size;
+        let mut cluster = Cluster::new(cfg, move |_| {
+            Arc::new(MemDevice::new(block_size, DeviceProfile::free())) as Arc<dyn StorageDevice>
+        });
+        cluster
+            .serve(layout, role, server_cfg)
+            .expect("start loopback cluster");
+        cluster
+    }
 
-/// Starts an elastic cluster serving `map` over fresh in-memory shard
-/// devices (one per map entry, registered by shard id) plus a fresh
-/// metadata device.
-pub fn start_elastic_cluster(
-    map: ShardMap,
-    cfg: LsmConfig,
-    server_cfg: ServerConfig,
-    policy: Option<RebalancePolicy>,
-) -> ElasticCluster {
-    let registry: ShardDeviceRegistry = Arc::new(Mutex::new(HashMap::new()));
-    let factory = registry_factory(Arc::clone(&registry), cfg.block_size);
-    let dbs: Vec<Db> = map
-        .entries
-        .iter()
-        .map(|e| Db::open(factory(e.shard_id), cfg.clone()).expect("open fresh shard"))
-        .collect();
-    let meta_dev: Arc<dyn StorageDevice> =
-        Arc::new(MemDevice::new(cfg.block_size, DeviceProfile::free()));
-    let server = Server::start_elastic(
-        dbs,
-        map,
-        ElasticOptions {
-            meta_dev: Arc::clone(&meta_dev),
+    /// A cluster with no server yet, whose shard `id` lives on
+    /// `mint(id)`: called once per shard, at start and for every split's
+    /// recipient.
+    pub fn new(
+        cfg: LsmConfig,
+        mint: impl Fn(u64) -> Arc<dyn StorageDevice> + Send + Sync + 'static,
+    ) -> Cluster {
+        Cluster {
+            server: None,
+            devices: ShardDeviceRegistry::default(),
+            meta_dev: Arc::new(MemDevice::new(cfg.block_size, DeviceProfile::free())),
+            cfg,
+            mint: Arc::new(mint),
+            elastic: false,
+        }
+    }
+
+    /// Opens `layout`'s shards on freshly minted devices and serves them
+    /// as `role`.
+    pub fn serve(
+        &mut self,
+        layout: Layout,
+        role: ReplicationRole,
+        server_cfg: ServerConfig,
+    ) -> std::io::Result<()> {
+        let (ids, elastic): (Vec<u64>, _) = match layout {
+            Layout::Hash(n) => ((0..n as u64).collect(), None),
+            Layout::Elastic(map, policy) => (
+                map.entries.iter().map(|e| e.shard_id).collect(),
+                Some((map, policy)),
+            ),
+        };
+        self.elastic = elastic.is_some();
+        let factory = self.factory();
+        let shards = ids
+            .into_iter()
+            .map(|id| Db::open(factory(id), self.cfg.clone()))
+            .collect::<StorageResult<Vec<Db>>>()
+            .map_err(|e| std::io::Error::other(e.to_string()))?;
+        let elastic = elastic.map(|(map, policy)| ElasticOptions {
+            map,
+            meta_dev: Arc::clone(&self.meta_dev),
             factory,
             policy,
-        },
-        server_cfg,
-    )
-    .expect("start elastic loopback server");
-    ElasticCluster {
-        server: Some(server),
-        devices: registry,
-        meta_dev,
-        cfg,
+        });
+        let topology = Topology {
+            shards,
+            elastic,
+            role,
+        };
+        self.server = Some(Server::serve(topology, server_cfg)?);
+        Ok(())
     }
-}
 
-/// Recovers an elastic cluster's durable state after an abort: reads
-/// the newest parseable shard map from `meta_dev` and reopens each
-/// mapped shard from `registry` (map order). Shards named by the map
-/// but missing from the registry panic — the registry is supposed to
-/// hold every device the factory ever handed out.
-pub fn reopen_elastic(
-    registry: &ShardDeviceRegistry,
-    meta_dev: &Arc<dyn StorageDevice>,
-    cfg: &LsmConfig,
-) -> StorageResult<(ShardMap, Vec<Db>)> {
-    let (_fid, map) = find_cluster_meta(meta_dev)?
-        .expect("elastic cluster metadata survived the crash");
-    let reg = registry.lock().unwrap();
-    let dbs: StorageResult<Vec<Db>> = map
-        .entries
-        .iter()
-        .map(|e| {
-            let dev = reg
-                .get(&e.shard_id)
-                .unwrap_or_else(|| panic!("no device registered for shard {}", e.shard_id));
-            Db::open(Arc::clone(dev), cfg.clone())
+    /// Mints through `mint` and registers each device by shard id.
+    fn factory(&self) -> ShardDeviceFactory {
+        let (mint, registry) = (Arc::clone(&self.mint), Arc::clone(&self.devices));
+        Box::new(move |id| {
+            let dev = mint(id);
+            registry.lock().unwrap().insert(id, Arc::clone(&dev));
+            dev
         })
-        .collect();
-    Ok((map, dbs?))
-}
+    }
 
-impl ElasticCluster {
     /// The loopback address.
     pub fn addr(&self) -> SocketAddr {
         self.server.as_ref().expect("server running").addr()
@@ -184,47 +145,54 @@ impl ElasticCluster {
         Client::connect(self.addr()).expect("connect loopback client")
     }
 
-    /// Recovers the durable map + shards from the kept devices.
-    pub fn reopen(&self) -> StorageResult<(ShardMap, Vec<Db>)> {
-        reopen_elastic(&self.devices, &self.meta_dev, &self.cfg)
+    /// Recovers the topology the devices hold, each engine
+    /// crash-recovering from its device: when elastic, the newest shard
+    /// intact map on `meta_dev` (`Corruption` when every map there is
+    /// damaged) and the shards it names; when hash-routed, every
+    /// registered shard in id order. No device records a role, so the
+    /// topology comes back standalone (set `role` to restart a primary)
+    /// with no rebalancing policy. `None` when the devices hold no
+    /// topology: no shard was ever opened, or an elastic cluster's first
+    /// map never became durable. A shard the map names but the registry
+    /// lacks panics: the registry holds every device ever minted.
+    pub fn reopen(&self) -> StorageResult<Option<Topology>> {
+        let (ids, elastic): (Vec<u64>, _) = if self.elastic {
+            let found = find_record(&self.meta_dev, CLUSTER_META_MAGIC, ShardMap::from_bytes)?;
+            let Some((_, map)) = found else {
+                return Ok(None);
+            };
+            let ids = map.entries.iter().map(|e| e.shard_id).collect();
+            let opts = ElasticOptions {
+                map,
+                meta_dev: Arc::clone(&self.meta_dev),
+                factory: self.factory(),
+                policy: None,
+            };
+            (ids, Some(opts))
+        } else {
+            let mut ids: Vec<u64> = self.devices.lock().unwrap().keys().copied().collect();
+            ids.sort_unstable();
+            (ids, None)
+        };
+        if ids.is_empty() {
+            return Ok(None);
+        }
+        let registry = self.devices.lock().unwrap();
+        let shards = ids
+            .iter()
+            .map(|id| {
+                let dev = registry
+                    .get(id)
+                    .unwrap_or_else(|| panic!("no device registered for shard {id}"));
+                Db::open(Arc::clone(dev), self.cfg.clone())
+            })
+            .collect::<StorageResult<Vec<Db>>>()?;
+        Ok(Some(Topology {
+            shards,
+            elastic,
+            role: ReplicationRole::None,
+        }))
     }
-}
-
-/// A primary plus N replica servers, each over its own in-memory
-/// devices, wired together over loopback.
-pub struct ReplicatedCluster {
-    /// The writable primary.
-    pub primary: TestCluster,
-    /// The read-only replicas, in replica-id order.
-    pub replicas: Vec<TestCluster>,
-}
-
-/// Starts `n_replicas` replica servers, then a primary configured to
-/// ship to all of them with the given `ack_quorum`. Every node runs
-/// `shards` shards of the same `cfg` (replication routes by the same
-/// FNV partition, so shard counts must match).
-pub fn start_replicated_cluster(
-    shards: usize,
-    n_replicas: usize,
-    cfg: LsmConfig,
-    server_cfg: ServerConfig,
-    ack_quorum: usize,
-) -> ReplicatedCluster {
-    let replicas: Vec<TestCluster> = (0..n_replicas)
-        .map(|_| {
-            let mut rc = server_cfg.clone();
-            rc.role = ReplicationRole::Replica;
-            start_cluster(shards, cfg.clone(), rc)
-        })
-        .collect();
-    let mut pc = server_cfg;
-    pc.role = ReplicationRole::Primary(PrimaryReplication {
-        replicas: replicas.iter().map(TestCluster::addr).collect(),
-        ack_quorum,
-        ..PrimaryReplication::default()
-    });
-    let primary = start_cluster(shards, cfg, pc);
-    ReplicatedCluster { primary, replicas }
 }
 
 #[cfg(test)]
@@ -238,9 +206,14 @@ mod tests {
         }
     }
 
+    fn standalone(shards: usize, cfg: LsmConfig) -> Cluster {
+        let role = ReplicationRole::None;
+        Cluster::start(Layout::Hash(shards), role, cfg, ServerConfig::default())
+    }
+
     #[test]
     fn loopback_roundtrip_and_graceful_shutdown() {
-        let mut cluster = start_cluster(2, wal_cfg(), ServerConfig::default());
+        let mut cluster = standalone(2, wal_cfg());
         let mut c = cluster.client();
         for i in 0..50u32 {
             c.put(format!("hk{i:04}").as_bytes(), format!("hv{i}").as_bytes())
@@ -270,7 +243,7 @@ mod tests {
     #[test]
     fn pipelined_writes_then_read_your_writes() {
         use crate::protocol::{Request, Response};
-        let mut cluster = start_cluster(2, wal_cfg(), ServerConfig::default());
+        let mut cluster = standalone(2, wal_cfg());
         let mut c = cluster.client();
         let ids: Vec<u64> = (0..64u32)
             .map(|i| {
@@ -359,7 +332,7 @@ mod tests {
             buffer_bytes: 4 << 20,
             ..wal_cfg()
         };
-        let cluster = start_cluster(1, cfg, ServerConfig::default());
+        let cluster = standalone(1, cfg);
         let mut c = cluster.client();
         let value = vec![b'v'; 1000];
         for i in 0..1200u32 {
@@ -374,23 +347,22 @@ mod tests {
     }
 
     #[test]
-    fn elastic_start_with_a_replication_role_is_invalid_input() {
+    fn a_replica_with_elastic_routing_is_invalid_input() {
         let cfg = wal_cfg();
-        let db = Db::open_in_memory(cfg.clone()).unwrap();
-        let meta_dev: Arc<dyn StorageDevice> =
-            Arc::new(MemDevice::new(cfg.block_size, DeviceProfile::free()));
-        let elastic = ElasticOptions {
-            meta_dev,
-            factory: registry_factory(ShardDeviceRegistry::default(), cfg.block_size),
-            policy: None,
-        };
-        let server_cfg = ServerConfig {
+        let cluster = Cluster::new(cfg.clone(), |_| unreachable!("no split runs"));
+        let topology = Topology {
+            shards: vec![Db::open_in_memory(cfg).unwrap()],
+            elastic: Some(ElasticOptions {
+                map: ShardMap::uniform(1),
+                meta_dev: Arc::clone(&cluster.meta_dev),
+                factory: cluster.factory(),
+                policy: None,
+            }),
             role: ReplicationRole::Replica,
-            ..ServerConfig::default()
         };
-        let err = Server::start_elastic(vec![db], ShardMap::uniform(1), elastic, server_cfg)
+        let err = Server::serve(topology, ServerConfig::default())
             .err()
-            .expect("a replication role must be refused");
+            .expect("a replica must not route elastically");
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
     }
 }

@@ -15,21 +15,25 @@
 //!   cross-shard scan;
 //! - [`shardmap`] — the versioned, manifest-persisted cluster shard map
 //!   (contiguous key ranges, split/merge edits, crash-safe recovery);
-//! - [`migrate`] — online shard split/merge: snapshot copy plus a
-//!   group-commit tap, with an atomic map flip under the topology lock;
+//! - `migrate` — online shard split/merge, one routine for both:
+//!   snapshot copy plus a group-commit tap, with an atomic map flip under
+//!   the routing lock;
 //! - [`batcher`] — per-shard group commit: concurrent writes coalesce
 //!   into one `Db::write_batch` (one WAL append, one sync) per batch;
-//! - [`server`] — the accept loop, per-connection reader/writer threads
-//!   with bounded in-flight pipelining, admission control wired to the
-//!   engine's L0 backpressure gauge, and graceful drain;
+//! - [`server`] — [`Server::serve`], the one way to start a server, over
+//!   a [`Topology`] value (shard engines × hash or elastic routing ×
+//!   replication role); the accept loop, per-connection reader/writer
+//!   threads with bounded in-flight pipelining, admission control wired
+//!   to the engine's L0 backpressure gauge, and graceful drain;
 //! - [`client`] — a small blocking client library;
 //! - [`replication`] — primary → replica shipping of committed
 //!   group-commit batches, quorum acks, and the replica apply path;
 //! - [`failover`] — promotion of a replica to primary via the
 //!   crash-recovery path;
 //! - [`metrics`] — serving-side histograms, gauges, and event trace;
-//! - [`harness`] — an in-process loopback cluster for deterministic
-//!   tests, including kill-the-server recovery and replicated clusters.
+//! - [`harness`] — [`harness::Cluster`], one in-process loopback node for
+//!   deterministic tests: any layout and role, and kill-the-server
+//!   recovery of whatever topology its devices hold.
 //!
 //! Everything is `std`-only (`std::net` + threads), mirroring the thread
 //! patterns of `lsm_core::background`.
@@ -53,11 +57,6 @@ pub use batcher::{
 };
 pub use client::{Client, ShardMapEntries, TxnCommitStatus};
 pub use failover::{promote_replica, Promotion};
-pub use harness::{
-    registry_factory, reopen_elastic, reopen_shards, start_cluster, start_elastic_cluster,
-    start_replicated_cluster, ElasticCluster, ReplicatedCluster, ShardDeviceRegistry,
-    TestCluster,
-};
 pub use metrics::ServerMetrics;
 pub use protocol::{
     decode_request, decode_response, encode_request, repl_ops, FrameError, FrameReader,
@@ -68,8 +67,6 @@ pub use replication::{
 };
 pub use router::{shard_of, Routing, ShardSet};
 pub use server::{
-    ElasticOptions, RebalancePolicy, Server, ServerConfig, ShardDeviceFactory,
+    ElasticOptions, RebalancePolicy, Server, ServerConfig, ShardDeviceFactory, Topology,
 };
-pub use shardmap::{
-    find_cluster_meta, write_cluster_meta, ShardMap, ShardRange, CLUSTER_META_MAGIC,
-};
+pub use shardmap::{ShardMap, ShardRange};

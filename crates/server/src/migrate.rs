@@ -1,31 +1,38 @@
 //! Live shard migration: online split and merge with a crash-safe
-//! cut-over.
+//! cut-over. Both are one routine, [`migrate`], over a `Plan`: donor,
+//! recipient, range, new map, and how the route table changes.
 //!
-//! ## Split state machine
-//!
-//! 1. **Plan** (routing read lock): snapshot the current map, pick the
-//!    donor's range, and choose a boundary — explicit, or the donor's
+//! 1. **Plan** (routing read lock): snapshot the current map and pick
+//!    the range. A split's boundary is explicit or the donor's
 //!    [`suggest_split_key`](lsm_core::DbCore::suggest_split_key)
-//!    (weighted fence-pointer median, no data blocks read).
-//! 2. **Fork**: open a fresh `Db` for the new shard id on a device from
-//!    the elastic factory.
+//!    (weighted fence-pointer median, no data blocks read), and its
+//!    recipient a fresh `Db` on a device from the elastic factory; a
+//!    merge moves the right neighbour's whole range into the left shard.
+//! 2. **Clear** (merge only): tombstone the recipient's copy of the
+//!    range. It may hold a *stale* copy from an earlier split (donors
+//!    keep their data), in which keys since deleted on the donor would
+//!    still be live, and snapshot scans cannot carry the donor's
+//!    tombstones, so the recipient must start from nothing.
 //! 3. **Tap, then snapshot**: install a [`MigrationTap`] on the donor's
-//!    committer for `[boundary, end)`, *then* take a `Db` snapshot. The
-//!    order is the correctness hinge: every batch that commits after the
-//!    tap is teed, every batch that committed before it is in the
-//!    snapshot, and a batch in both is harmless because tapped regions
-//!    replay in commit order (the newest op for a key always replays
-//!    last).
-//! 4. **Copy**: stream the snapshot's `[boundary, end)` into the
-//!    recipient in chunked write batches. Tapped regions buffer in their
-//!    channel meanwhile — they must apply only *after* the bulk copy, or
-//!    a snapshot value could overwrite a newer tapped one.
+//!    committer for the range, *then* take a `Db` snapshot. The order is
+//!    the correctness hinge: every batch that commits after the tap is
+//!    teed, every batch that committed before it is in the snapshot, and
+//!    a batch in both is harmless because tapped regions replay in commit
+//!    order (the newest op for a key always replays last).
+//! 4. **Copy**: stream the snapshot's range into the recipient in chunked
+//!    write batches. Tapped regions buffer in their channel meanwhile —
+//!    they must apply only *after* the bulk copy, or a snapshot value
+//!    could overwrite a newer tapped one.
 //! 5. **Catch-up**: drain and apply the buffered tap backlog.
 //! 6. **Cut-over** (routing write lock, so no write can route anywhere
 //!    during it): barrier the donor's committer (drains every queued
-//!    write into the tap), apply the tap remainder, `sync` the
-//!    recipient, write the new map to the cluster-metadata file — the
-//!    durable commit point — and swap the in-memory topology.
+//!    write into the tap — on a replicated primary, through its quorum
+//!    waits), apply the tap remainder, `sync` the recipient, write the
+//!    new map to the cluster-metadata file — the durable commit point —
+//!    and swap the route table. A split's recipient gets its write path
+//!    from the server's one shard helper, so a primary ships its batches
+//!    too; a merge's donor retires. Copies and replays write to the
+//!    recipient's engine directly, so nothing moved is shipped twice.
 //!
 //! The donor **never deletes** the moved range: the router clamps every
 //! per-shard scan to the shard's owned range and routes points by
@@ -37,30 +44,20 @@
 //! a *failed* meta write: its bytes may or may not have become durable,
 //! so recovery could adopt either map — no further ack is safe under
 //! both, and the server fail-stops (drains) instead of guessing.
-//!
-//! ## Merge
-//!
-//! Merge is the inverse: the right neighbour (donor) streams its whole
-//! range into the left shard (recipient) and retires. One extra step
-//! guards against resurrection: the recipient may hold a *stale* copy of
-//! the absorbed range from an earlier split (donors keep their data), in
-//! which keys since deleted on the donor would still be live. The
-//! migration therefore tombstones the recipient's copy of the range
-//! before copying — snapshot scans cannot see the donor's tombstones,
-//! so the recipient must start from nothing.
 
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::{channel, Receiver};
 use std::sync::Arc;
 
+use lsm_core::manifest::write_record;
 use lsm_core::{Db, WriteBatch};
 use lsm_obs::EventKind;
 
 use crate::batcher::{GroupCommitter, MigrationTap};
 use crate::protocol::repl_ops;
 use crate::router::ShardSet;
-use crate::server::ServerInner;
-use crate::shardmap::{write_cluster_meta, ShardMap};
+use crate::server::{lane, ElasticCtx, ServerInner};
+use crate::shardmap::ShardMap;
 
 /// Entries per bulk-copy write batch.
 const COPY_CHUNK: usize = 512;
@@ -140,6 +137,43 @@ fn drain_tap(rx: &Receiver<Vec<u8>>, dst: &Db) -> Result<(), String> {
     Ok(())
 }
 
+/// How a migration's cut-over changes the route table.
+enum Change {
+    /// A split: the recipient joins as a new shard at this index.
+    Insert(usize),
+    /// A merge: the donor at this index retires into an existing
+    /// recipient, whose copy of the range is cleared first.
+    Retire(usize),
+}
+
+/// One migration, as data: move the donor's `[lo, hi)` into the
+/// recipient, then flip to `map` with `change`, announcing `event`.
+struct Plan {
+    donor: Db,
+    committer: Arc<GroupCommitter>,
+    recipient: Db,
+    lo: Vec<u8>,
+    hi: Option<Vec<u8>>,
+    map: ShardMap,
+    change: Change,
+    event: EventKind,
+}
+
+/// The live map and the engine and committer of shard `idx`, read under
+/// the routing read lock.
+fn shard_at(
+    inner: &ServerInner,
+    idx: usize,
+) -> Result<(ShardMap, Db, Arc<GroupCommitter>), String> {
+    let routes = inner.routes.read().unwrap();
+    let map = routes.shards.map().ok_or("server is not range-routed")?;
+    if idx >= map.len() {
+        return Err(format!("no shard at index {idx}"));
+    }
+    let committer = Arc::clone(&routes.lanes[idx].committer);
+    Ok((map.clone(), routes.shards.db(idx).clone(), committer))
+}
+
 /// Splits shard `idx` at `boundary` (or the donor's suggested median),
 /// migrating `[boundary, end)` to a freshly-named shard while writes
 /// keep flowing. Returns the new shard's stable id.
@@ -150,58 +184,107 @@ pub(crate) fn split_shard(
 ) -> Result<u64, String> {
     let elastic = inner.elastic.as_ref().ok_or("server is not elastic")?;
     let _one_at_a_time = elastic.mig_lock.lock().unwrap();
-    // plan under the routing read lock, then release it: copy runs
-    // against clones while reads and writes proceed
-    let (donor, committer, map, lo, hi) = {
-        let topo = inner.topo.read().unwrap();
-        let map: ShardMap = topo.shards.map().ok_or("server is not range-routed")?.clone();
-        if idx >= map.len() {
-            return Err(format!("no shard at index {idx}"));
-        }
-        let (lo, hi) = map.range_of(idx);
-        (
-            topo.shards.db(idx).clone(),
-            Arc::clone(&topo.committers[idx]),
-            map.clone(),
-            lo.to_vec(),
-            hi.map(<[u8]>::to_vec),
-        )
-    };
+    let (map, donor, committer) = shard_at(inner, idx)?;
+    let (lo, hi) = map.range_of(idx);
     let boundary = match boundary {
         Some(b) => b,
         None => donor
-            .suggest_split_key(&lo, hi.as_deref())
+            .suggest_split_key(lo, hi)
             .ok_or("shard has no interior split candidate")?,
     };
     let (new_map, new_id) = map.split(idx, &boundary)?;
     let recipient = Db::open((elastic.factory)(new_id), donor.config().clone())
         .map_err(|e| format!("open recipient shard {new_id}: {e}"))?;
-    // tap BEFORE snapshot: see the module docs for why this order is
-    // the no-lost-write invariant
-    let (tap_tx, tap_rx) = channel();
-    committer.install_tap(MigrationTap {
-        lo: boundary.clone(),
-        hi: hi.clone(),
-        tx: tap_tx,
+    let event = EventKind::ShardSplit {
+        parent: map.entries[idx].shard_id,
+        new_shard: new_id,
+        map_version: new_map.version,
+    };
+    migrate(
+        inner,
+        elastic,
+        Plan {
+            donor,
+            committer,
+            recipient,
+            lo: boundary,
+            hi: hi.map(<[u8]>::to_vec),
+            map: new_map,
+            change: Change::Insert(idx + 1),
+            event,
+        },
+    )?;
+    Ok(new_id)
+}
+
+/// Merges shard `idx + 1` (donor) into shard `idx` (recipient),
+/// migrating the donor's whole range left and retiring it. Returns the
+/// absorbed shard's stable id.
+pub(crate) fn merge_shards(inner: &ServerInner, idx: usize) -> Result<u64, String> {
+    let elastic = inner.elastic.as_ref().ok_or("server is not elastic")?;
+    let _one_at_a_time = elastic.mig_lock.lock().unwrap();
+    let (map, donor, committer) = shard_at(inner, idx + 1)
+        .map_err(|_| format!("shard {idx} has no right neighbour to absorb"))?;
+    let (new_map, absorbed) = map.merge(idx)?;
+    let recipient = inner.routes.read().unwrap().shards.db(idx).clone();
+    let (lo, hi) = map.range_of(idx + 1);
+    let event = EventKind::ShardMerge {
+        absorbed,
+        into: new_map.entries[idx].shard_id,
+        map_version: new_map.version,
+    };
+    migrate(
+        inner,
+        elastic,
+        Plan {
+            donor,
+            committer,
+            recipient,
+            lo: lo.to_vec(),
+            hi: hi.map(<[u8]>::to_vec),
+            map: new_map,
+            change: Change::Retire(idx + 1),
+            event,
+        },
+    )?;
+    Ok(absorbed)
+}
+
+/// The one migration routine (see the module docs): clear (merge only),
+/// tap, snapshot, copy, catch up, then cut over under the routing write
+/// lock.
+fn migrate(inner: &ServerInner, elastic: &ElasticCtx, plan: Plan) -> Result<(), String> {
+    let (lo, hi, dst) = (&plan.lo, plan.hi.as_deref(), &plan.recipient);
+    if let Change::Retire(_) = plan.change {
+        clear_range(dst, lo, hi)?;
+    }
+    // tap BEFORE snapshot: see the module docs for why this order is the
+    // no-lost-write invariant
+    let (tx, tap_rx) = channel();
+    plan.committer.install_tap(MigrationTap {
+        lo: lo.clone(),
+        hi: plan.hi.clone(),
+        tx,
     });
-    let _tap = TapGuard(&committer);
-    let snap = donor.snapshot().map_err(|e| e.to_string())?;
-    copy_range(&snap, &boundary, hi.as_deref(), &recipient)?;
+    let _tap = TapGuard(&plan.committer);
+    let snap = plan.donor.snapshot().map_err(|e| e.to_string())?;
+    copy_range(&snap, lo, hi, dst)?;
     drop(snap);
-    // catch up on the tap backlog outside any lock; the cut-over only
-    // has to drain what trickled in since
-    drain_tap(&tap_rx, &recipient)?;
-    {
-        let mut topo = inner.topo.write().unwrap();
-        if !committer.barrier() {
-            return Err("donor committer shut down mid-split".into());
+    // catch up on the tap backlog outside any lock; the cut-over only has
+    // to drain what trickled in since
+    drain_tap(&tap_rx, dst)?;
+    let retired = {
+        let mut routes = inner.routes.write().unwrap();
+        if !plan.committer.barrier() {
+            return Err("donor committer shut down mid-migration".into());
         }
-        drain_tap(&tap_rx, &recipient)?;
-        recipient.sync().map_err(|e| e.to_string())?;
+        drain_tap(&tap_rx, dst)?;
+        dst.sync().map_err(|e| e.to_string())?;
         // the durable commit point: once this meta file lands, recovery
         // adopts the new topology
         let mut meta_file = elastic.meta_file.lock().unwrap();
-        let fid = match write_cluster_meta(&elastic.meta_dev, &new_map, *meta_file) {
+        let map = &plan.map;
+        *meta_file = match write_record(&elastic.meta_dev, &map.to_bytes(), Some(*meta_file)) {
             Ok(fid) => fid,
             Err(e) => {
                 // indeterminate commit: the write failed, but its bytes
@@ -214,114 +297,33 @@ pub(crate) fn split_shard(
                 ));
             }
         };
-        *meta_file = Some(fid);
         drop(meta_file);
-        let new_committer = Arc::new(GroupCommitter::start(
-            recipient.clone(),
-            Arc::clone(&inner.metrics),
-            None,
-        ));
-        let mut dbs = topo.shards.dbs().to_vec();
-        dbs.insert(idx + 1, recipient);
-        topo.committers.insert(idx + 1, new_committer);
-        topo.shed_l0.insert(
-            idx + 1,
-            inner
-                .cfg
-                .shed_l0_runs
-                .unwrap_or(dbs[idx + 1].config().l0_stall_runs),
-        );
-        topo.shards = ShardSet::with_map(dbs, new_map.clone());
-        inner.metrics.event(EventKind::ShardSplit {
-            parent: map.entries[idx].shard_id,
-            new_shard: new_id,
-            map_version: new_map.version,
-        });
-        inner.metrics.event(EventKind::ShardMapFlip {
-            map_version: new_map.version,
-            shards: new_map.len() as u64,
-        });
-    }
-    Ok(new_id)
-}
-
-/// Merges shard `idx + 1` (donor) into shard `idx` (recipient),
-/// migrating the donor's whole range left and retiring it. Returns the
-/// absorbed shard's stable id.
-pub(crate) fn merge_shards(inner: &ServerInner, idx: usize) -> Result<u64, String> {
-    let elastic = inner.elastic.as_ref().ok_or("server is not elastic")?;
-    let _one_at_a_time = elastic.mig_lock.lock().unwrap();
-    let (donor, donor_committer, recipient, map, mid, hi) = {
-        let topo = inner.topo.read().unwrap();
-        let map: ShardMap = topo.shards.map().ok_or("server is not range-routed")?.clone();
-        if idx + 1 >= map.len() {
-            return Err(format!("shard {idx} has no right neighbour to absorb"));
-        }
-        let (mid, hi) = map.range_of(idx + 1);
-        (
-            topo.shards.db(idx + 1).clone(),
-            Arc::clone(&topo.committers[idx + 1]),
-            topo.shards.db(idx).clone(),
-            map.clone(),
-            mid.to_vec(),
-            hi.map(<[u8]>::to_vec),
-        )
-    };
-    let (new_map, absorbed) = map.merge(idx)?;
-    // anti-resurrection: wipe the recipient's stale copy of the range
-    // (left over if an earlier split made it the donor) before copying,
-    // because the donor's snapshot cannot carry its tombstones
-    clear_range(&recipient, &mid, hi.as_deref())?;
-    let (tap_tx, tap_rx) = channel();
-    donor_committer.install_tap(MigrationTap {
-        lo: mid.clone(),
-        hi: hi.clone(),
-        tx: tap_tx,
-    });
-    let _tap = TapGuard(&donor_committer);
-    let snap = donor.snapshot().map_err(|e| e.to_string())?;
-    copy_range(&snap, &mid, hi.as_deref(), &recipient)?;
-    drop(snap);
-    drain_tap(&tap_rx, &recipient)?;
-    let retired = {
-        let mut topo = inner.topo.write().unwrap();
-        if !donor_committer.barrier() {
-            return Err("donor committer shut down mid-merge".into());
-        }
-        drain_tap(&tap_rx, &recipient)?;
-        recipient.sync().map_err(|e| e.to_string())?;
-        let mut meta_file = elastic.meta_file.lock().unwrap();
-        let fid = match write_cluster_meta(&elastic.meta_dev, &new_map, *meta_file) {
-            Ok(fid) => fid,
-            Err(e) => {
-                // same indeterminate-commit fail-stop as in split_shard
-                inner.draining.store(true, Ordering::Release);
-                return Err(format!(
-                    "cluster meta write failed mid-flip (topology indeterminate, \
-                     serving stopped): {e}"
-                ));
+        let mut dbs = routes.shards.dbs().to_vec();
+        let retired = match plan.change {
+            Change::Insert(at) => {
+                let lane = lane(dst, &inner.cfg, &inner.metrics, &inner.replicator);
+                routes.lanes.insert(at, lane);
+                dbs.insert(at, dst.clone());
+                None
+            }
+            Change::Retire(at) => {
+                dbs.remove(at);
+                Some(routes.lanes.remove(at).committer)
             }
         };
-        *meta_file = Some(fid);
-        drop(meta_file);
-        let mut dbs = topo.shards.dbs().to_vec();
-        dbs.remove(idx + 1);
-        let retired = topo.committers.remove(idx + 1);
-        topo.shed_l0.remove(idx + 1);
-        topo.shards = ShardSet::with_map(dbs, new_map.clone());
-        inner.metrics.event(EventKind::ShardMerge {
-            absorbed,
-            into: new_map.entries[idx].shard_id,
-            map_version: new_map.version,
-        });
+        routes.shards = ShardSet::with_map(dbs, map.clone());
+        inner.metrics.event(plan.event);
         inner.metrics.event(EventKind::ShardMapFlip {
-            map_version: new_map.version,
-            shards: new_map.len() as u64,
+            map_version: map.version,
+            shards: map.len() as u64,
         });
         retired
     };
-    // the barrier already drained it and the new map routes nothing to
-    // it, so this join is quick — but do it outside the routing lock
-    retired.shutdown();
-    Ok(absorbed)
+    // a retired donor: the barrier already drained it and the new map
+    // routes nothing to it, so this join is quick — but do it outside the
+    // routing lock
+    if let Some(c) = retired {
+        c.shutdown();
+    }
+    Ok(())
 }

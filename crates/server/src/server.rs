@@ -54,18 +54,28 @@
 //! pipeline. The replication shipper is such a client: it reads acks
 //! once it has `MAX_UNACKED_BATCHES` batches in flight.
 //!
-//! ## Routing topology
+//! ## Topology
 //!
-//! The shard set, the per-shard committers, and the shed lines live in
-//! one [`Topology`] behind an `RwLock`. Every request touches it through
-//! a read lock held for just the routing decision and the engine call;
-//! a migration cut-over takes the write lock, which is what makes a
-//! shard-map flip atomic with respect to every connection: no request
-//! can route between the metadata write and the in-memory swap, and a
-//! scan never sees two map versions. Read-your-writes survives the flip
-//! because a write submitted under the old map is drained into the
-//! recipient (via the migration tap and a committer barrier) *before*
-//! the write lock is released.
+//! [`Server::serve`] starts a server from one [`Topology`] value (shards,
+//! hash or elastic routing, replication role); [`Server::start`] is its
+//! hash-routed standalone preset. Every shard, at launch and as a split's
+//! recipient, gets its write path from one helper (a committer publishing
+//! to the node's replicator, and a shed line), so an elastic primary
+//! ships every batch. A replica with elastic routing is refused: its
+//! applies bypass the committers a migration taps.
+//!
+//! The live shard set and the per-shard write paths sit in one route
+//! table behind an `RwLock`. Every request touches it through a read lock
+//! held for just the routing decision and the engine call; a migration
+//! cut-over takes the write lock, which is what makes a shard-map flip
+//! atomic with respect to every connection: no request can route between
+//! the metadata write and the in-memory swap, and a scan never sees two
+//! map versions. Read-your-writes survives the flip because a write
+//! submitted under the old map is drained into the recipient (via the
+//! migration tap and a committer barrier) *before* the write lock is
+//! released. On a replicated primary that barrier includes the donor's
+//! pending quorum waits, so a cut-over can hold the write lock for up to
+//! `ack_timeout_ms` per batch queued on the donor.
 //!
 //! ## Admission control
 //!
@@ -87,6 +97,7 @@ use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
+use lsm_core::manifest::{find_records, write_record};
 use lsm_core::Db;
 use lsm_obs::EventKind;
 use lsm_storage::{FileId, StorageDevice, StorageResult};
@@ -99,7 +110,7 @@ use crate::protocol::{
 };
 use crate::replication::{ReplicaState, ReplicationRole, Replicator};
 use crate::router::{fnv1a, ShardSet};
-use crate::shardmap::{find_cluster_meta, write_cluster_meta, ShardMap};
+use crate::shardmap::{ShardMap, CLUSTER_META_MAGIC};
 
 /// Serving-layer knobs (the engine's own knobs stay in `LsmConfig`).
 #[derive(Clone, Debug)]
@@ -113,9 +124,6 @@ pub struct ServerConfig {
     pub shed_l0_runs: Option<usize>,
     /// Per-frame payload cap.
     pub max_frame_bytes: usize,
-    /// Replication role: standalone, shipping primary, or read-only
-    /// replica.
-    pub role: ReplicationRole,
     /// Abort a connection's open transaction after this long without any
     /// txn request on it, releasing its snapshot pin (so a stalled client
     /// cannot block memtable releases or value-log GC forever). The
@@ -134,7 +142,6 @@ impl Default for ServerConfig {
             pipeline_depth: 32,
             shed_l0_runs: None,
             max_frame_bytes: MAX_FRAME_BYTES,
-            role: ReplicationRole::None,
             txn_idle_timeout: Duration::from_secs(10),
             tuner: None,
         }
@@ -175,8 +182,26 @@ impl Default for RebalancePolicy {
 /// registry so a crash test can reopen the same devices.
 pub type ShardDeviceFactory = Box<dyn Fn(u64) -> Arc<dyn StorageDevice> + Send + Sync>;
 
-/// Wiring for an elastic (range-routed, split/merge-capable) server.
+/// What a server serves: its shard engines, how keys route to them, and
+/// the node's replication role. Partitioning and replication are
+/// independent fields; [`Server::serve`] refuses only a `Replica` with
+/// elastic routing.
+pub struct Topology {
+    /// The shard engines; under elastic routing `shards[i]` owns map
+    /// entry `i`.
+    pub shards: Vec<Db>,
+    /// `Some` routes by the range map it carries and enables splits and
+    /// merges; `None` routes by FNV hash over a static shard count.
+    pub elastic: Option<ElasticOptions>,
+    /// Standalone, shipping primary, or read-only replica.
+    pub role: ReplicationRole,
+}
+
+/// Wiring for elastic (range-routed, split/merge-capable) routing.
 pub struct ElasticOptions {
+    /// The starting shard map. It is persisted to `meta_dev` (superseding
+    /// any older version found there) before the server serves.
+    pub map: ShardMap,
     /// Device holding the cluster-metadata (shard map) file.
     pub meta_dev: Arc<dyn StorageDevice>,
     /// Supplies a device for each freshly-named shard.
@@ -186,34 +211,58 @@ pub struct ElasticOptions {
     pub policy: Option<RebalancePolicy>,
 }
 
-/// The routable state every request goes through: the shard engines,
-/// their committers, and their shed lines, index-aligned. Swapped as a
-/// unit (under the write lock) at a migration cut-over.
-pub(crate) struct Topology {
+/// One shard's write path: its group committer and its shed line.
+pub(crate) struct Lane {
+    pub(crate) committer: Arc<GroupCommitter>,
+    pub(crate) shed_l0: usize,
+}
+
+/// Starts `db`'s write path — the one way a shard gets one, at launch and
+/// as a split's recipient: a committer that publishes every batch to the
+/// node's replicator (if any), and the shed line from `shed_l0_runs` or
+/// the engine's own `l0_stall_runs`.
+pub(crate) fn lane(
+    db: &Db,
+    cfg: &ServerConfig,
+    metrics: &Arc<ServerMetrics>,
+    replicator: &Option<Arc<Replicator>>,
+) -> Lane {
+    Lane {
+        committer: Arc::new(GroupCommitter::start(
+            db.clone(),
+            Arc::clone(metrics),
+            replicator.clone(),
+        )),
+        shed_l0: cfg.shed_l0_runs.unwrap_or(db.config().l0_stall_runs),
+    }
+}
+
+/// The routable state every request goes through: the shard engines and
+/// their write paths, index-aligned. Swapped as a unit (under the write
+/// lock) at a migration cut-over.
+pub(crate) struct RouteTable {
     pub(crate) shards: ShardSet,
-    pub(crate) committers: Vec<Arc<GroupCommitter>>,
-    /// Per-shard shed line.
-    pub(crate) shed_l0: Vec<usize>,
+    pub(crate) lanes: Vec<Lane>,
 }
 
 /// Elastic-mode state hanging off the server.
 pub(crate) struct ElasticCtx {
     pub(crate) meta_dev: Arc<dyn StorageDevice>,
     /// Current cluster-metadata file (superseded on every flip).
-    pub(crate) meta_file: Mutex<Option<FileId>>,
+    pub(crate) meta_file: Mutex<FileId>,
     pub(crate) factory: ShardDeviceFactory,
     /// Serializes migrations: one split or merge at a time.
     pub(crate) mig_lock: Mutex<()>,
 }
 
 pub(crate) struct ServerInner {
-    pub(crate) topo: RwLock<Topology>,
+    pub(crate) routes: RwLock<RouteTable>,
     pub(crate) cfg: ServerConfig,
     pub(crate) draining: AtomicBool,
     next_conn: AtomicU64,
     pub(crate) metrics: Arc<ServerMetrics>,
     /// Primary role: the replication log + shipper pool.
-    replicator: Option<Arc<Replicator>>,
+    pub(crate) replicator: Option<Arc<Replicator>>,
     /// Replica role: the serialized apply path.
     replica: Option<ReplicaState>,
     /// `Some` when the server is elastic.
@@ -273,100 +322,82 @@ fn io_err(e: impl std::fmt::Display) -> std::io::Error {
 
 impl Server {
     /// Binds `127.0.0.1:0` and starts serving `shards` under FNV hash
-    /// routing (static topology).
+    /// routing, standalone: the [`Server::serve`] preset for a static
+    /// node.
     pub fn start(shards: Vec<Db>, cfg: ServerConfig) -> std::io::Result<Server> {
-        Server::launch(shards, None, cfg, None, None)
+        let topology = Topology {
+            shards,
+            elastic: None,
+            role: ReplicationRole::None,
+        };
+        Server::serve(topology, cfg)
     }
 
-    /// Binds `127.0.0.1:0` and starts serving `shards` under range
-    /// routing: `shards[i]` owns `map` entry `i`. The map is persisted
-    /// to the cluster-metadata device (superseding any older version
-    /// found there), and splits/merges become available — automatic when
-    /// `elastic.policy` is set, and always via [`Server::split_shard`] /
-    /// [`Server::merge_shards`]. Elastic topology does not compose with
-    /// replication roles yet: any role but `None` is `InvalidInput`.
-    pub fn start_elastic(
-        shards: Vec<Db>,
-        map: ShardMap,
-        elastic: ElasticOptions,
-        cfg: ServerConfig,
-    ) -> std::io::Result<Server> {
-        if !matches!(cfg.role, ReplicationRole::None) {
+    /// Binds `127.0.0.1:0` and starts serving `topology`. With elastic
+    /// routing its map is first made the newest on the cluster-metadata
+    /// device, and splits/merges become available — automatic when
+    /// `policy` is set, and always via [`Server::split_shard`] /
+    /// [`Server::merge_shards`]. A `Replica` with elastic routing is
+    /// `InvalidInput`: a replica applies shipped ops straight to its
+    /// engines, bypassing the committers a migration taps.
+    pub fn serve(topology: Topology, cfg: ServerConfig) -> std::io::Result<Server> {
+        if topology.elastic.is_some() && matches!(topology.role, ReplicationRole::Replica) {
             return Err(std::io::Error::new(
                 std::io::ErrorKind::InvalidInput,
-                "elastic topology does not compose with replication roles",
+                "a replica cannot be elastic: its applies bypass the committers a migration taps",
             ));
         }
-        // make the starting map the durable newest: adopt the file when
-        // it already encodes exactly this map, supersede it otherwise
-        let meta_file = match find_cluster_meta(&elastic.meta_dev).map_err(io_err)? {
-            Some((fid, m)) if m == map => Some(fid),
-            other => Some(
-                write_cluster_meta(&elastic.meta_dev, &map, other.map(|(fid, _)| fid))
-                    .map_err(io_err)?,
-            ),
-        };
-        let policy = elastic.policy.clone();
-        let ctx = ElasticCtx {
-            meta_dev: elastic.meta_dev,
-            meta_file: Mutex::new(meta_file),
-            factory: elastic.factory,
-            mig_lock: Mutex::new(()),
-        };
-        Server::launch(shards, Some(map), cfg, Some(ctx), policy)
-    }
-
-    fn launch(
-        shards: Vec<Db>,
-        map: Option<ShardMap>,
-        cfg: ServerConfig,
-        elastic: Option<ElasticCtx>,
-        policy: Option<RebalancePolicy>,
-    ) -> std::io::Result<Server> {
         let listener = TcpListener::bind("127.0.0.1:0")?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
+        let (shards, elastic, policy) = match topology.elastic {
+            None => (ShardSet::new(topology.shards), None, None),
+            Some(opts) => {
+                // make the starting map the durable newest: adopt the file
+                // when it already encodes exactly this map, supersede it
+                // otherwise (a damaged newest file too)
+                let found = find_records(&opts.meta_dev, CLUSTER_META_MAGIC, ShardMap::from_bytes)
+                    .map_err(io_err)?;
+                let meta_file = match found.into_iter().next() {
+                    Some((fid, Ok(m))) if m == opts.map => fid,
+                    other => write_record(
+                        &opts.meta_dev,
+                        &opts.map.to_bytes(),
+                        other.map(|(fid, _)| fid),
+                    )
+                    .map_err(io_err)?,
+                };
+                let ctx = ElasticCtx {
+                    meta_dev: opts.meta_dev,
+                    meta_file: Mutex::new(meta_file),
+                    factory: opts.factory,
+                    mig_lock: Mutex::new(()),
+                };
+                (ShardSet::with_map(topology.shards, opts.map), Some(ctx), opts.policy)
+            }
+        };
         let metrics = ServerMetrics::new();
-        let shed_l0: Vec<usize> = shards
-            .iter()
-            .map(|db| cfg.shed_l0_runs.unwrap_or(db.config().l0_stall_runs))
-            .collect();
         // a primary's replication log starts at the highest sequence the
         // shards already applied — 0 for a fresh node, the adopted
         // watermark for a promoted replica (all shards advance in
         // lockstep, so the max is the freshest recovered lower bound)
-        let replicator = match &cfg.role {
+        let (replicator, replica) = match topology.role {
+            ReplicationRole::None => (None, None),
             ReplicationRole::Primary(prim) => {
-                let base = shards.iter().map(|db| db.applied_seq()).max().unwrap_or(0);
-                Some(Replicator::start(base, prim.clone(), Arc::clone(&metrics)))
+                let base = shards.dbs().iter().map(|db| db.applied_seq()).max().unwrap_or(0);
+                let rep = Replicator::start(base, prim, Arc::clone(&metrics));
+                (Some(rep), None)
             }
-            _ => None,
+            ReplicationRole::Replica => (None, Some(ReplicaState::new(&shards))),
         };
-        let committers: Vec<Arc<GroupCommitter>> = shards
+        let lanes = shards
+            .dbs()
             .iter()
-            .map(|db| {
-                Arc::new(GroupCommitter::start(
-                    db.clone(),
-                    Arc::clone(&metrics),
-                    replicator.clone(),
-                ))
-            })
+            .map(|db| lane(db, &cfg, &metrics, &replicator))
             .collect();
-        let shards = match map {
-            Some(map) => ShardSet::with_map(shards, map),
-            None => ShardSet::new(shards),
-        };
-        let replica = match &cfg.role {
-            ReplicationRole::Replica => Some(ReplicaState::new(&shards)),
-            _ => None,
-        };
         let tuners = Mutex::new(build_tuners(&cfg.tuner, shards.dbs()));
         let inner = Arc::new(ServerInner {
-            topo: RwLock::new(Topology {
-                shards,
-                committers,
-                shed_l0,
-            }),
+            routes: RwLock::new(RouteTable { shards, lanes }),
             cfg,
             draining: AtomicBool::new(false),
             next_conn: AtomicU64::new(0),
@@ -423,7 +454,7 @@ impl Server {
 
     /// The live shard map (`None` when hash-routed or stopped).
     pub fn shard_map(&self) -> Option<ShardMap> {
-        self.inner.as_ref()?.topo.read().unwrap().shards.map().cloned()
+        self.inner.as_ref()?.routes.read().unwrap().shards.map().cloned()
     }
 
     /// Splits shard `idx` at `boundary` — or, when `None`, at the
@@ -448,17 +479,17 @@ impl Server {
     /// (bounded), flushes all shards to quiescence, and returns the
     /// shard engines.
     pub fn shutdown(mut self) -> StorageResult<Vec<Db>> {
-        let (topo, metrics) = self.stop_serving(true).expect("server already stopped");
+        let (routes, metrics) = self.stop_serving(true).expect("server already stopped");
         metrics.event(EventKind::ServerDrain {
             phase: "flush",
             connections: 0,
         });
-        topo.shards.flush_all()?;
+        routes.shards.flush_all()?;
         metrics.event(EventKind::ServerDrain {
             phase: "done",
             connections: 0,
         });
-        Ok(topo.shards.into_dbs())
+        Ok(routes.shards.into_dbs())
     }
 
     /// Stops serving *without* flushing the shards or waiting on replica
@@ -485,7 +516,7 @@ impl Server {
     /// without this barrier, a batch could be committed + client-acked
     /// (quorum 0, or a lag timeout) yet still be unshipped when the
     /// shippers die, and a post-shutdown failover would lose it.
-    fn stop_serving(&mut self, drain_replicas: bool) -> Option<(Topology, Arc<ServerMetrics>)> {
+    fn stop_serving(&mut self, drain_replicas: bool) -> Option<(RouteTable, Arc<ServerMetrics>)> {
         let inner = self.inner.take()?;
         inner.metrics.event(EventKind::ServerDrain {
             phase: "begin",
@@ -514,9 +545,9 @@ impl Server {
             Ok(inner) => inner,
             Err(_) => unreachable!("all server threads joined but inner still shared"),
         };
-        let topo = inner.topo.into_inner().unwrap();
-        for c in &topo.committers {
-            c.shutdown();
+        let routes = inner.routes.into_inner().unwrap();
+        for lane in &routes.lanes {
+            lane.committer.shutdown();
         }
         if let Some(rep) = &inner.replicator {
             if drain_replicas {
@@ -528,7 +559,7 @@ impl Server {
             }
             rep.stop();
         }
-        Some((topo, inner.metrics))
+        Some((routes, inner.metrics))
     }
 }
 
@@ -558,12 +589,12 @@ fn rebalance_loop(inner: Arc<ServerInner>, policy: RebalancePolicy) {
         }
         // sample (index, stable id, total puts) under a short read lock
         let sample: Vec<(usize, u64, u64)> = {
-            let topo = inner.topo.read().unwrap();
-            let Some(map) = topo.shards.map() else { return };
+            let routes = inner.routes.read().unwrap();
+            let Some(map) = routes.shards.map() else { return };
             map.entries
                 .iter()
                 .enumerate()
-                .map(|(i, e)| (i, e.shard_id, topo.shards.db(i).stats().snapshot().puts))
+                .map(|(i, e)| (i, e.shard_id, routes.shards.db(i).stats().snapshot().puts))
                 .collect()
         };
         // a shard seen for the first time contributes delta 0 this tick
@@ -932,8 +963,8 @@ impl Conn {
                 // routing read lock pins one map version for the lookup
                 let mark = self.out.len();
                 let out = &mut self.out;
-                let topo = self.inner.topo.read().unwrap();
-                match topo
+                let routes = self.inner.routes.read().unwrap();
+                match routes
                     .shards
                     .get_with(key, |v| encode_value_response_into(out, id, v))
                 {
@@ -944,7 +975,7 @@ impl Conn {
                         encode_response_into(out, id, &Response::Error(e.to_string()));
                     }
                 }
-                drop(topo);
+                drop(routes);
                 metrics.get_ns.record(metrics.now_ns().saturating_sub(t0));
             }
             RequestRef::Scan { start, end, limit } => {
@@ -959,8 +990,8 @@ impl Conn {
                 let max = self.inner.cfg.max_frame_bytes;
                 let mark = self.out.len();
                 let mut enc = begin_entries_response(&mut self.out, id, max);
-                let topo = self.inner.topo.read().unwrap();
-                let err = match topo
+                let routes = self.inner.routes.read().unwrap();
+                let err = match routes
                     .shards
                     .scan_with(start, end, limit as usize, |k, v| enc.push(k, v))
                 {
@@ -972,7 +1003,7 @@ impl Conn {
                     )),
                     Err(e) => Some(e.to_string()),
                 };
-                drop(topo);
+                drop(routes);
                 if let Some(msg) = err {
                     self.out.truncate(mark);
                     encode_response_into(&mut self.out, id, &Response::Error(msg));
@@ -989,8 +1020,8 @@ impl Conn {
             }
             RequestRef::ShardMap => {
                 // hash-routed servers report version 0 with no entries
-                let topo = self.inner.topo.read().unwrap();
-                let resp = match topo.shards.map() {
+                let routes = self.inner.routes.read().unwrap();
+                let resp = match routes.shards.map() {
                     Some(m) => Response::ShardMap {
                         version: m.version,
                         entries: m
@@ -1004,7 +1035,7 @@ impl Conn {
                         entries: Vec::new(),
                     },
                 };
-                drop(topo);
+                drop(routes);
                 self.reply(id, &resp)
             }
             RequestRef::TuneStatus => {
@@ -1036,15 +1067,15 @@ impl Conn {
                     Some(r) => {
                         let metrics = &self.inner.metrics;
                         let t0 = metrics.now_ns();
-                        let topo = self.inner.topo.read().unwrap();
-                        let resp = match r.apply_batch(&topo.shards, seq, ops) {
+                        let routes = self.inner.routes.read().unwrap();
+                        let resp = match r.apply_batch(&routes.shards, seq, ops) {
                             Ok(watermark) => Response::ReplAck { seq: watermark },
                             Err(e) => {
                                 metrics.malformed.inc();
                                 Response::Error(e.to_string())
                             }
                         };
-                        drop(topo);
+                        drop(routes);
                         metrics.put_ns.record(metrics.now_ns().saturating_sub(t0));
                         resp
                     }
@@ -1102,17 +1133,17 @@ impl Conn {
         if self.inner.cfg.tuner.is_none() {
             return Vec::new();
         }
-        let topo = self.inner.topo.read().unwrap();
+        let routes = self.inner.routes.read().unwrap();
         let mut tuners = self.inner.tuners.lock().unwrap();
         // a split/merge since the last tick leaves stale engine handles
         // behind; restart tuning on the new topology
-        let stale = tuners.len() != topo.shards.dbs().len()
+        let stale = tuners.len() != routes.shards.dbs().len()
             || tuners
                 .iter()
-                .zip(topo.shards.dbs())
+                .zip(routes.shards.dbs())
                 .any(|(t, db)| !t.db().same_engine(db));
         if stale {
-            *tuners = build_tuners(&self.inner.cfg.tuner, topo.shards.dbs());
+            *tuners = build_tuners(&self.inner.cfg.tuner, routes.shards.dbs());
         }
         tuners
             .iter_mut()
@@ -1131,8 +1162,8 @@ impl Conn {
             return Response::Error("transaction already active on this connection".into());
         }
         let map_version = {
-            let topo = self.inner.topo.read().unwrap();
-            topo.shards.map().map_or(0, |m| m.version)
+            let routes = self.inner.routes.read().unwrap();
+            routes.shards.map().map_or(0, |m| m.version)
         };
         *g = TxnSlot::Active {
             txn: ConnTxn {
@@ -1153,9 +1184,9 @@ impl Conn {
         match &mut *g {
             TxnSlot::Active { txn: ct, last_active } => {
                 *last_active = Instant::now();
-                let topo = self.inner.topo.read().unwrap();
-                match txn_route(&self.inner, ct, &topo, key) {
-                    Ok(shard) => match txn_shard(ct, &topo, shard) {
+                let routes = self.inner.routes.read().unwrap();
+                match txn_route(&self.inner, ct, &routes, key) {
+                    Ok(shard) => match txn_shard(ct, &routes, shard) {
                         Ok(t) => op(t),
                         Err(e) => Response::Error(e.to_string()),
                     },
@@ -1203,12 +1234,12 @@ impl Conn {
             self.reply(id, &Response::TxnCommitted { stamp: 0 });
             return true;
         }
-        let topo = inner.topo.read().unwrap();
+        let routes = inner.routes.read().unwrap();
         // the map must not have flipped: shard indices captured by the
         // sub-txns would be stale
-        let version = topo.shards.map().map_or(0, |m| m.version);
+        let version = routes.shards.map().map_or(0, |m| m.version);
         if version != ct.map_version {
-            drop(topo);
+            drop(routes);
             drop(ct); // releases pins + floors
             inner.metrics.txn_conflicts.inc();
             self.reply(id, &Response::TxnConflict { key: Vec::new() });
@@ -1217,7 +1248,7 @@ impl Conn {
         let mut shards: Vec<usize> = ct.parts.keys().copied().collect();
         shards.sort_unstable();
         if shards.len() > 1 && (inner.replicator.is_some() || inner.elastic.is_some()) {
-            drop(topo);
+            drop(routes);
             drop(ct);
             self.reply(
                 id,
@@ -1230,9 +1261,9 @@ impl Conn {
         }
         // admission control, same shed line as plain writes, per shard
         for &s in &shards {
-            let l0 = topo.shards.db(s).l0_run_count();
-            if l0 >= topo.shed_l0[s] {
-                drop(topo);
+            let l0 = routes.shards.db(s).l0_run_count();
+            if l0 >= routes.lanes[s].shed_l0 {
+                drop(routes);
                 // the transaction survives a shed: the client may retry the
                 // commit after backing off
                 *self.txn_slot.lock().unwrap() = TxnSlot::Active {
@@ -1258,7 +1289,7 @@ impl Conn {
         inner.metrics.inflight.add(1);
         let metrics = Arc::clone(&inner.metrics);
         let state = Arc::clone(&self.state);
-        let submitted = topo.committers[target].submit_txn(TxnCommitReq {
+        let submitted = routes.lanes[target].committer.submit_txn(TxnCommitReq {
             parts,
             done: Box::new(move |outcome| {
                 let resp = match outcome {
@@ -1285,7 +1316,7 @@ impl Conn {
                 state.complete(id, resp, InFlight::TxnCommit);
             }),
         });
-        drop(topo);
+        drop(routes);
         submitted || !inner.draining.load(Ordering::Acquire)
     }
 
@@ -1300,12 +1331,12 @@ impl Conn {
         // committer of the map version it was routed by, and the cut-over
         // barrier (which needs the write lock first) is guaranteed to drain
         // it into the recipient
-        let topo = inner.topo.read().unwrap();
-        let shard = topo.shards.shard_index(op.key());
+        let routes = inner.routes.read().unwrap();
+        let shard = routes.shards.shard_index(op.key());
         // admission control: shed where the engine would hard-stall
-        let l0 = topo.shards.db(shard).l0_run_count();
-        if l0 >= topo.shed_l0[shard] {
-            drop(topo);
+        let l0 = routes.shards.db(shard).l0_run_count();
+        if l0 >= routes.lanes[shard].shed_l0 {
+            drop(routes);
             inner.metrics.sheds.inc();
             inner.metrics.event(EventKind::ServerShed {
                 shard: shard as u32,
@@ -1321,7 +1352,7 @@ impl Conn {
         let metrics = Arc::clone(&inner.metrics);
         let state = Arc::clone(&self.state);
         let t0 = metrics.now_ns();
-        let submitted = topo.committers[shard].submit(WriteReq {
+        let submitted = routes.lanes[shard].committer.submit(WriteReq {
             op,
             done: Box::new(move |outcome| {
                 let resp = match outcome {
@@ -1335,7 +1366,7 @@ impl Conn {
                 state.complete(id, resp, w);
             }),
         });
-        drop(topo);
+        drop(routes);
         // on a shut-down committer the callback already fired with an error
         submitted || !inner.draining.load(Ordering::Acquire)
     }
@@ -1348,27 +1379,27 @@ impl Conn {
 fn txn_route(
     inner: &Arc<ServerInner>,
     ct: &ConnTxn,
-    topo: &Topology,
+    routes: &RouteTable,
     key: &[u8],
 ) -> Result<usize, Response> {
-    let version = topo.shards.map().map_or(0, |m| m.version);
+    let version = routes.shards.map().map_or(0, |m| m.version);
     if version != ct.map_version {
         inner.metrics.txn_conflicts.inc();
         return Err(Response::TxnConflict { key: key.to_vec() });
     }
-    Ok(topo.shards.shard_index(key))
+    Ok(routes.shards.shard_index(key))
 }
 
 /// The transaction's sub-txn for `shard`, beginning one on first touch.
 fn txn_shard<'a>(
     ct: &'a mut ConnTxn,
-    topo: &Topology,
+    routes: &RouteTable,
     shard: usize,
 ) -> lsm_storage::StorageResult<&'a mut lsm_core::Txn> {
     use std::collections::hash_map::Entry;
     match ct.parts.entry(shard) {
         Entry::Occupied(e) => Ok(e.into_mut()),
-        Entry::Vacant(v) => Ok(v.insert(topo.shards.db(shard).begin_txn()?)),
+        Entry::Vacant(v) => Ok(v.insert(routes.shards.db(shard).begin_txn()?)),
     }
 }
 

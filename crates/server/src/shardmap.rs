@@ -25,20 +25,20 @@
 //!
 //! ## Persistence
 //!
-//! The cluster-metadata file mirrors `lsm_core::manifest`: write a new
-//! file carrying [`CLUSTER_META_MAGIC`], then best-effort delete the
-//! predecessor. Recovery scans for the newest parseable copy; a crash
-//! between write and delete leaves two, and either is a legal topology
-//! (see `migrate` — the donor keeps its data after a split, so the old
-//! map is consistent too).
-
-use std::sync::Arc;
+//! The cluster-metadata file is a sealed record file of
+//! `lsm_core::manifest`, the same one the engine's manifest is stored in:
+//! [`write_record`](lsm_core::manifest::write_record) writes a new file
+//! and then deletes its predecessor, and
+//! [`find_record`](lsm_core::manifest::find_record) with
+//! [`ShardMap::from_bytes`] finds the newest intact copy. A crash between
+//! write and delete leaves two, and either is a legal topology (see
+//! `migrate` — the donor keeps its data after a split, so the old map is
+//! consistent too).
 
 use lsm_core::entry::{get_varint, put_varint};
-use lsm_storage::{FileId, IoCategory, StorageDevice, StorageResult, WritableFile};
 
-/// Magic marking a cluster-metadata file's first bytes.
-pub const CLUSTER_META_MAGIC: u64 = 0x4C_53_4D_53_48_44_0A; // "LSM SHD\n"
+/// Magic marking a cluster-metadata record's first bytes.
+pub(crate) const CLUSTER_META_MAGIC: u64 = 0x4C_53_4D_53_48_44_0A; // "LSM SHD\n"
 
 /// One shard's entry in the map: the shard's stable id and the inclusive
 /// start of the key range it owns (its end is the next entry's start).
@@ -252,50 +252,28 @@ impl ShardMap {
     }
 }
 
-/// Writes a new cluster-metadata file and deletes the previous one.
-/// Returns the new file's id. The write is the split/merge commit point:
-/// once this file is durable, recovery adopts the new topology.
-pub fn write_cluster_meta(
-    device: &Arc<dyn StorageDevice>,
-    map: &ShardMap,
-    previous: Option<FileId>,
-) -> StorageResult<FileId> {
-    let mut f = WritableFile::create(Arc::clone(device), IoCategory::Misc)?;
-    f.append(&map.to_bytes())?;
-    let file = f.seal()?;
-    let id = file.id();
-    if let Some(prev) = previous {
-        // best effort: a missing previous meta file is not fatal
-        let _ = device.delete(prev);
-    }
-    Ok(id)
-}
-
-/// Scans the device for the newest parseable cluster-metadata file. A
-/// crash between writing a new file and deleting its predecessor leaves
-/// two; the newest parseable one wins (a torn newest write falls back).
-pub fn find_cluster_meta(
-    device: &Arc<dyn StorageDevice>,
-) -> StorageResult<Option<(FileId, ShardMap)>> {
-    let mut found: Vec<(FileId, ShardMap)> = Vec::new();
-    for id in device.live_files() {
-        let len = device.len_blocks(id)?;
-        if len == 0 {
-            continue;
-        }
-        let bytes = device.read(id, 0, len, IoCategory::Misc)?;
-        if let Some(map) = ShardMap::from_bytes(&bytes) {
-            found.push((id, map));
-        }
-    }
-    found.sort_by_key(|(id, _)| std::cmp::Reverse(id.0));
-    Ok(found.into_iter().next())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lsm_storage::{DeviceProfile, MemDevice};
+    use lsm_core::manifest::{find_record, write_record};
+    use lsm_storage::{
+        DeviceProfile, FileId, IoCategory, MemDevice, StorageDevice, StorageResult, WritableFile,
+    };
+    use std::sync::Arc;
+
+    fn write_cluster_meta(
+        dev: &Arc<dyn StorageDevice>,
+        map: &ShardMap,
+        previous: Option<FileId>,
+    ) -> StorageResult<FileId> {
+        write_record(dev, &map.to_bytes(), previous)
+    }
+
+    fn find_cluster_meta(
+        dev: &Arc<dyn StorageDevice>,
+    ) -> StorageResult<Option<(FileId, ShardMap)>> {
+        find_record(dev, CLUSTER_META_MAGIC, ShardMap::from_bytes)
+    }
 
     fn device() -> Arc<dyn StorageDevice> {
         Arc::new(MemDevice::new(512, DeviceProfile::free()))
@@ -383,5 +361,32 @@ mod tests {
     #[test]
     fn empty_device_has_no_meta() {
         assert!(find_cluster_meta(&device()).unwrap().is_none());
+    }
+
+    /// Any single-bit flip of the newer map (magic, body, padding or
+    /// trailer) breaks its seal, so recovery adopts the older map rather
+    /// than one that merely parses.
+    #[test]
+    fn every_bit_flip_of_the_newer_map_falls_back_to_the_older() {
+        let older = ShardMap::uniform(2);
+        let (newer, _) = older.split(0, &[7]).unwrap();
+        let scratch = device();
+        let fid = write_cluster_meta(&scratch, &newer, None).unwrap();
+        let blocks = scratch.len_blocks(fid).unwrap();
+        let sealed = scratch.read(fid, 0, blocks, IoCategory::Misc).unwrap();
+        for bit in 0..sealed.len() * 8 {
+            let dev = device();
+            write_cluster_meta(&dev, &older, None).unwrap();
+            let mut flipped = sealed.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            let mut w = WritableFile::create(Arc::clone(&dev), IoCategory::Misc).unwrap();
+            w.append(&flipped).unwrap();
+            w.seal().unwrap();
+            assert_eq!(
+                find_cluster_meta(&dev).unwrap().unwrap().1,
+                older,
+                "bit {bit}"
+            );
+        }
     }
 }

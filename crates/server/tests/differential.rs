@@ -19,8 +19,8 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use lsm_core::{Db, LsmConfig};
-use lsm_server::harness::start_cluster;
-use lsm_server::{Client, Request, Response, Server, ServerConfig, ShardSet};
+use lsm_server::harness::{Cluster, Layout};
+use lsm_server::{Client, ReplicationRole, Request, Response, Server, ServerConfig, ShardSet};
 use lsm_storage::{DeviceProfile, FaultDevice, FaultKind, MemDevice, StorageDevice};
 
 type Oracle = BTreeMap<Vec<u8>, Vec<u8>>;
@@ -30,6 +30,12 @@ fn wal_cfg() -> LsmConfig {
         wal: true,
         ..LsmConfig::small_for_tests()
     }
+}
+
+/// `shards` hash-routed standalone shards over [`wal_cfg`].
+fn standalone(shards: usize) -> Cluster {
+    let role = ReplicationRole::None;
+    Cluster::start(Layout::Hash(shards), role, wal_cfg(), ServerConfig::default())
 }
 
 /// Deterministic xorshift; identical op sequences across runs and modes.
@@ -108,7 +114,7 @@ fn client_workload(mut c: Client, thread: usize, ops: usize) -> Oracle {
 
 #[test]
 fn concurrent_clients_match_oracle_and_scans_stitch() {
-    let mut cluster = start_cluster(3, wal_cfg(), ServerConfig::default());
+    let mut cluster = standalone(3);
     let addr = cluster.addr();
     let threads: Vec<_> = (0..4)
         .map(|t| {
@@ -146,7 +152,7 @@ fn admission_control_sheds_instead_of_wedging() {
         shed_l0_runs: Some(0),
         ..ServerConfig::default()
     };
-    let mut cluster = start_cluster(2, wal_cfg(), server_cfg);
+    let mut cluster = Cluster::start(Layout::Hash(2), ReplicationRole::None, wal_cfg(), server_cfg);
     let mut c = cluster.client();
     match c.call(&Request::Put {
         key: b"shed-key".to_vec(),

@@ -29,9 +29,10 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 
 use lsm_core::LsmConfig;
-use lsm_server::harness::start_elastic_cluster;
+use lsm_server::harness::{Cluster, Layout};
 use lsm_server::{
-    Client, RebalancePolicy, Request, Response, ServerConfig, ShardMap, ShardSet,
+    Client, RebalancePolicy, ReplicationRole, Request, Response, ServerConfig, ShardMap,
+    ShardSet,
 };
 use lsm_workload::hotspot::{HotspotSpec, ShiftingHotspot};
 use lsm_workload::{OpMix, Operation};
@@ -43,6 +44,12 @@ fn wal_cfg() -> LsmConfig {
         wal: true,
         ..LsmConfig::small_for_tests()
     }
+}
+
+/// A standalone elastic cluster serving `map` over [`wal_cfg`].
+fn elastic(map: ShardMap, policy: Option<RebalancePolicy>) -> Cluster {
+    let layout = Layout::Elastic(map, policy);
+    Cluster::start(layout, ReplicationRole::None, wal_cfg(), ServerConfig::default())
 }
 
 /// One connection's shifting-hotspot workload over its own `t{n}-`
@@ -144,12 +151,8 @@ fn hotspot_worker(mut c: Client, thread: usize, ops: usize) -> Oracle {
 
 #[test]
 fn concurrent_clients_survive_splits_and_merges() {
-    let cluster = start_elastic_cluster(
-        ShardMap::uniform(2),
-        wal_cfg(),
-        ServerConfig::default(),
-        None, // topology churn is driven explicitly below
-    );
+    // topology churn is driven explicitly below
+    let cluster = elastic(ShardMap::uniform(2), None);
     let addr = cluster.addr();
     let initial_version = cluster.server.as_ref().unwrap().shard_map().unwrap().version;
 
@@ -232,9 +235,10 @@ fn concurrent_clients_survive_splits_and_merges() {
     // invisible)
     let mut cluster = cluster;
     cluster.server.take().unwrap().shutdown().unwrap();
-    let (recovered, dbs) = cluster.reopen().expect("recover elastic cluster");
+    let topology = cluster.reopen().expect("recover elastic cluster").expect("a durable map");
+    let recovered = topology.elastic.expect("an elastic topology").map;
     assert_eq!(recovered.version, map.version, "durable map lags the served one");
-    let set = ShardSet::with_map(dbs, recovered);
+    let set = ShardSet::with_map(topology.shards, recovered);
     let after = set.scan(b"t", b"u", 1_000_000).unwrap();
     assert_eq!(after, want, "reopened cluster diverged from oracle");
 }
@@ -244,8 +248,7 @@ fn concurrent_clients_survive_splits_and_merges() {
 /// although the wire accepts much longer keys.
 #[test]
 fn keys_past_a_64_byte_sentinel_survive_a_last_shard_split() {
-    let cluster =
-        start_elastic_cluster(ShardMap::uniform(2), wal_cfg(), ServerConfig::default(), None);
+    let cluster = elastic(ShardMap::uniform(2), None);
     let server = cluster.server.as_ref().unwrap();
     let mut c = cluster.client();
     let (short, long) = (vec![0xFF; 8], vec![0xFF; 65]);
@@ -262,8 +265,7 @@ fn keys_past_a_64_byte_sentinel_survive_a_last_shard_split() {
 /// the left shard's stale copy of one deleted since the split.
 #[test]
 fn keys_past_a_64_byte_sentinel_survive_a_last_shard_merge() {
-    let cluster =
-        start_elastic_cluster(ShardMap::uniform(2), wal_cfg(), ServerConfig::default(), None);
+    let cluster = elastic(ShardMap::uniform(2), None);
     let server = cluster.server.as_ref().unwrap();
     let mut c = cluster.client();
     let (deleted, late) = (vec![0xFF; 66], vec![0xFF; 67]);
@@ -287,12 +289,7 @@ fn rebalancer_splits_under_hotspot_and_merges_when_idle() {
         max_shards: 4,
         min_shards: 1,
     };
-    let cluster = start_elastic_cluster(
-        ShardMap::uniform(1),
-        wal_cfg(),
-        ServerConfig::default(),
-        Some(policy),
-    );
+    let cluster = elastic(ShardMap::uniform(1), Some(policy));
     let server = cluster.server.as_ref().unwrap();
     let mut c = cluster.client();
 

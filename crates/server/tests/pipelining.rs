@@ -14,7 +14,7 @@ use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
 use lsm_core::LsmConfig;
-use lsm_server::harness::{start_cluster, TestCluster};
+use lsm_server::harness::{Cluster, Layout};
 use lsm_server::{
     decode_response, encode_request, FrameReader, PrimaryReplication, ReplicationRole, Request,
     Response, ServerConfig, MAX_FRAME_BYTES,
@@ -25,12 +25,12 @@ use proptest::prelude::*;
 /// [`primary_with_an_unreachable_replica`].
 const ACK_TIMEOUT: Duration = Duration::from_secs(3);
 
-fn cluster() -> TestCluster {
+fn cluster() -> Cluster {
     let cfg = LsmConfig {
         wal: true,
         ..LsmConfig::small_for_tests()
     };
-    start_cluster(2, cfg, ServerConfig::default())
+    Cluster::start(Layout::Hash(2), ReplicationRole::None, cfg, ServerConfig::default())
 }
 
 fn put(key: &[u8], value: &[u8]) -> Request {
@@ -51,21 +51,19 @@ fn delete(key: &[u8]) -> Request {
 /// A one-shard primary whose one replica never answers: every write's
 /// ack waits out [`ACK_TIMEOUT`], and so does every read that waits for
 /// that write.
-fn primary_with_an_unreachable_replica() -> TestCluster {
+fn primary_with_an_unreachable_replica() -> Cluster {
     let nobody = std::net::TcpListener::bind("127.0.0.1:0")
         .unwrap()
         .local_addr()
         .unwrap();
-    let server_cfg = ServerConfig {
-        role: ReplicationRole::Primary(PrimaryReplication {
-            replicas: vec![nobody],
-            ack_quorum: 1,
-            ack_timeout_ms: ACK_TIMEOUT.as_millis() as u64,
-            drain_timeout_ms: 50,
-        }),
-        ..ServerConfig::default()
-    };
-    start_cluster(1, LsmConfig::small_for_tests(), server_cfg)
+    let role = ReplicationRole::Primary(PrimaryReplication {
+        replicas: vec![nobody],
+        ack_quorum: 1,
+        ack_timeout_ms: ACK_TIMEOUT.as_millis() as u64,
+        drain_timeout_ms: 50,
+    });
+    let cfg = LsmConfig::small_for_tests();
+    Cluster::start(Layout::Hash(1), role, cfg, ServerConfig::default())
 }
 
 /// A raw connection whose reads fail, rather than hang, once a reply is

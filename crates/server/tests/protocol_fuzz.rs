@@ -16,10 +16,10 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 
 use lsm_core::LsmConfig;
-use lsm_server::harness::{start_cluster, TestCluster};
-use lsm_server::{Request, Response, ServerConfig};
+use lsm_server::harness::{Cluster, Layout};
+use lsm_server::{ReplicationRole, Request, Response, ServerConfig};
 
-fn small_cluster() -> TestCluster {
+fn small_cluster() -> Cluster {
     let cfg = LsmConfig {
         wal: true,
         ..LsmConfig::small_for_tests()
@@ -29,7 +29,7 @@ fn small_cluster() -> TestCluster {
         max_frame_bytes: 4096,
         ..ServerConfig::default()
     };
-    start_cluster(2, cfg, server_cfg)
+    Cluster::start(Layout::Hash(2), ReplicationRole::None, cfg, server_cfg)
 }
 
 /// Seeds a little data, fires `attack` bytes at the server on a raw

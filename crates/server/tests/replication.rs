@@ -21,21 +21,26 @@
 //!   counter.
 //! - **Promotion.** After the primary dies, a promoted replica serves
 //!   every acked write and accepts new ones.
+//! - **Composition.** A replica routes each shipped op by its own layout,
+//!   so it needs nothing from the primary's: a 3-shard primary ships to a
+//!   1-shard replica, and an elastic primary ships across live splits and
+//!   merges.
 
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use lsm_core::{BackgroundMode, LsmConfig};
+use lsm_core::{BackgroundMode, Db, LsmConfig};
 use lsm_obs::EventKind;
 use lsm_storage::{DeviceProfile, IoCategory, MemDevice, StorageDevice};
 
-use lsm_server::harness::{reopen_shards, start_cluster, start_replicated_cluster};
+use lsm_server::harness::{Cluster, Layout};
 use lsm_server::protocol::{ReplOpsBuilder, Request, Response};
 use lsm_server::{
     promote_replica, Client, PrimaryReplication, ReplicaState, ReplicationRole, Replicator,
-    ServerConfig, ServerMetrics, ShardSet,
+    ServerConfig, ServerMetrics, ShardMap, ShardSet,
 };
 
 /// Tiny deterministic xorshift; good enough to scatter ops.
@@ -74,13 +79,43 @@ fn inline_cfg() -> LsmConfig {
     }
 }
 
+/// A read-only replica hash-routing `shards` shards of `cfg`.
+fn replica(shards: usize, cfg: LsmConfig) -> Cluster {
+    let role = ReplicationRole::Replica;
+    Cluster::start(Layout::Hash(shards), role, cfg, ServerConfig::default())
+}
+
+/// The role of a primary shipping to `replicas` at `ack_quorum`.
+fn primary_of(replicas: &[Cluster], ack_quorum: usize) -> ReplicationRole {
+    ReplicationRole::Primary(PrimaryReplication {
+        replicas: replicas.iter().map(Cluster::addr).collect(),
+        ack_quorum,
+        ..PrimaryReplication::default()
+    })
+}
+
+/// A primary and its replicas, each node its own cluster.
+struct ReplicaSet {
+    primary: Cluster,
+    replicas: Vec<Cluster>,
+}
+
+/// Starts `n_replicas` replicas, then a primary shipping to all of them
+/// at `ack_quorum`; every node hash-routes `shards` shards of `cfg`.
+fn replica_set(shards: usize, n_replicas: usize, cfg: LsmConfig, ack_quorum: usize) -> ReplicaSet {
+    let replicas: Vec<Cluster> = (0..n_replicas).map(|_| replica(shards, cfg.clone())).collect();
+    let role = primary_of(&replicas, ack_quorum);
+    let primary = Cluster::start(Layout::Hash(shards), role, cfg, ServerConfig::default());
+    ReplicaSet { primary, replicas }
+}
+
 // ---------------------------------------------------------------------------
 // Oracle: reads routed anywhere agree at full quorum
 // ---------------------------------------------------------------------------
 
 #[test]
 fn quorum_acked_writes_read_identically_from_any_node() {
-    let mut cluster = start_replicated_cluster(2, 2, wal_cfg(), ServerConfig::default(), 2);
+    let mut cluster = replica_set(2, 2, wal_cfg(), 2);
     let primary_addr = cluster.primary.addr();
     let replica_addrs: Vec<_> = cluster.replicas.iter().map(|r| r.addr()).collect();
 
@@ -183,11 +218,7 @@ proptest! {
         let batches = gen_batches(&mut rng);
         let n = batches.len() as u64;
 
-        let server_cfg = ServerConfig {
-            role: ReplicationRole::Replica,
-            ..ServerConfig::default()
-        };
-        let mut cluster = start_cluster(2, inline_cfg(), server_cfg);
+        let mut cluster = replica(2, inline_cfg());
         let mut c = cluster.client();
         let mut wm = 0u64; // model watermark
 
@@ -263,7 +294,8 @@ proptest! {
                     as Arc<dyn StorageDevice>
             })
             .collect();
-        let shards = ShardSet::new(reopen_shards(&ref_devices, &cfg).unwrap());
+        let dbs = ref_devices.iter().map(|d| Db::open(Arc::clone(d), cfg.clone()).unwrap());
+        let shards = ShardSet::new(dbs.collect());
         let state = ReplicaState::new(&shards);
         for (i, ops) in batches.iter().enumerate() {
             state.apply_batch(&shards, (i + 1) as u64, ops).unwrap();
@@ -272,11 +304,10 @@ proptest! {
         drop(shards);
 
         // byte-identical per shard: same tables, same manifest
-        for (i, (srv, reference)) in
-            cluster.devices.iter().zip(&ref_devices).enumerate()
-        {
+        let devices = cluster.devices.lock().unwrap();
+        for (i, reference) in ref_devices.iter().enumerate() {
             prop_assert_eq!(
-                fingerprint(srv),
+                fingerprint(&devices[&(i as u64)]),
                 fingerprint(reference),
                 "shard {} devices diverged",
                 i
@@ -298,7 +329,7 @@ proptest! {
 /// batch before shutdown returns.
 #[test]
 fn shutdown_drain_waits_for_replica_acks() {
-    let mut cluster = start_replicated_cluster(1, 1, wal_cfg(), ServerConfig::default(), 0);
+    let mut cluster = replica_set(1, 1, wal_cfg(), 0);
     let mut c = cluster.primary.client();
     let ids: Vec<u64> = (0..200u32)
         .map(|i| {
@@ -346,14 +377,7 @@ fn shutdown_drain_waits_for_replica_acks() {
 #[test]
 fn a_backlog_whose_acks_outgrow_the_socket_buffers_is_shipped() {
     const BATCHES: u32 = 400_000;
-    let replica = start_cluster(
-        1,
-        inline_cfg(),
-        ServerConfig {
-            role: ReplicationRole::Replica,
-            ..ServerConfig::default()
-        },
-    );
+    let replica = replica(1, inline_cfg());
     let rep = Replicator::start(
         0,
         PrimaryReplication {
@@ -391,16 +415,13 @@ fn quorum_timeout_answers_replica_lag_and_keeps_the_write() {
     // a listener that never accepts: the shipper's connect lands in the
     // OS backlog but no REPL_ACK ever comes back
     let sink = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-    let server_cfg = ServerConfig {
-        role: ReplicationRole::Primary(PrimaryReplication {
-            replicas: vec![sink.local_addr().unwrap()],
-            ack_quorum: 1,
-            ack_timeout_ms: 100,
-            drain_timeout_ms: 50,
-        }),
-        ..ServerConfig::default()
-    };
-    let mut cluster = start_cluster(1, wal_cfg(), server_cfg);
+    let role = ReplicationRole::Primary(PrimaryReplication {
+        replicas: vec![sink.local_addr().unwrap()],
+        ack_quorum: 1,
+        ack_timeout_ms: 100,
+        drain_timeout_ms: 50,
+    });
+    let mut cluster = Cluster::start(Layout::Hash(1), role, wal_cfg(), ServerConfig::default());
     let mut c = cluster.client();
     let resp = c
         .call(&Request::Put {
@@ -424,7 +445,7 @@ fn quorum_timeout_answers_replica_lag_and_keeps_the_write() {
 
 #[test]
 fn replicas_are_read_only_and_roles_are_enforced() {
-    let mut cluster = start_replicated_cluster(1, 1, wal_cfg(), ServerConfig::default(), 1);
+    let mut cluster = replica_set(1, 1, wal_cfg(), 1);
     let mut c = cluster.primary.client();
     c.put(b"ro-k", b"ro-v").unwrap();
 
@@ -462,8 +483,7 @@ fn replicas_are_read_only_and_roles_are_enforced() {
 
 #[test]
 fn promotion_after_primary_crash_serves_every_acked_write() {
-    let cfg = inline_cfg();
-    let mut cluster = start_replicated_cluster(2, 1, cfg.clone(), ServerConfig::default(), 1);
+    let mut cluster = replica_set(2, 1, inline_cfg(), 1);
     let mut c = cluster.primary.client();
     let mut oracle: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
     for i in 0..400u32 {
@@ -486,7 +506,8 @@ fn promotion_after_primary_crash_serves_every_acked_write() {
     let replica = &mut cluster.replicas[0];
     drop(replica.server.take().unwrap().abort());
 
-    let promoted = promote_replica(&replica.devices, &cfg, ServerConfig::default()).unwrap();
+    let recovered = replica.reopen().unwrap().expect("replica shards");
+    let promoted = promote_replica(recovered, ServerConfig::default()).unwrap();
     // enough data moved through to flush, so a persisted watermark was
     // recovered and adopted
     assert!(promoted.adopted_seq > 0, "no watermark adopted");
@@ -513,3 +534,113 @@ fn promotion_after_primary_crash_serves_every_acked_write() {
     promoted.server.shutdown().unwrap();
 }
 
+// ---------------------------------------------------------------------------
+// Composition: a replica routes by its own layout
+// ---------------------------------------------------------------------------
+
+/// Last acked state per key: `None` for an acked delete.
+type Acked = BTreeMap<Vec<u8>, Option<Vec<u8>>>;
+
+fn assert_reads(c: &mut Client, acked: &Acked, node: &str) {
+    for (k, v) in acked {
+        assert_eq!(&c.get(k).unwrap(), v, "{node}: key {k:?}");
+    }
+}
+
+/// Checks `acked` on the running replica, then stops it, promotes it
+/// from its devices, and checks again on the promoted node.
+fn assert_replica_and_promotion_read(replica: &mut Cluster, acked: &Acked) {
+    assert_reads(&mut replica.client(), acked, "replica");
+    drop(replica.server.take().unwrap().abort());
+    let recovered = replica.reopen().unwrap().expect("replica shards");
+    let promoted = promote_replica(recovered, ServerConfig::default()).unwrap();
+    let mut pc = Client::connect(promoted.server.addr()).unwrap();
+    assert_reads(&mut pc, acked, "promoted replica");
+    drop(pc);
+    promoted.server.shutdown().unwrap();
+}
+
+/// Shard counts need not match: the replica applies each shipped op to
+/// the shard its own router picks.
+#[test]
+fn a_three_shard_primary_ships_to_a_one_shard_replica() {
+    let mut replicas = vec![replica(1, wal_cfg())];
+    let role = primary_of(&replicas, 1);
+    let mut primary = Cluster::start(Layout::Hash(3), role, wal_cfg(), ServerConfig::default());
+    let mut c = primary.client();
+    let mut acked = Acked::new();
+    for i in 0..240u32 {
+        let key = format!("lay{:03}", i % 90).into_bytes();
+        if i % 7 == 3 {
+            c.delete(&key).unwrap();
+            acked.insert(key, None);
+        } else {
+            let value = format!("lv{i}").into_bytes();
+            c.put(&key, &value).unwrap();
+            acked.insert(key, Some(value));
+        }
+    }
+    drop(c);
+    primary.server.take().unwrap().shutdown().unwrap();
+    assert_replica_and_promotion_read(&mut replicas[0], &acked);
+}
+
+/// Partitioning and replication compose: an elastic primary ships every
+/// batch to its replica at quorum 1 — the split's recipient's batches
+/// and the merge survivor's alike — while 4 clients write and a split
+/// then a merge land mid-stream.
+#[test]
+fn an_elastic_primary_ships_across_a_split_and_a_merge() {
+    const CLIENTS: u8 = 4;
+    const OPS: usize = 600;
+    let mut replicas = vec![replica(1, wal_cfg())];
+    let layout = Layout::Elastic(ShardMap::uniform(2), None);
+    let role = primary_of(&replicas, 1);
+    let mut primary = Cluster::start(layout, role, wal_cfg(), ServerConfig::default());
+    let addr = primary.addr();
+    let progress = Arc::new(AtomicUsize::new(0));
+    let writers: Vec<_> = (0..CLIENTS)
+        .map(|t| {
+            let progress = Arc::clone(&progress);
+            std::thread::spawn(move || {
+                // a fresh key per op, first bytes 0, 4, …, 252: every
+                // shard of every map version commits some last values
+                let key_of = |i: usize| vec![(i * 29 % 64 * 4) as u8, b'-', t, (i / 64) as u8];
+                let mut c = Client::connect(addr).unwrap();
+                let mut acked = Acked::new();
+                for i in 0..OPS {
+                    if i % 7 == 3 {
+                        c.delete(&key_of(i - 3)).unwrap();
+                        acked.insert(key_of(i - 3), None);
+                    } else {
+                        let value = format!("v{t}-{i}").into_bytes();
+                        c.put(&key_of(i), &value).unwrap();
+                        acked.insert(key_of(i), Some(value));
+                    }
+                    progress.fetch_add(1, Ordering::SeqCst);
+                }
+                acked
+            })
+        })
+        .collect();
+    let total = CLIENTS as usize * OPS;
+    let wait_for = |done: usize| {
+        while progress.load(Ordering::SeqCst) < done.min(total) {
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+    };
+    let server = primary.server.as_ref().unwrap();
+    wait_for(total / 4);
+    server.split_shard(0, Some(vec![0x40])).unwrap();
+    // let the split's recipient commit its share before the merge
+    wait_for((progress.load(Ordering::SeqCst) + total / 8).max(total / 2));
+    server.merge_shards(0).unwrap();
+    let mut acked = Acked::new();
+    for w in writers {
+        acked.extend(w.join().unwrap());
+    }
+    assert_eq!(server.shard_map().unwrap().version, 3, "one split and one merge");
+    // shutdown drains the replica's acks for every published batch
+    primary.server.take().unwrap().shutdown().unwrap();
+    assert_replica_and_promotion_read(&mut replicas[0], &acked);
+}

@@ -18,8 +18,10 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 use std::time::Duration;
 
 use lsm_core::LsmConfig;
-use lsm_server::harness::{start_cluster, start_elastic_cluster};
-use lsm_server::{Client, Request, Response, ServerConfig, ShardMap, TxnCommitStatus};
+use lsm_server::harness::{Cluster, Layout};
+use lsm_server::{
+    Client, ReplicationRole, Request, Response, ServerConfig, ShardMap, TxnCommitStatus,
+};
 use proptest::prelude::*;
 
 type Oracle = BTreeMap<Vec<u8>, Vec<u8>>;
@@ -32,6 +34,12 @@ fn wal_cfg() -> LsmConfig {
         wal: true,
         ..LsmConfig::small_for_tests()
     }
+}
+
+/// `shards` hash-routed standalone shards over [`wal_cfg`].
+fn standalone(shards: usize) -> Cluster {
+    let role = ReplicationRole::None;
+    Cluster::start(Layout::Hash(shards), role, wal_cfg(), ServerConfig::default())
 }
 
 /// Deterministic xorshift; identical op sequences across runs and modes.
@@ -50,7 +58,7 @@ impl Rng {
 
 #[test]
 fn txn_commit_is_atomic_and_isolated() {
-    let mut cluster = start_cluster(2, wal_cfg(), ServerConfig::default());
+    let mut cluster = standalone(2);
     let mut a = cluster.client();
     let mut b = cluster.client();
     a.put(b"acct-x", b"100").unwrap();
@@ -79,7 +87,7 @@ fn txn_commit_is_atomic_and_isolated() {
 
 #[test]
 fn first_committer_wins_and_loser_leaves_no_trace() {
-    let mut cluster = start_cluster(2, wal_cfg(), ServerConfig::default());
+    let mut cluster = standalone(2);
     let mut a = cluster.client();
     let mut b = cluster.client();
     a.put(b"fcw-key", b"v0").unwrap();
@@ -116,7 +124,7 @@ fn first_committer_wins_and_loser_leaves_no_trace() {
 
 #[test]
 fn snapshot_reads_ignore_later_writes_but_validation_sees_them() {
-    let mut cluster = start_cluster(1, wal_cfg(), ServerConfig::default());
+    let mut cluster = standalone(1);
     let mut a = cluster.client();
     let mut b = cluster.client();
     a.put(b"snap-k", b"old").unwrap();
@@ -137,7 +145,7 @@ fn snapshot_reads_ignore_later_writes_but_validation_sees_them() {
 
 #[test]
 fn abort_discards_everything_and_is_idempotent() {
-    let mut cluster = start_cluster(2, wal_cfg(), ServerConfig::default());
+    let mut cluster = standalone(2);
     let mut c = cluster.client();
     // aborting with no transaction open is Ok
     c.txn_abort().unwrap();
@@ -168,7 +176,7 @@ fn abort_discards_everything_and_is_idempotent() {
 
 #[test]
 fn begin_while_active_is_an_error_and_empty_commit_stamps_zero() {
-    let mut cluster = start_cluster(1, wal_cfg(), ServerConfig::default());
+    let mut cluster = standalone(1);
     let mut c = cluster.client();
     c.txn_begin().unwrap();
     let err = c.txn_begin().unwrap_err();
@@ -228,7 +236,7 @@ fn txn_workload(
 fn concurrent_txns_replayed_in_stamp_order_match_final_state() {
     // 3 hash shards: transactions freely span shards (standalone hash
     // routing supports cross-shard commits)
-    let mut cluster = start_cluster(3, wal_cfg(), ServerConfig::default());
+    let mut cluster = standalone(3);
     let addr = cluster.addr();
     let threads: Vec<_> = (0..4u64)
         .map(|t| {
@@ -292,7 +300,7 @@ fn idle_txn_times_out_releasing_its_snapshot() {
         txn_idle_timeout: Duration::from_millis(40),
         ..ServerConfig::default()
     };
-    let mut cluster = start_cluster(1, wal_cfg(), cfg);
+    let mut cluster = Cluster::start(Layout::Hash(1), ReplicationRole::None, wal_cfg(), cfg);
     let mut c = cluster.client();
     c.txn_begin().unwrap();
     c.txn_put(b"stall-k", b"never-lands").unwrap();
@@ -322,11 +330,11 @@ fn idle_txn_times_out_releasing_its_snapshot() {
 
 #[test]
 fn elastic_refuses_cross_shard_but_commits_single_shard() {
-    let cluster = start_elastic_cluster(
-        ShardMap::uniform(2),
+    let cluster = Cluster::start(
+        Layout::Elastic(ShardMap::uniform(2), None),
+        ReplicationRole::None,
         wal_cfg(),
         ServerConfig::default(),
-        None,
     );
     let mut c = cluster.client();
     let (_, entries) = c.shard_map().unwrap();
@@ -417,7 +425,7 @@ proptest! {
     ) {
         let mk = |k: u8| vec![b'm', k];
         let mv = |v: u8| vec![b'v', v];
-        let mut cluster = start_cluster(1, wal_cfg(), ServerConfig::default());
+        let mut cluster = standalone(1);
         let mut clients: Vec<Client> = (0..3).map(|_| cluster.client()).collect();
         let mut direct = cluster.client();
 

@@ -6,8 +6,9 @@
 //! the reported effective configuration.
 
 use lsm_core::LsmConfig;
-use lsm_server::harness::start_cluster;
+use lsm_server::harness::{Cluster, Layout};
 use lsm_server::server::ServerConfig;
+use lsm_server::ReplicationRole;
 use lsm_tuner::TunerConfig;
 
 fn wal_cfg() -> LsmConfig {
@@ -17,9 +18,20 @@ fn wal_cfg() -> LsmConfig {
     }
 }
 
+/// `shards` hash-routed standalone shards over [`wal_cfg`].
+fn standalone(shards: usize) -> Cluster {
+    let role = ReplicationRole::None;
+    Cluster::start(
+        Layout::Hash(shards),
+        role,
+        wal_cfg(),
+        ServerConfig::default(),
+    )
+}
+
 #[test]
 fn tune_status_empty_without_tuner() {
-    let mut cluster = start_cluster(2, wal_cfg(), ServerConfig::default());
+    let mut cluster = standalone(2);
     let mut c = cluster.client();
     assert_eq!(c.tune_status().unwrap(), Vec::new());
     cluster.server.take().unwrap().shutdown().unwrap();
@@ -34,7 +46,12 @@ fn tune_status_reports_and_retunes_per_shard() {
         }),
         ..ServerConfig::default()
     };
-    let mut cluster = start_cluster(2, wal_cfg(), server_cfg);
+    let mut cluster = Cluster::start(
+        Layout::Hash(2),
+        ReplicationRole::None,
+        wal_cfg(),
+        server_cfg,
+    );
     let mut c = cluster.client();
 
     // before any traffic: one entry per shard, no decisions yet

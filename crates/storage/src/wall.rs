@@ -2,7 +2,7 @@
 //! the profiled cost of each I/O instead of (only) advancing the
 //! simulated clock.
 //!
-//! The [`LatencyModel`](crate::LatencyModel) inside every device charges
+//! The [`LatencyModel`] inside every device charges
 //! I/O cost to a simulated clock, which keeps experiments fast and
 //! deterministic — but it means device time never occupies a real
 //! thread. That hides the one effect a serving layer is built to

@@ -17,7 +17,7 @@
 //! 3. runs the estimate through the navigator over the configured
 //!    [`DesignSpace`] and compares the winner against the engine's
 //!    current *effective* design;
-//! 4. actuates through [`Db::set_dynamic`] only if the predicted
+//! 4. actuates through [`lsm_core::DbCore::set_dynamic`] only if the predicted
 //!    relative gain clears the hysteresis threshold AND the cooldown has
 //!    expired — the two guards that make oscillation impossible: a flip
 //!    back is only considered `cooldown_ticks` later, and then only if

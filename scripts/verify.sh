@@ -3,7 +3,7 @@
 # background modes (crash sweeps included; a failing sweep's captured
 # output names its LSM_SEED), the experiment registry at full scale
 # (claims + freshness of the tracked tables), the benchmark package's own
-# build and tests, and lint-clean clippy.
+# build and tests, warning-free rustdoc, and lint-clean clippy.
 # CI runs exactly this script; run it locally before pushing.
 # Every stage prints its wall time when it ends, and the run its total:
 # the cost of the gate is measured like everything else.
@@ -65,8 +65,11 @@ done
 stage "lsmbench (outside the workspace): compiles against the items it pins, unit + smoke tests, names vs BENCHMARK.json"
 CARGO_TARGET_DIR=.bench_build cargo test --release --offline --manifest-path lsmbench/Cargo.toml
 
+stage "RUSTDOCFLAGS=\"-D warnings\" cargo doc: no dead, private or redundant doc links"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 stage "cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace -- -D warnings
 
 stage ""
-echo "OK in $SECONDS s: build, workspace tests (both modes), crash sweeps, experiment claims, lsmbench, clippy all clean"
+echo "OK in $SECONDS s: build, workspace tests (both modes), crash sweeps, experiment claims, lsmbench, rustdoc, clippy all clean"

@@ -300,7 +300,7 @@ pub mod collection {
     use crate::strategy::Strategy;
     use crate::test_runner::TestRng;
 
-    /// Length bounds for [`vec`]; built from `usize` ranges or a constant.
+    /// Length bounds for [`vec()`]; built from `usize` ranges or a constant.
     #[derive(Clone, Copy, Debug)]
     pub struct SizeRange {
         lo: usize,

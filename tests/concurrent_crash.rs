@@ -21,7 +21,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use lsm_core::manifest::find_manifest;
+use lsm_core::manifest::{find_record, ManifestState, MANIFEST_MAGIC};
 use lsm_core::sstable::meta::decode_footer;
 use lsm_core::{BackgroundMode, Db, LsmConfig};
 use lsm_storage::{DeviceProfile, FaultDevice, FaultKind, IoCategory, MemDevice, StorageDevice};
@@ -200,7 +200,7 @@ fn parallel_inline_cfg() -> LsmConfig {
 /// referenced by the manifest — a half-installed parallel compaction's
 /// shard outputs must have been deleted by the orphan sweep on open.
 fn assert_no_orphan_tables(dev: &Arc<dyn StorageDevice>, context: &str) {
-    let (manifest_id, state) = find_manifest(dev)
+    let (manifest_id, state) = find_record(dev, MANIFEST_MAGIC, ManifestState::from_bytes)
         .unwrap_or_else(|e| panic!("{context}: manifest scan failed: {e}"))
         .unwrap_or_else(|| panic!("{context}: no manifest after recovery"));
     let mut referenced: BTreeSet<u64> = state

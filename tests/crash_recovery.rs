@@ -28,11 +28,11 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use lsm_core::config::KvSeparation;
-use lsm_core::manifest::{find_manifest, write_manifest, ManifestState};
+use lsm_core::manifest::{find_record, write_manifest, ManifestState, MANIFEST_MAGIC};
 use lsm_core::{Db, LsmConfig};
 use lsm_storage::{
-    DeviceProfile, FaultDevice, FaultKind, FileId, MemDevice, RetryDevice, RetryPolicy,
-    StorageDevice, StorageError,
+    DeviceProfile, FaultDevice, FaultKind, FileId, IoCategory, MemDevice, RetryDevice,
+    RetryPolicy, StorageDevice, StorageError, WritableFile,
 };
 
 use proptest::prelude::*;
@@ -387,7 +387,9 @@ fn dangling_vlog_pointer_is_typed_corruption() {
     db.sync().unwrap();
     db.flush().unwrap(); // the pointer now lives in an SSTable
 
-    let (_, state) = find_manifest(&mem).unwrap().expect("manifest exists after flush");
+    let (_, state) = find_record(&mem, MANIFEST_MAGIC, ManifestState::from_bytes)
+        .unwrap()
+        .expect("manifest exists after flush");
     let vlog = FileId(state.vlog);
     drop(db);
     mem.delete(vlog).unwrap(); // the log the pointer targets vanishes
@@ -467,6 +469,50 @@ fn all_manifests_bad_is_a_typed_error_not_an_empty_db() {
         }
         Ok(_) => panic!("open silently ignored an unusable manifest"),
         Err(e) => panic!("wrong error kind: {e}"),
+    }
+}
+
+/// A database whose only manifest fails its checksum — one bit flipped
+/// anywhere in it: magic, body, padding or trailer — refuses to open with
+/// a typed error, and every table that manifest names stays on the
+/// device. Taking the damaged manifest for an absent one would open an
+/// empty database and sweep those tables away as orphans.
+#[test]
+fn lone_bit_flipped_manifest_is_a_typed_error_and_keeps_the_tables() {
+    let mem: Arc<dyn StorageDevice> = Arc::new(MemDevice::new(512, DeviceProfile::free()));
+    let db = Db::open(Arc::clone(&mem), small_cfg()).unwrap();
+    for i in 0..30usize {
+        db.put(format!("key{i:03}").into_bytes(), vec![b'd'; 20 + i]).unwrap();
+    }
+    db.sync().unwrap();
+    db.flush().unwrap();
+    drop(db);
+
+    let (mut manifest, state) = find_record(&mem, MANIFEST_MAGIC, ManifestState::from_bytes)
+        .unwrap()
+        .expect("manifest exists after flush");
+    let tables: Vec<u64> = state.levels.iter().flatten().flatten().copied().collect();
+    assert!(!tables.is_empty(), "the flush wrote a table");
+    let blocks = mem.len_blocks(manifest).unwrap();
+    let sealed = mem.read(manifest, 0, blocks, IoCategory::Misc).unwrap();
+    for bit in 0..sealed.len() * 8 {
+        let mut flipped = sealed.clone();
+        flipped[bit / 8] ^= 1 << (bit % 8);
+        mem.delete(manifest).unwrap();
+        let mut w = WritableFile::create(Arc::clone(&mem), IoCategory::Misc).unwrap();
+        w.append(&flipped).unwrap();
+        manifest = w.seal().unwrap().id();
+        match Db::open(Arc::clone(&mem), small_cfg()) {
+            Err(StorageError::Corruption(msg)) => {
+                assert!(msg.contains("no usable manifest"), "bit {bit}: {msg}")
+            }
+            Ok(_) => panic!("bit {bit}: open took a damaged manifest for none"),
+            Err(e) => panic!("bit {bit}: wrong error kind: {e}"),
+        }
+        let live = mem.live_files();
+        for &t in &tables {
+            assert!(live.contains(&FileId(t)), "bit {bit}: table {t} was deleted");
+        }
     }
 }
 

@@ -33,12 +33,10 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex};
 
-use lsm_core::{Db, LsmConfig};
-use lsm_server::harness::ShardDeviceRegistry;
+use lsm_core::LsmConfig;
+use lsm_server::harness::{Cluster, Layout};
 use lsm_server::protocol::{Request, Response};
-use lsm_server::{
-    find_cluster_meta, Client, ElasticOptions, Server, ServerConfig, ShardMap, ShardSet,
-};
+use lsm_server::{Client, ReplicationRole, ServerConfig, ShardMap, ShardSet};
 use lsm_storage::{DeviceProfile, FaultDevice, FaultKind, MemDevice, StorageDevice};
 
 const SCRIPT_OPS: usize = 44;
@@ -82,12 +80,11 @@ enum CrashSite {
 }
 
 /// The per-case device set: donor + meta up front, the recipient minted
-/// lazily by the factory when the split runs.
+/// lazily when the split runs.
 struct Fixture {
     donor: Arc<FaultDevice>,
     meta: Arc<FaultDevice>,
     recipient: Arc<Mutex<Option<Arc<FaultDevice>>>>,
-    registry: ShardDeviceRegistry,
 }
 
 impl Fixture {
@@ -100,30 +97,32 @@ impl Fixture {
         if let CrashSite::Meta(at) = site {
             meta.schedule(at, FaultKind::Crash);
         }
-        let registry: ShardDeviceRegistry = Arc::new(Mutex::new(Default::default()));
-        registry.lock().unwrap().insert(0, erased(&donor));
         Fixture {
             donor,
             meta,
             recipient: Arc::new(Mutex::new(None)),
-            registry,
         }
     }
 
-    /// The elastic device factory: mints the recipient's fault device,
-    /// arming it when this case crashes the recipient.
-    fn factory(&self, seed: u64, site: CrashSite) -> lsm_server::ShardDeviceFactory {
-        let slot = Arc::clone(&self.recipient);
-        let registry = Arc::clone(&self.registry);
-        Box::new(move |shard_id| {
+    /// A one-shard elastic cluster on the fixture's devices, not yet
+    /// serving: shard 0 is the donor, the map lives on the meta device,
+    /// and any later shard (the split's recipient) gets a fresh fault
+    /// device, armed when this case crashes the recipient.
+    fn cluster(&self, seed: u64, site: CrashSite) -> Cluster {
+        let (donor, slot) = (erased(&self.donor), Arc::clone(&self.recipient));
+        let mut cluster = Cluster::new(node_cfg(), move |shard_id| {
+            if shard_id == 0 {
+                return Arc::clone(&donor);
+            }
             let dev = fault_device(seed.rotate_right(9) ^ shard_id);
             if let CrashSite::Recipient(at) = site {
                 dev.schedule(at, FaultKind::Crash);
             }
             *slot.lock().unwrap() = Some(Arc::clone(&dev));
-            registry.lock().unwrap().insert(shard_id, erased(&dev));
             erased(&dev)
-        })
+        });
+        cluster.meta_dev = erased(&self.meta);
+        cluster
     }
 
     fn heal_all(&self) {
@@ -223,19 +222,12 @@ fn crash_case(seed: u64, site: CrashSite) -> bool {
     let mut shadow = Shadow::default();
 
     // start: donor open or the initial meta write may already crash
-    let started = Db::open(erased(&fx.donor), node_cfg()).ok().and_then(|db| {
-        Server::start_elastic(
-            vec![db],
-            ShardMap::uniform(1),
-            ElasticOptions {
-                meta_dev: erased(&fx.meta),
-                factory: fx.factory(seed, site),
-                policy: None,
-            },
-            ServerConfig::default(),
-        )
+    let mut cluster = fx.cluster(seed, site);
+    let layout = Layout::Elastic(ShardMap::uniform(1), None);
+    let started = cluster
+        .serve(layout, ReplicationRole::None, ServerConfig::default())
         .ok()
-    });
+        .and_then(|()| cluster.server.take());
     if let Some(server) = started {
         let mut c = Client::connect(server.addr()).expect("connect elastic server");
         scripted_ops(&mut c, &mut shadow, seed, 0..SCRIPT_OPS / 2);
@@ -246,17 +238,17 @@ fn crash_case(seed: u64, site: CrashSite) -> bool {
         drop(server.abort());
     }
     let fired = fx.fired(site);
-    verify_recovery(&fx, &shadow, &format!("{site:?}"));
+    verify_recovery(&fx, &cluster, &shadow, &format!("{site:?}"));
     fired
 }
 
 /// Heals the devices and recovers the way a restarted deployment would,
 /// then checks the whole migration contract against the shadow.
-fn verify_recovery(fx: &Fixture, shadow: &Shadow, context: &str) {
+fn verify_recovery(fx: &Fixture, cluster: &Cluster, shadow: &Shadow, context: &str) {
     fx.heal_all();
-    let meta = erased(&fx.meta);
-    let Some((_fid, map)) = find_cluster_meta(&meta)
-        .unwrap_or_else(|e| panic!("{context}: meta device unreadable after heal: {e}"))
+    let Some(topology) = cluster
+        .reopen()
+        .unwrap_or_else(|e| panic!("{context}: recovery after heal failed: {e}"))
     else {
         // the crash beat the very first meta write: the server never
         // started, so nothing can have been acked
@@ -267,21 +259,10 @@ fn verify_recovery(fx: &Fixture, shadow: &Shadow, context: &str) {
         );
         return;
     };
+    let map = topology.elastic.expect("an elastic topology").map;
     map.check_partition()
         .unwrap_or_else(|e| panic!("{context}: recovered map is not a partition: {e}"));
-    let registry = fx.registry.lock().unwrap();
-    let dbs: Vec<Db> = map
-        .entries
-        .iter()
-        .map(|e| {
-            let dev = registry
-                .get(&e.shard_id)
-                .unwrap_or_else(|| panic!("{context}: map names unknown shard {}", e.shard_id));
-            Db::open(Arc::clone(dev), node_cfg())
-                .unwrap_or_else(|err| panic!("{context}: shard {} reopen failed: {err}", e.shard_id))
-        })
-        .collect();
-    let set = ShardSet::with_map(dbs, map);
+    let set = ShardSet::with_map(topology.shards, map);
 
     let mut expected_scan: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
     for key in shadow.keys() {
@@ -327,18 +308,12 @@ fn verify_recovery(fx: &Fixture, shadow: &Shadow, context: &str) {
 fn clean_run(seed: u64) -> (u64, u64, u64) {
     let fx = Fixture::new(seed, CrashSite::None);
     let mut shadow = Shadow::default();
-    let db = Db::open(erased(&fx.donor), node_cfg()).expect("clean donor open");
-    let server = Server::start_elastic(
-        vec![db],
-        ShardMap::uniform(1),
-        ElasticOptions {
-            meta_dev: erased(&fx.meta),
-            factory: fx.factory(seed, CrashSite::None),
-            policy: None,
-        },
-        ServerConfig::default(),
-    )
-    .expect("clean elastic start");
+    let mut cluster = fx.cluster(seed, CrashSite::None);
+    let layout = Layout::Elastic(ShardMap::uniform(1), None);
+    cluster
+        .serve(layout, ReplicationRole::None, ServerConfig::default())
+        .expect("clean elastic start");
+    let server = cluster.server.take().unwrap();
     let mut c = Client::connect(server.addr()).expect("connect");
     scripted_ops(&mut c, &mut shadow, seed, 0..SCRIPT_OPS / 2);
     let new_id = server
@@ -362,7 +337,7 @@ fn clean_run(seed: u64) -> (u64, u64, u64) {
         .as_ref()
         .expect("clean split minted a recipient")
         .ops_performed();
-    verify_recovery(&fx, &shadow, "fault-free split");
+    verify_recovery(&fx, &cluster, &shadow, "fault-free split");
     (fx.donor.ops_performed(), recipient_ops, fx.meta.ops_performed())
 }
 

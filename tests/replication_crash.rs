@@ -23,11 +23,10 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use lsm_core::{Db, LsmConfig};
-use lsm_server::harness::start_cluster;
+use lsm_server::harness::{Cluster, Layout};
 use lsm_server::protocol::{Request, Response};
 use lsm_server::{
-    promote_replica, Client, PrimaryReplication, ReplicationRole, Server, ServerConfig,
-    TestCluster,
+    promote_replica, Client, PrimaryReplication, ReplicationRole, Server, ServerConfig, Topology,
 };
 use lsm_storage::{DeviceProfile, FaultDevice, FaultKind, MemDevice, StorageDevice};
 
@@ -132,31 +131,33 @@ fn scripted_workload(c: &mut Client, shadow: &mut Shadow, seed: u64) {
 /// with quorum 1. `None` if the device is already dead at open.
 fn start_primary(dev: &Arc<FaultDevice>, replica_addr: std::net::SocketAddr) -> Option<Server> {
     let db = Db::open(erased(dev), node_cfg()).ok()?;
-    let server_cfg = ServerConfig {
+    let topology = Topology {
+        shards: vec![db],
+        elastic: None,
         role: ReplicationRole::Primary(PrimaryReplication {
             replicas: vec![replica_addr],
             ack_quorum: 1,
             ack_timeout_ms: 2_000,
             drain_timeout_ms: 1_000,
         }),
-        ..ServerConfig::default()
     };
-    Server::start(vec![db], server_cfg).ok()
+    Server::serve(topology, ServerConfig::default()).ok()
 }
 
-fn start_replica() -> TestCluster {
-    let server_cfg = ServerConfig {
-        role: ReplicationRole::Replica,
-        ..ServerConfig::default()
-    };
-    start_cluster(1, node_cfg(), server_cfg)
+fn start_replica() -> Cluster {
+    let role = ReplicationRole::Replica;
+    Cluster::start(Layout::Hash(1), role, node_cfg(), ServerConfig::default())
 }
 
 /// Promotes the replica and verifies every key reads a legal state, the
 /// scan agrees, and the promoted node accepts writes.
-fn promote_and_verify(replica: &mut TestCluster, shadow: &Shadow, context: &str) {
+fn promote_and_verify(replica: &mut Cluster, shadow: &Shadow, context: &str) {
     drop(replica.server.take().expect("replica running").abort());
-    let promoted = promote_replica(&replica.devices, &replica.cfg, ServerConfig::default())
+    let recovered = replica
+        .reopen()
+        .unwrap_or_else(|e| panic!("{context}: replica reopen failed: {e}"))
+        .expect("replica shards");
+    let promoted = promote_replica(recovered, ServerConfig::default())
         .unwrap_or_else(|e| panic!("{context}: promotion failed: {e}"));
     let mut c = Client::connect(promoted.server.addr()).expect("connect promoted");
 
