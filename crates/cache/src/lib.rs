@@ -24,5 +24,5 @@ pub use heat::HeatMap;
 pub use lfu::LfuShard;
 pub use lru::LruShard;
 pub use prefetch::{plan_prefetch, PrefetchCandidate};
-pub use sharded::{CacheStats, ShardStatsSnapshot, ShardedCache};
+pub use sharded::{CacheStats, ShardedCache};
 pub use traits::{CacheKey, CachePolicy, CacheShard};

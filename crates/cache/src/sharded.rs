@@ -3,8 +3,9 @@
 //! Keys are spread across shards by hash so concurrent readers rarely
 //! contend on one mutex — the same structure RocksDB's block cache uses.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
+use lsm_obs::{Counter, MetricsRegistry, MetricsSnapshot};
 use parking_lot::Mutex;
 
 use crate::clock::ClockShard;
@@ -13,86 +14,58 @@ use crate::lfu::LfuShard;
 use crate::lru::LruShard;
 use crate::traits::{CacheKey, CachePolicy, CacheShard};
 
-/// Hit/miss counters for a cache.
-#[derive(Debug, Default)]
+/// Hit/miss counters for a cache: the `cache.*` series of a registry
+/// owned by the cache.
 pub struct CacheStats {
-    hits: AtomicU64,
-    misses: AtomicU64,
-    inserts: AtomicU64,
-    evictions: AtomicU64,
+    hits: Arc<Counter>,
+    misses: Arc<Counter>,
+    inserts: Arc<Counter>,
+    evictions: Arc<Counter>,
+    registry: MetricsRegistry,
 }
 
 impl CacheStats {
+    fn new() -> Self {
+        let registry = MetricsRegistry::new();
+        CacheStats {
+            hits: registry.counter("cache.hits"),
+            misses: registry.counter("cache.misses"),
+            inserts: registry.counter("cache.inserts"),
+            evictions: registry.counter("cache.evictions"),
+            registry,
+        }
+    }
+
     /// Lookups that found the block.
     pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
+        self.hits.get()
     }
 
     /// Lookups that missed.
     pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
+        self.misses.get()
     }
 
     /// Insert operations.
     pub fn inserts(&self) -> u64 {
-        self.inserts.load(Ordering::Relaxed)
+        self.inserts.get()
     }
 
     /// Entries evicted to make room for inserts.
     pub fn evictions(&self) -> u64 {
-        self.evictions.load(Ordering::Relaxed)
+        self.evictions.get()
     }
 
-    /// Hit rate in `[0, 1]`; zero if no lookups yet.
-    pub fn hit_rate(&self) -> f64 {
-        let h = self.hits() as f64;
-        let m = self.misses() as f64;
-        if h + m == 0.0 {
-            0.0
-        } else {
-            h / (h + m)
-        }
+    /// The same counters as named `cache.*` series.
+    pub fn metrics(&self) -> MetricsSnapshot {
+        self.registry.snapshot()
     }
-
-    /// Resets all counters.
-    pub fn reset(&self) {
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
-        self.inserts.store(0, Ordering::Relaxed);
-        self.evictions.store(0, Ordering::Relaxed);
-    }
-}
-
-/// Point-in-time copy of one shard's counters (skew diagnostics: a hot
-/// shard shows up as a hit/miss outlier here, invisible in the totals).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ShardStatsSnapshot {
-    /// Lookups served by this shard that hit.
-    pub hits: u64,
-    /// Lookups served by this shard that missed.
-    pub misses: u64,
-    /// Entries this shard evicted to admit inserts.
-    pub evictions: u64,
-}
-
-lsm_obs::impl_delta_since!(ShardStatsSnapshot {
-    hits,
-    misses,
-    evictions,
-});
-
-#[derive(Debug, Default)]
-struct ShardStats {
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
 }
 
 /// A sharded, thread-safe block cache with a pluggable eviction policy.
 pub struct ShardedCache<V: Clone + Send> {
     shards: Vec<Mutex<Box<dyn CacheShard<V>>>>,
     stats: CacheStats,
-    shard_stats: Vec<ShardStats>,
     mask: u64,
 }
 
@@ -115,8 +88,7 @@ impl<V: Clone + Send + 'static> ShardedCache<V> {
             .collect();
         ShardedCache {
             shards,
-            stats: CacheStats::default(),
-            shard_stats: (0..shards_pow2).map(|_| ShardStats::default()).collect(),
+            stats: CacheStats::new(),
             mask: shards_pow2 as u64 - 1,
         }
     }
@@ -130,31 +102,23 @@ impl<V: Clone + Send + 'static> ShardedCache<V> {
         ((h >> 32) & self.mask) as usize
     }
 
-    /// Looks up a block, counting the hit or miss (globally and on the
-    /// owning shard).
+    /// Looks up a block, counting the hit or miss.
     pub fn get(&self, key: &CacheKey) -> Option<V> {
-        let shard = self.shard_of(key);
-        let res = self.shards[shard].lock().get(key);
+        let res = self.shards[self.shard_of(key)].lock().get(key);
         if res.is_some() {
-            self.stats.hits.fetch_add(1, Ordering::Relaxed);
-            self.shard_stats[shard].hits.fetch_add(1, Ordering::Relaxed);
+            self.stats.hits.inc();
         } else {
-            self.stats.misses.fetch_add(1, Ordering::Relaxed);
-            self.shard_stats[shard].misses.fetch_add(1, Ordering::Relaxed);
+            self.stats.misses.inc();
         }
         res
     }
 
     /// Inserts a block, counting any evictions it forced.
     pub fn insert(&self, key: CacheKey, value: V, charge: usize) {
-        self.stats.inserts.fetch_add(1, Ordering::Relaxed);
-        let shard = self.shard_of(&key);
-        let evicted = self.shards[shard].lock().insert(key, value, charge) as u64;
+        self.stats.inserts.inc();
+        let evicted = self.shards[self.shard_of(&key)].lock().insert(key, value, charge) as u64;
         if evicted > 0 {
-            self.stats.evictions.fetch_add(evicted, Ordering::Relaxed);
-            self.shard_stats[shard]
-                .evictions
-                .fetch_add(evicted, Ordering::Relaxed);
+            self.stats.evictions.add(evicted);
         }
     }
 
@@ -201,18 +165,6 @@ impl<V: Clone + Send + 'static> ShardedCache<V> {
     pub fn stats(&self) -> &CacheStats {
         &self.stats
     }
-
-    /// Per-shard counter snapshots, in shard order.
-    pub fn shard_stats(&self) -> Vec<ShardStatsSnapshot> {
-        self.shard_stats
-            .iter()
-            .map(|s| ShardStatsSnapshot {
-                hits: s.hits.load(Ordering::Relaxed),
-                misses: s.misses.load(Ordering::Relaxed),
-                evictions: s.evictions.load(Ordering::Relaxed),
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -251,9 +203,10 @@ mod tests {
         assert_eq!(c.stats().hits(), 1);
         assert_eq!(c.stats().misses(), 1);
         assert_eq!(c.stats().inserts(), 1);
-        assert!((c.stats().hit_rate() - 0.5).abs() < 1e-9);
-        c.stats().reset();
-        assert_eq!(c.stats().hits(), 0);
+        let m = c.stats().metrics();
+        let names: Vec<&str> = m.counters.keys().map(String::as_str).collect();
+        assert_eq!(names, ["cache.evictions", "cache.hits", "cache.inserts", "cache.misses"]);
+        assert_eq!((m.counters["cache.hits"], m.counters["cache.misses"]), (1, 1));
     }
 
     #[test]
@@ -291,23 +244,15 @@ mod tests {
     }
 
     #[test]
-    fn per_shard_stats_sum_to_totals() {
+    fn evictions_are_counted_under_every_policy() {
         for policy in CachePolicy::ALL {
             let c: ShardedCache<u64> = ShardedCache::new(policy, 256, 4);
             for i in 0..200 {
                 c.insert(k(1, i), i, 8);
-                c.get(&k(1, i));
-                c.get(&k(9, i)); // never inserted
             }
-            let per: Vec<ShardStatsSnapshot> = c.shard_stats();
-            let hits: u64 = per.iter().map(|s| s.hits).sum();
-            let misses: u64 = per.iter().map(|s| s.misses).sum();
-            let evictions: u64 = per.iter().map(|s| s.evictions).sum();
-            assert_eq!(hits, c.stats().hits(), "{}", policy.label());
-            assert_eq!(misses, c.stats().misses(), "{}", policy.label());
-            assert_eq!(evictions, c.stats().evictions(), "{}", policy.label());
             // 200 inserts of charge 8 into 256 bytes must evict
-            assert!(evictions > 0, "{}: no evictions counted", policy.label());
+            assert!(c.stats().evictions() > 0, "{}: no evictions counted", policy.label());
+            assert_eq!(c.stats().evictions(), 200 - c.len() as u64, "{}", policy.label());
         }
     }
 

@@ -378,11 +378,11 @@ pub(crate) fn worker_loop(bg: Arc<BgState>, core: Weak<DbCore>) {
         };
         let result = match job {
             Job::Flush => {
-                db.obs().registry().counter("bg.flush_jobs").inc();
+                db.obs().bg_flush_jobs.inc();
                 db.run_flush()
             }
             Job::Compact => {
-                db.obs().registry().counter("bg.compact_jobs").inc();
+                db.obs().bg_compact_jobs.inc();
                 run_compact_job(&bg, &db)
             }
         };

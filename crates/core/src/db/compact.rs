@@ -15,7 +15,6 @@ use crate::compaction::subcompact::{self, ShardExec};
 use crate::compaction::{self, CompactionTask};
 use crate::config::CompactionGranularity;
 use crate::sstable::Table;
-use crate::stats::DbStats;
 use crate::version::{SortedRun, Version};
 
 /// A compaction resolved to concrete inputs, ready to merge. Built under
@@ -419,10 +418,7 @@ impl DbCore {
             }
         }
 
-        DbStats::record_max(
-            &self.stats.largest_compaction_entries,
-            result.entries_written,
-        );
+        self.obs.stats.largest_compaction_entries.record_max(result.entries_written);
         self.finish_compaction(inner, prep, &result, new_version)?;
 
         // Leaper-style prefetch: re-admit hot blocks of the new tables
@@ -450,7 +446,7 @@ impl DbCore {
                 for key in plan {
                     if let Some(t) = result.tables.iter().find(|t| t.id() == key.file) {
                         t.read_data_block(key.block as usize, Some(cache))?;
-                        DbStats::bump(&self.stats.prefetched_blocks);
+                        self.obs.stats.prefetched_blocks.inc();
                     }
                 }
             }
@@ -469,13 +465,10 @@ impl DbCore {
         result: &MergeResult,
         new_version: Version,
     ) -> StorageResult<()> {
-        DbStats::bump(&self.stats.compactions);
-        self.stats
-            .add(&self.stats.compaction_entries, result.entries_written);
-        self.stats
-            .add(&self.stats.tombstones_dropped, result.tombstones_dropped);
-        self.stats
-            .add(&self.stats.versions_dropped, result.versions_dropped);
+        self.obs.stats.compactions.inc();
+        self.obs.stats.compaction_entries.add(result.entries_written);
+        self.obs.stats.tombstones_dropped.add(result.tombstones_dropped);
+        self.obs.stats.versions_dropped.add(result.versions_dropped);
         self.install_version(inner, new_version);
         self.persist_manifest(inner)?;
         self.obs.event(EventKind::CompactionEnd {

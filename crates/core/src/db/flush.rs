@@ -13,7 +13,6 @@ use super::{DbCore, Inner};
 use crate::config::FilterAllocation;
 use crate::memtable::Memtable;
 use crate::sstable::{Table, TableBuilder};
-use crate::stats::DbStats;
 use crate::version::{SortedRun, Version};
 use crate::wal::Wal;
 
@@ -112,7 +111,7 @@ impl DbCore {
                     new_version.ensure_levels(1);
                     new_version.levels[0].runs.insert(0, SortedRun::single(table));
                     self.install_version(inner, new_version);
-                    DbStats::bump(&self.stats.flushes);
+                    self.obs.stats.flushes.inc();
                 }
                 None => {}
             }

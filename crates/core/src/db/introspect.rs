@@ -7,7 +7,7 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use lsm_obs::{Event, EventKind, MetricsSnapshot};
-use lsm_storage::{IoCategory, IoStatsSnapshot, StorageDevice, StorageError, StorageResult};
+use lsm_storage::{IoStatsSnapshot, StorageDevice, StorageError, StorageResult};
 
 use super::DbCore;
 use crate::config::LsmConfig;
@@ -65,7 +65,7 @@ impl DbCore {
 
     /// Engine counters.
     pub fn stats(&self) -> &DbStats {
-        &self.stats
+        &self.obs.stats
     }
 
     /// Device I/O counters.
@@ -78,16 +78,21 @@ impl DbCore {
         self.cache.as_ref().map(|c| (c.stats().hits(), c.stats().misses()))
     }
 
-    /// Point-in-time snapshot of every engine metric: `db.*` engine
-    /// counters, `io.*` per-category device counters, `cache.*`
-    /// block-cache counters (global and per shard), `latency.*`
-    /// histograms for get/put/scan/flush/compaction, and `engine.*`
-    /// gauges. Byte-identical across repeated runs of the same workload
-    /// under [`crate::BackgroundMode::Inline`] (the histograms are driven by the
-    /// simulated device clock).
+    /// Point-in-time snapshot of every engine metric: the engine's own
+    /// series (`db.*` counters, `latency.*` histograms for
+    /// get/put/scan/flush/compaction, `engine.*` gauges, `txn.*` and
+    /// `bg.*` counters) merged with its device's `io.*` and its block
+    /// cache's `cache.*` series, each read in place from the registry of
+    /// the owner that counts it. Byte-identical across repeated runs of
+    /// the same workload under [`crate::BackgroundMode::Inline`] (the
+    /// histograms are driven by the simulated device clock).
     pub fn metrics(&self) -> MetricsSnapshot {
-        self.sync_registry();
-        self.obs.snapshot()
+        let mut snap = self.obs.snapshot();
+        snap.merge(&self.device.stats().metrics());
+        if let Some(cache) = &self.cache {
+            snap.merge(&cache.stats().metrics());
+        }
+        snap
     }
 
     /// Drains the structured event trace, oldest first. `seq` is globally
@@ -105,48 +110,6 @@ impl DbCore {
     /// Engine observability state (hook for the background workers).
     pub(crate) fn obs(&self) -> &EngineMetrics {
         &self.obs
-    }
-
-    /// Mirrors the engine/device/cache counters into the metrics registry
-    /// as absolute values. All sources are monotone, so registry counters
-    /// only ever move forward (asserted by the regression tests).
-    fn sync_registry(&self) {
-        let reg = self.obs.registry();
-        let sync = |name: &str, target: u64| {
-            let c = reg.counter(name);
-            let cur = c.get();
-            if target > cur {
-                c.add(target - cur);
-            }
-        };
-        for (name, value) in self.stats.snapshot().fields() {
-            sync(&format!("db.{name}"), value);
-        }
-        let io = self.device.stats().snapshot();
-        for cat in IoCategory::ALL {
-            let c = io.category(cat);
-            let label = cat.label();
-            sync(&format!("io.{label}.read_blocks"), c.read_blocks);
-            sync(&format!("io.{label}.written_blocks"), c.written_blocks);
-            sync(&format!("io.{label}.read_ops"), c.read_ops);
-            sync(&format!("io.{label}.write_ops"), c.write_ops);
-        }
-        sync("io.retries", io.retries);
-        sync("io.corruption_detected", io.corruption_detected);
-        sync("io.write_slowdowns", io.write_slowdowns);
-        sync("io.write_stalls", io.write_stalls);
-        if let Some(cache) = &self.cache {
-            let s = cache.stats();
-            sync("cache.hits", s.hits());
-            sync("cache.misses", s.misses());
-            sync("cache.inserts", s.inserts());
-            sync("cache.evictions", s.evictions());
-            for (i, shard) in cache.shard_stats().iter().enumerate() {
-                sync(&format!("cache.shard{i}.hits"), shard.hits);
-                sync(&format!("cache.shard{i}.misses"), shard.misses);
-                sync(&format!("cache.shard{i}.evictions"), shard.evictions);
-            }
-        }
     }
 
     /// Per-level `(runs, bytes, entries)` summary.

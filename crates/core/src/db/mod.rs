@@ -42,7 +42,6 @@ use crate::kv_sep::ValueLog;
 use crate::manifest::{write_manifest, ManifestState};
 use crate::memtable::Memtable;
 use crate::obs::EngineMetrics;
-use crate::stats::DbStats;
 use crate::version::Version;
 use crate::wal::Wal;
 
@@ -186,9 +185,6 @@ pub struct DbCore {
     /// change on the running engine; everything else is boot-fixed.
     dynamic: DynamicConfig,
     cache: Option<Arc<ShardedCache<Block>>>,
-    /// Shared with every [`crate::Snapshot`], whose reads are counted
-    /// like the engine's own.
-    stats: Arc<DbStats>,
     /// Key heat for the post-compaction prefetch; recorded (and locked)
     /// only when `cfg.prefetch_after_compaction` is set.
     heat: Mutex<HeatMap>,
@@ -210,8 +206,10 @@ pub struct DbCore {
     user_handles: AtomicUsize,
     /// Outstanding [`crate::Snapshot`]s (blocks value-log GC).
     snapshot_count: Arc<AtomicUsize>,
-    /// Metrics registry, latency histograms, and the structured event
-    /// trace (see [`crate::obs`]).
+    /// Metrics registry, every engine series (the `db.*` counters are
+    /// shared with every [`crate::Snapshot`], whose reads are counted like
+    /// the engine's own), and the structured event trace (see
+    /// [`crate::obs`]).
     obs: EngineMetrics,
 }
 

@@ -22,7 +22,6 @@ use crate::manifest::{find_records, ManifestState, MANIFEST_MAGIC};
 use crate::memtable::Memtable;
 use crate::obs::EngineMetrics;
 use crate::sstable::Table;
-use crate::stats::DbStats;
 use crate::version::{SortedRun, Version};
 use crate::wal::{self, Wal};
 
@@ -150,7 +149,6 @@ impl Db {
                 cfg,
                 dynamic: DynamicConfig::new(),
                 cache,
-                stats: Arc::new(DbStats::default()),
                 heat: Mutex::new(HeatMap::new(1024, 100_000)),
                 inner: RwLock::new(inner),
                 bg: Arc::new(BgState::new()),

@@ -35,7 +35,7 @@ pub(crate) fn resolve_stored(
     match decode_value(raw) {
         Some(Ok(inline)) => Ok(inline.to_vec()),
         Some(Err(ptr)) => {
-            DbStats::bump(&stats.vlog_resolves);
+            stats.vlog_resolves.inc();
             match active {
                 Some(log) if log.id() == ptr.file => log.read(ptr),
                 _ => read_pointer_from_device(device, ptr),
@@ -92,10 +92,10 @@ impl TableView<'_> {
         for level in &self.version.levels {
             for run in &level.runs {
                 let Some(table) = run.table_for(key) else {
-                    DbStats::bump(&self.stats.range_prunes);
+                    self.stats.range_prunes.inc();
                     continue;
                 };
-                DbStats::bump(&self.stats.runs_probed);
+                self.stats.runs_probed.inc();
                 // the slot dance keeps `f` available for the next table
                 // when this one misses
                 let (hit, probe) = table.get_with(key, self.cache.map(|c| c.as_ref()), |e| match e.kind {
@@ -103,14 +103,13 @@ impl TableView<'_> {
                     ValueKind::Put => deliver(self.resolve, f, e.value).map(Some),
                 })?;
                 if probe.filter_pruned {
-                    DbStats::bump(&self.stats.filter_prunes);
+                    self.stats.filter_prunes.inc();
                 }
-                self.stats
-                    .add(&self.stats.blocks_examined, probe.blocks_examined as u64);
+                self.stats.blocks_examined.add(probe.blocks_examined as u64);
                 if let Some(found) = hit {
                     let found: Option<R> = found?;
                     if found.is_some() {
-                        DbStats::bump(&self.stats.gets_found);
+                        self.stats.gets_found.inc();
                     }
                     return Ok(found);
                 }
@@ -142,7 +141,7 @@ impl TableView<'_> {
             }
             n += 1;
         }
-        self.stats.add(&self.stats.scan_entries, n as u64);
+        self.stats.scan_entries.add(n as u64);
         Ok(n)
     }
 }
@@ -156,7 +155,7 @@ impl ReadView<'_> {
         key: &[u8],
         f: &mut Option<F>,
     ) -> StorageResult<Option<Option<R>>> {
-        DbStats::bump(&self.tables.stats.gets);
+        self.tables.stats.gets.inc();
         let hit = self
             .mem
             .get_ref(key)
@@ -165,7 +164,7 @@ impl ReadView<'_> {
             None => None,
             Some(e) if e.kind == ValueKind::Delete => Some(None),
             Some(e) => {
-                DbStats::bump(&self.tables.stats.gets_found);
+                self.tables.stats.gets_found.inc();
                 Some(Some(deliver(self.tables.resolve, f, e.value)?))
             }
         })
@@ -207,7 +206,7 @@ impl ReadView<'_> {
     /// each table. An empty or inverted range has no sources.
     pub(crate) fn sources(&self, start: &[u8], end: Option<&[u8]>, limit: usize) -> Vec<Source> {
         let stats = self.tables.stats;
-        DbStats::bump(&stats.scans);
+        stats.scans.inc();
         let mut sources = Vec::new();
         if end.is_some_and(|end| start >= end) {
             return sources;
@@ -242,7 +241,7 @@ impl ReadView<'_> {
                     .filter(|table| {
                         let keep = table.range_may_overlap(Bound::Included(start), hi);
                         if !keep {
-                            DbStats::bump(&stats.range_filter_prunes);
+                            stats.range_filter_prunes.inc();
                         }
                         keep
                     })
@@ -280,7 +279,7 @@ impl DbCore {
         TableView {
             version,
             cache: self.cache.as_ref(),
-            stats: &self.stats,
+            stats: &self.obs.stats,
             resolve: resolve.filter(|_| self.cfg.kv_separation.is_some()),
         }
     }
@@ -298,7 +297,7 @@ impl DbCore {
     /// phases): takes a brief read lock for the active value log.
     fn resolve_unlocked(&self, raw: &[u8]) -> StorageResult<Vec<u8>> {
         let inner = self.inner.read();
-        resolve_stored(&self.device, inner.vlog.as_ref(), &self.stats, raw)
+        resolve_stored(&self.device, inner.vlog.as_ref(), &self.obs.stats, raw)
     }
 
     /// Point lookup: the newest visible value for `key`. Takes a version
@@ -340,7 +339,7 @@ impl DbCore {
             let version = {
                 let inner = self.inner.read();
                 let resolve = |raw: &[u8]| {
-                    resolve_stored(&self.device, inner.vlog.as_ref(), &self.stats, raw)
+                    resolve_stored(&self.device, inner.vlog.as_ref(), &self.obs.stats, raw)
                 };
                 if let Some(out) = self.view(&inner, Some(&resolve)).get_buffered(key, &mut f)? {
                     return Ok(out);
@@ -417,7 +416,7 @@ impl DbCore {
             version: Arc::clone(&inner.version),
             cache: self.cache.clone(),
             device: Arc::clone(&self.device),
-            stats: Arc::clone(&self.stats),
+            stats: Arc::clone(&self.obs.stats),
             kv_separation: self.cfg.kv_separation.is_some(),
             pin: SnapshotPin::new(Arc::clone(&self.snapshot_count)),
         })

@@ -414,7 +414,7 @@ mod prefix_rule {
             }
         }
         let version = version_of(&run);
-        let stats = DbStats::default();
+        let stats = crate::DbStats::register(&lsm_obs::MetricsRegistry::new());
         let (start, bounded_end) = (key(start), key(start.saturating_add(span)));
         for front in [0usize, 96] {
             let active = memtable(mem_ops, mem_first, front);

@@ -16,7 +16,6 @@ use super::{DbCore, Inner, Record, WriteBatch};
 use crate::entry::ValueKind;
 use crate::kv_sep::{encode_inline, encode_pointer};
 use crate::memtable::Memtable;
-use crate::stats::DbStats;
 use crate::wal::Wal;
 
 /// How a commit's records are framed in the WAL.
@@ -208,9 +207,8 @@ impl DbCore {
     }
 
     fn write_batch_inner(&self, batch: &mut WriteBatch, applied_seq: Option<u64>) -> StorageResult<()> {
-        DbStats::bump(&self.stats.write_batches);
-        self.stats
-            .add(&self.stats.batched_writes, batch.ops.len() as u64);
+        self.obs.stats.write_batches.inc();
+        self.obs.stats.batched_writes.add(batch.ops.len() as u64);
         let out = self.write(&mut batch.ops, applied_seq);
         batch.ops.clear();
         out
@@ -295,11 +293,10 @@ impl DbCore {
             *seqno = inner.next_seqno;
             inner.next_seqno += 1;
             match kind {
-                ValueKind::Put => DbStats::bump(&self.stats.puts),
-                ValueKind::Delete => DbStats::bump(&self.stats.deletes),
+                ValueKind::Put => self.obs.stats.puts.inc(),
+                ValueKind::Delete => self.obs.stats.deletes.inc(),
             }
-            self.stats
-                .add(&self.stats.bytes_ingested, (key.len() + value.len()) as u64);
+            self.obs.stats.bytes_ingested.add((key.len() + value.len()) as u64);
             // key-value separation
             if let (Some(sep), ValueKind::Put) = (self.cfg.kv_separation, *kind) {
                 *value = if value.len() >= sep.min_value_bytes {
@@ -309,7 +306,7 @@ impl DbCore {
                         )
                     })?;
                     let ptr = vlog.append(key, value)?;
-                    DbStats::bump(&self.stats.vlog_values);
+                    self.obs.stats.vlog_values.inc();
                     encode_pointer(ptr)
                 } else {
                     encode_inline(value)
@@ -322,7 +319,7 @@ impl DbCore {
                     WalFraming::Stream => wal.append_batch(records)?,
                     WalFraming::Atomic => wal.append_atomic(records)?,
                 }
-                DbStats::bump(&self.stats.wal_appends);
+                self.obs.stats.wal_appends.inc();
             }
             // OCC recording only while a transaction is live, so the plain
             // write path pays one branch when none is

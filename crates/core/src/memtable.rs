@@ -695,7 +695,7 @@ mod tests {
     fn two_level_front_absorbs_and_spills() {
         let mut m = Memtable::with_front(200);
         for i in 0..20u32 {
-            m.insert(format!("k{i:03}").as_bytes(), i as u64, ValueKind::Put, &vec![i as u8; 8]);
+            m.insert(format!("k{i:03}").as_bytes(), i as u64, ValueKind::Put, &[i as u8; 8]);
         }
         // everything readable regardless of which level holds it
         for i in 0..20u32 {

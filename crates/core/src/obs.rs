@@ -2,9 +2,11 @@
 //! primitives in `lsm-obs` and the engine's hot paths.
 //!
 //! One [`EngineMetrics`] lives inside each [`crate::Db`]. It owns the
-//! metrics registry, the bounded event ring, and the latency histograms
-//! for the five engine operations the experiment suite cares about
-//! (get / put / scan / flush / compaction).
+//! engine's metrics registry, every engine series registered in it (the
+//! `db.*` counters of [`DbStats`], the latency histograms for the five
+//! engine operations the experiment suite cares about — get / put / scan
+//! / flush / compaction — gauges, and job counters), and the bounded
+//! event ring.
 //!
 //! ## Determinism
 //!
@@ -32,9 +34,13 @@ use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use lsm_obs::{EventKind, EventRing, Histogram, MetricsRegistry, MetricsSnapshot, StallReason};
+use lsm_obs::{
+    Counter, EventKind, EventRing, Gauge, Histogram, MetricsRegistry, MetricsSnapshot, StallReason,
+};
 use lsm_storage::SimClock;
 use parking_lot::Mutex;
+
+use crate::stats::DbStats;
 
 /// Where timestamps come from — see the module docs on determinism.
 enum MetricClock {
@@ -62,8 +68,8 @@ const BAND_STALL: u8 = 2;
 /// Per-database observability state: registry, event ring, latency
 /// histograms, and id generators for flush/compaction correlation.
 pub struct EngineMetrics {
-    /// Named counters / gauges / histograms, snapshot via
-    /// [`EngineMetrics::registry`].
+    /// Every engine series, registered once below; read via
+    /// [`EngineMetrics::snapshot`].
     registry: MetricsRegistry,
     /// Bounded structured event trace.
     events: EventRing,
@@ -77,16 +83,22 @@ pub struct EngineMetrics {
     pub flush_ns: Arc<Histogram>,
     pub compaction_ns: Arc<Histogram>,
 
-    /// Live gauges mirrored by the engine on every change (cached here so
-    /// the hot path skips the registry's name lookup).
-    pub l0_runs_gauge: Arc<lsm_obs::Gauge>,
-    pub memtable_bytes_gauge: Arc<lsm_obs::Gauge>,
+    /// The `db.*` operation counters (shared with every snapshot).
+    pub stats: Arc<DbStats>,
+
+    /// Live gauges set by the engine on every change.
+    pub l0_runs_gauge: Arc<Gauge>,
+    pub memtable_bytes_gauge: Arc<Gauge>,
 
     /// Optimistic-transaction outcome counters (conflict rate =
     /// `txn.conflicts / (txn.commits + txn.conflicts)`).
-    pub txn_begins: Arc<lsm_obs::Counter>,
-    pub txn_commits: Arc<lsm_obs::Counter>,
-    pub txn_conflicts: Arc<lsm_obs::Counter>,
+    pub txn_begins: Arc<Counter>,
+    pub txn_commits: Arc<Counter>,
+    pub txn_conflicts: Arc<Counter>,
+
+    /// Jobs run by the background workers (`Threaded` only).
+    pub bg_flush_jobs: Arc<Counter>,
+    pub bg_compact_jobs: Arc<Counter>,
 
     /// Monotone ids so `FlushStart`/`FlushEnd` (and compaction pairs) can
     /// be correlated in the trace.
@@ -113,30 +125,23 @@ impl EngineMetrics {
 
     fn new(clock: MetricClock, event_capacity: usize) -> Self {
         let registry = MetricsRegistry::new();
-        let get_ns = registry.histogram("latency.get_ns");
-        let put_ns = registry.histogram("latency.put_ns");
-        let scan_ns = registry.histogram("latency.scan_ns");
-        let flush_ns = registry.histogram("latency.flush_ns");
-        let compaction_ns = registry.histogram("latency.compaction_ns");
-        let l0_runs_gauge = registry.gauge("engine.l0_runs");
-        let memtable_bytes_gauge = registry.gauge("engine.memtable_bytes");
-        let txn_begins = registry.counter("txn.begins");
-        let txn_commits = registry.counter("txn.commits");
-        let txn_conflicts = registry.counter("txn.conflicts");
         EngineMetrics {
-            registry,
             events: EventRing::new(event_capacity),
             clock,
-            get_ns,
-            put_ns,
-            scan_ns,
-            flush_ns,
-            compaction_ns,
-            l0_runs_gauge,
-            memtable_bytes_gauge,
-            txn_begins,
-            txn_commits,
-            txn_conflicts,
+            get_ns: registry.histogram("latency.get_ns"),
+            put_ns: registry.histogram("latency.put_ns"),
+            scan_ns: registry.histogram("latency.scan_ns"),
+            flush_ns: registry.histogram("latency.flush_ns"),
+            compaction_ns: registry.histogram("latency.compaction_ns"),
+            stats: Arc::new(DbStats::register(&registry)),
+            l0_runs_gauge: registry.gauge("engine.l0_runs"),
+            memtable_bytes_gauge: registry.gauge("engine.memtable_bytes"),
+            txn_begins: registry.counter("txn.begins"),
+            txn_commits: registry.counter("txn.commits"),
+            txn_conflicts: registry.counter("txn.conflicts"),
+            bg_flush_jobs: registry.counter("bg.flush_jobs"),
+            bg_compact_jobs: registry.counter("bg.compact_jobs"),
+            registry,
             next_flush_id: AtomicU64::new(1),
             next_compaction_id: AtomicU64::new(1),
             next_subcompaction_id: AtomicU64::new(1),
@@ -158,11 +163,6 @@ impl EngineMetrics {
         let out = op();
         hist.record(self.now_ns().saturating_sub(start));
         out
-    }
-
-    /// The metrics registry (for ad-hoc counters, e.g. background jobs).
-    pub fn registry(&self) -> &MetricsRegistry {
-        &self.registry
     }
 
     /// Records a structured event stamped with the current clock.
@@ -195,7 +195,7 @@ impl EngineMetrics {
         self.next_subcompaction_id.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Point-in-time snapshot of every registered metric.
+    /// Point-in-time snapshot of every engine series.
     pub fn snapshot(&self) -> MetricsSnapshot {
         self.registry.snapshot()
     }

@@ -116,25 +116,35 @@ impl TableMeta {
             *off += n;
             Some(v)
         };
-        let mk_len = read_varint(bytes, &mut off)? as usize;
-        let min_key = bytes.get(off..off + mk_len)?.to_vec();
-        off += mk_len;
-        let xk_len = read_varint(bytes, &mut off)? as usize;
-        let max_key = bytes.get(off..off + xk_len)?.to_vec();
-        off += xk_len;
+        // a length-prefixed byte string; a hostile length is `None`, never
+        // an overflow
+        let read_bytes = |bytes: &[u8], off: &mut usize| -> Option<Vec<u8>> {
+            let len = usize::try_from(read_varint(bytes, off)?).ok()?;
+            let end = off.checked_add(len)?;
+            let out = bytes.get(*off..end)?.to_vec();
+            *off = end;
+            Some(out)
+        };
+        let min_key = read_bytes(bytes, &mut off)?;
+        let max_key = read_bytes(bytes, &mut off)?;
         let num_entries = read_varint(bytes, &mut off)?;
         let num_tombstones = read_varint(bytes, &mut off)?;
         let max_seqno = read_varint(bytes, &mut off)?;
-        let n_blocks = read_varint(bytes, &mut off)? as usize;
+        let n_blocks = read_varint(bytes, &mut off)?;
+        // each entry takes at least four one-byte varints, so a count the
+        // remaining bytes cannot hold is hostile: refuse it before sizing
+        // anything by it
+        if n_blocks > (bytes.len() - off) as u64 / 4 {
+            return None;
+        }
+        let n_blocks = n_blocks as usize;
         let mut data_blocks = Vec::with_capacity(n_blocks);
         let mut fences = Vec::with_capacity(n_blocks);
         for _ in 0..n_blocks {
             let start_block = read_varint(bytes, &mut off)?;
             let num_blocks = read_varint(bytes, &mut off)?;
             let byte_len = read_varint(bytes, &mut off)?;
-            let flen = read_varint(bytes, &mut off)? as usize;
-            fences.push(bytes.get(off..off + flen)?.to_vec());
-            off += flen;
+            fences.push(read_bytes(bytes, &mut off)?);
             data_blocks.push(BlockLocation {
                 start_block,
                 num_blocks,
@@ -249,6 +259,20 @@ mod tests {
         for cut in [0, 1, bytes.len() / 2, bytes.len() - 1] {
             assert!(TableMeta::from_bytes(&bytes[..cut]).is_none(), "cut {cut}");
         }
+    }
+
+    #[test]
+    fn hostile_lengths_are_rejected_without_panicking() {
+        // five zero varints (empty keys, zero counts), then a block count
+        // no remaining byte count could hold
+        let mut huge_count = vec![0u8; 5];
+        put_varint(&mut huge_count, 1 << 61);
+        assert!(TableMeta::from_bytes(&huge_count).is_none());
+        // a min-key length whose end offset overflows
+        let mut huge_key = Vec::new();
+        put_varint(&mut huge_key, u64::MAX);
+        huge_key.extend_from_slice(b"key");
+        assert!(TableMeta::from_bytes(&huge_key).is_none());
     }
 
     #[test]

@@ -5,14 +5,16 @@
 //! (filter prunes, runs probed per lookup, compaction work), which is what
 //! the experiment tables report.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
+use lsm_obs::{Counter, MetricsRegistry};
 
 macro_rules! counters {
     ($($(#[$doc:meta])* $name:ident),+ $(,)?) => {
-        /// Atomic engine counters; cheap to share.
-        #[derive(Debug, Default)]
+        /// Engine counters: handles on the `db.<field>` series of the
+        /// engine's registry, registered once at open.
         pub struct DbStats {
-            $($(#[$doc])* pub(crate) $name: AtomicU64,)+
+            $($(#[$doc])* pub(crate) $name: Arc<Counter>,)+
         }
 
         /// Point-in-time copy of [`DbStats`].
@@ -22,24 +24,17 @@ macro_rules! counters {
         }
 
         impl DbStats {
-            /// Snapshots every counter.
-            pub fn snapshot(&self) -> DbStatsSnapshot {
-                DbStatsSnapshot {
-                    $($name: self.$name.load(Ordering::Relaxed),)+
+            pub(crate) fn register(registry: &MetricsRegistry) -> Self {
+                DbStats {
+                    $($name: registry.counter(concat!("db.", stringify!($name))),)+
                 }
             }
 
-            /// Zeroes every counter.
-            pub fn reset(&self) {
-                $(self.$name.store(0, Ordering::Relaxed);)+
-            }
-        }
-
-        impl DbStatsSnapshot {
-            /// Every counter as a `(name, value)` pair, in declaration
-            /// order (the metrics exporter re-sorts by name).
-            pub fn fields(&self) -> Vec<(&'static str, u64)> {
-                vec![$((stringify!($name), self.$name),)+]
+            /// Snapshots every counter.
+            pub fn snapshot(&self) -> DbStatsSnapshot {
+                DbStatsSnapshot {
+                    $($name: self.$name.get(),)+
+                }
             }
         }
 
@@ -101,20 +96,6 @@ counters! {
     batched_writes,
 }
 
-impl DbStats {
-    pub(crate) fn add(&self, field: &AtomicU64, n: u64) {
-        field.fetch_add(n, Ordering::Relaxed);
-    }
-
-    pub(crate) fn bump(counter: &AtomicU64) {
-        counter.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_max(counter: &AtomicU64, n: u64) {
-        counter.fetch_max(n, Ordering::Relaxed);
-    }
-}
-
 impl DbStatsSnapshot {
     /// Average sorted runs probed per get.
     pub fn runs_per_get(&self) -> f64 {
@@ -133,7 +114,6 @@ impl DbStatsSnapshot {
             self.blocks_examined as f64 / self.gets as f64
         }
     }
-
 }
 
 #[cfg(test)]
@@ -141,16 +121,22 @@ mod tests {
     use super::*;
 
     #[test]
-    fn snapshot_and_reset() {
-        let s = DbStats::default();
-        DbStats::bump(&s.puts);
-        DbStats::bump(&s.puts);
-        s.add(&s.bytes_ingested, 100);
+    fn snapshot_reads_the_registered_series() {
+        let registry = MetricsRegistry::new();
+        let s = DbStats::register(&registry);
+        s.puts.inc();
+        s.puts.inc();
+        s.bytes_ingested.add(100);
+        s.largest_compaction_entries.record_max(7);
+        s.largest_compaction_entries.record_max(3);
         let snap = s.snapshot();
         assert_eq!(snap.puts, 2);
         assert_eq!(snap.bytes_ingested, 100);
-        s.reset();
-        assert_eq!(s.snapshot().puts, 0);
+        assert_eq!(snap.largest_compaction_entries, 7);
+        let m = registry.snapshot();
+        assert_eq!(m.counters["db.puts"], 2);
+        assert_eq!(m.counters["db.bytes_ingested"], 100);
+        assert_eq!(m.counters["db.largest_compaction_entries"], 7);
     }
 
     #[test]

@@ -309,7 +309,7 @@ fn borrowed_reads_match_owned_reads_and_model() {
     for step in 0..6000u32 {
         let i = (rng.next() % 700) as u32;
         let k = key(i);
-        if rng.next() % 5 == 0 {
+        if rng.next().is_multiple_of(5) {
             db.delete(k.clone()).unwrap();
             model.remove(&k);
         } else {

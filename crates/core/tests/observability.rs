@@ -14,13 +14,19 @@
 //!   a stall produces `SlowdownEnter → StallEnter → StallExit`, in that
 //!   order, in the trace.
 //! * **Monotonicity.** Counters never go backwards across a background
-//!   flush (the registry dedupe regression).
+//!   flush.
+//! * **One counter.** The typed views (`DbStatsSnapshot`,
+//!   `IoStatsSnapshot`, `cache_stats()`) read the very counters the
+//!   registry series of the same name do, and the series names are pinned
+//!   by a literal list: the tuner reads them as strings, so a renamed or
+//!   dropped series must fail here by name.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
+use lsm_core::stats::DbStatsSnapshot;
 use lsm_core::{BackgroundMode, Db, Event, EventKind, LsmConfig, StallReason};
-use lsm_storage::{DeviceProfile, MemDevice, StorageDevice};
+use lsm_storage::{DeviceProfile, IoCategory, MemDevice, StorageDevice};
 
 fn small() -> LsmConfig {
     LsmConfig::small_for_tests()
@@ -103,8 +109,99 @@ fn metrics_cover_all_five_operation_histograms() {
     assert!(snap.counters["db.flushes"] > 0);
     assert!(snap.counters["db.compactions"] > 0);
     assert!(snap.counters.keys().any(|k| k.starts_with("io.")));
-    assert!(snap.counters.keys().any(|k| k.starts_with("cache.shard")));
+    assert!(snap.counters.contains_key("cache.hits"));
     assert!(snap.gauges.contains_key("engine.l0_runs"));
+}
+
+/// Every series an Inline engine with a block cache exposes, by kind.
+const COUNTERS: &[&str] = &[
+    "bg.compact_jobs", "bg.flush_jobs",
+    "cache.evictions", "cache.hits", "cache.inserts", "cache.misses",
+    "db.batched_writes", "db.blocks_examined", "db.bytes_ingested", "db.compaction_entries",
+    "db.compactions", "db.deletes", "db.filter_prunes", "db.flushes", "db.gets",
+    "db.gets_found", "db.largest_compaction_entries", "db.prefetched_blocks", "db.puts",
+    "db.range_filter_prunes", "db.range_prunes", "db.runs_probed", "db.scan_entries",
+    "db.scans", "db.tombstones_dropped", "db.versions_dropped", "db.vlog_resolves",
+    "db.vlog_values", "db.wal_appends", "db.write_batches",
+    "io.corruption_detected",
+    "io.data.read_blocks", "io.data.read_ops", "io.data.write_ops", "io.data.written_blocks",
+    "io.filter.read_blocks", "io.filter.read_ops", "io.filter.write_ops", "io.filter.written_blocks",
+    "io.index.read_blocks", "io.index.read_ops", "io.index.write_ops", "io.index.written_blocks",
+    "io.misc.read_blocks", "io.misc.read_ops", "io.misc.write_ops", "io.misc.written_blocks",
+    "io.retries",
+    "io.vlog.read_blocks", "io.vlog.read_ops", "io.vlog.write_ops", "io.vlog.written_blocks",
+    "io.wal.read_blocks", "io.wal.read_ops", "io.wal.write_ops", "io.wal.written_blocks",
+    "io.write_slowdowns", "io.write_stalls",
+    "txn.begins", "txn.commits", "txn.conflicts",
+];
+const GAUGES: &[&str] = &["engine.l0_runs", "engine.memtable_bytes"];
+const HISTOGRAMS: &[&str] = &[
+    "latency.compaction_ns", "latency.flush_ns", "latency.get_ns", "latency.put_ns",
+    "latency.scan_ns",
+];
+
+fn names<V>(series: &BTreeMap<String, V>) -> Vec<&str> {
+    series.keys().map(String::as_str).collect()
+}
+
+/// `(name, value)` for every `DbStatsSnapshot` field. The destructuring
+/// names every field, so a field added to the view without a line here
+/// fails to compile.
+macro_rules! db_fields {
+    ($snap:expr, $($field:ident),+ $(,)?) => {{
+        let DbStatsSnapshot { $($field),+ } = $snap;
+        [$((stringify!($field), $field)),+]
+    }};
+}
+
+#[test]
+fn typed_views_and_registry_series_are_one_counter() {
+    let db = Db::open_simulated(small(), DeviceProfile::nvme_ssd()).unwrap();
+    mixed_workload(&db);
+    db.wait_background_idle();
+    let snap = db.metrics();
+    let fields = db_fields!(
+        db.stats().snapshot(),
+        puts, deletes, gets, gets_found, scans, scan_entries, bytes_ingested, flushes,
+        compactions, compaction_entries, tombstones_dropped, versions_dropped, runs_probed,
+        filter_prunes, blocks_examined, range_prunes, range_filter_prunes, prefetched_blocks,
+        vlog_values, vlog_resolves, largest_compaction_entries, wal_appends, write_batches,
+        batched_writes,
+    );
+    for (field, value) in fields {
+        assert_eq!(snap.counters[&format!("db.{field}")], value, "db.{field}");
+    }
+    assert!(snap.counters["db.puts"] > 0, "the workload was counted");
+
+    let io = db.io_stats();
+    for cat in IoCategory::ALL {
+        let c = io.category(cat);
+        let label = cat.label();
+        for (what, value) in [
+            ("read_blocks", c.read_blocks),
+            ("written_blocks", c.written_blocks),
+            ("read_ops", c.read_ops),
+            ("write_ops", c.write_ops),
+        ] {
+            assert_eq!(snap.counters[&format!("io.{label}.{what}")], value, "io.{label}.{what}");
+        }
+    }
+    assert_eq!(snap.counters["io.retries"], io.retries);
+    assert_eq!(snap.counters["io.corruption_detected"], io.corruption_detected);
+    assert_eq!(snap.counters["io.write_slowdowns"], io.write_slowdowns);
+    assert_eq!(snap.counters["io.write_stalls"], io.write_stalls);
+    assert!(io.total_written_blocks() > 0, "the device was counted");
+
+    assert_eq!(
+        db.cache_stats(),
+        Some((snap.counters["cache.hits"], snap.counters["cache.misses"]))
+    );
+
+    if db.config().background == BackgroundMode::Inline {
+        assert_eq!(names(&snap.counters), COUNTERS);
+        assert_eq!(names(&snap.gauges), GAUGES);
+        assert_eq!(names(&snap.histograms), HISTOGRAMS);
+    }
 }
 
 /// Every start event must have exactly one matching end with the same id

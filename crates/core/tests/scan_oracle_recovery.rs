@@ -96,7 +96,7 @@ fn check_against_oracle(db: &Db, oracle: &Oracle, context: &str) {
 fn run_workload(db: &Db, oracle: &mut Oracle, rng: &mut Rng, ops: usize, context: &str) {
     for n in 0..ops {
         let i = rng.next() % 300;
-        if rng.next() % 5 == 0 {
+        if rng.next().is_multiple_of(5) {
             db.delete(key(i)).unwrap();
             oracle.remove(&key(i));
         } else {

@@ -111,52 +111,6 @@ impl FencePointers {
             Some(last) => key < self.first_key.as_slice() || key > last,
         }
     }
-
-    /// Serializes to bytes (stored in the SSTable index block).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(&(self.first_key.len() as u32).to_le_bytes());
-        out.extend_from_slice(&self.first_key);
-        out.extend_from_slice(&(self.prefixes.len() as u32).to_le_bytes());
-        for i in 0..self.prefixes.len() {
-            let k = self.key_at(i);
-            out.extend_from_slice(&(k.len() as u32).to_le_bytes());
-            out.extend_from_slice(k);
-        }
-        out
-    }
-
-    /// Deserializes from [`FencePointers::to_bytes`] output.
-    pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
-        let mut off = 0usize;
-        let read_u32 = |bytes: &[u8], off: &mut usize| -> Option<u32> {
-            let v = u32::from_le_bytes(bytes.get(*off..*off + 4)?.try_into().ok()?);
-            *off += 4;
-            Some(v)
-        };
-        let fk_len = read_u32(bytes, &mut off)? as usize;
-        let first_key = bytes.get(off..off + fk_len)?.to_vec();
-        off += fk_len;
-        let n = read_u32(bytes, &mut off)? as usize;
-        let mut key_bytes = Vec::new();
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut prefixes = Vec::with_capacity(n);
-        offsets.push(0u32);
-        for _ in 0..n {
-            let len = read_u32(bytes, &mut off)? as usize;
-            let k = bytes.get(off..off + len)?;
-            off += len;
-            key_bytes.extend_from_slice(k);
-            offsets.push(key_bytes.len() as u32);
-            prefixes.push(prefix8(k));
-        }
-        Some(FencePointers {
-            first_key,
-            bytes: key_bytes,
-            offsets,
-            prefixes,
-        })
-    }
 }
 
 impl BlockLocator for FencePointers {
@@ -179,8 +133,8 @@ impl BlockLocator for FencePointers {
     }
 
     fn size_bits(&self) -> usize {
-        // same accounting as the serialized form: per-key bytes + u32
-        // length, plus the first key and its length fields
+        // per-key bytes + a u32 length, plus the first key and its two
+        // length fields
         let bytes = self.bytes.len() + 4 * self.prefixes.len();
         (bytes + self.first_key.len() + 8) * 8
     }
@@ -245,25 +199,6 @@ mod tests {
         assert_eq!(f.locate_lower_bound(b"x"), None);
         assert_eq!(f.num_blocks(), 0);
         assert!(f.out_of_range(b"anything"));
-    }
-
-    #[test]
-    fn serialization_roundtrip() {
-        let f = sample();
-        let g = FencePointers::from_bytes(&f.to_bytes()).unwrap();
-        assert_eq!(g.num_blocks(), f.num_blocks());
-        assert_eq!(g.first_key(), f.first_key());
-        for probe in ["000000", "000450", "000999", "001000"] {
-            assert_eq!(f.locate(probe.as_bytes()), g.locate(probe.as_bytes()));
-        }
-    }
-
-    #[test]
-    fn from_bytes_rejects_truncation() {
-        let f = sample();
-        let bytes = f.to_bytes();
-        assert!(FencePointers::from_bytes(&bytes[..bytes.len() - 1]).is_none());
-        assert!(FencePointers::from_bytes(&[]).is_none());
     }
 
     #[test]

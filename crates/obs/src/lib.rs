@@ -6,7 +6,12 @@
 //! fixed-bucket log-scale latency [`Histogram`]s), a bounded structured
 //! [`EventRing`] drainable as typed [`Event`]s and dumpable as JSON
 //! lines, and the shared [`DeltaSince`] snapshot-subtraction used by
-//! every counter block in the workspace.
+//! every counter view in the workspace.
+//!
+//! These are the workspace's only counters. Each owner (engine, device,
+//! cache, server) registers its series once, when it is built, under its
+//! own name prefix, keeps the handles, and counts through them; a typed
+//! view such as `DbStatsSnapshot` is read off the same handles.
 //!
 //! Design constraints, in order:
 //!
@@ -34,11 +39,10 @@ pub use histogram::{Histogram, HistogramSnapshot, BUCKETS};
 pub use registry::{Counter, Gauge, MetricsRegistry, MetricsSnapshot};
 
 /// Counter-wise snapshot subtraction: `self - earlier`, saturating at
-/// zero so a reset between snapshots cannot produce nonsense.
+/// zero so snapshots passed in the wrong order cannot wrap around.
 ///
 /// One implementation shared by `IoStatsSnapshot`, `DbStatsSnapshot`,
-/// and [`MetricsSnapshot`] (they previously each hand-rolled the same
-/// field-by-field `saturating_sub`). Use [`impl_delta_since!`] to derive
+/// and [`MetricsSnapshot`]. Use [`impl_delta_since!`] to derive
 /// both the trait impl and a plain inherent `delta_since` method for a
 /// struct of deltable fields.
 pub trait DeltaSince {

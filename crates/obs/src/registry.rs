@@ -28,6 +28,12 @@ impl Counter {
         self.0.fetch_add(n, Ordering::Relaxed);
     }
 
+    /// Raises the value to `n` if it is lower: a high-water mark only
+    /// moves forward, like any other counter.
+    pub fn record_max(&self, n: u64) {
+        self.0.fetch_max(n, Ordering::Relaxed);
+    }
+
     /// Current value.
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
@@ -108,9 +114,8 @@ impl MetricsRegistry {
     }
 }
 
-/// Immutable named snapshot of a [`MetricsRegistry`] (plus any counters
-/// the embedder folds in — the engine adds its `DbStats`, `IoStats`,
-/// and cache counters under prefixed names).
+/// Immutable named snapshot of a [`MetricsRegistry`]; snapshots of
+/// several registries combine with [`MetricsSnapshot::merge`].
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct MetricsSnapshot {
     /// Monotonic counters by name.
@@ -226,6 +231,10 @@ mod tests {
         c1.inc();
         c2.add(4);
         assert_eq!(r.counter("ops").get(), 5);
+        c1.record_max(3);
+        assert_eq!(c2.get(), 5, "a high-water mark never moves back");
+        c1.record_max(9);
+        assert_eq!(c2.get(), 9);
         let g = r.gauge("depth");
         g.set(3);
         g.add(-1);

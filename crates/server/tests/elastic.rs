@@ -72,7 +72,7 @@ fn hotspot_worker(mut c: Client, thread: usize, ops: usize) -> Oracle {
         },
         value_len: 24,
         scan_len: 1000,
-        seed: 0xE1A5_71C + thread as u64,
+        seed: 0x0E1A_571C + thread as u64,
     });
     let prefix = format!("t{thread}-").into_bytes();
     let rekey = |k: &[u8]| {

@@ -3,10 +3,13 @@
 //! Every experiment in the suite reports its results in terms of these
 //! counters: block reads per lookup, blocks written per ingested byte
 //! (write amplification), and the split between data, filter, index, and
-//! WAL traffic.
+//! WAL traffic. Each counter is an `io.*` series in the device's own
+//! [`MetricsRegistry`]; [`IoStatsSnapshot`] is a typed view of the same
+//! handles.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+use lsm_obs::{Counter, MetricsRegistry, MetricsSnapshot};
 
 /// What a given I/O was for. Lets experiments separate, e.g., filter-block
 /// fetches from data-block fetches when reporting lookup cost.
@@ -61,100 +64,116 @@ impl IoCategory {
     }
 }
 
-#[derive(Default)]
+/// One category's handles: `io.<label>.{read_blocks,written_blocks,read_ops,write_ops}`.
 struct CategoryCounters {
-    read_blocks: AtomicU64,
-    written_blocks: AtomicU64,
-    read_ops: AtomicU64,
-    write_ops: AtomicU64,
+    read_blocks: Arc<Counter>,
+    written_blocks: Arc<Counter>,
+    read_ops: Arc<Counter>,
+    write_ops: Arc<Counter>,
 }
 
-#[derive(Default)]
 struct Counters {
     per_category: [CategoryCounters; 6],
-    retries: AtomicU64,
-    corruption_detected: AtomicU64,
-    write_slowdowns: AtomicU64,
-    write_stalls: AtomicU64,
+    retries: Arc<Counter>,
+    corruption_detected: Arc<Counter>,
+    write_slowdowns: Arc<Counter>,
+    write_stalls: Arc<Counter>,
+    registry: MetricsRegistry,
 }
 
-/// Thread-safe I/O counters, cheap to clone (shared via `Arc`).
-#[derive(Clone, Default)]
+/// Thread-safe I/O counters, cheap to clone (shared via `Arc`): the
+/// `io.*` series of a registry owned by the device they count.
+#[derive(Clone)]
 pub struct IoStats {
     inner: Arc<Counters>,
 }
 
+impl Default for IoStats {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl IoStats {
-    /// Fresh zeroed counters.
+    /// Fresh zeroed counters, registered once in a registry of their own.
     pub fn new() -> Self {
-        Self::default()
+        let registry = MetricsRegistry::new();
+        let counter = |name: &str| registry.counter(&format!("io.{name}"));
+        let per_category = IoCategory::ALL.map(|cat| {
+            let of = |what: &str| counter(&format!("{}.{what}", cat.label()));
+            CategoryCounters {
+                read_blocks: of("read_blocks"),
+                written_blocks: of("written_blocks"),
+                read_ops: of("read_ops"),
+                write_ops: of("write_ops"),
+            }
+        });
+        let inner = Counters {
+            per_category,
+            retries: counter("retries"),
+            corruption_detected: counter("corruption_detected"),
+            write_slowdowns: counter("write_slowdowns"),
+            write_stalls: counter("write_stalls"),
+            registry,
+        };
+        IoStats { inner: Arc::new(inner) }
     }
 
     /// Records a read of `blocks` consecutive blocks in `cat`.
     pub fn record_read(&self, cat: IoCategory, blocks: u64) {
         let c = &self.inner.per_category[cat.idx()];
-        c.read_blocks.fetch_add(blocks, Ordering::Relaxed);
-        c.read_ops.fetch_add(1, Ordering::Relaxed);
+        c.read_blocks.add(blocks);
+        c.read_ops.inc();
     }
 
     /// Records a write of `blocks` consecutive blocks in `cat`.
     pub fn record_write(&self, cat: IoCategory, blocks: u64) {
         let c = &self.inner.per_category[cat.idx()];
-        c.written_blocks.fetch_add(blocks, Ordering::Relaxed);
-        c.write_ops.fetch_add(1, Ordering::Relaxed);
+        c.written_blocks.add(blocks);
+        c.write_ops.inc();
     }
 
     /// Records one retry of an I/O op after a transient device error.
     pub fn record_retry(&self) {
-        self.inner.retries.fetch_add(1, Ordering::Relaxed);
+        self.inner.retries.inc();
     }
 
     /// Records one detected-and-rejected corruption (checksum mismatch,
     /// undecodable frame, torn tail).
     pub fn record_corruption(&self) {
-        self.inner.corruption_detected.fetch_add(1, Ordering::Relaxed);
+        self.inner.corruption_detected.inc();
     }
 
     /// Records one write delayed by L0 backpressure (slowdown band).
     pub fn record_write_slowdown(&self) {
-        self.inner.write_slowdowns.fetch_add(1, Ordering::Relaxed);
+        self.inner.write_slowdowns.inc();
     }
 
     /// Records one write blocked by L0 backpressure (stall threshold).
     pub fn record_write_stall(&self) {
-        self.inner.write_stalls.fetch_add(1, Ordering::Relaxed);
+        self.inner.write_stalls.inc();
     }
 
     /// Point-in-time copy of all counters.
     pub fn snapshot(&self) -> IoStatsSnapshot {
-        let mut s = IoStatsSnapshot::default();
-        for cat in IoCategory::ALL {
-            let c = &self.inner.per_category[cat.idx()];
-            let e = &mut s.per_category[cat.idx()];
-            e.read_blocks = c.read_blocks.load(Ordering::Relaxed);
-            e.written_blocks = c.written_blocks.load(Ordering::Relaxed);
-            e.read_ops = c.read_ops.load(Ordering::Relaxed);
-            e.write_ops = c.write_ops.load(Ordering::Relaxed);
+        let c = &*self.inner;
+        IoStatsSnapshot {
+            per_category: c.per_category.each_ref().map(|c| CategorySnapshot {
+                read_blocks: c.read_blocks.get(),
+                written_blocks: c.written_blocks.get(),
+                read_ops: c.read_ops.get(),
+                write_ops: c.write_ops.get(),
+            }),
+            retries: c.retries.get(),
+            corruption_detected: c.corruption_detected.get(),
+            write_slowdowns: c.write_slowdowns.get(),
+            write_stalls: c.write_stalls.get(),
         }
-        s.retries = self.inner.retries.load(Ordering::Relaxed);
-        s.corruption_detected = self.inner.corruption_detected.load(Ordering::Relaxed);
-        s.write_slowdowns = self.inner.write_slowdowns.load(Ordering::Relaxed);
-        s.write_stalls = self.inner.write_stalls.load(Ordering::Relaxed);
-        s
     }
 
-    /// Resets every counter to zero.
-    pub fn reset(&self) {
-        for c in self.inner.per_category.iter() {
-            c.read_blocks.store(0, Ordering::Relaxed);
-            c.written_blocks.store(0, Ordering::Relaxed);
-            c.read_ops.store(0, Ordering::Relaxed);
-            c.write_ops.store(0, Ordering::Relaxed);
-        }
-        self.inner.retries.store(0, Ordering::Relaxed);
-        self.inner.corruption_detected.store(0, Ordering::Relaxed);
-        self.inner.write_slowdowns.store(0, Ordering::Relaxed);
-        self.inner.write_stalls.store(0, Ordering::Relaxed);
+    /// The same counters as named `io.*` series.
+    pub fn metrics(&self) -> MetricsSnapshot {
+        self.inner.registry.snapshot()
     }
 }
 
@@ -210,11 +229,9 @@ impl IoStatsSnapshot {
     pub fn total_write_ops(&self) -> u64 {
         self.per_category.iter().map(|c| c.write_ops).sum()
     }
-
 }
 
-// Both snapshots share the workspace-wide saturating delta (one
-// implementation for IoStats, DbStats, and metrics snapshots alike).
+// the workspace-wide saturating snapshot delta
 lsm_obs::impl_delta_since!(CategorySnapshot {
     read_blocks,
     written_blocks,
@@ -259,15 +276,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_zeroes_everything() {
-        let s = IoStats::new();
-        s.record_write(IoCategory::Data, 10);
-        s.reset();
-        assert_eq!(s.snapshot().total_written_blocks(), 0);
-        assert_eq!(s.snapshot().total_write_ops(), 0);
-    }
-
-    #[test]
     fn delta_since_subtracts() {
         let s = IoStats::new();
         s.record_read(IoCategory::Data, 2);
@@ -281,15 +289,28 @@ mod tests {
     }
 
     #[test]
-    fn delta_saturates_after_reset() {
+    fn delta_saturates_when_reversed() {
         let s = IoStats::new();
-        s.record_read(IoCategory::Data, 9);
         let first = s.snapshot();
-        s.reset();
-        s.record_read(IoCategory::Data, 1);
-        let second = s.snapshot();
-        let d = second.delta_since(&first);
+        s.record_read(IoCategory::Data, 9);
+        let d = first.delta_since(&s.snapshot());
         assert_eq!(d.category(IoCategory::Data).read_blocks, 0);
+    }
+
+    #[test]
+    fn metrics_are_the_same_counters_by_name() {
+        let s = IoStats::new();
+        s.record_read(IoCategory::Filter, 3);
+        s.record_write(IoCategory::ValueLog, 2);
+        s.record_retry();
+        let m = s.metrics();
+        assert_eq!(m.counters["io.filter.read_blocks"], 3);
+        assert_eq!(m.counters["io.filter.read_ops"], 1);
+        assert_eq!(m.counters["io.vlog.written_blocks"], 2);
+        assert_eq!(m.counters["io.retries"], 1);
+        // six categories of four counters, plus four device-wide ones
+        assert_eq!(m.counters.len(), 6 * 4 + 4);
+        assert!(m.counters.keys().all(|k| k.starts_with("io.")));
     }
 
     #[test]
@@ -305,9 +326,6 @@ mod tests {
         let d = s.snapshot().delta_since(&first);
         assert_eq!(d.retries, 1);
         assert_eq!(d.corruption_detected, 0);
-        s.reset();
-        assert_eq!(s.snapshot().retries, 0);
-        assert_eq!(s.snapshot().corruption_detected, 0);
     }
 
     #[test]
@@ -323,9 +341,6 @@ mod tests {
         let d = s.snapshot().delta_since(&first);
         assert_eq!(d.write_slowdowns, 0);
         assert_eq!(d.write_stalls, 1);
-        s.reset();
-        assert_eq!(s.snapshot().write_slowdowns, 0);
-        assert_eq!(s.snapshot().write_stalls, 0);
     }
 
     #[test]

@@ -68,8 +68,8 @@ CARGO_TARGET_DIR=.bench_build cargo test --release --offline --manifest-path lsm
 stage "RUSTDOCFLAGS=\"-D warnings\" cargo doc: no dead, private or redundant doc links"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
-stage "cargo clippy --workspace -- -D warnings"
-cargo clippy --workspace -- -D warnings
+stage "cargo clippy --workspace --all-targets -- -D warnings (tests and examples too)"
+cargo clippy --workspace --all-targets -- -D warnings
 
 stage ""
 echo "OK in $SECONDS s: build, workspace tests (both modes), crash sweeps, experiment claims, lsmbench, rustdoc, clippy all clean"

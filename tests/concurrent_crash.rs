@@ -161,14 +161,11 @@ fn crash_case(at: u64) -> bool {
     fault.schedule(at, FaultKind::Crash);
 
     let mut shadow = Shadow::default();
-    match Db::open(erased(&fault), threaded_cfg()) {
-        Ok(db) => {
-            scripted_workload(&db, &mut shadow);
-            // bounded: the idle wait bails out once a job has failed
-            db.wait_background_idle();
-            drop(db);
-        }
-        Err(_) => {}
+    if let Ok(db) = Db::open(erased(&fault), threaded_cfg()) {
+        scripted_workload(&db, &mut shadow);
+        // bounded: the idle wait bails out once a job has failed
+        db.wait_background_idle();
+        drop(db);
     }
     let fired = fault.pending_faults().is_empty();
 

@@ -208,15 +208,12 @@ fn crash_case(cfg: &LsmConfig, at: u64, kind: FaultKind, ops: usize) {
     fault.schedule(at, kind.clone());
 
     let mut shadow = Shadow::default();
-    match Db::open(erased(&fault), cfg.clone()) {
-        Ok(db) => {
-            scripted_workload(&db, &mut shadow, ops);
-            // Process death: destructors run against the dead device.
-            drop(db);
-        }
-        // The fault fired inside open itself — a typed error, never a
-        // panic, is the whole contract here.
-        Err(_) => {}
+    // An `Err` means the fault fired inside open itself — a typed error,
+    // never a panic, is the whole contract there.
+    if let Ok(db) = Db::open(erased(&fault), cfg.clone()) {
+        scripted_workload(&db, &mut shadow, ops);
+        // Process death: destructors run against the dead device.
+        drop(db);
     }
     assert!(
         fault.pending_faults().is_empty(),
@@ -582,7 +579,7 @@ fn random_workload(db: &Db, shadow: &mut Shadow, seed: u64, ops: usize) {
     let mut rng = seed;
     for _ in 0..ops {
         let key = format!("key{:03}", splitmix(&mut rng) % 31).into_bytes();
-        if splitmix(&mut rng) % 5 == 0 {
+        if splitmix(&mut rng).is_multiple_of(5) {
             apply_op(db, shadow, key, None);
         } else {
             let len = 8 + (splitmix(&mut rng) % 120) as usize;
@@ -598,12 +595,9 @@ fn random_crash_case(seed: u64, crash_at: u64, kv: bool) {
     fault.schedule(crash_at, FaultKind::Crash);
 
     let mut shadow = Shadow::default();
-    match Db::open(erased(&fault), cfg.clone()) {
-        Ok(db) => {
-            random_workload(&db, &mut shadow, seed, 100);
-            drop(db);
-        }
-        Err(_) => {}
+    if let Ok(db) = Db::open(erased(&fault), cfg.clone()) {
+        random_workload(&db, &mut shadow, seed, 100);
+        drop(db);
     }
     // `crash_at` may exceed the run's I/O count — then the case degrades
     // to a fault-free roundtrip, which must also verify.
