@@ -8,9 +8,9 @@ use lsm_index::IndexKind;
 use lsm_storage::{StorageDevice, StorageResult};
 
 use crate::config::LsmConfig;
-use crate::entry::InternalEntry;
+use crate::entry::ValueKind;
 use crate::iter::{MergingIter, Source};
-use crate::sstable::{Table, TableBuilder};
+use crate::sstable::{EntryRef, Table, TableBuilder};
 
 /// Outcome of one merge.
 pub struct MergeResult {
@@ -61,21 +61,10 @@ impl<'a> OutputWriter<'a> {
 
     /// Appends one visible entry, cutting a new output table whenever the
     /// current one reaches the target size. The builder is created lazily
-    /// so an all-dropped merge creates no file at all.
-    pub(crate) fn push(&mut self, e: &InternalEntry) -> StorageResult<()> {
-        self.push_parts(&e.key, e.seqno, e.kind, &e.value)
-    }
-
-    /// Borrowed-slice variant of [`OutputWriter::push`]: lets the merge
-    /// cursor feed entry bytes straight from pinned blocks into the
-    /// builder — one copy, block to builder.
-    pub(crate) fn push_parts(
-        &mut self,
-        key: &[u8],
-        seqno: u64,
-        kind: crate::entry::ValueKind,
-        value: &[u8],
-    ) -> StorageResult<()> {
+    /// so an all-dropped merge creates no file at all. The entry is
+    /// borrowed, so its bytes move once: from a pinned block (or a shard's
+    /// buffer) into the builder.
+    pub(crate) fn push(&mut self, e: EntryRef<'_>) -> StorageResult<()> {
         let b = match &mut self.builder {
             Some(b) => b,
             None => {
@@ -87,7 +76,7 @@ impl<'a> OutputWriter<'a> {
                 self.builder.as_mut().unwrap()
             }
         };
-        b.add(key, seqno, kind, value)?;
+        b.add(e.key, e.seqno, e.kind, e.value)?;
         self.entries_written += 1;
         if b.estimated_file_bytes() >= self.cfg.target_table_bytes {
             let full = self.builder.take().unwrap();
@@ -136,11 +125,11 @@ pub fn merge_tables(
     // cursor merge: each surviving entry's bytes move once, from the
     // pinned input block into the output builder
     while merger.advance_visible()? {
-        if drop_tombstones && merger.kind() == crate::entry::ValueKind::Delete {
+        if drop_tombstones && merger.kind() == ValueKind::Delete {
             tombstones_dropped += 1;
             continue;
         }
-        writer.push_parts(merger.key(), merger.seqno(), merger.kind(), merger.value())?;
+        writer.push(merger.current())?;
     }
     let (out_tables, entries_written) = writer.finish()?;
     let versions_dropped = entries_in
@@ -159,7 +148,6 @@ pub fn merge_tables(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::entry::ValueKind;
     use lsm_storage::{DeviceProfile, MemDevice};
 
     fn device() -> Arc<dyn StorageDevice> {

@@ -10,7 +10,7 @@
 //! count and any boundary choice. That falls out of the phase split:
 //!
 //! 1. **Shard phase (parallel).** Each shard merges its key range
-//!    `[lo, hi)` of the inputs into an in-memory entry vector, with
+//!    `[lo, hi)` of the inputs into one flat in-memory buffer, with
 //!    per-shard conserved accounting (`entries_in = written +
 //!    tombstones_dropped + versions_dropped`). Shards touch disjoint key
 //!    ranges, so their outputs concatenate into exactly the entry stream
@@ -36,16 +36,16 @@ use lsm_storage::{StorageDevice, StorageError, StorageResult};
 
 use super::exec::{MergeResult, OutputWriter};
 use crate::config::LsmConfig;
-use crate::entry::InternalEntry;
-use crate::iter::{BoundedTableIter, MergingIter, Source};
+use crate::entry::ValueKind;
+use crate::iter::{BoundedTableIter, MemSource, MergingIter, Source};
 use crate::sstable::Table;
 
 /// One shard's merged output: the visible entries of its key range plus
 /// the accounting needed to prove conservation.
 pub struct ShardMerge {
     /// Visible entries (newest version per key, tombstones GC'd when
-    /// allowed), in ascending key order.
-    pub entries: Vec<InternalEntry>,
+    /// allowed), in ascending key order, back to back in one buffer.
+    pub entries: MemSource,
     /// Input entries the shard consumed (every version, every source).
     pub entries_in: u64,
     /// Tombstones garbage-collected by this shard.
@@ -173,14 +173,14 @@ pub fn merge_shard(
         )?));
     }
     let mut merger = MergingIter::new(sources, true)?;
-    let mut entries = Vec::new();
+    let mut entries = MemSource::default();
     let mut tombstones_dropped = 0u64;
-    while let Some(e) = merger.next_visible()? {
-        if drop_tombstones && e.is_tombstone() {
+    while merger.advance_visible()? {
+        if drop_tombstones && merger.kind() == ValueKind::Delete {
             tombstones_dropped += 1;
             continue;
         }
-        entries.push(e);
+        entries.push(merger.current());
     }
     Ok(ShardMerge {
         entries,
@@ -302,7 +302,7 @@ pub(crate) fn merge_tables_sharded_with(
     let mut entries_in_total = 0u64;
     let mut tombstones_total = 0u64;
     for sm in &shard_merges {
-        for e in &sm.entries {
+        for e in sm.entries.iter() {
             writer.push(e)?;
         }
         shards.push(ShardAccounting {
@@ -334,7 +334,6 @@ pub(crate) fn merge_tables_sharded_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::entry::ValueKind;
     use crate::sstable::TableBuilder;
     use lsm_storage::{DeviceProfile, MemDevice};
 

@@ -3,7 +3,9 @@
 //! A scan assigns one iterator per qualifying source (memtable + every
 //! sorted run), merges them in key order, keeps only the newest version of
 //! each key (sources are ranked youngest-first), and suppresses tombstoned
-//! keys. Compaction reuses the same merge with tombstone retention.
+//! keys. Compaction and its sub-compaction shards reuse the same merge
+//! with tombstone retention, a binary heap over (head key, source rank)
+//! that costs O(log sources) key comparisons per entry.
 //!
 //! Every source is a *cursor* — `advance()` then `key()`/`value()` — so
 //! merged entries are borrowed views into pinned blocks; bytes are copied
@@ -16,7 +18,6 @@ use lsm_cache::ShardedCache;
 use lsm_storage::{Block, StorageResult};
 
 use crate::entry::{InternalEntry, ValueKind};
-use crate::sstable::block::KeyBuf;
 use crate::sstable::{EntryRef, Table, TableIterator};
 
 /// Lazily chains the iterators of a run's key-ordered, disjoint tables:
@@ -70,26 +71,6 @@ impl RunIterator {
     fn cur(&self) -> &TableIterator {
         self.current.as_ref().expect("valid cursor")
     }
-
-    /// Current key.
-    pub fn key(&self) -> &[u8] {
-        self.cur().key()
-    }
-
-    /// Current value, borrowed from the pinned block.
-    pub fn value(&self) -> &[u8] {
-        self.cur().value()
-    }
-
-    /// Current sequence number.
-    pub fn seqno(&self) -> u64 {
-        self.cur().seqno()
-    }
-
-    /// Current entry kind.
-    pub fn kind(&self) -> ValueKind {
-        self.cur().kind()
-    }
 }
 
 /// A table iterator clipped to `[start, hi)` that counts every entry it
@@ -140,26 +121,6 @@ impl BoundedTableIter {
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         Ok(true)
     }
-
-    /// Current key.
-    pub fn key(&self) -> &[u8] {
-        self.it.key()
-    }
-
-    /// Current value.
-    pub fn value(&self) -> &[u8] {
-        self.it.value()
-    }
-
-    /// Current sequence number.
-    pub fn seqno(&self) -> u64 {
-        self.it.seqno()
-    }
-
-    /// Current entry kind.
-    pub fn kind(&self) -> ValueKind {
-        self.it.kind()
-    }
 }
 
 /// In-memory source: a flat copy of a key-ordered stretch of a write
@@ -199,24 +160,27 @@ impl MemSource {
     }
 
     /// Entries held.
-    #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
         self.index.len()
     }
 
-    fn cur(&self) -> &MemSlot {
-        &self.index[self.next - 1]
+    /// Every held entry in order, borrowed.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = EntryRef<'_>> {
+        self.index.iter().map(|s| self.entry(s))
     }
 
-    fn key(&self) -> &[u8] {
-        let s = self.cur();
-        &self.bytes[s.off..s.off + s.key_len]
+    fn entry(&self, s: &MemSlot) -> EntryRef<'_> {
+        let val = s.off + s.key_len;
+        EntryRef {
+            key: &self.bytes[s.off..val],
+            seqno: s.seqno,
+            kind: s.kind,
+            value: &self.bytes[val..val + s.val_len],
+        }
     }
 
-    fn value(&self) -> &[u8] {
-        let s = self.cur();
-        let from = s.off + s.key_len;
-        &self.bytes[from..from + s.val_len]
+    fn cur(&self) -> EntryRef<'_> {
+        self.entry(&self.index[self.next - 1])
     }
 }
 
@@ -264,39 +228,22 @@ impl Source {
         }
     }
 
+    /// Head key: the one accessor the heap's comparisons use.
     fn key(&self) -> &[u8] {
         match self {
-            Source::Mem(s) => s.key(),
+            Source::Mem(s) => s.cur().key,
             Source::Table(it) => it.key(),
-            Source::Run(it) => it.key(),
-            Source::BoundedTable(it) => it.key(),
+            Source::Run(it) => it.cur().key(),
+            Source::BoundedTable(it) => it.it.key(),
         }
     }
 
-    fn value(&self) -> &[u8] {
+    fn current(&self) -> EntryRef<'_> {
         match self {
-            Source::Mem(s) => s.value(),
-            Source::Table(it) => it.value(),
-            Source::Run(it) => it.value(),
-            Source::BoundedTable(it) => it.value(),
-        }
-    }
-
-    fn seqno(&self) -> u64 {
-        match self {
-            Source::Mem(s) => s.cur().seqno,
-            Source::Table(it) => it.seqno(),
-            Source::Run(it) => it.seqno(),
-            Source::BoundedTable(it) => it.seqno(),
-        }
-    }
-
-    fn kind(&self) -> ValueKind {
-        match self {
-            Source::Mem(s) => s.cur().kind,
-            Source::Table(it) => it.kind(),
-            Source::Run(it) => it.kind(),
-            Source::BoundedTable(it) => it.kind(),
+            Source::Mem(s) => s.cur(),
+            Source::Table(it) => it.current(),
+            Source::Run(it) => it.cur().current(),
+            Source::BoundedTable(it) => it.it.current(),
         }
     }
 }
@@ -307,39 +254,49 @@ impl Source {
 /// lowest-index source provides the visible version (its seqno is
 /// necessarily the highest, by the LSM invariant).
 ///
-/// The merge itself is a cursor: [`MergingIter::advance_visible`] then
-/// `key()`/`value()` borrow the winning entry in place. The previous
-/// winner's key is kept in an inline scratch buffer for duplicate
-/// suppression, so steady-state merging allocates nothing.
+/// The live sources sit in a binary min-heap ordered by (head key,
+/// source index), so the top is always the next visible entry: the
+/// smallest key, from the youngest source holding it. Stepping past it
+/// first advances every older source whose head is the same key — such a
+/// source is always a child of the top — and then the winner itself; each
+/// advance sinks one source back into place. An entry therefore costs
+/// O(log sources) key comparisons, and while one source keeps winning
+/// (one table of a run, say) it costs at most four, however many sources
+/// there are.
+///
+/// The merge is a cursor: [`MergingIter::advance_visible`] then
+/// `key()`/`value()` borrow the winning entry in place, so steady-state
+/// merging allocates nothing.
 pub struct MergingIter {
     sources: Vec<Source>,
-    valid: Vec<bool>,
-    /// Source holding the current visible entry (not yet stepped past).
-    winner: Option<usize>,
-    /// Key (and seqno) of the winner being stepped past, for duplicate
-    /// suppression across sources.
-    prev_key: KeyBuf,
-    prev_seqno: u64,
+    /// Indexes into `sources` of the live sources, as a binary min-heap
+    /// by (head key, index).
+    heap: Vec<usize>,
+    /// The top of the heap is the current entry, not yet stepped past.
+    positioned: bool,
     /// Keep tombstones in the output (compaction into non-last levels).
     keep_tombstones: bool,
 }
 
 impl MergingIter {
     /// Builds the merge; pulls the first entry of every source.
-    pub fn new(sources: Vec<Source>, keep_tombstones: bool) -> StorageResult<Self> {
-        let mut sources = sources;
-        let mut valid = Vec::with_capacity(sources.len());
-        for s in sources.iter_mut() {
-            valid.push(s.advance()?);
+    pub fn new(mut sources: Vec<Source>, keep_tombstones: bool) -> StorageResult<Self> {
+        let mut heap = Vec::with_capacity(sources.len());
+        for (i, s) in sources.iter_mut().enumerate() {
+            if s.advance()? {
+                heap.push(i);
+            }
         }
-        Ok(MergingIter {
+        let mut merge = MergingIter {
             sources,
-            valid,
-            winner: None,
-            prev_key: KeyBuf::new(),
-            prev_seqno: 0,
+            heap,
+            positioned: false,
             keep_tombstones,
-        })
+        };
+        for i in (0..merge.heap.len() / 2).rev() {
+            merge.sift_down(i);
+        }
+        Ok(merge)
     }
 
     /// Moves to the next visible entry in ascending key order;
@@ -351,49 +308,90 @@ impl MergingIter {
     /// silently skipped — the read-path behaviour.
     pub fn advance_visible(&mut self) -> StorageResult<bool> {
         loop {
-            if let Some(w) = self.winner.take() {
-                // step past the previous winner and every older version of
-                // its key in all sources
-                let sources = &mut self.sources;
-                let prev_key = &mut self.prev_key;
-                prev_key.set(sources[w].key());
-                self.prev_seqno = sources[w].seqno();
-                self.valid[w] = sources[w].advance()?;
-                for (i, src) in sources.iter_mut().enumerate() {
-                    while self.valid[i] && src.key() == prev_key.as_slice() {
-                        debug_assert!(
-                            src.seqno() <= self.prev_seqno,
-                            "older source carried a newer seqno"
-                        );
-                        self.valid[i] = src.advance()?;
-                    }
-                }
+            if self.positioned {
+                self.step_past_top()?;
             }
-            // find the smallest head key; among equals, the youngest source
-            let mut best: Option<usize> = None;
-            for i in 0..self.sources.len() {
-                if !self.valid[i] {
-                    continue;
-                }
-                best = match best {
-                    None => Some(i),
-                    Some(b) if self.sources[i].key() < self.sources[b].key() => Some(i),
-                    b => b,
-                };
-            }
-            let Some(w) = best else {
+            let Some(&top) = self.heap.first() else {
+                self.positioned = false;
                 return Ok(false);
             };
-            self.winner = Some(w);
-            if self.sources[w].kind() == ValueKind::Delete && !self.keep_tombstones {
-                continue;
+            self.positioned = true;
+            if self.keep_tombstones || self.sources[top].current().kind != ValueKind::Delete {
+                return Ok(true);
             }
-            return Ok(true);
+        }
+    }
+
+    /// Steps past the top entry and every older version of its key.
+    fn step_past_top(&mut self) -> StorageResult<()> {
+        let top = self.heap[0];
+        // an older source holding the same key ranks right below the top,
+        // so it surfaces as the smaller child of the root
+        while let Some(c) = self.min_child(0) {
+            let older = &self.sources[self.heap[c]];
+            if older.key() != self.sources[top].key() {
+                break;
+            }
+            debug_assert!(
+                older.current().seqno <= self.sources[top].current().seqno,
+                "older source carried a newer seqno"
+            );
+            self.advance_slot(c)?;
+        }
+        self.advance_slot(0)
+    }
+
+    /// Advances the source in heap slot `i` (the root or a child of it)
+    /// and restores the heap: the source's key only grew, so it sinks, or
+    /// leaves the heap when exhausted. A replacement taken from the
+    /// bottom ranks after the root, so it too only needs to sink.
+    fn advance_slot(&mut self, i: usize) -> StorageResult<()> {
+        if !self.sources[self.heap[i]].advance()? {
+            let last = self.heap.pop().expect("slot i is occupied");
+            if i == self.heap.len() {
+                return Ok(());
+            }
+            self.heap[i] = last;
+        }
+        self.sift_down(i);
+        Ok(())
+    }
+
+    /// Whether source `a` ranks before source `b`: smaller head key, then
+    /// younger source.
+    fn before(&self, a: usize, b: usize) -> bool {
+        match self.sources[a].key().cmp(self.sources[b].key()) {
+            std::cmp::Ordering::Equal => a < b,
+            order => order.is_lt(),
+        }
+    }
+
+    /// Heap slot of the higher-ranked child of slot `i`, if it has one.
+    fn min_child(&self, i: usize) -> Option<usize> {
+        let l = 2 * i + 1;
+        let r = l + 1;
+        if l >= self.heap.len() {
+            None
+        } else if r < self.heap.len() && self.before(self.heap[r], self.heap[l]) {
+            Some(r)
+        } else {
+            Some(l)
+        }
+    }
+
+    fn sift_down(&mut self, mut i: usize) {
+        while let Some(c) = self.min_child(i) {
+            if !self.before(self.heap[c], self.heap[i]) {
+                break;
+            }
+            self.heap.swap(i, c);
+            i = c;
         }
     }
 
     fn cur(&self) -> &Source {
-        &self.sources[self.winner.expect("valid merge cursor")]
+        debug_assert!(self.positioned, "accessor on an unpositioned merge");
+        &self.sources[*self.heap.first().expect("valid merge cursor")]
     }
 
     /// Current key.
@@ -403,28 +401,34 @@ impl MergingIter {
 
     /// Current value.
     pub fn value(&self) -> &[u8] {
-        self.cur().value()
+        self.current().value
     }
 
     /// Current sequence number.
     pub fn seqno(&self) -> u64 {
-        self.cur().seqno()
+        self.current().seqno
     }
 
     /// Current entry kind.
     pub fn kind(&self) -> ValueKind {
-        self.cur().kind()
+        self.current().kind
+    }
+
+    /// Borrowed view of the current entry.
+    pub fn current(&self) -> EntryRef<'_> {
+        self.cur().current()
     }
 
     /// Next visible entry, materialized (owned convenience wrapper over
     /// [`MergingIter::advance_visible`]).
     pub fn next_visible(&mut self) -> StorageResult<Option<InternalEntry>> {
         Ok(if self.advance_visible()? {
+            let e = self.current();
             Some(InternalEntry {
-                key: self.key().to_vec(),
-                seqno: self.seqno(),
-                kind: self.kind(),
-                value: self.value().to_vec(),
+                key: e.key.to_vec(),
+                seqno: e.seqno,
+                kind: e.kind,
+                value: e.value.to_vec(),
             })
         } else {
             None
@@ -544,5 +548,83 @@ mod tests {
             assert_eq!(e.kind, cursor.kind());
         }
         assert!(!cursor.advance_visible().unwrap());
+    }
+
+    /// Randomized merges against a `BTreeMap` model: up to 40 sources
+    /// with overlapping keys, seqnos falling with source rank, random
+    /// tombstones and some empty sources. Both the cursor stream and the
+    /// owned stream must equal the model's newest version per key, with
+    /// and without tombstones.
+    #[test]
+    fn random_merges_match_a_model() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        use std::collections::BTreeMap;
+
+        type Version = (u64, ValueKind, Vec<u8>);
+        let mut rng = StdRng::seed_from_u64(0x4EA9);
+        for round in 0..60 {
+            let n_sources = rng.gen_range(0usize..=40);
+            let keyspace = rng.gen_range(1u32..300);
+            let mut runs: Vec<Vec<InternalEntry>> = Vec::with_capacity(n_sources);
+            let mut model: BTreeMap<Vec<u8>, Version> = BTreeMap::new();
+            for rank in 0..n_sources {
+                let mut run = Vec::new();
+                if !rng.gen_bool(0.15) {
+                    let density = rng.gen_range(0.01f64..0.6);
+                    for k in 0..keyspace {
+                        if !rng.gen_bool(density) {
+                            continue;
+                        }
+                        // younger sources (lower rank) carry higher seqnos
+                        let seqno = (n_sources - rank) as u64 * 1_000 + k as u64 % 1_000;
+                        let kind = if rng.gen_bool(0.2) {
+                            ValueKind::Delete
+                        } else {
+                            ValueKind::Put
+                        };
+                        let value = match kind {
+                            ValueKind::Delete => Vec::new(),
+                            ValueKind::Put => format!("r{rank}k{k}").into_bytes(),
+                        };
+                        let key = format!("k{k:04}").into_bytes();
+                        // the first (youngest) source to hold a key wins
+                        model
+                            .entry(key.clone())
+                            .or_insert_with(|| (seqno, kind, value.clone()));
+                        run.push(InternalEntry {
+                            key,
+                            seqno,
+                            kind,
+                            value,
+                        });
+                    }
+                }
+                runs.push(run);
+            }
+            for keep_tombstones in [false, true] {
+                let expect: Vec<(Vec<u8>, Version)> = model
+                    .iter()
+                    .filter(|(_, (_, kind, _))| keep_tombstones || *kind == ValueKind::Put)
+                    .map(|(k, v)| (k.clone(), v.clone()))
+                    .collect();
+                let sources = || runs.iter().cloned().map(Source::mem).collect::<Vec<_>>();
+                let mut cursor = MergingIter::new(sources(), keep_tombstones).unwrap();
+                let mut streamed = Vec::new();
+                while cursor.advance_visible().unwrap() {
+                    streamed.push((
+                        cursor.key().to_vec(),
+                        (cursor.seqno(), cursor.kind(), cursor.value().to_vec()),
+                    ));
+                }
+                let case = format!("round {round}, keep_tombstones {keep_tombstones}");
+                assert_eq!(streamed, expect, "{case}");
+                let mut owned_merge = MergingIter::new(sources(), keep_tombstones).unwrap();
+                let owned: Vec<_> = std::iter::from_fn(|| owned_merge.next_visible().unwrap())
+                    .map(|e| (e.key, (e.seqno, e.kind, e.value)))
+                    .collect();
+                assert_eq!(owned, expect, "{case}");
+            }
+        }
     }
 }

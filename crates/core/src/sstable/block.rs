@@ -147,20 +147,43 @@ impl KeyBuf {
         }
         self.heap.extend_from_slice(bytes);
     }
-
-    pub(crate) fn set(&mut self, bytes: &[u8]) {
-        self.truncate(0);
-        self.extend_from_slice(bytes);
-    }
 }
 
-impl Default for KeyBuf {
-    fn default() -> Self {
-        KeyBuf::new()
+/// Keys laid end to end in one buffer: a growing list of keys that costs
+/// two amortized buffers, not one allocation per key.
+#[derive(Debug, Default)]
+pub(crate) struct KeyList {
+    bytes: Vec<u8>,
+    /// End offset of each key in `bytes`.
+    ends: Vec<usize>,
+}
+
+impl KeyList {
+    pub(crate) fn push(&mut self, key: &[u8]) {
+        self.bytes.extend_from_slice(key);
+        self.ends.push(self.bytes.len());
+    }
+
+    pub(crate) fn clear(&mut self) {
+        self.bytes.clear();
+        self.ends.clear();
+    }
+
+    /// The keys, in push order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &[u8]> {
+        let mut start = 0;
+        self.ends.iter().map(move |&end| {
+            let key = &self.bytes[start..end];
+            start = end;
+            key
+        })
     }
 }
 
 /// Builds one prefix-compressed data block.
+///
+/// Every buffer is reused from block to block, so once the first block
+/// has grown them, adding entries and sealing blocks allocates nothing.
 pub struct BlockBuilder {
     buf: Vec<u8>,
     restarts: Vec<u32>,
@@ -168,7 +191,9 @@ pub struct BlockBuilder {
     count_since_restart: usize,
     last_key: Vec<u8>,
     num_entries: usize,
-    hash_entries: Vec<(Vec<u8>, u8)>,
+    /// Each entry's key and restart ordinal, for the hash index.
+    hash_keys: KeyList,
+    hash_ordinals: Vec<u8>,
     with_hash_index: bool,
 }
 
@@ -182,7 +207,8 @@ impl BlockBuilder {
             count_since_restart: 0,
             last_key: Vec::new(),
             num_entries: 0,
-            hash_entries: Vec::new(),
+            hash_keys: KeyList::default(),
+            hash_ordinals: Vec::new(),
             with_hash_index,
         }
     }
@@ -212,7 +238,8 @@ impl BlockBuilder {
         self.buf.extend_from_slice(value);
         if self.with_hash_index {
             let ordinal = (self.restarts.len() - 1).min(255) as u8;
-            self.hash_entries.push((key.to_vec(), ordinal));
+            self.hash_keys.push(key);
+            self.hash_ordinals.push(ordinal);
         }
         self.last_key.clear();
         self.last_key.extend_from_slice(key);
@@ -223,7 +250,7 @@ impl BlockBuilder {
     /// Current encoded size estimate, including the trailer.
     pub fn estimated_size(&self) -> usize {
         self.buf.len() + self.restarts.len() * 4 + 12 + if self.with_hash_index {
-            self.hash_entries.len() * 2
+            self.hash_ordinals.len() * 2
         } else {
             0
         }
@@ -246,34 +273,40 @@ impl BlockBuilder {
 
     /// Finishes the block, returning its bytes and resetting the builder.
     pub fn finish(&mut self) -> Vec<u8> {
-        let mut out = std::mem::take(&mut self.buf);
+        self.finish_with(<[u8]>::to_vec)
+    }
+
+    /// Seals the block in the builder's own buffer, hands its bytes to
+    /// `f`, then resets the builder with every buffer kept: the
+    /// allocation-free form of [`BlockBuilder::finish`].
+    pub(crate) fn finish_with<R>(&mut self, f: impl FnOnce(&[u8]) -> R) -> R {
         // hash index (skipped when too many restarts for u8 ordinals)
-        let hash_bytes = if self.with_hash_index
-            && !self.hash_entries.is_empty()
+        let hash_len = if self.with_hash_index
+            && !self.hash_ordinals.is_empty()
             && self.restarts.len() <= MAX_HASH_RESTARTS
         {
-            BlockHashIndex::build(
-                self.hash_entries.iter().map(|(k, o)| (k.as_slice(), *o)),
-                self.hash_entries.len(),
-                0.75,
-            )
-            .to_bytes()
+            let entries = self.hash_keys.iter().zip(self.hash_ordinals.iter().copied());
+            let index = BlockHashIndex::build(entries, self.hash_ordinals.len(), 0.75).to_bytes();
+            self.buf.extend_from_slice(&index);
+            index.len()
         } else {
-            Vec::new()
+            0
         };
-        out.extend_from_slice(&hash_bytes);
         for r in &self.restarts {
-            out.extend_from_slice(&r.to_le_bytes());
+            self.buf.extend_from_slice(&r.to_le_bytes());
         }
-        out.extend_from_slice(&(self.restarts.len() as u32).to_le_bytes());
-        out.extend_from_slice(&(hash_bytes.len() as u32).to_le_bytes());
-        integrity::seal(&mut out);
-        // reset
-        self.restarts = vec![0];
+        self.buf.extend_from_slice(&(self.restarts.len() as u32).to_le_bytes());
+        self.buf.extend_from_slice(&(hash_len as u32).to_le_bytes());
+        integrity::seal(&mut self.buf);
+        let out = f(&self.buf);
+        self.buf.clear();
+        self.restarts.clear();
+        self.restarts.push(0);
         self.count_since_restart = 0;
         self.last_key.clear();
         self.num_entries = 0;
-        self.hash_entries.clear();
+        self.hash_keys.clear();
+        self.hash_ordinals.clear();
         out
     }
 }
@@ -869,7 +902,8 @@ mod tests {
         assert_eq!(&k.as_slice()[..2], b"ab");
         k.truncate(3);
         assert_eq!(&k.as_slice()[..2], b"ab");
-        k.set(b"fresh");
+        k.truncate(0);
+        k.extend_from_slice(b"fresh");
         assert_eq!(k.as_slice(), b"fresh");
         k.clear();
         assert_eq!(k.len(), 0);

@@ -16,7 +16,7 @@ use std::sync::Arc;
 use crate::config::LsmConfig;
 use crate::entry::ValueKind;
 use crate::integrity;
-use crate::sstable::block::BlockBuilder;
+use crate::sstable::block::{BlockBuilder, KeyList};
 use crate::sstable::meta::{encode_footer, BlockLocation, Section, TableMeta};
 
 /// Filter-section tag bytes.
@@ -39,11 +39,14 @@ pub struct TableBuilder {
     last_key: Vec<u8>,
     fences: Vec<Vec<u8>>,
     data_blocks: Vec<BlockLocation>,
-    keys: Vec<Vec<u8>>,
+    /// Every key, for the monolithic point filter and the range filter.
+    keys: KeyList,
     /// Keys of the block currently being built (partitioned filters).
-    block_keys: Vec<Vec<u8>>,
-    /// Serialized, sealed filter partitions, one per cut block.
-    partitions: Vec<Vec<u8>>,
+    block_keys: KeyList,
+    /// Serialized, sealed filter partitions back to back, one per cut
+    /// block, and each one's length.
+    partitions: Vec<u8>,
+    partition_lens: Vec<u32>,
     num_entries: u64,
     num_tombstones: u64,
     max_seqno: u64,
@@ -71,9 +74,10 @@ impl TableBuilder {
             last_key: Vec::new(),
             fences: Vec::new(),
             data_blocks: Vec::new(),
-            keys: Vec::new(),
-            block_keys: Vec::new(),
+            keys: KeyList::default(),
+            block_keys: KeyList::default(),
             partitions: Vec::new(),
+            partition_lens: Vec::new(),
             num_entries: 0,
             num_tombstones: 0,
             max_seqno: 0,
@@ -98,13 +102,11 @@ impl TableBuilder {
         }
         self.block.add(key, seqno, kind, value);
         if self.partitioned_filters {
-            self.block_keys.push(key.to_vec());
-        } else {
-            self.keys.push(key.to_vec());
+            self.block_keys.push(key);
         }
-        if self.range_filter_kind != RangeFilterKind::None && self.partitioned_filters {
-            // range filters stay monolithic; keep the full key list too
-            self.keys.push(key.to_vec());
+        // range filters stay monolithic, so they keep the full key list too
+        if !self.partitioned_filters || self.range_filter_kind != RangeFilterKind::None {
+            self.keys.push(key);
         }
         self.last_key.clear();
         self.last_key.extend_from_slice(key);
@@ -139,24 +141,28 @@ impl TableBuilder {
             return Ok(());
         }
         let fence = self.block.last_key().to_vec();
-        let bytes = self.block.finish();
         let start_block = self.file.offset() / self.block_size as u64;
         debug_assert_eq!(self.file.offset() % self.block_size as u64, 0);
-        self.file.append(&bytes)?;
-        self.file.pad_to_block()?;
+        let file = &mut self.file;
+        let byte_len = self.block.finish_with(|bytes| -> StorageResult<u64> {
+            file.append(bytes)?;
+            file.pad_to_block()?;
+            Ok(bytes.len() as u64)
+        })?;
         self.data_blocks.push(BlockLocation {
             start_block,
-            num_blocks: (bytes.len() as u64).div_ceil(self.block_size as u64),
-            byte_len: bytes.len() as u64,
+            num_blocks: byte_len.div_ceil(self.block_size as u64),
+            byte_len,
         });
         self.fences.push(fence);
         if self.partitioned_filters {
-            let refs: Vec<&[u8]> = self.block_keys.iter().map(|k| k.as_slice()).collect();
+            let refs: Vec<&[u8]> = self.block_keys.iter().collect();
             let part = match self.filter_kind.build_refs(&refs, self.bits_per_key) {
                 Some(f) => Self::tag_filter(self.filter_kind, f.as_ref()),
                 None => Vec::new(),
             };
-            self.partitions.push(part);
+            self.partitions.extend_from_slice(&part);
+            self.partition_lens.push(part.len() as u32);
             self.block_keys.clear();
         }
         Ok(())
@@ -198,15 +204,10 @@ impl TableBuilder {
     pub fn finish(mut self) -> StorageResult<(lsm_storage::ImmutableFile, TableMeta)> {
         self.cut_block()?;
         // point filter: monolithic, or concatenated per-block partitions
-        let key_refs: Vec<&[u8]> = self.keys.iter().map(|k| k.as_slice()).collect();
-        let mut filter_partitions: Vec<u32> = Vec::new();
+        let key_refs: Vec<&[u8]> = self.keys.iter().collect();
+        let filter_partitions = std::mem::take(&mut self.partition_lens);
         let filter_bytes = if self.partitioned_filters {
-            let mut all = Vec::new();
-            for p in &self.partitions {
-                filter_partitions.push(p.len() as u32);
-                all.extend_from_slice(p);
-            }
-            all
+            std::mem::take(&mut self.partitions)
         } else {
             match self.filter_kind.build_refs(&key_refs, self.bits_per_key) {
                 Some(f) => Self::tag_filter(self.filter_kind, f.as_ref()),
@@ -224,8 +225,6 @@ impl TableBuilder {
                 }
                 None => Vec::new(),
             };
-        drop(key_refs);
-        self.keys.clear();
         let filter = self.write_section(&filter_bytes, IoCategory::Filter)?;
         let range_filter = self.write_section(&range_bytes, IoCategory::Filter)?;
         // meta + footer

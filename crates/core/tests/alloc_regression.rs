@@ -13,7 +13,9 @@
 //! - that setup is O(sources + limit): it copies only as much of the
 //!   write buffers as the result can use, however full they are;
 //! - steady-state puts stay within a small constant of allocations per
-//!   operation (memtable arena + WAL scratch reuse).
+//!   operation (memtable arena + WAL scratch reuse);
+//! - building a table, alone or as a merge's output, allocates per data
+//!   block, never per entry.
 //!
 //! The differential tests at the bottom prove the borrowed paths return
 //! byte-identical results to the owned paths against a model oracle, in
@@ -22,9 +24,13 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
-use lsm_core::{BackgroundMode, Db, LsmConfig};
+use lsm_core::compaction::exec::merge_tables;
+use lsm_core::sstable::{Table, TableBuilder};
+use lsm_core::{BackgroundMode, Db, IndexKind, LsmConfig, ValueKind};
+use lsm_storage::{DeviceProfile, MemDevice, StorageDevice};
+use lsm_workload::keyspace::{encode_key, make_value};
 
 struct CountingAlloc;
 
@@ -274,6 +280,70 @@ fn steady_state_put_allocations_are_bounded() {
     assert!(
         per_op <= 8.0,
         "steady-state put costs {per_op:.1} allocations/op ({allocs} over {ops})"
+    );
+}
+
+/// Entries per table in the build and merge tests below.
+const TABLE_ENTRIES: u32 = 20_000;
+
+/// Workload-shaped entries (16-byte keys, 100-byte values), made before
+/// any counting window opens.
+fn shaped_entries(ids: std::ops::Range<u64>) -> Vec<(Vec<u8>, Vec<u8>)> {
+    ids.map(|id| (encode_key(id), make_value(id, 100))).collect()
+}
+
+fn build_table(dev: &Arc<dyn StorageDevice>, entries: &[(Vec<u8>, Vec<u8>)], seq0: u64) -> Arc<Table> {
+    let cfg = LsmConfig::default();
+    let mut b = TableBuilder::new(Arc::clone(dev), &cfg, cfg.bits_per_key).unwrap();
+    for (i, (k, v)) in entries.iter().enumerate() {
+        b.add(k, seq0 + i as u64, ValueKind::Put, v).unwrap();
+    }
+    let (file, _meta) = b.finish().unwrap();
+    Table::open(file, IndexKind::Fence).unwrap()
+}
+
+/// Building a table allocates per data block, not per entry: a 4 KiB
+/// block holds ≈ 33 of these entries, so one allocation per 8 entries
+/// means `add` allocates per entry again.
+#[test]
+fn table_build_allocates_per_block_not_per_entry() {
+    let _g = lock();
+    let dev: Arc<dyn StorageDevice> = Arc::new(MemDevice::new(4096, DeviceProfile::free()));
+    let entries = shaped_entries(0..TABLE_ENTRIES as u64);
+    let cfg = LsmConfig::default();
+    let allocs = count_allocs(|| {
+        let mut b = TableBuilder::new(Arc::clone(&dev), &cfg, cfg.bits_per_key).unwrap();
+        for (i, (k, v)) in entries.iter().enumerate() {
+            b.add(k, i as u64, ValueKind::Put, v).unwrap();
+        }
+        b.finish().unwrap();
+    });
+    assert!(
+        allocs < TABLE_ENTRIES as u64 / 8,
+        "building a {TABLE_ENTRIES}-entry table took {allocs} allocations"
+    );
+}
+
+/// The same bound for a compaction, per input entry: merging an update
+/// run over a base run (two `TABLE_ENTRIES`-entry tables, same keys)
+/// allocates per block read and per block written, not per entry merged.
+#[test]
+fn merge_allocates_per_block_not_per_entry() {
+    let _g = lock();
+    let dev: Arc<dyn StorageDevice> = Arc::new(MemDevice::new(4096, DeviceProfile::free()));
+    let entries = shaped_entries(0..TABLE_ENTRIES as u64);
+    let inputs = [build_table(&dev, &entries, 100_000), build_table(&dev, &entries, 1)];
+    let cfg = LsmConfig::default();
+    let mut written = 0;
+    let allocs = count_allocs(|| {
+        let r = merge_tables(&dev, &cfg, IndexKind::Fence, cfg.bits_per_key, &inputs, false).unwrap();
+        written = r.entries_written;
+    });
+    assert_eq!(written, TABLE_ENTRIES as u64);
+    let entries_in = 2 * TABLE_ENTRIES as u64;
+    assert!(
+        allocs < entries_in / 8,
+        "merging {entries_in} entries took {allocs} allocations"
     );
 }
 

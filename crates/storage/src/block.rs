@@ -3,6 +3,9 @@
 //! LSM files are read and written in whole blocks; the block size is the
 //! unit of every I/O statistic in the experiment suite. The tutorial's cost
 //! models count "storage accesses", which we define as one block transfer.
+//! Writers cut their bytes into blocks in [`crate::WritableFile`]; this
+//! module holds the immutable, shared [`Block`] that readers and the block
+//! cache pass around.
 
 use std::sync::Arc;
 
@@ -57,63 +60,6 @@ impl AsRef<[u8]> for Block {
     }
 }
 
-/// A mutable buffer that accumulates bytes and is cut into device blocks.
-///
-/// Builders append arbitrary-length records; [`BlockBuf::into_padded_blocks`]
-/// pads the tail so the device only ever sees whole blocks.
-#[derive(Debug, Default)]
-pub struct BlockBuf {
-    buf: Vec<u8>,
-    block_size: usize,
-}
-
-impl BlockBuf {
-    /// Creates a buffer cutting blocks of `block_size` bytes.
-    ///
-    /// # Panics
-    /// Panics if `block_size` is zero.
-    pub fn new(block_size: usize) -> Self {
-        assert!(block_size > 0, "block size must be positive");
-        BlockBuf {
-            buf: Vec::new(),
-            block_size,
-        }
-    }
-
-    /// Appends raw bytes.
-    pub fn put(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
-    }
-
-    /// Current logical length in bytes.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether nothing has been appended.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// Number of whole device blocks this buffer will occupy.
-    pub fn blocks(&self) -> u64 {
-        self.buf.len().div_ceil(self.block_size) as u64
-    }
-
-    /// Consumes the buffer, zero-padding the tail to a whole block.
-    /// Returns the padded bytes and the number of blocks.
-    pub fn into_padded_blocks(mut self) -> (Vec<u8>, u64) {
-        let blocks = self.blocks();
-        self.buf.resize(blocks as usize * self.block_size, 0);
-        (self.buf, blocks)
-    }
-}
-
-/// Number of whole blocks needed to hold `bytes` at `block_size`.
-pub fn blocks_for(bytes: usize, block_size: usize) -> u64 {
-    bytes.div_ceil(block_size) as u64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -133,50 +79,5 @@ mod tests {
         let b = Block::new(vec![]);
         assert!(b.is_empty());
         assert_eq!(b.len(), 0);
-    }
-
-    #[test]
-    fn blockbuf_pads_to_whole_blocks() {
-        let mut buf = BlockBuf::new(16);
-        buf.put(&[7u8; 20]);
-        assert_eq!(buf.len(), 20);
-        assert_eq!(buf.blocks(), 2);
-        let (bytes, blocks) = buf.into_padded_blocks();
-        assert_eq!(blocks, 2);
-        assert_eq!(bytes.len(), 32);
-        assert_eq!(&bytes[..20], &[7u8; 20]);
-        assert_eq!(&bytes[20..], &[0u8; 12]);
-    }
-
-    #[test]
-    fn blockbuf_exact_multiple_needs_no_padding() {
-        let mut buf = BlockBuf::new(8);
-        buf.put(&[1u8; 16]);
-        let (bytes, blocks) = buf.into_padded_blocks();
-        assert_eq!(blocks, 2);
-        assert_eq!(bytes.len(), 16);
-    }
-
-    #[test]
-    fn empty_blockbuf_produces_zero_blocks() {
-        let buf = BlockBuf::new(8);
-        assert!(buf.is_empty());
-        let (bytes, blocks) = buf.into_padded_blocks();
-        assert_eq!(blocks, 0);
-        assert!(bytes.is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "block size must be positive")]
-    fn zero_block_size_panics() {
-        let _ = BlockBuf::new(0);
-    }
-
-    #[test]
-    fn blocks_for_rounds_up() {
-        assert_eq!(blocks_for(0, 4096), 0);
-        assert_eq!(blocks_for(1, 4096), 1);
-        assert_eq!(blocks_for(4096, 4096), 1);
-        assert_eq!(blocks_for(4097, 4096), 2);
     }
 }

@@ -1,8 +1,9 @@
 //! File handles over a [`StorageDevice`].
 //!
-//! [`WritableFile`] buffers writes in whole blocks and seals into an
-//! [`ImmutableFile`]; the registry tracks which files a component owns so
-//! obsolete runs can be garbage-collected after compaction.
+//! [`WritableFile`] writes whole blocks, holding the partial last block in
+//! one reused buffer, and seals into an [`ImmutableFile`]; the registry
+//! tracks which files a component owns so obsolete runs can be
+//! garbage-collected after compaction.
 
 use std::collections::BTreeSet;
 use std::fmt;
@@ -10,7 +11,6 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use crate::block::BlockBuf;
 use crate::device::StorageDevice;
 use crate::error::StorageResult;
 use crate::stats::IoCategory;
@@ -29,7 +29,10 @@ impl fmt::Display for FileId {
 pub struct WritableFile {
     device: Arc<dyn StorageDevice>,
     id: FileId,
-    buf: BlockBuf,
+    /// Bytes past the last whole block written. Shorter than a block
+    /// between calls; one buffer reused for the file's lifetime, so
+    /// appending allocates only while it grows.
+    tail: Vec<u8>,
     blocks_written: u64,
     category: IoCategory,
 }
@@ -38,11 +41,10 @@ impl WritableFile {
     /// Creates a fresh file on `device`; appended bytes are charged to `category`.
     pub fn create(device: Arc<dyn StorageDevice>, category: IoCategory) -> StorageResult<Self> {
         let id = device.create()?;
-        let block_size = device.block_size();
         Ok(WritableFile {
             device,
             id,
-            buf: BlockBuf::new(block_size),
+            tail: Vec::new(),
             blocks_written: 0,
             category,
         })
@@ -62,46 +64,37 @@ impl WritableFile {
 
     /// Byte offset the next append will land at.
     pub fn offset(&self) -> u64 {
-        self.blocks_written * self.device.block_size() as u64 + self.buf.len() as u64
+        self.blocks_written * self.device.block_size() as u64 + self.tail.len() as u64
     }
 
     /// Appends bytes; full blocks are flushed to the device eagerly.
     pub fn append(&mut self, bytes: &[u8]) -> StorageResult<()> {
-        self.buf.put(bytes);
+        self.tail.extend_from_slice(bytes);
         self.flush_full_blocks()
     }
 
     /// Pads the current position to the next block boundary with zeros.
     pub fn pad_to_block(&mut self) -> StorageResult<()> {
         let bs = self.device.block_size();
-        let rem = self.buf.len() % bs;
-        if rem != 0 || (self.buf.is_empty() && self.blocks_written == 0) {
-            // only pad when there is a partial block
-        }
+        let rem = self.tail.len() % bs;
         if rem != 0 {
-            let pad = vec![0u8; bs - rem];
-            self.buf.put(&pad);
+            self.tail.resize(self.tail.len() + bs - rem, 0);
             self.flush_full_blocks()?;
         }
         Ok(())
     }
 
+    /// Writes every whole block of the tail in one device append and
+    /// keeps the partial rest.
     fn flush_full_blocks(&mut self) -> StorageResult<()> {
         let bs = self.device.block_size();
-        let full = self.buf.len() / bs;
+        let full = self.tail.len() / bs * bs;
         if full == 0 {
             return Ok(());
         }
-        let taken = std::mem::replace(&mut self.buf, BlockBuf::new(bs));
-        let bytes_len = taken.len();
-        let (mut bytes, _) = taken.into_padded_blocks();
-        let flush_bytes = full * bs;
-        let remainder = bytes[flush_bytes..bytes_len.min(bytes.len())].to_vec();
-        bytes.truncate(flush_bytes);
-        self.device.append(self.id, &bytes, self.category)?;
-        self.blocks_written += full as u64;
-        // put back the partial tail
-        self.buf.put(&remainder[..remainder.len().min(bytes_len.saturating_sub(flush_bytes))]);
+        self.device.append(self.id, &self.tail[..full], self.category)?;
+        self.blocks_written += (full / bs) as u64;
+        self.tail.drain(..full);
         Ok(())
     }
 
@@ -109,7 +102,7 @@ impl WritableFile {
     /// immutable handle.
     pub fn seal(mut self) -> StorageResult<ImmutableFile> {
         self.pad_to_block()?;
-        debug_assert_eq!(self.buf.len(), 0);
+        debug_assert!(self.tail.is_empty());
         self.device.seal(self.id)?;
         Ok(ImmutableFile {
             device: self.device,

@@ -29,7 +29,7 @@ pub mod latency;
 pub mod stats;
 pub mod wall;
 
-pub use block::{Block, BlockBuf, DEFAULT_BLOCK_SIZE};
+pub use block::{Block, DEFAULT_BLOCK_SIZE};
 pub use device::{FileDevice, MemDevice, StorageDevice};
 pub use error::{StorageError, StorageResult};
 pub use fault::{FaultDevice, FaultKind, FaultSpec, RetryDevice, RetryPolicy};
