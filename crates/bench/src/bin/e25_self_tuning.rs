@@ -8,8 +8,9 @@
 //! filter budget is either wasted early or missing late. The adaptive
 //! engine runs the same schedule with an [`lsm_tuner::Tuner`] ticked
 //! every few thousand operations; it estimates the live mix from the
-//! metrics registry, re-navigates the design space, and actuates
-//! through the dynamic-config overlay (staged, never eager rewrites).
+//! metrics registry, re-navigates the design space, and actuates by
+//! installing a whole new config (`Db::set_config`; staged, never eager
+//! rewrites).
 //!
 //! Expected shape: each static engine wins (or nearly wins) its home
 //! phase, but the adaptive engine's *total* cost beats every static

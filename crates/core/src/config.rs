@@ -344,6 +344,23 @@ impl LsmConfig {
         }
         Ok(())
     }
+
+    /// `self` with its retunable knobs taken from `from`. This is the one
+    /// list of the fields a running engine may change
+    /// ([`crate::DbCore::set_config`]): each is read at a decision point
+    /// that can move mid-flight — the next table build, compaction pick
+    /// or write admission — so existing data never has to be rewritten.
+    pub(crate) fn with_knobs_of(&self, from: &LsmConfig) -> LsmConfig {
+        LsmConfig {
+            bits_per_key: from.bits_per_key,
+            filter_allocation: from.filter_allocation,
+            layout: from.layout.clone(),
+            size_ratio: from.size_ratio,
+            l0_slowdown_runs: from.l0_slowdown_runs,
+            l0_stall_runs: from.l0_stall_runs,
+            ..self.clone()
+        }
+    }
 }
 
 #[cfg(test)]

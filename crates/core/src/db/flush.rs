@@ -192,14 +192,12 @@ impl DbCore {
     }
 
     pub(super) fn bits_for_level(&self, version: &Version, level: usize) -> f64 {
-        // Read through the dynamic overlay: a retuned filter budget or
-        // allocation strategy applies to the next table build, here.
-        let bits_per_key = self.dynamic.bits_per_key().unwrap_or(self.cfg.bits_per_key);
-        let allocation = self
-            .dynamic
-            .filter_allocation()
-            .unwrap_or(self.cfg.filter_allocation);
-        let size_ratio = self.dynamic.size_ratio().unwrap_or(self.cfg.size_ratio);
+        // Read the config in force: a retuned filter budget or allocation
+        // strategy applies to the next table build, here.
+        let (bits_per_key, allocation, size_ratio) = {
+            let cfg = self.live_cfg.read();
+            (cfg.bits_per_key, cfg.filter_allocation, cfg.size_ratio)
+        };
         match allocation {
             FilterAllocation::Uniform => bits_per_key,
             FilterAllocation::Monkey => {

@@ -1,6 +1,6 @@
-//! Introspection and operator surface: configuration and its dynamic
-//! overlay, counters and metrics, level summaries, split-key suggestion,
-//! and value-log GC.
+//! Introspection and operator surface: the boot and live configuration
+//! and online retuning, counters and metrics, level summaries,
+//! split-key suggestion, and value-log GC.
 
 use std::ops::Bound;
 use std::sync::atomic::Ordering;
@@ -11,39 +11,58 @@ use lsm_storage::{IoStatsSnapshot, StorageDevice, StorageError, StorageResult};
 
 use super::DbCore;
 use crate::config::LsmConfig;
-use crate::dynamic::{DynamicSnapshot, DynamicUpdate};
 use crate::kv_sep::{decode_value, ValueLog};
 use crate::obs::EngineMetrics;
 use crate::stats::DbStats;
 
 impl DbCore {
     /// The engine configuration as booted. Maintenance decisions run
-    /// under [`DbCore::effective_config`], which layers the dynamic
-    /// overrides on top.
+    /// under [`DbCore::effective_config`], which a retune replaces.
     pub fn config(&self) -> &LsmConfig {
         &self.cfg
     }
 
-    /// The boot configuration with every staged dynamic override applied
-    /// — what compaction planning, filter sizing, and backpressure
-    /// currently run under.
-    pub fn effective_config(&self) -> LsmConfig {
-        self.dynamic.effective(&self.cfg)
+    /// The configuration in force — what compaction planning, filter
+    /// sizing, and backpressure currently run under: the boot config
+    /// until [`DbCore::set_config`] installs another.
+    pub fn effective_config(&self) -> Arc<LsmConfig> {
+        Arc::clone(&self.live_cfg.read())
     }
 
-    /// Currently staged dynamic overrides (`None` fields = boot value).
-    pub fn dynamic_overrides(&self) -> DynamicSnapshot {
-        self.dynamic.snapshot()
+    /// The L0 `(slowdown, stall)` lines in force, read without cloning
+    /// the config: write backpressure and the server's shed check pay
+    /// this once per write.
+    pub fn l0_thresholds(&self) -> (usize, usize) {
+        let cfg = self.live_cfg.read();
+        (cfg.l0_slowdown_runs, cfg.l0_stall_runs)
     }
 
-    /// Stages a validated dynamic-config update. Changes take effect at
-    /// the next decision point that reads the knob: filter budgets at the
-    /// next table build, layout/size-ratio at the next compaction-planning
-    /// pass, L0 thresholds at the next write. Existing data is never
-    /// rewritten eagerly. Errors (an update whose merged config fails
-    /// [`LsmConfig::validate`]) leave the overlay untouched.
-    pub fn set_dynamic(&self, update: &DynamicUpdate) -> Result<(), String> {
-        self.dynamic.apply(&self.cfg, update)?;
+    /// Installs `cfg` as the configuration in force, whole. Each change
+    /// takes effect at the next decision point that reads its knob:
+    /// filter budgets at the next table build, layout and size ratio at
+    /// the next compaction pick, L0 thresholds at the next write.
+    /// Existing data is never rewritten eagerly, and nothing is made
+    /// durable: a reopen boots on the config passed to `open`.
+    ///
+    /// Rejected, leaving the config in force untouched: a `cfg` that
+    /// fails [`LsmConfig::validate`], more than 64 filter bits per key,
+    /// or a change to any field outside the six retunable knobs
+    /// (`bits_per_key`, `filter_allocation`, `layout`, `size_ratio` and
+    /// the two L0 lines).
+    pub fn set_config(&self, cfg: LsmConfig) -> Result<(), String> {
+        // the online cap only; `validate()` rejects NaN and negatives
+        if cfg.bits_per_key > 64.0 {
+            let b = cfg.bits_per_key;
+            return Err(format!("bits_per_key {b} above the online cap of 64"));
+        }
+        cfg.validate()?;
+        if self.cfg.with_knobs_of(&cfg) != cfg {
+            return Err(
+                "only the filter, layout, size-ratio and L0-threshold knobs can change online"
+                    .into(),
+            );
+        }
+        *self.live_cfg.write() = Arc::new(cfg);
         // Let the threaded picker notice a newly-violated invariant
         // without waiting for the next write.
         if self.threaded() {

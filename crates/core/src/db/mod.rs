@@ -36,7 +36,6 @@ use lsm_storage::{Block, FileId, StorageDevice, StorageResult};
 
 use crate::background::BgState;
 use crate::config::{BackgroundMode, LsmConfig};
-use crate::dynamic::DynamicConfig;
 use crate::entry::ValueKind;
 use crate::kv_sep::ValueLog;
 use crate::manifest::{write_manifest, ManifestState};
@@ -179,11 +178,12 @@ impl std::ops::Deref for Db {
 /// take `&self`; the engine is internally synchronized.
 pub struct DbCore {
     device: Arc<dyn StorageDevice>,
+    /// The configuration as booted.
     cfg: LsmConfig,
-    /// Online-retunable override overlay (see [`crate::dynamic`]):
-    /// filter budget, merge layout, size ratio, and L0 thresholds can
-    /// change on the running engine; everything else is boot-fixed.
-    dynamic: DynamicConfig,
+    /// The configuration in force: `cfg` until a retune installs another
+    /// ([`DbCore::set_config`]), which differs from it only in the
+    /// retunable knobs ([`LsmConfig::with_knobs_of`]).
+    live_cfg: RwLock<Arc<LsmConfig>>,
     cache: Option<Arc<ShardedCache<Block>>>,
     /// Key heat for the post-compaction prefetch; recorded (and locked)
     /// only when `cfg.prefetch_after_compaction` is set.

@@ -16,7 +16,6 @@ use lsm_storage::{
 use super::{Db, DbCore, Inner};
 use crate::background::BgState;
 use crate::config::{BackgroundMode, LsmConfig};
-use crate::dynamic::DynamicConfig;
 use crate::kv_sep::ValueLog;
 use crate::manifest::{find_records, ManifestState, MANIFEST_MAGIC};
 use crate::memtable::Memtable;
@@ -146,8 +145,8 @@ impl Db {
         let db = Db {
             core: Arc::new(DbCore {
                 device,
+                live_cfg: RwLock::new(Arc::new(cfg.clone())),
                 cfg,
-                dynamic: DynamicConfig::new(),
                 cache,
                 heat: Mutex::new(HeatMap::new(1024, 100_000)),
                 inner: RwLock::new(inner),

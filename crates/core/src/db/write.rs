@@ -239,9 +239,7 @@ impl DbCore {
     /// so delayed writers never hold any engine lock — readers proceed
     /// untouched while a writer sleeps or stalls.
     fn backpressure(&self) {
-        let (dyn_slow, dyn_stall) = self.dynamic.l0_thresholds();
-        let slowdown = dyn_slow.unwrap_or(self.cfg.l0_slowdown_runs);
-        let stall = dyn_stall.unwrap_or(self.cfg.l0_stall_runs);
+        let (slowdown, stall) = self.l0_thresholds();
         let l0 = self.l0_runs.load(Ordering::Acquire);
         self.obs.backpressure_band(l0, slowdown, stall);
         if l0 >= stall {

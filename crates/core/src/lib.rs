@@ -50,7 +50,6 @@ pub mod background;
 pub mod compaction;
 pub mod config;
 pub mod db;
-pub mod dynamic;
 pub mod entry;
 pub(crate) mod integrity;
 pub mod iter;
@@ -69,7 +68,6 @@ pub use config::{
     BackgroundMode, CompactionGranularity, FilePicker, FilterAllocation, LsmConfig, MergeLayout,
 };
 pub use db::{Db, DbCore, WriteBatch};
-pub use dynamic::{DynamicConfig, DynamicSnapshot, DynamicUpdate};
 pub use snapshot::Snapshot;
 pub use txn::{commit_parts, Conflict, Txn, TxnError, TxnPart};
 pub use entry::{InternalEntry, ValueKind};

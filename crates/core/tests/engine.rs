@@ -563,6 +563,126 @@ fn hybrid_layout_respects_run_caps() {
 }
 
 #[test]
+fn hybrid_layout_installed_online_respects_run_caps() {
+    let caps = vec![4usize, 2, 1];
+    let cap_at = |i: usize| {
+        if i == 0 {
+            LsmConfig::small_for_tests().l0_run_cap.max(caps[0])
+        } else {
+            caps.get(i).copied().unwrap_or(1)
+        }
+    };
+    // boot tiered, so some level holds more runs than the hybrid allows
+    // (Inline: that starting shape has to be deterministic)
+    let db = load(
+        LsmConfig {
+            layout: MergeLayout::Tiered,
+            ..inline_small_for_tests()
+        },
+        4000,
+    );
+    let tiered = db.level_summary();
+    assert!(
+        tiered.iter().enumerate().any(|(i, (runs, _, _))| *runs > cap_at(i)),
+        "the tiered tree already fits the hybrid caps: {tiered:?}"
+    );
+    db.set_config(LsmConfig {
+        layout: MergeLayout::Hybrid(caps.clone()),
+        ..(*db.effective_config()).clone()
+    })
+    .unwrap();
+    for i in 0..6000 {
+        let id = (i as u64 * 2654435761 % 6000) as u32;
+        db.put(key(id), value(id)).unwrap();
+    }
+    db.compact().unwrap();
+    let summary = db.level_summary();
+    for (i, (runs, _, _)) in summary.iter().enumerate() {
+        let cap = cap_at(i);
+        assert!(*runs <= cap, "L{i}: {runs} runs > cap {cap} ({summary:?})");
+    }
+    check_all_present(&db, 6000, 31);
+}
+
+#[test]
+fn fresh_engine_runs_its_boot_config() {
+    let db = Db::open_in_memory(LsmConfig::small_for_tests()).unwrap();
+    assert_eq!(*db.effective_config(), LsmConfig::small_for_tests());
+    assert_eq!(db.config(), &LsmConfig::small_for_tests());
+}
+
+#[test]
+fn config_installs_stack() {
+    let base = LsmConfig::small_for_tests();
+    let db = Db::open_in_memory(base.clone()).unwrap();
+    db.set_config(LsmConfig {
+        bits_per_key: 14.5,
+        layout: MergeLayout::LazyLeveled,
+        ..(*db.effective_config()).clone()
+    })
+    .unwrap();
+    db.set_config(LsmConfig {
+        size_ratio: 6,
+        filter_allocation: FilterAllocation::Monkey,
+        ..(*db.effective_config()).clone()
+    })
+    .unwrap();
+    let live = db.effective_config();
+    assert_eq!(live.bits_per_key, 14.5);
+    assert_eq!(live.layout, MergeLayout::LazyLeveled);
+    assert_eq!(live.size_ratio, 6);
+    assert_eq!(live.filter_allocation, FilterAllocation::Monkey);
+    // untouched knobs keep their boot values, and the boot config stays
+    assert_eq!(live.buffer_bytes, base.buffer_bytes);
+    assert_eq!(db.config(), &base);
+}
+
+#[test]
+fn rejected_installs_leave_the_live_config_untouched() {
+    let base = LsmConfig::small_for_tests();
+    let db = Db::open_in_memory(base.clone()).unwrap();
+    let rejected = [
+        LsmConfig { size_ratio: 1, ..base.clone() },
+        LsmConfig { bits_per_key: -1.0, ..base.clone() },
+        // the online cap
+        LsmConfig { bits_per_key: 65.0, ..base.clone() },
+        // stall below slowdown fails validate()
+        LsmConfig { l0_slowdown_runs: 10, l0_stall_runs: 4, ..base.clone() },
+        // a valid config, but block_size is boot-only
+        LsmConfig { block_size: 1024, ..base.clone() },
+    ];
+    for cfg in rejected {
+        assert!(db.set_config(cfg.clone()).is_err(), "accepted {cfg:?}");
+        assert_eq!(*db.effective_config(), base);
+    }
+}
+
+#[test]
+fn threshold_installs_respect_the_threaded_invariant() {
+    let base = LsmConfig {
+        background: BackgroundMode::Threaded,
+        ..LsmConfig::small_for_tests()
+    };
+    let db = Db::open_in_memory(base.clone()).unwrap();
+    // stall at the L0 run cap would wedge writers in threaded mode
+    assert!(db
+        .set_config(LsmConfig {
+            l0_slowdown_runs: 1,
+            l0_stall_runs: base.l0_run_cap,
+            ..base.clone()
+        })
+        .is_err());
+    assert!(db
+        .set_config(LsmConfig {
+            l0_slowdown_runs: base.l0_run_cap + 2,
+            l0_stall_runs: base.l0_run_cap + 4,
+            ..base.clone()
+        })
+        .is_ok());
+    assert_eq!(db.l0_thresholds(), (base.l0_run_cap + 2, base.l0_run_cap + 4));
+}
+
+#[test]
 fn prefetch_after_compaction_readmits_hot_blocks() {
     let n = 3000;
     let cfg = LsmConfig {

@@ -193,7 +193,9 @@ pub(crate) fn split_shard(
             .ok_or("shard has no interior split candidate")?,
     };
     let (new_map, new_id) = map.split(idx, &boundary)?;
-    let recipient = Db::open((elastic.factory)(new_id), donor.config().clone())
+    // the recipient inherits the design the donor runs now, retunes
+    // included, not the one it booted on
+    let recipient = Db::open((elastic.factory)(new_id), (*donor.effective_config()).clone())
         .map_err(|e| format!("open recipient shard {new_id}: {e}"))?;
     let event = EventKind::ShardSplit {
         parent: map.entries[idx].shard_id,

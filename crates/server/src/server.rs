@@ -82,7 +82,7 @@
 //! Before queueing a write, the reader checks the target shard's
 //! [`l0_run_count`](lsm_core::DbCore::l0_run_count) — the same lock-free
 //! gauge the engine's own backpressure bands read. At or past the shed
-//! line (default: the shard's `l0_stall_runs`) the server answers
+//! line (default: the shard's live `l0_stall_runs`) the server answers
 //! [`Response::Busy`] instead of queueing, so a wedged shard surfaces as
 //! fast typed pushback at the edge rather than a writer thread blocked
 //! deep inside the engine. Below the shed line, the engine's own
@@ -119,8 +119,7 @@ pub struct ServerConfig {
     /// blocks; this queue depth is what group commit batches.
     pub pipeline_depth: usize,
     /// Shed writes (reply `Busy`) when the target shard's L0 run count
-    /// reaches this; `None` derives each shard's line from its
-    /// `l0_stall_runs`.
+    /// reaches this; `None` follows each shard's live `l0_stall_runs`.
     pub shed_l0_runs: Option<usize>,
     /// Per-frame payload cap.
     pub max_frame_bytes: usize,
@@ -211,16 +210,25 @@ pub struct ElasticOptions {
     pub policy: Option<RebalancePolicy>,
 }
 
-/// One shard's write path: its group committer and its shed line.
+/// One shard's write path: its group committer and the
+/// [`ServerConfig::shed_l0_runs`] override of its shed line.
 pub(crate) struct Lane {
     pub(crate) committer: Arc<GroupCommitter>,
-    pub(crate) shed_l0: usize,
+    pub(crate) shed_l0: Option<usize>,
+}
+
+impl Lane {
+    /// The L0 run count at which `db`'s writes shed: the override, else
+    /// the engine's live `l0_stall_runs`, so a retuned stall line moves
+    /// the shed line with it.
+    pub(crate) fn shed_line(&self, db: &Db) -> usize {
+        self.shed_l0.unwrap_or_else(|| db.l0_thresholds().1)
+    }
 }
 
 /// Starts `db`'s write path — the one way a shard gets one, at launch and
 /// as a split's recipient: a committer that publishes every batch to the
-/// node's replicator (if any), and the shed line from `shed_l0_runs` or
-/// the engine's own `l0_stall_runs`.
+/// node's replicator (if any), and the shed-line override.
 pub(crate) fn lane(
     db: &Db,
     cfg: &ServerConfig,
@@ -233,7 +241,7 @@ pub(crate) fn lane(
             Arc::clone(metrics),
             replicator.clone(),
         )),
-        shed_l0: cfg.shed_l0_runs.unwrap_or(db.config().l0_stall_runs),
+        shed_l0: cfg.shed_l0_runs,
     }
 }
 
@@ -1261,8 +1269,9 @@ impl Conn {
         }
         // admission control, same shed line as plain writes, per shard
         for &s in &shards {
-            let l0 = routes.shards.db(s).l0_run_count();
-            if l0 >= routes.lanes[s].shed_l0 {
+            let db = routes.shards.db(s);
+            let l0 = db.l0_run_count();
+            if l0 >= routes.lanes[s].shed_line(db) {
                 drop(routes);
                 // the transaction survives a shed: the client may retry the
                 // commit after backing off
@@ -1334,8 +1343,9 @@ impl Conn {
         let routes = inner.routes.read().unwrap();
         let shard = routes.shards.shard_index(op.key());
         // admission control: shed where the engine would hard-stall
-        let l0 = routes.shards.db(shard).l0_run_count();
-        if l0 >= routes.lanes[shard].shed_l0 {
+        let db = routes.shards.db(shard);
+        let l0 = db.l0_run_count();
+        if l0 >= routes.lanes[shard].shed_line(db) {
             drop(routes);
             inner.metrics.sheds.inc();
             inner.metrics.event(EventKind::ServerShed {

@@ -18,7 +18,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use lsm_core::{Db, LsmConfig};
+use lsm_core::{BackgroundMode, Db, LsmConfig};
 use lsm_server::harness::{Cluster, Layout};
 use lsm_server::{Client, ReplicationRole, Request, Response, Server, ServerConfig, ShardSet};
 use lsm_storage::{DeviceProfile, FaultDevice, FaultKind, MemDevice, StorageDevice};
@@ -166,6 +166,49 @@ fn admission_control_sheds_instead_of_wedging() {
     let server = cluster.server.take().unwrap();
     let sheds = server.metrics().snapshot().counters.get("server.sheds").copied();
     assert_eq!(sheds, Some(1));
+    server.shutdown().unwrap();
+}
+
+/// The default shed line is the engine's *live* stall line: a retune
+/// that moves `l0_stall_runs` moves the point where the server sheds.
+#[test]
+fn shed_line_follows_a_retuned_stall_line() {
+    // Inline, with the L0 trigger above the stall line: three flushes
+    // hold L0 at three runs and nothing compacts them away
+    let cfg = LsmConfig {
+        background: BackgroundMode::Inline,
+        l0_run_cap: 8,
+        l0_slowdown_runs: 2,
+        l0_stall_runs: 3,
+        ..wal_cfg()
+    };
+    let db = Db::open_in_memory(cfg.clone()).unwrap();
+    for i in 0..3u8 {
+        db.put(vec![b'a', i], b"v".to_vec()).unwrap();
+        db.flush().unwrap();
+    }
+    assert_eq!(db.l0_run_count(), 3);
+    let server = Server::start(vec![db.clone()], ServerConfig::default()).unwrap();
+    let mut c = Client::connect(server.addr()).unwrap();
+    let put = |c: &mut Client, key: &[u8]| {
+        c.call(&Request::Put {
+            key: key.to_vec(),
+            value: b"v".to_vec(),
+        })
+        .unwrap()
+    };
+    assert_eq!(put(&mut c, b"at-boot-line"), Response::Busy);
+    db.set_config(LsmConfig {
+        l0_stall_runs: 6,
+        ..cfg.clone()
+    })
+    .unwrap();
+    assert_eq!(put(&mut c, b"under-raised-line"), Response::Ok);
+    db.set_config(cfg).unwrap();
+    assert_eq!(put(&mut c, b"at-lowered-line"), Response::Busy);
+    assert_eq!(db.l0_run_count(), 3);
+    drop(c);
+    drop(db);
     server.shutdown().unwrap();
 }
 

@@ -28,12 +28,13 @@ use std::time::{Duration, Instant};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-use lsm_core::LsmConfig;
+use lsm_core::{Db, LsmConfig};
 use lsm_server::harness::{Cluster, Layout};
 use lsm_server::{
-    Client, RebalancePolicy, ReplicationRole, Request, Response, ServerConfig, ShardMap,
-    ShardSet,
+    Client, ElasticOptions, RebalancePolicy, ReplicationRole, Request, Response, Server,
+    ServerConfig, ShardMap, ShardSet, Topology,
 };
+use lsm_storage::{DeviceProfile, MemDevice, StorageDevice};
 use lsm_workload::hotspot::{HotspotSpec, ShiftingHotspot};
 use lsm_workload::{OpMix, Operation};
 
@@ -278,6 +279,46 @@ fn keys_past_a_64_byte_sentinel_survive_a_last_shard_merge() {
     server.merge_shards(last).unwrap();
     assert_eq!(c.get(&late).unwrap(), Some(b"late".to_vec()), "lost by the merge");
     assert_eq!(c.get(&deleted).unwrap(), None, "resurrected by the merge");
+}
+
+/// A split's recipient boots on the design its donor runs, retunes
+/// included, not on the donor's boot config.
+#[test]
+fn split_recipient_inherits_the_donors_live_config() {
+    let cfg = wal_cfg();
+    let block_size = cfg.block_size;
+    let mint = move |_| {
+        Arc::new(MemDevice::new(block_size, DeviceProfile::free())) as Arc<dyn StorageDevice>
+    };
+    let donor = Db::open(mint(0), cfg.clone()).unwrap();
+    let retuned = LsmConfig {
+        size_ratio: cfg.size_ratio + 2,
+        bits_per_key: cfg.bits_per_key + 4.0,
+        ..cfg.clone()
+    };
+    donor.set_config(retuned.clone()).unwrap();
+    let topology = Topology {
+        shards: vec![donor.clone()],
+        elastic: Some(ElasticOptions {
+            map: ShardMap::uniform(1),
+            meta_dev: mint(u64::MAX),
+            factory: Box::new(mint),
+            policy: None,
+        }),
+        role: ReplicationRole::None,
+    };
+    let server = Server::serve(topology, ServerConfig::default()).unwrap();
+    let mut c = Client::connect(server.addr()).unwrap();
+    c.put(b"a", b"left").unwrap();
+    c.put(b"z", b"right").unwrap();
+    server.split_shard(0, Some(b"m".to_vec())).unwrap();
+    assert_eq!(c.get(b"z").unwrap(), Some(b"right".to_vec()));
+    drop(c);
+    drop(donor);
+    let dbs = server.shutdown().unwrap();
+    assert_eq!(dbs.len(), 2);
+    assert_eq!(*dbs[0].effective_config(), retuned);
+    assert_eq!(dbs[1].config(), &retuned, "the recipient booted on the donor's boot config");
 }
 
 #[test]

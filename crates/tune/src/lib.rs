@@ -4,9 +4,9 @@
 //! engine loop *online*. Where the offline experiments (E11/E12) pick a
 //! design from a recorded trace before the engine starts, this crate
 //! watches a *running* engine's metrics, re-estimates the workload mix
-//! as it drifts, and actuates the model's recommendation through the
-//! engine's [`DynamicConfig`](lsm_core::DynamicConfig) surface — bloom
-//! bits and Monkey allocation for tables built from now on, merge
+//! as it drifts, and actuates the model's recommendation by installing
+//! a whole new config ([`set_config`](lsm_core::DbCore::set_config)) —
+//! bloom bits and Monkey allocation for tables built from now on, merge
 //! policy and size ratio staged as compaction-picker changes, and L0
 //! backpressure thresholds derived from the write fraction.
 //!

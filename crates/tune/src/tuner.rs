@@ -15,19 +15,21 @@
 //!    [`EventKind::RetuneObserved`] comparing the measured blocks/op
 //!    against the model's prediction;
 //! 3. runs the estimate through the navigator over the configured
-//!    [`DesignSpace`] and compares the winner against the engine's
-//!    current *effective* design;
-//! 4. actuates through [`lsm_core::DbCore::set_dynamic`] only if the predicted
-//!    relative gain clears the hysteresis threshold AND the cooldown has
-//!    expired — the two guards that make oscillation impossible: a flip
-//!    back is only considered `cooldown_ticks` later, and then only if
-//!    the model predicts it wins by the same margin it just lost.
+//!    [`DesignSpace`] and compares the winner against the design of the
+//!    engine's config in force ([`lsm_core::DbCore::effective_config`]);
+//! 4. builds the next config — the one in force with the winner applied
+//!    — and installs it whole through [`lsm_core::DbCore::set_config`],
+//!    but only if the predicted relative gain clears the hysteresis
+//!    threshold AND the cooldown has expired — the two guards that make
+//!    oscillation impossible: a flip back is only considered
+//!    `cooldown_ticks` later, and then only if the model predicts it
+//!    wins by the same margin it just lost.
 //!
-//! Every actuation emits one [`EventKind::Retune`] per changed knob into
-//! the engine's own event ring, so the audit trail rides the existing
-//! observability pipeline.
+//! Every actuation emits one [`EventKind::Retune`] per knob that differs
+//! between the two configs into the engine's own event ring, so the
+//! audit trail rides the existing observability pipeline.
 
-use lsm_core::{Db, DynamicUpdate, EventKind, FilterAllocation, LsmConfig, MergeLayout};
+use lsm_core::{Db, EventKind, FilterAllocation, LsmConfig, MergeLayout};
 use lsm_model::navigator::Environment;
 use lsm_model::{navigate, Candidate, CostModel, DesignSpace, LsmDesign, MergePolicy};
 use lsm_obs::json::JsonObj;
@@ -263,25 +265,21 @@ impl Tuner {
             };
         }
         // --- actuation --------------------------------------------------
-        let (update, knobs) =
-            Self::plan_update(&effective, &chosen.design, profile.writes);
-        if knobs.is_empty() {
-            // the winner is the design we already run (e.g. only the
-            // un-actuatable buffer axis differs)
-            return TickOutcome::Held {
-                predicted_gain_milli: gain_milli,
-            };
-        }
-        if self.db.set_dynamic(&update).is_err() {
-            // a knob combination the engine rejects (should not happen
-            // with the planned update, but never poison the loop)
+        let next = Self::plan_update(&effective, &chosen.design, profile.writes);
+        let labels = Self::knob_labels(&effective, &next);
+        // an empty diff: the winner is the design we already run (e.g.
+        // only the un-actuatable buffer axis differs); a rejected install
+        // should not happen with the planned config, but never poisons
+        // the loop
+        if labels.is_empty() || self.db.set_config(next).is_err() {
             return TickOutcome::Held {
                 predicted_gain_milli: gain_milli,
             };
         }
         self.decisions += 1;
         let decision = self.decisions;
-        for (knob, from, to) in Self::knob_labels(&effective, &chosen.design, &update) {
+        let knobs: Vec<&'static str> = labels.iter().map(|(knob, ..)| *knob).collect();
+        for (knob, from, to) in labels {
             self.db.record_event(EventKind::Retune {
                 decision,
                 knob,
@@ -386,31 +384,18 @@ impl Tuner {
         ranked[(seed % ties as u64) as usize]
     }
 
-    /// Builds the dynamic update that moves `current` toward `target`,
-    /// including L0 thresholds derived from the modeled write fraction:
-    /// write-heavy phases earn more L0 slack before the engine pushes
-    /// back; read-heavy phases keep L0 shallow so lookups probe fewer
-    /// runs.
-    fn plan_update(
-        current: &LsmConfig,
-        target: &LsmDesign,
-        writes_frac: f64,
-    ) -> (DynamicUpdate, Vec<&'static str>) {
-        let mut update = DynamicUpdate::default();
-        let mut knobs = Vec::new();
-        let target_layout = match target.policy {
+    /// The config that moves `current` toward `target`, including L0
+    /// thresholds derived from the modeled write fraction: write-heavy
+    /// phases earn more L0 slack before the engine pushes back;
+    /// read-heavy phases keep L0 shallow so lookups probe fewer runs.
+    fn plan_update(current: &LsmConfig, target: &LsmDesign, writes_frac: f64) -> LsmConfig {
+        let mut next = current.clone();
+        next.layout = match target.policy {
             MergePolicy::Leveling => MergeLayout::Leveled,
             MergePolicy::Tiering => MergeLayout::Tiered,
             MergePolicy::LazyLeveling => MergeLayout::LazyLeveled,
         };
-        if current.layout != target_layout {
-            update.layout = Some(target_layout);
-            knobs.push("layout");
-        }
-        if current.size_ratio != target.size_ratio as usize {
-            update.size_ratio = Some(target.size_ratio as usize);
-            knobs.push("size_ratio");
-        }
+        next.size_ratio = target.size_ratio as usize;
         let target_alloc = if target.monkey {
             FilterAllocation::Monkey
         } else {
@@ -421,69 +406,51 @@ impl Tuner {
         let target_bits = target.bits_per_key.clamp(0.0, 64.0);
         let bits_changed = (current.bits_per_key - target_bits).abs() >= 0.25;
         if bits_changed || current.filter_allocation != target_alloc {
-            update.bits_per_key = Some(target_bits);
-            update.filter_allocation = Some(target_alloc);
-            knobs.push("bloom_bits");
+            next.bits_per_key = target_bits;
+            next.filter_allocation = target_alloc;
         }
         let slack = 1 + (writes_frac.clamp(0.0, 1.0) * 6.0).round() as usize;
-        let slowdown = current.l0_run_cap + slack;
-        let stall = slowdown + slack.max(2);
-        if current.l0_slowdown_runs != slowdown || current.l0_stall_runs != stall {
-            update.l0_slowdown_runs = Some(slowdown);
-            update.l0_stall_runs = Some(stall);
-            knobs.push("l0_thresholds");
-        }
-        (update, knobs)
+        next.l0_slowdown_runs = current.l0_run_cap + slack;
+        next.l0_stall_runs = next.l0_slowdown_runs + slack.max(2);
+        next
     }
 
-    /// `(knob, from, to)` labels for the event trail.
-    fn knob_labels(
-        current: &LsmConfig,
-        target: &LsmDesign,
-        update: &DynamicUpdate,
-    ) -> Vec<(&'static str, String, String)> {
-        let mut out = Vec::new();
-        if let Some(layout) = &update.layout {
-            out.push((
-                "layout",
-                format!("{:?}", current.layout),
-                format!("{layout:?}"),
-            ));
-        }
-        if let Some(t) = update.size_ratio {
-            out.push(("size_ratio", current.size_ratio.to_string(), t.to_string()));
-        }
-        if let Some(bits) = update.bits_per_key {
-            let from_alloc = match current.filter_allocation {
+    /// `(knob, from, to)` labels of the tuner knobs that differ between
+    /// two configs, in event-trail order.
+    fn knob_labels(current: &LsmConfig, next: &LsmConfig) -> Vec<(&'static str, String, String)> {
+        let bloom = |c: &LsmConfig| {
+            let alloc = match c.filter_allocation {
                 FilterAllocation::Uniform => "uniform",
                 FilterAllocation::Monkey => "monkey",
             };
-            let to_alloc = if target.monkey { "monkey" } else { "uniform" };
-            out.push((
-                "bloom_bits",
-                format!("{:.1}/{from_alloc}", current.bits_per_key),
-                format!("{:.1}/{to_alloc}", bits),
-            ));
+            format!("{:.1}/{alloc}", c.bits_per_key)
+        };
+        let l0 = |c: &LsmConfig| format!("{}/{}", c.l0_slowdown_runs, c.l0_stall_runs);
+        let mut out = Vec::new();
+        if current.layout != next.layout {
+            out.push(("layout", format!("{:?}", current.layout), format!("{:?}", next.layout)));
         }
-        if let (Some(slow), Some(stall)) = (update.l0_slowdown_runs, update.l0_stall_runs) {
-            out.push((
-                "l0_thresholds",
-                format!(
-                    "{}/{}",
-                    current.l0_slowdown_runs, current.l0_stall_runs
-                ),
-                format!("{slow}/{stall}"),
-            ));
+        if current.size_ratio != next.size_ratio {
+            out.push(("size_ratio", current.size_ratio.to_string(), next.size_ratio.to_string()));
+        }
+        if current.bits_per_key != next.bits_per_key
+            || current.filter_allocation != next.filter_allocation
+        {
+            out.push(("bloom_bits", bloom(current), bloom(next)));
+        }
+        if current.l0_slowdown_runs != next.l0_slowdown_runs
+            || current.l0_stall_runs != next.l0_stall_runs
+        {
+            out.push(("l0_thresholds", l0(current), l0(next)));
         }
         out
     }
 
     /// One-line JSON status: tick/decision counters, the live estimate,
-    /// and the engine's current dynamic overrides — what `TUNE_STATUS`
-    /// returns per shard.
+    /// and the engine's config in force — what `TUNE_STATUS` returns per
+    /// shard.
     pub fn status_json(&self) -> String {
         let e = &self.last_estimate;
-        let overrides = self.db.dynamic_overrides();
         let effective = self.db.effective_config();
         let observed: Vec<String> = self
             .history
@@ -509,7 +476,6 @@ impl Tuner {
             .u64("ticks", self.ticks)
             .u64("decisions", self.decisions)
             .u64("cooldown", self.cooldown as u64)
-            .u64("generation", overrides.generation)
             .u64("est_writes", e.writes)
             .u64("est_point_reads", e.point_reads)
             .u64("est_empty_point_reads", e.empty_point_reads)
@@ -568,7 +534,7 @@ mod tests {
         match out {
             TickOutcome::Retuned { ref knobs, .. } => {
                 assert!(knobs.contains(&"layout"), "{out:?}");
-                let layout = db.effective_config().layout;
+                let layout = db.effective_config().layout.clone();
                 assert_ne!(layout, MergeLayout::Leveled, "{out:?}");
             }
             other => panic!("expected a retune, got {other:?}"),

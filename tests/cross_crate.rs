@@ -206,7 +206,8 @@ fn filters_crate_composes_with_engine_tables() {
 }
 
 /// DESIGN.md's knob table maps every config field to the claim, ledger
-/// metric or test that sees it; a field added without a row fails here.
+/// metric or test that sees it; a field added without a row fails here,
+/// and so does an unprefixed row whose field is gone.
 #[test]
 fn every_config_field_has_a_knob_table_row() {
     let design = include_str!("../DESIGN.md");
@@ -228,6 +229,14 @@ fn every_config_field_has_a_knob_table_row() {
         .collect();
     assert!(fields.contains(&"block_size") && fields.contains(&"pipeline_depth"), "{fields:?}");
     let missing: Vec<&str> =
-        fields.into_iter().filter(|f| !table.contains(&format!("\n| `{f}` |"))).collect();
+        fields.iter().copied().filter(|f| !table.contains(&format!("\n| `{f}` |"))).collect();
     assert!(missing.is_empty(), "config fields without a row in DESIGN.md's knob table: {missing:?}");
+    // and the reverse: an unprefixed row names a field that still exists
+    let stale: Vec<&str> = table
+        .lines()
+        .filter_map(|l| l.strip_prefix("| `")?.split_once("` |").map(|(name, _)| name))
+        .filter(|name| name.chars().all(|c| c.is_ascii_lowercase() || c == '_'))
+        .filter(|name| !fields.contains(name))
+        .collect();
+    assert!(stale.is_empty(), "knob-table rows naming no config field: {stale:?}");
 }

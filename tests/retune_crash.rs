@@ -10,11 +10,11 @@
 //! phase that triggers a second, read-optimized decision. Every write is
 //! individually synced, so the acked/unacked boundary is exact.
 //!
-//! The dynamic overlay is deliberately volatile — a crash reboots the
-//! engine on its boot config — so the sweep also proves the footer
-//! contract: tables built with retuned filter parameters stay readable
-//! by an engine whose *config* says otherwise, because readers trust the
-//! per-table footer, never the config.
+//! A retune (`Db::set_config`) is deliberately volatile — a crash reboots
+//! the engine with its boot config in force — so the sweep also proves
+//! the footer contract: tables built with retuned filter parameters stay
+//! readable by an engine whose *config* says otherwise, because readers
+//! trust the per-table footer, never the config.
 //!
 //! The maintenance mode follows `LSM_BACKGROUND` (the sweep runs in both
 //! modes under `scripts/verify.sh`) and `LSM_SEED` reseeds the fault
@@ -227,7 +227,7 @@ fn clean_run_total(seed: u64) -> u64 {
 
 /// One case: crash at ordinal `at` somewhere across the retune, drop the
 /// handle while dead (process death), heal, reopen on the *boot* config
-/// (the dynamic overlay is volatile by design), verify. Returns whether
+/// (a retune is volatile by design), verify. Returns whether
 /// the fault fired.
 fn crash_case(seed: u64, at: u64) -> bool {
     let fault = fault_device(seed ^ at);
@@ -243,9 +243,9 @@ fn crash_case(seed: u64, at: u64) -> bool {
     let db = Db::open(erased(&fault), node_cfg())
         .unwrap_or_else(|e| panic!("reopen after crash at ordinal {at} failed: {e}"));
     assert_eq!(
-        db.dynamic_overrides().generation,
-        0,
-        "dynamic overrides must not survive a crash (ordinal {at})"
+        *db.effective_config(),
+        node_cfg(),
+        "a retune must not survive a crash (ordinal {at})"
     );
     // Tables built under retuned filter params must stay readable on the
     // boot config: verify reads everything through the footer contract.
@@ -333,4 +333,26 @@ fn inline_retune_decisions_are_byte_identical_across_runs() {
         events_a.iter().any(|j| j.contains("retune_observed")),
         "no observed-gain audit in {events_a:?}"
     );
+    // Known answer: the trail the tuner produced before its actuation
+    // moved from a per-knob overlay to whole-config installs. Two
+    // decisions, eight `retune` lines and one `retune_observed`; any
+    // change to a decision, a label or the events around it moves this.
+    assert_eq!(decisions_a, 2, "decision count moved: {events_a:#?}");
+    assert_eq!(
+        fnv1a(&events_a),
+        0xb5b3_78f8_e384_cfb2,
+        "retune trail moved: {events_a:#?}"
+    );
+}
+
+/// FNV-1a over the event lines, each terminated by `\n`.
+fn fnv1a(lines: &[String]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for line in lines {
+        for &b in line.as_bytes().iter().chain(b"\n") {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    h
 }
