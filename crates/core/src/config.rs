@@ -212,11 +212,6 @@ pub struct LsmConfig {
     pub wal: bool,
     /// WiscKey-style key-value separation (`None` disables).
     pub kv_separation: Option<KvSeparation>,
-    /// FloDB-style two-level buffer: bytes of unsorted hash front in the
-    /// memtable (0 disables). Writes land in the front in O(1) and spill
-    /// into the sorted level in batches; scans pay a small on-the-fly
-    /// merge.
-    pub buffer_front_bytes: usize,
     /// Maintenance scheduling: deterministic inline, or a background
     /// worker pool with an active + immutable memtable pair.
     pub background: BackgroundMode,
@@ -266,7 +261,6 @@ impl Default for LsmConfig {
             prefetch_after_compaction: false,
             wal: true,
             kv_separation: None,
-            buffer_front_bytes: 0,
             background: BackgroundMode::from_env(),
             background_workers: 2,
             max_subcompactions: 1,

@@ -5,11 +5,13 @@ use std::ops::Bound;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
+use parking_lot::RwLock;
+
 use lsm_filters::monkey_allocation;
 use lsm_obs::EventKind;
 use lsm_storage::StorageResult;
 
-use super::{DbCore, Inner};
+use super::{DbCore, Inner, SharedMemtable};
 use crate::config::FilterAllocation;
 use crate::memtable::Memtable;
 use crate::sstable::{Table, TableBuilder};
@@ -18,9 +20,12 @@ use crate::wal::Wal;
 
 /// Which memtable a flush persists.
 pub(super) enum FlushSource {
-    /// The active memtable, streamed out and cleared in place. Needs the
-    /// caller's write guard for the whole flush: between the clear and
-    /// the install its entries are readable nowhere.
+    /// The active memtable, streamed out and then emptied: cleared in
+    /// place when the engine holds its only handle, else replaced by a
+    /// fresh buffer, so a snapshot or scan sharing it keeps reading it.
+    /// Needs the caller's write guard for the whole flush: between the
+    /// emptying and the install, the engine's readers find its entries
+    /// nowhere.
     Active,
     /// The frozen memtable in the immutable slot, which stays readable
     /// until the install swaps it for its table.
@@ -28,10 +33,10 @@ pub(super) enum FlushSource {
 }
 
 /// The buffer a flush streams into the table builder (it is never
-/// copied): the frozen memtable through its shared `Arc` — the background
-/// job holds no lock while it builds — or the active one through the
-/// caller's guard.
-fn flush_buffer<'a>(frozen: &'a Option<Arc<Memtable>>, held: &'a Option<&mut Inner>) -> &'a Memtable {
+/// copied): the frozen memtable through its shared handle — the
+/// background job holds no engine lock while it builds — or the active
+/// one through the caller's guard.
+fn flush_buffer<'a>(frozen: &'a Option<SharedMemtable>, held: &'a Option<&mut Inner>) -> &'a SharedMemtable {
     match (frozen, held) {
         (Some(imm), _) => imm,
         (None, Some(inner)) => &inner.mem,
@@ -60,7 +65,7 @@ impl DbCore {
         let claimed = self.with_inner(&mut held, |inner| {
             let version = Arc::clone(&inner.version);
             match source {
-                FlushSource::Active if inner.mem.is_empty() => None,
+                FlushSource::Active if inner.mem.read().is_empty() => None,
                 FlushSource::Active => Some((None, version)),
                 FlushSource::Frozen => Some((Some(inner.imm.clone()?), version)),
             }
@@ -68,7 +73,7 @@ impl DbCore {
         let Some((frozen, version)) = claimed else {
             return Ok(());
         };
-        let entries = flush_buffer(&frozen, &held).len() as u64;
+        let entries = flush_buffer(&frozen, &held).read().len() as u64;
         let flush_id = self.obs.next_flush_id();
         let flush_start = self.obs.now_ns();
         self.obs.event(EventKind::FlushStart {
@@ -88,12 +93,15 @@ impl DbCore {
         let table = if entries == 0 {
             None
         } else {
-            Some(self.build_l0_table(&version, flush_buffer(&frozen, &held))?)
+            Some(self.build_l0_table(&version, &flush_buffer(&frozen, &held).read())?)
         };
         if frozen.is_none() {
             // the entries are readable again once the table is installed,
             // below, under the same guard
-            self.with_inner(&mut held, |inner| inner.mem.clear());
+            self.with_inner(&mut held, |inner| match Arc::get_mut(&mut inner.mem) {
+                Some(mem) => mem.get_mut().clear(),
+                None => inner.mem = Arc::new(RwLock::new(Memtable::new())),
+            });
             self.obs.memtable_bytes_gauge.set(0);
         }
         let old_wal = self.with_inner(&mut held, |inner| -> StorageResult<Option<Wal>> {

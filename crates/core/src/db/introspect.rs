@@ -168,9 +168,11 @@ impl DbCore {
     /// Live entries visible to readers (excluding shadowed versions).
     pub fn approximate_entries(&self) -> u64 {
         let inner = self.inner.read();
-        inner.version.total_entries()
-            + inner.mem.len() as u64
-            + inner.imm.as_ref().map_or(0, |m| m.len() as u64)
+        let buffered: usize = std::iter::once(&inner.mem)
+            .chain(inner.imm.as_ref())
+            .map(|m| m.read().len())
+            .sum();
+        inner.version.total_entries() + buffered as u64
     }
 
     /// Suggests a key splitting the data in `(lo, hi)` into two roughly
@@ -197,7 +199,8 @@ impl DbCore {
             Some(h) => Bound::Excluded(h),
             None => Bound::Unbounded,
         };
-        for mem in std::iter::once(&inner.mem).chain(inner.imm.as_deref()) {
+        for mem in std::iter::once(&inner.mem).chain(inner.imm.as_ref()) {
+            let mem = mem.read();
             keys.extend(mem.range(Bound::Excluded(lo), hi_bound).map(|e| (e.key.to_vec(), 1)));
         }
         drop(inner);

@@ -11,7 +11,10 @@
 //! on maintenance, while writers block only on L0 backpressure.
 //!
 //! Lock hierarchy (outermost first): `compaction_lock` → `inner` →
-//! the background queue mutex inside `background::BgState`.
+//! a write buffer's own lock (`SharedMemtable`), or `inner` → the
+//! background queue mutex inside `background::BgState`. A scan's buffer
+//! cursor refills under the buffer lock alone, and no user callback runs
+//! under either lock during a scan.
 //!
 //! Each mechanism lives once, in the submodule named after it; DESIGN.md
 //! ("Module map") says which function owns commit, flush and the read
@@ -46,6 +49,13 @@ use crate::wal::Wal;
 
 pub(crate) use read::{resolve_stored, ReadView, Resolver, TableView};
 pub(crate) use write::{commit_txn_parts, TxnApplyPart};
+
+/// A write buffer shared by handle: the engine writes it under `inner`'s
+/// write lock and then its own; snapshots and scan cursors hold clones
+/// and read it at their seqno ceiling. It is cleared in place only while
+/// the engine holds the one handle, so a reader's buffer never empties
+/// under it.
+pub(crate) type SharedMemtable = Arc<RwLock<Memtable>>;
 
 /// Monotone map from byte keys to the heat-map domain.
 fn heat_key(key: &[u8]) -> u64 {
@@ -105,10 +115,10 @@ impl WriteBatch {
 }
 
 pub(crate) struct Inner {
-    mem: Memtable,
-    /// Frozen memtable awaiting a background flush (`Threaded` only). An
-    /// `Arc` so the flush job can build its table outside the lock.
-    imm: Option<Arc<Memtable>>,
+    mem: SharedMemtable,
+    /// Frozen memtable awaiting a background flush (`Threaded` only).
+    /// Shared, so the flush job can build its table outside the lock.
+    imm: Option<SharedMemtable>,
     /// WAL covering `imm`; retired when the flush lands.
     imm_wal: Option<Wal>,
     version: Arc<Version>,

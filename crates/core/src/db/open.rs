@@ -53,7 +53,7 @@ impl Db {
             BackgroundMode::Threaded => EngineMetrics::wall(cfg.event_ring_capacity),
         };
         let mut inner = Inner {
-            mem: Memtable::with_front(cfg.buffer_front_bytes),
+            mem: Arc::new(RwLock::new(Memtable::new())),
             imm: None,
             imm_wal: None,
             version: Arc::new(Version::new()),
@@ -93,7 +93,7 @@ impl Db {
                     inner.next_seqno = next_seqno;
                     inner.applied_seq = state.applied_seq;
                     inner.version = Arc::new(version);
-                    inner.mem = mem;
+                    inner.mem = Arc::new(RwLock::new(mem));
                     old_wals.extend(
                         [state.wal_prev, state.wal]
                             .into_iter()
@@ -129,7 +129,7 @@ impl Db {
         if cfg.wal {
             let mut new_wal = Wal::create(Arc::clone(&device))?;
             // re-log the replayed records so they stay durable
-            for e in inner.mem.range(Bound::Unbounded, Bound::Unbounded) {
+            for e in inner.mem.read().range(Bound::Unbounded, Bound::Unbounded) {
                 new_wal.append(e.seqno, e.kind, e.key, e.value)?;
             }
             new_wal.sync()?;
@@ -235,7 +235,7 @@ impl DbCore {
                 version.levels[i].runs.push(SortedRun::from_tables(tables));
             }
         }
-        let mut mem = Memtable::with_front(cfg.buffer_front_bytes);
+        let mut mem = Memtable::new();
         let mut next_seqno = state.next_seqno.max(1);
         // Replay the frozen memtable's WAL first: its records are strictly
         // older than the active WAL's, so later records overwrite them.

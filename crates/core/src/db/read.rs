@@ -1,8 +1,16 @@
-//! The read path: one borrowed view — write buffers, a pinned version,
-//! the block cache, a value resolver — that answers point lookups and
-//! assembles scan sources for the engine, snapshots, transactions and
-//! value-log GC alike (tutorial Module I.1: buffer first, then levels
-//! young-to-old; per run: key range → filter → fence → block).
+//! The read path: one borrowed view — write buffers read at a seqno
+//! ceiling, a pinned version, the block cache, a value resolver — that
+//! answers point lookups and assembles scan sources for the engine,
+//! snapshots, transactions and value-log GC alike (tutorial Module I.1:
+//! buffer first, then levels young-to-old; per run: key range → filter →
+//! fence → block).
+//!
+//! A scan gives the merge one [`BufferCursor`] per write buffer. The
+//! buffers keep every version and are shared by handle, so the cursor
+//! reads its buffer as of the scan's ceiling and copies it a chunk at a
+//! time: the first chunk under the engine lock the scan takes anyway,
+//! later ones under the buffer's read lock alone, and only when the merge
+//! drains the one before.
 
 use std::ops::{Bound, Range};
 use std::sync::Arc;
@@ -10,11 +18,10 @@ use std::sync::Arc;
 use lsm_cache::ShardedCache;
 use lsm_storage::{Block, StorageDevice, StorageError, StorageResult};
 
-use super::{heat_key, DbCore, Inner};
+use super::{heat_key, DbCore, Inner, SharedMemtable};
 use crate::entry::ValueKind;
-use crate::iter::{MemSource, MergingIter, RunIterator, Source};
+use crate::iter::{BufferCursor, MergingIter, RunIterator, Source, BUFFER_CHUNK};
 use crate::kv_sep::{decode_value, read_pointer_from_device, ValueLog};
-use crate::memtable::Memtable;
 use crate::snapshot::{Snapshot, SnapshotPin};
 use crate::stats::DbStats;
 use crate::version::Version;
@@ -56,13 +63,16 @@ pub(crate) struct TableView<'a> {
     pub resolve: Option<Resolver<'a>>,
 }
 
-/// A borrowed, consistent view of the tree: both write buffers plus the
-/// [`TableView`] under them.
+/// A borrowed, consistent view of the tree: both write buffers, read at
+/// one seqno ceiling, plus the [`TableView`] under them.
 pub(crate) struct ReadView<'a> {
-    pub mem: &'a Memtable,
+    pub mem: &'a SharedMemtable,
     /// Frozen memtable awaiting flush; older than `mem`, younger than
     /// every sorted run.
-    pub imm: Option<&'a Memtable>,
+    pub imm: Option<&'a SharedMemtable>,
+    /// Newest seqno the view sees: buffered versions above it were
+    /// written after the view was taken.
+    pub ceiling: u64,
     pub tables: TableView<'a>,
 }
 
@@ -156,18 +166,18 @@ impl ReadView<'_> {
         f: &mut Option<F>,
     ) -> StorageResult<Option<Option<R>>> {
         self.tables.stats.gets.inc();
-        let hit = self
-            .mem
-            .get_ref(key)
-            .or_else(|| self.imm.and_then(|m| m.get_ref(key)));
-        Ok(match hit {
-            None => None,
-            Some(e) if e.kind == ValueKind::Delete => Some(None),
-            Some(e) => {
-                self.tables.stats.gets_found.inc();
-                Some(Some(deliver(self.tables.resolve, f, e.value)?))
+        for buffer in std::iter::once(self.mem).chain(self.imm) {
+            let mem = buffer.read();
+            let Some(e) = mem.get_at(key, self.ceiling) else {
+                continue;
+            };
+            if e.kind == ValueKind::Delete {
+                return Ok(Some(None));
             }
-        })
+            self.tables.stats.gets_found.inc();
+            return Ok(Some(Some(deliver(self.tables.resolve, f, e.value)?)));
+        }
+        Ok(None)
     }
 
     /// Point lookup: the newest visible value for `key`, handed to `f`
@@ -185,45 +195,31 @@ impl ReadView<'_> {
     }
 
     /// Assembles merge sources for a scan of up to `limit` rows of
-    /// `[start, end)` (`end == None`: to the end of the keyspace): a
-    /// limit-bounded copy of each write buffer (rank 0 = youngest, frozen
-    /// memtable next), then sorted runs youngest level/run first.
+    /// `[start, end)` (`end == None`: to the end of the keyspace): one
+    /// [`BufferCursor`] per write buffer at the view's ceiling (rank 0 =
+    /// youngest, frozen memtable next), then sorted runs youngest
+    /// level/run first.
     ///
-    /// **The prefix rule.** A buffered entry is *certain* when it is a
-    /// `Put` and no younger buffer holds its key: it is the newest version
-    /// of its key in the whole tree, so the merge must emit it as a row.
-    /// Once a buffer's walk from `start` has passed `limit` certain
-    /// entries, the merge has produced `limit` rows at or before that key
-    /// and never asks the buffer for another entry. So each buffer is
-    /// copied — tombstones and shadowed entries included, the merge needs
-    /// them for suppression — only until `limit` certain entries are
-    /// taken or `end` is reached: O(limit), exact, no refill, one
-    /// consistency point. `limit == usize::MAX` copies the whole range,
-    /// and nothing is pre-sized by `limit` (it may be a client's number).
-    ///
-    /// Range-filter pruning is an in-memory probe, so it happens up
-    /// front, while data blocks are only read lazily as the merge reaches
-    /// each table. An empty or inverted range has no sources.
+    /// Each cursor copies its first chunk here — at most
+    /// [`BUFFER_CHUNK`] entries, or `limit` if smaller — and the rest
+    /// only as the merge drains it, so set-up costs O(sources + chunk)
+    /// whatever the buffers hold, and nothing is sized by `limit` (it may
+    /// be a client's number). Range-filter pruning is an in-memory probe,
+    /// so it happens up front, while data blocks are only read lazily as
+    /// the merge reaches each table. An empty or inverted range has no
+    /// sources.
     pub(crate) fn sources(&self, start: &[u8], end: Option<&[u8]>, limit: usize) -> Vec<Source> {
         let stats = self.tables.stats;
         stats.scans.inc();
-        let mut sources = Vec::new();
         if end.is_some_and(|end| start >= end) {
-            return sources;
+            return Vec::new();
         }
+        let runs: usize = self.tables.version.levels.iter().map(|l| l.runs.len()).sum();
+        let mut sources = Vec::with_capacity(2 + runs);
         let hi = end.map_or(Bound::Unbounded, Bound::Excluded);
-        for (rank, mem) in std::iter::once(self.mem).chain(self.imm).enumerate() {
-            let mut run = MemSource::default();
-            let mut entries = mem.range(Bound::Included(start), hi);
-            let mut certain = 0usize;
-            while certain < limit {
-                let Some(e) = entries.next() else { break };
-                run.push(e);
-                if e.kind == ValueKind::Put && (rank == 0 || self.mem.get_ref(e.key).is_none()) {
-                    certain += 1;
-                }
-            }
-            sources.push(Source::Mem(run));
+        let chunk = limit.min(BUFFER_CHUNK);
+        for buffer in std::iter::once(self.mem).chain(self.imm) {
+            sources.push(Source::Buffer(BufferCursor::new(buffer, start, end, self.ceiling, chunk)));
         }
         for level in &self.tables.version.levels {
             for run in &level.runs {
@@ -288,7 +284,8 @@ impl DbCore {
     fn view<'a>(&'a self, inner: &'a Inner, resolve: Option<Resolver<'a>>) -> ReadView<'a> {
         ReadView {
             mem: &inner.mem,
-            imm: inner.imm.as_deref(),
+            imm: inner.imm.as_ref(),
+            ceiling: inner.next_seqno - 1,
             tables: self.tables(&inner.version, resolve),
         }
     }
@@ -323,7 +320,9 @@ impl DbCore {
     /// in place — in the memtable arena or the cached block — and its
     /// result is returned. This is the zero-copy primitive [`DbCore::get`]
     /// and [`DbCore::get_into`] are wrappers over. `f` is called at most
-    /// once, and never for a tombstone.
+    /// once, and never for a tombstone. For a buffered key it runs under
+    /// the engine's and the buffer's read locks, so it must not write to
+    /// this engine.
     pub fn get_with<R>(
         &self,
         key: &[u8],
@@ -352,10 +351,11 @@ impl DbCore {
     }
 
     /// Range scan: up to `limit` live entries with `range.start ≤ key <
-    /// range.end`, in key order, over a consistent snapshot. Only as much
-    /// of each write buffer as can reach the result is copied, under a
-    /// brief read lock (the prefix rule, `ReadView::sources`); table I/O
-    /// and the merge run lock-free against the version snapshot.
+    /// range.end`, in key order, over a consistent snapshot. The write
+    /// buffers are read at the scan's seqno ceiling through one cursor
+    /// each, copied a chunk at a time as the merge needs them
+    /// (`ReadView::sources`); table I/O and the merge run against the
+    /// version snapshot with no engine lock held.
     pub fn scan(&self, range: Range<Vec<u8>>, limit: usize) -> StorageResult<Vec<(Vec<u8>, Vec<u8>)>> {
         let mut out = Vec::new();
         self.scan_with(&range.start, &range.end, limit, |k, v| out.push((k.to_vec(), v.to_vec())))?;
@@ -365,11 +365,11 @@ impl DbCore {
     /// Streaming range scan through borrowed views: calls `f(key, value)`
     /// for each live entry with `start ≤ key < end`, in key order, up to
     /// `limit` entries, and returns how many were visited. The bytes are
-    /// borrowed from the merge cursor (cached blocks / the limit-bounded
-    /// flat copy of each write buffer) — no per-entry key/value `Vec`s are
+    /// borrowed from the merge cursor (cached blocks / the current chunk
+    /// of each write buffer's cursor) — no per-entry key/value `Vec`s are
     /// materialized, which is what [`DbCore::scan`] pays to build its
-    /// owned result. Set-up costs O(sources + `limit`), whatever the
-    /// buffers hold.
+    /// owned result. Set-up costs O(sources + one chunk), whatever the
+    /// buffers hold, and `f` runs with no engine or buffer lock held.
     pub fn scan_with(
         &self,
         start: &[u8],
@@ -398,27 +398,39 @@ impl DbCore {
     /// stay alive (deletion is deferred to the last reference) until it
     /// is dropped.
     ///
-    /// The memtable is copied (O(buffer size)); with key-value separation
-    /// the value-log tail is synced first so pointer reads need no access
-    /// to engine internals.
+    /// O(1): the snapshot shares the write buffers by handle and reads
+    /// them at its seqno ceiling, under the engine's read lock. With
+    /// key-value separation the value-log tail is synced first (under the
+    /// write lock) so pointer reads need no access to engine internals.
     pub fn snapshot(&self) -> StorageResult<Snapshot> {
-        self.pin_snapshot(&mut self.inner.write())
+        if self.cfg.kv_separation.is_some() {
+            return self.sync_and_pin_snapshot(&mut self.inner.write());
+        }
+        Ok(self.pin_snapshot(&self.inner.read()))
     }
 
-    /// Builds a [`Snapshot`] of the state under the held write guard.
-    pub(super) fn pin_snapshot(&self, inner: &mut Inner) -> StorageResult<Snapshot> {
+    /// [`DbCore::pin_snapshot`] after syncing the value-log tail, so the
+    /// snapshot can resolve every pointer it sees from the device.
+    pub(super) fn sync_and_pin_snapshot(&self, inner: &mut Inner) -> StorageResult<Snapshot> {
         if let Some(vlog) = &mut inner.vlog {
             vlog.sync()?;
         }
-        Ok(Snapshot {
-            mem: inner.mem.clone(),
+        Ok(self.pin_snapshot(inner))
+    }
+
+    /// Builds a [`Snapshot`] of the state under the held guard: buffer
+    /// handles, the current seqno as ceiling and the current version.
+    fn pin_snapshot(&self, inner: &Inner) -> Snapshot {
+        Snapshot {
+            mem: Arc::clone(&inner.mem),
             imm: inner.imm.clone(),
+            ceiling: inner.next_seqno - 1,
             version: Arc::clone(&inner.version),
             cache: self.cache.clone(),
             device: Arc::clone(&self.device),
             stats: Arc::clone(&self.obs.stats),
             kv_separation: self.cfg.kv_separation.is_some(),
             pin: SnapshotPin::new(Arc::clone(&self.snapshot_count)),
-        })
+        }
     }
 }

@@ -147,7 +147,7 @@ fn flush_all_quiesces_and_empties_memtables() {
     }
     db.flush_all().unwrap();
     let inner = db.inner.read();
-    assert_eq!(inner.mem.bytes(), 0, "active memtable must be empty");
+    assert_eq!(inner.mem.read().bytes(), 0, "active memtable must be empty");
     assert!(inner.imm.is_none(), "immutable slot must be drained");
     drop(inner);
     assert_eq!(db.get(b"q00799").unwrap(), Some(vec![1u8; 16]));
@@ -322,8 +322,9 @@ fn scan_respects_limit_and_order() {
 }
 
 // ---------------------------------------------------------------------------
-// The prefix rule (`ReadView::sources`): a limit-bounded copy of each write
-// buffer yields exactly the rows a full copy would
+// The buffer cursor (`ReadView::sources`): a write buffer copied a chunk at a
+// time, at the view's seqno ceiling, yields exactly the rows a full copy
+// would, and copies at most one chunk beyond the entries the merge consumed
 // ---------------------------------------------------------------------------
 
 mod prefix_rule {
@@ -333,7 +334,7 @@ mod prefix_rule {
     use proptest::prelude::*;
 
     use super::super::*;
-    use crate::iter::Source;
+    use crate::iter::{MergingIter, Source, BUFFER_CHUNK};
     use crate::sstable::{Table, TableBuilder};
     use crate::version::SortedRun;
 
@@ -365,12 +366,16 @@ mod prefix_rule {
         versions(ops, first_seqno).map(|(k, seqno, v)| (k, (seqno, v))).collect()
     }
 
-    fn memtable(ops: &[Op], first_seqno: u64, front: usize) -> Memtable {
-        let mut mem = Memtable::with_front(front);
+    fn insert_all(mem: &mut Memtable, ops: &[Op], first_seqno: u64) {
         for (k, seqno, v) in versions(ops, first_seqno) {
             mem.insert(&k, seqno, kind_of(&v), v.as_deref().unwrap_or(b""));
         }
-        mem
+    }
+
+    fn memtable(ops: &[Op], first_seqno: u64) -> SharedMemtable {
+        let mut mem = Memtable::new();
+        insert_all(&mut mem, ops, first_seqno);
+        Arc::new(parking_lot::RwLock::new(mem))
     }
 
     /// A version whose one L0 run holds `layer` (empty layer: no run).
@@ -395,12 +400,15 @@ mod prefix_rule {
     }
 
     /// Builds run ← frozen ← active from the three op lists (oldest
-    /// first), then checks every limit × end × front width from `start`:
-    /// the rows equal the model's, and each buffer's copy is the shortest
-    /// prefix of its range holding `limit` certain entries.
+    /// first), then writes `run_ops` once more into the active buffer
+    /// above the view's ceiling, and checks every limit × end from
+    /// `start`: the rows equal the model's (the late writes invisible),
+    /// and each buffer's cursor copied at most one chunk beyond the
+    /// entries the merge consumed from it.
     fn check(run_ops: &[Op], imm_ops: &[Op], mem_ops: &[Op], start: u8, span: u8) {
         let imm_first = 1 + run_ops.len() as u64;
         let mem_first = imm_first + imm_ops.len() as u64;
+        let ceiling = mem_first + mem_ops.len() as u64 - 1;
         let run = layer(run_ops, 1);
         let imm = layer(imm_ops, imm_first);
         let mem = layer(mem_ops, mem_first);
@@ -416,57 +424,64 @@ mod prefix_rule {
         let version = version_of(&run);
         let stats = crate::DbStats::register(&lsm_obs::MetricsRegistry::new());
         let (start, bounded_end) = (key(start), key(start.saturating_add(span)));
-        for front in [0usize, 96] {
-            let active = memtable(mem_ops, mem_first, front);
-            let frozen = memtable(imm_ops, imm_first, front);
-            let view = ReadView {
-                mem: &active,
-                imm: Some(&frozen),
-                tables: TableView {
-                    version: &version,
-                    cache: None,
-                    stats: &stats,
-                    resolve: None,
-                },
-            };
-            for end in [None, Some(bounded_end.as_slice())] {
-                let in_range = |k: &[u8]| k >= start.as_slice() && end.is_none_or(|e| k < e);
-                for limit in LIMITS {
-                    let mut rows = Vec::new();
-                    view.scan_with(&start, end, limit, |k, v| rows.push((k.to_vec(), v.to_vec())))
-                        .unwrap();
-                    let expect: Vec<_> = model
-                        .iter()
-                        .filter(|(k, _)| in_range(k))
-                        .take(limit)
-                        .map(|(k, v)| (k.clone(), v.clone()))
-                        .collect();
-                    assert_eq!(rows, expect, "front {front} end {end:?} limit {limit}");
+        let active = memtable(mem_ops, mem_first);
+        insert_all(&mut active.write(), run_ops, ceiling + 1);
+        let frozen = memtable(imm_ops, imm_first);
+        let view = ReadView {
+            mem: &active,
+            imm: Some(&frozen),
+            ceiling,
+            tables: TableView {
+                version: &version,
+                cache: None,
+                stats: &stats,
+                resolve: None,
+            },
+        };
+        for end in [None, Some(bounded_end.as_slice())] {
+            let in_range = |k: &[u8]| k >= start.as_slice() && end.is_none_or(|e| k < e);
+            for limit in LIMITS {
+                let mut rows = Vec::new();
+                view.scan_with(&start, end, limit, |k, v| rows.push((k.to_vec(), v.to_vec())))
+                    .unwrap();
+                let expect: Vec<_> = model
+                    .iter()
+                    .filter(|(k, _)| in_range(k))
+                    .take(limit)
+                    .map(|(k, v)| (k.clone(), v.clone()))
+                    .collect();
+                assert_eq!(rows, expect, "end {end:?} limit {limit}");
 
-                    let sources = view.sources(&start, end, limit);
-                    for (rank, buffer) in [&mem, &imm].into_iter().enumerate() {
-                        let Source::Mem(copy) = &sources[rank] else {
-                            panic!("source {rank} must be a buffer copy");
-                        };
-                        let ranged: Vec<_> = buffer.iter().filter(|(k, _)| in_range(k)).collect();
-                        assert!(copy.len() <= ranged.len());
-                        let certain = |(k, (_, v)): &(&Vec<u8>, &(u64, Option<Vec<u8>>))| {
-                            v.is_some() && (rank == 0 || !mem.contains_key(*k))
-                        };
-                        let taken = ranged[..copy.len()].iter().filter(|e| certain(e)).count();
-                        assert!(
-                            taken <= limit,
-                            "buffer {rank}: {} entries copied, {taken} certain, limit {limit}",
-                            copy.len()
-                        );
-                        // the copy stops on the limit-th certain entry, so it holds at
-                        // most `limit` + the tombstones and shadowed entries before it
-                        if copy.len() < ranged.len() {
-                            assert_eq!(taken, limit, "buffer {rank} cut before {limit} certain entries");
-                            let last = ranged[..copy.len()].last();
-                            assert!(last.is_none_or(certain), "buffer {rank} copied past the cut");
-                        }
+                // the same merge, kept to look at its buffer cursors after
+                let mut merger = MergingIter::new(view.sources(&start, end, limit), false).unwrap();
+                let mut last_row = None;
+                let mut n = 0;
+                while n < limit && merger.advance_visible().unwrap() {
+                    if end.is_some_and(|e| merger.key() >= e) {
+                        break;
                     }
+                    last_row = Some(merger.key().to_vec());
+                    n += 1;
+                }
+                assert_eq!(n, expect.len());
+                let chunk = limit.clamp(1, BUFFER_CHUNK);
+                for (rank, buffer) in [&mem, &imm].into_iter().enumerate() {
+                    let Source::Buffer(cursor) = merger.source(rank) else {
+                        panic!("source {rank} must be a buffer cursor");
+                    };
+                    let ranged: Vec<_> = buffer.keys().filter(|k| in_range(k)).collect();
+                    // the merge moved past this buffer's entries up to the last
+                    // row, or past all of them when the scan ran out
+                    let consumed = match &last_row {
+                        Some(last) if n == limit => ranged.iter().filter(|k| **k <= last).count(),
+                        _ => ranged.len(),
+                    };
+                    assert!(cursor.copied <= ranged.len(), "buffer {rank} copied outside its range");
+                    assert!(
+                        cursor.copied <= consumed + chunk,
+                        "buffer {rank}: {} entries copied, {consumed} consumed, chunk {chunk}, limit {limit}",
+                        cursor.copied
+                    );
                 }
             }
         }

@@ -7,7 +7,7 @@
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use parking_lot::RwLockWriteGuard;
+use parking_lot::{RwLock, RwLockWriteGuard};
 
 use lsm_obs::{EventKind, StallReason};
 use lsm_storage::{StorageError, StorageResult};
@@ -148,7 +148,9 @@ pub(crate) fn commit_txn_parts(
         });
     }
     for db in &dbs {
-        db.after_write(db.inner.write())?;
+        let inner = db.inner.write();
+        let full = db.buffer_full(&inner);
+        db.after_write(inner, full)?;
     }
     Ok(Ok(stamp))
 }
@@ -201,7 +203,9 @@ impl DbCore {
     /// whose ops all routed to other shards is applied "by omission").
     pub fn write_batch_replicated(&self, batch: &mut WriteBatch, seq: u64) -> StorageResult<()> {
         if batch.is_empty() {
-            return self.commit(&mut self.inner.write(), &mut [], WalFraming::Stream, Some(seq));
+            return self
+                .commit(&mut self.inner.write(), &mut [], WalFraming::Stream, Some(seq))
+                .map(drop);
         }
         self.write_batch_inner(batch, Some(seq))
     }
@@ -269,8 +273,8 @@ impl DbCore {
         self.obs.timed(&self.obs.put_ns, || {
             self.admit_write()?;
             let mut inner = self.inner.write();
-            self.commit(&mut inner, records, WalFraming::Stream, applied_seq)?;
-            self.after_write(inner)
+            let full = self.commit(&mut inner, records, WalFraming::Stream, applied_seq)?;
+            self.after_write(inner, full)
         })
     }
 
@@ -278,15 +282,16 @@ impl DbCore {
     /// record in place (seqno, counters, key-value separation), append
     /// them to the WAL as one `framing` group, insert them into the
     /// memtable, record them for OCC validation, and — for a replicated
-    /// batch — advance the replication watermark. Memtable-full
-    /// maintenance is the caller's ([`DbCore::after_write`]).
+    /// batch — advance the replication watermark. Returns whether the
+    /// records left the active memtable full; the maintenance that
+    /// follows is the caller's ([`DbCore::after_write`]).
     fn commit(
         &self,
         inner: &mut Inner,
         records: &mut [Record],
         framing: WalFraming,
         applied_seq: Option<u64>,
-    ) -> StorageResult<()> {
+    ) -> StorageResult<bool> {
         for (seqno, kind, key, value) in records.iter_mut() {
             *seqno = inner.next_seqno;
             inner.next_seqno += 1;
@@ -311,6 +316,7 @@ impl DbCore {
                 };
             }
         }
+        let mut full = false;
         if !records.is_empty() {
             if let Some(wal) = &mut inner.wal {
                 match framing {
@@ -322,8 +328,9 @@ impl DbCore {
             // OCC recording only while a transaction is live, so the plain
             // write path pays one branch when none is
             let track = !inner.txn_floors.is_empty();
+            let mut mem = inner.mem.write();
             for (seqno, kind, key, stored) in records.iter() {
-                inner.mem.insert(key, *seqno, *kind, stored);
+                mem.insert(key, *seqno, *kind, stored);
                 if track {
                     match inner.txn_recent.get_mut(key) {
                         Some(s) => *s = *seqno,
@@ -333,22 +340,29 @@ impl DbCore {
                     }
                 }
             }
-            self.obs.memtable_bytes_gauge.set(inner.mem.bytes() as i64);
+            self.obs.memtable_bytes_gauge.set(mem.bytes() as i64);
+            full = mem.is_full(self.cfg.buffer_bytes);
         }
         if let Some(seq) = applied_seq {
             inner.applied_seq = inner.applied_seq.max(seq);
         }
-        Ok(())
+        Ok(full)
     }
 
-    /// The memtable-full tail of every write: `Inline` flushes and
-    /// compacts under the held guard; `Threaded` freezes the memtable for
-    /// the background flush (or waits for the previous one). Transaction
+    /// Whether the active memtable reached the flush trigger.
+    fn buffer_full(&self, inner: &Inner) -> bool {
+        inner.mem.read().is_full(self.cfg.buffer_bytes)
+    }
+
+    /// The memtable-full tail of every write, run when `full` (the
+    /// commit's answer, or a fresh check): `Inline` flushes and compacts
+    /// under the held guard; `Threaded` freezes the memtable for the
+    /// background flush (or waits for the previous one). Transaction
     /// commits call it with a fresh guard after releasing their own, so
     /// a multi-engine commit never runs maintenance under several
     /// engines' locks.
-    fn after_write(&self, mut inner: RwLockWriteGuard<'_, Inner>) -> StorageResult<()> {
-        if !inner.mem.is_full(self.cfg.buffer_bytes) {
+    fn after_write(&self, mut inner: RwLockWriteGuard<'_, Inner>, full: bool) -> StorageResult<()> {
+        if !full {
             return Ok(());
         }
         if self.threaded() {
@@ -382,7 +396,7 @@ impl DbCore {
             });
             self.check_bg_error()?;
             inner = self.inner.write();
-            if !inner.mem.is_full(self.cfg.buffer_bytes) {
+            if !self.buffer_full(&inner) {
                 // another writer froze (or a flush drained) in the window
                 return Ok(());
             }
@@ -393,15 +407,12 @@ impl DbCore {
     /// flush. Syncs both logs first so every record covered by the frozen
     /// memtable is durable before its WAL stops receiving writes.
     fn freeze_memtable(&self, inner: &mut Inner) -> StorageResult<()> {
-        if inner.mem.is_empty() {
+        if inner.mem.read().is_empty() {
             return Ok(());
         }
         self.sync_logs(inner)?;
-        let frozen = std::mem::replace(
-            &mut inner.mem,
-            Memtable::with_front(self.cfg.buffer_front_bytes),
-        );
-        inner.imm = Some(Arc::new(frozen));
+        let fresh = Arc::new(RwLock::new(Memtable::new()));
+        inner.imm = Some(std::mem::replace(&mut inner.mem, fresh));
         if let Err(e) = self.rotate_logs_for_frozen(inner) {
             // The frozen memtable's flush never got enqueued, so the
             // immutable slot stays occupied with nothing scheduled to
@@ -474,14 +485,15 @@ impl DbCore {
     // ------------------------------------------------------------------
 
     /// Begins an optimistic transaction on this engine: registers its
-    /// snapshot floor in `txn_floors` and captures the snapshot **under
-    /// the same lock acquisition**, so every write committed after the
-    /// floor is guaranteed to be recorded in `txn_recent` (writers check
-    /// `txn_floors` while holding the write lock).
+    /// snapshot floor in `txn_floors` and captures the snapshot (O(1):
+    /// buffer handles and a ceiling) **under the same lock acquisition**,
+    /// so every write committed after the floor is guaranteed to be
+    /// recorded in `txn_recent` (writers check `txn_floors` while holding
+    /// the write lock). The floor is the snapshot's ceiling.
     pub(crate) fn txn_begin(&self) -> StorageResult<(crate::snapshot::Snapshot, u64)> {
         let mut inner = self.inner.write();
-        let snap = self.pin_snapshot(&mut inner)?;
-        let snap_seqno = inner.next_seqno - 1;
+        let snap = self.sync_and_pin_snapshot(&mut inner)?;
+        let snap_seqno = snap.ceiling;
         *inner.txn_floors.entry(snap_seqno).or_insert(0) += 1;
         drop(inner);
         self.obs.txn_begins.inc();

@@ -10,15 +10,24 @@
 //! Every source is a *cursor* — `advance()` then `key()`/`value()` — so
 //! merged entries are borrowed views into pinned blocks; bytes are copied
 //! only where a caller materializes them ([`MergingIter::next_visible`],
-//! a table builder, a wire encoder).
+//! a table builder, a wire encoder). A write buffer is the one source
+//! whose bytes can move under a reader, so its cursor
+//! ([`BufferCursor`]) copies them in small chunks, on demand.
 
+use std::ops::Bound;
 use std::sync::Arc;
+
+use parking_lot::RwLock;
 
 use lsm_cache::ShardedCache;
 use lsm_storage::{Block, StorageResult};
 
 use crate::entry::{InternalEntry, ValueKind};
+use crate::memtable::Memtable;
 use crate::sstable::{EntryRef, Table, TableIterator};
+
+/// Most entries a [`BufferCursor`] copies per chunk.
+pub(crate) const BUFFER_CHUNK: usize = 16;
 
 /// Lazily chains the iterators of a run's key-ordered, disjoint tables:
 /// a table is opened (and its first block read) only when the scan
@@ -123,10 +132,10 @@ impl BoundedTableIter {
     }
 }
 
-/// In-memory source: a flat copy of a key-ordered stretch of a write
-/// buffer — every entry's key and value bytes back to back in one
-/// buffer, plus one index — so a source costs two allocations however
-/// many entries it holds.
+/// A flat copy of key-ordered entries — a [`BufferCursor`]'s chunk, a
+/// sub-compaction shard's output: every entry's key and value bytes back
+/// to back in one buffer, plus one index, so it costs two allocations
+/// however many entries it holds.
 #[derive(Default)]
 pub struct MemSource {
     bytes: Vec<u8>,
@@ -164,6 +173,20 @@ impl MemSource {
         self.index.len()
     }
 
+    /// Empties the source, keeping both allocations for the next fill.
+    fn clear(&mut self) {
+        self.bytes.clear();
+        self.index.clear();
+        self.next = 0;
+    }
+
+    /// Steps to the next held entry; `false` once every one was served.
+    fn step(&mut self) -> bool {
+        let more = self.next < self.index.len();
+        self.next += usize::from(more);
+        more
+    }
+
     /// Every held entry in order, borrowed.
     pub(crate) fn iter(&self) -> impl Iterator<Item = EntryRef<'_>> {
         self.index.iter().map(|s| self.entry(s))
@@ -184,10 +207,103 @@ impl MemSource {
     }
 }
 
+/// A scan's cursor over one shared write buffer, reading it as of a
+/// sequence-number ceiling: every key's newest version at or below
+/// `ceiling`, so writes that land after the scan began stay invisible.
+///
+/// The cursor copies the buffer a chunk at a time into a [`MemSource`]:
+/// the first chunk when it is built (under the engine lock the scan
+/// already holds), each later one under the buffer's read lock alone,
+/// only once the merge has drained the one before. A short scan whose
+/// rows mostly come from the runs therefore copies one chunk, however
+/// full the buffer is. The buffer keeps its versions and is never
+/// cleared while a handle to it is alive, so a refill sees exactly what
+/// the first chunk saw.
+pub struct BufferCursor {
+    buffer: Arc<RwLock<Memtable>>,
+    ceiling: u64,
+    /// Exclusive upper key bound (`None`: to the end of the keyspace).
+    end: Option<Vec<u8>>,
+    chunk_len: usize,
+    chunk: MemSource,
+    /// The last key copied, where the next chunk starts (exclusive).
+    resume: Vec<u8>,
+    /// Nothing in range lies beyond the current chunk.
+    exhausted: bool,
+    /// Entries copied over the cursor's life.
+    #[cfg(test)]
+    pub(crate) copied: usize,
+}
+
+impl BufferCursor {
+    /// A cursor over `[start, end)` of `buffer` at `ceiling`, copying up
+    /// to `chunk_len` entries at a time. Copies the first chunk now.
+    pub(crate) fn new(
+        buffer: &Arc<RwLock<Memtable>>,
+        start: &[u8],
+        end: Option<&[u8]>,
+        ceiling: u64,
+        chunk_len: usize,
+    ) -> BufferCursor {
+        let mut cursor = BufferCursor {
+            buffer: Arc::clone(buffer),
+            ceiling,
+            end: end.map(<[u8]>::to_vec),
+            chunk_len: chunk_len.max(1),
+            chunk: MemSource::default(),
+            resume: Vec::new(),
+            exhausted: false,
+            #[cfg(test)]
+            copied: 0,
+        };
+        cursor.fill(&buffer.read(), Bound::Included(start));
+        cursor
+    }
+
+    /// Replaces the chunk with the next `chunk_len` entries past `lo`.
+    fn fill(&mut self, mem: &Memtable, lo: Bound<&[u8]>) {
+        let hi = self.end.as_deref().map_or(Bound::Unbounded, Bound::Excluded);
+        let chunk = &mut self.chunk;
+        chunk.clear();
+        let mut entries = mem.range_at(lo, hi, self.ceiling);
+        for e in entries.by_ref().take(self.chunk_len) {
+            if chunk.len() == 0 {
+                // size the chunk once, from its first entry
+                chunk.index.reserve(self.chunk_len);
+                chunk.bytes.reserve(self.chunk_len * (e.key.len() + e.value.len()));
+            }
+            chunk.push(e);
+        }
+        self.exhausted = chunk.len() < self.chunk_len || entries.next().is_none();
+        #[cfg(test)]
+        {
+            self.copied += chunk.len();
+        }
+    }
+
+    fn advance(&mut self) -> bool {
+        if self.chunk.step() {
+            return true;
+        }
+        if self.exhausted {
+            return false;
+        }
+        // resume after the last key copied: the chunk about to be replaced
+        // holds it, so it moves to its own buffer first
+        let mut resume = std::mem::take(&mut self.resume);
+        resume.clear();
+        resume.extend_from_slice(self.chunk.cur().key);
+        let buffer = Arc::clone(&self.buffer);
+        self.fill(&buffer.read(), Bound::Excluded(&resume));
+        self.resume = resume;
+        self.chunk.step()
+    }
+}
+
 /// A source of key-ordered entries.
 pub enum Source {
-    /// Copied write-buffer entries (already key-ordered).
-    Mem(MemSource),
+    /// A write buffer read at a seqno ceiling, copied chunk by chunk.
+    Buffer(BufferCursor),
     /// A table iterator.
     Table(TableIterator),
     /// A lazy iterator over one sorted run.
@@ -197,31 +313,9 @@ pub enum Source {
 }
 
 impl Source {
-    /// In-memory source over sorted owned entries (the test constructor;
-    /// the read path fills a [`MemSource`] from a borrowed cursor).
-    pub fn mem(entries: Vec<InternalEntry>) -> Source {
-        let mut run = MemSource::default();
-        for e in &entries {
-            run.push(EntryRef {
-                key: &e.key,
-                seqno: e.seqno,
-                kind: e.kind,
-                value: &e.value,
-            });
-        }
-        Source::Mem(run)
-    }
-
     fn advance(&mut self) -> StorageResult<bool> {
         match self {
-            Source::Mem(s) => {
-                if s.next < s.index.len() {
-                    s.next += 1;
-                    Ok(true)
-                } else {
-                    Ok(false)
-                }
-            }
+            Source::Buffer(c) => Ok(c.advance()),
             Source::Table(it) => it.advance(),
             Source::Run(it) => it.advance(),
             Source::BoundedTable(it) => it.advance(),
@@ -231,7 +325,7 @@ impl Source {
     /// Head key: the one accessor the heap's comparisons use.
     fn key(&self) -> &[u8] {
         match self {
-            Source::Mem(s) => s.cur().key,
+            Source::Buffer(c) => c.chunk.cur().key,
             Source::Table(it) => it.key(),
             Source::Run(it) => it.cur().key(),
             Source::BoundedTable(it) => it.it.key(),
@@ -240,7 +334,7 @@ impl Source {
 
     fn current(&self) -> EntryRef<'_> {
         match self {
-            Source::Mem(s) => s.cur(),
+            Source::Buffer(c) => c.chunk.cur(),
             Source::Table(it) => it.current(),
             Source::Run(it) => it.cur().current(),
             Source::BoundedTable(it) => it.it.current(),
@@ -389,6 +483,12 @@ impl MergingIter {
         }
     }
 
+    /// Source `i`, in the order the merge was given them.
+    #[cfg(test)]
+    pub(crate) fn source(&self, i: usize) -> &Source {
+        &self.sources[i]
+    }
+
     fn cur(&self) -> &Source {
         debug_assert!(self.positioned, "accessor on an unpositioned merge");
         &self.sources[*self.heap.first().expect("valid merge cursor")]
@@ -440,18 +540,28 @@ impl MergingIter {
 mod tests {
     use super::*;
 
+    /// A source over key-ordered owned entries: a write buffer holding
+    /// them, read through its cursor (sources longer than a chunk refill).
+    fn buffered(entries: &[InternalEntry]) -> Source {
+        let mut mem = Memtable::new();
+        for e in entries {
+            mem.insert(&e.key, e.seqno, e.kind, &e.value);
+        }
+        let handle = Arc::new(RwLock::new(mem));
+        Source::Buffer(BufferCursor::new(&handle, b"", None, u64::MAX, BUFFER_CHUNK))
+    }
+
     fn mem(entries: Vec<(&str, u64, ValueKind, &str)>) -> Source {
-        Source::mem(
-            entries
-                .into_iter()
-                .map(|(k, s, kind, v)| InternalEntry {
-                    key: k.as_bytes().to_vec(),
-                    seqno: s,
-                    kind,
-                    value: v.as_bytes().to_vec(),
-                })
-                .collect(),
-        )
+        let entries: Vec<InternalEntry> = entries
+            .into_iter()
+            .map(|(k, s, kind, v)| InternalEntry {
+                key: k.as_bytes().to_vec(),
+                seqno: s,
+                kind,
+                value: v.as_bytes().to_vec(),
+            })
+            .collect();
+        buffered(&entries)
     }
 
     #[test]
@@ -608,7 +718,7 @@ mod tests {
                     .filter(|(_, (_, kind, _))| keep_tombstones || *kind == ValueKind::Put)
                     .map(|(k, v)| (k.clone(), v.clone()))
                     .collect();
-                let sources = || runs.iter().cloned().map(Source::mem).collect::<Vec<_>>();
+                let sources = || runs.iter().map(|run| buffered(run)).collect::<Vec<_>>();
                 let mut cursor = MergingIter::new(sources(), keep_tombstones).unwrap();
                 let mut streamed = Vec::new();
                 while cursor.advance_visible().unwrap() {

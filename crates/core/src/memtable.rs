@@ -3,34 +3,31 @@
 //! Backed by a bump-arena skiplist: node metadata lives in one `Vec`,
 //! key/value bytes in a single offset-addressed arena, so a put performs
 //! **zero per-entry heap allocations** in steady state (the arena and
-//! node vector grow geometrically, amortized). Updates append the new
-//! value to the arena and repoint the node — the superseded bytes stay
-//! until the flush drops the whole arena at once, which is the classic
-//! bump-arena trade (RocksDB/LevelDB memtables work the same way).
-//! Immutable memtables keep their arena alive until the flush completes;
-//! readers borrow value bytes straight out of it via
-//! [`Memtable::get_ref`].
+//! node vector grow geometrically, amortized).
 //!
-//! Optionally runs as a *two-level buffer* (FloDB, EuroSys '17; tutorial
-//! Module II.5): a small unsorted hash front absorbs writes in O(1) and
-//! spills into the sorted level in batches. The win is skewed updates
-//! against a large sorted level — hot keys are overwritten in the cheap
-//! hash and (since replacements don't grow the front) may never touch the
-//! tree; on unique-key ingest the front is pure overhead. The front
-//! stores owned buffers (it is opt-in and off by default).
+//! **Versions are kept, never overwritten.** An update appends the new
+//! value to the arena and makes it the node's head version; the version
+//! it supersedes moves, as a `(value, seqno, kind)` record, onto the
+//! node's chain of older versions (newest first), and its bytes stay in
+//! the arena until the flush drops the whole buffer at once — the
+//! memory component LevelDB and RocksDB use (Luo & Carey's survey). So a
+//! reader needs only a shared handle and a sequence-number *ceiling*:
+//! `Memtable::get_at` and `Memtable::range_at` see each key's newest
+//! version at or below the ceiling, however many writes landed since.
+//! That is what makes a snapshot O(1) and lets a scan copy the buffer in
+//! small chunks, on demand (`crate::iter::BufferCursor`), instead of up
+//! front. The newest-version reads ([`Memtable::get_ref`],
+//! [`Memtable::range`]) are the ceiling reads at `u64::MAX`.
+//!
+//! The flush trigger still counts latest versions only
+//! ([`Memtable::bytes`]), plus a written-bytes backstop
+//! ([`Memtable::is_full`]); superseded versions are reclaimed wholesale
+//! at flush.
 
-use std::collections::HashMap;
 use std::ops::Bound;
 
 use crate::entry::{InternalEntry, ValueKind};
 use crate::sstable::EntryRef;
-
-#[derive(Clone, Debug)]
-struct MemValue {
-    seqno: u64,
-    kind: ValueKind,
-    value: Vec<u8>,
-}
 
 /// Skiplist fanout: p = 1/4, so 12 levels cover ~4^12 entries.
 const MAX_HEIGHT: usize = 12;
@@ -38,10 +35,12 @@ const MAX_HEIGHT: usize = 12;
 /// once this many times the budget has been written into it, however
 /// little of that is still the latest version ([`Memtable::is_full`]).
 const WRITTEN_BUDGET_FACTOR: usize = 8;
-/// Null link (also "head" when used as a predecessor).
+/// Null link (also "head" when used as a predecessor, and "no older
+/// version" at the end of a version chain).
 const NIL: u32 = u32::MAX;
 
-#[derive(Clone, Debug)]
+/// One key's head (newest) version plus its skiplist links.
+#[derive(Debug)]
 struct Node {
     key_off: u32,
     key_len: u32,
@@ -49,7 +48,21 @@ struct Node {
     val_len: u32,
     seqno: u64,
     kind: ValueKind,
+    /// The version this one superseded (index into
+    /// `SkipArena::superseded`), `NIL` if none.
+    older: u32,
     next: [u32; MAX_HEIGHT],
+}
+
+/// A superseded version: its value still sits in the arena.
+#[derive(Debug)]
+struct Superseded {
+    val_off: u32,
+    val_len: u32,
+    seqno: u64,
+    kind: ValueKind,
+    /// The next older version, `NIL` if none.
+    older: u32,
 }
 
 fn splitmix64(x: u64) -> u64 {
@@ -61,11 +74,12 @@ fn splitmix64(x: u64) -> u64 {
 
 /// Index-based skiplist over a bump arena. No unsafe: links are `u32`
 /// node ids, bytes are `(offset, len)` into the arena `Vec`, so the
-/// structure stays valid across reallocation and is trivially `Clone`
-/// (snapshots) and `Send`.
-#[derive(Clone, Debug)]
+/// structure stays valid across reallocation and is `Send + Sync`.
+#[derive(Debug)]
 struct SkipArena {
     nodes: Vec<Node>,
+    /// Every superseded version of every node, chained from its node.
+    superseded: Vec<Superseded>,
     head: [u32; MAX_HEIGHT],
     arena: Vec<u8>,
     height: usize,
@@ -78,6 +92,7 @@ impl Default for SkipArena {
     fn default() -> Self {
         SkipArena {
             nodes: Vec::new(),
+            superseded: Vec::new(),
             head: [NIL; MAX_HEIGHT],
             arena: Vec::new(),
             height: 1,
@@ -100,11 +115,6 @@ impl SkipArena {
     fn key_of(&self, id: u32) -> &[u8] {
         let n = &self.nodes[id as usize];
         self.bytes_at(n.key_off, n.key_len)
-    }
-
-    fn value_of(&self, id: u32) -> &[u8] {
-        let n = &self.nodes[id as usize];
-        self.bytes_at(n.val_off, n.val_len)
     }
 
     fn next_of(&self, pred: u32, level: usize) -> u32 {
@@ -162,25 +172,67 @@ impl SkipArena {
         }
     }
 
+    /// First node past `lo`.
+    fn seek_bound(&self, lo: Bound<&[u8]>) -> u32 {
+        match lo {
+            Bound::Included(b) => self.seek(b),
+            Bound::Excluded(b) => {
+                let id = self.seek(b);
+                if id != NIL && self.key_of(id) == b {
+                    self.nodes[id as usize].next[0]
+                } else {
+                    id
+                }
+            }
+            Bound::Unbounded => self.head[0],
+        }
+    }
+
     fn seek_exact(&self, key: &[u8]) -> Option<u32> {
         let id = self.seek(key);
         (id != NIL && self.key_of(id) == key).then_some(id)
     }
 
-    /// Inserts or updates. Returns the replaced value's length on update
-    /// (for byte accounting); `None` for a fresh key.
+    /// Node `id`'s newest version with seqno ≤ `ceiling`, as a borrowed
+    /// entry; `None` when every version is newer.
+    fn version_at(&self, id: u32, ceiling: u64) -> Option<EntryRef<'_>> {
+        let n = &self.nodes[id as usize];
+        let key = self.bytes_at(n.key_off, n.key_len);
+        let (mut val_off, mut val_len, mut seqno, mut kind, mut older) =
+            (n.val_off, n.val_len, n.seqno, n.kind, n.older);
+        while seqno > ceiling {
+            let v = self.superseded.get(older as usize)?;
+            (val_off, val_len, seqno, kind, older) = (v.val_off, v.val_len, v.seqno, v.kind, v.older);
+        }
+        Some(EntryRef {
+            key,
+            seqno,
+            kind,
+            value: self.bytes_at(val_off, val_len),
+        })
+    }
+
+    /// Inserts a key's new head version; the previous head, if any, moves
+    /// onto the key's version chain. Returns the superseded value's
+    /// length on update (for byte accounting); `None` for a fresh key.
     fn insert(&mut self, key: &[u8], seqno: u64, kind: ValueKind, value: &[u8]) -> Option<u32> {
         let mut prevs = [NIL; MAX_HEIGHT];
         let found = self.find(key, &mut prevs);
         if found != NIL && self.key_of(found) == key {
-            // in-place update: bump-append the value, repoint the node
-            let (off, len) = self.push_bytes(value);
+            let (val_off, val_len) = self.push_bytes(value);
+            let older = self.superseded.len() as u32;
             let n = &mut self.nodes[found as usize];
-            let old_len = n.val_len;
-            n.val_off = off;
-            n.val_len = len;
-            n.seqno = seqno;
-            n.kind = kind;
+            debug_assert!(seqno >= n.seqno, "a key's versions arrive in seqno order");
+            let old = Superseded {
+                val_off: n.val_off,
+                val_len: n.val_len,
+                seqno: n.seqno,
+                kind: n.kind,
+                older: n.older,
+            };
+            (n.val_off, n.val_len, n.seqno, n.kind, n.older) = (val_off, val_len, seqno, kind, older);
+            let old_len = old.val_len;
+            self.superseded.push(old);
             return Some(old_len);
         }
         let h = self.random_height();
@@ -198,6 +250,7 @@ impl SkipArena {
             val_len,
             seqno,
             kind,
+            older: NIL,
             next: [NIL; MAX_HEIGHT],
         };
         for (level, slot) in node.next.iter_mut().enumerate().take(h) {
@@ -214,26 +267,9 @@ impl SkipArena {
         None
     }
 
-    fn first(&self) -> u32 {
-        self.head[0]
-    }
-
-    fn last_key(&self) -> Option<&[u8]> {
-        let mut pred = NIL;
-        for level in (0..self.height).rev() {
-            loop {
-                let next = self.next_of(pred, level);
-                if next == NIL {
-                    break;
-                }
-                pred = next;
-            }
-        }
-        (pred != NIL).then(|| self.key_of(pred))
-    }
-
     fn reset(&mut self) {
         self.nodes.clear();
+        self.superseded.clear();
         self.arena.clear();
         self.head = [NIL; MAX_HEIGHT];
         self.height = 1;
@@ -242,7 +278,7 @@ impl SkipArena {
 }
 
 /// Borrowed view of a buffered entry; `value` points into the memtable
-/// arena (or the hash front) and is valid while the memtable is.
+/// arena and is valid while the memtable is.
 #[derive(Clone, Copy, Debug)]
 pub struct MemEntryRef<'a> {
     /// Sequence number.
@@ -253,16 +289,12 @@ pub struct MemEntryRef<'a> {
     pub value: &'a [u8],
 }
 
-/// A sorted, size-tracked write buffer with an optional hash front.
-#[derive(Clone, Debug, Default)]
+/// A sorted, size-tracked, multi-version write buffer.
+#[derive(Debug, Default)]
 pub struct Memtable {
     list: SkipArena,
-    /// FloDB-style unsorted front (disabled when `front_budget == 0`).
-    front: HashMap<Vec<u8>, MemValue>,
-    front_bytes: usize,
-    front_budget: usize,
+    /// Entry cost of each key's latest version.
     bytes: usize,
-    peak_bytes: usize,
     /// Entry cost of every insert since the buffer was last empty,
     /// superseded versions included: an upper bound on the arena, and
     /// what the WAL segment covering this buffer holds.
@@ -270,71 +302,24 @@ pub struct Memtable {
 }
 
 impl Memtable {
-    /// Empty single-level memtable.
+    /// Empty memtable.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Empty two-level memtable: writes land in a hash front of
-    /// `front_budget` bytes and spill into the sorted level in batches.
-    pub fn with_front(front_budget: usize) -> Self {
-        Memtable {
-            front_budget,
-            ..Self::default()
-        }
     }
 
     fn entry_cost(key: &[u8], value: &[u8]) -> usize {
         key.len() + value.len() + 24
     }
 
-    /// Moves every front entry into the sorted level. Keys present in
-    /// both levels release the superseded sorted copy's cost.
-    fn spill_front(&mut self) {
-        for (k, v) in std::mem::take(&mut self.front) {
-            if let Some(old_len) = self.list.insert(&k, v.seqno, v.kind, &v.value) {
-                let old_cost = k.len() + old_len as usize + 24;
-                self.bytes = self.bytes.saturating_sub(old_cost);
-            }
-        }
-        self.front_bytes = 0;
-    }
-
-    /// Inserts a put or tombstone, replacing any older version. Takes
-    /// slices: the bytes are bump-copied into the arena, so the caller's
-    /// buffers can be reused — no per-entry `Vec` churn on the write path.
+    /// Inserts a put or tombstone as `key`'s newest version; the version
+    /// it supersedes stays readable below `seqno` (`Memtable::get_at`).
+    /// A key's versions must arrive in ascending seqno order, which the
+    /// engine's commit order guarantees. Takes slices: the bytes are
+    /// bump-copied into the arena, so the caller's buffers can be reused
+    /// — no per-entry `Vec` churn on the write path.
     pub fn insert(&mut self, key: &[u8], seqno: u64, kind: ValueKind, value: &[u8]) {
-        self.insert_inner(key, seqno, kind, value);
-        self.peak_bytes = self.peak_bytes.max(self.bytes);
-    }
-
-    fn insert_inner(&mut self, key: &[u8], seqno: u64, kind: ValueKind, value: &[u8]) {
         let new_cost = Self::entry_cost(key, value);
         self.written += new_cost;
-        if self.front_budget > 0 {
-            match self.front.insert(
-                key.to_vec(),
-                MemValue {
-                    seqno,
-                    kind,
-                    value: value.to_vec(),
-                },
-            ) {
-                Some(old) => {
-                    let old_cost = key.len() + old.value.len() + 24;
-                    self.front_bytes = self.front_bytes + new_cost - old_cost;
-                    self.bytes = self.bytes + new_cost - old_cost;
-                }
-                None => {
-                    self.front_bytes += new_cost;
-                    self.bytes += new_cost;
-                }
-            }
-            if self.front_bytes >= self.front_budget {
-                self.spill_front();
-            }
-            return;
-        }
         match self.list.insert(key, seqno, kind, value) {
             Some(old_len) => {
                 let old_cost = key.len() + old_len as usize + 24;
@@ -345,61 +330,47 @@ impl Memtable {
     }
 
     /// Current approximate logical footprint in bytes (latest versions
-    /// only; superseded arena bytes are excluded — they are reclaimed
+    /// only; superseded versions are excluded — they are reclaimed
     /// wholesale at flush).
     pub fn bytes(&self) -> usize {
         self.bytes
     }
 
     /// The one flush trigger: the logical footprint reached `budget`, or
-    /// — a few keys rewritten (or re-deleted, or absorbed by the hash
-    /// front) over and over never grow that, while the arena and the WAL
-    /// do — `WRITTEN_BUDGET_FACTOR` times it has been written in.
+    /// — a few keys rewritten (or re-deleted) over and over never grow
+    /// that, while the arena and the WAL do — `WRITTEN_BUDGET_FACTOR`
+    /// times it has been written in.
     pub fn is_full(&self, budget: usize) -> bool {
         self.bytes >= budget || self.written >= budget.saturating_mul(WRITTEN_BUDGET_FACTOR)
     }
 
-    /// High-water mark of [`Memtable::bytes`] over this memtable's
-    /// lifetime (observability gauge; survives [`Memtable::clear`]).
-    pub fn peak_bytes(&self) -> usize {
-        self.peak_bytes
-    }
-
-    /// Number of (latest-version) entries, including tombstones: what
-    /// [`Memtable::range`] over everything yields. A key held by both
-    /// levels counts once.
+    /// Number of distinct keys buffered, tombstones included: what
+    /// [`Memtable::range`] over everything yields.
     pub fn len(&self) -> usize {
-        let front_only = self
-            .front
-            .keys()
-            .filter(|k| self.list.seek_exact(k).is_none())
-            .count();
-        self.list.nodes.len() + front_only
+        self.list.nodes.len()
     }
 
     /// Whether the buffer holds nothing.
     pub fn is_empty(&self) -> bool {
-        self.list.nodes.is_empty() && self.front.is_empty()
+        self.list.nodes.is_empty()
+    }
+
+    /// Newest version of `key` with seqno ≤ `ceiling`, as a borrowed view:
+    /// what a reader that pinned `ceiling` sees, whatever was written
+    /// since. Allocation-free.
+    pub(crate) fn get_at(&self, key: &[u8], ceiling: u64) -> Option<MemEntryRef<'_>> {
+        let id = self.list.seek_exact(key)?;
+        self.list.version_at(id, ceiling).map(|e| MemEntryRef {
+            seqno: e.seqno,
+            kind: e.kind,
+            value: e.value,
+        })
     }
 
     /// Latest version of `key` as a borrowed view — the allocation-free
-    /// read path. The hash front is newer than the sorted level, so it
-    /// wins.
+    /// read path.
     pub fn get_ref(&self, key: &[u8]) -> Option<MemEntryRef<'_>> {
-        if let Some(v) = self.front.get(key) {
-            return Some(MemEntryRef {
-                seqno: v.seqno,
-                kind: v.kind,
-                value: &v.value,
-            });
-        }
-        let id = self.list.seek_exact(key)?;
-        let n = &self.list.nodes[id as usize];
-        Some(MemEntryRef {
-            seqno: n.seqno,
-            kind: n.kind,
-            value: self.list.value_of(id),
-        })
+        self.get_at(key, u64::MAX)
     }
 
     /// Latest version of `key`, if buffered (owned convenience wrapper).
@@ -412,116 +383,56 @@ impl Memtable {
         })
     }
 
-    /// Entries within the bound pair, ascending by key, as borrowed views:
-    /// key and value point into the arena (or the hash front) and nothing
-    /// is allocated per entry. With a hash front active, its in-range
-    /// entries are sorted and merged on the fly (front entries shadow
-    /// sorted ones) — the price FloDB pays on scans.
+    /// Entries within the bound pair as seen at `ceiling`, ascending by
+    /// key: each key's newest version with seqno ≤ `ceiling`, keys with
+    /// none skipped. Key and value point into the arena and nothing is
+    /// allocated per entry.
+    pub(crate) fn range_at<'a>(
+        &'a self,
+        lo: Bound<&[u8]>,
+        hi: Bound<&'a [u8]>,
+        ceiling: u64,
+    ) -> impl Iterator<Item = EntryRef<'a>> + 'a {
+        let list = &self.list;
+        let mut cur = list.seek_bound(lo);
+        std::iter::from_fn(move || loop {
+            if cur == NIL {
+                return None;
+            }
+            let id = cur;
+            let key = list.key_of(id);
+            let past_hi = match hi {
+                Bound::Included(b) => key > b,
+                Bound::Excluded(b) => key >= b,
+                Bound::Unbounded => false,
+            };
+            if past_hi {
+                cur = NIL;
+                return None;
+            }
+            cur = list.nodes[id as usize].next[0];
+            if let Some(e) = list.version_at(id, ceiling) {
+                return Some(e);
+            }
+        })
+    }
+
+    /// Entries within the bound pair, ascending by key, newest version of
+    /// each, as borrowed views.
     pub fn range<'a>(
         &'a self,
         lo: Bound<&'a [u8]>,
         hi: Bound<&'a [u8]>,
     ) -> impl Iterator<Item = EntryRef<'a>> + 'a {
-        let in_bounds = |k: &[u8]| -> bool {
-            (match lo {
-                Bound::Included(b) => k >= b,
-                Bound::Excluded(b) => k > b,
-                Bound::Unbounded => true,
-            }) && (match hi {
-                Bound::Included(b) => k <= b,
-                Bound::Excluded(b) => k < b,
-                Bound::Unbounded => true,
-            })
-        };
-        let mut front: Vec<(&Vec<u8>, &MemValue)> = self
-            .front
-            .iter()
-            .filter(|(k, _)| in_bounds(k))
-            .collect();
-        front.sort_by(|a, b| a.0.cmp(b.0));
-        let mut front = front.into_iter().peekable();
-        // position the sorted cursor at the lower bound
-        let mut cur = match lo {
-            Bound::Included(b) => self.list.seek(b),
-            Bound::Excluded(b) => {
-                let mut id = self.list.seek(b);
-                if id != NIL && self.list.key_of(id) == b {
-                    id = self.list.nodes[id as usize].next[0];
-                }
-                id
-            }
-            Bound::Unbounded => self.list.first(),
-        };
-        let past_hi = move |k: &[u8]| -> bool {
-            match hi {
-                Bound::Included(b) => k > b,
-                Bound::Excluded(b) => k >= b,
-                Bound::Unbounded => false,
-            }
-        };
-        std::iter::from_fn(move || {
-            let sorted_key = (cur != NIL)
-                .then(|| self.list.key_of(cur))
-                .filter(|k| !past_hi(k));
-            let take_front = match (front.peek(), sorted_key) {
-                (Some((fk, _)), Some(sk)) => {
-                    if fk.as_slice() == sk {
-                        // front shadows the sorted copy
-                        cur = self.list.nodes[cur as usize].next[0];
-                        true
-                    } else {
-                        fk.as_slice() < sk
-                    }
-                }
-                (Some(_), None) => true,
-                (None, Some(_)) => false,
-                (None, None) => return None,
-            };
-            if take_front {
-                let (k, v) = front.next().expect("peeked above");
-                Some(EntryRef {
-                    key: k,
-                    seqno: v.seqno,
-                    kind: v.kind,
-                    value: &v.value,
-                })
-            } else {
-                let id = cur;
-                let n = &self.list.nodes[id as usize];
-                cur = n.next[0];
-                Some(EntryRef {
-                    key: self.list.key_of(id),
-                    seqno: n.seqno,
-                    kind: n.kind,
-                    value: self.list.value_of(id),
-                })
-            }
-        })
+        self.range_at(lo, hi, u64::MAX)
     }
 
-    /// Empties the buffer after a flush. The arena and node vector keep
-    /// their capacity for the next fill.
+    /// Empties the buffer after a flush. The arena, node and version
+    /// vectors keep their capacity for the next fill.
     pub fn clear(&mut self) {
         self.list.reset();
-        self.front.clear();
-        self.front_bytes = 0;
         self.bytes = 0;
         self.written = 0;
-    }
-
-    /// Smallest and largest buffered keys.
-    pub fn key_range(&self) -> Option<(Vec<u8>, Vec<u8>)> {
-        let mut first = (self.list.first() != NIL).then(|| self.list.key_of(self.list.first()).to_vec());
-        let mut last = self.list.last_key().map(|k| k.to_vec());
-        for k in self.front.keys() {
-            if first.as_ref().is_none_or(|f| k < f) {
-                first = Some(k.clone());
-            }
-            if last.as_ref().is_none_or(|l| k > l) {
-                last = Some(k.clone());
-            }
-        }
-        Some((first?, last?))
     }
 }
 
@@ -577,7 +488,7 @@ mod tests {
         for s in 2..50u64 {
             m.insert(b"k", s, ValueKind::Put, &[1u8; 64]);
         }
-        assert_eq!(m.bytes(), one, "in-place update must not grow logical bytes");
+        assert_eq!(m.bytes(), one, "a superseded version must not grow logical bytes");
         assert_eq!(m.len(), 1);
         assert_eq!(m.get(b"k").unwrap().seqno, 49);
     }
@@ -607,11 +518,11 @@ mod tests {
             all(&m).iter().map(|e| e.key).collect::<Vec<_>>(),
             vec![b"a", b"b", b"c"]
         );
-        let peak = m.peak_bytes();
+        m.insert(b"a", 2, ValueKind::Put, b"x");
         m.clear();
         assert!(m.is_empty());
         assert_eq!(m.bytes(), 0);
-        assert_eq!(m.peak_bytes(), peak, "the gauge's high-water mark survives");
+        assert!(m.get_at(b"a", 1).is_none(), "clear drops the version chains too");
         m.insert(b"d", 2, ValueKind::Put, b"again");
         assert_eq!(m.get(b"d").unwrap().value, b"again");
         assert!(m.get(b"a").is_none());
@@ -620,13 +531,9 @@ mod tests {
     #[test]
     fn rewrites_of_one_key_fill_the_buffer_without_growing_its_logical_bytes() {
         let budget = 4096;
-        // plain, absorbed by the hash front, and re-deleted (no value bytes)
-        for (front, kind, value) in [
-            (0, ValueKind::Put, &[7u8; 100][..]),
-            (1024, ValueKind::Put, &[7u8; 100][..]),
-            (0, ValueKind::Delete, &[][..]),
-        ] {
-            let mut m = Memtable::with_front(front);
+        // rewritten, and re-deleted (no value bytes)
+        for (kind, value) in [(ValueKind::Put, &[7u8; 100][..]), (ValueKind::Delete, &[][..])] {
+            let mut m = Memtable::new();
             let mut writes = 0u64;
             while !m.is_full(budget) {
                 writes += 1;
@@ -692,83 +599,103 @@ mod tests {
     }
 
     #[test]
-    fn two_level_front_absorbs_and_spills() {
-        let mut m = Memtable::with_front(200);
-        for i in 0..20u32 {
-            m.insert(format!("k{i:03}").as_bytes(), i as u64, ValueKind::Put, &[i as u8; 8]);
-        }
-        // everything readable regardless of which level holds it
-        for i in 0..20u32 {
-            let e = m.get(format!("k{i:03}").as_bytes()).unwrap();
-            assert_eq!(e.value, vec![i as u8; 8]);
-        }
-        // newer front version shadows an older spilled one
-        m.insert(b"k005", 99, ValueKind::Put, b"newest");
-        assert_eq!(m.get(b"k005").unwrap().value, b"newest".to_vec());
-        assert_eq!(m.get(b"k005").unwrap().seqno, 99);
-    }
-
-    #[test]
-    fn two_level_range_merges_front_and_sorted() {
-        // evens spilled into the sorted level (k004 and k010 twice: their
-        // front versions must shadow the sorted ones), odds only in the front
-        let mut m = Memtable::with_front(10_000); // never spills by itself
-        for i in (0..20u32).step_by(2) {
-            m.insert(format!("k{i:03}").as_bytes(), i as u64, ValueKind::Put, &[i as u8]);
-        }
-        m.spill_front();
-        for i in [1u32, 3, 4, 5, 7, 9, 10, 11, 13, 15, 17, 19] {
-            m.insert(format!("k{i:03}").as_bytes(), 100 + i as u64, ValueKind::Put, &[i as u8]);
-        }
-        let got: Vec<_> = m
-            .range(Bound::Included(&b"k003"[..]), Bound::Excluded(&b"k015"[..]))
-            .collect();
-        assert_eq!(got.len(), 12);
-        assert_eq!(m.len(), 20, "k004 and k010 sit in both levels and count once");
-        for (j, e) in got.iter().enumerate() {
-            let i = j as u32 + 3;
-            assert_eq!(e.key, format!("k{i:03}").into_bytes());
-            assert_eq!(e.value, [i as u8]);
-            let in_front = i % 2 == 1 || i == 4 || i == 10;
-            assert_eq!(e.seqno, if in_front { 100 + i as u64 } else { i as u64 });
-        }
-    }
-
-    #[test]
-    fn two_level_full_range_is_complete_and_sorted() {
-        let mut m = Memtable::with_front(150);
-        for i in (0..30u32).rev() {
-            m.insert(format!("k{i:03}").as_bytes(), i as u64, ValueKind::Put, &[1u8; 4]);
-        }
-        let entries = all(&m);
-        assert_eq!(entries.len(), 30);
-        for w in entries.windows(2) {
-            assert!(w[0].key < w[1].key);
-        }
-        m.clear();
-        assert!(m.is_empty());
-        assert_eq!(m.bytes(), 0);
-    }
-
-    #[test]
-    fn key_range() {
-        let mut m = Memtable::new();
-        assert!(m.key_range().is_none());
-        m.insert(b"m", 1, ValueKind::Put, b"");
-        m.insert(b"a", 2, ValueKind::Put, b"");
-        m.insert(b"z", 3, ValueKind::Put, b"");
-        assert_eq!(m.key_range(), Some((b"a".to_vec(), b"z".to_vec())));
-    }
-
-    #[test]
-    fn clone_snapshots_are_independent() {
+    fn a_ceiling_read_sees_the_versions_of_its_time() {
         let mut m = Memtable::new();
         m.insert(b"a", 1, ValueKind::Put, b"1");
-        let snap = m.clone();
         m.insert(b"a", 2, ValueKind::Put, b"2");
         m.insert(b"b", 3, ValueKind::Put, b"3");
-        assert_eq!(snap.get(b"a").unwrap().value, b"1");
-        assert!(snap.get(b"b").is_none());
-        assert_eq!(m.get(b"a").unwrap().value, b"2");
+        m.insert(b"a", 4, ValueKind::Delete, b"");
+        assert!(m.get_at(b"a", 0).is_none(), "below its first version a key is absent");
+        assert_eq!(m.get_at(b"a", 1).unwrap().value, b"1");
+        assert_eq!(m.get_at(b"a", 3).unwrap().value, b"2");
+        assert_eq!(m.get_at(b"a", 4).unwrap().kind, ValueKind::Delete);
+        assert!(m.get_at(b"b", 2).is_none());
+        let at = |ceiling| {
+            m.range_at(Bound::Unbounded, Bound::Unbounded, ceiling)
+                .map(|e| (e.key.to_vec(), e.seqno))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(at(2), vec![(b"a".to_vec(), 2)]);
+        assert_eq!(at(3), vec![(b"a".to_vec(), 2), (b"b".to_vec(), 3)]);
+        assert_eq!(at(u64::MAX), vec![(b"a".to_vec(), 4), (b"b".to_vec(), 3)]);
+    }
+
+    /// Random puts, deletes and rewrites over a small keyspace, read back
+    /// at random ceilings, must equal a `BTreeMap<(key, seqno)>` model of
+    /// every version. The flush trigger's inputs must answer as a buffer
+    /// that overwrote in place did: `bytes()` sums the latest versions'
+    /// entry costs, `len()` counts distinct keys, and `is_full()` fires on
+    /// either of those bytes or eight times the budget written in.
+    #[test]
+    fn random_versions_read_at_random_ceilings_match_a_model() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        use std::collections::BTreeMap;
+
+        type Model = BTreeMap<(Vec<u8>, u64), (ValueKind, Vec<u8>)>;
+        /// The newest version of `key` at or below `ceiling` in the model.
+        fn model_at<'m>(model: &'m Model, key: &[u8], ceiling: u64) -> Option<(u64, &'m (ValueKind, Vec<u8>))> {
+            model
+                .range((key.to_vec(), 0)..=(key.to_vec(), ceiling))
+                .next_back()
+                .map(|((_, s), v)| (*s, v))
+        }
+
+        let mut rng = StdRng::seed_from_u64(0x3E3_7AB1E);
+        for round in 0..40 {
+            let keyspace = rng.gen_range(1u32..120);
+            let ops = rng.gen_range(0usize..1500);
+            let budget = rng.gen_range(256usize..20_000);
+            let mut m = Memtable::new();
+            let mut model = Model::new();
+            // the in-place buffer's accounting: latest version per key
+            let mut latest: BTreeMap<Vec<u8>, usize> = BTreeMap::new();
+            let mut written = 0usize;
+            for seqno in 1..=ops as u64 {
+                let key = format!("k{:03}", rng.gen_range(0..keyspace)).into_bytes();
+                let (kind, value) = if rng.gen_bool(0.2) {
+                    (ValueKind::Delete, Vec::new())
+                } else {
+                    (ValueKind::Put, vec![seqno as u8; rng.gen_range(0..40)])
+                };
+                m.insert(&key, seqno, kind, &value);
+                let cost = key.len() + value.len() + 24;
+                written += cost;
+                latest.insert(key.clone(), cost);
+                model.insert((key, seqno), (kind, value));
+                let bytes: usize = latest.values().sum();
+                assert_eq!(m.bytes(), bytes, "round {round} seqno {seqno}");
+                assert_eq!(m.len(), latest.len(), "round {round} seqno {seqno}");
+                assert_eq!(
+                    m.is_full(budget),
+                    bytes >= budget || written >= budget * WRITTEN_BUDGET_FACTOR,
+                    "round {round} seqno {seqno}"
+                );
+            }
+            for _ in 0..20 {
+                let ceiling = rng.gen_range(0..=ops as u64 + 1);
+                for k in 0..keyspace {
+                    let key = format!("k{k:03}").into_bytes();
+                    let got = m.get_at(&key, ceiling).map(|e| (e.seqno, e.kind, e.value.to_vec()));
+                    let expect = model_at(&model, &key, ceiling).map(|(s, (kind, v))| (s, *kind, v.clone()));
+                    assert_eq!(got, expect, "round {round} key {k} ceiling {ceiling}");
+                }
+                let lo = format!("k{:03}", rng.gen_range(0..keyspace)).into_bytes();
+                let hi = format!("k{:03}", rng.gen_range(0..=keyspace)).into_bytes();
+                let got: Vec<_> = m
+                    .range_at(Bound::Excluded(&lo), Bound::Excluded(&hi), ceiling)
+                    .map(|e| (e.key.to_vec(), e.seqno, e.kind, e.value.to_vec()))
+                    .collect();
+                let keys: std::collections::BTreeSet<&Vec<u8>> =
+                    model.keys().map(|(k, _)| k).filter(|k| **k > lo && **k < hi).collect();
+                let expect: Vec<_> = keys
+                    .into_iter()
+                    .filter_map(|k| {
+                        model_at(&model, k, ceiling).map(|(s, (kind, v))| (k.clone(), s, *kind, v.clone()))
+                    })
+                    .collect();
+                assert_eq!(got, expect, "round {round} range ({lo:?}, {hi:?}) ceiling {ceiling}");
+            }
+        }
     }
 }

@@ -2,13 +2,16 @@
 //! version (or snapshot) of the data — the collection of files that were
 //! active and live at the time the scan began").
 //!
-//! A [`Snapshot`] pins a memtable copy and a [`Version`]; the `Arc`ed
-//! tables keep their files alive even after compactions supersede them
-//! (physical deletion happens when the last reference drops), so a
-//! snapshot stays readable for as long as it is held — without blocking
-//! writers. Its reads run on the engine's own read view
-//! (`crate::db::ReadView`), so they take the same filter, fence and
-//! range-filter shortcuts and feed the same counters.
+//! A [`Snapshot`] is O(1): the handles of the write buffers, a seqno
+//! ceiling and a [`Version`]. The buffers keep every version, so reading
+//! them at the ceiling hides whatever was written after the snapshot was
+//! taken; a flush installs a fresh buffer rather than clear one a handle
+//! still shares. The `Arc`ed tables keep their files alive even after
+//! compactions supersede them (physical deletion happens when the last
+//! reference drops), so a snapshot stays readable for as long as it is
+//! held — without blocking writers. Its reads run on the engine's own
+//! read view (`crate::db::ReadView`), so they take the same filter, fence
+//! and range-filter shortcuts and feed the same counters.
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -17,17 +20,19 @@ use std::sync::Arc;
 use lsm_cache::ShardedCache;
 use lsm_storage::{Block, StorageDevice, StorageResult};
 
-use crate::db::{resolve_stored, ReadView, Resolver, TableView};
-use crate::memtable::Memtable;
+use crate::db::{resolve_stored, ReadView, Resolver, SharedMemtable, TableView};
 use crate::stats::DbStats;
 use crate::version::Version;
 
 /// An immutable point-in-time view of the database.
 pub struct Snapshot {
-    pub(crate) mem: Memtable,
+    /// The active write buffer at snapshot time, shared with the engine.
+    pub(crate) mem: SharedMemtable,
     /// Frozen memtable awaiting flush at snapshot time (`Threaded` mode);
     /// older than `mem`, younger than every sorted run.
-    pub(crate) imm: Option<Arc<Memtable>>,
+    pub(crate) imm: Option<SharedMemtable>,
+    /// Newest seqno the snapshot sees in `mem` and `imm`.
+    pub(crate) ceiling: u64,
     pub(crate) version: Arc<Version>,
     pub(crate) cache: Option<Arc<ShardedCache<Block>>>,
     pub(crate) device: Arc<dyn StorageDevice>,
@@ -64,7 +69,8 @@ impl Snapshot {
     fn view<'a>(&'a self, resolve: Resolver<'a>) -> ReadView<'a> {
         ReadView {
             mem: &self.mem,
-            imm: self.imm.as_deref(),
+            imm: self.imm.as_ref(),
+            ceiling: self.ceiling,
             tables: TableView {
                 version: &self.version,
                 cache: self.cache.as_ref(),

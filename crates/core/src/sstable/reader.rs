@@ -96,6 +96,18 @@ impl Locator {
         }
     }
 
+    /// The first block a forward scan from `start` reads: the first whose
+    /// fence (last key) is ≥ `start`, `fences.len()` when there is none.
+    /// Fence pointers answer from their flat prefix array; the sampled
+    /// and learned indexes hold no exact boundaries, so they search the
+    /// table's own fence list.
+    fn first_block_from(&self, start: &[u8], fences: &[Vec<u8>]) -> usize {
+        match self {
+            Locator::Fence(f) => f.locate_lower_bound(start).unwrap_or(fences.len()),
+            Locator::Sparse(_) | Locator::Pla(_) => fences.partition_point(|f| f.as_slice() < start),
+        }
+    }
+
     fn size_bits(&self) -> usize {
         match self {
             Locator::Fence(f) => f.size_bits(),
@@ -504,8 +516,7 @@ impl Table {
         cache: Option<Arc<ShardedCache<Block>>>,
     ) -> StorageResult<TableIterator> {
         self.accesses.fetch_add(1, Ordering::Relaxed);
-        // first block whose fence (last key) ≥ start
-        let block_idx = self.meta.fences.partition_point(|f| f.as_slice() < start);
+        let block_idx = self.locator.first_block_from(start, &self.meta.fences);
         let mut iter = TableIterator {
             table: Arc::clone(self),
             cache,

@@ -13,8 +13,9 @@
 //!
 //! ## Protocol
 //!
-//! 1. **Begin** pins a snapshot and registers its sequence floor
-//!    (`next_seqno - 1`) under the engine write lock. From that moment
+//! 1. **Begin** pins a snapshot — O(1): the write buffers' handles and a
+//!    seqno ceiling — and registers its sequence floor (`next_seqno - 1`,
+//!    the same ceiling) under the engine write lock. From that moment
 //!    every committed write records `key → seqno` into an OCC side map —
 //!    the map is only maintained while transactions are live, so the
 //!    plain write path pays a single branch when none are.

@@ -10,8 +10,11 @@
 //!   heap allocations through [`Db::get_with`] / [`Db::get_into`];
 //! - a scan's allocation cost is its *setup* only — independent of how
 //!   many entries it visits;
-//! - that setup is O(sources + limit): it copies only as much of the
-//!   write buffers as the result can use, however full they are;
+//! - that setup is O(sources + one chunk): each write buffer's cursor
+//!   copies one chunk up front and more only as the merge drains it,
+//!   however full the buffer is and whatever the limit;
+//! - a snapshot shares the write buffers by handle: taking one costs
+//!   the same at any buffer fill;
 //! - steady-state puts stay within a small constant of allocations per
 //!   operation (memtable arena + WAL scratch reuse);
 //! - building a table, alone or as a merge's output, allocates per data
@@ -211,8 +214,8 @@ fn scan_allocation_cost_is_setup_only() {
 }
 
 /// "O(sources), not O(memtable)": a short scan to a far `end` copies only
-/// the stretch of the write buffer its rows can come from (the prefix
-/// rule, `ReadView::sources`), so neither its allocation count nor its
+/// the stretch of the write buffer its rows can come from (the buffer
+/// cursor, `ReadView::sources`), so neither its allocation count nor its
 /// allocated bytes may depend on how full the buffer is.
 #[test]
 fn short_scan_setup_does_not_grow_with_the_memtable() {
@@ -257,6 +260,64 @@ fn short_scan_setup_does_not_grow_with_the_memtable() {
         costs[..2],
         costs[2..],
         "(limit, allocations) at 10 % vs 90 % fill: scan set-up grew with the memtable"
+    );
+}
+
+/// The buffer cursor copies a chunk, not `limit` entries: over a write
+/// buffer that is sparse in the scanned range (one rewrite per 64 keys,
+/// so one chunk of it spans more than 500 rows of the runs), a 50-row and
+/// a 500-row scan each copy one chunk and allocate the same bytes.
+#[test]
+fn a_short_scan_copies_one_chunk_of_a_sparse_buffer_whatever_its_limit() {
+    let _g = lock();
+    let db = warm_db(20_000);
+    let flushes = db.stats().snapshot().flushes;
+    for i in (0..20_000u32).step_by(64) {
+        db.put(key(i), value(i + 1)).unwrap();
+    }
+    assert_eq!(db.stats().snapshot().flushes, flushes, "the buffer must hold the rewrites");
+    let scan_cost = |limit: usize| {
+        count_allocs_and_bytes(|| {
+            let n = db.scan_with(&key(0), &key(20_000), limit, |_, _| {}).unwrap();
+            assert_eq!(n, limit);
+        })
+    };
+    // warm lazily-grown scratch for both shapes
+    scan_cost(50);
+    scan_cost(500);
+    let (short_allocs, short_bytes) = scan_cost(50);
+    let (long_allocs, long_bytes) = scan_cost(500);
+    assert_eq!(
+        (short_allocs, short_bytes),
+        (long_allocs, long_bytes),
+        "(allocations, bytes) of a 50-row vs a 500-row scan: the buffer copy grew with the limit"
+    );
+}
+
+/// A snapshot is the buffers' handles plus a seqno ceiling: taking one
+/// allocates the same at 10 % and at 90 % buffer fill (a copy of the
+/// buffer would allocate ≈ 100 KiB vs ≈ 900 KiB).
+#[test]
+fn a_snapshot_costs_the_same_at_any_buffer_fill() {
+    let _g = lock();
+    let db = Db::open_in_memory(inline_config()).unwrap();
+    let mut filled = 0u32;
+    let mut costs = Vec::new();
+    for entries in [1_600u32, 14_500] {
+        for i in filled..entries {
+            db.put(key(i), value(i)).unwrap();
+        }
+        filled = entries;
+        assert_eq!(db.stats().snapshot().flushes, 0, "the buffer must hold the fill");
+        drop(db.snapshot().unwrap()); // warm
+        costs.push(count_allocs_and_bytes(|| {
+            let snap = db.snapshot().unwrap();
+            assert_eq!(snap.get(&key(7)).unwrap(), Some(value(7)));
+        }));
+    }
+    assert_eq!(
+        costs[0], costs[1],
+        "(allocations, bytes) of a snapshot at 10 % vs 90 % fill: the snapshot copies the buffer"
     );
 }
 

@@ -813,18 +813,17 @@ fn singles_and_one_op_batches_write_identical_bytes() {
 /// The regression: rewriting one key grows the memtable arena and the WAL
 /// but never the *logical* byte count, so a trigger on logical bytes alone
 /// never flushed — the WAL was never rotated and the arena grew until its
-/// `u32` offsets wrapped. Same for rewrites the hash front absorbs and for
-/// re-deletes, which do not even grow the arena.
+/// `u32` offsets wrapped. Same for re-deletes, which grow the arena by
+/// their version records only.
 #[test]
 fn a_rewritten_key_still_flushes_and_rotates_the_wal() {
     let rewrites = 100_000u32;
-    let shapes = [("rewrites", 0, true), ("front-absorbed rewrites", 1 << 10, true), ("re-deletes", 0, false)];
+    let shapes = [("rewrites", true), ("re-deletes", false)];
     for background in [BackgroundMode::Inline, BackgroundMode::Threaded] {
-        for (shape, buffer_front_bytes, put) in shapes {
+        for (shape, put) in shapes {
             let cfg = LsmConfig {
                 wal: true,
                 background,
-                buffer_front_bytes,
                 ..LsmConfig::small_for_tests()
             };
             let device: Arc<dyn StorageDevice> =

@@ -178,13 +178,6 @@ proptest! {
         cfg.partitioned_filters = true;
         run_against_model(cfg, &ops);
     }
-
-    #[test]
-    fn two_level_buffer_matches_model(ops in vec(arb_op(), 1..250)) {
-        let mut cfg = tiny(MergeLayout::Leveled, CompactionGranularity::Full);
-        cfg.buffer_front_bytes = 256; // tiny front: frequent spills
-        run_against_model(cfg, &ops);
-    }
 }
 
 // ---------------------------------------------------------------------------

@@ -13,6 +13,12 @@
 //! binary search compares register-width prefixes with no indirection and
 //! touches actual key bytes only on a prefix tie — the cache-friendly
 //! fence layout production engines use.
+//!
+//! The 8 bytes are taken *after* the prefix every fence shares (first
+//! fence vs. last): keys such as `user000000012345` all open with the
+//! same bytes, and prefixes cut from byte 0 would tie on every step. A
+//! probe that does not carry the shared prefix lies below or above every
+//! fence, which one compare decides.
 
 use std::cmp::Ordering;
 
@@ -37,7 +43,10 @@ pub struct FencePointers {
     bytes: Vec<u8>,
     /// `offsets[i]..offsets[i+1]` bounds key `i`; length is `blocks + 1`.
     offsets: Vec<u32>,
-    /// 8-byte big-endian prefix of each key — the binary search's hot array.
+    /// Length of the prefix every fence shares: `bytes[..shared]`.
+    shared: usize,
+    /// Big-endian prefix of the 8 bytes after the shared prefix of each
+    /// key — the binary search's hot array.
     prefixes: Vec<u64>,
 }
 
@@ -49,16 +58,23 @@ impl FencePointers {
         let mut bytes = Vec::with_capacity(total);
         let mut offsets = Vec::with_capacity(last_keys.len() + 1);
         let mut prefixes = Vec::with_capacity(last_keys.len());
+        // every key between the first and the last fence shares their
+        // common prefix, so the fences in between do too
+        let shared = match (last_keys.first(), last_keys.last()) {
+            (Some(a), Some(b)) => a.iter().zip(b).take_while(|(x, y)| x == y).count(),
+            _ => 0,
+        };
         offsets.push(0u32);
         for k in &last_keys {
             bytes.extend_from_slice(k);
             offsets.push(bytes.len() as u32);
-            prefixes.push(prefix8(k));
+            prefixes.push(prefix8(&k[shared..]));
         }
         FencePointers {
             first_key,
             bytes,
             offsets,
+            shared,
             prefixes,
         }
     }
@@ -70,9 +86,17 @@ impl FencePointers {
     /// First fence index whose key is ≥ `key` (i.e. the block that would
     /// hold `key`); `num_blocks()` when every fence is smaller.
     fn lower_bound(&self, key: &[u8]) -> usize {
-        let kp = prefix8(key);
+        let n = self.prefixes.len();
+        // the fences' shared prefix, if any, decides a probe that lacks it
+        let head = &key[..key.len().min(self.shared)];
+        match head.cmp(&self.bytes[..self.shared]) {
+            Ordering::Less => return 0,
+            Ordering::Greater => return n,
+            Ordering::Equal => {}
+        }
+        let kp = prefix8(&key[self.shared..]);
         let mut lo = 0usize;
-        let mut len = self.prefixes.len();
+        let mut len = n;
         while len > 0 {
             let half = len / 2;
             let mid = lo + half;
@@ -221,6 +245,56 @@ mod tests {
         }
         assert_eq!(f.locate(b"sameprefix0007x"), Some(8));
         assert_eq!(f.locate(b"sameprefix9999"), None);
+    }
+
+    /// Every fence opens with the same 10 bytes (`user000000`, the shape
+    /// of this repo's workload keys): `locate` and the lower bound must
+    /// answer as a linear scan over the fences does, for probes below,
+    /// inside and above the run, and for probes that leave the shared
+    /// prefix on either side or stop inside it.
+    #[test]
+    fn a_shared_prefix_answers_as_a_linear_model() {
+        let fences: Vec<Vec<u8>> = (0..40u32)
+            .map(|i| format!("user000000{:06}", 10_000 + i * 24_000).into_bytes())
+            .collect();
+        let first = b"user000000005000".to_vec();
+        let f = FencePointers::new(first.clone(), fences.clone());
+        assert_eq!(f.shared, 10);
+        let linear_lower = |k: &[u8]| fences.iter().position(|fence| fence.as_slice() >= k);
+        let linear_locate = |k: &[u8]| {
+            if k < first.as_slice() || k > fences.last().unwrap().as_slice() {
+                None
+            } else {
+                linear_lower(k)
+            }
+        };
+        let mut probes: Vec<Vec<u8>> = (0..1_000_000u32)
+            .step_by(997)
+            .map(|i| format!("user000000{i:06}").into_bytes())
+            .collect();
+        probes.extend(fences.iter().cloned());
+        probes.extend(fences.iter().map(|k| [k.as_slice(), b"\0"].concat()));
+        for outside in [
+            &b""[..],
+            b"a",
+            b"user",
+            b"user00000",
+            b"user000000",
+            b"user0000000",
+            b"user00000/999999",
+            b"user000001",
+            b"user000001000000",
+            b"user0000009",
+            b"user1",
+            b"zzz",
+            b"user000000\xff",
+        ] {
+            probes.push(outside.to_vec());
+        }
+        for k in &probes {
+            assert_eq!(f.locate(k), linear_locate(k), "locate {:?}", String::from_utf8_lossy(k));
+            assert_eq!(f.locate_lower_bound(k), linear_lower(k), "lower bound {:?}", String::from_utf8_lossy(k));
+        }
     }
 
     #[test]

@@ -33,6 +33,13 @@ cargo test -q --workspace
 stage "LSM_BACKGROUND=threaded cargo test -q --workspace"
 LSM_BACKGROUND=threaded cargo test -q --workspace
 
+stage "write-buffer handle/ceiling protocol: paused scan, snapshot and txn, 20 runs under LSM_BACKGROUND=threaded"
+# a race between a paused reader's chunk refills and the writers, flushes
+# and compactions it overlaps fails the gate here instead of flaking once
+for _ in $(seq 20); do
+    LSM_BACKGROUND=threaded cargo test -q -p lsm-core --release --test paused_reads
+done
+
 stage "allocation-regression battery (counting allocator + borrowed-vs-owned differential)"
 cargo test -q -p lsm-core --release --test alloc_regression
 LSM_BACKGROUND=threaded cargo test -q -p lsm-core --release --test alloc_regression
