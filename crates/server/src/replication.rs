@@ -31,7 +31,8 @@
 //! - `seq <= A`: duplicate — ack `A` without applying (idempotent);
 //! - `seq == A + 1`: decode **all** ops first (malformed ops reject the
 //!   whole batch, nothing half-applies), route them to the replica's own
-//!   shards by the same FNV partition, apply via
+//!   shards by its own `ShardSet` (its own shard count and routing,
+//!   whatever the primary's layout), apply via
 //!   `Db::write_batch_replicated`, sync every shard that received ops,
 //!   then advance `A` and ack;
 //! - `seq > A + 1`: gap — typed error, no apply, no watermark motion.

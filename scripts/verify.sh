@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 verification: release build, every workspace test under both
 # background modes (crash sweeps included; a failing sweep's captured
-# output names its LSM_SEED), the experiment registry at full scale
+# output names its LSM_SEED), the crash sweeps again at LSM_SEED=1 in
+# both modes, the experiment registry at full scale
 # (claims + freshness of the tracked tables), the benchmark package's own
 # build and tests, warning-free rustdoc, and lint-clean clippy.
 # CI runs exactly this script; run it locally before pushing.
@@ -32,6 +33,14 @@ cargo test -q --workspace
 
 stage "LSM_BACKGROUND=threaded cargo test -q --workspace"
 LSM_BACKGROUND=threaded cargo test -q --workspace
+
+stage "crash sweeps at LSM_SEED=1, both modes: every scenario under crash, torn write and bit flip"
+# the stages above ran the default seeds; another seed moves every bit
+# flip and, in the server scenarios, the scripted workload itself
+for mode in inline threaded; do
+    LSM_SEED=1 LSM_BACKGROUND=$mode cargo test -q --test crash_recovery --test concurrent_crash \
+        --test txn_crash --test retune_crash --test migration_crash --test replication_crash
+done
 
 stage "write-buffer handle/ceiling protocol: paused scan, snapshot and txn, 20 runs under LSM_BACKGROUND=threaded"
 # a race between a paused reader's chunk refills and the writers, flushes

@@ -24,26 +24,22 @@
 //! the post-crash disk image. Only then is the device healed and the
 //! database reopened.
 
-use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use lsm_core::config::KvSeparation;
 use lsm_core::manifest::{find_record, write_manifest, ManifestState, MANIFEST_MAGIC};
-use lsm_core::{Db, LsmConfig};
+use lsm_core::{BackgroundMode, Db, LsmConfig};
 use lsm_storage::{
     DeviceProfile, FaultDevice, FaultKind, FileId, IoCategory, MemDevice, RetryDevice,
     RetryPolicy, StorageDevice, StorageError, WritableFile,
 };
+use lsm_testkit::{check_db, erased, fault_device, seed, sweep, synced, Shadow};
 
 use proptest::prelude::*;
 
 // ---------------------------------------------------------------------
 // Harness
 // ---------------------------------------------------------------------
-
-/// Seed for the scripted sweeps; each case folds in its ordinal so
-/// bit-flip positions vary across cases while staying reproducible.
-const SWEEP_SEED: u64 = 0xC0FF_EE00;
 
 /// Number of operations in the scripted workload. Sized so the workload
 /// crosses several flushes, at least one compaction, and multiple WAL
@@ -58,7 +54,7 @@ fn small_cfg() -> LsmConfig {
         buffer_bytes: 2 << 10,
         // The sweep schedules faults at exact I/O ordinals, which only
         // line up when maintenance runs inline on the writer's stack.
-        background: lsm_core::BackgroundMode::Inline,
+        background: BackgroundMode::Inline,
         ..LsmConfig::small_for_tests()
     }
 }
@@ -72,200 +68,64 @@ fn kv_cfg() -> LsmConfig {
     }
 }
 
-/// Fresh in-memory device (matching the config's 512-byte blocks) behind
-/// a fault injector.
-fn fault_device(seed: u64) -> Arc<FaultDevice> {
-    let mem: Arc<dyn StorageDevice> = Arc::new(MemDevice::new(512, DeviceProfile::free()));
-    Arc::new(FaultDevice::new(mem, seed))
-}
-
-/// Upcasts for `Db::open`, which takes the erased device type.
-fn erased(dev: &Arc<FaultDevice>) -> Arc<dyn StorageDevice> {
-    Arc::clone(dev) as Arc<dyn StorageDevice>
-}
-
-/// Model of what the database may legally contain after a crash.
-///
-/// `acked` holds the last acknowledged state per key (`Some(v)` = live
-/// value, `None` = acknowledged delete). `maybe` holds the states of
-/// writes that were *attempted* but never acknowledged; any of them — or
-/// the acked base state — may surface after recovery. An acknowledgment
-/// clears the key's `maybe` set: with a single crash point, every failed
-/// attempt strictly follows the last successful one, so an earlier
-/// unacked state can never shadow a later acked one.
-#[derive(Default)]
-struct Shadow {
-    acked: BTreeMap<Vec<u8>, Option<Vec<u8>>>,
-    maybe: BTreeMap<Vec<u8>, BTreeSet<Option<Vec<u8>>>>,
-}
-
-impl Shadow {
-    fn attempt(&mut self, key: &[u8], value: Option<Vec<u8>>) {
-        self.maybe.entry(key.to_vec()).or_default().insert(value);
-    }
-
-    fn ack(&mut self, key: &[u8], value: Option<Vec<u8>>) {
-        self.acked.insert(key.to_vec(), value);
-        self.maybe.remove(key);
-    }
-
-    /// Legal post-recovery states for `key`. A key that was never acked
-    /// defaults to absent (`None`).
-    fn allowed(&self, key: &[u8]) -> BTreeSet<Option<Vec<u8>>> {
-        let mut states = BTreeSet::new();
-        states.insert(self.acked.get(key).cloned().unwrap_or(None));
-        if let Some(m) = self.maybe.get(key) {
-            states.extend(m.iter().cloned());
-        }
-        states
-    }
-
-    /// Every key the workload ever touched.
-    fn keys(&self) -> BTreeSet<Vec<u8>> {
-        self.acked.keys().chain(self.maybe.keys()).cloned().collect()
-    }
-}
-
-/// Applies one write (`Some` = put, `None` = delete) and records the
-/// outcome in the shadow. The attempt is recorded *before* the op runs:
-/// if the device dies mid-write the state is ambiguous either way.
-fn apply_op(db: &Db, shadow: &mut Shadow, key: Vec<u8>, value: Option<Vec<u8>>) {
-    shadow.attempt(&key, value.clone());
-    let op_ok = match &value {
-        Some(v) => db.put(key.clone(), v.clone()).is_ok(),
-        None => db.delete(key.clone()).is_ok(),
-    };
-    // Acknowledged ⟺ the op succeeded AND the WAL tail reached the device.
-    if op_ok && db.sync().is_ok() {
-        shadow.ack(&key, value);
-    }
-}
-
-/// Deterministic mixed workload: 23 hot keys, varying value sizes,
-/// periodic deletes. Every op is individually synced so the
-/// acknowledged/unacknowledged boundary is exact.
-fn scripted_workload(db: &Db, shadow: &mut Shadow, ops: usize) {
-    for i in 0..ops {
-        let key = format!("key{:03}", (i * 17) % 23).into_bytes();
-        if i % 7 == 3 {
-            apply_op(db, shadow, key, None);
-        } else {
-            let len = 16 + (i * 13) % 90;
-            let value = vec![b'a' + (i % 26) as u8; len];
-            apply_op(db, shadow, key, Some(value));
-        }
-    }
-}
-
-/// Checks the reopened database against the shadow: every touched key
-/// must read one of its legal states, and a full scan must agree exactly
-/// with the point reads.
-fn verify(db: &Db, shadow: &Shadow, context: &str) {
-    let mut expected_scan: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
-    for key in shadow.keys() {
-        let got = db
-            .get(&key)
-            .unwrap_or_else(|e| panic!("{context}: get {:?} failed: {e}", String::from_utf8_lossy(&key)));
-        let allowed = shadow.allowed(&key);
-        assert!(
-            allowed.contains(&got),
-            "{context}: key {:?} read {:?}, but only {} states are legal \
-             (acked {:?}, {} unacked attempts)",
-            String::from_utf8_lossy(&key),
-            got.as_ref().map(|v| v.len()),
-            allowed.len(),
-            shadow.acked.get(&key).map(|v| v.as_ref().map(|v| v.len())),
-            shadow.maybe.get(&key).map_or(0, |m| m.len()),
-        );
-        if let Some(v) = got {
-            expected_scan.push((key, v));
-        }
-    }
-    let scanned = db
-        .scan(b"key".to_vec()..b"kez".to_vec(), usize::MAX)
-        .unwrap_or_else(|e| panic!("{context}: scan failed: {e}"));
-    assert_eq!(scanned, expected_scan, "{context}: scan disagrees with point gets");
-}
-
-/// Runs the scripted workload fault-free and returns how many I/O
-/// ordinals it consumes; the crash sweeps fault every one of them.
-fn clean_run_total(cfg: &LsmConfig, ops: usize) -> u64 {
-    let fault = fault_device(SWEEP_SEED);
-    let db = Db::open(erased(&fault), cfg.clone()).expect("clean open");
-    let mut shadow = Shadow::default();
-    scripted_workload(&db, &mut shadow, ops);
-    drop(db);
-    // Sanity: with no faults, every op must have been acknowledged.
-    assert!(shadow.maybe.is_empty(), "fault-free run left unacked ops");
-    fault.ops_performed()
-}
-
-/// One crash case: schedule `kind` at I/O ordinal `at`, run the scripted
-/// workload (tolerating typed errors), drop the handle while the device
-/// is dead, heal, reopen, and verify the shadow contract.
-fn crash_case(cfg: &LsmConfig, at: u64, kind: FaultKind, ops: usize) {
-    let fault = fault_device(SWEEP_SEED ^ at);
-    fault.schedule(at, kind.clone());
-
-    let mut shadow = Shadow::default();
-    // An `Err` means the fault fired inside open itself — a typed error,
-    // never a panic, is the whole contract there.
-    if let Ok(db) = Db::open(erased(&fault), cfg.clone()) {
-        scripted_workload(&db, &mut shadow, ops);
-        // Process death: destructors run against the dead device.
+/// Sweeps the scripted workload under `cfg`: a fault of every kind at
+/// every I/O ordinal it performs (WAL appends, memtable flushes,
+/// compaction reads/writes and manifest rewrites all included). Each
+/// case tolerates typed errors, drops the handle while the device is dead
+/// (process death: destructors run against the dead device), heals,
+/// reopens and checks the shadow contract. Inline maintenance makes the
+/// I/O sequence deterministic, so every scheduled fault must fire.
+fn script_sweep(scenario: &str, cfg: LsmConfig) {
+    let seed = seed(0xC0FF_EE00);
+    let clean = || {
+        let fault = fault_device(seed);
+        let db = Db::open(erased(&fault), cfg.clone()).expect("clean open");
+        let mut shadow = Shadow::default();
+        shadow.script(0..SCRIPT_OPS, 0, |k, v| synced(&db, k, v));
         drop(db);
-    }
-    assert!(
-        fault.pending_faults().is_empty(),
-        "fault at ordinal {at} never fired (only {} I/Os ran); case is vacuous",
-        fault.ops_performed(),
-    );
-
-    fault.heal();
-    let db = Db::open(erased(&fault), cfg.clone())
-        .unwrap_or_else(|e| panic!("reopen after {kind:?} at ordinal {at} failed: {e}"));
-    verify(&db, &shadow, &format!("{kind:?} at ordinal {at}"));
+        assert!(shadow.maybe.is_empty(), "fault-free run left unacked ops");
+        vec![fault.ops_performed()]
+    };
+    sweep(scenario, seed, cfg.background, &[("device", 101)], clean, |case| {
+        let fault = case.armed(seed);
+        let mut shadow = Shadow::default();
+        // An `Err` means the fault fired inside open itself — a typed
+        // error, never a panic, is the whole contract there.
+        if let Ok(db) = Db::open(erased(&fault), cfg.clone()) {
+            shadow.script(0..SCRIPT_OPS, 0, |k, v| synced(&db, k, v));
+            drop(db);
+        }
+        assert!(
+            fault.pending_faults().is_empty(),
+            "{case} never fired (only {} I/Os ran); case is vacuous",
+            fault.ops_performed(),
+        );
+        fault.heal();
+        let db = Db::open(erased(&fault), cfg.clone())
+            .unwrap_or_else(|e| panic!("reopen after {case} failed: {e}"));
+        check_db(&db, &shadow, &case.to_string());
+        true
+    });
 }
 
 // ---------------------------------------------------------------------
-// Crash sweeps: a fault at every I/O point
+// Fault sweeps: every kind at every I/O point
 // ---------------------------------------------------------------------
 
-/// The tentpole sweep: crash the device at *every* append-or-read ordinal
-/// the workload performs — WAL appends, memtable flushes, compaction
-/// reads/writes, and manifest rewrites all included — and prove that no
+/// The tentpole sweep: a crash, a torn append (recovery must treat the
+/// torn tail as a clean end-of-log, not corruption) and a bit flip at
+/// *every* I/O ordinal the workload performs, proving that no
 /// acknowledged write is lost and recovery never panics.
 #[test]
 fn crash_at_every_io_point_loses_no_acked_write() {
-    let cfg = small_cfg();
-    let total = clean_run_total(&cfg, SCRIPT_OPS);
-    assert!(total > 100, "workload too small to exercise recovery ({total} I/Os)");
-    for at in 0..total {
-        crash_case(&cfg, at, FaultKind::Crash, SCRIPT_OPS);
-    }
+    script_sweep("crash sweep (small)", small_cfg());
 }
 
-/// Same sweep with key-value separation enabled, so crashes also land
+/// Same sweep with key-value separation enabled, so faults also land
 /// between a value-log append and the WAL record that references it.
 #[test]
 fn crash_sweep_with_kv_separation() {
-    let cfg = kv_cfg();
-    let total = clean_run_total(&cfg, SCRIPT_OPS);
-    for at in 0..total {
-        crash_case(&cfg, at, FaultKind::Crash, SCRIPT_OPS);
-    }
-}
-
-/// Torn-write sweep: the append at the fault point persists only a prefix
-/// of its blocks before the device dies. Recovery must treat the torn
-/// tail as a clean end-of-log, not corruption.
-#[test]
-fn torn_write_at_every_other_io_point_recovers() {
-    let cfg = small_cfg();
-    let total = clean_run_total(&cfg, SCRIPT_OPS);
-    for at in (0..total).step_by(2) {
-        crash_case(&cfg, at, FaultKind::TornWrite { keep_blocks: at % 3 }, SCRIPT_OPS);
-    }
+    script_sweep("crash sweep (kv)", kv_cfg());
 }
 
 /// A torn WAL tail is ordinary crash behavior: recovery stops at the tear
@@ -521,18 +381,15 @@ fn lone_bit_flipped_manifest_is_a_typed_error_and_keeps_the_tables() {
 /// the workload sees only `Ok`, and the retries show up in `IoStats`.
 #[test]
 fn transient_errors_are_retried_transparently() {
-    let mem: Arc<dyn StorageDevice> = Arc::new(MemDevice::new(512, DeviceProfile::free()));
-    let fault = Arc::new(FaultDevice::new(mem, 11));
+    let fault = fault_device(11);
     // Spaced further apart than the retry budget (3), so no op ever sees
     // two transients in a row more than it can absorb.
     let scheduled = [2u64, 6, 10, 15, 21, 40, 77];
     for at in scheduled {
         fault.schedule(at, FaultKind::Transient);
     }
-    let retry: Arc<dyn StorageDevice> = Arc::new(RetryDevice::new(
-        Arc::clone(&fault) as Arc<dyn StorageDevice>,
-        RetryPolicy::default(),
-    ));
+    let retry: Arc<dyn StorageDevice> =
+        Arc::new(RetryDevice::new(erased(&fault), RetryPolicy::default()));
 
     let db = Db::open(retry, small_cfg()).unwrap();
     for i in 0..60usize {
@@ -579,13 +436,11 @@ fn random_workload(db: &Db, shadow: &mut Shadow, seed: u64, ops: usize) {
     let mut rng = seed;
     for _ in 0..ops {
         let key = format!("key{:03}", splitmix(&mut rng) % 31).into_bytes();
-        if splitmix(&mut rng).is_multiple_of(5) {
-            apply_op(db, shadow, key, None);
-        } else {
+        let value = (!splitmix(&mut rng).is_multiple_of(5)).then(|| {
             let len = 8 + (splitmix(&mut rng) % 120) as usize;
-            let fill = b'a' + (splitmix(&mut rng) % 26) as u8;
-            apply_op(db, shadow, key, Some(vec![fill; len]));
-        }
+            vec![b'a' + (splitmix(&mut rng) % 26) as u8; len]
+        });
+        shadow.write(key, value, |k, v| synced(db, k, v));
     }
 }
 
@@ -604,7 +459,7 @@ fn random_crash_case(seed: u64, crash_at: u64, kv: bool) {
     fault.heal();
     let db = Db::open(erased(&fault), cfg)
         .unwrap_or_else(|e| panic!("reopen (seed {seed}, crash {crash_at}) failed: {e}"));
-    verify(&db, &shadow, &format!("random seed {seed} crash {crash_at}"));
+    check_db(&db, &shadow, &format!("random seed {seed} crash {crash_at}"));
 }
 
 proptest! {

@@ -16,25 +16,23 @@
 //! readable by an engine whose *config* says otherwise, because readers
 //! trust the per-table footer, never the config.
 //!
+//! A composed sweep runs the same retune while compactions fan out into
+//! sub-compactions (`max_subcompactions = 4`): a fault can land between
+//! shard writes of a merge laid out by a config the crash then discards.
+//!
 //! The maintenance mode follows `LSM_BACKGROUND` (the sweep runs in both
 //! modes under `scripts/verify.sh`) and `LSM_SEED` reseeds the fault
 //! device. A separate Inline-pinned test proves the decision sequence is
 //! deterministic: two identical runs emit byte-identical
 //! `retune`/`retune_observed` event JSON.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use lsm_core::{BackgroundMode, Db, EventKind, LsmConfig};
-use lsm_storage::{DeviceProfile, FaultDevice, FaultKind, MemDevice, StorageDevice};
+use lsm_storage::{DeviceProfile, MemDevice, StorageDevice};
+use lsm_testkit::{check_db, erased, fault_device, no_orphan_tables, seed, sweep, synced, Shadow};
 use lsm_tuner::{Tuner, TunerConfig};
-
-fn sweep_seed() -> u64 {
-    std::env::var("LSM_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0x2E7_0CE5)
-}
 
 /// Engine config; the maintenance mode comes from `LSM_BACKGROUND` via
 /// `small_for_tests`. The 1 KiB buffer forces flushes every ~15 writes,
@@ -62,61 +60,6 @@ fn tuner_for(db: &Db) -> Tuner {
     Tuner::new(db.clone(), cfg)
 }
 
-fn fault_device(seed: u64) -> Arc<FaultDevice> {
-    let mem: Arc<dyn StorageDevice> = Arc::new(MemDevice::new(512, DeviceProfile::free()));
-    Arc::new(FaultDevice::new(mem, seed))
-}
-
-fn erased(dev: &Arc<FaultDevice>) -> Arc<dyn StorageDevice> {
-    Arc::clone(dev) as Arc<dyn StorageDevice>
-}
-
-// ---------------------------------------------------------------------
-// Shadow model (crash_recovery.rs semantics: acked writes must survive,
-// unacked writes are ambiguous, scan must agree with gets)
-// ---------------------------------------------------------------------
-
-#[derive(Default)]
-struct Shadow {
-    acked: BTreeMap<Vec<u8>, Option<Vec<u8>>>,
-    maybe: BTreeMap<Vec<u8>, BTreeSet<Option<Vec<u8>>>>,
-}
-
-impl Shadow {
-    fn attempt(&mut self, key: &[u8], value: Option<Vec<u8>>) {
-        self.maybe.entry(key.to_vec()).or_default().insert(value);
-    }
-
-    fn ack(&mut self, key: &[u8], value: Option<Vec<u8>>) {
-        self.acked.insert(key.to_vec(), value);
-        self.maybe.remove(key);
-    }
-
-    fn allowed(&self, key: &[u8]) -> BTreeSet<Option<Vec<u8>>> {
-        let mut states = BTreeSet::new();
-        states.insert(self.acked.get(key).cloned().unwrap_or(None));
-        if let Some(m) = self.maybe.get(key) {
-            states.extend(m.iter().cloned());
-        }
-        states
-    }
-
-    fn keys(&self) -> BTreeSet<Vec<u8>> {
-        self.acked.keys().chain(self.maybe.keys()).cloned().collect()
-    }
-}
-
-fn apply_op(db: &Db, shadow: &mut Shadow, key: Vec<u8>, value: Option<Vec<u8>>) {
-    shadow.attempt(&key, value.clone());
-    let op_ok = match &value {
-        Some(v) => db.put(key.clone(), v.clone()).is_ok(),
-        None => db.delete(key.clone()).is_ok(),
-    };
-    if op_ok && db.sync().is_ok() {
-        shadow.ack(&key, value);
-    }
-}
-
 // ---------------------------------------------------------------------
 // The scripted phase change
 // ---------------------------------------------------------------------
@@ -125,15 +68,12 @@ fn hot_key(i: usize) -> Vec<u8> {
     format!("key{:03}", (i * 17) % 23).into_bytes()
 }
 
+/// Its own op mix, not the shared script's: the retune digest pins it.
 fn write_phase(db: &Db, shadow: &mut Shadow, start: usize, ops: usize) {
     for i in start..start + ops {
         let key = hot_key(i);
-        if i % 9 == 4 {
-            apply_op(db, shadow, key, None);
-        } else {
-            let len = 16 + (i * 13) % 74;
-            apply_op(db, shadow, key, Some(vec![b'a' + (i % 26) as u8; len]));
-        }
+        let value = (i % 9 != 4).then(|| vec![b'a' + (i % 26) as u8; 16 + (i * 13) % 74]);
+        shadow.write(key, value, |k, v| synced(db, k, v));
     }
 }
 
@@ -167,123 +107,84 @@ fn scripted_run(db: &Db, shadow: &mut Shadow) -> Tuner {
 }
 
 // ---------------------------------------------------------------------
-// Verification
-// ---------------------------------------------------------------------
-
-fn verify(db: &Db, shadow: &Shadow, context: &str) {
-    let mut expected_scan: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
-    for key in shadow.keys() {
-        let got = db.get(&key).unwrap_or_else(|e| {
-            panic!("{context}: get {:?} failed: {e}", String::from_utf8_lossy(&key))
-        });
-        let allowed = shadow.allowed(&key);
-        assert!(
-            allowed.contains(&got),
-            "{context}: key {:?} read {:?}, but only {} states are legal",
-            String::from_utf8_lossy(&key),
-            got.as_ref().map(|v| v.len()),
-            allowed.len(),
-        );
-        if let Some(v) = got {
-            expected_scan.push((key, v));
-        }
-    }
-    let scanned = db
-        .scan(b"key".to_vec()..b"kez".to_vec(), usize::MAX)
-        .unwrap_or_else(|e| panic!("{context}: scan failed: {e}"));
-    assert_eq!(scanned, expected_scan, "{context}: scan disagrees with point gets");
-}
-
-/// Fault-free run; sanity-checks that the script actually provokes a
-/// retune carrying both a policy switch and a bloom reallocation, then
-/// returns the I/O ordinal count that bounds the sweep.
-fn clean_run_total(seed: u64) -> u64 {
-    let fault = fault_device(seed);
-    let db = Db::open(erased(&fault), node_cfg()).expect("clean open");
-    let mut shadow = Shadow::default();
-    let tuner = scripted_run(&db, &mut shadow);
-    assert!(shadow.maybe.is_empty(), "fault-free run left unacked ops");
-    assert!(
-        tuner.decisions() >= 1,
-        "script never provoked a retune; the sweep would not cross one"
-    );
-    let knobs: BTreeSet<&str> = db
-        .drain_events()
-        .iter()
-        .filter_map(|e| match e.kind {
-            EventKind::Retune { knob, .. } => Some(knob),
-            _ => None,
-        })
-        .collect();
-    assert!(
-        knobs.contains("layout") && knobs.contains("bloom_bits"),
-        "retune must carry a policy switch and a bloom reallocation, got {knobs:?}"
-    );
-    db.wait_background_idle();
-    verify(&db, &shadow, "fault-free");
-    drop(db);
-    fault.ops_performed()
-}
-
-/// One case: crash at ordinal `at` somewhere across the retune, drop the
-/// handle while dead (process death), heal, reopen on the *boot* config
-/// (a retune is volatile by design), verify. Returns whether
-/// the fault fired.
-fn crash_case(seed: u64, at: u64) -> bool {
-    let fault = fault_device(seed ^ at);
-    fault.schedule(at, FaultKind::Crash);
-    let mut shadow = Shadow::default();
-    if let Ok(db) = Db::open(erased(&fault), node_cfg()) {
-        let _tuner = scripted_run(&db, &mut shadow);
-        db.wait_background_idle();
-        drop(db);
-    }
-    let fired = fault.pending_faults().is_empty();
-    fault.heal();
-    let db = Db::open(erased(&fault), node_cfg())
-        .unwrap_or_else(|e| panic!("reopen after crash at ordinal {at} failed: {e}"));
-    assert_eq!(
-        *db.effective_config(),
-        node_cfg(),
-        "a retune must not survive a crash (ordinal {at})"
-    );
-    // Tables built under retuned filter params must stay readable on the
-    // boot config: verify reads everything through the footer contract.
-    verify(&db, &shadow, &format!("crash at ordinal {at}"));
-    // The recovered engine accepts a fresh tuner and keeps writing.
-    let mut tuner = tuner_for(&db);
-    db.put(b"post-crash".to_vec(), b"alive".to_vec()).expect("put after recovery");
-    db.sync().expect("sync after recovery");
-    tuner.tick();
-    assert_eq!(db.get(b"post-crash").unwrap(), Some(b"alive".to_vec()));
-    fired
-}
-
-// ---------------------------------------------------------------------
 // Sweeps
 // ---------------------------------------------------------------------
 
+/// Sweeps every I/O ordinal across the scripted retunes under `cfg`. Each
+/// case drops the handle while dead (process death), heals, reopens on
+/// the *boot* config (a retune is volatile by design) and verifies.
+fn retune_sweep(scenario: &str, cfg: LsmConfig) {
+    let seed = seed(0x2E7_0CE5);
+    // Sanity-checks that the script provokes a retune carrying both a
+    // policy switch and a bloom reallocation.
+    let clean = || {
+        let fault = fault_device(seed);
+        let db = Db::open(erased(&fault), cfg.clone()).expect("clean open");
+        let mut shadow = Shadow::default();
+        let tuner = scripted_run(&db, &mut shadow);
+        assert!(shadow.maybe.is_empty(), "fault-free run left unacked ops");
+        assert!(
+            tuner.decisions() >= 1,
+            "script never provoked a retune; the sweep would not cross one"
+        );
+        let knobs: BTreeSet<&str> = db
+            .drain_events()
+            .iter()
+            .filter_map(|e| match e.kind {
+                EventKind::Retune { knob, .. } => Some(knob),
+                _ => None,
+            })
+            .collect();
+        assert!(
+            knobs.contains("layout") && knobs.contains("bloom_bits"),
+            "retune must carry a policy switch and a bloom reallocation, got {knobs:?}"
+        );
+        db.wait_background_idle();
+        check_db(&db, &shadow, "fault-free");
+        drop(db);
+        vec![fault.ops_performed()]
+    };
+    sweep(scenario, seed, cfg.background, &[("device", 101)], clean, |case| {
+        let fault = case.armed(seed);
+        let mut shadow = Shadow::default();
+        if let Ok(db) = Db::open(erased(&fault), cfg.clone()) {
+            let _tuner = scripted_run(&db, &mut shadow);
+            db.wait_background_idle();
+        }
+        let fired = fault.pending_faults().is_empty();
+        fault.heal();
+        let dev = erased(&fault);
+        let db = Db::open(Arc::clone(&dev), cfg.clone())
+            .unwrap_or_else(|e| panic!("reopen after {case} failed: {e}"));
+        assert_eq!(*db.effective_config(), cfg, "a retune must not survive a crash ({case})");
+        // Tables built under retuned filter params must stay readable on
+        // the boot config: the check reads everything through the footer
+        // contract.
+        check_db(&db, &shadow, &case.to_string());
+        // The recovered engine accepts a fresh tuner and keeps writing.
+        let mut tuner = tuner_for(&db);
+        db.put(b"post-crash".to_vec(), b"alive".to_vec()).expect("put after recovery");
+        db.sync().expect("sync after recovery");
+        tuner.tick();
+        assert_eq!(db.get(b"post-crash").unwrap(), Some(b"alive".to_vec()));
+        drop((tuner, db));
+        no_orphan_tables(&dev, &case.to_string());
+        fired
+    });
+}
+
 #[test]
 fn crash_at_every_io_point_across_a_retune() {
-    let seed = sweep_seed();
-    let mode = BackgroundMode::from_env();
-    eprintln!("retune crash sweep: LSM_SEED={seed} mode={}", mode.label());
-    let total = clean_run_total(seed);
-    assert!(total > 100, "workload too small to exercise recovery ({total} I/Os)");
-    let mut fired = 0u64;
-    for at in 0..total {
-        if crash_case(seed, at) {
-            fired += 1;
-        }
-    }
-    eprintln!("retune sweep: {fired}/{total} crash points fired (LSM_SEED={seed})");
-    // Threaded worker timing can shift ordinals so a scheduled fault
-    // never fires; those cases degrade to clean roundtrips (still
-    // verified), but a mostly-vacuous sweep proves nothing.
-    assert!(
-        fired * 2 >= total,
-        "only {fired}/{total} crash points fired; sweep is mostly vacuous (LSM_SEED={seed})"
-    );
+    retune_sweep("retune sweep", node_cfg());
+}
+
+/// The retune composed with parallel compaction: merges
+/// split into up to four sub-compactions while the tuner switches layout
+/// and re-budgets filters.
+#[test]
+fn crash_at_every_io_point_across_a_retune_during_parallel_compaction() {
+    let cfg = LsmConfig { max_subcompactions: 4, ..node_cfg() };
+    retune_sweep("retune + parallel compaction sweep", cfg);
 }
 
 /// Two identical Inline runs must produce byte-identical retune event

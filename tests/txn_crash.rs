@@ -18,27 +18,22 @@
 //!   **and** the following `sync` `Ok`);
 //! * **consistency**: a full scan agrees with point gets.
 //!
-//! The maintenance mode follows `LSM_BACKGROUND` (the sweep runs in both
-//! modes under `scripts/verify.sh`), and `LSM_SEED` reseeds the fault
-//! device; both are printed so failures reproduce.
-
-use std::sync::Arc;
+//! Every fault kind runs at every ordinal. A torn write can leave a
+//! commit that reported failure durable (each commit group fits one
+//! block, so the tear keeps all of it or none); a flipped read must fail
+//! the commit, never bend it. The maintenance mode follows
+//! `LSM_BACKGROUND` (the sweep runs in both modes under
+//! `scripts/verify.sh`), and `LSM_SEED` reseeds the fault device; both
+//! are printed so failures reproduce.
 
 use lsm_core::{Db, LsmConfig, TxnError};
-use lsm_storage::{DeviceProfile, FaultDevice, FaultKind, MemDevice, StorageDevice};
+use lsm_testkit::{erased, fault_device, seed, sweep};
 
 /// Scripted transactions per run.
 const TXNS: usize = 28;
 /// Exclusive keys written by each transaction.
 const KEYS_PER_TXN: usize = 4;
 const CURSOR: &[u8] = b"txn-cursor";
-
-fn sweep_seed() -> u64 {
-    std::env::var("LSM_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0x7C5B_0A11)
-}
 
 /// Engine config; the maintenance mode comes from `LSM_BACKGROUND` via
 /// `small_for_tests`, so one binary sweeps both modes. The 1 KiB buffer
@@ -50,15 +45,6 @@ fn node_cfg() -> LsmConfig {
         buffer_bytes: 1 << 10,
         ..LsmConfig::small_for_tests()
     }
-}
-
-fn fault_device(seed: u64) -> Arc<FaultDevice> {
-    let mem: Arc<dyn StorageDevice> = Arc::new(MemDevice::new(512, DeviceProfile::free()));
-    Arc::new(FaultDevice::new(mem, seed))
-}
-
-fn erased(dev: &Arc<FaultDevice>) -> Arc<dyn StorageDevice> {
-    Arc::clone(dev) as Arc<dyn StorageDevice>
 }
 
 fn txn_key(t: usize, m: usize) -> Vec<u8> {
@@ -165,61 +151,39 @@ fn verify(db: &Db, acked: usize, context: &str) {
     assert_eq!(scanned, expected_scan, "{context}: scan disagrees with point gets");
 }
 
-/// Fault-free run; its I/O count bounds the sweep range.
-fn clean_run_total(seed: u64) -> u64 {
-    let fault = fault_device(seed);
-    let db = Db::open(erased(&fault), node_cfg()).expect("clean open");
-    let acked = scripted_txns(&db);
-    assert_eq!(acked, TXNS, "fault-free run must ack every commit");
-    db.wait_background_idle();
-    verify(&db, acked, "fault-free");
-    drop(db);
-    fault.ops_performed()
-}
-
-/// One case: crash at ordinal `at`, drop the handle while dead (process
-/// death), heal, reopen, verify. Returns whether the fault fired.
-fn crash_case(seed: u64, at: u64) -> bool {
-    let fault = fault_device(seed ^ at);
-    fault.schedule(at, FaultKind::Crash);
-    let mut acked = 0;
-    if let Ok(db) = Db::open(erased(&fault), node_cfg()) {
-        acked = scripted_txns(&db);
-        db.wait_background_idle();
-        drop(db);
-    }
-    let fired = fault.pending_faults().is_empty();
-    fault.heal();
-    let db = Db::open(erased(&fault), node_cfg())
-        .unwrap_or_else(|e| panic!("reopen after crash at ordinal {at} failed: {e}"));
-    verify(&db, acked, &format!("crash at ordinal {at}"));
-    // recovered engine keeps committing transactions
-    let mut txn = db.begin_txn().expect("begin after recovery");
-    txn.put(b"post-crash".to_vec(), b"alive".to_vec());
-    txn.commit().expect("commit after recovery");
-    assert_eq!(db.get(b"post-crash").unwrap(), Some(b"alive".to_vec()));
-    fired
-}
-
 #[test]
 fn crash_at_every_io_point_during_txn_commits() {
-    let seed = sweep_seed();
+    let seed = seed(0x7C5B_0A11);
     let mode = lsm_core::BackgroundMode::from_env();
-    eprintln!("txn crash sweep: LSM_SEED={seed} mode={}", mode.label());
-    let total = clean_run_total(seed);
-    assert!(total > 100, "workload too small to exercise recovery ({total} I/Os)");
-    let mut fired = 0u64;
-    for at in 0..total {
-        if crash_case(seed, at) {
-            fired += 1;
+    let clean = || {
+        let fault = fault_device(seed);
+        let db = Db::open(erased(&fault), node_cfg()).expect("clean open");
+        let acked = scripted_txns(&db);
+        assert_eq!(acked, TXNS, "fault-free run must ack every commit");
+        db.wait_background_idle();
+        verify(&db, acked, "fault-free");
+        drop(db);
+        vec![fault.ops_performed()]
+    };
+    // One case: fault at `at`, drop the handle while dead (process
+    // death), heal, reopen, verify.
+    sweep("txn sweep", seed, mode, &[("device", 101)], clean, |case| {
+        let fault = case.armed(seed);
+        let mut acked = 0;
+        if let Ok(db) = Db::open(erased(&fault), node_cfg()) {
+            acked = scripted_txns(&db);
+            db.wait_background_idle();
         }
-    }
-    eprintln!("txn sweep: {fired}/{total} crash points fired (LSM_SEED={seed})");
-    // threaded worker timing can shift ordinals so a scheduled fault
-    // never fires; those cases degrade to clean roundtrips (still
-    // verified), but a mostly-vacuous sweep proves nothing
-    assert!(
-        fired * 2 >= total,
-        "only {fired}/{total} crash points fired; sweep is mostly vacuous (LSM_SEED={seed})"
-    );
+        let fired = fault.pending_faults().is_empty();
+        fault.heal();
+        let db = Db::open(erased(&fault), node_cfg())
+            .unwrap_or_else(|e| panic!("reopen after {case} failed: {e}"));
+        verify(&db, acked, &case.to_string());
+        // recovered engine keeps committing transactions
+        let mut txn = db.begin_txn().expect("begin after recovery");
+        txn.put(b"post-crash".to_vec(), b"alive".to_vec());
+        txn.commit().expect("commit after recovery");
+        assert_eq!(db.get(b"post-crash").unwrap(), Some(b"alive".to_vec()));
+        fired
+    });
 }
