@@ -2,21 +2,21 @@
 //! linked list with a circular scan over reference bits — cheaper
 //! bookkeeping per hit (one bit set) at the cost of approximate recency.
 
-use std::collections::HashMap;
+use std::collections::hash_map::Entry;
 
-use crate::traits::{CacheKey, CacheShard};
+use crate::traits::{CacheKey, CacheShard, KeyMap};
 
 struct Slot<V> {
     key: CacheKey,
-    value: V,
+    /// `None` = a vacant slot: an entry's value drops when it leaves.
+    value: Option<V>,
     charge: usize,
     referenced: bool,
-    occupied: bool,
 }
 
 /// A CLOCK cache shard.
 pub struct ClockShard<V> {
-    map: HashMap<CacheKey, usize>,
+    map: KeyMap<usize>,
     slots: Vec<Slot<V>>,
     hand: usize,
     used: usize,
@@ -27,7 +27,7 @@ impl<V: Clone + Send> ClockShard<V> {
     /// Shard with the given capacity in charge units.
     pub fn new(capacity: usize) -> Self {
         ClockShard {
-            map: HashMap::new(),
+            map: KeyMap::default(),
             slots: Vec::new(),
             hand: 0,
             used: 0,
@@ -48,13 +48,13 @@ impl<V: Clone + Send> ClockShard<V> {
             let i = self.hand % self.slots.len();
             self.hand = (self.hand + 1) % self.slots.len();
             let slot = &mut self.slots[i];
-            if !slot.occupied {
+            if slot.value.is_none() {
                 continue;
             }
             if slot.referenced {
                 slot.referenced = false;
             } else {
-                slot.occupied = false;
+                slot.value = None;
                 self.used -= slot.charge;
                 self.map.remove(&slot.key);
                 return true;
@@ -63,28 +63,20 @@ impl<V: Clone + Send> ClockShard<V> {
         false
     }
 
-    fn alloc_slot(&mut self, key: CacheKey, value: V, charge: usize) -> usize {
-        // reuse a vacant slot if any
-        for (i, s) in self.slots.iter().enumerate() {
-            if !s.occupied {
-                self.slots[i] = Slot {
-                    key,
-                    value,
-                    charge,
-                    referenced: false,
-                    occupied: true,
-                };
-                return i;
-            }
-        }
-        self.slots.push(Slot {
+    fn alloc_slot(slots: &mut Vec<Slot<V>>, key: CacheKey, value: V, charge: usize) -> usize {
+        let slot = Slot {
             key,
-            value,
+            value: Some(value),
             charge,
             referenced: false,
-            occupied: true,
-        });
-        self.slots.len() - 1
+        };
+        // reuse a vacant slot if any
+        if let Some(i) = slots.iter().position(|s| s.value.is_none()) {
+            slots[i] = slot;
+            return i;
+        }
+        slots.push(slot);
+        slots.len() - 1
     }
 }
 
@@ -92,7 +84,7 @@ impl<V: Clone + Send> CacheShard<V> for ClockShard<V> {
     fn get(&mut self, key: &CacheKey) -> Option<V> {
         let &idx = self.map.get(key)?;
         self.slots[idx].referenced = true;
-        Some(self.slots[idx].value.clone())
+        self.slots[idx].value.clone()
     }
 
     fn insert(&mut self, key: CacheKey, value: V, charge: usize) -> usize {
@@ -100,15 +92,19 @@ impl<V: Clone + Send> CacheShard<V> for ClockShard<V> {
             self.remove(&key);
             return 0;
         }
-        if let Some(&idx) = self.map.get(&key) {
-            self.used = self.used - self.slots[idx].charge + charge;
-            self.slots[idx].value = value;
-            self.slots[idx].charge = charge;
-            self.slots[idx].referenced = true;
-        } else {
-            let idx = self.alloc_slot(key, value, charge);
-            self.map.insert(key, idx);
-            self.used += charge;
+        // one probe: an update rewrites its slot, a new key takes one
+        match self.map.entry(key) {
+            Entry::Occupied(e) => {
+                let slot = &mut self.slots[*e.get()];
+                self.used = self.used - slot.charge + charge;
+                slot.value = Some(value);
+                slot.charge = charge;
+                slot.referenced = true;
+            }
+            Entry::Vacant(e) => {
+                e.insert(Self::alloc_slot(&mut self.slots, key, value, charge));
+                self.used += charge;
+            }
         }
         let mut evicted = 0;
         while self.used > self.capacity {
@@ -123,7 +119,7 @@ impl<V: Clone + Send> CacheShard<V> for ClockShard<V> {
     fn remove(&mut self, key: &CacheKey) -> bool {
         match self.map.remove(key) {
             Some(idx) => {
-                self.slots[idx].occupied = false;
+                self.slots[idx].value = None;
                 self.used -= self.slots[idx].charge;
                 true
             }

@@ -1,9 +1,9 @@
 //! FIFO shard: evicts in insertion order, ignoring recency entirely.
 //! The baseline that shows what recency/frequency tracking buys.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
-use crate::traits::{CacheKey, CacheShard};
+use crate::traits::{CacheKey, CacheShard, KeyMap};
 
 struct Entry<V> {
     value: V,
@@ -13,7 +13,7 @@ struct Entry<V> {
 
 /// A first-in-first-out cache shard.
 pub struct FifoShard<V> {
-    map: HashMap<CacheKey, Entry<V>>,
+    map: KeyMap<Entry<V>>,
     queue: VecDeque<(CacheKey, u64)>,
     used: usize,
     capacity: usize,
@@ -24,7 +24,7 @@ impl<V: Clone + Send> FifoShard<V> {
     /// Shard with the given capacity in charge units.
     pub fn new(capacity: usize) -> Self {
         FifoShard {
-            map: HashMap::new(),
+            map: KeyMap::default(),
             queue: VecDeque::new(),
             used: 0,
             capacity,

@@ -12,9 +12,10 @@
 //! is *exactly* min-(freq, tick); larger shards get the usual sampled
 //! approximation while hits stay O(1).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::hash_map::Entry as Slot;
+use std::collections::HashSet;
 
-use crate::traits::{CacheKey, CacheShard};
+use crate::traits::{CacheKey, CacheShard, KeyMap};
 
 /// Eviction candidates examined per eviction. Shards at or below this
 /// many entries get exact LFU; above it, sampled LFU.
@@ -29,7 +30,7 @@ struct Entry<V> {
 
 /// A least-frequently-used cache shard with counter aging.
 pub struct LfuShard<V> {
-    map: HashMap<CacheKey, Entry<V>>,
+    map: KeyMap<Entry<V>>,
     /// Probe ring: keys in insertion order, possibly stale (evicted or
     /// removed keys linger until compaction). Eviction scans from
     /// `cursor` so successive evictions sample different regions.
@@ -47,7 +48,7 @@ impl<V: Clone + Send> LfuShard<V> {
     /// `aging_period` operations (default 8192).
     pub fn new(capacity: usize) -> Self {
         LfuShard {
-            map: HashMap::new(),
+            map: KeyMap::default(),
             probe: Vec::new(),
             cursor: 0,
             used: 0,
@@ -143,23 +144,24 @@ impl<V: Clone + Send> CacheShard<V> for LfuShard<V> {
             return 0;
         }
         self.tick += 1;
-        if let Some(e) = self.map.get_mut(&key) {
-            self.used = self.used - e.charge + charge;
-            e.value = value;
-            e.charge = charge;
-            e.freq += 1;
-        } else {
-            self.map.insert(
-                key,
-                Entry {
+        match self.map.entry(key) {
+            Slot::Occupied(mut e) => {
+                let e = e.get_mut();
+                self.used = self.used - e.charge + charge;
+                e.value = value;
+                e.charge = charge;
+                e.freq += 1;
+            }
+            Slot::Vacant(e) => {
+                e.insert(Entry {
                     value,
                     charge,
                     freq: 1,
                     tick: self.tick,
-                },
-            );
-            self.probe.push(key);
-            self.used += charge;
+                });
+                self.probe.push(key);
+                self.used += charge;
+            }
         }
         let mut evicted = 0;
         while self.used > self.capacity {

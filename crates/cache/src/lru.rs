@@ -2,15 +2,16 @@
 //! slab, the same structure RocksDB's `LRUCache` uses (minus the handle
 //! refcounting, which our clone-out values make unnecessary).
 
-use std::collections::HashMap;
+use std::collections::hash_map::Entry as Slot;
 
-use crate::traits::{CacheKey, CacheShard};
+use crate::traits::{CacheKey, CacheShard, KeyMap};
 
 const NIL: usize = usize::MAX;
 
 struct Entry<V> {
     key: CacheKey,
-    value: V,
+    /// `None` once the entry leaves: a free slot holds no value.
+    value: Option<V>,
     charge: usize,
     prev: usize,
     next: usize,
@@ -18,7 +19,7 @@ struct Entry<V> {
 
 /// A least-recently-used cache shard.
 pub struct LruShard<V> {
-    map: HashMap<CacheKey, usize>,
+    map: KeyMap<usize>,
     slab: Vec<Entry<V>>,
     free: Vec<usize>,
     head: usize, // most recent
@@ -31,7 +32,7 @@ impl<V: Clone + Send> LruShard<V> {
     /// Shard with the given capacity in charge units.
     pub fn new(capacity: usize) -> Self {
         LruShard {
-            map: HashMap::new(),
+            map: KeyMap::default(),
             slab: Vec::new(),
             free: Vec::new(),
             head: NIL,
@@ -72,12 +73,19 @@ impl<V: Clone + Send> LruShard<V> {
         if victim == NIL {
             return false;
         }
-        self.unlink(victim);
         let key = self.slab[victim].key;
-        self.used -= self.slab[victim].charge;
         self.map.remove(&key);
-        self.free.push(victim);
+        self.release(victim);
         true
+    }
+
+    /// Frees the slot of an entry already gone from the map, dropping its
+    /// value now rather than when the slot is reused.
+    fn release(&mut self, idx: usize) {
+        self.unlink(idx);
+        self.used -= self.slab[idx].charge;
+        self.slab[idx].value = None;
+        self.free.push(idx);
     }
 }
 
@@ -86,7 +94,7 @@ impl<V: Clone + Send> CacheShard<V> for LruShard<V> {
         let &idx = self.map.get(key)?;
         self.unlink(idx);
         self.push_front(idx);
-        Some(self.slab[idx].value.clone())
+        self.slab[idx].value.clone()
     }
 
     fn insert(&mut self, key: CacheKey, value: V, charge: usize) -> usize {
@@ -95,36 +103,30 @@ impl<V: Clone + Send> CacheShard<V> for LruShard<V> {
             self.remove(&key);
             return 0;
         }
-        if let Some(&idx) = self.map.get(&key) {
-            self.used = self.used - self.slab[idx].charge + charge;
-            self.slab[idx].value = value;
-            self.slab[idx].charge = charge;
-            self.unlink(idx);
-            self.push_front(idx);
+        // one probe: an update re-links its slot, a new key takes a free one
+        let idx = match self.map.entry(key) {
+            Slot::Occupied(e) => {
+                let idx = *e.get();
+                self.unlink(idx);
+                self.used -= self.slab[idx].charge;
+                idx
+            }
+            Slot::Vacant(e) => *e.insert(self.free.pop().unwrap_or(self.slab.len())),
+        };
+        let entry = Entry {
+            key,
+            value: Some(value),
+            charge,
+            prev: NIL,
+            next: NIL,
+        };
+        if idx == self.slab.len() {
+            self.slab.push(entry);
         } else {
-            let idx = if let Some(i) = self.free.pop() {
-                self.slab[i] = Entry {
-                    key,
-                    value,
-                    charge,
-                    prev: NIL,
-                    next: NIL,
-                };
-                i
-            } else {
-                self.slab.push(Entry {
-                    key,
-                    value,
-                    charge,
-                    prev: NIL,
-                    next: NIL,
-                });
-                self.slab.len() - 1
-            };
-            self.map.insert(key, idx);
-            self.push_front(idx);
-            self.used += charge;
+            self.slab[idx] = entry;
         }
+        self.push_front(idx);
+        self.used += charge;
         let mut evicted = 0;
         while self.used > self.capacity {
             if !self.evict_one() {
@@ -138,9 +140,7 @@ impl<V: Clone + Send> CacheShard<V> for LruShard<V> {
     fn remove(&mut self, key: &CacheKey) -> bool {
         match self.map.remove(key) {
             Some(idx) => {
-                self.unlink(idx);
-                self.used -= self.slab[idx].charge;
-                self.free.push(idx);
+                self.release(idx);
                 true
             }
             None => false,

@@ -256,6 +256,34 @@ mod tests {
         }
     }
 
+    /// An entry's value drops as the entry leaves — evicted, removed or
+    /// invalidated — not when its slot is next reused, so a cache never
+    /// keeps dead blocks alive outside its `used` charge.
+    #[test]
+    fn values_drop_when_their_entries_leave_under_every_policy() {
+        for policy in CachePolicy::ALL {
+            let c: ShardedCache<Arc<u64>> = ShardedCache::new(policy, 64, 1);
+            let values: Vec<Arc<u64>> = (0..40).map(Arc::new).collect();
+            for (i, v) in values.iter().enumerate() {
+                c.insert(k(1, i as u64), Arc::clone(v), 8);
+            }
+            let resident = |i: usize| c.get(&k(1, i as u64)).is_some();
+            let live: Vec<usize> = (0..40).filter(|&i| resident(i)).collect();
+            assert_eq!(live.len(), 8, "{}", policy.label());
+            for (i, v) in values.iter().enumerate() {
+                let held = if live.contains(&i) { 2 } else { 1 };
+                assert_eq!(Arc::strong_count(v), held, "{}: value {i}", policy.label());
+            }
+            assert!(c.remove(&k(1, live[0] as u64)));
+            assert_eq!(Arc::strong_count(&values[live[0]]), 1, "{}: removed", policy.label());
+            c.invalidate_file(1, 39);
+            assert!(c.is_empty());
+            for (i, v) in values.iter().enumerate() {
+                assert_eq!(Arc::strong_count(v), 1, "{}: value {i} invalidated", policy.label());
+            }
+        }
+    }
+
     #[test]
     fn shard_count_rounds_to_power_of_two() {
         let c: ShardedCache<u8> = ShardedCache::new(CachePolicy::Fifo, 64, 3);

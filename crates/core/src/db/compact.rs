@@ -390,7 +390,7 @@ impl DbCore {
                 let mut tables: Vec<Arc<Table>> = new_version.levels[prep.target]
                     .runs
                     .drain(..)
-                    .flat_map(|r| r.tables)
+                    .flat_map(|r| r.tables.to_vec())
                     .collect();
                 tables.extend(result.tables.iter().cloned());
                 tables.sort_by(|a, b| a.meta().min_key.cmp(&b.meta().min_key));
@@ -492,8 +492,7 @@ impl DbCore {
         // reference (a snapshot or an in-flight iterator) drops
         for t in &prep.inputs {
             if let Some(cache) = &self.cache {
-                let max_block = t.meta().data_blocks.len().saturating_sub(1) as u64;
-                cache.invalidate_file(t.id(), max_block);
+                t.invalidate_cached(cache);
             }
             t.mark_obsolete();
         }

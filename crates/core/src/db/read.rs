@@ -23,6 +23,7 @@ use crate::entry::ValueKind;
 use crate::iter::{BufferCursor, MergingIter, RunIterator, Source, BUFFER_CHUNK};
 use crate::kv_sep::{decode_value, read_pointer_from_device, ValueLog};
 use crate::snapshot::{Snapshot, SnapshotPin};
+use crate::sstable::Table;
 use crate::stats::DbStats;
 use crate::version::Version;
 
@@ -200,14 +201,15 @@ impl ReadView<'_> {
     /// youngest, frozen memtable next), then sorted runs youngest
     /// level/run first.
     ///
-    /// Each cursor copies its first chunk here — at most
-    /// [`BUFFER_CHUNK`] entries, or `limit` if smaller — and the rest
-    /// only as the merge drains it, so set-up costs O(sources + chunk)
-    /// whatever the buffers hold, and nothing is sized by `limit` (it may
-    /// be a client's number). Range-filter pruning is an in-memory probe,
-    /// so it happens up front, while data blocks are only read lazily as
-    /// the merge reaches each table. An empty or inverted range has no
-    /// sources.
+    /// Each cursor copies its first chunk here — a couple of entries,
+    /// doubling per refill up to [`BUFFER_CHUNK`], or `limit` if smaller —
+    /// and the rest only as the merge drains it, so set-up costs
+    /// O(sources + chunk) whatever the buffers hold, and nothing is sized
+    /// by `limit` (it may be a client's number). A run's cursor is its
+    /// shared table slice plus an index range, O(1) to build. Range-filter
+    /// pruning is an in-memory probe, so it happens up front, while data
+    /// blocks are only read lazily as the merge reaches each table. An
+    /// empty or inverted range has no sources.
     pub(crate) fn sources(&self, start: &[u8], end: Option<&[u8]>, limit: usize) -> Vec<Source> {
         let stats = self.tables.stats;
         stats.scans.inc();
@@ -221,35 +223,34 @@ impl ReadView<'_> {
         for buffer in std::iter::once(self.mem).chain(self.imm) {
             sources.push(Source::Buffer(BufferCursor::new(buffer, start, end, self.ceiling, chunk)));
         }
-        for level in &self.tables.version.levels {
-            for run in &level.runs {
-                let candidates = match end {
-                    Some(end) => run.overlapping(start, end),
-                    None => {
-                        let from = run
-                            .tables
-                            .partition_point(|t| t.meta().max_key.as_slice() < start);
-                        &run.tables[from..]
-                    }
-                };
-                let tables: Vec<_> = candidates
-                    .iter()
-                    .filter(|table| {
-                        let keep = table.range_may_overlap(Bound::Included(start), hi);
-                        if !keep {
-                            stats.range_filter_prunes.inc();
-                        }
-                        keep
-                    })
-                    .cloned()
-                    .collect();
-                if !tables.is_empty() {
-                    sources.push(Source::Run(RunIterator::new(
-                        tables,
-                        start.to_vec(),
-                        self.tables.cache.cloned(),
-                    )));
-                }
+        // the runs' cursors share one copy of `start`
+        let mut shared_start: Option<Arc<[u8]>> = None;
+        let may_overlap = |table: &Table| {
+            let keep = table.range_may_overlap(Bound::Included(start), hi);
+            if !keep {
+                stats.range_filter_prunes.inc();
+            }
+            keep
+        };
+        for run in self.tables.version.levels.iter().flat_map(|l| &l.runs) {
+            // a range filter can only prune the first or the last table
+            // the keys overlap: every table between lies wholly inside
+            // `[start, end)`, so it holds a key in range
+            let mut range = run.overlapping_range(start, end);
+            while !range.is_empty() && !may_overlap(&run.tables[range.start]) {
+                range.start += 1;
+            }
+            while !range.is_empty() && !may_overlap(&run.tables[range.end - 1]) {
+                range.end -= 1;
+            }
+            if !range.is_empty() {
+                let start = shared_start.get_or_insert_with(|| start.into());
+                sources.push(Source::Run(RunIterator::new(
+                    Arc::clone(&run.tables),
+                    range,
+                    Arc::clone(start),
+                    self.tables.cache.cloned(),
+                )));
             }
         }
         sources

@@ -31,6 +31,53 @@ fn delete_hides_older_versions_across_flushes() {
     assert_eq!(db.get(b"k").unwrap(), None);
 }
 
+/// A compaction drops every cached block of the tables it consumes —
+/// their filter partitions as well as their data blocks — so no cached
+/// key names a consumed table.
+#[test]
+fn compaction_drops_consumed_tables_from_the_cache_filter_partitions_too() {
+    let cfg = LsmConfig {
+        partitioned_filters: true,
+        cache_bytes: 4 << 20,
+        background: crate::BackgroundMode::Inline,
+        ..small()
+    };
+    let db = Db::open_in_memory(cfg).unwrap();
+    let key = |i: u32| format!("pk{i:05}").into_bytes();
+    for round in 0..3 {
+        for i in (round..600).step_by(3) {
+            db.put(key(i), format!("v{round}-{i}").into_bytes()).unwrap();
+        }
+        db.flush().unwrap();
+    }
+    let tables: Vec<Arc<crate::sstable::Table>> = db.inner.read().version.tables().cloned().collect();
+    for i in 0..600 {
+        db.get(&key(i)).unwrap();
+    }
+    let cache = db.cache.as_ref().unwrap();
+    // (data blocks, filter partitions) of `t` in the cache
+    let cached = |t: &crate::sstable::Table| {
+        let held = |k: lsm_cache::CacheKey| usize::from(cache.get(&k).is_some());
+        let blocks = 0..t.meta().data_blocks.len();
+        let partitions = 0..t.meta().filter_partitions.len();
+        (
+            blocks.map(|i| held(t.data_key(i))).sum::<usize>(),
+            partitions.map(|i| held(t.partition_key(i))).sum::<usize>(),
+        )
+    };
+    assert!(
+        tables.iter().any(|t| cached(t).1 > 0),
+        "the reads must have cached some filter partitions"
+    );
+    db.major_compact().unwrap();
+    let live: std::collections::HashSet<u64> = db.inner.read().version.all_table_ids().into_iter().collect();
+    let consumed: Vec<_> = tables.iter().filter(|t| !live.contains(&t.id())).collect();
+    assert!(!consumed.is_empty(), "the major compaction must consume tables");
+    for t in consumed {
+        assert_eq!(cached(t), (0, 0), "table {} left in the cache", t.id());
+    }
+}
+
 #[test]
 fn write_batch_is_one_wal_append_and_reads_like_singles() {
     let cfg = LsmConfig {

@@ -5,7 +5,9 @@
 //! each key (sources are ranked youngest-first), and suppresses tombstoned
 //! keys. Compaction and its sub-compaction shards reuse the same merge
 //! with tombstone retention, a binary heap over (head key, source rank)
-//! that costs O(log sources) key comparisons per entry.
+//! that costs O(log sources) comparisons per entry, each an integer
+//! compare of cached 16-byte key prefixes that reads key bytes only on
+//! a prefix tie.
 //!
 //! Every source is a *cursor* — `advance()` then `key()`/`value()` — so
 //! merged entries are borrowed views into pinned blocks; bytes are copied
@@ -14,7 +16,8 @@
 //! whose bytes can move under a reader, so its cursor
 //! ([`BufferCursor`]) copies them in small chunks, on demand.
 
-use std::ops::Bound;
+use std::cmp::Ordering;
+use std::ops::{Bound, Range};
 use std::sync::Arc;
 
 use parking_lot::RwLock;
@@ -29,31 +32,44 @@ use crate::sstable::{EntryRef, Table, TableIterator};
 /// Most entries a [`BufferCursor`] copies per chunk.
 pub(crate) const BUFFER_CHUNK: usize = 16;
 
+/// Entries in a [`BufferCursor`]'s first chunk; each refill doubles it.
+const FIRST_CHUNK: usize = 2;
+
 /// Lazily chains the iterators of a run's key-ordered, disjoint tables:
 /// a table is opened (and its first block read) only when the scan
 /// actually reaches its key range — a 10-entry scan over a 100-table run
 /// touches one or two tables, not all of them.
+///
+/// The run's tables are reached through the version's shared handle and
+/// an index range, and the scan's start key is one allocation shared by
+/// every run, so building the iterator copies nothing.
 pub struct RunIterator {
-    tables: std::vec::IntoIter<Arc<Table>>,
+    tables: Arc<[Arc<Table>]>,
+    /// Tables still to open: `next..end` of `tables`.
+    next: usize,
+    end: usize,
     cache: Option<Arc<ShardedCache<Block>>>,
-    start: Vec<u8>,
+    /// Where the first table opened is sought; later tables start past it
+    /// by disjointness.
+    start: Option<Arc<[u8]>>,
     current: Option<TableIterator>,
-    first: bool,
 }
 
 impl RunIterator {
-    /// Iterator over `tables` (key-ordered, disjoint) from `start`.
+    /// Iterator over `tables[range]` (key-ordered, disjoint) from `start`.
     pub fn new(
-        tables: Vec<Arc<Table>>,
-        start: Vec<u8>,
+        tables: Arc<[Arc<Table>]>,
+        range: Range<usize>,
+        start: Arc<[u8]>,
         cache: Option<Arc<ShardedCache<Block>>>,
     ) -> Self {
         RunIterator {
-            tables: tables.into_iter(),
+            tables,
+            next: range.start,
+            end: range.end,
             cache,
-            start,
+            start: Some(start),
             current: None,
-            first: true,
         }
     }
 
@@ -66,14 +82,13 @@ impl RunIterator {
                 }
                 self.current = None;
             }
-            let Some(table) = self.tables.next() else {
+            if self.next == self.end {
                 return Ok(false);
-            };
-            // only the first table needs to seek; later tables start past
-            // `start` by disjointness
-            let from: &[u8] = if self.first { &self.start } else { b"" };
-            self.first = false;
-            self.current = Some(table.iter_from(from, self.cache.clone())?);
+            }
+            let table = &self.tables[self.next];
+            self.next += 1;
+            let start = self.start.take();
+            self.current = Some(table.iter_from(start.as_deref().unwrap_or(b""), self.cache.clone())?);
         }
     }
 
@@ -173,11 +188,26 @@ impl MemSource {
         self.index.len()
     }
 
-    /// Empties the source, keeping both allocations for the next fill.
-    fn clear(&mut self) {
+    /// Replaces the held entries with the next `len` of `entries`, keeping
+    /// both allocations — sized for `reserve` entries, from the first
+    /// entry, when first used. Returns whether `entries` holds more.
+    fn refill<'a>(
+        &mut self,
+        mut entries: impl Iterator<Item = EntryRef<'a>>,
+        len: usize,
+        reserve: usize,
+    ) -> bool {
         self.bytes.clear();
         self.index.clear();
         self.next = 0;
+        for e in entries.by_ref().take(len) {
+            if self.index.capacity() == 0 {
+                self.index.reserve(reserve);
+                self.bytes.reserve(reserve * (e.key.len() + e.value.len()));
+            }
+            self.push(e);
+        }
+        self.len() == len && entries.next().is_some()
     }
 
     /// Steps to the next held entry; `false` once every one was served.
@@ -214,20 +244,22 @@ impl MemSource {
 /// The cursor copies the buffer a chunk at a time into a [`MemSource`]:
 /// the first chunk when it is built (under the engine lock the scan
 /// already holds), each later one under the buffer's read lock alone,
-/// only once the merge has drained the one before. A short scan whose
-/// rows mostly come from the runs therefore copies one chunk, however
-/// full the buffer is. The buffer keeps its versions and is never
-/// cleared while a handle to it is alive, so a refill sees exactly what
-/// the first chunk saw.
+/// only once the merge has drained the one before. The first chunk holds
+/// two entries and each refill doubles, up to the cursor's
+/// cap, so a short scan whose rows mostly come from the runs copies a
+/// couple of entries, however full the buffer is. The chunk's buffers
+/// are sized for the cap once, when the first entry arrives. The buffer
+/// keeps its versions and is never cleared while a handle to it is
+/// alive, so a refill sees exactly what the first chunk saw.
 pub struct BufferCursor {
     buffer: Arc<RwLock<Memtable>>,
     ceiling: u64,
     /// Exclusive upper key bound (`None`: to the end of the keyspace).
     end: Option<Vec<u8>>,
+    /// Entries the current chunk was filled with; doubles to `max_chunk`.
     chunk_len: usize,
+    max_chunk: usize,
     chunk: MemSource,
-    /// The last key copied, where the next chunk starts (exclusive).
-    resume: Vec<u8>,
     /// Nothing in range lies beyond the current chunk.
     exhausted: bool,
     /// Entries copied over the cursor's life.
@@ -237,47 +269,41 @@ pub struct BufferCursor {
 
 impl BufferCursor {
     /// A cursor over `[start, end)` of `buffer` at `ceiling`, copying up
-    /// to `chunk_len` entries at a time. Copies the first chunk now.
+    /// to `max_chunk` entries at a time. Copies the first chunk now.
     pub(crate) fn new(
         buffer: &Arc<RwLock<Memtable>>,
         start: &[u8],
         end: Option<&[u8]>,
         ceiling: u64,
-        chunk_len: usize,
+        max_chunk: usize,
     ) -> BufferCursor {
+        let max_chunk = max_chunk.max(1);
         let mut cursor = BufferCursor {
             buffer: Arc::clone(buffer),
             ceiling,
             end: end.map(<[u8]>::to_vec),
-            chunk_len: chunk_len.max(1),
+            chunk_len: FIRST_CHUNK.min(max_chunk),
+            max_chunk,
             chunk: MemSource::default(),
-            resume: Vec::new(),
             exhausted: false,
             #[cfg(test)]
             copied: 0,
         };
-        cursor.fill(&buffer.read(), Bound::Included(start));
+        let mem = buffer.read();
+        let hi = end.map_or(Bound::Unbounded, Bound::Excluded);
+        let entries = mem.range_at(Bound::Included(start), hi, ceiling);
+        let more = cursor.chunk.refill(entries, cursor.chunk_len, max_chunk);
+        cursor.filled(more);
         cursor
     }
 
-    /// Replaces the chunk with the next `chunk_len` entries past `lo`.
-    fn fill(&mut self, mem: &Memtable, lo: Bound<&[u8]>) {
-        let hi = self.end.as_deref().map_or(Bound::Unbounded, Bound::Excluded);
-        let chunk = &mut self.chunk;
-        chunk.clear();
-        let mut entries = mem.range_at(lo, hi, self.ceiling);
-        for e in entries.by_ref().take(self.chunk_len) {
-            if chunk.len() == 0 {
-                // size the chunk once, from its first entry
-                chunk.index.reserve(self.chunk_len);
-                chunk.bytes.reserve(self.chunk_len * (e.key.len() + e.value.len()));
-            }
-            chunk.push(e);
-        }
-        self.exhausted = chunk.len() < self.chunk_len || entries.next().is_none();
+    /// Records a fill of the chunk: whether the range holds more past it,
+    /// and (for tests) how many entries were copied.
+    fn filled(&mut self, more: bool) {
+        self.exhausted = !more;
         #[cfg(test)]
         {
-            self.copied += chunk.len();
+            self.copied += self.chunk.len();
         }
     }
 
@@ -288,14 +314,15 @@ impl BufferCursor {
         if self.exhausted {
             return false;
         }
-        // resume after the last key copied: the chunk about to be replaced
-        // holds it, so it moves to its own buffer first
-        let mut resume = std::mem::take(&mut self.resume);
-        resume.clear();
-        resume.extend_from_slice(self.chunk.cur().key);
-        let buffer = Arc::clone(&self.buffer);
-        self.fill(&buffer.read(), Bound::Excluded(&resume));
-        self.resume = resume;
+        let mem = self.buffer.read();
+        let hi = self.end.as_deref().map_or(Bound::Unbounded, Bound::Excluded);
+        // the range is positioned past the chunk's last key when it is
+        // built, so the chunk is free to be overwritten by the refill
+        let entries = mem.range_at(Bound::Excluded(self.chunk.cur().key), hi, self.ceiling);
+        self.chunk_len = (2 * self.chunk_len).min(self.max_chunk);
+        let more = self.chunk.refill(entries, self.chunk_len, self.max_chunk);
+        drop(mem);
+        self.filled(more);
         self.chunk.step()
     }
 }
@@ -342,6 +369,35 @@ impl Source {
     }
 }
 
+/// Bytes of a head key a merge compares as one integer.
+const PREFIX: usize = 16;
+
+/// A live source in the merge heap, with its head key's cached prefix:
+/// the key's first [`PREFIX`] bytes, big-endian and zero-padded, so
+/// comparing prefixes as integers orders keys as their bytes do until
+/// the prefixes tie.
+#[derive(Clone, Copy)]
+struct Head {
+    prefix: u128,
+    /// The head key's length: breaks a prefix tie when a key fits in it.
+    len: usize,
+    /// Index into the merge's sources; ranks equal keys (younger first).
+    src: usize,
+}
+
+impl Head {
+    fn new(key: &[u8], src: usize) -> Head {
+        let mut bytes = [0u8; PREFIX];
+        let n = key.len().min(PREFIX);
+        bytes[..n].copy_from_slice(&key[..n]);
+        Head {
+            prefix: u128::from_be_bytes(bytes),
+            len: key.len(),
+            src,
+        }
+    }
+}
+
 /// K-way merge with newest-version-wins semantics.
 ///
 /// Sources must be supplied **youngest first**: on equal keys the
@@ -354,18 +410,23 @@ impl Source {
 /// first advances every older source whose head is the same key — such a
 /// source is always a child of the top — and then the winner itself; each
 /// advance sinks one source back into place. An entry therefore costs
-/// O(log sources) key comparisons, and while one source keeps winning
-/// (one table of a run, say) it costs at most four, however many sources
+/// O(log sources) comparisons, and while one source keeps winning (one
+/// table of a run, say) it costs at most four, however many sources
 /// there are.
+///
+/// A heap slot carries its source's head-key prefix — the first 16
+/// bytes as one integer, plus the key's length — taken once per advance,
+/// so a comparison is an integer compare that reads key bytes only when
+/// two prefixes tie and both keys are longer than the prefix. The order
+/// is exactly the bytewise one.
 ///
 /// The merge is a cursor: [`MergingIter::advance_visible`] then
 /// `key()`/`value()` borrow the winning entry in place, so steady-state
 /// merging allocates nothing.
 pub struct MergingIter {
     sources: Vec<Source>,
-    /// Indexes into `sources` of the live sources, as a binary min-heap
-    /// by (head key, index).
-    heap: Vec<usize>,
+    /// The live sources, as a binary min-heap by (head key, index).
+    heap: Vec<Head>,
     /// The top of the heap is the current entry, not yet stepped past.
     positioned: bool,
     /// Keep tombstones in the output (compaction into non-last levels).
@@ -378,7 +439,7 @@ impl MergingIter {
         let mut heap = Vec::with_capacity(sources.len());
         for (i, s) in sources.iter_mut().enumerate() {
             if s.advance()? {
-                heap.push(i);
+                heap.push(Head::new(s.key(), i));
             }
         }
         let mut merge = MergingIter {
@@ -405,12 +466,12 @@ impl MergingIter {
             if self.positioned {
                 self.step_past_top()?;
             }
-            let Some(&top) = self.heap.first() else {
+            let Some(top) = self.heap.first() else {
                 self.positioned = false;
                 return Ok(false);
             };
             self.positioned = true;
-            if self.keep_tombstones || self.sources[top].current().kind != ValueKind::Delete {
+            if self.keep_tombstones || self.sources[top.src].current().kind != ValueKind::Delete {
                 return Ok(true);
             }
         }
@@ -418,16 +479,15 @@ impl MergingIter {
 
     /// Steps past the top entry and every older version of its key.
     fn step_past_top(&mut self) -> StorageResult<()> {
-        let top = self.heap[0];
         // an older source holding the same key ranks right below the top,
         // so it surfaces as the smaller child of the root
         while let Some(c) = self.min_child(0) {
-            let older = &self.sources[self.heap[c]];
-            if older.key() != self.sources[top].key() {
+            if self.key_order(&self.heap[c], &self.heap[0]).is_ne() {
                 break;
             }
             debug_assert!(
-                older.current().seqno <= self.sources[top].current().seqno,
+                self.sources[self.heap[c].src].current().seqno
+                    <= self.sources[self.heap[0].src].current().seqno,
                 "older source carried a newer seqno"
             );
             self.advance_slot(c)?;
@@ -440,7 +500,10 @@ impl MergingIter {
     /// leaves the heap when exhausted. A replacement taken from the
     /// bottom ranks after the root, so it too only needs to sink.
     fn advance_slot(&mut self, i: usize) -> StorageResult<()> {
-        if !self.sources[self.heap[i]].advance()? {
+        let src = self.heap[i].src;
+        if self.sources[src].advance()? {
+            self.heap[i] = Head::new(self.sources[src].key(), src);
+        } else {
             let last = self.heap.pop().expect("slot i is occupied");
             if i == self.heap.len() {
                 return Ok(());
@@ -451,13 +514,24 @@ impl MergingIter {
         Ok(())
     }
 
-    /// Whether source `a` ranks before source `b`: smaller head key, then
-    /// younger source.
-    fn before(&self, a: usize, b: usize) -> bool {
-        match self.sources[a].key().cmp(self.sources[b].key()) {
-            std::cmp::Ordering::Equal => a < b,
-            order => order.is_lt(),
+    /// The bytewise order of two heads' keys: their prefixes, then — on a
+    /// tie — their lengths when either key fits in the prefix (the
+    /// shorter is then a prefix of the longer), else the bytes past it.
+    fn key_order(&self, a: &Head, b: &Head) -> Ordering {
+        match a.prefix.cmp(&b.prefix) {
+            Ordering::Equal if a.len > PREFIX && b.len > PREFIX => {
+                self.sources[a.src].key()[PREFIX..].cmp(&self.sources[b.src].key()[PREFIX..])
+            }
+            Ordering::Equal => a.len.cmp(&b.len),
+            order => order,
         }
+    }
+
+    /// Whether heap slot `a` ranks before slot `b`: smaller head key,
+    /// then younger source.
+    fn before(&self, a: usize, b: usize) -> bool {
+        let (a, b) = (&self.heap[a], &self.heap[b]);
+        self.key_order(a, b).then(a.src.cmp(&b.src)).is_lt()
     }
 
     /// Heap slot of the higher-ranked child of slot `i`, if it has one.
@@ -466,7 +540,7 @@ impl MergingIter {
         let r = l + 1;
         if l >= self.heap.len() {
             None
-        } else if r < self.heap.len() && self.before(self.heap[r], self.heap[l]) {
+        } else if r < self.heap.len() && self.before(r, l) {
             Some(r)
         } else {
             Some(l)
@@ -475,7 +549,7 @@ impl MergingIter {
 
     fn sift_down(&mut self, mut i: usize) {
         while let Some(c) = self.min_child(i) {
-            if !self.before(self.heap[c], self.heap[i]) {
+            if !self.before(c, i) {
                 break;
             }
             self.heap.swap(i, c);
@@ -491,7 +565,7 @@ impl MergingIter {
 
     fn cur(&self) -> &Source {
         debug_assert!(self.positioned, "accessor on an unpositioned merge");
-        &self.sources[*self.heap.first().expect("valid merge cursor")]
+        &self.sources[self.heap.first().expect("valid merge cursor").src]
     }
 
     /// Current key.
@@ -660,81 +734,134 @@ mod tests {
         assert!(!cursor.advance_visible().unwrap());
     }
 
-    /// Randomized merges against a `BTreeMap` model: up to 40 sources
-    /// with overlapping keys, seqnos falling with source rank, random
-    /// tombstones and some empty sources. Both the cursor stream and the
-    /// owned stream must equal the model's newest version per key, with
-    /// and without tombstones.
-    #[test]
-    fn random_merges_match_a_model() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
+    /// One randomized merge over `keys` (ascending) against a `BTreeMap`
+    /// model: up to 40 sources with overlapping keys, seqnos falling with
+    /// source rank, random tombstones and some empty sources. Both the
+    /// cursor stream and the owned stream must equal the model's newest
+    /// version per key, with and without tombstones.
+    fn random_merge_matches_a_model(rng: &mut rand::rngs::StdRng, keys: &[Vec<u8>], case: &str) {
+        use rand::Rng;
         use std::collections::BTreeMap;
 
         type Version = (u64, ValueKind, Vec<u8>);
-        let mut rng = StdRng::seed_from_u64(0x4EA9);
-        for round in 0..60 {
-            let n_sources = rng.gen_range(0usize..=40);
-            let keyspace = rng.gen_range(1u32..300);
-            let mut runs: Vec<Vec<InternalEntry>> = Vec::with_capacity(n_sources);
-            let mut model: BTreeMap<Vec<u8>, Version> = BTreeMap::new();
-            for rank in 0..n_sources {
-                let mut run = Vec::new();
-                if !rng.gen_bool(0.15) {
-                    let density = rng.gen_range(0.01f64..0.6);
-                    for k in 0..keyspace {
-                        if !rng.gen_bool(density) {
-                            continue;
-                        }
-                        // younger sources (lower rank) carry higher seqnos
-                        let seqno = (n_sources - rank) as u64 * 1_000 + k as u64 % 1_000;
-                        let kind = if rng.gen_bool(0.2) {
-                            ValueKind::Delete
-                        } else {
-                            ValueKind::Put
-                        };
-                        let value = match kind {
-                            ValueKind::Delete => Vec::new(),
-                            ValueKind::Put => format!("r{rank}k{k}").into_bytes(),
-                        };
-                        let key = format!("k{k:04}").into_bytes();
-                        // the first (youngest) source to hold a key wins
-                        model
-                            .entry(key.clone())
-                            .or_insert_with(|| (seqno, kind, value.clone()));
-                        run.push(InternalEntry {
-                            key,
-                            seqno,
-                            kind,
-                            value,
-                        });
+        let n_sources = rng.gen_range(0usize..=40);
+        let mut runs: Vec<Vec<InternalEntry>> = Vec::with_capacity(n_sources);
+        let mut model: BTreeMap<Vec<u8>, Version> = BTreeMap::new();
+        for rank in 0..n_sources {
+            let mut run = Vec::new();
+            if !rng.gen_bool(0.15) {
+                let density = rng.gen_range(0.01f64..0.6);
+                for (k, key) in keys.iter().enumerate() {
+                    if !rng.gen_bool(density) {
+                        continue;
                     }
+                    // younger sources (lower rank) carry higher seqnos
+                    let seqno = (n_sources - rank) as u64 * 1_000 + k as u64 % 1_000;
+                    let kind = if rng.gen_bool(0.2) {
+                        ValueKind::Delete
+                    } else {
+                        ValueKind::Put
+                    };
+                    let value = match kind {
+                        ValueKind::Delete => Vec::new(),
+                        ValueKind::Put => format!("r{rank}k{k}").into_bytes(),
+                    };
+                    // the first (youngest) source to hold a key wins
+                    model
+                        .entry(key.clone())
+                        .or_insert_with(|| (seqno, kind, value.clone()));
+                    run.push(InternalEntry {
+                        key: key.clone(),
+                        seqno,
+                        kind,
+                        value,
+                    });
                 }
-                runs.push(run);
             }
-            for keep_tombstones in [false, true] {
-                let expect: Vec<(Vec<u8>, Version)> = model
-                    .iter()
-                    .filter(|(_, (_, kind, _))| keep_tombstones || *kind == ValueKind::Put)
-                    .map(|(k, v)| (k.clone(), v.clone()))
-                    .collect();
-                let sources = || runs.iter().map(|run| buffered(run)).collect::<Vec<_>>();
-                let mut cursor = MergingIter::new(sources(), keep_tombstones).unwrap();
-                let mut streamed = Vec::new();
-                while cursor.advance_visible().unwrap() {
-                    streamed.push((
-                        cursor.key().to_vec(),
-                        (cursor.seqno(), cursor.kind(), cursor.value().to_vec()),
-                    ));
-                }
-                let case = format!("round {round}, keep_tombstones {keep_tombstones}");
-                assert_eq!(streamed, expect, "{case}");
-                let mut owned_merge = MergingIter::new(sources(), keep_tombstones).unwrap();
-                let owned: Vec<_> = std::iter::from_fn(|| owned_merge.next_visible().unwrap())
-                    .map(|e| (e.key, (e.seqno, e.kind, e.value)))
-                    .collect();
-                assert_eq!(owned, expect, "{case}");
+            runs.push(run);
+        }
+        for keep_tombstones in [false, true] {
+            let expect: Vec<(Vec<u8>, Version)> = model
+                .iter()
+                .filter(|(_, (_, kind, _))| keep_tombstones || *kind == ValueKind::Put)
+                .map(|(k, v)| (k.clone(), v.clone()))
+                .collect();
+            let sources = || runs.iter().map(|run| buffered(run)).collect::<Vec<_>>();
+            let mut cursor = MergingIter::new(sources(), keep_tombstones).unwrap();
+            let mut streamed = Vec::new();
+            while cursor.advance_visible().unwrap() {
+                streamed.push((
+                    cursor.key().to_vec(),
+                    (cursor.seqno(), cursor.kind(), cursor.value().to_vec()),
+                ));
             }
+            let case = format!("{case}, keep_tombstones {keep_tombstones}");
+            assert_eq!(streamed, expect, "{case}");
+            let mut owned_merge = MergingIter::new(sources(), keep_tombstones).unwrap();
+            let owned: Vec<_> = std::iter::from_fn(|| owned_merge.next_visible().unwrap())
+                .map(|e| (e.key, (e.seqno, e.kind, e.value)))
+                .collect();
+            assert_eq!(owned, expect, "{case}");
+        }
+    }
+
+    #[test]
+    fn random_merges_match_a_model() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x4EA9);
+        for round in 0..60 {
+            let keyspace = rng.gen_range(1u32..300);
+            let keys: Vec<Vec<u8>> = (0..keyspace).map(|k| format!("k{k:04}").into_bytes()).collect();
+            random_merge_matches_a_model(&mut rng, &keys, &format!("round {round}"));
+        }
+    }
+
+    /// The same model check over keys that tie on the merge's 16-byte
+    /// prefix: lengths 15, 16, 17 and 40 behind one shared 16-byte head,
+    /// embedded and trailing `0x00` bytes (which the zero-padded prefix
+    /// cannot tell from padding), and keys that are prefixes of one
+    /// another.
+    #[test]
+    fn keys_that_tie_on_the_cached_prefix_merge_in_byte_order() {
+        use rand::SeedableRng;
+        let head = b"shared-16B-head!".to_vec();
+        assert_eq!(head.len(), PREFIX);
+        let with = |base: &[u8], tail: &[u8]| [base, tail].concat();
+        let mut keys = vec![
+            Vec::new(),
+            vec![0],
+            vec![0; 16],
+            vec![0; 17],
+            vec![0; 40],
+            b"a".to_vec(),
+            b"a\0".to_vec(),
+            b"a\0b".to_vec(),
+            head[..15].to_vec(),
+            with(&head[..15], &[0]),
+            with(&head[..15], &[0, 0]),
+            with(&head[..15], &[1]),
+            head.clone(),
+            with(&head, &[0]),
+            with(&head, &[0, 0]),
+            with(&head, &[1]),
+            with(&head, &[0xFF]),
+            with(&head, &[0; 24]),
+            with(&head, &[b'x'; 24]),
+            with(&head, &[[b'x'; 23].as_slice(), &[0]].concat()),
+            with(&head, &[[b'x'; 23].as_slice(), &[1]].concat()),
+            with(&with(&head, &[b'x'; 24]), &[0]),
+            with(&head, &[0, b'x']),
+            with(&head[..8], &[0; 8]),
+            with(&head[..8], &[0; 9]),
+            vec![0xFF; 16],
+            vec![0xFF; 17],
+            vec![0xFF; 40],
+        ];
+        keys.sort();
+        keys.dedup();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x7E5);
+        for round in 0..80 {
+            random_merge_matches_a_model(&mut rng, &keys, &format!("prefix-tie round {round}"));
         }
     }
 }

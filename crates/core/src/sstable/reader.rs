@@ -48,21 +48,22 @@ fn corruption(file: &ImmutableFile, msg: impl Into<String>) -> StorageError {
     StorageError::Corruption(msg.into())
 }
 
-/// Reads one sealed unit (`len` bytes at byte `offset`), verifies it and
-/// returns it without its trailer; `what` names it in the error.
+/// Reads one sealed unit (`len` bytes at byte `offset`) into its block,
+/// verifies it there and returns it without its trailer; `what` names it
+/// in the error.
 fn read_sealed(
     file: &ImmutableFile,
     offset: u64,
     len: usize,
     cat: IoCategory,
     what: &str,
-) -> StorageResult<Vec<u8>> {
-    let mut bytes = file.read_bytes(offset, len, cat)?;
-    let body_len = integrity::unseal(&bytes)
+) -> StorageResult<Block> {
+    let mut block = file.read_block(offset, len, cat)?;
+    let body_len = integrity::unseal(block.data())
         .ok_or_else(|| corruption(file, format!("{what} failed its checksum")))?
         .len();
-    bytes.truncate(body_len);
-    Ok(bytes)
+    block.truncate(body_len);
+    Ok(block)
 }
 
 /// The in-memory block locator, built from the fences at open time
@@ -172,7 +173,7 @@ impl Table {
             IoCategory::Index,
             "table meta",
         )?;
-        let meta = TableMeta::from_bytes(&meta_bytes)
+        let meta = TableMeta::from_bytes(meta_bytes.data())
             .ok_or_else(|| corruption(&file, "bad table meta"))?;
         // partitioned filters stay on storage and are fetched through the
         // cache per probe; monolithic filters are loaded (pinned) here
@@ -193,7 +194,7 @@ impl Table {
                 "filter section",
             )?;
             Some(
-                deserialize_filter(&bytes)
+                deserialize_filter(bytes.data())
                     .ok_or_else(|| corruption(&file, "bad filter section"))?,
             )
         } else {
@@ -208,7 +209,7 @@ impl Table {
                 "range-filter section",
             )?;
             Some(
-                SerializableRangeFilter::try_from_bytes(&bytes)
+                SerializableRangeFilter::try_from_bytes(bytes.data())
                     .map_err(|e| corruption(&file, e.to_string()))?,
             )
         } else {
@@ -296,6 +297,27 @@ impl Table {
     /// block indexes).
     const PARTITION_KEY_BASE: u64 = 1 << 40;
 
+    /// Block-cache key of data block `idx`.
+    pub(crate) fn data_key(&self, idx: usize) -> CacheKey {
+        CacheKey::new(self.id(), idx as u64)
+    }
+
+    /// Block-cache key of the filter partition guarding data block `idx`.
+    pub(crate) fn partition_key(&self, idx: usize) -> CacheKey {
+        CacheKey::new(self.id(), Self::PARTITION_KEY_BASE + idx as u64)
+    }
+
+    /// Drops every block of this table from `cache` — its data blocks and
+    /// its filter partitions — once a compaction has consumed it.
+    pub(crate) fn invalidate_cached(&self, cache: &ShardedCache<Block>) {
+        for idx in 0..self.meta.data_blocks.len() {
+            cache.remove(&self.data_key(idx));
+        }
+        for idx in 0..self.meta.filter_partitions.len() {
+            cache.remove(&self.partition_key(idx));
+        }
+    }
+
     /// Probes the filter partition guarding data block `idx`. `Ok(true)`
     /// means the key may be in the block (or no partition exists).
     fn probe_partition(
@@ -311,16 +333,14 @@ impl Table {
         if len == 0 {
             return Ok(true);
         }
-        let cache_key = CacheKey::new(self.id(), Self::PARTITION_KEY_BASE + idx as u64);
+        let cache_key = self.partition_key(idx);
         let block = if let Some(b) = cache.and_then(|c| c.get(&cache_key)) {
             b
         } else {
             let bs = self.file.block_size() as u64;
             let start = self.meta.filter.start_block * bs + self.partition_offsets[idx];
             // verified before the cache sees it; hits skip the hash
-            let bytes =
-                read_sealed(&self.file, start, len, IoCategory::Filter, "filter partition")?;
-            let b = Block::new(bytes);
+            let b = read_sealed(&self.file, start, len, IoCategory::Filter, "filter partition")?;
             if let Some(c) = cache {
                 c.insert(cache_key, b.clone(), b.charge());
             }
@@ -342,20 +362,21 @@ impl Table {
         cache: Option<&ShardedCache<Block>>,
     ) -> StorageResult<Block> {
         let loc = self.meta.data_blocks[idx];
-        let key = CacheKey::new(self.id(), idx as u64);
+        let key = self.data_key(idx);
         if let Some(c) = cache {
             if let Some(b) = c.get(&key) {
                 return Ok(b);
             }
         }
-        let mut raw = self
+        // one copy, into the block the cache keeps: the read covers the
+        // location's `num_blocks` whole blocks, the buffer only its bytes
+        let bs = self.file.block_size() as u64;
+        let block = self
             .file
-            .read_blocks(loc.start_block, loc.num_blocks, IoCategory::Data)?;
-        raw.truncate(loc.byte_len as usize);
-        if integrity::unseal(&raw).is_none() {
+            .read_block(loc.start_block * bs, loc.byte_len as usize, IoCategory::Data)?;
+        if integrity::unseal(block.data()).is_none() {
             return Err(self.bad_block(idx));
         }
-        let block = Block::new(raw);
         if let Some(c) = cache {
             c.insert(key, block.clone(), block.charge());
         }

@@ -15,15 +15,16 @@ use crate::sstable::Table;
 /// A sorted run: tables with pairwise-disjoint key ranges, in key order.
 #[derive(Clone, Default)]
 pub struct SortedRun {
-    /// The run's tables, ascending by key range.
-    pub tables: Vec<Arc<Table>>,
+    /// The run's tables, ascending by key range. Shared: cloning a run (a
+    /// new version, a scan's run cursor) copies one handle.
+    pub tables: Arc<[Arc<Table>]>,
 }
 
 impl SortedRun {
     /// A run of one table.
     pub fn single(table: Arc<Table>) -> Self {
         SortedRun {
-            tables: vec![table],
+            tables: Arc::new([table]),
         }
     }
 
@@ -35,7 +36,9 @@ impl SortedRun {
                 .all(|w| w[0].meta().max_key < w[1].meta().min_key),
             "run tables must be disjoint and ordered"
         );
-        SortedRun { tables }
+        SortedRun {
+            tables: tables.into(),
+        }
     }
 
     /// Smallest key in the run.
@@ -70,13 +73,20 @@ impl SortedRun {
 
     /// Tables whose key range intersects `[lo, hi]` (inclusive).
     pub fn overlapping(&self, lo: &[u8], hi: &[u8]) -> &[Arc<Table>] {
+        &self.tables[self.overlapping_range(lo, Some(hi))]
+    }
+
+    /// Indexes of the tables whose key range intersects `[lo, hi]`
+    /// (inclusive; `hi == None`: to the end of the keyspace).
+    pub(crate) fn overlapping_range(&self, lo: &[u8], hi: Option<&[u8]>) -> std::ops::Range<usize> {
         let start = self
             .tables
             .partition_point(|t| t.meta().max_key.as_slice() < lo);
-        let end = self
-            .tables
-            .partition_point(|t| t.meta().min_key.as_slice() <= hi);
-        &self.tables[start.min(end)..end]
+        let end = hi.map_or(self.tables.len(), |hi| {
+            self.tables
+                .partition_point(|t| t.meta().min_key.as_slice() <= hi)
+        });
+        start.min(end)..end
     }
 
     /// Whether the run holds no tables.
@@ -161,7 +171,7 @@ impl Version {
         self.levels
             .iter()
             .flat_map(|l| &l.runs)
-            .flat_map(|r| &r.tables)
+            .flat_map(|r| r.tables.iter())
     }
 
     /// Every table id referenced by this version.

@@ -18,7 +18,9 @@
 //! - steady-state puts stay within a small constant of allocations per
 //!   operation (memtable arena + WAL scratch reuse);
 //! - building a table, alone or as a merge's output, allocates per data
-//!   block, never per entry.
+//!   block, never per entry;
+//! - a point read whose block misses the cache allocates one buffer, the
+//!   size of the block, which the cache then keeps.
 //!
 //! The differential tests at the bottom prove the borrowed paths return
 //! byte-identical results to the owned paths against a model oracle, in
@@ -32,7 +34,8 @@ use std::sync::{Arc, Mutex};
 use lsm_core::compaction::exec::merge_tables;
 use lsm_core::sstable::{Table, TableBuilder};
 use lsm_core::{BackgroundMode, Db, IndexKind, LsmConfig, ValueKind};
-use lsm_storage::{DeviceProfile, MemDevice, StorageDevice};
+use lsm_cache::{CachePolicy, ShardedCache};
+use lsm_storage::{Block, DeviceProfile, MemDevice, StorageDevice};
 use lsm_workload::keyspace::{encode_key, make_value};
 
 struct CountingAlloc;
@@ -405,6 +408,43 @@ fn merge_allocates_per_block_not_per_entry() {
     assert!(
         allocs < entries_in / 8,
         "merging {entries_in} entries took {allocs} allocations"
+    );
+}
+
+/// A cache miss reads its block straight into the block the cache keeps:
+/// one allocation, of the block's `byte_len` plus the shared buffer's
+/// reference counts — not a device-sized buffer, a copy and a free.
+#[test]
+fn a_cache_miss_allocates_one_block_sized_buffer() {
+    let _g = lock();
+    let dev: Arc<dyn StorageDevice> = Arc::new(MemDevice::new(4096, DeviceProfile::free()));
+    let entries = shaped_entries(0..2_000);
+    let table = build_table(&dev, &entries, 1);
+    let first = table.meta().data_blocks[0];
+    // one shard holding about four blocks: the warm-up below fills it, so
+    // the counted miss evicts rather than grows the shard's map
+    let charge = Block::new(vec![0; first.byte_len as usize]).charge();
+    let cache: ShardedCache<Block> = ShardedCache::new(CachePolicy::Lru, 4 * charge + charge / 2, 1);
+    for (k, _) in entries.iter().step_by(7) {
+        table.get_with(k, Some(&cache), |_| ()).unwrap();
+    }
+    let misses = cache.stats().misses();
+    // the first key lives in block 0, long since evicted
+    let (allocs, bytes) = count_allocs_and_bytes(|| {
+        let (hit, _) = table
+            .get_with(&entries[0].0, Some(&cache), |e| e.value.len())
+            .unwrap();
+        assert_eq!(hit, Some(entries[0].1.len()));
+    });
+    assert_eq!(cache.stats().misses(), misses + 1, "the read must miss the cache");
+    // two reference counts ahead of the bytes, rounded to their alignment
+    let words = std::mem::size_of::<usize>() as u64;
+    let arc_len = (2 * words + first.byte_len).next_multiple_of(words);
+    assert_eq!(
+        (allocs, bytes),
+        (1, arc_len),
+        "a {}-byte block read on a miss: (allocations, bytes)",
+        first.byte_len
     );
 }
 

@@ -41,9 +41,23 @@ pub trait StorageDevice: Send + Sync {
     /// Seals a file; it becomes immutable.
     fn seal(&self, file: FileId) -> StorageResult<()>;
 
-    /// Reads `nblocks` blocks starting at block `offset`.
+    /// The one read primitive: copies bytes `[at, at + buf.len())` of
+    /// `file` into `buf`. The device reads, and charges to `cat`, every
+    /// whole block those bytes touch, so a caller that wants a block's
+    /// first `n` bytes passes a buffer of `n` and copies nothing it would
+    /// drop.
+    fn read_into(&self, file: FileId, at: u64, buf: &mut [u8], cat: IoCategory)
+        -> StorageResult<()>;
+
+    /// Reads `nblocks` whole blocks starting at block `offset` into a new
+    /// buffer (a wrapper over [`StorageDevice::read_into`]).
     fn read(&self, file: FileId, offset: u64, nblocks: u64, cat: IoCategory)
-        -> StorageResult<Vec<u8>>;
+        -> StorageResult<Vec<u8>> {
+        let bs = self.block_size();
+        let mut buf = vec![0u8; nblocks as usize * bs];
+        self.read_into(file, offset * bs as u64, &mut buf, cat)?;
+        Ok(buf)
+    }
 
     /// Length of a file in blocks.
     fn len_blocks(&self, file: FileId) -> StorageResult<u64>;
@@ -57,6 +71,32 @@ pub trait StorageDevice: Send + Sync {
     /// Total blocks occupied by live files — the numerator of space
     /// amplification.
     fn live_blocks(&self) -> u64;
+}
+
+/// The whole blocks a read of `len` bytes at byte `at` touches, as
+/// `(first block, block count)`: what a device reads and charges for it.
+pub(crate) fn covering(at: u64, len: usize, block_size: usize) -> (u64, u64) {
+    let bs = block_size as u64;
+    let first = at / bs;
+    if len == 0 {
+        return (first, 0);
+    }
+    (first, (at + len as u64 - 1) / bs + 1 - first)
+}
+
+/// Checks that `buf.len()` bytes at `at` lie inside a file of `len`
+/// blocks; returns the block count the read is charged.
+fn check_in_bounds(file: FileId, at: u64, buf: &[u8], block_size: usize, len: u64) -> StorageResult<u64> {
+    let (offset, blocks) = covering(at, buf.len(), block_size);
+    if offset + blocks > len {
+        return Err(StorageError::OutOfBounds {
+            file: file.0,
+            offset,
+            blocks,
+            len,
+        });
+    }
+    Ok(blocks)
 }
 
 fn check_whole_blocks(len: usize, block_size: usize) -> StorageResult<u64> {
@@ -159,31 +199,17 @@ impl StorageDevice for MemDevice {
         Ok(())
     }
 
-    fn read(
-        &self,
-        file: FileId,
-        offset: u64,
-        nblocks: u64,
-        cat: IoCategory,
-    ) -> StorageResult<Vec<u8>> {
+    fn read_into(&self, file: FileId, at: u64, buf: &mut [u8], cat: IoCategory) -> StorageResult<()> {
         let files = self.files.read();
         let f = files.get(&file.0).ok_or(StorageError::UnknownFile(file.0))?;
         let len = (f.data.len() / self.block_size) as u64;
-        if offset + nblocks > len {
-            return Err(StorageError::OutOfBounds {
-                file: file.0,
-                offset,
-                blocks: nblocks,
-                len,
-            });
-        }
-        let start = offset as usize * self.block_size;
-        let end = start + nblocks as usize * self.block_size;
-        let out = f.data[start..end].to_vec();
+        let nblocks = check_in_bounds(file, at, buf, self.block_size, len)?;
+        let start = at as usize;
+        buf.copy_from_slice(&f.data[start..start + buf.len()]);
         drop(files);
         self.stats.record_read(cat, nblocks);
         self.latency.charge_read(nblocks);
-        Ok(out)
+        Ok(())
     }
 
     fn len_blocks(&self, file: FileId) -> StorageResult<u64> {
@@ -329,40 +355,26 @@ impl StorageDevice for FileDevice {
         Ok(())
     }
 
-    fn read(
-        &self,
-        file: FileId,
-        offset: u64,
-        nblocks: u64,
-        cat: IoCategory,
-    ) -> StorageResult<Vec<u8>> {
+    fn read_into(&self, file: FileId, at: u64, buf: &mut [u8], cat: IoCategory) -> StorageResult<()> {
         #[cfg(unix)]
         use std::os::unix::fs::FileExt;
         let files = self.files.read();
         let f = files.get(&file.0).ok_or(StorageError::UnknownFile(file.0))?;
-        if offset + nblocks > f.len_blocks {
-            return Err(StorageError::OutOfBounds {
-                file: file.0,
-                offset,
-                blocks: nblocks,
-                len: f.len_blocks,
-            });
-        }
+        let nblocks = check_in_bounds(file, at, buf, self.block_size, f.len_blocks)?;
         let handle = fs::File::open(&f.path)?;
-        let mut buf = vec![0u8; nblocks as usize * self.block_size];
         #[cfg(unix)]
-        handle.read_exact_at(&mut buf, offset * self.block_size as u64)?;
+        handle.read_exact_at(buf, at)?;
         #[cfg(not(unix))]
         {
             use std::io::{Read, Seek, SeekFrom};
             let mut handle = handle;
-            handle.seek(SeekFrom::Start(offset * self.block_size as u64))?;
-            handle.read_exact(&mut buf)?;
+            handle.seek(SeekFrom::Start(at))?;
+            handle.read_exact(buf)?;
         }
         drop(files);
         self.stats.record_read(cat, nblocks);
         self.latency.charge_read(nblocks);
-        Ok(buf)
+        Ok(())
     }
 
     fn len_blocks(&self, file: FileId) -> StorageResult<u64> {
@@ -496,6 +508,110 @@ mod tests {
         assert!(after_write > 0);
         dev.read(id, 0, 1, IoCategory::Data).unwrap();
         assert!(dev.latency().clock().now_ns() > after_write);
+    }
+
+    /// Drives two identically built devices through the same ops — one
+    /// reading each range through `read` of its covering blocks, the
+    /// other through `read_into` of just the range — and checks they
+    /// return the same bytes (or both fail) with the same I/O counters
+    /// and simulated time. A fault scheduled by `make` fires at the same
+    /// ordinal on both.
+    fn read_into_matches_read(make: &dyn Fn(&str) -> Box<dyn StorageDevice>) {
+        let (whole, ranged) = (make("whole"), make("ranged"));
+        let bs = whole.block_size();
+        let pattern: Vec<u8> = (0..3 * bs).map(|i| (i * 31 + 7) as u8).collect();
+        let mut file = None;
+        for dev in [&whole, &ranged] {
+            let id = dev.create().unwrap();
+            dev.append(id, &pattern, IoCategory::Data).unwrap();
+            dev.seal(id).unwrap();
+            file = Some(id);
+        }
+        let file = file.unwrap();
+        let cases = [
+            (0, 3 * bs),
+            (0, bs),
+            (bs as u64 / 2, bs),
+            (bs as u64 + 3, 7),
+            (3 * bs as u64 - 1, 1),
+            (2 * bs as u64, bs + 1), // past the end
+            (0, 3 * bs),
+            (5, bs - 9),
+        ];
+        for (at, len) in cases {
+            let (first, nblocks) = covering(at, len, bs);
+            let via_read = whole
+                .read(file, first, nblocks, IoCategory::Filter)
+                .map(|all| {
+                    let skip = (at - first * bs as u64) as usize;
+                    all[skip..skip + len].to_vec()
+                });
+            let mut buf = vec![0u8; len];
+            let via_into = ranged
+                .read_into(file, at, &mut buf, IoCategory::Filter)
+                .map(|()| buf);
+            match (via_read, via_into) {
+                (Ok(a), Ok(b)) => assert_eq!(a, b, "bytes at {at}+{len}"),
+                (Err(_), Err(_)) => {}
+                (a, b) => panic!("at {at}+{len}: read {:?} vs read_into {:?}", a.is_ok(), b.is_ok()),
+            }
+            assert_eq!(whole.stats().snapshot(), ranged.stats().snapshot(), "counters at {at}+{len}");
+            assert_eq!(
+                whole.latency().clock().now_ns(),
+                ranged.latency().clock().now_ns(),
+                "simulated time at {at}+{len}"
+            );
+        }
+    }
+
+    #[test]
+    fn read_into_matches_read_on_every_device() {
+        use crate::fault::{FaultDevice, FaultKind, RetryDevice, RetryPolicy};
+        use crate::wall::WallLatencyDevice;
+        use std::sync::Arc;
+        let mem = || -> Arc<dyn StorageDevice> { Arc::new(MemDevice::new(512, DeviceProfile::nvme_ssd())) };
+        read_into_matches_read(&|_| Box::new(MemDevice::new(512, DeviceProfile::nvme_ssd())));
+        let root = std::env::temp_dir().join(format!("lsm-storage-read-into-{}", std::process::id()));
+        read_into_matches_read(&|name| {
+            let dir = root.join(name);
+            let _ = fs::remove_dir_all(&dir);
+            Box::new(FileDevice::open(dir, 512, DeviceProfile::free()).unwrap())
+        });
+        let _ = fs::remove_dir_all(&root);
+        read_into_matches_read(&|_| Box::new(WallLatencyDevice::new(mem(), DeviceProfile::free())));
+        // ordinals 0–1 are the appends: a fault at 2.. lands on a read
+        for kind in [
+            FaultKind::Crash,
+            FaultKind::Transient,
+            FaultKind::BitFlip,
+            FaultKind::TornWrite { keep_blocks: 1 },
+        ] {
+            for at in 1..10 {
+                let kind = kind.clone();
+                read_into_matches_read(&move |_| {
+                    let dev = FaultDevice::new(mem(), 0xB17 + at);
+                    dev.schedule(at, kind.clone());
+                    Box::new(dev)
+                });
+            }
+        }
+        for at in 1..6 {
+            read_into_matches_read(&move |_| {
+                let faulty = FaultDevice::new(mem(), 9);
+                faulty.schedule(at, FaultKind::Transient);
+                faulty.schedule(at + 1, FaultKind::BitFlip);
+                Box::new(RetryDevice::new(Arc::new(faulty), RetryPolicy::default()))
+            });
+        }
+    }
+
+    #[test]
+    fn covering_counts_every_block_a_range_touches() {
+        assert_eq!(covering(0, 512, 512), (0, 1));
+        assert_eq!(covering(0, 513, 512), (0, 2));
+        assert_eq!(covering(511, 2, 512), (0, 2));
+        assert_eq!(covering(1024, 1, 512), (2, 1));
+        assert_eq!(covering(700, 0, 512), (1, 0));
     }
 
     #[test]

@@ -38,6 +38,7 @@ use crate::error::{StorageError, StorageResult};
 use crate::file::FileId;
 use crate::latency::LatencyModel;
 use crate::stats::{IoCategory, IoStats};
+use crate::device::covering;
 use crate::StorageDevice;
 
 /// One fault shape, scheduled at a specific I/O ordinal.
@@ -232,16 +233,10 @@ impl StorageDevice for FaultDevice {
         self.inner.seal(file)
     }
 
-    fn read(
-        &self,
-        file: FileId,
-        offset: u64,
-        nblocks: u64,
-        cat: IoCategory,
-    ) -> StorageResult<Vec<u8>> {
+    fn read_into(&self, file: FileId, at: u64, buf: &mut [u8], cat: IoCategory) -> StorageResult<()> {
         let (op, fault) = self.next_op()?;
         match fault {
-            None => self.inner.read(file, offset, nblocks, cat),
+            None => self.inner.read_into(file, at, buf, cat),
             Some(FaultKind::Transient) => Err(StorageError::Io(io::Error::new(
                 io::ErrorKind::Interrupted,
                 format!("fault injection: transient failure at I/O #{op}"),
@@ -251,14 +246,22 @@ impl StorageDevice for FaultDevice {
                 Err(dead_error(op))
             }
             Some(FaultKind::BitFlip) => {
-                let mut data = self.inner.read(file, offset, nblocks, cat)?;
-                if !data.is_empty() {
+                self.inner.read_into(file, at, buf, cat)?;
+                // the flip lands at its seeded place in the whole blocks
+                // read; one in bytes the caller did not ask for is lost
+                // with them
+                let bs = self.inner.block_size();
+                let (first, nblocks) = covering(at, buf.len(), bs);
+                let span = nblocks * bs as u64;
+                if span > 0 {
                     let r = splitmix64(self.seed ^ op);
-                    let byte = (r as usize) % data.len();
+                    let byte = first * bs as u64 + r % span;
                     let bit = (r >> 32) % 8;
-                    data[byte] ^= 1 << bit;
+                    if let Some(b) = byte.checked_sub(at).and_then(|i| buf.get_mut(i as usize)) {
+                        *b ^= 1 << bit;
+                    }
                 }
-                Ok(data)
+                Ok(())
             }
         }
     }
@@ -381,14 +384,8 @@ impl StorageDevice for RetryDevice {
         self.with_retries(|| self.inner.seal(file))
     }
 
-    fn read(
-        &self,
-        file: FileId,
-        offset: u64,
-        nblocks: u64,
-        cat: IoCategory,
-    ) -> StorageResult<Vec<u8>> {
-        self.with_retries(|| self.inner.read(file, offset, nblocks, cat))
+    fn read_into(&self, file: FileId, at: u64, buf: &mut [u8], cat: IoCategory) -> StorageResult<()> {
+        self.with_retries(|| self.inner.read_into(file, at, buf, cat))
     }
 
     fn len_blocks(&self, file: FileId) -> StorageResult<u64> {

@@ -11,6 +11,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
+use crate::block::Block;
 use crate::device::StorageDevice;
 use crate::error::StorageResult;
 use crate::stats::IoCategory;
@@ -159,15 +160,24 @@ impl ImmutableFile {
     /// Reads the byte range `[offset, offset+len)` by fetching the covering
     /// blocks; convenience for footer/metadata decoding.
     pub fn read_bytes(&self, offset: u64, len: usize, cat: IoCategory) -> StorageResult<Vec<u8>> {
-        if len == 0 {
-            return Ok(Vec::new());
+        let mut buf = vec![0u8; len];
+        self.read_into(offset, &mut buf, cat)?;
+        Ok(buf)
+    }
+
+    /// Reads the byte range `[offset, offset+len)` straight into a new
+    /// [`Block`]: the range's one copy, into the buffer the block cache
+    /// can keep.
+    pub fn read_block(&self, offset: u64, len: usize, cat: IoCategory) -> StorageResult<Block> {
+        Block::filled(len, |buf| self.read_into(offset, buf, cat))
+    }
+
+    /// Fills `buf` from byte `offset`; an empty range reads nothing.
+    fn read_into(&self, offset: u64, buf: &mut [u8], cat: IoCategory) -> StorageResult<()> {
+        if buf.is_empty() {
+            return Ok(());
         }
-        let bs = self.block_size() as u64;
-        let first = offset / bs;
-        let last = (offset + len as u64 - 1) / bs;
-        let raw = self.read_blocks(first, last - first + 1, cat)?;
-        let start = (offset - first * bs) as usize;
-        Ok(raw[start..start + len].to_vec())
+        self.device.read_into(self.id, offset, buf, cat)
     }
 
     /// Deletes the underlying file.

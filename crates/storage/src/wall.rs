@@ -24,6 +24,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
+use crate::device::covering;
 use crate::error::StorageResult;
 use crate::file::FileId;
 use crate::latency::{DeviceProfile, LatencyModel};
@@ -78,15 +79,10 @@ impl StorageDevice for WallLatencyDevice {
         self.inner.seal(file)
     }
 
-    fn read(
-        &self,
-        file: FileId,
-        offset: u64,
-        nblocks: u64,
-        cat: IoCategory,
-    ) -> StorageResult<Vec<u8>> {
+    fn read_into(&self, file: FileId, at: u64, buf: &mut [u8], cat: IoCategory) -> StorageResult<()> {
+        let (_, nblocks) = covering(at, buf.len(), self.inner.block_size());
         Self::sleep_ns(self.profile.read_cost_ns(nblocks));
-        self.inner.read(file, offset, nblocks, cat)
+        self.inner.read_into(file, at, buf, cat)
     }
 
     fn len_blocks(&self, file: FileId) -> StorageResult<u64> {
