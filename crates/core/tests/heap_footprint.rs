@@ -1,0 +1,110 @@
+//! The engine's heap against the data it keeps, counted by the allocator.
+//!
+//! An in-memory engine's heap is mostly its device: every table lives in
+//! a `MemDevice` file. A file kept in fixed extents costs its bytes plus
+//! at most one extent, so the heap an inline load and a full compaction
+//! peak at — the data, the compaction's transient second copy, the block
+//! cache, the write buffers — stays a small multiple of the device's live
+//! bytes, and once the merge has freed its inputs the heap is about the
+//! data alone. A device that grows a file by doubling holds up to twice
+//! each file's bytes and re-copies the file as it grows, which shows here
+//! as both ratios rising past their bounds.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
+
+use lsm_core::{BackgroundMode, Db, LsmConfig};
+use lsm_storage::{DeviceProfile, MemDevice, StorageDevice};
+use lsm_workload::keyspace::{encode_key, make_value};
+
+/// The process's allocator, counting: bytes live now and at their peak.
+struct CountingAlloc;
+
+static LIVE_BYTES: AtomicUsize = AtomicUsize::new(0);
+static PEAK_BYTES: AtomicUsize = AtomicUsize::new(0);
+
+fn note_alloc(bytes: usize) {
+    let live = LIVE_BYTES.fetch_add(bytes, Ordering::Relaxed) + bytes;
+    PEAK_BYTES.fetch_max(live, Ordering::Relaxed);
+}
+
+// SAFETY: every method forwards to `System` with the caller's own
+// arguments and returns its result unchanged; the counters are statistics
+// that no allocation depends on.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note_alloc(layout.size());
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract for `layout`.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE_BYTES.fetch_sub(layout.size(), Ordering::Relaxed);
+        // SAFETY: `ptr` came from `System` through this allocator with this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note_alloc(layout.size());
+        // SAFETY: as for `alloc`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        LIVE_BYTES.fetch_sub(layout.size(), Ordering::Relaxed);
+        note_alloc(new_size);
+        // SAFETY: `ptr` came from `System` with `layout`; the caller upholds the rest.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
+
+/// Records in the load: each a 16-byte key and a 100-byte value, the
+/// benchmark workloads' shape.
+const RECORDS: u64 = 100_000;
+const VALUE_LEN: usize = 100;
+
+/// A fixed permutation of `0..n` (a stride coprime to `n`), so the load
+/// arrives scattered, as the workloads load it.
+fn scattered(n: u64) -> impl Iterator<Item = u64> {
+    let step = (0..).map(|i| 0x9E37_79B9 + i).find(|s| gcd(*s, n) == 1).unwrap();
+    (0..n).map(move |i| (i * step) % n)
+}
+
+fn gcd(a: u64, b: u64) -> u64 {
+    if b == 0 {
+        a
+    } else {
+        gcd(b, a % b)
+    }
+}
+
+/// This is the only test in the binary: the counters are process-wide.
+#[test]
+fn a_load_and_full_compaction_cost_a_small_multiple_of_the_data() {
+    let cfg = LsmConfig {
+        background: BackgroundMode::Inline,
+        cache_bytes: 1 << 20,
+        ..LsmConfig::default()
+    };
+    let base = LIVE_BYTES.load(Ordering::Relaxed);
+    PEAK_BYTES.store(base, Ordering::Relaxed);
+    let dev: Arc<dyn StorageDevice> = Arc::new(MemDevice::new(cfg.block_size, DeviceProfile::free()));
+    let db = Db::open(Arc::clone(&dev), cfg.clone()).unwrap();
+    for id in scattered(RECORDS) {
+        db.put(encode_key(id), make_value(id, VALUE_LEN)).unwrap();
+    }
+    db.major_compact().unwrap();
+    let device_bytes = (dev.live_blocks() * cfg.block_size as u64) as f64;
+    let peak = PEAK_BYTES.load(Ordering::Relaxed).saturating_sub(base) as f64 / device_bytes;
+    let held = LIVE_BYTES.load(Ordering::Relaxed).saturating_sub(base) as f64 / device_bytes;
+    println!("{RECORDS} records, {device_bytes} device bytes: heap peaked at {peak:.2}x and holds {held:.2}x");
+    assert!(peak <= 2.6, "the heap peaked at {peak:.2}x the device's live bytes");
+    assert!(held <= 1.3, "the heap holds {held:.2}x the device's live bytes after the compaction");
+    for id in (0..RECORDS).step_by(997) {
+        assert_eq!(db.get(&encode_key(id)).unwrap(), Some(make_value(id, VALUE_LEN)));
+    }
+}

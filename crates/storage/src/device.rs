@@ -112,16 +112,79 @@ fn check_whole_blocks(len: usize, block_size: usize) -> StorageResult<u64> {
 // In-memory device
 // ---------------------------------------------------------------------------
 
+/// Target size of one [`MemDevice`] extent: below glibc's default mmap
+/// threshold (128 KiB), so a deleted file's extents go back to the heap
+/// and the next file reuses them instead of mapping and faulting in fresh
+/// pages.
+const EXTENT_TARGET_BYTES: usize = 64 << 10;
+
+/// An in-memory file: a list of extents of whole blocks. Every extent but
+/// the last holds exactly `extent_bytes` and is never moved, so an append
+/// copies only its own bytes and a file never holds more than its bytes
+/// plus one extent.
+#[derive(Default)]
 struct MemFile {
-    data: Vec<u8>,
+    extents: Vec<Vec<u8>>,
     sealed: bool,
+}
+
+impl MemFile {
+    fn len(&self, extent_bytes: usize) -> usize {
+        self.extents
+            .last()
+            .map_or(0, |last| (self.extents.len() - 1) * extent_bytes + last.len())
+    }
+
+    /// The first extent starts at the first append's size and doubles up
+    /// to `extent_bytes`, so a one-block file costs one block; every later
+    /// extent is allocated whole.
+    fn append(&mut self, mut data: &[u8], extent_bytes: usize) {
+        while !data.is_empty() {
+            if self.extents.last().is_none_or(|last| last.len() == extent_bytes) {
+                let cap = if self.extents.is_empty() { data.len().min(extent_bytes) } else { extent_bytes };
+                self.extents.push(Vec::with_capacity(cap));
+            }
+            let last = self.extents.last_mut().expect("an extent with room was pushed above");
+            let n = data.len().min(extent_bytes - last.len());
+            if last.capacity() - last.len() < n {
+                let grown = (2 * last.capacity()).max(last.len() + n).min(extent_bytes);
+                last.reserve_exact(grown - last.len());
+            }
+            last.extend_from_slice(&data[..n]);
+            data = &data[n..];
+        }
+    }
+
+    /// Copies bytes `[at, at + buf.len())`, which the caller has bounds
+    /// checked, from the one or more extents they span.
+    fn read_into(&self, at: usize, buf: &mut [u8], extent_bytes: usize) {
+        let mut done = 0;
+        while done < buf.len() {
+            let (extent, off) = ((at + done) / extent_bytes, (at + done) % extent_bytes);
+            let n = (buf.len() - done).min(extent_bytes - off);
+            buf[done..done + n].copy_from_slice(&self.extents[extent][off..off + n]);
+            done += n;
+        }
+    }
+
+    /// Freezes the file and gives back the last extent's spare capacity.
+    fn seal(&mut self) {
+        self.sealed = true;
+        if let Some(last) = self.extents.last_mut() {
+            last.shrink_to_fit();
+        }
+        self.extents.shrink_to_fit();
+    }
 }
 
 /// An in-memory [`StorageDevice`]. The default substrate for experiments:
 /// I/O counts and simulated time are exact and runs are fast and
-/// deterministic.
+/// deterministic. A file is kept in extents of whole blocks, about 64 KiB
+/// each (one block when blocks are larger), so it costs its bytes plus at
+/// most one extent.
 pub struct MemDevice {
     block_size: usize,
+    extent_bytes: usize,
     stats: IoStats,
     latency: LatencyModel,
     files: RwLock<BTreeMap<u64, MemFile>>,
@@ -134,6 +197,7 @@ impl MemDevice {
         assert!(block_size > 0, "block size must be positive");
         MemDevice {
             block_size,
+            extent_bytes: (EXTENT_TARGET_BYTES / block_size).max(1) * block_size,
             stats: IoStats::new(),
             latency: LatencyModel::new(profile),
             files: RwLock::new(BTreeMap::new()),
@@ -144,6 +208,16 @@ impl MemDevice {
     /// 4 KiB blocks, free latency profile.
     pub fn default_for_tests() -> Self {
         MemDevice::new(crate::block::DEFAULT_BLOCK_SIZE, DeviceProfile::free())
+    }
+
+    /// Bytes in one full extent: the whole blocks nearest 64 KiB, or one
+    /// block when blocks are larger.
+    pub fn extent_bytes(&self) -> usize {
+        self.extent_bytes
+    }
+
+    fn file_blocks(&self, f: &MemFile) -> u64 {
+        (f.len(self.extent_bytes) / self.block_size) as u64
     }
 }
 
@@ -168,13 +242,7 @@ impl StorageDevice for MemDevice {
 
     fn create(&self) -> StorageResult<FileId> {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        self.files.write().insert(
-            id,
-            MemFile {
-                data: Vec::new(),
-                sealed: false,
-            },
-        );
+        self.files.write().insert(id, MemFile::default());
         Ok(FileId(id))
     }
 
@@ -185,7 +253,7 @@ impl StorageDevice for MemDevice {
         if f.sealed {
             return Err(StorageError::Sealed(file.0));
         }
-        f.data.extend_from_slice(data);
+        f.append(data, self.extent_bytes);
         drop(files);
         self.stats.record_write(cat, blocks);
         self.latency.charge_write(blocks);
@@ -195,17 +263,15 @@ impl StorageDevice for MemDevice {
     fn seal(&self, file: FileId) -> StorageResult<()> {
         let mut files = self.files.write();
         let f = files.get_mut(&file.0).ok_or(StorageError::UnknownFile(file.0))?;
-        f.sealed = true;
+        f.seal();
         Ok(())
     }
 
     fn read_into(&self, file: FileId, at: u64, buf: &mut [u8], cat: IoCategory) -> StorageResult<()> {
         let files = self.files.read();
         let f = files.get(&file.0).ok_or(StorageError::UnknownFile(file.0))?;
-        let len = (f.data.len() / self.block_size) as u64;
-        let nblocks = check_in_bounds(file, at, buf, self.block_size, len)?;
-        let start = at as usize;
-        buf.copy_from_slice(&f.data[start..start + buf.len()]);
+        let nblocks = check_in_bounds(file, at, buf, self.block_size, self.file_blocks(f))?;
+        f.read_into(at as usize, buf, self.extent_bytes);
         drop(files);
         self.stats.record_read(cat, nblocks);
         self.latency.charge_read(nblocks);
@@ -215,15 +281,13 @@ impl StorageDevice for MemDevice {
     fn len_blocks(&self, file: FileId) -> StorageResult<u64> {
         let files = self.files.read();
         let f = files.get(&file.0).ok_or(StorageError::UnknownFile(file.0))?;
-        Ok((f.data.len() / self.block_size) as u64)
+        Ok(self.file_blocks(f))
     }
 
     fn delete(&self, file: FileId) -> StorageResult<()> {
-        self.files
-            .write()
-            .remove(&file.0)
-            .map(|_| ())
-            .ok_or(StorageError::UnknownFile(file.0))
+        // the lock is released before the file's extents are freed
+        let removed = self.files.write().remove(&file.0);
+        removed.map(drop).ok_or(StorageError::UnknownFile(file.0))
     }
 
     fn live_files(&self) -> Vec<FileId> {
@@ -231,11 +295,7 @@ impl StorageDevice for MemDevice {
     }
 
     fn live_blocks(&self) -> u64 {
-        let files = self.files.read();
-        files
-            .values()
-            .map(|f| (f.data.len() / self.block_size) as u64)
-            .sum()
+        self.files.read().values().map(|f| self.file_blocks(f)).sum()
     }
 }
 
@@ -402,6 +462,7 @@ impl StorageDevice for FileDevice {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     fn roundtrip(dev: &dyn StorageDevice) {
         let bs = dev.block_size();
@@ -510,33 +571,210 @@ mod tests {
         assert!(dev.latency().clock().now_ns() > after_write);
     }
 
-    /// Drives two identically built devices through the same ops — one
+    /// The device before extents, kept as the model: each file one flat
+    /// `Vec`, charged exactly as [`MemDevice`] charges.
+    struct FlatDevice {
+        block_size: usize,
+        stats: IoStats,
+        latency: LatencyModel,
+        files: RwLock<BTreeMap<u64, (Vec<u8>, bool)>>,
+        next_id: AtomicU64,
+    }
+
+    impl FlatDevice {
+        fn new(block_size: usize, profile: DeviceProfile) -> Self {
+            FlatDevice {
+                block_size,
+                stats: IoStats::new(),
+                latency: LatencyModel::new(profile),
+                files: RwLock::new(BTreeMap::new()),
+                next_id: AtomicU64::new(1),
+            }
+        }
+    }
+
+    impl StorageDevice for FlatDevice {
+        fn block_size(&self) -> usize {
+            self.block_size
+        }
+
+        fn stats(&self) -> &IoStats {
+            &self.stats
+        }
+
+        fn latency(&self) -> &LatencyModel {
+            &self.latency
+        }
+
+        fn create(&self) -> StorageResult<FileId> {
+            let id = self.next_id.fetch_add(1, Ordering::Relaxed);
+            self.files.write().insert(id, (Vec::new(), false));
+            Ok(FileId(id))
+        }
+
+        fn append(&self, file: FileId, data: &[u8], cat: IoCategory) -> StorageResult<()> {
+            let blocks = check_whole_blocks(data.len(), self.block_size)?;
+            let mut files = self.files.write();
+            let (bytes, sealed) = files.get_mut(&file.0).ok_or(StorageError::UnknownFile(file.0))?;
+            if *sealed {
+                return Err(StorageError::Sealed(file.0));
+            }
+            bytes.extend_from_slice(data);
+            self.stats.record_write(cat, blocks);
+            self.latency.charge_write(blocks);
+            Ok(())
+        }
+
+        fn seal(&self, file: FileId) -> StorageResult<()> {
+            let mut files = self.files.write();
+            files.get_mut(&file.0).ok_or(StorageError::UnknownFile(file.0))?.1 = true;
+            Ok(())
+        }
+
+        fn read_into(&self, file: FileId, at: u64, buf: &mut [u8], cat: IoCategory) -> StorageResult<()> {
+            let files = self.files.read();
+            let (bytes, _) = files.get(&file.0).ok_or(StorageError::UnknownFile(file.0))?;
+            let len = (bytes.len() / self.block_size) as u64;
+            let nblocks = check_in_bounds(file, at, buf, self.block_size, len)?;
+            buf.copy_from_slice(&bytes[at as usize..at as usize + buf.len()]);
+            self.stats.record_read(cat, nblocks);
+            self.latency.charge_read(nblocks);
+            Ok(())
+        }
+
+        fn len_blocks(&self, file: FileId) -> StorageResult<u64> {
+            let files = self.files.read();
+            let (bytes, _) = files.get(&file.0).ok_or(StorageError::UnknownFile(file.0))?;
+            Ok((bytes.len() / self.block_size) as u64)
+        }
+
+        fn delete(&self, file: FileId) -> StorageResult<()> {
+            self.files.write().remove(&file.0).map(|_| ()).ok_or(StorageError::UnknownFile(file.0))
+        }
+
+        fn live_files(&self) -> Vec<FileId> {
+            self.files.read().keys().map(|&k| FileId(k)).collect()
+        }
+
+        fn live_blocks(&self) -> u64 {
+            self.files.read().values().map(|(b, _)| (b.len() / self.block_size) as u64).sum()
+        }
+    }
+
+    /// Asserts `a` and the model `b` agree on `read_into(file, at, len)`:
+    /// the same bytes (or both an error), then the same counters and
+    /// simulated time. Returns what `a` read, `None` on an error.
+    fn assert_same_read(a: &dyn StorageDevice, b: &dyn StorageDevice, file: FileId, at: u64, len: usize) -> Option<Vec<u8>> {
+        let read = |dev: &dyn StorageDevice| {
+            let mut buf = vec![0u8; len];
+            dev.read_into(file, at, &mut buf, IoCategory::Filter).map(|()| buf)
+        };
+        let (got, model) = (read(a), read(b));
+        match (&got, &model) {
+            (Ok(x), Ok(y)) => assert_eq!(x, y, "bytes at {at}+{len}"),
+            (Err(_), Err(_)) => {}
+            _ => panic!("at {at}+{len}: {:?} vs the model's {:?}", got.is_ok(), model.is_ok()),
+        }
+        assert_eq!(a.stats().snapshot(), b.stats().snapshot(), "counters at {at}+{len}");
+        assert_eq!(a.latency().clock().now_ns(), b.latency().clock().now_ns(), "simulated time at {at}+{len}");
+        got.ok()
+    }
+
+    /// Random appends of 1–40 blocks to interleaved files, then reads at
+    /// block-aligned offsets whose lengths cross extent boundaries: the
+    /// extents return the flat model's bytes, counters and simulated time.
+    #[test]
+    fn extents_read_back_what_a_flat_file_holds() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        for bs in [512, 4096] {
+            let mut rng = StdRng::seed_from_u64(bs as u64);
+            let (mem, flat) = (MemDevice::new(bs, DeviceProfile::nvme_ssd()), FlatDevice::new(bs, DeviceProfile::nvme_ssd()));
+            let extent = mem.extent_bytes();
+            let files: Vec<FileId> = (0..4).map(|_| (mem.create().unwrap(), flat.create().unwrap()).0).collect();
+            for round in 0..120u32 {
+                let file = files[rng.gen_range(0..files.len())];
+                let data: Vec<u8> = (0..rng.gen_range(1..=40usize) * bs).map(|i| (i as u32 ^ round.wrapping_mul(0x9E37)) as u8).collect();
+                for dev in [&mem as &dyn StorageDevice, &flat] {
+                    dev.append(file, &data, IoCategory::Data).unwrap();
+                }
+            }
+            mem.seal(files[0]).unwrap();
+            flat.seal(files[0]).unwrap();
+            assert_eq!(mem.live_blocks(), flat.live_blocks());
+            for &file in &files {
+                let len = flat.len_blocks(file).unwrap() as usize * bs;
+                assert_eq!(mem.len_blocks(file).unwrap(), flat.len_blocks(file).unwrap());
+                assert!(len > 3 * extent, "each file spans at least three extents");
+                // across every extent boundary, and past the end
+                for boundary in (extent..len).step_by(extent) {
+                    assert_same_read(&mem, &flat, file, (boundary - bs) as u64, 2 * bs).expect("in bounds");
+                    assert_same_read(&mem, &flat, file, (boundary - bs) as u64, 2 * bs - 7).expect("in bounds");
+                }
+                assert_same_read(&mem, &flat, file, 0, len).expect("in bounds");
+                assert!(assert_same_read(&mem, &flat, file, (len - bs) as u64, bs + 1).is_none());
+                for _ in 0..40 {
+                    let at = rng.gen_range(0..len / bs) * bs;
+                    let n = rng.gen_range(1..=(len - at).min(3 * extent));
+                    assert_same_read(&mem, &flat, file, at as u64, n).expect("in bounds");
+                }
+            }
+        }
+    }
+
+    type Dev = Arc<dyn StorageDevice>;
+
+    /// `len` bytes that never repeat at a block or extent stride, so a
+    /// read from the wrong place shows.
+    fn pattern(len: usize) -> Vec<u8> {
+        (0..len as u64).map(|i| (i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 56) as u8).collect()
+    }
+
+    /// Blocks per append of the file [`read_into_matches_read`] builds:
+    /// 398 blocks of 512 bytes, past three 128-block extents, with appends
+    /// that straddle extent boundaries.
+    const APPENDS: [usize; 5] = [1, 130, 7, 200, 60];
+
+    /// Drives three identically built devices through the same ops — one
     /// reading each range through `read` of its covering blocks, the
-    /// other through `read_into` of just the range — and checks they
-    /// return the same bytes (or both fail) with the same I/O counters
-    /// and simulated time. A fault scheduled by `make` fires at the same
-    /// ordinal on both.
-    fn read_into_matches_read(make: &dyn Fn(&str) -> Box<dyn StorageDevice>) {
-        let (whole, ranged) = (make("whole"), make("ranged"));
-        let bs = whole.block_size();
-        let pattern: Vec<u8> = (0..3 * bs).map(|i| (i * 31 + 7) as u8).collect();
+    /// others through `read_into` of just the range, the third over the
+    /// flat model — and checks they return the same bytes (or all fail)
+    /// with the same I/O counters and simulated time. `make` wraps the
+    /// base device it is handed (or ignores it); a fault it schedules
+    /// fires at the same ordinal on each, and lands where it lands on the
+    /// flat model.
+    fn read_into_matches_read(make: &dyn Fn(&str, Dev) -> Dev) {
+        let bs = 512;
+        let whole = make("whole", Arc::new(MemDevice::new(bs, DeviceProfile::nvme_ssd())));
+        let ranged = make("ranged", Arc::new(MemDevice::new(bs, DeviceProfile::nvme_ssd())));
+        let flat = make("flat", Arc::new(FlatDevice::new(bs, DeviceProfile::nvme_ssd())));
+        let blocks: usize = APPENDS.iter().sum();
+        let pattern = pattern(blocks * bs);
         let mut file = None;
-        for dev in [&whole, &ranged] {
+        for dev in [&whole, &ranged, &flat] {
             let id = dev.create().unwrap();
-            dev.append(id, &pattern, IoCategory::Data).unwrap();
+            let mut at = 0;
+            for n in APPENDS {
+                dev.append(id, &pattern[at..at + n * bs], IoCategory::Data).unwrap();
+                at += n * bs;
+            }
             dev.seal(id).unwrap();
             file = Some(id);
         }
         let file = file.unwrap();
+        let extent = 128 * bs as u64;
         let cases = [
             (0, 3 * bs),
             (0, bs),
             (bs as u64 / 2, bs),
             (bs as u64 + 3, 7),
+            (extent - 3, 10),
+            (2 * extent - bs as u64, 2 * bs),
+            (extent - 100, 2 * extent as usize + 200), // three extents
             (3 * bs as u64 - 1, 1),
-            (2 * bs as u64, bs + 1), // past the end
-            (0, 3 * bs),
-            (5, bs - 9),
+            (((blocks - 1) * bs) as u64, bs + 1), // past the end
+            (0, blocks * bs),
+            (3 * extent + 5, bs - 9),
         ];
         for (at, len) in cases {
             let (first, nblocks) = covering(at, len, bs);
@@ -546,14 +784,11 @@ mod tests {
                     let skip = (at - first * bs as u64) as usize;
                     all[skip..skip + len].to_vec()
                 });
-            let mut buf = vec![0u8; len];
-            let via_into = ranged
-                .read_into(file, at, &mut buf, IoCategory::Filter)
-                .map(|()| buf);
-            match (via_read, via_into) {
-                (Ok(a), Ok(b)) => assert_eq!(a, b, "bytes at {at}+{len}"),
-                (Err(_), Err(_)) => {}
-                (a, b) => panic!("at {at}+{len}: read {:?} vs read_into {:?}", a.is_ok(), b.is_ok()),
+            let via_into = assert_same_read(&*ranged, &*flat, file, at, len);
+            match (via_read.ok(), via_into) {
+                (Some(a), Some(b)) => assert_eq!(a, b, "bytes at {at}+{len}"),
+                (None, None) => {}
+                (a, b) => panic!("at {at}+{len}: read {:?} vs read_into {:?}", a.is_some(), b.is_some()),
             }
             assert_eq!(whole.stats().snapshot(), ranged.stats().snapshot(), "counters at {at}+{len}");
             assert_eq!(
@@ -568,40 +803,78 @@ mod tests {
     fn read_into_matches_read_on_every_device() {
         use crate::fault::{FaultDevice, FaultKind, RetryDevice, RetryPolicy};
         use crate::wall::WallLatencyDevice;
-        use std::sync::Arc;
-        let mem = || -> Arc<dyn StorageDevice> { Arc::new(MemDevice::new(512, DeviceProfile::nvme_ssd())) };
-        read_into_matches_read(&|_| Box::new(MemDevice::new(512, DeviceProfile::nvme_ssd())));
+        read_into_matches_read(&|_, base| base);
         let root = std::env::temp_dir().join(format!("lsm-storage-read-into-{}", std::process::id()));
-        read_into_matches_read(&|name| {
+        read_into_matches_read(&|name, _| {
             let dir = root.join(name);
             let _ = fs::remove_dir_all(&dir);
-            Box::new(FileDevice::open(dir, 512, DeviceProfile::free()).unwrap())
+            Arc::new(FileDevice::open(dir, 512, DeviceProfile::free()).unwrap())
         });
         let _ = fs::remove_dir_all(&root);
-        read_into_matches_read(&|_| Box::new(WallLatencyDevice::new(mem(), DeviceProfile::free())));
-        // ordinals 0–1 are the appends: a fault at 2.. lands on a read
+        read_into_matches_read(&|_, base| Arc::new(WallLatencyDevice::new(base, DeviceProfile::free())));
+        // ordinals below `APPENDS.len()` are the appends: a fault from there on lands on a read
+        let first_read = APPENDS.len() as u64;
         for kind in [
             FaultKind::Crash,
             FaultKind::Transient,
             FaultKind::BitFlip,
             FaultKind::TornWrite { keep_blocks: 1 },
         ] {
-            for at in 1..10 {
+            for at in first_read..first_read + 11 {
                 let kind = kind.clone();
-                read_into_matches_read(&move |_| {
-                    let dev = FaultDevice::new(mem(), 0xB17 + at);
+                read_into_matches_read(&move |_, base| {
+                    let dev = FaultDevice::new(base, 0xB17 + at);
                     dev.schedule(at, kind.clone());
-                    Box::new(dev)
+                    Arc::new(dev)
                 });
             }
         }
-        for at in 1..6 {
-            read_into_matches_read(&move |_| {
-                let faulty = FaultDevice::new(mem(), 9);
+        for at in first_read..first_read + 6 {
+            read_into_matches_read(&move |_, base| {
+                let faulty = FaultDevice::new(base, 9);
                 faulty.schedule(at, FaultKind::Transient);
                 faulty.schedule(at + 1, FaultKind::BitFlip);
-                Box::new(RetryDevice::new(Arc::new(faulty), RetryPolicy::default()))
+                Arc::new(RetryDevice::new(Arc::new(faulty), RetryPolicy::default()))
             });
+        }
+    }
+
+    /// A write torn at any append of a file that spans three extents keeps
+    /// the prefix it keeps on the flat model: after the heal both hold the
+    /// same blocks.
+    #[test]
+    fn torn_appends_keep_the_flat_models_prefix() {
+        use crate::fault::{FaultDevice, FaultKind};
+        let bs = 512;
+        let blocks: usize = APPENDS.iter().sum();
+        let pattern = pattern(blocks * bs);
+        for at in 0..APPENDS.len() as u64 {
+            for keep_blocks in [0, 1, 127, 128, 129, 199, 200] {
+                let devs: [FaultDevice; 2] = [
+                    Arc::new(MemDevice::new(bs, DeviceProfile::nvme_ssd())) as Arc<dyn StorageDevice>,
+                    Arc::new(FlatDevice::new(bs, DeviceProfile::nvme_ssd())),
+                ]
+                .map(|base| FaultDevice::new(base, 3));
+                let mut file = None;
+                for dev in &devs {
+                    dev.schedule(at, FaultKind::TornWrite { keep_blocks });
+                    let id = dev.create().unwrap();
+                    let mut off = 0;
+                    for n in APPENDS {
+                        if dev.append(id, &pattern[off..off + n * bs], IoCategory::Data).is_err() {
+                            break;
+                        }
+                        off += n * bs;
+                    }
+                    dev.heal();
+                    file = Some(id);
+                }
+                let file = file.unwrap();
+                let len = devs[1].len_blocks(file).unwrap() as usize;
+                assert_eq!(devs[0].len_blocks(file).unwrap() as usize, len, "torn at #{at} keeping {keep_blocks}");
+                assert_same_read(&devs[0], &devs[1], file, 0, len * bs).expect("the kept blocks read back");
+                assert!(assert_same_read(&devs[0], &devs[1], file, 0, len * bs + 1).is_none());
+            }
         }
     }
 

@@ -2,7 +2,8 @@
 # Tier-1 verification: release build, every workspace test under both
 # background modes (crash sweeps included; a failing sweep's captured
 # output names its LSM_SEED), the crash sweeps again at LSM_SEED=1 in
-# both modes, the experiment registry at full scale
+# both modes, the allocation-regression and heap-footprint tests in
+# release in both modes, the experiment registry at full scale
 # (claims + freshness of the tracked tables), the benchmark package's own
 # build and tests, warning-free rustdoc, and lint-clean clippy.
 # CI runs exactly this script; run it locally before pushing.
@@ -49,9 +50,13 @@ for _ in $(seq 20); do
     LSM_BACKGROUND=threaded cargo test -q -p lsm-core --release --test paused_reads
 done
 
-stage "allocation-regression battery (counting allocator + borrowed-vs-owned differential)"
-cargo test -q -p lsm-core --release --test alloc_regression
-LSM_BACKGROUND=threaded cargo test -q -p lsm-core --release --test alloc_regression
+stage "allocation-regression battery (counting allocator + borrowed-vs-owned differential) and heap footprint, both modes"
+# the footprint tests: a device file costs its bytes plus one extent, and
+# a load + full compaction peaks at a small multiple of the device's bytes
+for mode in inline threaded; do
+    LSM_BACKGROUND=$mode cargo test -q -p lsm-core --release --test alloc_regression --test heap_footprint
+    LSM_BACKGROUND=$mode cargo test -q -p lsm-storage --release --test footprint
+done
 
 stage "experiment registry at full scale: every claim holds, results/experiments.txt is fresh"
 # a PR that moves a curve shows the new table in its own diff:
