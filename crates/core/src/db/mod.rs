@@ -324,9 +324,10 @@ impl DbCore {
 }
 
 impl Drop for DbCore {
-    /// Clean shutdown: stop the worker pool, then pad the WAL tails so
-    /// every acknowledged write is on the device. Crash semantics (torn
-    /// tails) are exercised by dropping the device instead of the `Db`.
+    /// Clean shutdown: stop the worker pool, then sync the logs so every
+    /// acknowledged write is on the device and past its barrier. Crash
+    /// semantics (torn tails) are exercised by dropping the device
+    /// instead of the `Db`.
     fn drop(&mut self) {
         self.shutdown_and_join();
         let inner = self.inner.get_mut();

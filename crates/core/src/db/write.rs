@@ -459,9 +459,10 @@ impl DbCore {
         Ok(old)
     }
 
-    /// Forces the WAL tail to the device (group commit / `fsync`). Writes
-    /// issued before `sync` returns survive a crash; unsynced tail records
-    /// may be lost (standard torn-tail semantics).
+    /// Forces the logs' tails to the device and past its durability
+    /// barrier (group commit / `fsync`). Writes issued before `sync`
+    /// returns survive a crash; unsynced tail records may be lost
+    /// (standard torn-tail semantics).
     pub fn sync(&self) -> StorageResult<()> {
         self.sync_logs(&mut self.inner.write())
     }

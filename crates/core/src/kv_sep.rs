@@ -102,15 +102,11 @@ pub fn read_pointer_from_device(
 
 /// The append-only value log.
 ///
-/// Reads must work against the *unsealed* active log, but the device only
-/// holds whole blocks; the partial tail block is mirrored in memory.
+/// Reads must work against the *unsealed* active log, but the device holds
+/// only the blocks written so far; the rest is the file's buffered bytes.
 pub struct ValueLog {
     device: Arc<dyn StorageDevice>,
     file: WritableFile,
-    /// Bytes of the current partial tail block (not yet on the device).
-    tail: Vec<u8>,
-    /// Total bytes appended (device bytes + tail).
-    len: u64,
     /// Live-value bytes (for the garbage ratio).
     live_bytes: u64,
 }
@@ -122,8 +118,6 @@ impl ValueLog {
         Ok(ValueLog {
             device,
             file,
-            tail: Vec::new(),
-            len: 0,
             live_bytes: 0,
         })
     }
@@ -133,22 +127,23 @@ impl ValueLog {
         self.file.id()
     }
 
-    /// Total appended bytes.
+    /// Total appended bytes, with the zeros that close a synced block
+    /// the next record did not fit in.
     pub fn len(&self) -> u64 {
-        self.len
+        self.file.offset()
     }
 
     /// Whether nothing was appended.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.len() == 0
     }
 
     /// Fraction of appended bytes no longer referenced (0 when empty).
     pub fn garbage_ratio(&self) -> f64 {
-        if self.len == 0 {
+        if self.is_empty() {
             0.0
         } else {
-            1.0 - self.live_bytes as f64 / self.len as f64
+            1.0 - self.live_bytes as f64 / self.len() as f64
         }
     }
 
@@ -165,16 +160,7 @@ impl ValueLog {
         put_varint(&mut record, value.len() as u64);
         record.extend_from_slice(key);
         record.extend_from_slice(value);
-        let offset = self.len;
-        let bs = self.device.block_size();
-        // mirror into the tail, flushing whole blocks through the file
-        self.tail.extend_from_slice(&record);
-        self.file.append(&record)?;
-        let flushed_tail_blocks = self.tail.len() / bs;
-        if flushed_tail_blocks > 0 {
-            self.tail.drain(..flushed_tail_blocks * bs);
-        }
-        self.len += record.len() as u64;
+        let offset = self.file.append(&record)?;
         self.live_bytes += record.len() as u64;
         Ok(ValuePointer {
             file: self.id(),
@@ -183,23 +169,25 @@ impl ValueLog {
         })
     }
 
-    /// Pads the log to a block boundary so every record so far is readable
-    /// directly from the device (snapshots resolve pointers without access
-    /// to this in-memory tail). Padding is skipped by [`ValueLog::scan_all`].
+    /// Makes every record so far readable directly from the device
+    /// (snapshots resolve pointers without access to the buffered bytes)
+    /// and durable. The zeros that close a synced block are skipped by
+    /// [`ValueLog::scan_all`].
     pub fn sync(&mut self) -> StorageResult<()> {
-        let bs = self.device.block_size() as u64;
-        let pad = (bs - self.len % bs) % bs;
-        self.file.pad_to_block()?;
-        self.len += pad;
-        self.tail.clear();
-        Ok(())
+        self.file.sync()
+    }
+
+    /// Bytes of the log the device holds: everything before the buffered
+    /// bytes.
+    fn device_bytes(&self) -> u64 {
+        self.len() - self.file.buffered().len() as u64
     }
 
     /// Reads the record at `ptr` (from this log) and returns its value.
     pub fn read(&self, ptr: ValuePointer) -> StorageResult<Vec<u8>> {
         debug_assert_eq!(ptr.file, self.id(), "pointer into a different log");
         let bs = self.device.block_size() as u64;
-        let device_bytes = self.len - self.tail.len() as u64;
+        let device_bytes = self.device_bytes();
         let mut record = Vec::with_capacity(ptr.len as usize);
         let end = ptr.offset + ptr.len as u64;
         // device part
@@ -217,32 +205,37 @@ impl ValueLog {
             let take = (dev_end - ptr.offset) as usize;
             record.extend_from_slice(&raw[start..start + take]);
         }
-        // tail part
+        // buffered part
         if end > device_bytes {
-            let tail_start = ptr.offset.max(device_bytes) - device_bytes;
-            let tail_end = end - device_bytes;
-            record.extend_from_slice(&self.tail[tail_start as usize..tail_end as usize]);
+            let from = (ptr.offset.max(device_bytes) - device_bytes) as usize;
+            let to = (end - device_bytes) as usize;
+            record.extend_from_slice(&self.file.buffered()[from..to]);
         }
         Self::decode_record(&record)
             .map(|(_, v)| v.to_vec())
             .ok_or_else(|| lsm_storage::StorageError::Corruption("bad vlog record".into()))
     }
 
+    /// Splits a record into `(key, value)`; `None` unless its header's
+    /// lengths add up to exactly `record.len()`, so a pointer into bytes
+    /// that never reached the device (the zeros of a synced block) reads
+    /// as corruption, not as an empty value.
     pub(crate) fn decode_record(record: &[u8]) -> Option<(&[u8], &[u8])> {
         let (klen, n) = get_varint(record)?;
         let (vlen, m) = get_varint(&record[n..])?;
         let key_start = n + m;
-        let key = record.get(key_start..key_start + klen as usize)?;
-        let value = record
-            .get(key_start + klen as usize..key_start + klen as usize + vlen as usize)?;
-        Some((key, value))
+        let key_end = key_start.checked_add(klen as usize)?;
+        if key_end.checked_add(vlen as usize)? != record.len() {
+            return None;
+        }
+        Some((&record[key_start..key_end], &record[key_end..]))
     }
 
     /// Reads back every record `(key, value, pointer)` — used by GC.
     #[allow(clippy::type_complexity)]
     pub fn scan_all(&self) -> StorageResult<Vec<(Vec<u8>, Vec<u8>, ValuePointer)>> {
         let bs = self.device.block_size() as u64;
-        let device_bytes = self.len - self.tail.len() as u64;
+        let device_bytes = self.device_bytes();
         let mut bytes = if device_bytes > 0 {
             self.device.read(
                 self.file.id(),
@@ -254,7 +247,7 @@ impl ValueLog {
             Vec::new()
         };
         bytes.truncate(device_bytes as usize);
-        bytes.extend_from_slice(&self.tail);
+        bytes.extend_from_slice(self.file.buffered());
         let mut out = Vec::new();
         let mut off = 0usize;
         let bs_usize = bs as usize;
@@ -262,7 +255,8 @@ impl ValueLog {
             let Some((klen, n)) = get_varint(&bytes[off..]) else { break };
             let Some((vlen, m)) = get_varint(&bytes[off + n..]) else { break };
             if klen == 0 && vlen == 0 {
-                // sync padding (real records always carry a value)
+                // the zeros closing a synced block (real records always
+                // carry a value)
                 off = (off / bs_usize + 1) * bs_usize;
                 continue;
             }
@@ -364,14 +358,38 @@ mod tests {
         let mut log = ValueLog::create(device()).unwrap();
         let p1 = log.append(b"a", &[1u8; 100]).unwrap();
         log.sync().unwrap();
-        let p2 = log.append(b"b", &[2u8; 200]).unwrap();
+        // does not fit in the synced block's rest: starts the next block
+        let p2 = log.append(b"b", &[2u8; 450]).unwrap();
+        assert_eq!(p2.offset, 512);
         log.sync().unwrap();
         assert_eq!(log.read(p1).unwrap(), vec![1u8; 100]);
-        assert_eq!(log.read(p2).unwrap(), vec![2u8; 200]);
+        assert_eq!(log.read(p2).unwrap(), vec![2u8; 450]);
         let all = log.scan_all().unwrap();
-        assert_eq!(all.len(), 2, "padding must be skipped by scan");
+        assert_eq!(all.len(), 2, "the zeros closing a synced block must be skipped by scan");
         assert_eq!(all[0].2, p1);
         assert_eq!(all[1].2, p2);
+    }
+
+    /// A record appended after a sync sits in the synced block, which the
+    /// device holds zero-padded until the next write: a pointer to it read
+    /// from the device alone finds zeros, and that is corruption, not an
+    /// empty value.
+    #[test]
+    fn a_pointer_into_a_synced_blocks_zeros_is_corruption() {
+        let dev = device();
+        let mut log = ValueLog::create(dev.clone()).unwrap();
+        let synced = log.append(b"a", &[1u8; 100]).unwrap();
+        log.sync().unwrap();
+        let buffered = log.append(b"b", &[2u8; 100]).unwrap();
+        assert_eq!(buffered.offset, synced.offset + synced.len as u64, "records stay packed");
+        assert_eq!(read_pointer_from_device(&dev, synced).unwrap(), vec![1u8; 100]);
+        assert_eq!(log.read(buffered).unwrap(), vec![2u8; 100]);
+        assert!(matches!(
+            read_pointer_from_device(&dev, buffered),
+            Err(lsm_storage::StorageError::Corruption(_))
+        ));
+        log.sync().unwrap();
+        assert_eq!(read_pointer_from_device(&dev, buffered).unwrap(), vec![2u8; 100]);
     }
 
     #[test]

@@ -9,12 +9,18 @@
 //! data alone. A device that grows a file by doubling holds up to twice
 //! each file's bytes and re-copies the file as it grows, which shows here
 //! as both ratios rising past their bounds.
+//!
+//! The write-ahead log is the other device cost a workload controls: a
+//! group commit of one or two records must cost the log its bytes, not a
+//! fresh block per sync.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use lsm_core::{BackgroundMode, Db, LsmConfig};
+use lsm_core::wal::Wal;
+use lsm_core::{BackgroundMode, Db, LsmConfig, ValueKind};
 use lsm_storage::{DeviceProfile, MemDevice, StorageDevice};
 use lsm_workload::keyspace::{encode_key, make_value};
 
@@ -82,9 +88,13 @@ fn gcd(a: u64, b: u64) -> u64 {
     }
 }
 
-/// This is the only test in the binary: the counters are process-wide.
+/// Held by every test in the binary: the allocator's counters are
+/// process-wide, so another test's allocations would show in a peak.
+static SERIAL: Mutex<()> = Mutex::new(());
+
 #[test]
 fn a_load_and_full_compaction_cost_a_small_multiple_of_the_data() {
+    let _serial = SERIAL.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
     let cfg = LsmConfig {
         background: BackgroundMode::Inline,
         cache_bytes: 1 << 20,
@@ -107,4 +117,49 @@ fn a_load_and_full_compaction_cost_a_small_multiple_of_the_data() {
     for id in (0..RECORDS).step_by(997) {
         assert_eq!(db.get(&encode_key(id)).unwrap(), Some(make_value(id, VALUE_LEN)));
     }
+}
+
+/// 20 000 single-record group commits (`put`, then `sync`) into a log
+/// that never rotates: the log's file holds its frames plus at most a
+/// tenth and one block, where a sync that pads its block to the boundary
+/// leaves a block per record, about 30 times the frames.
+#[test]
+fn single_record_group_commits_cost_the_wal_its_frames() {
+    let _serial = SERIAL.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+    const PUTS: u64 = 20_000;
+    let cfg = LsmConfig {
+        background: BackgroundMode::Inline,
+        buffer_bytes: 64 << 20, // no flush, so one log takes every record
+        wal: true,
+        ..LsmConfig::default()
+    };
+    let bs = cfg.block_size as u64;
+    let dev: Arc<dyn StorageDevice> = Arc::new(MemDevice::new(cfg.block_size, DeviceProfile::free()));
+    let db = Db::open(Arc::clone(&dev), cfg.clone()).unwrap();
+    let before: BTreeMap<_, _> = dev.live_files().into_iter().map(|f| (f, dev.len_blocks(f).unwrap())).collect();
+    for id in 0..PUTS {
+        db.put(encode_key(id), make_value(id, VALUE_LEN)).unwrap();
+        db.sync().unwrap();
+    }
+    let grown: Vec<_> = dev
+        .live_files()
+        .into_iter()
+        .filter(|f| dev.len_blocks(*f).unwrap() > before.get(f).copied().unwrap_or(0))
+        .collect();
+    assert_eq!(grown.len(), 1, "only the log grew: {grown:?}");
+    let wal_bytes = dev.len_blocks(grown[0]).unwrap() * bs;
+    // the same frames in a log synced once: their bytes, rounded up to a block
+    let packed_dev: Arc<dyn StorageDevice> = Arc::new(MemDevice::new(cfg.block_size, DeviceProfile::free()));
+    let mut packed = Wal::create(Arc::clone(&packed_dev)).unwrap();
+    for id in 0..PUTS {
+        packed.append(id + 1, ValueKind::Put, &encode_key(id), &make_value(id, VALUE_LEN)).unwrap();
+    }
+    packed.sync().unwrap();
+    let frame_bytes = packed_dev.live_blocks() * bs;
+    println!("{PUTS} group commits: the log holds {wal_bytes} bytes for {frame_bytes} bytes of frames");
+    assert!(
+        wal_bytes as f64 <= 1.1 * frame_bytes as f64 + bs as f64,
+        "the log holds {wal_bytes} bytes for {frame_bytes} bytes of frames"
+    );
+    assert_eq!(db.get(&encode_key(PUTS - 1)).unwrap(), Some(make_value(PUTS - 1, VALUE_LEN)));
 }

@@ -1,7 +1,8 @@
 //! Storage devices: where immutable LSM files live.
 //!
-//! A device hands out numbered files, accepts whole-block appends until a
-//! file is sealed, and serves whole-block reads. Every call is charged to
+//! A device hands out numbered files, accepts whole-block appends (and
+//! rewrites of the last block, for a log that synced a partial one) until
+//! a file is sealed, and serves whole-block reads. Every call is charged to
 //! the shared [`IoStats`] and [`LatencyModel`], with an [`IoCategory`]
 //! chosen by the caller — an SSTable mixes data, filter, and index blocks
 //! within one file, so attribution must be per-access, not per-file.
@@ -37,6 +38,18 @@ pub trait StorageDevice: Send + Sync {
 
     /// Appends `data` (a whole number of blocks) to an unsealed file.
     fn append(&self, file: FileId, data: &[u8], cat: IoCategory) -> StorageResult<()>;
+
+    /// Replaces the last block of an unsealed, non-empty file with the
+    /// first block of `data` (one or more whole blocks) and appends the
+    /// rest: how a log that wrote a partial block at a sync fills that
+    /// block in later. Charged `data.len() / block_size` written blocks,
+    /// like an append.
+    fn rewrite_last(&self, file: FileId, data: &[u8], cat: IoCategory) -> StorageResult<()>;
+
+    /// Durability barrier: returns once every completed write to `file`
+    /// would survive a power loss, not only a process crash. Charged no
+    /// I/O.
+    fn sync(&self, file: FileId) -> StorageResult<()>;
 
     /// Seals a file; it becomes immutable.
     fn seal(&self, file: FileId) -> StorageResult<()>;
@@ -108,6 +121,21 @@ fn check_whole_blocks(len: usize, block_size: usize) -> StorageResult<u64> {
     Ok((len / block_size) as u64)
 }
 
+/// [`check_whole_blocks`] for a rewrite of a file of `len` blocks, which
+/// needs a last block to replace and at least one block to put there.
+fn check_rewrite(file: FileId, data_len: usize, block_size: usize, len: u64) -> StorageResult<u64> {
+    let blocks = check_whole_blocks(data_len, block_size)?;
+    if len == 0 || blocks == 0 {
+        return Err(StorageError::OutOfBounds {
+            file: file.0,
+            offset: len.saturating_sub(1),
+            blocks,
+            len,
+        });
+    }
+    Ok(blocks)
+}
+
 // ---------------------------------------------------------------------------
 // In-memory device
 // ---------------------------------------------------------------------------
@@ -153,6 +181,17 @@ impl MemFile {
             last.extend_from_slice(&data[..n]);
             data = &data[n..];
         }
+    }
+
+    /// Overwrites the last block in place with `data`'s first
+    /// `block_size` bytes, then appends the rest. The caller has checked
+    /// that the file has a last block; it lies whole in the last extent.
+    fn rewrite_last(&mut self, data: &[u8], block_size: usize, extent_bytes: usize) {
+        let (first, rest) = data.split_at(block_size);
+        let last = self.extents.last_mut().expect("a non-empty file has an extent");
+        let at = last.len() - block_size;
+        last[at..].copy_from_slice(first);
+        self.append(rest, extent_bytes);
     }
 
     /// Copies bytes `[at, at + buf.len())`, which the caller has bounds
@@ -258,6 +297,26 @@ impl StorageDevice for MemDevice {
         self.stats.record_write(cat, blocks);
         self.latency.charge_write(blocks);
         Ok(())
+    }
+
+    fn rewrite_last(&self, file: FileId, data: &[u8], cat: IoCategory) -> StorageResult<()> {
+        let mut files = self.files.write();
+        let f = files.get_mut(&file.0).ok_or(StorageError::UnknownFile(file.0))?;
+        if f.sealed {
+            return Err(StorageError::Sealed(file.0));
+        }
+        let blocks = check_rewrite(file, data.len(), self.block_size, self.file_blocks(f))?;
+        f.rewrite_last(data, self.block_size, self.extent_bytes);
+        drop(files);
+        self.stats.record_write(cat, blocks);
+        self.latency.charge_write(blocks);
+        Ok(())
+    }
+
+    /// Memory holds nothing a power loss would spare: only the file's
+    /// existence is checked.
+    fn sync(&self, file: FileId) -> StorageResult<()> {
+        self.files.read().get(&file.0).map(|_| ()).ok_or(StorageError::UnknownFile(file.0))
     }
 
     fn seal(&self, file: FileId) -> StorageResult<()> {
@@ -403,6 +462,45 @@ impl StorageDevice for FileDevice {
         drop(files);
         self.stats.record_write(cat, blocks);
         self.latency.charge_write(blocks);
+        Ok(())
+    }
+
+    fn rewrite_last(&self, file: FileId, data: &[u8], cat: IoCategory) -> StorageResult<()> {
+        let mut files = self.files.write();
+        let f = files.get_mut(&file.0).ok_or(StorageError::UnknownFile(file.0))?;
+        if f.sealed {
+            return Err(StorageError::Sealed(file.0));
+        }
+        let blocks = check_rewrite(file, data.len(), self.block_size, f.len_blocks)?;
+        let at = (f.len_blocks - 1) * self.block_size as u64;
+        // not `append(true)`: an O_APPEND handle ignores the write offset
+        let handle = fs::OpenOptions::new().write(true).open(&f.path)?;
+        #[cfg(unix)]
+        {
+            use std::os::unix::fs::FileExt;
+            handle.write_all_at(data, at)?;
+        }
+        #[cfg(not(unix))]
+        {
+            use std::io::{Seek, SeekFrom, Write};
+            let mut handle = handle;
+            handle.seek(SeekFrom::Start(at))?;
+            handle.write_all(data)?;
+        }
+        f.len_blocks += blocks - 1;
+        drop(files);
+        self.stats.record_write(cat, blocks);
+        self.latency.charge_write(blocks);
+        Ok(())
+    }
+
+    /// `fdatasync`: the file's written bytes reach stable storage.
+    fn sync(&self, file: FileId) -> StorageResult<()> {
+        let path = {
+            let files = self.files.read();
+            files.get(&file.0).ok_or(StorageError::UnknownFile(file.0))?.path.clone()
+        };
+        fs::OpenOptions::new().write(true).open(path)?.sync_data()?;
         Ok(())
     }
 
@@ -623,6 +721,24 @@ mod tests {
             self.stats.record_write(cat, blocks);
             self.latency.charge_write(blocks);
             Ok(())
+        }
+
+        fn rewrite_last(&self, file: FileId, data: &[u8], cat: IoCategory) -> StorageResult<()> {
+            let mut files = self.files.write();
+            let (bytes, sealed) = files.get_mut(&file.0).ok_or(StorageError::UnknownFile(file.0))?;
+            if *sealed {
+                return Err(StorageError::Sealed(file.0));
+            }
+            let blocks = check_rewrite(file, data.len(), self.block_size, (bytes.len() / self.block_size) as u64)?;
+            bytes.truncate(bytes.len() - self.block_size);
+            bytes.extend_from_slice(data);
+            self.stats.record_write(cat, blocks);
+            self.latency.charge_write(blocks);
+            Ok(())
+        }
+
+        fn sync(&self, file: FileId) -> StorageResult<()> {
+            self.files.read().get(&file.0).map(|_| ()).ok_or(StorageError::UnknownFile(file.0))
         }
 
         fn seal(&self, file: FileId) -> StorageResult<()> {
@@ -876,6 +992,43 @@ mod tests {
                 assert!(assert_same_read(&devs[0], &devs[1], file, 0, len * bs + 1).is_none());
             }
         }
+    }
+
+    /// `rewrite_last` replaces the last block and extends the file past
+    /// it, charged like an append, on every base device and on the model;
+    /// it needs a last block, and a sealed file refuses it.
+    #[test]
+    fn rewrite_last_replaces_the_last_block_on_every_device() {
+        let bs = 512;
+        let root = std::env::temp_dir().join(format!("lsm-storage-rewrite-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&root);
+        let devs: [Box<dyn StorageDevice>; 3] = [
+            Box::new(MemDevice::new(bs, DeviceProfile::nvme_ssd())),
+            Box::new(FlatDevice::new(bs, DeviceProfile::nvme_ssd())),
+            Box::new(FileDevice::open(&root, bs, DeviceProfile::nvme_ssd()).unwrap()),
+        ];
+        let data = pattern(5 * bs);
+        for dev in &devs {
+            let id = dev.create().unwrap();
+            assert!(matches!(dev.rewrite_last(id, &data[..bs], IoCategory::Wal), Err(StorageError::OutOfBounds { .. })));
+            dev.append(id, &data[..2 * bs], IoCategory::Wal).unwrap();
+            assert!(dev.rewrite_last(id, &[], IoCategory::Wal).is_err());
+            assert!(matches!(dev.rewrite_last(id, &data[..7], IoCategory::Wal), Err(StorageError::Corruption(_))));
+            dev.rewrite_last(id, &data[2 * bs..5 * bs], IoCategory::Wal).unwrap();
+            assert_eq!(dev.len_blocks(id).unwrap(), 4);
+            let got = dev.read(id, 0, 4, IoCategory::Wal).unwrap();
+            assert_eq!(&got[..bs], &data[..bs]);
+            assert_eq!(&got[bs..], &data[2 * bs..5 * bs]);
+            dev.sync(id).unwrap();
+            let snap = dev.stats().snapshot();
+            assert_eq!(snap.category(IoCategory::Wal).written_blocks, 5);
+            assert_eq!(snap.total_write_ops(), 2);
+            dev.seal(id).unwrap();
+            assert!(matches!(dev.rewrite_last(id, &data[..bs], IoCategory::Wal), Err(StorageError::Sealed(_))));
+            assert!(matches!(dev.sync(FileId(999)), Err(StorageError::UnknownFile(999))));
+        }
+        assert_eq!(devs[0].latency().clock().now_ns(), devs[1].latency().clock().now_ns());
+        let _ = fs::remove_dir_all(&root);
     }
 
     #[test]

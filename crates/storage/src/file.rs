@@ -4,6 +4,12 @@
 //! one reused buffer, and seals into an [`ImmutableFile`]; the registry
 //! tracks which files a component owns so obsolete runs can be
 //! garbage-collected after compaction.
+//!
+//! A log makes its partial last block durable with
+//! [`WritableFile::sync`], which writes it zero-padded and keeps filling
+//! it afterwards: the next write rewrites that block in place
+//! ([`StorageDevice::rewrite_last`]). So a log costs the device about its
+//! bytes, not one block per sync.
 
 use std::collections::BTreeSet;
 use std::fmt;
@@ -34,6 +40,13 @@ pub struct WritableFile {
     /// between calls; one buffer reused for the file's lifetime, so
     /// appending allocates only while it grows.
     tail: Vec<u8>,
+    /// How many of `tail`'s bytes the device holds: after a sync the
+    /// device's last block is `tail[..synced]` zero-padded, and the next
+    /// write of that block rewrites it. 0 when the device holds no
+    /// partial block.
+    synced: usize,
+    /// Whether a write since the last barrier still needs one.
+    unbarriered: bool,
     blocks_written: u64,
     category: IoCategory,
 }
@@ -46,6 +59,8 @@ impl WritableFile {
             device,
             id,
             tail: Vec::new(),
+            synced: 0,
+            unbarriered: false,
             blocks_written: 0,
             category,
         })
@@ -63,19 +78,67 @@ impl WritableFile {
         self.category = category;
     }
 
-    /// Byte offset the next append will land at.
+    /// Byte offset the next append lands at, unless it is the first
+    /// append after a sync and reaches the synced block's end (see
+    /// [`WritableFile::append`]).
     pub fn offset(&self) -> u64 {
         self.blocks_written * self.device.block_size() as u64 + self.tail.len() as u64
     }
 
-    /// Appends bytes; full blocks are flushed to the device eagerly.
-    pub fn append(&mut self, bytes: &[u8]) -> StorageResult<()> {
+    /// The appended bytes the device does not hold yet: the last ones,
+    /// ending at [`WritableFile::offset`].
+    pub fn buffered(&self) -> &[u8] {
+        &self.tail[self.synced..]
+    }
+
+    /// Appends bytes and returns the offset they start at; full blocks
+    /// are flushed to the device eagerly. The one append that does not
+    /// land at [`WritableFile::offset`]: the first after a sync, if it
+    /// would reach the synced block's end, starts at the next block and
+    /// leaves the synced block as written. So a group commit (one append,
+    /// then a sync) is charged exactly the blocks that padding each sync
+    /// to a block boundary would charge, and one smaller than a block
+    /// reaches the device only at its sync.
+    pub fn append(&mut self, bytes: &[u8]) -> StorageResult<u64> {
+        if self.synced > 0
+            && self.tail.len() == self.synced
+            && self.synced + bytes.len() >= self.device.block_size()
+        {
+            self.close_synced_block();
+        }
+        let at = self.offset();
         self.tail.extend_from_slice(bytes);
-        self.flush_full_blocks()
+        self.flush_full_blocks()?;
+        Ok(at)
+    }
+
+    /// Makes every appended byte durable: writes the partial tail as the
+    /// file's zero-padded last block (rewriting the block an earlier sync
+    /// wrote, if it is the same one), then issues the device's barrier.
+    /// Later appends continue inside that block.
+    pub fn sync(&mut self) -> StorageResult<()> {
+        if self.tail.len() > self.synced {
+            let len = self.tail.len();
+            self.tail.resize(self.device.block_size(), 0);
+            let written = self.write_blocks(self.tail.len());
+            self.tail.truncate(len);
+            written?;
+            self.synced = len;
+        }
+        if self.unbarriered {
+            self.device.sync(self.id)?;
+            self.unbarriered = false;
+        }
+        Ok(())
     }
 
     /// Pads the current position to the next block boundary with zeros.
     pub fn pad_to_block(&mut self) -> StorageResult<()> {
+        if self.synced > 0 && self.tail.len() == self.synced {
+            // the device already holds this block, zero-padded
+            self.close_synced_block();
+            return Ok(());
+        }
         let bs = self.device.block_size();
         let rem = self.tail.len() % bs;
         if rem != 0 {
@@ -85,17 +148,39 @@ impl WritableFile {
         Ok(())
     }
 
-    /// Writes every whole block of the tail in one device append and
-    /// keeps the partial rest.
+    /// Leaves the block a sync wrote as it is on the device: the next
+    /// byte goes to the block after it.
+    fn close_synced_block(&mut self) {
+        self.blocks_written += 1;
+        self.tail.clear();
+        self.synced = 0;
+    }
+
+    /// Writes every whole block of the tail in one device write and keeps
+    /// the partial rest.
     fn flush_full_blocks(&mut self) -> StorageResult<()> {
         let bs = self.device.block_size();
         let full = self.tail.len() / bs * bs;
         if full == 0 {
             return Ok(());
         }
-        self.device.append(self.id, &self.tail[..full], self.category)?;
+        self.write_blocks(full)?;
         self.blocks_written += (full / bs) as u64;
         self.tail.drain(..full);
+        self.synced = 0;
+        Ok(())
+    }
+
+    /// Writes `tail[..len]`, whole blocks, at the tail's place: over the
+    /// block a sync wrote, if there is one, else after the last block.
+    fn write_blocks(&mut self, len: usize) -> StorageResult<()> {
+        let data = &self.tail[..len];
+        if self.synced > 0 {
+            self.device.rewrite_last(self.id, data, self.category)?;
+        } else {
+            self.device.append(self.id, data, self.category)?;
+        }
+        self.unbarriered = true;
         Ok(())
     }
 
@@ -314,6 +399,159 @@ mod tests {
         assert_eq!(dev.live_blocks(), 1);
         f.delete().unwrap();
         assert_eq!(dev.live_blocks(), 0);
+    }
+
+    /// The writer before fill-in syncs, kept as the model: a sync pads the
+    /// tail with zeros to a block boundary, so every sync with bytes to
+    /// write costs a fresh block.
+    struct PaddingWriter {
+        device: Arc<dyn StorageDevice>,
+        id: FileId,
+        tail: Vec<u8>,
+    }
+
+    impl PaddingWriter {
+        fn create(device: Arc<dyn StorageDevice>) -> Self {
+            let id = device.create().unwrap();
+            PaddingWriter { device, id, tail: Vec::new() }
+        }
+
+        fn append(&mut self, bytes: &[u8]) {
+            self.tail.extend_from_slice(bytes);
+            self.flush_full_blocks();
+        }
+
+        fn sync(&mut self) {
+            let bs = self.device.block_size();
+            self.tail.resize(self.tail.len().next_multiple_of(bs), 0);
+            self.flush_full_blocks();
+        }
+
+        fn flush_full_blocks(&mut self) {
+            let full = self.tail.len() / self.device.block_size() * self.device.block_size();
+            if full > 0 {
+                self.device.append(self.id, &self.tail[..full], IoCategory::Wal).unwrap();
+                self.tail.drain(..full);
+            }
+        }
+    }
+
+    fn written(dev: &Arc<dyn StorageDevice>) -> u64 {
+        dev.stats().snapshot().total_written_blocks()
+    }
+
+    /// Mostly log-record sizes, sometimes up to three blocks.
+    fn random_len(rng: &mut rand::rngs::StdRng, bs: usize) -> usize {
+        use rand::Rng;
+        match rng.gen_range(0..10) {
+            0 => rng.gen_range(1..=3 * bs),
+            1 | 2 => rng.gen_range(1..=bs),
+            _ => rng.gen_range(1..=bs / 8),
+        }
+    }
+
+    /// A group commit — one append, then a sync — is charged exactly what
+    /// padding charged, at every size, while the file keeps no more blocks
+    /// than the padded one.
+    #[test]
+    fn one_append_per_sync_charges_what_padding_charges() {
+        use rand::SeedableRng;
+        for bs in [512, 4096] {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(bs as u64 ^ 0x51);
+            let (dev, model_dev) = (mem_with(bs), mem_with(bs));
+            let mut w = WritableFile::create(dev.clone(), IoCategory::Wal).unwrap();
+            let mut model = PaddingWriter::create(model_dev.clone());
+            for group in 0..3000 {
+                let bytes = pattern(random_len(&mut rng, bs), group);
+                w.append(&bytes).unwrap();
+                w.sync().unwrap();
+                model.append(&bytes);
+                model.sync();
+                assert_eq!(written(&dev), written(&model_dev), "group {group} at {bs}-byte blocks");
+                assert!(dev.live_blocks() <= model_dev.live_blocks(), "group {group} at {bs}-byte blocks");
+            }
+            assert!(
+                dev.live_blocks() < model_dev.live_blocks(),
+                "packed groups need fewer blocks than padded ones"
+            );
+        }
+    }
+
+    /// Any mix of appends and syncs: at most one block more than padding
+    /// per sync, never more live blocks, and every append's bytes read
+    /// back at the offset it returned, with zeros between.
+    #[test]
+    fn appends_and_syncs_cost_at_most_one_block_more_per_sync() {
+        use rand::{Rng, SeedableRng};
+        for bs in [512, 4096] {
+            for seed in 0..4u64 {
+                let mut rng = rand::rngs::StdRng::seed_from_u64(seed * 1000 + bs as u64);
+                let (dev, model_dev) = (mem_with(bs), mem_with(bs));
+                let mut w = WritableFile::create(dev.clone(), IoCategory::Wal).unwrap();
+                let mut model = PaddingWriter::create(model_dev.clone());
+                let mut expected = Vec::new();
+                let mut syncs = 0;
+                for op in 0..1500 {
+                    if rng.gen_bool(0.4) {
+                        w.sync().unwrap();
+                        model.sync();
+                        syncs += 1;
+                    } else {
+                        let bytes = pattern(random_len(&mut rng, bs), op);
+                        let at = w.append(&bytes).unwrap() as usize;
+                        assert!(at >= expected.len(), "an append never lands before the last one's end");
+                        expected.resize(at, 0);
+                        expected.extend_from_slice(&bytes);
+                        assert_eq!(w.offset() as usize, expected.len());
+                        model.append(&bytes);
+                    }
+                    assert!(written(&dev) <= written(&model_dev) + syncs, "op {op}, seed {seed}, {bs}-byte blocks");
+                    assert!(dev.live_blocks() <= model_dev.live_blocks(), "op {op}, seed {seed}, {bs}-byte blocks");
+                }
+                w.sync().unwrap();
+                let len = dev.len_blocks(w.id()).unwrap() as usize * bs;
+                let mut got = vec![0u8; len];
+                dev.read_into(w.id(), 0, &mut got, IoCategory::Wal).unwrap();
+                expected.resize(len, 0);
+                assert_eq!(got, expected, "seed {seed}, {bs}-byte blocks");
+            }
+        }
+    }
+
+    /// Bytes appended after a sync are read from the writer until a write
+    /// puts them on the device; the device never shows a partial block it
+    /// was not given.
+    #[test]
+    fn buffered_bytes_are_what_the_device_lacks() {
+        let dev = mem_with(512);
+        let mut w = WritableFile::create(dev.clone(), IoCategory::Wal).unwrap();
+        w.append(&[1; 100]).unwrap();
+        assert_eq!(w.buffered(), &[1; 100][..]);
+        w.sync().unwrap();
+        assert!(w.buffered().is_empty());
+        assert_eq!(dev.len_blocks(w.id()).unwrap(), 1);
+        assert_eq!(w.append(&[2; 50]).unwrap(), 100, "a fitting append continues the synced block");
+        assert_eq!(w.buffered(), &[2; 50][..]);
+        w.sync().unwrap();
+        assert_eq!(dev.len_blocks(w.id()).unwrap(), 1, "the second sync rewrote the block");
+        assert_eq!(written(&dev), 2);
+        assert_eq!(w.append(&[3; 362]).unwrap(), 512, "an append reaching the block's end starts the next");
+        let f = w.seal().unwrap();
+        assert_eq!(f.len_blocks(), 2);
+        let bytes = f.read_bytes(0, 1024, IoCategory::Wal).unwrap();
+        assert_eq!(&bytes[..100], &[1; 100][..]);
+        assert_eq!(&bytes[100..150], &[2; 50][..]);
+        assert!(bytes[150..512].iter().all(|&b| b == 0));
+        assert_eq!(&bytes[512..874], &[3; 362][..]);
+    }
+
+    fn mem_with(bs: usize) -> Arc<dyn StorageDevice> {
+        Arc::new(MemDevice::new(bs, crate::latency::DeviceProfile::free()))
+    }
+
+    /// `len` bytes that differ per `salt`, none of them zero.
+    fn pattern(len: usize, salt: usize) -> Vec<u8> {
+        (0..len).map(|i| ((i + salt * 31) % 255) as u8 + 1).collect()
     }
 
     #[test]

@@ -32,7 +32,7 @@ use crate::stats::{IoCategory, IoStats};
 use crate::StorageDevice;
 
 /// Wraps a device and sleeps the profiled wall-clock cost of every
-/// append and read. See the module docs.
+/// append, rewrite and read. See the module docs.
 pub struct WallLatencyDevice {
     inner: Arc<dyn StorageDevice>,
     profile: DeviceProfile,
@@ -49,6 +49,12 @@ impl WallLatencyDevice {
         if ns > 0 {
             std::thread::sleep(Duration::from_nanos(ns));
         }
+    }
+
+    /// Sleeps the profiled cost of writing `data`'s blocks.
+    fn sleep_write(&self, data: &[u8]) {
+        let blocks = (data.len() / self.inner.block_size().max(1)) as u64;
+        Self::sleep_ns(self.profile.write_cost_ns(blocks));
     }
 }
 
@@ -70,9 +76,18 @@ impl StorageDevice for WallLatencyDevice {
     }
 
     fn append(&self, file: FileId, data: &[u8], cat: IoCategory) -> StorageResult<()> {
-        let blocks = (data.len() / self.inner.block_size().max(1)) as u64;
-        Self::sleep_ns(self.profile.write_cost_ns(blocks));
+        self.sleep_write(data);
         self.inner.append(file, data, cat)
+    }
+
+    fn rewrite_last(&self, file: FileId, data: &[u8], cat: IoCategory) -> StorageResult<()> {
+        self.sleep_write(data);
+        self.inner.rewrite_last(file, data, cat)
+    }
+
+    /// The profile prices blocks, not barriers: a barrier sleeps nothing.
+    fn sync(&self, file: FileId) -> StorageResult<()> {
+        self.inner.sync(file)
     }
 
     fn seal(&self, file: FileId) -> StorageResult<()> {

@@ -50,9 +50,10 @@ for _ in $(seq 20); do
     LSM_BACKGROUND=threaded cargo test -q -p lsm-core --release --test paused_reads
 done
 
-stage "allocation-regression battery (counting allocator + borrowed-vs-owned differential) and heap footprint, both modes"
-# the footprint tests: a device file costs its bytes plus one extent, and
-# a load + full compaction peaks at a small multiple of the device's bytes
+stage "allocation-regression battery (counting allocator + borrowed-vs-owned differential) and heap footprint (load + compaction peak, WAL bytes under one-record group commits), both modes"
+# the footprint tests: a device file costs its bytes plus one extent, a
+# load + full compaction peaks at a small multiple of the device's bytes,
+# and a WAL synced after every record holds its frames, not a block each
 for mode in inline threaded; do
     LSM_BACKGROUND=$mode cargo test -q -p lsm-core --release --test alloc_regression --test heap_footprint
     LSM_BACKGROUND=$mode cargo test -q -p lsm-storage --release --test footprint
