@@ -311,7 +311,11 @@ pub fn e09(scale: Scale, r: &mut Report) {
 /// E13 — value size × separation on/off under update churn (WiscKey).
 pub fn e13(scale: Scale, r: &mut Report) {
     let budget = scale.pick(16u64 << 20, 4 << 20);
-    let (scans, gets) = scale.pick((100, 1000), (40, 300));
+    let scans = scale.pick(100, 40);
+    // at reduced scale every key once: a few hundred sampled gets can
+    // alias with the value log's record stride (300 of 1927 keys read
+    // 1.04 log blocks per get at 256 B where the whole keyspace reads 1.27)
+    let gets = |n: u64| scale.pick(1000, n);
     r.line(format!(
         "load + 2 rounds of update churn, 128 B threshold, {} KiB of key-value data per round",
         budget >> 13
@@ -328,7 +332,7 @@ pub fn e13(scale: Scale, r: &mut Report) {
         }
         let wa = write_amp(&db);
         let scan = measure_scans(&db, n, scans, 100);
-        let point = measure_present_gets(&db, n, gets);
+        let point = measure_present_gets(&db, n, gets(n));
         [wa, scan.blocks_per_op, point.blocks_per_op]
     };
     let mut rows = Vec::new();

@@ -99,6 +99,16 @@ pub fn put_varint(out: &mut Vec<u8>, mut v: u64) {
     }
 }
 
+/// Bytes [`put_varint`] writes for `v`.
+pub(crate) fn varint_len(mut v: u64) -> usize {
+    let mut n = 1;
+    while v >= 0x80 {
+        v >>= 7;
+        n += 1;
+    }
+    n
+}
+
 /// Decodes a varint; returns `(value, bytes_consumed)`.
 pub fn get_varint(bytes: &[u8]) -> Option<(u64, usize)> {
     let mut v = 0u64;

@@ -1,17 +1,18 @@
 //! Integrity: the one checksum every sealed on-device structure carries.
 //!
 //! Data blocks, the table's meta / point-filter / range-filter sections
-//! (each filter partition separately), WAL frames and the record files
-//! (the manifest, the server's shard map) are all covered by
-//! [`checksum32`]. Blocks, sections and records store it as a 4-byte
-//! little-endian trailer ([`seal`] / [`unseal`]); WAL frames store it in
-//! their header.
+//! (each filter partition separately), the frames of both logs (WAL
+//! records and groups, value-log records) and the record files (the
+//! manifest, the server's shard map) are all covered by [`checksum32`].
+//! Blocks, sections and records store it as a 4-byte little-endian
+//! trailer ([`seal`] / [`unseal`]); log frames store it in their header
+//! (`frame.rs`).
 //!
 //! Verification happens exactly where bytes leave the device — a
 //! `Table::read_data_block` miss, `Table::open`, a filter-partition miss,
-//! WAL replay, a record-file scan — and *before* anything is admitted to
-//! the block cache, so a cache hit is hash-free and a transiently flipped
-//! read can never be served twice.
+//! WAL replay, a value-log read or GC scan, a record-file scan — and
+//! *before* anything is admitted to the block cache, so a cache hit is
+//! hash-free and a transiently flipped read can never be served twice.
 
 use lsm_filters::hash::hash64;
 
@@ -49,7 +50,7 @@ mod tests {
     #[test]
     fn known_answer_pins_the_on_device_format() {
         // If this fails, `lsm_filters::hash::hash64` changed — and with it
-        // every block, table section and WAL frame already on a device.
+        // every block, table section and log frame already on a device.
         assert_eq!(checksum32(&pattern(100)), 0x170F_E531);
         // the empty input's value is XXH64's own published one
         assert_eq!(checksum32(&[]), 0x51D8_E999);

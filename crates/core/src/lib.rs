@@ -51,6 +51,7 @@ pub mod compaction;
 pub mod config;
 pub mod db;
 pub mod entry;
+pub(crate) mod frame;
 pub(crate) mod integrity;
 pub mod iter;
 pub mod kv_sep;

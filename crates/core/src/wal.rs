@@ -1,26 +1,30 @@
 //! Write-ahead log: durability for the memtable (tutorial Module I.1's
 //! out-of-place ingestion contract).
 //!
-//! Records are framed with a marker byte and a checksum
-//! (`integrity::checksum32` of the payload, verified once, on replay) and
-//! streamed, packed, into an append-only file. Whole blocks reach the
-//! device as they fill; [`Wal::sync`] writes the partial last block too,
-//! zero-padded, and later records keep filling that block, which the next
-//! write rewrites in place. A crash loses only records no completed sync
-//! covered — recovery stops at the first record that fails its frame or
-//! checksum (standard torn-write semantics).
+//! Records are the engine's log frames (`frame.rs`: a marker byte, the
+//! payload's length and its `integrity::checksum32`, verified once, on
+//! replay) streamed, packed, into an append-only file. Whole blocks reach
+//! the device as they fill; [`Wal::sync`] writes the partial last block
+//! too, zero-padded, and later records keep filling that block, which the
+//! next write of it replaces in place. A crash loses only records no completed
+//! sync covered — recovery stops at the first record that fails its frame
+//! or checksum (standard torn-write semantics).
+//!
+//! Under [`lsm_storage::FaultDevice`] each device write and read of the
+//! log takes one I/O ordinal; a sync's barrier takes none.
 
 use std::sync::Arc;
 
 use lsm_storage::{FileId, ImmutableFile, IoCategory, StorageDevice, StorageResult, WritableFile};
 
-use crate::entry::{get_varint, put_varint, ValueKind};
-use crate::integrity::checksum32;
+use crate::entry::{get_varint, put_varint, varint_len, ValueKind};
+use crate::frame::{frame_len, put_frame, Damage, Frames};
 
 const RECORD_MARKER: u8 = 0xA7;
 /// Marks an all-or-nothing record group ([`Wal::append_atomic`]): one
-/// length + checksum covers every record inside, so recovery either
-/// replays the whole group or drops it wholesale.
+/// frame whose payload is the group's record frames, so one length +
+/// checksum covers them all and recovery either replays the whole group
+/// or drops it wholesale.
 const ATOMIC_MARKER: u8 = 0xA9;
 
 /// One recovered WAL record.
@@ -76,7 +80,7 @@ impl Wal {
         value: &[u8],
     ) -> StorageResult<()> {
         self.scratch.clear();
-        encode_frame(&mut self.scratch, seqno, kind, key, value);
+        encode_record(&mut self.scratch, seqno, kind, key, value);
         self.file.append(&self.scratch)?;
         self.records += 1;
         Ok(())
@@ -93,7 +97,7 @@ impl Wal {
         }
         self.scratch.clear();
         for (seqno, kind, key, value) in records {
-            encode_frame(&mut self.scratch, *seqno, *kind, key, value);
+            encode_record(&mut self.scratch, *seqno, *kind, key, value);
         }
         self.file.append(&self.scratch)?;
         self.records += records.len() as u64;
@@ -115,17 +119,12 @@ impl Wal {
             return Ok(());
         }
         self.scratch.clear();
-        self.scratch.push(ATOMIC_MARKER);
-        // encode the inner frame stream after a placeholder header, then
-        // patch length + checksum in, mirroring `encode_frame`
-        let mut inner = Vec::new();
-        for (seqno, kind, key, value) in records {
-            encode_frame(&mut inner, *seqno, *kind, key, value);
-        }
-        put_varint(&mut self.scratch, inner.len() as u64);
-        self.scratch
-            .extend_from_slice(&checksum32(&inner).to_le_bytes());
-        self.scratch.extend_from_slice(&inner);
+        let group_len = records.iter().map(|(seqno, _, key, value)| frame_len(payload_len(*seqno, key, value))).sum();
+        put_frame(&mut self.scratch, ATOMIC_MARKER, group_len, |out| {
+            for (seqno, kind, key, value) in records {
+                encode_record(out, *seqno, *kind, key, value);
+            }
+        });
         self.file.append(&self.scratch)?;
         self.records += records.len() as u64;
         Ok(())
@@ -145,39 +144,21 @@ impl Wal {
     }
 }
 
-fn varint_len(mut x: u64) -> usize {
-    let mut n = 1;
-    while x >= 0x80 {
-        x >>= 7;
-        n += 1;
-    }
-    n
+/// Bytes of one record's payload.
+fn payload_len(seqno: u64, key: &[u8], value: &[u8]) -> usize {
+    varint_len(seqno) + 1 + varint_len(key.len() as u64) + key.len() + varint_len(value.len() as u64) + value.len()
 }
 
-/// Encodes one marker + length + checksum + payload frame into `out`,
-/// in place: the payload length is computed up front and the checksum is
-/// patched in after the payload lands, so no intermediate buffer exists.
-fn encode_frame(out: &mut Vec<u8>, seqno: u64, kind: ValueKind, key: &[u8], value: &[u8]) {
-    let payload_len = varint_len(seqno)
-        + 1
-        + varint_len(key.len() as u64)
-        + key.len()
-        + varint_len(value.len() as u64)
-        + value.len();
-    out.push(RECORD_MARKER);
-    put_varint(out, payload_len as u64);
-    let sum_at = out.len();
-    out.extend_from_slice(&[0u8; 4]);
-    let payload_start = out.len();
-    put_varint(out, seqno);
-    out.push(kind.to_u8());
-    put_varint(out, key.len() as u64);
-    out.extend_from_slice(key);
-    put_varint(out, value.len() as u64);
-    out.extend_from_slice(value);
-    debug_assert_eq!(out.len() - payload_start, payload_len);
-    let sum = checksum32(&out[payload_start..]).to_le_bytes();
-    out[sum_at..sum_at + 4].copy_from_slice(&sum);
+/// Encodes one record's frame into `out`, in place.
+fn encode_record(out: &mut Vec<u8>, seqno: u64, kind: ValueKind, key: &[u8], value: &[u8]) {
+    put_frame(out, RECORD_MARKER, payload_len(seqno, key, value), |out| {
+        put_varint(out, seqno);
+        out.push(kind.to_u8());
+        put_varint(out, key.len() as u64);
+        out.extend_from_slice(key);
+        put_varint(out, value.len() as u64);
+        out.extend_from_slice(value);
+    });
 }
 
 /// Decodes one checksummed payload. `None` means the frame checksummed
@@ -206,17 +187,16 @@ fn decode_payload(payload: &[u8]) -> Option<WalRecord> {
 /// Replays a WAL file: returns every intact record, in order, stopping at
 /// the first torn or corrupt frame.
 ///
-/// Records are packed, but a block can end in zeros: the last block as a
-/// [`Wal::sync`] wrote it, or an earlier one a sync wrote whose next
-/// record did not fit and began the next block instead. So the parser
-/// skips zero bytes to the next block boundary and resumes there;
-/// anything else that is not a record marker ends the replay.
+/// Records are packed, but a block can end in zeros where a [`Wal::sync`]
+/// left it; the frame scanner skips them. An atomic group's payload
+/// is scanned for its records with the same scanner, and replays only if
+/// every one of them decodes.
 ///
-/// Torn tails (a record extending past the persisted bytes) are the
-/// expected crash artifact and end replay silently. Checksum mismatches,
-/// garbage marker bytes, and undecodable payloads are *corruption* and are
-/// counted in the device's [`corruption_detected`] stat before replay
-/// stops at the last intact prefix.
+/// Torn tails (a record or group extending past the persisted bytes) are
+/// the expected crash artifact and end replay silently. Checksum
+/// mismatches, garbage marker bytes, and undecodable payloads are
+/// *corruption* and are counted in the device's [`corruption_detected`]
+/// stat before replay stops at the last intact prefix.
 ///
 /// [`corruption_detected`]: lsm_storage::IoStatsSnapshot::corruption_detected
 pub fn recover(device: Arc<dyn StorageDevice>, id: FileId) -> StorageResult<Vec<WalRecord>> {
@@ -227,101 +207,20 @@ pub fn recover(device: Arc<dyn StorageDevice>, id: FileId) -> StorageResult<Vec<
     let bs = device.block_size();
     let bytes = device.read(id, 0, len_blocks, IoCategory::Wal)?;
     let mut records = Vec::new();
-    let mut off = 0usize;
-    while off < bytes.len() {
-        if bytes[off] == 0 {
-            // the zeros closing a synced block: resume at the next one
-            off = (off / bs + 1) * bs;
-            continue;
-        }
-        if bytes[off] == ATOMIC_MARKER {
-            // an all-or-nothing group: one length + checksum over a nested
-            // frame stream; a torn group drops wholesale (no partial
-            // transaction write-set may survive recovery)
-            off += 1;
-            let Some((glen, n)) = get_varint(&bytes[off..]) else {
-                break; // torn: group length cut off at the persisted end
-            };
-            off += n;
-            if off + 4 + glen as usize > bytes.len() {
-                break; // torn group: drop it entirely
-            }
-            let stored_sum =
-                u32::from_le_bytes([bytes[off], bytes[off + 1], bytes[off + 2], bytes[off + 3]]);
-            off += 4;
-            let group = &bytes[off..off + glen as usize];
-            if checksum32(group) != stored_sum {
-                device.stats().record_corruption();
-                break;
-            }
-            off += glen as usize;
-            // the group checksummed clean, so every inner frame must
-            // parse; stage into a scratch vec so a malformed group is
-            // dropped wholesale, never replayed partially
-            let mut g = 0usize;
-            let mut ok = true;
-            let mut staged = Vec::new();
-            while g < group.len() {
-                if group[g] != RECORD_MARKER {
-                    ok = false;
-                    break;
-                }
-                g += 1;
-                let Some((plen, n)) = get_varint(&group[g..]) else {
-                    ok = false;
-                    break;
-                };
-                g += n;
-                if g + 4 + plen as usize > group.len() {
-                    ok = false;
-                    break;
-                }
-                g += 4; // the group checksum covers the payloads already
-                match decode_payload(&group[g..g + plen as usize]) {
-                    Some(record) => staged.push(record),
-                    None => {
-                        ok = false;
-                        break;
-                    }
-                }
-                g += plen as usize;
-            }
-            if !ok {
-                device.stats().record_corruption();
-                break;
-            }
-            records.extend(staged);
-            continue;
-        }
-        if bytes[off] != RECORD_MARKER {
-            // writes are block-granular, so a torn tail cannot produce a
-            // garbage byte where a marker belongs — this is corruption
-            device.stats().record_corruption();
-            break;
-        }
-        off += 1;
-        let Some((plen, n)) = get_varint(&bytes[off..]) else {
-            break; // torn: length varint cut off at the persisted end
+    for frame in Frames::new(&bytes, bs, &[RECORD_MARKER, ATOMIC_MARKER]) {
+        let replayed = match frame {
+            Ok(f) if f.marker == RECORD_MARKER => decode_payload(f.payload).map(|r| records.push(r)),
+            // staged whole, so a malformed group is dropped, never replayed partially
+            Ok(group) => Frames::new(group.payload, bs, &[RECORD_MARKER])
+                .map(|f| f.ok().and_then(|f| decode_payload(f.payload)))
+                .collect::<Option<Vec<_>>>()
+                .map(|staged| records.extend(staged)),
+            Err(Damage::Torn) => break,
+            Err(Damage::Corrupt) => None,
         };
-        off += n;
-        if off + 4 + plen as usize > bytes.len() {
-            break; // torn record
-        }
-        let stored_sum =
-            u32::from_le_bytes([bytes[off], bytes[off + 1], bytes[off + 2], bytes[off + 3]]);
-        off += 4;
-        let payload = &bytes[off..off + plen as usize];
-        if checksum32(payload) != stored_sum {
+        if replayed.is_none() {
             device.stats().record_corruption();
             break;
-        }
-        off += plen as usize;
-        match decode_payload(payload) {
-            Some(record) => records.push(record),
-            None => {
-                device.stats().record_corruption();
-                break;
-            }
         }
     }
     Ok(records)
@@ -556,6 +455,27 @@ mod tests {
         let records = recover(dev_dyn.clone(), id2).unwrap();
         assert!(records.is_empty(), "corrupt group must not replay partially");
         assert_eq!(dev_dyn.stats().snapshot().corruption_detected, before + 1);
+    }
+
+    /// A group whose checksum holds but whose payload is not all record
+    /// frames — one intact record, then a byte that is no record marker —
+    /// is corruption, and replays none of its records.
+    #[test]
+    fn a_group_with_an_undecodable_record_replays_none_of_it() {
+        let dev = device();
+        let mut wal = Wal::create(dev.clone()).unwrap();
+        wal.append(1, ValueKind::Put, b"before", b"v1").unwrap();
+        let mut inner = Vec::new();
+        encode_record(&mut inner, 2, ValueKind::Put, b"in-group", b"v2");
+        inner.push(ATOMIC_MARKER);
+        let mut group = Vec::new();
+        put_frame(&mut group, ATOMIC_MARKER, inner.len(), |out| out.extend_from_slice(&inner));
+        wal.file.append(&group).unwrap();
+        wal.sync().unwrap();
+        let records = recover(dev.clone(), wal.id()).unwrap();
+        assert_eq!(records.len(), 1, "only the record before the group");
+        assert_eq!(records[0].key, b"before".to_vec());
+        assert_eq!(dev.stats().snapshot().corruption_detected, 1);
     }
 
     fn record(seqno: u64, len: usize) -> (u64, ValueKind, Vec<u8>, Vec<u8>) {

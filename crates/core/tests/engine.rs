@@ -4,6 +4,7 @@
 use std::sync::Arc;
 
 use lsm_core::config::KvSeparation;
+use lsm_core::kv_sep::ValueLog;
 use lsm_core::{
     BackgroundMode, CachePolicy, CompactionGranularity, Db, FilePicker, FilterAllocation,
     FilterKind, IndexKind, LsmConfig, MergeLayout, RangeFilterKind, WriteBatch,
@@ -496,6 +497,35 @@ fn value_log_gc_reclaims_dead_space() {
     assert!(live >= 90, "gen-1 values must be rewritten live: {live}");
     for i in 0..100u32 {
         assert_eq!(db.get(&key(i)).unwrap(), Some(val(i, 1)), "key {i} after GC");
+    }
+}
+
+/// Value-log GC over a log whose first record ends one byte short of its
+/// block at a sync: the scan must take the zero closing that block for
+/// padding, so every live value is rewritten before the old log goes.
+#[test]
+fn value_log_gc_keeps_every_value_after_a_record_one_byte_short_of_its_block() {
+    let cfg = LsmConfig {
+        kv_separation: Some(KvSeparation { min_value_bytes: 16 }),
+        ..LsmConfig::small_for_tests()
+    };
+    let bs = cfg.block_size;
+    // the record's bytes beyond its value, measured at a nearby size
+    let probe = ValueLog::create(Arc::new(MemDevice::new(bs, DeviceProfile::free())))
+        .unwrap()
+        .append(b"k0", &[0; 400])
+        .unwrap();
+    let values = [vec![b'x'; bs - 1 - (probe.len as usize - 400)], vec![b'y'; 40], vec![b'z'; 40]];
+    let db = Db::open_in_memory(cfg).unwrap();
+    for (i, v) in values.iter().enumerate() {
+        db.put(format!("k{i}").into_bytes(), v.clone()).unwrap();
+        if i == 0 {
+            db.sync().unwrap();
+        }
+    }
+    assert_eq!(db.gc_value_log().unwrap(), (3, 0), "every record live, none dead");
+    for (i, v) in values.iter().enumerate() {
+        assert_eq!(db.get(format!("k{i}").as_bytes()).unwrap().as_ref(), Some(v), "k{i} after GC");
     }
 }
 

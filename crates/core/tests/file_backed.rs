@@ -135,13 +135,8 @@ impl StorageDevice for Recorder {
     fn create(&self) -> StorageResult<FileId> {
         self.inner.create()
     }
-    fn append(&self, file: FileId, data: &[u8], cat: IoCategory) -> StorageResult<()> {
-        self.inner.append(file, data, cat)?;
-        self.note(Op::Write(file, cat));
-        Ok(())
-    }
-    fn rewrite_last(&self, file: FileId, data: &[u8], cat: IoCategory) -> StorageResult<()> {
-        self.inner.rewrite_last(file, data, cat)?;
+    fn write(&self, file: FileId, at: u64, data: &[u8], cat: IoCategory) -> StorageResult<()> {
+        self.inner.write(file, at, data, cat)?;
         self.note(Op::Write(file, cat));
         Ok(())
     }

@@ -1,11 +1,12 @@
 //! Storage devices: where immutable LSM files live.
 //!
-//! A device hands out numbered files, accepts whole-block appends (and
-//! rewrites of the last block, for a log that synced a partial one) until
-//! a file is sealed, and serves whole-block reads. Every call is charged to
-//! the shared [`IoStats`] and [`LatencyModel`], with an [`IoCategory`]
-//! chosen by the caller — an SSTable mixes data, filter, and index blocks
-//! within one file, so attribution must be per-access, not per-file.
+//! A device hands out numbered files, accepts whole-block writes at a
+//! file's end or over its last block (for a log that synced a partial
+//! one) until the file is sealed, and serves whole-block reads. Every
+//! call is charged to the shared [`IoStats`] and [`LatencyModel`], with an
+//! [`IoCategory`] chosen by the caller — an SSTable mixes data, filter,
+//! and index blocks within one file, so attribution must be per-access,
+//! not per-file.
 
 use std::collections::BTreeMap;
 use std::fs;
@@ -24,7 +25,7 @@ use crate::stats::{IoCategory, IoStats};
 /// Implementations must be thread-safe; the engine issues reads from query
 /// threads concurrently with compaction writes.
 pub trait StorageDevice: Send + Sync {
-    /// Block size in bytes; all reads and appends are multiples of this.
+    /// Block size in bytes; all reads and writes are multiples of this.
     fn block_size(&self) -> usize;
 
     /// Shared I/O counters.
@@ -36,15 +37,21 @@ pub trait StorageDevice: Send + Sync {
     /// Creates a new empty, writable file.
     fn create(&self) -> StorageResult<FileId>;
 
-    /// Appends `data` (a whole number of blocks) to an unsealed file.
-    fn append(&self, file: FileId, data: &[u8], cat: IoCategory) -> StorageResult<()>;
+    /// The one write primitive: writes `data`, a whole number of blocks,
+    /// to an unsealed file at block `at`, which is the file's end (the
+    /// write extends it) or its last block (the write's first block
+    /// replaces that one, and the rest extends the file: how a log that
+    /// wrote a partial block at a sync fills that block in later). Any
+    /// other offset is [`StorageError::OutOfBounds`] and writes nothing.
+    /// Charged `data.len() / block_size` written blocks either way.
+    fn write(&self, file: FileId, at: u64, data: &[u8], cat: IoCategory) -> StorageResult<()>;
 
-    /// Replaces the last block of an unsealed, non-empty file with the
-    /// first block of `data` (one or more whole blocks) and appends the
-    /// rest: how a log that wrote a partial block at a sync fills that
-    /// block in later. Charged `data.len() / block_size` written blocks,
-    /// like an append.
-    fn rewrite_last(&self, file: FileId, data: &[u8], cat: IoCategory) -> StorageResult<()>;
+    /// Writes `data` at the end of `file` (a wrapper over
+    /// [`StorageDevice::write`]).
+    fn append(&self, file: FileId, data: &[u8], cat: IoCategory) -> StorageResult<()> {
+        let at = self.len_blocks(file)?;
+        self.write(file, at, data, cat)
+    }
 
     /// Durability barrier: returns once every completed write to `file`
     /// would survive a power loss, not only a process crash. Charged no
@@ -112,26 +119,19 @@ fn check_in_bounds(file: FileId, at: u64, buf: &[u8], block_size: usize, len: u6
     Ok(blocks)
 }
 
-fn check_whole_blocks(len: usize, block_size: usize) -> StorageResult<u64> {
-    if !len.is_multiple_of(block_size) {
+/// Checks a [`StorageDevice::write`] of `data_len` bytes at block `at` of
+/// a file of `len` blocks: whole blocks, at the file's end or over its
+/// last block (with at least one block to put there). Returns the block
+/// count the write is charged.
+fn check_write(file: FileId, at: u64, data_len: usize, block_size: usize, len: u64) -> StorageResult<u64> {
+    if !data_len.is_multiple_of(block_size) {
         return Err(StorageError::Corruption(format!(
-            "append of {len} bytes is not a whole number of {block_size}-byte blocks"
+            "write of {data_len} bytes is not a whole number of {block_size}-byte blocks"
         )));
     }
-    Ok((len / block_size) as u64)
-}
-
-/// [`check_whole_blocks`] for a rewrite of a file of `len` blocks, which
-/// needs a last block to replace and at least one block to put there.
-fn check_rewrite(file: FileId, data_len: usize, block_size: usize, len: u64) -> StorageResult<u64> {
-    let blocks = check_whole_blocks(data_len, block_size)?;
-    if len == 0 || blocks == 0 {
-        return Err(StorageError::OutOfBounds {
-            file: file.0,
-            offset: len.saturating_sub(1),
-            blocks,
-            len,
-        });
+    let blocks = (data_len / block_size) as u64;
+    if at != len && (at + 1 != len || blocks == 0) {
+        return Err(StorageError::OutOfBounds { file: file.0, offset: at, blocks, len });
     }
     Ok(blocks)
 }
@@ -183,14 +183,16 @@ impl MemFile {
         }
     }
 
-    /// Overwrites the last block in place with `data`'s first
-    /// `block_size` bytes, then appends the rest. The caller has checked
-    /// that the file has a last block; it lies whole in the last extent.
-    fn rewrite_last(&mut self, data: &[u8], block_size: usize, extent_bytes: usize) {
-        let (first, rest) = data.split_at(block_size);
-        let last = self.extents.last_mut().expect("a non-empty file has an extent");
-        let at = last.len() - block_size;
-        last[at..].copy_from_slice(first);
+    /// Writes `data` at byte `at`, which the caller has checked is the
+    /// file's end or the start of its last block: overwrites that block in
+    /// place (it lies whole in the last extent), then appends the rest.
+    fn write(&mut self, at: usize, data: &[u8], extent_bytes: usize) {
+        let (over, rest) = data.split_at(self.len(extent_bytes) - at);
+        if !over.is_empty() {
+            let last = self.extents.last_mut().expect("a file with a last block has an extent");
+            let n = last.len();
+            last[n - over.len()..].copy_from_slice(over);
+        }
         self.append(rest, extent_bytes);
     }
 
@@ -285,28 +287,14 @@ impl StorageDevice for MemDevice {
         Ok(FileId(id))
     }
 
-    fn append(&self, file: FileId, data: &[u8], cat: IoCategory) -> StorageResult<()> {
-        let blocks = check_whole_blocks(data.len(), self.block_size)?;
+    fn write(&self, file: FileId, at: u64, data: &[u8], cat: IoCategory) -> StorageResult<()> {
         let mut files = self.files.write();
         let f = files.get_mut(&file.0).ok_or(StorageError::UnknownFile(file.0))?;
         if f.sealed {
             return Err(StorageError::Sealed(file.0));
         }
-        f.append(data, self.extent_bytes);
-        drop(files);
-        self.stats.record_write(cat, blocks);
-        self.latency.charge_write(blocks);
-        Ok(())
-    }
-
-    fn rewrite_last(&self, file: FileId, data: &[u8], cat: IoCategory) -> StorageResult<()> {
-        let mut files = self.files.write();
-        let f = files.get_mut(&file.0).ok_or(StorageError::UnknownFile(file.0))?;
-        if f.sealed {
-            return Err(StorageError::Sealed(file.0));
-        }
-        let blocks = check_rewrite(file, data.len(), self.block_size, self.file_blocks(f))?;
-        f.rewrite_last(data, self.block_size, self.extent_bytes);
+        let blocks = check_write(file, at, data.len(), self.block_size, self.file_blocks(f))?;
+        f.write(at as usize * self.block_size, data, self.extent_bytes);
         drop(files);
         self.stats.record_write(cat, blocks);
         self.latency.charge_write(blocks);
@@ -448,46 +436,28 @@ impl StorageDevice for FileDevice {
         Ok(FileId(id))
     }
 
-    fn append(&self, file: FileId, data: &[u8], cat: IoCategory) -> StorageResult<()> {
-        use std::io::Write;
-        let blocks = check_whole_blocks(data.len(), self.block_size)?;
+    fn write(&self, file: FileId, at: u64, data: &[u8], cat: IoCategory) -> StorageResult<()> {
         let mut files = self.files.write();
         let f = files.get_mut(&file.0).ok_or(StorageError::UnknownFile(file.0))?;
         if f.sealed {
             return Err(StorageError::Sealed(file.0));
         }
-        let mut handle = fs::OpenOptions::new().append(true).open(&f.path)?;
-        handle.write_all(data)?;
-        f.len_blocks += blocks;
-        drop(files);
-        self.stats.record_write(cat, blocks);
-        self.latency.charge_write(blocks);
-        Ok(())
-    }
-
-    fn rewrite_last(&self, file: FileId, data: &[u8], cat: IoCategory) -> StorageResult<()> {
-        let mut files = self.files.write();
-        let f = files.get_mut(&file.0).ok_or(StorageError::UnknownFile(file.0))?;
-        if f.sealed {
-            return Err(StorageError::Sealed(file.0));
-        }
-        let blocks = check_rewrite(file, data.len(), self.block_size, f.len_blocks)?;
-        let at = (f.len_blocks - 1) * self.block_size as u64;
-        // not `append(true)`: an O_APPEND handle ignores the write offset
+        let blocks = check_write(file, at, data.len(), self.block_size, f.len_blocks)?;
+        let offset = at * self.block_size as u64;
         let handle = fs::OpenOptions::new().write(true).open(&f.path)?;
         #[cfg(unix)]
         {
             use std::os::unix::fs::FileExt;
-            handle.write_all_at(data, at)?;
+            handle.write_all_at(data, offset)?;
         }
         #[cfg(not(unix))]
         {
             use std::io::{Seek, SeekFrom, Write};
             let mut handle = handle;
-            handle.seek(SeekFrom::Start(at))?;
+            handle.seek(SeekFrom::Start(offset))?;
             handle.write_all(data)?;
         }
-        f.len_blocks += blocks - 1;
+        f.len_blocks = at + blocks;
         drop(files);
         self.stats.record_write(cat, blocks);
         self.latency.charge_write(blocks);
@@ -710,27 +680,14 @@ mod tests {
             Ok(FileId(id))
         }
 
-        fn append(&self, file: FileId, data: &[u8], cat: IoCategory) -> StorageResult<()> {
-            let blocks = check_whole_blocks(data.len(), self.block_size)?;
+        fn write(&self, file: FileId, at: u64, data: &[u8], cat: IoCategory) -> StorageResult<()> {
             let mut files = self.files.write();
             let (bytes, sealed) = files.get_mut(&file.0).ok_or(StorageError::UnknownFile(file.0))?;
             if *sealed {
                 return Err(StorageError::Sealed(file.0));
             }
-            bytes.extend_from_slice(data);
-            self.stats.record_write(cat, blocks);
-            self.latency.charge_write(blocks);
-            Ok(())
-        }
-
-        fn rewrite_last(&self, file: FileId, data: &[u8], cat: IoCategory) -> StorageResult<()> {
-            let mut files = self.files.write();
-            let (bytes, sealed) = files.get_mut(&file.0).ok_or(StorageError::UnknownFile(file.0))?;
-            if *sealed {
-                return Err(StorageError::Sealed(file.0));
-            }
-            let blocks = check_rewrite(file, data.len(), self.block_size, (bytes.len() / self.block_size) as u64)?;
-            bytes.truncate(bytes.len() - self.block_size);
+            let blocks = check_write(file, at, data.len(), self.block_size, (bytes.len() / self.block_size) as u64)?;
+            bytes.truncate(at as usize * self.block_size);
             bytes.extend_from_slice(data);
             self.stats.record_write(cat, blocks);
             self.latency.charge_write(blocks);
@@ -994,37 +951,50 @@ mod tests {
         }
     }
 
-    /// `rewrite_last` replaces the last block and extends the file past
-    /// it, charged like an append, on every base device and on the model;
-    /// it needs a last block, and a sealed file refuses it.
+    /// The write contract, on every base device and on the model: a write
+    /// at the last block replaces it, one at the end extends the file, and
+    /// one anywhere else, of a partial block, or to a sealed file is a typed
+    /// error that writes nothing. Either position is charged like an append.
     #[test]
-    fn rewrite_last_replaces_the_last_block_on_every_device() {
+    fn a_write_replaces_the_last_block_or_extends_the_file_on_every_device() {
         let bs = 512;
-        let root = std::env::temp_dir().join(format!("lsm-storage-rewrite-{}", std::process::id()));
+        let root = std::env::temp_dir().join(format!("lsm-storage-write-{}", std::process::id()));
         let _ = fs::remove_dir_all(&root);
         let devs: [Box<dyn StorageDevice>; 3] = [
             Box::new(MemDevice::new(bs, DeviceProfile::nvme_ssd())),
             Box::new(FlatDevice::new(bs, DeviceProfile::nvme_ssd())),
             Box::new(FileDevice::open(&root, bs, DeviceProfile::nvme_ssd()).unwrap()),
         ];
-        let data = pattern(5 * bs);
+        let data = pattern(6 * bs);
         for dev in &devs {
             let id = dev.create().unwrap();
-            assert!(matches!(dev.rewrite_last(id, &data[..bs], IoCategory::Wal), Err(StorageError::OutOfBounds { .. })));
-            dev.append(id, &data[..2 * bs], IoCategory::Wal).unwrap();
-            assert!(dev.rewrite_last(id, &[], IoCategory::Wal).is_err());
-            assert!(matches!(dev.rewrite_last(id, &data[..7], IoCategory::Wal), Err(StorageError::Corruption(_))));
-            dev.rewrite_last(id, &data[2 * bs..5 * bs], IoCategory::Wal).unwrap();
-            assert_eq!(dev.len_blocks(id).unwrap(), 4);
-            let got = dev.read(id, 0, 4, IoCategory::Wal).unwrap();
-            assert_eq!(&got[..bs], &data[..bs]);
-            assert_eq!(&got[bs..], &data[2 * bs..5 * bs]);
+            let contents = |dev: &dyn StorageDevice| dev.read(id, 0, dev.len_blocks(id).unwrap(), IoCategory::Wal).unwrap();
+            assert!(matches!(dev.write(id, 1, &data[..bs], IoCategory::Wal), Err(StorageError::OutOfBounds { .. })));
+            assert_eq!(dev.len_blocks(id).unwrap(), 0, "a refused write on an empty file wrote nothing");
+            dev.write(id, 0, &data[..2 * bs], IoCategory::Wal).unwrap();
+            assert_eq!(contents(&**dev), &data[..2 * bs], "a write at the end extends the file");
+            dev.write(id, 1, &data[2 * bs..5 * bs], IoCategory::Wal).unwrap();
+            let mut expected = data[..bs].to_vec();
+            expected.extend_from_slice(&data[2 * bs..5 * bs]);
+            assert_eq!(contents(&**dev), expected, "a write at the last block replaces it, then extends the file");
+            for at in [0, 1, 2, 5, 9] {
+                assert!(
+                    matches!(dev.write(id, at, &data[5 * bs..], IoCategory::Wal), Err(StorageError::OutOfBounds { .. })),
+                    "a write at block {at} of a 4-block file"
+                );
+            }
+            assert!(matches!(dev.write(id, 3, &[], IoCategory::Wal), Err(StorageError::OutOfBounds { .. })));
+            assert!(matches!(dev.write(id, 4, &data[..7], IoCategory::Wal), Err(StorageError::Corruption(_))));
+            assert_eq!(contents(&**dev), expected, "a refused write wrote nothing");
             dev.sync(id).unwrap();
             let snap = dev.stats().snapshot();
             assert_eq!(snap.category(IoCategory::Wal).written_blocks, 5);
             assert_eq!(snap.total_write_ops(), 2);
             dev.seal(id).unwrap();
-            assert!(matches!(dev.rewrite_last(id, &data[..bs], IoCategory::Wal), Err(StorageError::Sealed(_))));
+            for at in [3, 4] {
+                assert!(matches!(dev.write(id, at, &data[..bs], IoCategory::Wal), Err(StorageError::Sealed(_))));
+            }
+            assert_eq!(contents(&**dev), expected, "a sealed file took no write");
             assert!(matches!(dev.sync(FileId(999)), Err(StorageError::UnknownFile(999))));
         }
         assert_eq!(devs[0].latency().clock().now_ns(), devs[1].latency().clock().now_ns());

@@ -1,12 +1,12 @@
 //! Deterministic fault injection for crash-recovery testing.
 //!
 //! [`FaultDevice`] wraps any [`StorageDevice`] and injects faults from a
-//! scripted schedule keyed by the device-wide I/O ordinal (appends,
-//! last-block rewrites and reads, counted together; a durability barrier
-//! takes none). Because the engine's I/O sequence is
-//! deterministic for a fixed workload, a schedule entry names an exact
-//! point in execution — "the 37th I/O" is the same WAL append on every
-//! run — which makes every failure reproducible.
+//! scripted schedule keyed by the device-wide I/O ordinal (writes and
+//! reads, counted together; a durability barrier takes none). Because
+//! the engine's I/O sequence is deterministic for a fixed workload, a
+//! schedule entry names an exact point in execution — "the 37th I/O" is
+//! the same WAL write on every run — which makes every failure
+//! reproducible.
 //!
 //! Four fault shapes cover the recovery paths the engine must survive:
 //!
@@ -15,9 +15,9 @@
 //!   completed before it survives, barrier or not. [`FaultDevice::heal`]
 //!   then models the process coming back up with whatever had reached
 //!   the underlying device.
-//! - [`FaultKind::TornWrite`]: an append or a last-block rewrite persists
-//!   only its leading blocks, then the device dies — a crash mid-write.
-//!   A rewrite that keeps none leaves the old last block as it was.
+//! - [`FaultKind::TornWrite`]: a write persists only its leading blocks,
+//!   then the device dies — a crash mid-write. A write over the last
+//!   block that keeps none leaves the old last block as it was.
 //! - [`FaultKind::BitFlip`]: a read succeeds but returns data with one
 //!   bit flipped (position seeded, deterministic) — silent media
 //!   corruption that checksums must catch.
@@ -49,16 +49,16 @@ use crate::StorageDevice;
 pub enum FaultKind {
     /// The op fails and the device goes dead until [`FaultDevice::heal`].
     Crash,
-    /// The append (or last-block rewrite) persists only its first
-    /// `keep_blocks` blocks, then the device goes dead; a rewrite that
-    /// keeps 0 leaves the old last block untouched. On a read this
-    /// degrades to [`FaultKind::Crash`].
+    /// The write persists only its first `keep_blocks` blocks, then the
+    /// device goes dead; a write over the last block that keeps 0 leaves
+    /// that block untouched. On a read this degrades to
+    /// [`FaultKind::Crash`].
     TornWrite {
         /// Blocks of the write that reach the device before the tear.
         keep_blocks: u64,
     },
     /// The read completes but one bit of the returned data is flipped.
-    /// On an append this is a no-op (the fault is consumed).
+    /// On a write this is a no-op (the fault is consumed).
     BitFlip,
     /// The op fails with a retryable I/O error; nothing reaches the
     /// device, and the next attempt is not affected by this entry.
@@ -66,8 +66,7 @@ pub enum FaultKind {
 }
 
 /// A scheduled fault: `kind` fires when the device executes its `at`-th
-/// append, rewrite or read (0-based, counted across all files and
-/// categories).
+/// write or read (0-based, counted across all files and categories).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FaultSpec {
     /// I/O ordinal at which the fault fires.
@@ -132,7 +131,7 @@ impl FaultDevice {
         }
     }
 
-    /// Appends, rewrites and reads executed (or attempted) so far. Run a workload
+    /// Writes and reads executed (or attempted) so far. Run a workload
     /// once fault-free to learn the ordinal space, then schedule faults
     /// inside it.
     pub fn ops_performed(&self) -> u64 {
@@ -190,32 +189,6 @@ impl FaultDevice {
     fn kill(&self, at: u64) {
         self.state.lock().dead = Some(at);
     }
-
-    /// Runs one append or rewrite of `data` through the schedule: `write`
-    /// passes it (or, torn, its leading blocks) to the inner device.
-    fn write(&self, data: &[u8], write: impl Fn(&[u8]) -> StorageResult<()>) -> StorageResult<()> {
-        let (op, fault) = self.next_op()?;
-        match fault {
-            None | Some(FaultKind::BitFlip) => write(data),
-            Some(FaultKind::Transient) => Err(StorageError::Io(io::Error::new(
-                io::ErrorKind::Interrupted,
-                format!("fault injection: transient failure at I/O #{op}"),
-            ))),
-            Some(FaultKind::Crash) => {
-                self.kill(op);
-                Err(dead_error(op))
-            }
-            Some(FaultKind::TornWrite { keep_blocks }) => {
-                let bs = self.inner.block_size();
-                let keep = (keep_blocks as usize * bs).min(data.len());
-                if keep > 0 {
-                    write(&data[..keep])?;
-                }
-                self.kill(op);
-                Err(dead_error(op))
-            }
-        }
-    }
 }
 
 impl StorageDevice for FaultDevice {
@@ -236,12 +209,30 @@ impl StorageDevice for FaultDevice {
         self.inner.create()
     }
 
-    fn append(&self, file: FileId, data: &[u8], cat: IoCategory) -> StorageResult<()> {
-        self.write(data, |data| self.inner.append(file, data, cat))
-    }
-
-    fn rewrite_last(&self, file: FileId, data: &[u8], cat: IoCategory) -> StorageResult<()> {
-        self.write(data, |data| self.inner.rewrite_last(file, data, cat))
+    /// Runs the write through the schedule: the inner device gets all of
+    /// `data`, or, torn, its leading blocks.
+    fn write(&self, file: FileId, at: u64, data: &[u8], cat: IoCategory) -> StorageResult<()> {
+        let (op, fault) = self.next_op()?;
+        match fault {
+            None | Some(FaultKind::BitFlip) => self.inner.write(file, at, data, cat),
+            Some(FaultKind::Transient) => Err(StorageError::Io(io::Error::new(
+                io::ErrorKind::Interrupted,
+                format!("fault injection: transient failure at I/O #{op}"),
+            ))),
+            Some(FaultKind::Crash) => {
+                self.kill(op);
+                Err(dead_error(op))
+            }
+            Some(FaultKind::TornWrite { keep_blocks }) => {
+                let bs = self.inner.block_size();
+                let keep = (keep_blocks as usize * bs).min(data.len());
+                if keep > 0 {
+                    self.inner.write(file, at, &data[..keep], cat)?;
+                }
+                self.kill(op);
+                Err(dead_error(op))
+            }
+        }
     }
 
     fn sync(&self, file: FileId) -> StorageResult<()> {
@@ -397,12 +388,8 @@ impl StorageDevice for RetryDevice {
         self.with_retries(|| self.inner.create())
     }
 
-    fn append(&self, file: FileId, data: &[u8], cat: IoCategory) -> StorageResult<()> {
-        self.with_retries(|| self.inner.append(file, data, cat))
-    }
-
-    fn rewrite_last(&self, file: FileId, data: &[u8], cat: IoCategory) -> StorageResult<()> {
-        self.with_retries(|| self.inner.rewrite_last(file, data, cat))
+    fn write(&self, file: FileId, at: u64, data: &[u8], cat: IoCategory) -> StorageResult<()> {
+        self.with_retries(|| self.inner.write(file, at, data, cat))
     }
 
     fn sync(&self, file: FileId) -> StorageResult<()> {
@@ -496,31 +483,35 @@ mod tests {
         assert_eq!(dev.read(id, 0, 1, IoCategory::Wal).unwrap(), vec![0xAA; bs]);
     }
 
+    /// A torn write keeps its leading blocks at either write position:
+    /// over the last block (keeping none leaves that block as it was) and
+    /// at the end.
     #[test]
     fn torn_rewrite_keeps_its_leading_blocks() {
-        for keep_blocks in 0..4u64 {
-            let dev = FaultDevice::new(mem(), 1);
-            let id = dev.create().unwrap();
-            let bs = dev.block_size();
-            dev.append(id, &one_block(&dev, 0xAA), IoCategory::Wal).unwrap(); // op 0
-            dev.schedule(1, FaultKind::TornWrite { keep_blocks });
-            let mut data = one_block(&dev, 0xBB);
-            data.extend(one_block(&dev, 0xCC));
-            assert!(dev.rewrite_last(id, &data, IoCategory::Wal).is_err());
-            assert!(dev.is_dead());
-            assert!(dev.sync(id).is_err(), "a barrier fails on a dead device");
-            dev.heal();
-            let kept = dev.read(id, 0, dev.len_blocks(id).unwrap(), IoCategory::Wal).unwrap();
-            let expected = match keep_blocks {
-                0 => one_block(&dev, 0xAA),
-                1 => one_block(&dev, 0xBB),
-                _ => data.clone(),
-            };
-            assert_eq!(kept.len() / bs, expected.len() / bs, "keeping {keep_blocks}");
-            assert_eq!(kept, expected, "keeping {keep_blocks}");
-            // a barrier takes no ordinal
-            dev.sync(id).unwrap();
-            assert_eq!(dev.ops_performed(), 3);
+        for replace in [true, false] {
+            for keep_blocks in 0..4u64 {
+                let dev = FaultDevice::new(mem(), 1);
+                let id = dev.create().unwrap();
+                let bs = dev.block_size();
+                dev.append(id, &one_block(&dev, 0xAA), IoCategory::Wal).unwrap(); // op 0
+                dev.schedule(1, FaultKind::TornWrite { keep_blocks });
+                let mut data = one_block(&dev, 0xBB);
+                data.extend(one_block(&dev, 0xCC));
+                let at = if replace { 0 } else { 1 };
+                assert!(dev.write(id, at, &data, IoCategory::Wal).is_err());
+                assert!(dev.is_dead());
+                assert!(dev.sync(id).is_err(), "a barrier fails on a dead device");
+                dev.heal();
+                let kept = dev.read(id, 0, dev.len_blocks(id).unwrap(), IoCategory::Wal).unwrap();
+                let mut expected = if replace && keep_blocks > 0 { Vec::new() } else { one_block(&dev, 0xAA) };
+                expected.extend_from_slice(&data[..(keep_blocks as usize).min(2) * bs]);
+                let case = format!("keeping {keep_blocks}, {}", if replace { "over the last block" } else { "at the end" });
+                assert_eq!(kept.len() / bs, expected.len() / bs, "{case}");
+                assert_eq!(kept, expected, "{case}");
+                // a barrier takes no ordinal
+                dev.sync(id).unwrap();
+                assert_eq!(dev.ops_performed(), 3);
+            }
         }
     }
 

@@ -7,9 +7,15 @@
 //!
 //! A log makes its partial last block durable with
 //! [`WritableFile::sync`], which writes it zero-padded and keeps filling
-//! it afterwards: the next write rewrites that block in place
-//! ([`StorageDevice::rewrite_last`]). So a log costs the device about its
-//! bytes, not one block per sync.
+//! it afterwards: the next write of that block replaces it in place
+//! ([`StorageDevice::write`] at the file's last block). So a log costs the
+//! device about its bytes, not one block per sync.
+//!
+//! Every device write a [`WritableFile`] makes — the full blocks an
+//! append completes, the tail block a sync writes — is one
+//! [`StorageDevice::write`] at the block after its last whole one, so under
+//! [`crate::FaultDevice`] it takes one I/O ordinal, as each read does; a
+//! sync's barrier takes none.
 
 use std::collections::BTreeSet;
 use std::fmt;
@@ -171,15 +177,11 @@ impl WritableFile {
         Ok(())
     }
 
-    /// Writes `tail[..len]`, whole blocks, at the tail's place: over the
-    /// block a sync wrote, if there is one, else after the last block.
+    /// Writes `tail[..len]`, whole blocks, at the tail's place: block
+    /// `blocks_written`, which is the block a sync wrote if there is one
+    /// (the write replaces it), else the file's end.
     fn write_blocks(&mut self, len: usize) -> StorageResult<()> {
-        let data = &self.tail[..len];
-        if self.synced > 0 {
-            self.device.rewrite_last(self.id, data, self.category)?;
-        } else {
-            self.device.append(self.id, data, self.category)?;
-        }
+        self.device.write(self.id, self.blocks_written, &self.tail[..len], self.category)?;
         self.unbarriered = true;
         Ok(())
     }

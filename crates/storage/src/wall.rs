@@ -9,7 +9,7 @@
 //! exploit: while one shard's flush or compaction is waiting on its
 //! device, *another shard's* threads can run. [`WallLatencyDevice`]
 //! restores that overlap by blocking the calling thread for the
-//! profiled duration of each append/read, so independent shards on
+//! profiled duration of each write/read, so independent shards on
 //! separate devices genuinely overlap their I/O waits (sleeping threads
 //! occupy no core) while a single shard's single-compactor invariant
 //! serializes its own. The replication and elastic-sharding benches
@@ -32,14 +32,14 @@ use crate::stats::{IoCategory, IoStats};
 use crate::StorageDevice;
 
 /// Wraps a device and sleeps the profiled wall-clock cost of every
-/// append, rewrite and read. See the module docs.
+/// write and read. See the module docs.
 pub struct WallLatencyDevice {
     inner: Arc<dyn StorageDevice>,
     profile: DeviceProfile,
 }
 
 impl WallLatencyDevice {
-    /// Wraps `inner`; each append/read blocks the caller for
+    /// Wraps `inner`; each write/read blocks the caller for
     /// `profile`'s cost of that op.
     pub fn new(inner: Arc<dyn StorageDevice>, profile: DeviceProfile) -> Self {
         WallLatencyDevice { inner, profile }
@@ -75,14 +75,9 @@ impl StorageDevice for WallLatencyDevice {
         self.inner.create()
     }
 
-    fn append(&self, file: FileId, data: &[u8], cat: IoCategory) -> StorageResult<()> {
+    fn write(&self, file: FileId, at: u64, data: &[u8], cat: IoCategory) -> StorageResult<()> {
         self.sleep_write(data);
-        self.inner.append(file, data, cat)
-    }
-
-    fn rewrite_last(&self, file: FileId, data: &[u8], cat: IoCategory) -> StorageResult<()> {
-        self.sleep_write(data);
-        self.inner.rewrite_last(file, data, cat)
+        self.inner.write(file, at, data, cat)
     }
 
     /// The profile prices blocks, not barriers: a barrier sleeps nothing.

@@ -35,7 +35,7 @@ cargo test -q --workspace
 stage "LSM_BACKGROUND=threaded cargo test -q --workspace"
 LSM_BACKGROUND=threaded cargo test -q --workspace
 
-stage "crash sweeps at LSM_SEED=1, both modes: every scenario under crash, torn write and bit flip"
+stage "crash sweeps at LSM_SEED=1, both modes: every scenario under crash, torn write and bit flip, with separated-value bit flips and multi-block txn groups"
 # the stages above ran the default seeds; another seed moves every bit
 # flip and, in the server scenarios, the scripted workload itself
 for mode in inline threaded; do

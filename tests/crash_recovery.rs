@@ -231,6 +231,52 @@ fn bit_flip_on_read_never_enters_the_block_cache() {
     );
 }
 
+/// A bit flip in a separated value's log read fails the record's frame
+/// checksum, from the active log and, after a reopen, from the device:
+/// `StorageError::Corruption` and one more `corruption_detected`, never a
+/// different value, and the next get reads the value back intact. The
+/// block cache is off, and the value fills its record to exactly two
+/// blocks, so the flip lands in the record whatever the seed.
+#[test]
+fn bit_flip_on_a_value_log_read_is_detected_and_counted() {
+    let cfg = LsmConfig {
+        cache_bytes: 0,
+        ..kv_cfg()
+    };
+    let record_len = |value: &[u8]| {
+        let mut log = lsm_core::kv_sep::ValueLog::create(Arc::new(MemDevice::new(512, DeviceProfile::free()))).unwrap();
+        log.append(b"big", value).unwrap().len as usize
+    };
+    let value = vec![b'v'; 1024 - (record_len(&[0; 1000]) - 1000)];
+    assert_eq!(record_len(&value), 1024, "the record is two whole blocks");
+    for seed in 0..8 {
+        let fault = fault_device(seed);
+        let mut db = Db::open(erased(&fault), cfg.clone()).unwrap();
+        db.put(b"big".to_vec(), value.clone()).unwrap(); // separated: ≥ 48 bytes
+        db.sync().unwrap();
+        for reopened in [false, true] {
+            if reopened {
+                drop(db);
+                db = Db::open(erased(&fault), cfg.clone()).unwrap();
+            }
+            let context = format!("seed {seed}, {}", if reopened { "reopened" } else { "active log" });
+            // a clean get learns how many I/Os it takes; the log read is its last
+            let start = fault.ops_performed();
+            assert_eq!(db.get(b"big").unwrap(), Some(value.clone()), "{context}");
+            let ios = fault.ops_performed() - start;
+            fault.schedule(fault.ops_performed() + ios - 1, FaultKind::BitFlip);
+            let before = db.io_stats().corruption_detected;
+            match db.get(b"big") {
+                Err(StorageError::Corruption(_)) => {}
+                other => panic!("{context}: a flipped value-log read should be Corruption, got {other:?}"),
+            }
+            assert!(fault.pending_faults().is_empty(), "{context}: the flip never fired");
+            assert_eq!(db.io_stats().corruption_detected, before + 1, "{context}");
+            assert_eq!(db.get(b"big").unwrap(), Some(value.clone()), "{context}: the next get");
+        }
+    }
+}
+
 /// A value-log pointer whose target file is gone (e.g. the log was
 /// deleted by an over-eager GC or lost to corruption) is a typed
 /// corruption error on read — not a panic, and not a silent `None`.

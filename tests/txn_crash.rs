@@ -19,9 +19,12 @@
 //! * **consistency**: a full scan agrees with point gets.
 //!
 //! Every fault kind runs at every ordinal. A torn write can leave a
-//! commit that reported failure durable (each commit group fits one
-//! block, so the tear keeps all of it or none); a flipped read must fail
-//! the commit, never bend it. The maintenance mode follows
+//! commit that reported failure durable; a flipped read must fail the
+//! commit, never bend it. The sweep runs twice: with short values every
+//! commit group fits one 512-byte block, so a tear keeps all of a group
+//! or none; with values of about 200 bytes every group spans blocks, so a
+//! tear can keep a group's leading blocks, and recovery must drop such a
+//! group wholesale. The maintenance mode follows
 //! `LSM_BACKGROUND` (the sweep runs in both modes under
 //! `scripts/verify.sh`), and `LSM_SEED` reseeds the fault device; both
 //! are printed so failures reproduce.
@@ -29,8 +32,13 @@
 use lsm_core::{Db, LsmConfig, TxnError};
 use lsm_testkit::{erased, fault_device, seed, sweep};
 
-/// Scripted transactions per run.
-const TXNS: usize = 28;
+/// One scripted run: how many transactions, and the least length of
+/// their values.
+#[derive(Clone, Copy)]
+struct Script {
+    txns: usize,
+    value_base: usize,
+}
 /// Exclusive keys written by each transaction.
 const KEYS_PER_TXN: usize = 4;
 const CURSOR: &[u8] = b"txn-cursor";
@@ -51,9 +59,10 @@ fn txn_key(t: usize, m: usize) -> Vec<u8> {
     format!("t{t:02}-k{m}").into_bytes()
 }
 
-fn txn_value(t: usize, m: usize) -> Vec<u8> {
+/// Value `m` of transaction `t`, at least `base` bytes long.
+fn txn_value(t: usize, m: usize, base: usize) -> Vec<u8> {
     // varying lengths so commits straddle block boundaries
-    let len = 12 + (t * 7 + m * 13) % 70;
+    let len = base + (t * 7 + m * 13) % 70;
     let mut v = format!("v{t:02}-{m}-").into_bytes();
     v.resize(len, b'a' + ((t + m) % 26) as u8);
     v
@@ -62,9 +71,9 @@ fn txn_value(t: usize, m: usize) -> Vec<u8> {
 /// Runs the scripted transactions until the device dies (or the script
 /// ends). Returns the number of **acked** commits: commit `Ok` and the
 /// following `sync` `Ok`.
-fn scripted_txns(db: &Db) -> usize {
+fn scripted_txns(db: &Db, script: Script) -> usize {
     let mut acked = 0;
-    for t in 1..=TXNS {
+    for t in 1..=script.txns {
         let mut txn = match db.begin_txn() {
             Ok(txn) => txn,
             Err(_) => break,
@@ -83,7 +92,7 @@ fn scripted_txns(db: &Db) -> usize {
         }
         txn.put(CURSOR.to_vec(), t.to_string().into_bytes());
         for m in 0..KEYS_PER_TXN {
-            txn.put(txn_key(t, m), txn_value(t, m));
+            txn.put(txn_key(t, m), txn_value(t, m, script.value_base));
         }
         match txn.commit() {
             Ok(stamp) => assert!(stamp > 0, "committed txn must draw a stamp"),
@@ -103,7 +112,7 @@ fn scripted_txns(db: &Db) -> usize {
 
 /// Post-recovery check: state == replay of the first `j` txns, `j ≥
 /// acked`, all-or-nothing per transaction, scan agrees with gets.
-fn verify(db: &Db, acked: usize, context: &str) {
+fn verify(db: &Db, acked: usize, script: Script, context: &str) {
     let cursor = db.get(CURSOR).unwrap_or_else(|e| panic!("{context}: cursor get failed: {e}"));
     let j: usize = match cursor {
         Some(v) => String::from_utf8(v)
@@ -116,12 +125,12 @@ fn verify(db: &Db, acked: usize, context: &str) {
         j >= acked,
         "{context}: acked commit lost — cursor names txn {j}, but {acked} commits were acked"
     );
-    assert!(j <= TXNS, "{context}: cursor {j} past the script");
+    assert!(j <= script.txns, "{context}: cursor {j} past the script");
     let mut expected_scan: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
     if j > 0 {
         expected_scan.push((CURSOR.to_vec(), j.to_string().into_bytes()));
     }
-    for t in 1..=TXNS {
+    for t in 1..=script.txns {
         for m in 0..KEYS_PER_TXN {
             let got = db
                 .get(&txn_key(t, m))
@@ -129,11 +138,11 @@ fn verify(db: &Db, acked: usize, context: &str) {
             if t <= j {
                 assert_eq!(
                     got,
-                    Some(txn_value(t, m)),
+                    Some(txn_value(t, m, script.value_base)),
                     "{context}: txn {t} committed (cursor {j}) but key {m} is missing or \
                      wrong — partial write-set"
                 );
-                expected_scan.push((txn_key(t, m), txn_value(t, m)));
+                expected_scan.push((txn_key(t, m), txn_value(t, m, script.value_base)));
             } else {
                 assert_eq!(
                     got,
@@ -153,32 +162,45 @@ fn verify(db: &Db, acked: usize, context: &str) {
 
 #[test]
 fn crash_at_every_io_point_during_txn_commits() {
+    txn_sweep("txn sweep", Script { txns: 28, value_base: 12 });
+}
+
+/// Values of 180–249 bytes: every commit group (four of them plus the
+/// cursor) is larger than a 512-byte block. Fewer transactions than the
+/// short-value sweep: each one already crosses a memtable rotation.
+#[test]
+fn crash_at_every_io_point_during_multi_block_txn_commits() {
+    txn_sweep("txn sweep (multi-block groups)", Script { txns: 10, value_base: 180 });
+}
+
+/// Sweeps `script` under every fault kind at every I/O ordinal.
+fn txn_sweep(scenario: &str, script: Script) {
     let seed = seed(0x7C5B_0A11);
     let mode = lsm_core::BackgroundMode::from_env();
     let clean = || {
         let fault = fault_device(seed);
         let db = Db::open(erased(&fault), node_cfg()).expect("clean open");
-        let acked = scripted_txns(&db);
-        assert_eq!(acked, TXNS, "fault-free run must ack every commit");
+        let acked = scripted_txns(&db, script);
+        assert_eq!(acked, script.txns, "fault-free run must ack every commit");
         db.wait_background_idle();
-        verify(&db, acked, "fault-free");
+        verify(&db, acked, script, "fault-free");
         drop(db);
         vec![fault.ops_performed()]
     };
     // One case: fault at `at`, drop the handle while dead (process
     // death), heal, reopen, verify.
-    sweep("txn sweep", seed, mode, &[("device", 101)], clean, |case| {
+    sweep(scenario, seed, mode, &[("device", 101)], clean, |case| {
         let fault = case.armed(seed);
         let mut acked = 0;
         if let Ok(db) = Db::open(erased(&fault), node_cfg()) {
-            acked = scripted_txns(&db);
+            acked = scripted_txns(&db, script);
             db.wait_background_idle();
         }
         let fired = fault.pending_faults().is_empty();
         fault.heal();
         let db = Db::open(erased(&fault), node_cfg())
             .unwrap_or_else(|e| panic!("reopen after {case} failed: {e}"));
-        verify(&db, acked, &case.to_string());
+        verify(&db, acked, script, &case.to_string());
         // recovered engine keeps committing transactions
         let mut txn = db.begin_txn().expect("begin after recovery");
         txn.put(b"post-crash".to_vec(), b"alive".to_vec());
