@@ -1,6 +1,15 @@
 //! Merge execution: sort-merges input tables into new partitioned tables,
 //! garbage-collecting obsolete versions and (when allowed) tombstones —
 //! the mechanics of tutorial Module I.1's `compaction` operation.
+//!
+//! The cut loop (`OutputWriter`) reports every table it seals to its
+//! caller before it merges on. The engine installs the merge's progress
+//! there (`db/compact.rs`): a sealed table whose largest key is `f` is a
+//! *frontier*, past which the merge never reads a key ≤ `f` from its
+//! inputs again, so the outputs so far can join the version and every
+//! input that lies wholly at or below `f` can leave it. The entry stream
+//! does not depend on when or whether the caller installs, so the output
+//! tables are the same bytes either way.
 
 use std::sync::Arc;
 
@@ -11,6 +20,7 @@ use crate::config::LsmConfig;
 use crate::entry::ValueKind;
 use crate::iter::{MergingIter, Source};
 use crate::sstable::{EntryRef, Table, TableBuilder};
+use crate::version::RunTable;
 
 /// Outcome of one merge.
 pub struct MergeResult {
@@ -26,11 +36,17 @@ pub struct MergeResult {
     pub output_bytes: u64,
 }
 
+/// Called with each output table the cut loop seals mid-stream (not the
+/// trailing one [`OutputWriter::finish`] seals): the merge's frontier has
+/// reached the table's largest key.
+pub(crate) type OnSeal<'a> = &'a mut dyn FnMut(&Arc<Table>) -> StorageResult<()>;
+
 /// Streams merged entries into output tables partitioned at
 /// `target_table_bytes`. This is the one and only cut loop: both the
 /// serial [`merge_tables`] path and the sharded stitch phase
 /// ([`crate::compaction::subcompact`]) feed it the same global-key-order
-/// entry stream, which is what makes their outputs byte-identical.
+/// entry stream, which is what makes their outputs byte-identical — and
+/// their seals, so the engine installs at the same frontiers on both.
 pub(crate) struct OutputWriter<'a> {
     device: &'a Arc<dyn StorageDevice>,
     cfg: &'a LsmConfig,
@@ -39,6 +55,7 @@ pub(crate) struct OutputWriter<'a> {
     builder: Option<TableBuilder>,
     tables: Vec<Arc<Table>>,
     entries_written: u64,
+    on_seal: OnSeal<'a>,
 }
 
 impl<'a> OutputWriter<'a> {
@@ -47,6 +64,7 @@ impl<'a> OutputWriter<'a> {
         cfg: &'a LsmConfig,
         index_kind: IndexKind,
         bits_per_key: f64,
+        on_seal: OnSeal<'a>,
     ) -> Self {
         OutputWriter {
             device,
@@ -56,6 +74,7 @@ impl<'a> OutputWriter<'a> {
             builder: None,
             tables: Vec::new(),
             entries_written: 0,
+            on_seal,
         }
     }
 
@@ -81,7 +100,9 @@ impl<'a> OutputWriter<'a> {
         if b.estimated_file_bytes() >= self.cfg.target_table_bytes {
             let full = self.builder.take().unwrap();
             let (file, _meta) = full.finish()?;
-            self.tables.push(Table::open(file, self.index_kind)?);
+            let table = Table::open(file, self.index_kind)?;
+            (self.on_seal)(&table)?;
+            self.tables.push(table);
         }
         Ok(())
     }
@@ -99,9 +120,9 @@ impl<'a> OutputWriter<'a> {
     }
 }
 
-/// Sort-merges `inputs` (ordered youngest first; tables within one run may
-/// be supplied in any relative order since their ranges are disjoint) into
-/// new tables on `device`.
+/// Sort-merges `inputs_young_first` (ordered youngest first; tables within
+/// one run may be supplied in any relative order since their ranges are
+/// disjoint) into new tables on `device`.
 ///
 /// `bits_per_key` is the filter budget for the output level.
 /// `drop_tombstones` enables tombstone GC (only sound at the last level —
@@ -114,13 +135,31 @@ pub fn merge_tables(
     inputs_young_first: &[Arc<Table>],
     drop_tombstones: bool,
 ) -> StorageResult<MergeResult> {
-    let entries_in: u64 = inputs_young_first.iter().map(|t| t.meta().num_entries).sum();
+    let inputs = inputs_young_first.iter().cloned().map(RunTable::from).collect();
+    merge_run_tables(device, cfg, index_kind, bits_per_key, inputs, drop_tombstones, &mut |_| Ok(()))
+}
+
+/// [`merge_tables`] over inputs that may carry floors (each is read only
+/// above its floor), reporting each mid-stream seal to `on_seal`. The
+/// merge owns its inputs: it drops each one's handle as it passes it.
+pub(crate) fn merge_run_tables(
+    device: &Arc<dyn StorageDevice>,
+    cfg: &LsmConfig,
+    index_kind: IndexKind,
+    bits_per_key: f64,
+    inputs_young_first: Vec<RunTable>,
+    drop_tombstones: bool,
+    on_seal: OnSeal<'_>,
+) -> StorageResult<MergeResult> {
+    // entries below an input's floor are never read; they count as
+    // dropped versions (a newer output already holds their keys)
+    let entries_in: u64 = inputs_young_first.iter().map(|t| t.table.meta().num_entries).sum();
     let mut sources = Vec::with_capacity(inputs_young_first.len());
     for t in inputs_young_first {
-        sources.push(Source::Table(t.iter_from(b"", None)?));
+        sources.push(Source::Table(t.table.iter_above(b"", t.floor.as_deref(), None)?));
     }
     let mut merger = MergingIter::new(sources, true)?;
-    let mut writer = OutputWriter::new(device, cfg, index_kind, bits_per_key);
+    let mut writer = OutputWriter::new(device, cfg, index_kind, bits_per_key, on_seal);
     let mut tombstones_dropped = 0u64;
     // cursor merge: each surviving entry's bytes move once, from the
     // pinned input block into the output builder
@@ -256,5 +295,52 @@ mod tests {
         assert_eq!(r.entries_written, 4);
         assert_eq!(r.tables[0].meta().min_key, b"a".to_vec());
         assert_eq!(r.tables[0].meta().max_key, b"z".to_vec());
+    }
+
+    /// A merge reads an input only above its floor, serially and sharded
+    /// alike: the clipped keys' old versions do not come back.
+    #[test]
+    fn a_merge_reads_each_input_above_its_floor() {
+        use crate::compaction::subcompact::{merge_tables_sharded_with, ShardExec};
+        let dev = device();
+        let entries: Vec<(String, u64, ValueKind, String)> = (0..60u32)
+            .map(|i| (format!("k{i:03}"), u64::from(i) + 1, ValueKind::Put, format!("v{i}")))
+            .collect();
+        let rows: Vec<_> = entries
+            .iter()
+            .map(|(k, s, kind, v)| (k.as_str(), *s, *kind, v.as_str()))
+            .collect();
+        let old = build(&dev, &rows);
+        let young = build(&dev, &[("k050", 100, ValueKind::Put, "new")]);
+        let inputs = || {
+            vec![
+                RunTable::from(Arc::clone(&young)),
+                RunTable { table: Arc::clone(&old), floor: Some(b"k039".to_vec().into()) },
+            ]
+        };
+        let no_seal = &mut |_: &Arc<Table>| Ok(());
+        let serial =
+            merge_run_tables(&dev, &cfg(), IndexKind::Fence, 10.0, inputs(), false, no_seal).unwrap();
+        let boundaries = [b"k020".to_vec(), b"k045".to_vec()];
+        let sharded = merge_tables_sharded_with(
+            &dev,
+            &cfg(),
+            IndexKind::Fence,
+            10.0,
+            inputs(),
+            false,
+            &boundaries,
+            ShardExec::Serial,
+            &mut |_| Ok(()),
+        )
+        .unwrap();
+        for r in [&serial, &sharded.merge] {
+            assert_eq!(r.entries_written, 20, "k040..k059 only");
+            assert_eq!(r.versions_dropped, 41, "40 below the floor and the old k050");
+            let t = &r.tables[0];
+            assert_eq!(t.meta().min_key, b"k040".to_vec());
+            assert!(t.get(b"k039", None).unwrap().entry.is_none());
+            assert_eq!(t.get(b"k050", None).unwrap().entry.unwrap().value, b"new".to_vec());
+        }
     }
 }

@@ -18,7 +18,9 @@
 //! 2. **Stitch phase (serial).** The concatenated stream is fed through
 //!    the same `OutputWriter` cut loop the
 //!    serial path uses, so output tables are cut at the same entries and
-//!    files are allocated in the same order.
+//!    files are allocated in the same order. The cut loop reports the same
+//!    seals too, so the engine's frontier installs (and the manifest files
+//!    they write) fall at the same points on both paths.
 //!
 //! Parallelism therefore accelerates the read/merge/GC phase (the bulk of
 //! compaction work) while file layout stays bit-for-bit reproducible.
@@ -34,11 +36,12 @@ use std::sync::{Arc, Mutex, PoisonError};
 use lsm_index::IndexKind;
 use lsm_storage::{StorageDevice, StorageError, StorageResult};
 
-use super::exec::{MergeResult, OutputWriter};
+use super::exec::{MergeResult, OnSeal, OutputWriter};
 use crate::config::LsmConfig;
 use crate::entry::ValueKind;
 use crate::iter::{BoundedTableIter, MemSource, MergingIter, Source};
 use crate::sstable::Table;
+use crate::version::RunTable;
 
 /// One shard's merged output: the visible entries of its key range plus
 /// the accounting needed to prove conservation.
@@ -144,9 +147,10 @@ pub fn shard_boundaries(inputs: &[Arc<Table>], max_shards: usize) -> Vec<Vec<u8>
 
 /// Merges one key-range shard `[lo, hi)` of `inputs_young_first` into
 /// memory, with the same youngest-wins / tombstone-GC semantics as the
-/// serial merge (it reuses [`MergingIter`] verbatim).
+/// serial merge (it reuses [`MergingIter`] verbatim). Each input is read
+/// only above its floor.
 pub fn merge_shard(
-    inputs_young_first: &[Arc<Table>],
+    inputs_young_first: &[RunTable],
     lo: &[u8],
     hi: Option<&[u8]>,
     drop_tombstones: bool,
@@ -154,7 +158,7 @@ pub fn merge_shard(
     let pulled = Arc::new(AtomicU64::new(0));
     let mut sources = Vec::new();
     for t in inputs_young_first {
-        let m = t.meta();
+        let m = t.table.meta();
         // skip tables entirely outside the shard range (no I/O at all);
         // relative youngest-first order of the rest is preserved
         if m.max_key.as_slice() < lo {
@@ -215,7 +219,7 @@ pub(crate) enum ShardExec<'a> {
 /// Runs every shard of `boundaries` over `inputs`, serially or on the
 /// pool, returning the per-shard merges in shard (= key) order.
 pub(crate) fn run_shards(
-    inputs: &[Arc<Table>],
+    inputs: &[RunTable],
     boundaries: &[Vec<u8>],
     drop_tombstones: bool,
     exec: ShardExec<'_>,
@@ -233,7 +237,7 @@ pub(crate) fn run_shards(
             let mut tasks: Vec<Box<dyn FnOnce() + Send + 'static>> =
                 Vec::with_capacity(n);
             for (i, (lo, hi)) in ranges.into_iter().enumerate() {
-                let inputs: Vec<Arc<Table>> = inputs.to_vec();
+                let inputs: Vec<RunTable> = inputs.to_vec();
                 let slots = Arc::clone(&slots);
                 tasks.push(Box::new(move || {
                     let r = merge_shard(&inputs, &lo, hi.as_deref(), drop_tombstones);
@@ -276,30 +280,37 @@ pub fn merge_tables_sharded(
         cfg,
         index_kind,
         bits_per_key,
-        inputs_young_first,
+        inputs_young_first.iter().cloned().map(RunTable::from).collect(),
         drop_tombstones,
         boundaries,
         ShardExec::Serial,
+        &mut |_| Ok(()),
     )
 }
 
-/// [`merge_tables_sharded`] with an explicit shard executor (the engine
-/// passes the worker pool here).
+/// [`merge_tables_sharded`] over inputs that may carry floors, with an
+/// explicit shard executor (the engine passes the worker pool here),
+/// reporting each mid-stream seal of the stitch to `on_seal`. The inputs'
+/// handles are released once the shard phase has read them.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn merge_tables_sharded_with(
     device: &Arc<dyn StorageDevice>,
     cfg: &LsmConfig,
     index_kind: IndexKind,
     bits_per_key: f64,
-    inputs_young_first: &[Arc<Table>],
+    inputs_young_first: Vec<RunTable>,
     drop_tombstones: bool,
     boundaries: &[Vec<u8>],
     exec: ShardExec<'_>,
+    on_seal: OnSeal<'_>,
 ) -> StorageResult<ShardedMergeResult> {
-    let shard_merges = run_shards(inputs_young_first, boundaries, drop_tombstones, exec)?;
-    let mut writer = OutputWriter::new(device, cfg, index_kind, bits_per_key);
+    let shard_merges = run_shards(&inputs_young_first, boundaries, drop_tombstones, exec)?;
+    // counted as the serial merge counts it: entries below an input's
+    // floor, which no shard reads, are dropped versions there too
+    let entries_in_total: u64 = inputs_young_first.iter().map(|t| t.table.meta().num_entries).sum();
+    drop(inputs_young_first);
+    let mut writer = OutputWriter::new(device, cfg, index_kind, bits_per_key, on_seal);
     let mut shards = Vec::with_capacity(shard_merges.len());
-    let mut entries_in_total = 0u64;
     let mut tombstones_total = 0u64;
     for sm in &shard_merges {
         for e in sm.entries.iter() {
@@ -311,7 +322,6 @@ pub(crate) fn merge_tables_sharded_with(
             tombstones_dropped: sm.tombstones_dropped,
             versions_dropped: sm.versions_dropped(),
         });
-        entries_in_total += sm.entries_in;
         tombstones_total += sm.tombstones_dropped;
     }
     let (tables, entries_written) = writer.finish()?;
@@ -395,7 +405,8 @@ mod tests {
         let total: u64 = inputs.iter().map(|t| t.meta().num_entries).sum();
         let boundaries = shard_boundaries(&inputs, 4);
         assert!(!boundaries.is_empty());
-        let merges = run_shards(&inputs, &boundaries, false, ShardExec::Serial).unwrap();
+        let run_tables: Vec<RunTable> = inputs.iter().cloned().map(RunTable::from).collect();
+        let merges = run_shards(&run_tables, &boundaries, false, ShardExec::Serial).unwrap();
         let pulled: u64 = merges.iter().map(|m| m.entries_in).sum();
         assert_eq!(pulled, total, "every input entry consumed by exactly one shard");
         // balanced: no shard holds more than ~2x its fair share (block

@@ -1,6 +1,28 @@
 //! Compaction on the engine side: planning against the current version,
 //! running the merge, and installing the outputs.
+//!
+//! ## One install routine, at a moving frontier
+//!
+//! A merge installs its progress as it goes, not only at its end. Each
+//! time the cut loop seals an output table whose largest key is `f` and
+//! some input lies wholly at or below `f`, [`DbCore::install_merge`]
+//! swaps in a version where
+//! - the outputs sealed so far sit where the final install puts them;
+//! - every input whose keys are all ≤ `f` has left (marked obsolete and
+//!   cache-invalidated, so its file is deleted once the merge's own
+//!   cursor and any snapshot let go of it);
+//! - every input that straddles `f` stays with a floor `f`: no reader
+//!   sees its keys ≤ `f`, which the outputs now answer for. Without the
+//!   clip an input could bring back a key whose tombstone the merge
+//!   garbage-collected into an earlier output.
+//!
+//! and persists the manifest, floors included. The final install is the
+//! same routine with no frontier: every remaining input leaves. Every
+//! compaction shape and [`DbCore::major_compact`] go through it, so the
+//! device holds the live data plus at most one straddling input per run
+//! and the table being built, not the whole merge twice.
 
+use std::collections::HashSet;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -9,13 +31,13 @@ use lsm_obs::EventKind;
 use lsm_storage::{StorageError, StorageResult};
 
 use super::{heat_key, DbCore, Inner};
-use crate::compaction::exec::{merge_tables, MergeResult};
+use crate::compaction::exec::{merge_run_tables, MergeResult, OnSeal};
 use crate::compaction::picker::pick_file;
 use crate::compaction::subcompact::{self, ShardExec};
 use crate::compaction::{self, CompactionTask};
 use crate::config::CompactionGranularity;
 use crate::sstable::Table;
-use crate::version::{SortedRun, Version};
+use crate::version::{RunTable, SortedRun, Version};
 
 /// A compaction resolved to concrete inputs, ready to merge. Built under
 /// the write lock; the merge itself runs without it.
@@ -23,40 +45,63 @@ struct PreparedCompaction {
     level: usize,
     target: usize,
     bits: f64,
-    inputs: Vec<Arc<Table>>,
+    /// The inputs with their floors, youngest first; the merge takes
+    /// them over when it starts.
+    inputs: Vec<RunTable>,
     drop_tombstones: bool,
     apply: CompactionApply,
     /// Trace pairing id (the `CompactionStart` was emitted at prepare
-    /// time; `install_compaction` emits the matching end).
+    /// time; the final install emits the matching end).
     trace_id: u64,
     /// Input accounting captured at prepare time, repeated in the end
     /// event so each event stands alone.
+    input_tables: u64,
     input_entries: u64,
     input_bytes: u64,
     /// Engine clock at prepare time, for the compaction-latency histogram.
     started_ns: u64,
 }
 
-/// How a merge's outputs are spliced back into the version.
+/// How a merge's outputs are spliced into the target level.
 enum CompactionApply {
     /// Replace the target level with one run: surviving target tables +
     /// outputs, sorted by key.
     ReplaceTargetRun,
     /// Prepend the outputs as the target level's youngest run (tiering).
     AppendRun,
-    /// The outputs replace the level's own merged runs (in-place merge).
+    /// The outputs become the target level's oldest run: they replace the
+    /// merged runs of the level itself (in-place merge) or every run of
+    /// the tree (major compaction).
     InPlace,
 }
 
-/// Every table of `runs`, youngest run first.
-fn all_tables(runs: &[SortedRun]) -> Vec<Arc<Table>> {
-    runs.iter().flat_map(|r| r.tables.iter().cloned()).collect()
+/// Which install [`DbCore::install_merge`] makes.
+enum Install<'a> {
+    /// Mid-merge: the newest sealed output ends at this key.
+    Frontier(&'a [u8]),
+    /// The merge is done: every remaining input leaves.
+    Final(&'a MergeResult),
+}
+
+/// A merge's progress as its installs see it.
+struct Progress {
+    /// Inputs still in the current version.
+    remaining: Vec<Arc<Table>>,
+    /// Every output sealed so far, in key order.
+    outputs: Vec<Arc<Table>>,
+    /// How many of `outputs` the current version holds.
+    installed: usize,
+}
+
+/// Every table of `runs` with its floor, youngest run first.
+fn all_tables(runs: &[SortedRun]) -> Vec<RunTable> {
+    runs.iter().flat_map(SortedRun::run_tables).collect()
 }
 
 /// Smallest min key and largest max key across `tables`.
-fn key_span(tables: &[Arc<Table>]) -> (Vec<u8>, Vec<u8>) {
-    let lo = tables.iter().map(|t| &t.meta().min_key).min();
-    let hi = tables.iter().map(|t| &t.meta().max_key).max();
+fn key_span(tables: &[RunTable]) -> (Vec<u8>, Vec<u8>) {
+    let lo = tables.iter().map(|t| &t.table.meta().min_key).min();
+    let hi = tables.iter().map(|t| &t.table.meta().max_key).max();
     (lo.cloned().unwrap_or_default(), hi.cloned().unwrap_or_default())
 }
 
@@ -89,23 +134,19 @@ impl DbCore {
         let mut inner = self.inner.write();
         self.flush_both_locked(&mut inner)?;
         self.maybe_compact_locked(&mut inner)?;
-        let version = (*inner.version).clone();
+        let version = Arc::clone(&inner.version);
         let Some(last) = version.last_occupied_level() else {
             return Ok(());
         };
-        let inputs: Vec<Arc<Table>> = version.tables().cloned().collect();
+        let inputs: Vec<RunTable> = version.levels.iter().flat_map(|l| all_tables(&l.runs)).collect();
         if inputs.len() <= 1 && version.total_runs() <= 1 {
             return Ok(());
         }
         let bits = self.bits_for_level(&version, last);
+        // a version handle held across the merge would keep every input
+        drop(version);
         let prep = self.start_compaction(0, last, bits, inputs, true, CompactionApply::InPlace);
-        let result = self.execute_merge(&prep)?;
-        let mut new_version = Version::new();
-        new_version.ensure_levels(last + 1);
-        if !result.tables.is_empty() {
-            new_version.levels[last].runs = vec![SortedRun::from_tables(result.tables.clone())];
-        }
-        self.finish_compaction(&mut inner, &prep, &result, new_version)
+        self.run_compaction(&mut Some(&mut inner), prep)
     }
 
     /// Holds queued background compactions (flushes still run). Paired
@@ -169,8 +210,7 @@ impl DbCore {
             let Some(prep) = prep else {
                 return Ok(());
             };
-            let result = self.execute_merge(&prep)?;
-            self.with_inner(&mut held, |inner| self.install_compaction(inner, &prep, result))?;
+            self.run_compaction(&mut held, prep)?;
             self.bg.notify_progress();
         }
         Err(StorageError::Corruption(
@@ -178,26 +218,66 @@ impl DbCore {
         ))
     }
 
-    /// The merge itself: serial `merge_tables` when `max_subcompactions`
-    /// is 1 (or no boundary exists), otherwise the sharded path — fanned
-    /// out across the worker pool under `Threaded`, executed serially
-    /// under `Inline` (same shards, same bytes, no threads). Emits
-    /// per-shard `SubcompactionStart`/`End` events around the fan-out.
-    fn execute_merge(&self, prep: &PreparedCompaction) -> StorageResult<MergeResult> {
+    /// Runs `prep`'s merge and installs it: at each frontier the merge
+    /// reaches (see the module docs), then once more at its end. Takes
+    /// the engine lock for each install only, unless the caller `held`
+    /// it all along.
+    fn run_compaction(
+        &self,
+        held: &mut Option<&mut Inner>,
+        mut prep: PreparedCompaction,
+    ) -> StorageResult<()> {
+        let inputs = std::mem::take(&mut prep.inputs);
+        let mut progress = Progress {
+            remaining: inputs.iter().map(|t| Arc::clone(&t.table)).collect(),
+            outputs: Vec::new(),
+            installed: 0,
+        };
+        let result = self.execute_merge(&prep, inputs, &mut |sealed| {
+            progress.outputs.push(Arc::clone(sealed));
+            let frontier = sealed.meta().max_key.as_slice();
+            // a frontier that releases no input would cost a manifest
+            // write and free nothing
+            if progress.remaining.iter().any(|t| t.meta().max_key.as_slice() <= frontier) {
+                self.with_inner(held, |inner| {
+                    self.install_merge(inner, &prep, &mut progress, Install::Frontier(frontier))
+                })?;
+            }
+            Ok(())
+        })?;
+        self.with_inner(held, |inner| {
+            self.install_merge(inner, &prep, &mut progress, Install::Final(&result))
+        })
+    }
+
+    /// The merge itself: serial `merge_run_tables` when
+    /// `max_subcompactions` is 1 (or no boundary exists), otherwise the
+    /// sharded path — fanned out across the worker pool under `Threaded`,
+    /// executed serially under `Inline` (same shards, same bytes, no
+    /// threads). Emits per-shard `SubcompactionStart`/`End` events around
+    /// the fan-out. Both paths report the same seals to `on_seal`.
+    fn execute_merge(
+        &self,
+        prep: &PreparedCompaction,
+        inputs: Vec<RunTable>,
+        on_seal: OnSeal<'_>,
+    ) -> StorageResult<MergeResult> {
         let boundaries = if self.cfg.max_subcompactions > 1 {
-            subcompact::shard_boundaries(&prep.inputs, self.cfg.max_subcompactions)
+            let tables: Vec<Arc<Table>> = inputs.iter().map(|t| Arc::clone(&t.table)).collect();
+            subcompact::shard_boundaries(&tables, self.cfg.max_subcompactions)
         } else {
             Vec::new()
         };
         if boundaries.is_empty() {
             // one shard ≡ the legacy serial path, I/O pattern included
-            return merge_tables(
+            return merge_run_tables(
                 &self.device,
                 &self.cfg,
                 self.cfg.index,
                 prep.bits,
-                &prep.inputs,
+                inputs,
                 prep.drop_tombstones,
+                on_seal,
             );
         }
         let shards = boundaries.len() + 1;
@@ -222,10 +302,11 @@ impl DbCore {
             &self.cfg,
             self.cfg.index,
             prep.bits,
-            &prep.inputs,
+            inputs,
             prep.drop_tombstones,
             &boundaries,
             exec,
+            on_seal,
         )?;
         for (i, (id, acc)) in ids.iter().zip(&sharded.shards).enumerate() {
             self.obs.event(EventKind::SubcompactionEnd {
@@ -257,7 +338,7 @@ impl DbCore {
         };
         let bits = self.bits_for_level(&version, target);
         // every task but a partial one consumes its whole source level
-        let mut inputs: Vec<Arc<Table>> = match task {
+        let mut inputs: Vec<RunTable> = match task {
             CompactionTask::PartialIntoNext { .. } => Vec::new(),
             _ => all_tables(&version.levels[level].runs),
         };
@@ -269,7 +350,10 @@ impl DbCore {
                 match version.levels.get(target).map_or(&[][..], |l| &l.runs) {
                     // a single-run target keeps its non-overlapping tables
                     [] => {}
-                    [run] => inputs.extend(run.overlapping(&lo, &hi).iter().cloned()),
+                    [run] => {
+                        let range = run.overlapping_range(&lo, Some(&hi));
+                        inputs.extend(range.map(|i| run.run_table(i)));
+                    }
                     // transient multi-run target: fold everything in
                     runs => inputs.extend(all_tables(runs)),
                 }
@@ -304,12 +388,13 @@ impl DbCore {
                 }
                 let next_run = version.levels.get(target).and_then(|l| l.runs.first());
                 let idx = pick_file(picker, &run, next_run, &mut inner.rr_cursors[level]);
-                let victim = &run.tables[idx];
-                inputs.push(Arc::clone(victim));
+                let victim = run.run_table(idx);
                 if let Some(trun) = next_run {
-                    let meta = victim.meta();
-                    inputs.extend(trun.overlapping(&meta.min_key, &meta.max_key).iter().cloned());
+                    let meta = victim.table.meta();
+                    let range = trun.overlapping_range(&meta.min_key, Some(&meta.max_key));
+                    inputs.extend(range.map(|i| trun.run_table(i)));
                 }
+                inputs.insert(0, victim);
                 drop_tombstones = compaction::may_drop_tombstones(&version, target, true);
                 apply = CompactionApply::ReplaceTargetRun;
             }
@@ -324,19 +409,20 @@ impl DbCore {
         level: usize,
         target: usize,
         bits: f64,
-        inputs: Vec<Arc<Table>>,
+        inputs: Vec<RunTable>,
         drop_tombstones: bool,
         apply: CompactionApply,
     ) -> PreparedCompaction {
         let trace_id = self.obs.next_compaction_id();
-        let input_entries: u64 = inputs.iter().map(|t| t.meta().num_entries).sum();
-        let input_bytes: u64 = inputs.iter().map(|t| t.data_bytes()).sum();
+        let input_tables = inputs.len() as u64;
+        let input_entries: u64 = inputs.iter().map(|t| t.table.meta().num_entries).sum();
+        let input_bytes: u64 = inputs.iter().map(|t| t.table.data_bytes()).sum();
         let started_ns = self.obs.now_ns();
         self.obs.event(EventKind::CompactionStart {
             id: trace_id,
             level: level as u32,
             target: target as u32,
-            input_tables: inputs.len() as u64,
+            input_tables,
             input_entries,
             input_bytes,
         });
@@ -348,153 +434,174 @@ impl DbCore {
             drop_tombstones,
             apply,
             trace_id,
+            input_tables,
             input_entries,
             input_bytes,
             started_ns,
         }
     }
 
-    /// Installs a merge's outputs by *rebasing* onto the current version:
-    /// every input table is filtered out wherever it sits, surviving runs
-    /// are kept in order, and the outputs are spliced per the task shape.
-    /// With no concurrent version changes (the `Inline` path) this is
-    /// exactly the direct splice; under `Threaded`, runs flushed to L0
+    /// The one install routine of every merge (see the module docs):
+    /// builds the merge's next version by *rebasing* onto the current one
+    /// and swaps it in. Every input the frontier has passed (all of them,
+    /// at the [`Install::Final`]) and every output an earlier install put
+    /// in is filtered out wherever it sits; the inputs that straddle the
+    /// frontier are clipped; surviving runs are kept in order; and the
+    /// outputs sealed so far are spliced per the task shape. With no
+    /// concurrent version changes (the `Inline` path) the final install
+    /// is exactly the direct splice; under `Threaded`, runs flushed to L0
     /// during the merge survive untouched — the single-compactor
     /// invariant (`compaction_lock`) guarantees nothing else moved.
-    fn install_compaction(
+    fn install_merge(
         &self,
         inner: &mut Inner,
         prep: &PreparedCompaction,
-        result: MergeResult,
+        progress: &mut Progress,
+        install: Install<'_>,
     ) -> StorageResult<()> {
-        let input_ids: std::collections::HashSet<u64> =
-            prep.inputs.iter().map(|t| t.id()).collect();
+        let frontier = match install {
+            Install::Frontier(f) => Some(f),
+            Install::Final(result) => {
+                progress.outputs.clone_from(&result.tables);
+                None
+            }
+        };
+        let (released, remaining): (Vec<_>, Vec<_>) = std::mem::take(&mut progress.remaining)
+            .into_iter()
+            .partition(|t| frontier.is_none_or(|f| t.meta().max_key.as_slice() <= f));
+        progress.remaining = remaining;
+        let gone: HashSet<u64> = released
+            .iter()
+            .chain(&progress.outputs[..progress.installed])
+            .map(|t| t.id())
+            .collect();
+        let remaining: HashSet<u64> = progress.remaining.iter().map(|t| t.id()).collect();
         let cur = &inner.version;
         let mut new_version = Version::new();
         new_version.ensure_levels(cur.levels.len().max(prep.target + 1));
         for (i, level) in cur.levels.iter().enumerate() {
             for run in &level.runs {
-                let kept: Vec<Arc<Table>> = run
-                    .tables
-                    .iter()
-                    .filter(|t| !input_ids.contains(&t.id()))
-                    .cloned()
+                let kept: Vec<RunTable> = run
+                    .run_tables()
+                    .filter(|t| !gone.contains(&t.table.id()))
+                    .map(|mut t| {
+                        if let Some(f) = frontier.filter(|_| remaining.contains(&t.table.id())) {
+                            t.clip(f);
+                        }
+                        t
+                    })
                     .collect();
                 if !kept.is_empty() {
-                    new_version.levels[i].runs.push(SortedRun::from_tables(kept));
+                    new_version.levels[i].runs.push(SortedRun::from_run_tables(kept));
                 }
             }
         }
+        let outputs = &progress.outputs;
+        let target = &mut new_version.levels[prep.target].runs;
         match prep.apply {
-            CompactionApply::ReplaceTargetRun => {
-                let mut tables: Vec<Arc<Table>> = new_version.levels[prep.target]
-                    .runs
-                    .drain(..)
-                    .flat_map(|r| r.tables.to_vec())
-                    .collect();
-                tables.extend(result.tables.iter().cloned());
-                tables.sort_by(|a, b| a.meta().min_key.cmp(&b.meta().min_key));
-                new_version.levels[prep.target].runs = if tables.is_empty() {
-                    Vec::new()
-                } else {
-                    vec![SortedRun::from_tables(tables)]
-                };
+            CompactionApply::ReplaceTargetRun if target.len() <= 1 => {
+                let mut tables: Vec<RunTable> = target.iter().flat_map(SortedRun::run_tables).collect();
+                target.clear();
+                tables.extend(outputs.iter().cloned().map(RunTable::from));
+                tables.sort_by(|a, b| a.lower().cmp(&b.lower()));
+                if !tables.is_empty() {
+                    target.push(SortedRun::from_run_tables(tables));
+                }
             }
-            CompactionApply::AppendRun => {
-                if !result.tables.is_empty() {
-                    new_version.levels[prep.target]
-                        .runs
-                        .insert(0, SortedRun::from_tables(result.tables.clone()));
+            // a transient multi-run target (every run of it an input) keeps
+            // its clipped runs beside the outputs until the frontier passes
+            // them; at the final install none is left
+            CompactionApply::ReplaceTargetRun | CompactionApply::AppendRun => {
+                if !outputs.is_empty() {
+                    target.insert(0, SortedRun::from_tables(outputs.clone()));
                 }
             }
             CompactionApply::InPlace => {
                 // outputs merge the *oldest* runs of the level, so they go
                 // after any runs flushed while the merge ran
-                if !result.tables.is_empty() {
-                    new_version.levels[prep.level]
-                        .runs
-                        .push(SortedRun::from_tables(result.tables.clone()));
+                if !outputs.is_empty() {
+                    target.push(SortedRun::from_tables(outputs.clone()));
                 }
             }
         }
+        progress.installed = progress.outputs.len();
 
-        self.obs.stats.largest_compaction_entries.record_max(result.entries_written);
-        self.finish_compaction(inner, prep, &result, new_version)?;
-
-        // Leaper-style prefetch: re-admit hot blocks of the new tables
-        if self.cfg.prefetch_after_compaction {
-            if let Some(cache) = &self.cache {
-                let mut candidates = Vec::new();
-                for t in &result.tables {
-                    let meta = t.meta();
-                    let mut prev_fence: Option<&[u8]> = None;
-                    for (i, fence) in meta.fences.iter().enumerate() {
-                        let min_key = prev_fence.unwrap_or(meta.min_key.as_slice());
-                        candidates.push(PrefetchCandidate {
-                            file: t.id(),
-                            block: i as u64,
-                            min_key: heat_key(min_key),
-                            max_key: heat_key(fence),
-                        });
-                        prev_fence = Some(fence.as_slice());
-                    }
-                }
-                let plan = {
-                    let heat = self.heat.lock();
-                    plan_prefetch(&heat, &candidates, 0.90, 256)
-                };
-                for key in plan {
-                    if let Some(t) = result.tables.iter().find(|t| t.id() == key.file) {
-                        t.read_data_block(key.block as usize, Some(cache))?;
-                        self.obs.stats.prefetched_blocks.inc();
-                    }
-                }
+        match install {
+            Install::Frontier(_) => self.obs.stats.frontier_installs.inc(),
+            Install::Final(result) => {
+                self.obs.stats.largest_compaction_entries.record_max(result.entries_written);
+                self.obs.stats.compactions.inc();
+                self.obs.stats.compaction_entries.add(result.entries_written);
+                self.obs.stats.tombstones_dropped.add(result.tombstones_dropped);
+                self.obs.stats.versions_dropped.add(result.versions_dropped);
             }
+        }
+        self.install_version(inner, new_version);
+        self.persist_manifest(inner)?;
+        if let Install::Final(result) = install {
+            self.obs.event(EventKind::CompactionEnd {
+                id: prep.trace_id,
+                level: prep.level as u32,
+                target: prep.target as u32,
+                input_tables: prep.input_tables,
+                input_entries: prep.input_entries,
+                input_bytes: prep.input_bytes,
+                output_tables: result.tables.len() as u64,
+                entries_written: result.entries_written,
+                output_bytes: result.output_bytes,
+                tombstones_dropped: result.tombstones_dropped,
+                versions_dropped: result.versions_dropped,
+            });
+            self.obs
+                .compaction_ns
+                .record(self.obs.now_ns().saturating_sub(prep.started_ns));
+        }
+        // invalidate cached blocks of the passed inputs and mark them
+        // obsolete: their files are physically deleted when the last
+        // reference (the merge's cursor, a snapshot or an in-flight
+        // iterator) drops
+        for t in &released {
+            if let Some(cache) = &self.cache {
+                t.invalidate_cached(cache);
+            }
+            t.mark_obsolete(&self.obs.superseded_bytes);
+        }
+        if let Install::Final(result) = install {
+            self.prefetch_outputs(&result.tables)?;
         }
         Ok(())
     }
 
-    /// The tail every compaction shares once its new version is built:
-    /// account the merge, swap the version in, persist the manifest, emit
-    /// the `CompactionEnd` paired with `prep`'s start event, and retire
-    /// the inputs.
-    fn finish_compaction(
-        &self,
-        inner: &mut Inner,
-        prep: &PreparedCompaction,
-        result: &MergeResult,
-        new_version: Version,
-    ) -> StorageResult<()> {
-        self.obs.stats.compactions.inc();
-        self.obs.stats.compaction_entries.add(result.entries_written);
-        self.obs.stats.tombstones_dropped.add(result.tombstones_dropped);
-        self.obs.stats.versions_dropped.add(result.versions_dropped);
-        self.install_version(inner, new_version);
-        self.persist_manifest(inner)?;
-        self.obs.event(EventKind::CompactionEnd {
-            id: prep.trace_id,
-            level: prep.level as u32,
-            target: prep.target as u32,
-            input_tables: prep.inputs.len() as u64,
-            input_entries: prep.input_entries,
-            input_bytes: prep.input_bytes,
-            output_tables: result.tables.len() as u64,
-            entries_written: result.entries_written,
-            output_bytes: result.output_bytes,
-            tombstones_dropped: result.tombstones_dropped,
-            versions_dropped: result.versions_dropped,
-        });
-        self.obs
-            .compaction_ns
-            .record(self.obs.now_ns().saturating_sub(prep.started_ns));
-        // invalidate cached blocks of consumed tables and mark them
-        // obsolete: their files are physically deleted when the last
-        // reference (a snapshot or an in-flight iterator) drops
-        for t in &prep.inputs {
-            if let Some(cache) = &self.cache {
-                t.invalidate_cached(cache);
+    /// Leaper-style prefetch: re-admits the hot blocks of a merge's new
+    /// tables into the cache, when configured.
+    fn prefetch_outputs(&self, tables: &[Arc<Table>]) -> StorageResult<()> {
+        let Some(cache) = self.cache.as_ref().filter(|_| self.cfg.prefetch_after_compaction) else {
+            return Ok(());
+        };
+        let mut candidates = Vec::new();
+        for t in tables {
+            let meta = t.meta();
+            let mut prev_fence: Option<&[u8]> = None;
+            for (i, fence) in meta.fences.iter().enumerate() {
+                let min_key = prev_fence.unwrap_or(meta.min_key.as_slice());
+                candidates.push(PrefetchCandidate {
+                    file: t.id(),
+                    block: i as u64,
+                    min_key: heat_key(min_key),
+                    max_key: heat_key(fence),
+                });
+                prev_fence = Some(fence.as_slice());
             }
-            t.mark_obsolete();
+        }
+        let plan = {
+            let heat = self.heat.lock();
+            plan_prefetch(&heat, &candidates, 0.90, 256)
+        };
+        for key in plan {
+            if let Some(t) = tables.iter().find(|t| t.id() == key.file) {
+                t.read_data_block(key.block as usize, Some(cache))?;
+                self.obs.stats.prefetched_blocks.inc();
+            }
         }
         Ok(())
     }

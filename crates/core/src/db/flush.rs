@@ -112,7 +112,7 @@ impl DbCore {
             match table {
                 // The foreground flush won the race and installed this
                 // memtable itself; this job produced nothing.
-                Some(table) if !still_ours => table.mark_obsolete(),
+                Some(table) if !still_ours => table.mark_obsolete(&self.obs.superseded_bytes),
                 Some(table) => {
                     output_bytes = table.data_bytes();
                     let mut new_version = (*inner.version).clone();

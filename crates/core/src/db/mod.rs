@@ -265,6 +265,16 @@ impl DbCore {
     }
 
     fn persist_manifest(&self, inner: &mut Inner) -> StorageResult<()> {
+        let mut floors: Vec<(u64, Vec<u8>)> = inner
+            .version
+            .levels
+            .iter()
+            .flat_map(|l| &l.runs)
+            .flat_map(|r| {
+                (0..r.tables.len()).filter_map(move |i| Some((r.tables[i].id(), r.floor(i)?.to_vec())))
+            })
+            .collect();
+        floors.sort_unstable_by_key(|(id, _)| *id);
         let state = ManifestState {
             levels: inner
                 .version
@@ -282,6 +292,7 @@ impl DbCore {
             vlog: inner.vlog.as_ref().map_or(0, |v| v.id().0),
             next_seqno: inner.next_seqno,
             applied_seq: inner.applied_seq,
+            floors,
         };
         inner.manifest = Some(write_manifest(&self.device, &state, inner.manifest)?);
         Ok(())

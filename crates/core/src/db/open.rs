@@ -21,7 +21,7 @@ use crate::manifest::{find_records, ManifestState, MANIFEST_MAGIC};
 use crate::memtable::Memtable;
 use crate::obs::EngineMetrics;
 use crate::sstable::Table;
-use crate::version::{SortedRun, Version};
+use crate::version::{RunTable, SortedRun, Version};
 use crate::wal::{self, Wal};
 
 impl Db {
@@ -230,9 +230,12 @@ impl DbCore {
                 let mut tables = Vec::with_capacity(run_ids.len());
                 for &id in run_ids {
                     let file = lsm_storage::ImmutableFile::open(Arc::clone(device), FileId(id))?;
-                    tables.push(Table::open(file, cfg.index)?);
+                    tables.push(RunTable {
+                        table: Table::open(file, cfg.index)?,
+                        floor: state.floor_of(id).map(Into::into),
+                    });
                 }
-                version.levels[i].runs.push(SortedRun::from_tables(tables));
+                version.levels[i].runs.push(SortedRun::from_run_tables(tables));
             }
         }
         let mut mem = Memtable::new();

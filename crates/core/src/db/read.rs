@@ -3,7 +3,9 @@
 //! answers point lookups and assembles scan sources for the engine,
 //! snapshots, transactions and value-log GC alike (tutorial Module I.1:
 //! buffer first, then levels young-to-old; per run: key range → filter →
-//! fence → block).
+//! fence → block). A table a merge frontier clipped is read only above
+//! its floor, by a get's `SortedRun::table_for` and a scan's
+//! `RunIterator` alike.
 //!
 //! A scan gives the merge one [`BufferCursor`] per write buffer. The
 //! buffers keep every version and are shared by handle, so the cursor
@@ -246,7 +248,7 @@ impl ReadView<'_> {
             if !range.is_empty() {
                 let start = shared_start.get_or_insert_with(|| start.into());
                 sources.push(Source::Run(RunIterator::new(
-                    Arc::clone(&run.tables),
+                    run.clone(),
                     range,
                     Arc::clone(start),
                     self.tables.cache.cloned(),

@@ -31,6 +31,43 @@ fn delete_hides_older_versions_across_flushes() {
     assert_eq!(db.get(b"k").unwrap(), None);
 }
 
+/// `memory.device.superseded` counts the bytes of the tables a merge took
+/// out of the version while a snapshot still holds their files, and falls
+/// back to 0 once the snapshot drops and the files are deleted.
+#[test]
+fn superseded_bytes_return_to_zero_when_a_snapshot_held_across_a_merge_drops() {
+    let cfg = LsmConfig {
+        background: crate::BackgroundMode::Inline,
+        ..small()
+    };
+    let bs = cfg.block_size as i64;
+    let db = Db::open_in_memory(cfg).unwrap();
+    let key = |i: u32| format!("sk{i:05}").into_bytes();
+    for round in 0..3 {
+        for i in (round..600).step_by(3) {
+            db.put(key(i), format!("v{round}-{i}").into_bytes()).unwrap();
+        }
+        db.flush().unwrap();
+    }
+    let superseded = || db.metrics().gauges["memory.device.superseded"];
+    assert_eq!(superseded(), 0, "every table is in the version");
+    let before: Vec<Arc<crate::sstable::Table>> = db.inner.read().version.tables().cloned().collect();
+    let snap = db.snapshot().unwrap();
+    db.major_compact().unwrap();
+    let live: std::collections::HashSet<u64> = db.inner.read().version.all_table_ids().into_iter().collect();
+    let held: i64 = before
+        .iter()
+        .filter(|t| !live.contains(&t.id()))
+        .map(|t| t.len_blocks() as i64 * bs)
+        .sum();
+    drop(before);
+    assert!(held > 0, "the merge must supersede tables");
+    assert_eq!(superseded(), held, "the snapshot holds exactly the superseded tables");
+    assert_eq!(snap.get(&key(7)).unwrap(), Some(b"v1-7".to_vec()));
+    drop(snap);
+    assert_eq!(superseded(), 0, "the files went with the snapshot");
+}
+
 /// A compaction drops every cached block of the tables it consumes —
 /// their filter partitions as well as their data blocks — so no cached
 /// key names a consumed table.

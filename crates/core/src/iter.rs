@@ -27,7 +27,8 @@ use lsm_storage::{Block, StorageResult};
 
 use crate::entry::{InternalEntry, ValueKind};
 use crate::memtable::Memtable;
-use crate::sstable::{EntryRef, Table, TableIterator};
+use crate::sstable::{EntryRef, TableIterator};
+use crate::version::{RunTable, SortedRun};
 
 /// Most entries a [`BufferCursor`] copies per chunk.
 pub(crate) const BUFFER_CHUNK: usize = 16;
@@ -38,14 +39,15 @@ const FIRST_CHUNK: usize = 2;
 /// Lazily chains the iterators of a run's key-ordered, disjoint tables:
 /// a table is opened (and its first block read) only when the scan
 /// actually reaches its key range — a 10-entry scan over a 100-table run
-/// touches one or two tables, not all of them.
+/// touches one or two tables, not all of them. A table a merge frontier
+/// clipped is read from past its floor.
 ///
 /// The run's tables are reached through the version's shared handle and
 /// an index range, and the scan's start key is one allocation shared by
 /// every run, so building the iterator copies nothing.
 pub struct RunIterator {
-    tables: Arc<[Arc<Table>]>,
-    /// Tables still to open: `next..end` of `tables`.
+    run: SortedRun,
+    /// Tables still to open: `next..end` of the run.
     next: usize,
     end: usize,
     cache: Option<Arc<ShardedCache<Block>>>,
@@ -56,15 +58,15 @@ pub struct RunIterator {
 }
 
 impl RunIterator {
-    /// Iterator over `tables[range]` (key-ordered, disjoint) from `start`.
+    /// Iterator over the run's tables `range` from `start`.
     pub fn new(
-        tables: Arc<[Arc<Table>]>,
+        run: SortedRun,
         range: Range<usize>,
         start: Arc<[u8]>,
         cache: Option<Arc<ShardedCache<Block>>>,
     ) -> Self {
         RunIterator {
-            tables,
+            run,
             next: range.start,
             end: range.end,
             cache,
@@ -85,10 +87,11 @@ impl RunIterator {
             if self.next == self.end {
                 return Ok(false);
             }
-            let table = &self.tables[self.next];
+            let (table, floor) = (&self.run.tables[self.next], self.run.floor(self.next));
             self.next += 1;
             let start = self.start.take();
-            self.current = Some(table.iter_from(start.as_deref().unwrap_or(b""), self.cache.clone())?);
+            let start = start.as_deref().unwrap_or(b"");
+            self.current = Some(table.iter_above(start, floor, self.cache.clone())?);
         }
     }
 
@@ -97,10 +100,11 @@ impl RunIterator {
     }
 }
 
-/// A table iterator clipped to `[start, hi)` that counts every entry it
-/// yields — the per-shard input view of a sub-compaction (see
-/// [`crate::compaction::subcompact`]). The entry that first reaches `hi`
-/// belongs to the next shard; it ends this source without being counted.
+/// A table iterator clipped to `[start, hi)` (and past the table's
+/// floor) that counts every entry it yields — the per-shard input view of
+/// a sub-compaction (see [`crate::compaction::subcompact`]). The entry
+/// that first reaches `hi` belongs to the next shard; it ends this source
+/// without being counted.
 pub struct BoundedTableIter {
     it: TableIterator,
     hi: Option<Vec<u8>>,
@@ -113,13 +117,13 @@ impl BoundedTableIter {
     /// Iterator over `table` from `start` (inclusive) up to `hi`
     /// (exclusive; `None` = unbounded), counting pulls into `pulled`.
     pub fn new(
-        table: &Arc<Table>,
+        table: &RunTable,
         start: &[u8],
         hi: Option<Vec<u8>>,
         pulled: Arc<std::sync::atomic::AtomicU64>,
     ) -> StorageResult<Self> {
         Ok(BoundedTableIter {
-            it: table.iter_from(start, None)?,
+            it: table.table.iter_above(start, table.floor.as_deref(), None)?,
             hi,
             pulled,
             done: false,
@@ -337,15 +341,28 @@ pub enum Source {
     Run(RunIterator),
     /// A key-range-clipped, pull-counting table iterator (sub-compactions).
     BoundedTable(BoundedTableIter),
+    /// A table source the merge has passed: its handle to the table is
+    /// released, so a file the version no longer holds is deleted now,
+    /// not when the merge ends.
+    Passed,
 }
 
 impl Source {
+    /// Called once the source is exhausted: a table source becomes
+    /// [`Source::Passed`], releasing its table.
+    fn pass(&mut self) {
+        if matches!(self, Source::Table(_) | Source::BoundedTable(_)) {
+            *self = Source::Passed;
+        }
+    }
+
     fn advance(&mut self) -> StorageResult<bool> {
         match self {
             Source::Buffer(c) => Ok(c.advance()),
             Source::Table(it) => it.advance(),
             Source::Run(it) => it.advance(),
             Source::BoundedTable(it) => it.advance(),
+            Source::Passed => Ok(false),
         }
     }
 
@@ -356,6 +373,7 @@ impl Source {
             Source::Table(it) => it.key(),
             Source::Run(it) => it.cur().key(),
             Source::BoundedTable(it) => it.it.key(),
+            Source::Passed => unreachable!("a passed source is out of the heap"),
         }
     }
 
@@ -365,6 +383,7 @@ impl Source {
             Source::Table(it) => it.current(),
             Source::Run(it) => it.cur().current(),
             Source::BoundedTable(it) => it.it.current(),
+            Source::Passed => unreachable!("a passed source is out of the heap"),
         }
     }
 }
@@ -440,6 +459,8 @@ impl MergingIter {
         for (i, s) in sources.iter_mut().enumerate() {
             if s.advance()? {
                 heap.push(Head::new(s.key(), i));
+            } else {
+                s.pass();
             }
         }
         let mut merge = MergingIter {
@@ -497,13 +518,15 @@ impl MergingIter {
 
     /// Advances the source in heap slot `i` (the root or a child of it)
     /// and restores the heap: the source's key only grew, so it sinks, or
-    /// leaves the heap when exhausted. A replacement taken from the
-    /// bottom ranks after the root, so it too only needs to sink.
+    /// leaves the heap when exhausted — an exhausted table source also
+    /// drops its table handle. A replacement taken from the bottom ranks
+    /// after the root, so it too only needs to sink.
     fn advance_slot(&mut self, i: usize) -> StorageResult<()> {
         let src = self.heap[i].src;
         if self.sources[src].advance()? {
             self.heap[i] = Head::new(self.sources[src].key(), src);
         } else {
+            self.sources[src].pass();
             let last = self.heap.pop().expect("slot i is occupied");
             if i == self.heap.len() {
                 return Ok(());
@@ -613,6 +636,7 @@ impl MergingIter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sstable::Table;
 
     /// A source over key-ordered owned entries: a write buffer holding
     /// them, read through its cursor (sources longer than a chunk refill).
@@ -862,6 +886,62 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(0x7E5);
         for round in 0..80 {
             random_merge_matches_a_model(&mut rng, &keys, &format!("prefix-tie round {round}"));
+        }
+    }
+
+    fn table_of(dev: &Arc<dyn lsm_storage::StorageDevice>, keys: std::ops::Range<u32>) -> Arc<Table> {
+        let cfg = crate::LsmConfig {
+            block_size: 512,
+            ..crate::LsmConfig::small_for_tests()
+        };
+        let mut b = crate::sstable::TableBuilder::new(Arc::clone(dev), &cfg, 10.0).unwrap();
+        for i in keys {
+            b.add(format!("k{i:04}").as_bytes(), i as u64, ValueKind::Put, b"v").unwrap();
+        }
+        Table::open(b.finish().unwrap().0, lsm_index::IndexKind::Fence).unwrap()
+    }
+
+    /// A merge drops a table source's handle once it has passed the
+    /// table, so a file the version has let go of need not wait for the
+    /// whole merge to end.
+    #[test]
+    fn a_merge_releases_each_table_it_has_passed() {
+        let dev: Arc<dyn lsm_storage::StorageDevice> =
+            Arc::new(lsm_storage::MemDevice::new(512, lsm_storage::DeviceProfile::free()));
+        let (low, high) = (table_of(&dev, 0..50), table_of(&dev, 50..100));
+        let sources = vec![
+            Source::Table(low.iter_from(b"", None).unwrap()),
+            Source::Table(high.iter_from(b"", None).unwrap()),
+        ];
+        let mut merge = MergingIter::new(sources, true).unwrap();
+        for _ in 0..50 {
+            assert!(merge.advance_visible().unwrap());
+        }
+        assert_eq!(Arc::strong_count(&low), 2, "still on the low table's last key");
+        assert!(merge.advance_visible().unwrap());
+        assert_eq!(Arc::strong_count(&low), 1, "the passed table's handle is released");
+        assert_eq!(Arc::strong_count(&high), 2);
+        while merge.advance_visible().unwrap() {}
+        assert_eq!(Arc::strong_count(&high), 1);
+    }
+
+    /// A run cursor reads a clipped table only above its floor.
+    #[test]
+    fn a_run_cursor_starts_past_a_floor() {
+        let dev: Arc<dyn lsm_storage::StorageDevice> =
+            Arc::new(lsm_storage::MemDevice::new(512, lsm_storage::DeviceProfile::free()));
+        let run = SortedRun::from_run_tables(vec![
+            RunTable { table: table_of(&dev, 0..50), floor: Some(b"k0030".to_vec().into()) },
+            table_of(&dev, 50..60).into(),
+        ]);
+        for (start, first) in [(&b""[..], "k0031"), (b"k0030", "k0031"), (b"k0040", "k0040")] {
+            let mut it = RunIterator::new(run.clone(), 0..2, start.into(), None);
+            let mut keys = Vec::new();
+            while it.advance().unwrap() {
+                keys.push(String::from_utf8(it.cur().key().to_vec()).unwrap());
+            }
+            assert_eq!(keys.first().map(String::as_str), Some(first), "from {start:?}");
+            assert_eq!(keys.last().map(String::as_str), Some("k0059"));
         }
     }
 }

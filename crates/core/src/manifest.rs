@@ -1,10 +1,22 @@
 //! The manifest: durable description of the current version — and the
 //! one durable record file it and the server's shard map are stored in.
 //!
-//! Rewritten atomically (new file, then delete the old) on every flush and
-//! compaction. Recovery scans the device for the newest file carrying the
-//! manifest magic, reopens the tables it lists, and replays the WAL it
-//! points at.
+//! Rewritten atomically (new file, then delete the old) on every flush,
+//! every compaction and every frontier install of a running merge.
+//! Recovery scans the device for the newest file carrying the manifest
+//! magic, reopens the tables it lists, and replays the WAL it points at.
+//!
+//! A table a merge frontier clipped carries its *floor* (see
+//! [`crate::version`]): after the levels comes a section of
+//! `(table id, length-prefixed floor key)` pairs, ascending by id, which
+//! a manifest without floors omits, so its bytes are what they were
+//! before floors existed. A crash between two frontier installs recovers
+//! the clipped version the last one wrote.
+//!
+//! Decoding is bounded: every count and length is checked against the
+//! bytes left before anything is allocated for it, and every varint must
+//! be canonical, so a state that decodes re-encodes to the bytes it was
+//! read from.
 //!
 //! ## Record files
 //!
@@ -50,6 +62,15 @@ pub struct ManifestState {
     /// the WAL and may be legally re-applied (replication apply is
     /// idempotent for a suffix re-delivered in order).
     pub applied_seq: u64,
+    /// `(table id, floor)` for every table a merge frontier clipped,
+    /// ascending by id: the table holds no key at or below its floor.
+    pub floors: Vec<(u64, Vec<u8>)>,
+}
+
+/// Whether a varint of `n` bytes ending in `last` is the shortest
+/// encoding of its value (and, at ten bytes, fits in 64 bits).
+fn canonical_varint(n: usize, last: u8) -> bool {
+    n == 1 || (last != 0 && (n < 10 || last == 1))
 }
 
 impl ManifestState {
@@ -72,10 +93,21 @@ impl ManifestState {
                 }
             }
         }
+        if !self.floors.is_empty() {
+            put_varint(&mut out, self.floors.len() as u64);
+            for (id, floor) in &self.floors {
+                put_varint(&mut out, *id);
+                put_varint(&mut out, floor.len() as u64);
+                out.extend_from_slice(floor);
+            }
+        }
         out
     }
 
-    /// Deserializes; `None` when the magic or framing is wrong.
+    /// Deserializes; `None` when the magic or framing is wrong, a count
+    /// or length overruns the bytes left, a varint is not canonical, or a
+    /// floor names no listed table or breaks the ascending id order.
+    /// Bytes past the last field (a record's zero padding) are ignored.
     pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
         if bytes.len() < 8 || u64::from_le_bytes(bytes[0..8].try_into().ok()?) != MANIFEST_MAGIC {
             return None;
@@ -83,30 +115,31 @@ impl ManifestState {
         let mut off = 8usize;
         let next = |off: &mut usize| -> Option<u64> {
             let (v, n) = get_varint(bytes.get(*off..)?)?;
+            canonical_varint(n, bytes[*off + n - 1]).then_some(())?;
             *off += n;
             Some(v)
+        };
+        // a count of items that take at least `min_bytes` each, checked
+        // against the bytes left before anything is reserved for them
+        let count = |off: &mut usize, min_bytes: usize| -> Option<usize> {
+            let n = usize::try_from(next(off)?).ok()?;
+            (n <= (bytes.len() - *off) / min_bytes).then_some(n)
         };
         let wal = next(&mut off)?;
         let wal_prev = next(&mut off)?;
         let vlog = next(&mut off)?;
         let next_seqno = next(&mut off)?;
         let applied_seq = next(&mut off)?;
-        let n_levels = next(&mut off)? as usize;
+        let n_levels = count(&mut off, 1)?;
         if n_levels > 64 {
             return None;
         }
         let mut levels = Vec::with_capacity(n_levels);
         for _ in 0..n_levels {
-            let n_runs = next(&mut off)? as usize;
-            if n_runs > 1 << 20 {
-                return None;
-            }
+            let n_runs = count(&mut off, 1)?;
             let mut runs = Vec::with_capacity(n_runs);
             for _ in 0..n_runs {
-                let n_tables = next(&mut off)? as usize;
-                if n_tables > 1 << 24 {
-                    return None;
-                }
+                let n_tables = count(&mut off, 1)?;
                 let mut tables = Vec::with_capacity(n_tables);
                 for _ in 0..n_tables {
                     tables.push(next(&mut off)?);
@@ -115,6 +148,23 @@ impl ManifestState {
             }
             levels.push(runs);
         }
+        let mut floors: Vec<(u64, Vec<u8>)> = Vec::new();
+        if off < bytes.len() {
+            let n_floors = count(&mut off, 2)?;
+            let listed: std::collections::HashSet<u64> =
+                levels.iter().flatten().flatten().copied().collect();
+            floors.reserve_exact(n_floors);
+            for _ in 0..n_floors {
+                let id = next(&mut off)?;
+                let len = count(&mut off, 1)?;
+                let ascending = floors.last().is_none_or(|(prev, _)| *prev < id);
+                if !ascending || !listed.contains(&id) {
+                    return None;
+                }
+                floors.push((id, bytes[off..off + len].to_vec()));
+                off += len;
+            }
+        }
         Some(ManifestState {
             levels,
             wal,
@@ -122,7 +172,14 @@ impl ManifestState {
             vlog,
             next_seqno,
             applied_seq,
+            floors,
         })
+    }
+
+    /// The floor recorded for table `id`, if any.
+    pub fn floor_of(&self, id: u64) -> Option<&[u8]> {
+        let i = self.floors.binary_search_by_key(&id, |(t, _)| *t).ok()?;
+        Some(&self.floors[i].1)
     }
 
     /// Every table file id the manifest references.
@@ -175,7 +232,8 @@ pub fn write_record(
 
 /// Every file on `device` whose first 8 bytes are within one bit of
 /// `magic`, newest first: `Ok` when its seal verifies and `parse` (which
-/// sees the whole file) accepts it, `Corruption` otherwise. A damaged
+/// sees the record's body: the file up to its trailer, padding included)
+/// accepts it, `Corruption` otherwise. A damaged
 /// record is reported, not skipped, so it cannot pass for an empty store.
 pub fn find_records<T>(
     device: &Arc<dyn StorageDevice>,
@@ -194,7 +252,7 @@ pub fn find_records<T>(
             _ => continue,
         }
         let record = integrity::unseal(&bytes)
-            .and_then(|_| parse(&bytes))
+            .and_then(&parse)
             .ok_or_else(|| StorageError::Corruption(format!("record file {} is damaged", id.0)));
         found.push((id, record));
     }
@@ -231,6 +289,7 @@ pub fn write_manifest(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::entry::put_varint;
     use lsm_storage::{DeviceProfile, MemDevice};
 
     fn device() -> Arc<dyn StorageDevice> {
@@ -255,7 +314,87 @@ mod tests {
             vlog: 0,
             next_seqno: 12345,
             applied_seq: 678,
+            floors: Vec::new(),
         }
+    }
+
+    fn sample_with_floors() -> ManifestState {
+        ManifestState {
+            floors: vec![(4, b"key0042".to_vec()), (9, vec![0xFF; 130])],
+            ..sample()
+        }
+    }
+
+    #[test]
+    fn floors_roundtrip_and_a_floorless_manifest_keeps_its_bytes() {
+        let s = sample_with_floors();
+        assert_eq!(ManifestState::from_bytes(&s.to_bytes()), Some(s.clone()));
+        assert_eq!(s.floor_of(9), Some(&[0xFF; 130][..]));
+        assert_eq!(s.floor_of(5), None);
+        // no floors: no floor section, and zero padding reads as none
+        let mut plain = sample().to_bytes();
+        assert_eq!(plain, ManifestState { floors: Vec::new(), ..s }.to_bytes());
+        plain.extend_from_slice(&[0; 7]);
+        assert_eq!(ManifestState::from_bytes(&plain), Some(sample()));
+    }
+
+    #[test]
+    fn a_floor_must_name_a_listed_table_in_ascending_order() {
+        for floors in [
+            vec![(77, b"k".to_vec())],
+            vec![(9, b"k".to_vec()), (4, b"k".to_vec())],
+            vec![(4, b"k".to_vec()), (4, b"l".to_vec())],
+        ] {
+            let s = ManifestState { floors, ..sample() };
+            assert_eq!(ManifestState::from_bytes(&s.to_bytes()), None);
+        }
+    }
+
+    /// Every truncation and every single-bit flip of a manifest with
+    /// floors decodes to nothing or to a state that re-encodes to the
+    /// bytes it was read from (a prefix of them: bytes past the last
+    /// field are padding), and never panics.
+    #[test]
+    fn every_truncation_and_bit_flip_decodes_to_nothing_or_its_own_bytes() {
+        let bytes = sample_with_floors().to_bytes();
+        let check = |mutated: &[u8], what: &str| {
+            if let Some(state) = ManifestState::from_bytes(mutated) {
+                assert!(mutated.starts_with(&state.to_bytes()), "{what} decoded to {state:?}");
+            }
+        };
+        for len in 0..bytes.len() {
+            check(&bytes[..len], &format!("truncation to {len}"));
+        }
+        for bit in 0..bytes.len() * 8 {
+            let mut flipped = bytes.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            check(&flipped, &format!("bit {bit}"));
+        }
+    }
+
+    /// A count is checked against the bytes left before anything is
+    /// reserved for it: a short record claiming millions of tables, runs
+    /// or floors is rejected.
+    #[test]
+    fn a_count_past_the_record_is_rejected() {
+        let head = |levels: u64, runs: u64, tables: u64| {
+            let mut out = MANIFEST_MAGIC.to_le_bytes().to_vec();
+            for v in [0, 0, 0, 1, 0, levels, runs, tables] {
+                put_varint(&mut out, v);
+            }
+            out
+        };
+        assert_eq!(ManifestState::from_bytes(&head(1, 1, 1 << 24)), None);
+        assert_eq!(ManifestState::from_bytes(&head(1, 1 << 20, 0)), None);
+        let mut floors = head(1, 1, 1);
+        put_varint(&mut floors, 5); // the one table
+        put_varint(&mut floors, 1 << 30); // floors
+        assert_eq!(ManifestState::from_bytes(&floors), None);
+        // a non-canonical varint (a zero continuation group) is framing damage
+        let mut padded = head(0, 0, 0);
+        padded.truncate(padded.len() - 3);
+        padded.extend_from_slice(&[0x80, 0x00]);
+        assert_eq!(ManifestState::from_bytes(&padded), None);
     }
 
     #[test]

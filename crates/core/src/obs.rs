@@ -90,6 +90,12 @@ pub struct EngineMetrics {
     pub l0_runs_gauge: Arc<Gauge>,
     pub memtable_bytes_gauge: Arc<Gauge>,
 
+    /// `memory.device.superseded`: bytes of tables that have left the
+    /// current version but whose files still exist, held by a snapshot,
+    /// an iterator or an in-flight merge. The memory account's gauges are
+    /// named `memory.<component>`.
+    pub superseded_bytes: Arc<Gauge>,
+
     /// Optimistic-transaction outcome counters (conflict rate =
     /// `txn.conflicts / (txn.commits + txn.conflicts)`).
     pub txn_begins: Arc<Counter>,
@@ -136,6 +142,7 @@ impl EngineMetrics {
             stats: Arc::new(DbStats::register(&registry)),
             l0_runs_gauge: registry.gauge("engine.l0_runs"),
             memtable_bytes_gauge: registry.gauge("engine.memtable_bytes"),
+            superseded_bytes: registry.gauge("memory.device.superseded"),
             txn_begins: registry.counter("txn.begins"),
             txn_commits: registry.counter("txn.commits"),
             txn_conflicts: registry.counter("txn.conflicts"),

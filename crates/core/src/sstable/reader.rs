@@ -11,7 +11,7 @@
 
 use std::ops::Bound;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use lsm_cache::{CacheKey, ShardedCache};
 use lsm_filters::serialize::SerializableRangeFilter;
@@ -20,6 +20,7 @@ use lsm_filters::{
     XorFilter,
 };
 use lsm_index::{BlockLocator, FencePointers, IndexKind, PlaIndex, SparseIndex};
+use lsm_obs::Gauge;
 use lsm_storage::{Block, ImmutableFile, IoCategory, StorageError, StorageResult};
 
 use crate::entry::ValueKind;
@@ -152,8 +153,9 @@ pub struct Table {
     partition_offsets: Vec<u64>,
     /// Set when a compaction supersedes this table; the file is physically
     /// deleted when the last reference (version, snapshot, or iterator)
-    /// drops — which is what lets snapshots outlive compactions.
-    obsolete: std::sync::atomic::AtomicBool,
+    /// drops — which is what lets snapshots outlive compactions. Holds the
+    /// gauge that counts the file's bytes until then.
+    obsolete: OnceLock<Arc<Gauge>>,
 }
 
 impl Table {
@@ -224,7 +226,7 @@ impl Table {
             locator,
             accesses: AtomicU64::new(0),
             partition_offsets,
-            obsolete: std::sync::atomic::AtomicBool::new(false),
+            obsolete: OnceLock::new(),
         }))
     }
 
@@ -234,9 +236,16 @@ impl Table {
     }
 
     /// Marks the table superseded: its file is deleted when the last
-    /// reference drops.
-    pub fn mark_obsolete(&self) {
-        self.obsolete.store(true, Ordering::Release);
+    /// reference drops. Until then `superseded` counts the file's bytes.
+    pub fn mark_obsolete(&self, superseded: &Arc<Gauge>) {
+        if self.obsolete.set(Arc::clone(superseded)).is_ok() {
+            superseded.add(self.file_bytes() as i64);
+        }
+    }
+
+    /// The file's size in bytes.
+    fn file_bytes(&self) -> u64 {
+        self.file.len_blocks() * self.file.block_size() as u64
     }
 
     /// Table metadata.
@@ -557,13 +566,34 @@ impl Table {
         }
         Ok(iter)
     }
+
+    /// [`Table::iter_from`] that also serves no key at or below `floor`
+    /// (a merge frontier's clip, see [`crate::version::RunTable`]).
+    pub fn iter_above(
+        self: &Arc<Self>,
+        start: &[u8],
+        floor: Option<&[u8]>,
+        cache: Option<Arc<ShardedCache<Block>>>,
+    ) -> StorageResult<TableIterator> {
+        let Some(floor) = floor.filter(|f| *f >= start) else {
+            return self.iter_from(start, cache);
+        };
+        let mut iter = self.iter_from(floor, cache)?;
+        // the seek primed the first key ≥ floor; step past the floor itself
+        while iter.primed && iter.key() <= floor {
+            iter.primed = false;
+            iter.primed = iter.advance()?;
+        }
+        Ok(iter)
+    }
 }
 
 impl Drop for Table {
     fn drop(&mut self) {
-        if self.obsolete.load(Ordering::Acquire) {
+        if let Some(superseded) = self.obsolete.get() {
             // best effort: the device may already have dropped the file
             let _ = self.file.delete_in_place();
+            superseded.add(-(self.file_bytes() as i64));
         }
     }
 }

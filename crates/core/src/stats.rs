@@ -94,6 +94,9 @@ counters! {
     write_batches,
     /// Individual operations carried inside `write_batch` calls.
     batched_writes,
+    /// Versions a running merge installed at its frontier, before its
+    /// final install: one manifest write each.
+    frontier_installs,
 }
 
 impl DbStatsSnapshot {

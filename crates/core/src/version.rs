@@ -7,17 +7,75 @@
 //! compaction build a new `Version` and swap it in atomically, so readers
 //! and scans keep a consistent view — the "snapshot" the tutorial's scan
 //! semantics require.
+//!
+//! ## Floors
+//!
+//! A merge installs its outputs at a moving frontier (`db/compact.rs`,
+//! DESIGN.md "Merge frontier"): once an output table whose
+//! largest key is `f` is sealed, no key ≤ `f` is read from the merge's
+//! inputs again. An input that straddles `f` stays in the version with a
+//! *floor* `f`: an exclusive lower bound below which the table holds
+//! nothing as far as this version is concerned. A table's *effective
+//! range* is `(floor, max_key]` when it has a floor, else
+//! `[min_key, max_key]`; every lookup here ([`SortedRun::table_for`],
+//! `SortedRun::overlapping_range`, [`SortedRun::min_key`]) and the
+//! disjointness of a run are by effective range, and every reader of a
+//! run's table (a get, a scan's run cursor, a merge's input) starts past
+//! its floor.
 
 use std::sync::Arc;
 
 use crate::sstable::Table;
 
-/// A sorted run: tables with pairwise-disjoint key ranges, in key order.
+/// An exclusive lower key bound, if a merge frontier set one.
+type Floor = Option<Box<[u8]>>;
+
+/// A table as a run holds it: the file plus the floor a merge frontier
+/// clipped it at, if any.
+#[derive(Clone)]
+pub struct RunTable {
+    /// The table.
+    pub table: Arc<Table>,
+    /// Exclusive lower bound: keys at or below it are not in this
+    /// version's view of the table.
+    pub floor: Floor,
+}
+
+impl RunTable {
+    /// The effective lower bound as `(key, exclusive)`; tuples order as
+    /// the bounds do, so `(f, false) < (f, true)`.
+    pub fn lower(&self) -> (&[u8], bool) {
+        match &self.floor {
+            Some(f) => (f, true),
+            None => (&self.table.meta().min_key, false),
+        }
+    }
+
+    /// Raises the floor to `frontier` when the table holds keys at or
+    /// below it (the table straddles the frontier); otherwise a no-op.
+    pub fn clip(&mut self, frontier: &[u8]) {
+        let (lo, exclusive) = self.lower();
+        if lo < frontier || (lo == frontier && !exclusive) {
+            self.floor = Some(frontier.into());
+        }
+    }
+}
+
+impl From<Arc<Table>> for RunTable {
+    fn from(table: Arc<Table>) -> Self {
+        RunTable { table, floor: None }
+    }
+}
+
+/// A sorted run: tables with pairwise-disjoint effective key ranges, in
+/// key order.
 #[derive(Clone, Default)]
 pub struct SortedRun {
     /// The run's tables, ascending by key range. Shared: cloning a run (a
     /// new version, a scan's run cursor) copies one handle.
     pub tables: Arc<[Arc<Table>]>,
+    /// Per table, its floor; `None` when no table of the run has one.
+    floors: Option<Arc<[Floor]>>,
 }
 
 impl SortedRun {
@@ -25,25 +83,56 @@ impl SortedRun {
     pub fn single(table: Arc<Table>) -> Self {
         SortedRun {
             tables: Arc::new([table]),
+            floors: None,
         }
     }
 
     /// A run from key-ordered tables.
     pub fn from_tables(tables: Vec<Arc<Table>>) -> Self {
+        SortedRun::from_run_tables(tables.into_iter().map(RunTable::from).collect())
+    }
+
+    /// A run from key-ordered tables, each with its floor.
+    pub fn from_run_tables(tables: Vec<RunTable>) -> Self {
         debug_assert!(
             tables
                 .windows(2)
-                .all(|w| w[0].meta().max_key < w[1].meta().min_key),
+                .all(|w| (w[0].table.meta().max_key.as_slice(), false) < w[1].lower()),
             "run tables must be disjoint and ordered"
         );
+        let floors = tables
+            .iter()
+            .any(|t| t.floor.is_some())
+            .then(|| tables.iter().map(|t| t.floor.clone()).collect());
         SortedRun {
-            tables: tables.into(),
+            tables: tables.into_iter().map(|t| t.table).collect(),
+            floors,
         }
     }
 
-    /// Smallest key in the run.
+    /// The floor of table `i`, if a merge frontier clipped it.
+    pub fn floor(&self, i: usize) -> Option<&[u8]> {
+        self.floors.as_ref()?[i].as_deref()
+    }
+
+    /// Table `i` with its floor.
+    pub fn run_table(&self, i: usize) -> RunTable {
+        RunTable {
+            table: Arc::clone(&self.tables[i]),
+            floor: self.floor(i).map(Into::into),
+        }
+    }
+
+    /// Every table of the run with its floor, in key order.
+    pub fn run_tables(&self) -> impl Iterator<Item = RunTable> + '_ {
+        (0..self.tables.len()).map(|i| self.run_table(i))
+    }
+
+    /// Smallest key in the run: the first table's floor (an exclusive
+    /// bound) when it has one.
     pub fn min_key(&self) -> Option<&[u8]> {
-        self.tables.first().map(|t| t.meta().min_key.as_slice())
+        let first = self.tables.first()?;
+        Some(self.floor(0).unwrap_or(&first.meta().min_key))
     }
 
     /// Largest key in the run.
@@ -62,13 +151,14 @@ impl SortedRun {
     }
 
     /// The table that may contain `key` (tables are disjoint, so at most
-    /// one).
+    /// one); none when `key` lies at or below that table's floor.
     pub fn table_for(&self, key: &[u8]) -> Option<&Arc<Table>> {
         let idx = self
             .tables
             .partition_point(|t| t.meta().max_key.as_slice() < key);
         let t = self.tables.get(idx)?;
-        t.meta().key_in_range(key).then_some(t)
+        let above_floor = self.floor(idx).is_none_or(|f| key > f);
+        (above_floor && t.meta().key_in_range(key)).then_some(t)
     }
 
     /// Tables whose key range intersects `[lo, hi]` (inclusive).
@@ -83,8 +173,13 @@ impl SortedRun {
             .tables
             .partition_point(|t| t.meta().max_key.as_slice() < lo);
         let end = hi.map_or(self.tables.len(), |hi| {
-            self.tables
-                .partition_point(|t| t.meta().min_key.as_slice() <= hi)
+            let end = self
+                .tables
+                .partition_point(|t| t.meta().min_key.as_slice() <= hi);
+            // only the last table whose keys start at or below `hi` can
+            // have a floor at or above it: every earlier table ends below
+            // that table's first key
+            end - usize::from(end > 0 && self.floor(end - 1).is_some_and(|f| f >= hi))
         });
         start.min(end)..end
     }
@@ -229,6 +324,51 @@ mod tests {
         assert_eq!(run.overlapping(b"key000100x", b"key000150").len(), 0);
         assert_eq!(run.overlapping(b"", b"zzz").len(), 3);
         assert_eq!(run.overlapping(b"key000400", b"key000400").len(), 1);
+    }
+
+    fn clipped(range: std::ops::Range<usize>, floor: Option<usize>) -> RunTable {
+        RunTable {
+            table: table(range),
+            floor: floor.map(|f| format!("key{f:06}").into_bytes().into()),
+        }
+    }
+
+    #[test]
+    fn a_floor_hides_the_keys_at_and_below_it() {
+        let run = SortedRun::from_run_tables(vec![
+            clipped(0..100, None),
+            clipped(100..200, Some(150)),
+            clipped(200..300, None),
+        ]);
+        assert!(run.table_for(b"key000050").is_some());
+        assert!(run.table_for(b"key000120").is_none(), "below the floor");
+        assert!(run.table_for(b"key000150").is_none(), "the floor itself");
+        assert!(run.table_for(b"key000151").is_some());
+        assert_eq!(run.floor(1), Some(&b"key000150"[..]));
+        assert_eq!(run.floor(0), None);
+        // a range that ends at or below the floor misses the clipped table
+        assert_eq!(run.overlapping_range(b"key000120", Some(b"key000150")), 1..1);
+        assert_eq!(run.overlapping_range(b"key000120", Some(b"key000151")), 1..2);
+        assert_eq!(run.overlapping_range(b"key000050", Some(b"key000150")), 0..1);
+        let first = SortedRun::from_run_tables(vec![clipped(0..100, Some(40))]);
+        assert_eq!(first.min_key(), Some(&b"key000040"[..]), "an exclusive lower bound");
+        // the floors survive the round trip through run tables
+        let copy = SortedRun::from_run_tables(run.run_tables().collect());
+        assert_eq!(copy.floor(1), run.floor(1));
+        assert!(SortedRun::from_tables(vec![table(0..10)]).floors.is_none());
+    }
+
+    #[test]
+    fn clip_raises_the_floor_only_for_a_straddler() {
+        let mut t = clipped(100..200, None);
+        t.clip(b"key000050");
+        assert!(t.floor.is_none(), "the table starts above the frontier");
+        t.clip(b"key000100");
+        assert_eq!(t.lower(), (&b"key000100"[..], true), "the frontier is the first key");
+        t.clip(b"key000150");
+        assert_eq!(t.lower(), (&b"key000150"[..], true));
+        t.clip(b"key000120");
+        assert_eq!(t.lower(), (&b"key000150"[..], true), "a floor never falls");
     }
 
     #[test]

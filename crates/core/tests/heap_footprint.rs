@@ -10,18 +10,26 @@
 //! each file's bytes and re-copies the file as it grows, which shows here
 //! as both ratios rising past their bounds.
 //!
+//! A merge installs its outputs at a moving frontier and lets go of each
+//! input it has passed, so while it runs the device holds the data plus
+//! about one table per input run and the table being built, not the
+//! merge's output beside all of its inputs.
+//!
 //! The write-ahead log is the other device cost a workload controls: a
 //! group commit of one or two records must cost the log its bytes, not a
 //! fresh block per sync.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use lsm_core::wal::Wal;
-use lsm_core::{BackgroundMode, Db, LsmConfig, ValueKind};
-use lsm_storage::{DeviceProfile, MemDevice, StorageDevice};
+use lsm_core::{BackgroundMode, Db, EventKind, LsmConfig, ValueKind};
+use lsm_storage::{
+    DeviceProfile, FileId, IoCategory, IoStats, LatencyModel, MemDevice, StorageDevice,
+    StorageResult,
+};
 use lsm_workload::keyspace::{encode_key, make_value};
 
 /// The process's allocator, counting: bytes live now and at their peak.
@@ -114,6 +122,115 @@ fn a_load_and_full_compaction_cost_a_small_multiple_of_the_data() {
     println!("{RECORDS} records, {device_bytes} device bytes: heap peaked at {peak:.2}x and holds {held:.2}x");
     assert!(peak <= 2.6, "the heap peaked at {peak:.2}x the device's live bytes");
     assert!(held <= 1.3, "the heap holds {held:.2}x the device's live bytes after the compaction");
+    for id in (0..RECORDS).step_by(997) {
+        assert_eq!(db.get(&encode_key(id)).unwrap(), Some(make_value(id, VALUE_LEN)));
+    }
+}
+
+/// A `MemDevice` that records the most blocks its live files ever held,
+/// checked after every write.
+struct PeakDevice {
+    inner: MemDevice,
+    peak_blocks: AtomicU64,
+}
+
+impl PeakDevice {
+    /// Restarts the peak from the blocks held now.
+    fn reset_peak(&self) -> u64 {
+        let now = self.inner.live_blocks();
+        self.peak_blocks.store(now, Ordering::Relaxed);
+        now
+    }
+}
+
+impl StorageDevice for PeakDevice {
+    fn block_size(&self) -> usize {
+        self.inner.block_size()
+    }
+    fn stats(&self) -> &IoStats {
+        self.inner.stats()
+    }
+    fn latency(&self) -> &LatencyModel {
+        self.inner.latency()
+    }
+    fn create(&self) -> StorageResult<FileId> {
+        self.inner.create()
+    }
+    fn write(&self, file: FileId, at: u64, data: &[u8], cat: IoCategory) -> StorageResult<()> {
+        self.inner.write(file, at, data, cat)?;
+        self.peak_blocks.fetch_max(self.inner.live_blocks(), Ordering::Relaxed);
+        Ok(())
+    }
+    fn sync(&self, file: FileId) -> StorageResult<()> {
+        self.inner.sync(file)
+    }
+    fn seal(&self, file: FileId) -> StorageResult<()> {
+        self.inner.seal(file)
+    }
+    fn read_into(&self, file: FileId, at: u64, buf: &mut [u8], cat: IoCategory) -> StorageResult<()> {
+        self.inner.read_into(file, at, buf, cat)
+    }
+    fn len_blocks(&self, file: FileId) -> StorageResult<u64> {
+        self.inner.len_blocks(file)
+    }
+    fn delete(&self, file: FileId) -> StorageResult<()> {
+        self.inner.delete(file)
+    }
+    fn live_files(&self) -> Vec<FileId> {
+        self.inner.live_files()
+    }
+    fn live_blocks(&self) -> u64 {
+        self.inner.live_blocks()
+    }
+}
+
+/// A full merge of every run into ≥ 8 output tables: at every write it
+/// makes, the device holds at most (input runs + 1) × `target_table_bytes`
+/// beyond what it held when the merge began — a straddling table per run
+/// and the table being built — where a merge that keeps its inputs until
+/// its end holds its whole output beside them.
+#[test]
+fn a_full_merge_holds_a_table_per_input_run_beyond_its_inputs() {
+    let _serial = SERIAL.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+    let cfg = LsmConfig {
+        background: BackgroundMode::Inline,
+        target_table_bytes: 1 << 20,
+        ..LsmConfig::default()
+    };
+    let dev = Arc::new(PeakDevice {
+        inner: MemDevice::new(cfg.block_size, DeviceProfile::free()),
+        peak_blocks: AtomicU64::new(0),
+    });
+    let db = Db::open(Arc::clone(&dev) as Arc<dyn StorageDevice>, cfg.clone()).unwrap();
+    for id in scattered(RECORDS) {
+        db.put(encode_key(id), make_value(id, VALUE_LEN)).unwrap();
+    }
+    db.flush().unwrap();
+    db.compact().unwrap();
+    let runs: usize = db.level_summary().iter().map(|(runs, _, _)| runs).sum();
+    let installs_before = db.stats().snapshot().frontier_installs;
+    db.drain_events();
+    let base = dev.reset_peak();
+    db.major_compact().unwrap();
+    let outputs: u64 = db
+        .drain_events()
+        .iter()
+        .filter_map(|e| match e.kind {
+            EventKind::CompactionEnd { output_tables, .. } => Some(output_tables),
+            _ => None,
+        })
+        .sum();
+    let installs = db.stats().snapshot().frontier_installs - installs_before;
+    let bs = cfg.block_size as u64;
+    let excess = (dev.peak_blocks.load(Ordering::Relaxed) - base) * bs;
+    let bound = (runs as u64 + 1) * cfg.target_table_bytes as u64;
+    println!(
+        "a merge of {runs} runs into {outputs} tables ({installs} frontier installs) held \
+         {excess} bytes beyond its inputs' {} (bound {bound})",
+        base * bs
+    );
+    assert!(outputs >= 8, "the merge wrote only {outputs} tables");
+    assert!(excess <= bound, "the merge held {excess} bytes beyond its inputs, bound {bound}");
     for id in (0..RECORDS).step_by(997) {
         assert_eq!(db.get(&encode_key(id)).unwrap(), Some(make_value(id, VALUE_LEN)));
     }

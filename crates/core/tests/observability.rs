@@ -118,7 +118,7 @@ const COUNTERS: &[&str] = &[
     "bg.compact_jobs", "bg.flush_jobs",
     "cache.evictions", "cache.hits", "cache.inserts", "cache.misses",
     "db.batched_writes", "db.blocks_examined", "db.bytes_ingested", "db.compaction_entries",
-    "db.compactions", "db.deletes", "db.filter_prunes", "db.flushes", "db.gets",
+    "db.compactions", "db.deletes", "db.filter_prunes", "db.flushes", "db.frontier_installs", "db.gets",
     "db.gets_found", "db.largest_compaction_entries", "db.prefetched_blocks", "db.puts",
     "db.range_filter_prunes", "db.range_prunes", "db.runs_probed", "db.scan_entries",
     "db.scans", "db.tombstones_dropped", "db.versions_dropped", "db.vlog_resolves",
@@ -134,7 +134,7 @@ const COUNTERS: &[&str] = &[
     "io.write_slowdowns", "io.write_stalls",
     "txn.begins", "txn.commits", "txn.conflicts",
 ];
-const GAUGES: &[&str] = &["engine.l0_runs", "engine.memtable_bytes"];
+const GAUGES: &[&str] = &["engine.l0_runs", "engine.memtable_bytes", "memory.device.superseded"];
 const HISTOGRAMS: &[&str] = &[
     "latency.compaction_ns", "latency.flush_ns", "latency.get_ns", "latency.put_ns",
     "latency.scan_ns",
@@ -166,7 +166,7 @@ fn typed_views_and_registry_series_are_one_counter() {
         compactions, compaction_entries, tombstones_dropped, versions_dropped, runs_probed,
         filter_prunes, blocks_examined, range_prunes, range_filter_prunes, prefetched_blocks,
         vlog_values, vlog_resolves, largest_compaction_entries, wal_appends, write_batches,
-        batched_writes,
+        batched_writes, frontier_installs,
     );
     for (field, value) in fields {
         assert_eq!(snap.counters[&format!("db.{field}")], value, "db.{field}");

@@ -250,15 +250,21 @@ fn inline_engine_differential_serial_vs_sharded() {
     assert_eq!(scan_s.len(), oracle.len());
 }
 
-/// Known-answer digest of every byte the engine writes: a fixed-seed
+/// Known-answer digests of every byte the engine writes: a fixed-seed
 /// Inline engine loads, updates and deletes through flushes, a
-/// multi-level cascade and last-level tombstone GC, and `hash64` over
-/// every live file (in file-id order) must equal a pinned literal. A
-/// change that moves one output byte or one table boundary fails here by
-/// name. The literal changes only with a deliberate format change.
+/// multi-level cascade and last-level tombstone GC. Two pinned literals:
+/// - `CONTENT_DIGEST`, `hash64` over every live table's bytes in key
+///   order (level by level, run by run), which no file id enters: it
+///   moves only when an output byte or a table boundary does;
+/// - `DIGEST`, `hash64` over every live file (in file-id order) with its
+///   id, the manifest included: it also moves when the engine writes
+///   more or fewer files (a manifest per merge frontier, say).
+///
+/// The literals change only with a deliberate format change.
 #[test]
 fn merged_bytes_match_their_known_answer_digest() {
-    const DIGEST: u64 = 0xec7e_5294_e7ab_7072;
+    const CONTENT_DIGEST: u64 = 0xd6cf_e6d8_a99e_3b8b;
+    const DIGEST: u64 = 0x4423_a184_b755_86f7;
     let dev = device(256);
     let db = Db::open(Arc::clone(&dev), cfg(1, BackgroundMode::Inline)).unwrap();
     let mut rng = StdRng::seed_from_u64(0xD16E57);
@@ -302,6 +308,21 @@ fn merged_bytes_match_their_known_answer_digest() {
         summary.extend_from_slice(&lsm_filters::hash::hash64(&file_bytes(&dev, f.0)).to_le_bytes());
     }
     let digest = lsm_filters::hash::hash64(&summary);
+    let (_, manifest) = find_record(&dev, MANIFEST_MAGIC, ManifestState::from_bytes)
+        .unwrap()
+        .unwrap();
+    let tables: Vec<u64> = manifest.levels.iter().flatten().flatten().copied().collect();
+    let mut contents = Vec::with_capacity(tables.len() * 8);
+    for &id in &tables {
+        contents.extend_from_slice(&lsm_filters::hash::hash64(&file_bytes(&dev, id)).to_le_bytes());
+    }
+    let content_digest = lsm_filters::hash::hash64(&contents);
+    assert_eq!(
+        content_digest,
+        CONTENT_DIGEST,
+        "{} live tables hash to {content_digest:#018x}: the merged bytes or table boundaries moved",
+        tables.len()
+    );
     assert_eq!(
         digest,
         DIGEST,

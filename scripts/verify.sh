@@ -35,7 +35,7 @@ cargo test -q --workspace
 stage "LSM_BACKGROUND=threaded cargo test -q --workspace"
 LSM_BACKGROUND=threaded cargo test -q --workspace
 
-stage "crash sweeps at LSM_SEED=1, both modes: every scenario under crash, torn write and bit flip, with separated-value bit flips and multi-block txn groups"
+stage "crash sweeps at LSM_SEED=1, both modes: every scenario under crash, torn write and bit flip, with separated-value bit flips, multi-block txn groups and a merge installed at its frontier"
 # the stages above ran the default seeds; another seed moves every bit
 # flip and, in the server scenarios, the scripted workload itself
 for mode in inline threaded; do
@@ -50,10 +50,12 @@ for _ in $(seq 20); do
     LSM_BACKGROUND=threaded cargo test -q -p lsm-core --release --test paused_reads
 done
 
-stage "allocation-regression battery (counting allocator + borrowed-vs-owned differential) and heap footprint (load + compaction peak, WAL bytes under one-record group commits), both modes"
+stage "allocation-regression battery (counting allocator + borrowed-vs-owned differential) and heap footprint (load + compaction peak, a merge's bytes beyond its inputs, WAL bytes under one-record group commits), both modes"
 # the footprint tests: a device file costs its bytes plus one extent, a
 # load + full compaction peaks at a small multiple of the device's bytes,
-# and a WAL synced after every record holds its frames, not a block each
+# a full merge holds at most a table per input run (plus the one being
+# built) beyond its inputs, and a WAL synced after every record holds its
+# frames, not a block each
 for mode in inline threaded; do
     LSM_BACKGROUND=$mode cargo test -q -p lsm-core --release --test alloc_regression --test heap_footprint
     LSM_BACKGROUND=$mode cargo test -q -p lsm-storage --release --test footprint

@@ -33,7 +33,9 @@ use lsm_storage::{
     DeviceProfile, FaultDevice, FaultKind, FileId, IoCategory, MemDevice, RetryDevice,
     RetryPolicy, StorageDevice, StorageError, WritableFile,
 };
-use lsm_testkit::{check_db, erased, fault_device, seed, sweep, synced, Shadow};
+use lsm_testkit::{
+    check_db, erased, fault_device, no_orphan_tables, seed, sweep, synced, Shadow,
+};
 
 use proptest::prelude::*;
 
@@ -126,6 +128,119 @@ fn crash_at_every_io_point_loses_no_acked_write() {
 #[test]
 fn crash_sweep_with_kv_separation() {
     script_sweep("crash sweep (kv)", kv_cfg());
+}
+
+// ---------------------------------------------------------------------
+// A merge installed at its frontier
+// ---------------------------------------------------------------------
+
+/// Keys of the frontier scenario's base table: `key0000..key0179`.
+const FRONTIER_KEYS: u32 = 180;
+
+/// The narrow delete batches, one flush each: ten keys apiece, spread so
+/// the merge passes each batch's table early while the base table
+/// straddles every frontier.
+const FRONTIER_DELETES: [u32; 5] = [5, 40, 75, 110, 145];
+
+/// The frontier scenario's geometry: 512-byte blocks, 1 KiB output
+/// tables, and a write buffer and L0 run cap large enough that the base
+/// table and the five delete batches flush as six L0 runs and then merge
+/// into L1 — the last level, so the merge drops every tombstone — in one
+/// leveled merge of ≥ 6 output tables. Maintenance mode from
+/// `LSM_BACKGROUND`.
+fn frontier_cfg() -> LsmConfig {
+    LsmConfig {
+        buffer_bytes: 32 << 10,
+        target_table_bytes: 1 << 10,
+        l0_run_cap: 5,
+        ..LsmConfig::small_for_tests()
+    }
+}
+
+/// The frontier script: the base table (`FRONTIER_KEYS` puts), then each
+/// delete batch in its own flush; the sixth L0 run triggers the merge.
+fn frontier_script(db: &Db, shadow: &mut Shadow) {
+    let key = |i: u32| format!("key{i:04}").into_bytes();
+    for i in 0..FRONTIER_KEYS {
+        let value = vec![b'a' + (i % 26) as u8; 40 + (i as usize * 7) % 30];
+        shadow.write(key(i), Some(value), |k, v| synced(db, k, v));
+    }
+    let _ = db.flush();
+    for first in FRONTIER_DELETES {
+        for i in first..first + 10 {
+            shadow.write(key(i), None, |k, v| synced(db, k, v));
+        }
+        let _ = db.flush();
+    }
+    // bounded: the idle wait bails out once a job has failed
+    db.wait_background_idle();
+}
+
+/// A crash, torn write and bit flip at every I/O ordinal of one leveled
+/// merge that installs at its frontier: six L0 runs (a wide base table
+/// and five narrow delete batches) merge into the empty last level, so
+/// each batch's tombstones are garbage-collected into an early output
+/// while the base table — still holding the deleted keys' old puts —
+/// straddles the frontier. Recovery from any frontier manifest must read
+/// the base table only above its floor: an unclipped straddler brings
+/// the deleted keys back. Gets and scans must read legal states after
+/// reopen and again after a major compaction of the recovered tree
+/// (whose merge must read the clipped table above its floor), and no
+/// table the fault stranded may survive.
+#[test]
+fn crash_at_every_io_point_of_a_merge_installed_at_its_frontier() {
+    let seed = seed(0xF807_71E5);
+    let cfg = frontier_cfg();
+    let reopen_cfg = LsmConfig { background: BackgroundMode::Inline, ..cfg.clone() };
+    let clean = || {
+        let fault = fault_device(seed);
+        let db = Db::open(erased(&fault), cfg.clone()).expect("clean open");
+        let mut shadow = Shadow::default();
+        frontier_script(&db, &mut shadow);
+        assert!(shadow.maybe.is_empty(), "fault-free run left unacked ops");
+        let stats = db.stats().snapshot();
+        let outputs: Vec<u64> = db
+            .drain_events()
+            .iter()
+            .filter_map(|e| match e.kind {
+                lsm_core::EventKind::CompactionEnd { output_tables, tombstones_dropped, .. } => {
+                    assert_eq!(tombstones_dropped, 50, "the merge must drop every tombstone");
+                    Some(output_tables)
+                }
+                _ => None,
+            })
+            .collect();
+        assert_eq!(outputs.len(), 1, "one merge: {outputs:?}");
+        assert!(outputs[0] >= 6, "the merge wrote {} output tables", outputs[0]);
+        assert!(stats.frontier_installs >= 4, "{} frontier installs", stats.frontier_installs);
+        eprintln!(
+            "frontier sweep: one merge, {} output tables, {} frontier installs",
+            outputs[0], stats.frontier_installs
+        );
+        drop(db);
+        vec![fault.ops_performed()]
+    };
+    sweep("frontier sweep", seed, cfg.background, &[("device", 101)], clean, |case| {
+        let fault = case.armed(seed);
+        let mut shadow = Shadow::default();
+        if let Ok(db) = Db::open(erased(&fault), cfg.clone()) {
+            frontier_script(&db, &mut shadow);
+        }
+        let fired = fault.pending_faults().is_empty();
+        fault.heal();
+        let dev = erased(&fault);
+        let db = Db::open(Arc::clone(&dev), reopen_cfg.clone())
+            .unwrap_or_else(|e| panic!("reopen after {case} failed: {e}"));
+        check_db(&db, &shadow, &format!("{case} (frontier sweep)"));
+        // merge what recovery found, clipped tables included: a merge
+        // must read each input above its floor too
+        db.major_compact()
+            .unwrap_or_else(|e| panic!("major compaction after {case} failed: {e}"));
+        check_db(&db, &shadow, &format!("{case} (frontier sweep, merged after reopen)"));
+        drop(db);
+        no_orphan_tables(&dev, &format!("{case} (frontier sweep)"));
+        fired
+    });
 }
 
 /// A torn WAL tail is ordinary crash behavior: recovery stops at the tear
@@ -321,6 +436,7 @@ fn bogus_manifest() -> ManifestState {
         vlog: 0,
         next_seqno: 9,
         applied_seq: 0,
+        floors: Vec::new(),
     }
 }
 
