@@ -1,12 +1,24 @@
-//! Background maintenance: the worker pool behind
-//! [`BackgroundMode::Threaded`](crate::config::BackgroundMode).
+//! The maintenance queue: flush and compaction jobs, and the threads
+//! that drain it.
 //!
-//! The pool drains two job kinds: **flush** (persist the frozen immutable
-//! memtable as an L0 table) and **compact** (run the compaction cascade
-//! picked by the existing planner to quiescence). Jobs are queued by the
-//! write path (memtable freeze) and by flush completion; a dedupe flag
-//! keeps at most one compact job queued or running, which preserves the
-//! single-compactor invariant the version-install rebase relies on.
+//! There is one maintenance path. A full write buffer is frozen and its
+//! **flush** (persist the frozen buffer as an L0 table) is queued; a
+//! finished flush, a retune and L0 backpressure queue a **compact** job
+//! (run the planner's cascade to quiescence), deduplicated so at most one
+//! is queued or running, which keeps the single-compactor invariant the
+//! version-install rebase relies on. Whoever pops a job runs it, exactly
+//! once:
+//! - [`BackgroundMode::Threaded`](crate::config::BackgroundMode) starts
+//!   workers that pop jobs as they come;
+//! - [`BackgroundMode::Inline`](crate::config::BackgroundMode) starts
+//!   none: the thread that queued the work drains it before returning
+//!   (`BgState::run_unattended`), and a caller that waits on queued
+//!   work nobody else will run runs it itself (`BgState::wait_until`).
+//!
+//! Jobs pop shard tasks first, then a flush, then a compaction, so a
+//! compaction a retune queued ahead of a flush still runs after it — in
+//! the single-threaded `Inline` case that is the order the writer's own
+//! flush and cascade always ran in.
 //!
 //! Lock hierarchy (outermost first): `DbCore::compaction_lock` →
 //! `DbCore::inner` → `BgState::q`. Condition-variable waits hold only the
@@ -25,7 +37,7 @@ use lsm_storage::StorageError;
 
 use crate::db::DbCore;
 
-/// One unit of background work.
+/// One unit of maintenance work.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Job {
     /// Persist the frozen immutable memtable as an L0 table.
@@ -74,24 +86,61 @@ impl Drop for ShardDoneGuard {
 #[derive(Default)]
 pub(crate) struct BgQueue {
     jobs: VecDeque<Job>,
-    /// Sub-compaction shards awaiting a thread. Workers prefer these over
-    /// whole jobs (a shard is part of an already-running compaction, so
+    /// Sub-compaction shards awaiting a thread. They pop before whole
+    /// jobs (a shard is part of an already-running compaction, so
     /// finishing it unblocks more than starting new work would).
     shard_tasks: VecDeque<ShardTask>,
     /// Jobs popped but not yet completed.
     inflight: usize,
-    /// A freeze happened and its flush has not completed yet. Writers
-    /// needing the immutable slot wait on `done_cv` for this to clear.
-    flush_pending: bool,
+    /// Flushes queued since open, and flushes completed (run, failed or
+    /// not): a caller that froze a buffer waits for `flushes_done` to
+    /// reach the count its freeze returned.
+    flushes_queued: u64,
+    flushes_done: u64,
     /// A compact job is queued or running (dedupe flag).
     compact_scheduled: bool,
     /// Compact jobs are held in the queue (test hook; flushes still run).
     paused_compaction: bool,
     shutdown: bool,
-    /// First background error, surfaced once on the next maintenance call.
+    /// First maintenance error, surfaced once on the next maintenance call.
     error: Option<StorageError>,
-    /// Sticky: a background job failed at some point.
+    /// Sticky: a job failed at some point. No job runs after it.
     failed: bool,
+}
+
+impl BgQueue {
+    /// Every flush queued so far has completed.
+    pub(crate) fn flushed(&self, ticket: u64) -> bool {
+        self.flushes_done >= ticket
+    }
+
+    /// No job is queued or running.
+    pub(crate) fn idle(&self) -> bool {
+        self.jobs.is_empty() && self.inflight == 0
+    }
+
+    /// Position of the next job to run: a flush, else a compaction unless
+    /// paused; none once a job has failed or at shutdown.
+    fn runnable(&self) -> Option<usize> {
+        if self.failed || self.shutdown {
+            return None;
+        }
+        self.jobs
+            .iter()
+            .position(|j| *j == Job::Flush)
+            .or_else(|| self.jobs.iter().position(|_| !self.paused_compaction))
+    }
+
+    /// Pops the next work item (see [`BgQueue::runnable`]), counting a
+    /// job as in flight.
+    fn pop(&mut self) -> Option<Work> {
+        if let Some(t) = self.shard_tasks.pop_front() {
+            return Some(Work::Shard(t));
+        }
+        let job = self.jobs.remove(self.runnable()?)?;
+        self.inflight += 1;
+        Some(Work::Job(job))
+    }
 }
 
 /// Condvar-based scheduler state. Shared via its own `Arc` so idle
@@ -101,8 +150,11 @@ pub(crate) struct BgState {
     q: Mutex<BgQueue>,
     /// Workers wait here for runnable jobs.
     work_cv: Condvar,
-    /// Writers/quiescers wait here for progress (flush done, L0 drained).
+    /// Waiters wait here for progress (a job done, L0 drained).
     done_cv: Condvar,
+    /// Worker threads draining the queue: 0 under `Inline`, where the
+    /// threads that queue and wait on work run it.
+    workers: usize,
 }
 
 fn lock(q: &Mutex<BgQueue>) -> MutexGuard<'_, BgQueue> {
@@ -110,18 +162,31 @@ fn lock(q: &Mutex<BgQueue>) -> MutexGuard<'_, BgQueue> {
 }
 
 impl BgState {
-    pub(crate) fn new() -> Self {
-        Self::default()
+    /// A queue drained by `workers` threads (0: by its callers).
+    pub(crate) fn new(workers: usize) -> Self {
+        BgState {
+            workers,
+            ..Self::default()
+        }
     }
 
-    /// Marks a freeze and queues its flush. The caller guarantees the
-    /// immutable slot was empty, so at most one flush is ever pending.
-    pub(crate) fn enqueue_flush(&self) {
+    /// Queues the flush of a buffer just frozen and returns its ticket
+    /// for [`BgQueue::flushed`]. The caller guarantees the frozen slot
+    /// was empty, so at most one flush is ever pending.
+    pub(crate) fn enqueue_flush(&self) -> u64 {
         let mut q = lock(&self.q);
-        q.flush_pending = true;
+        q.flushes_queued += 1;
         q.jobs.push_back(Job::Flush);
+        let ticket = q.flushes_queued;
         drop(q);
         self.work_cv.notify_all();
+        ticket
+    }
+
+    /// The ticket of the last flush queued: once it is done, every buffer
+    /// frozen so far is in a table.
+    pub(crate) fn flush_ticket(&self) -> u64 {
+        lock(&self.q).flushes_queued
     }
 
     /// Queues a compact job unless one is already queued or running.
@@ -143,45 +208,22 @@ impl BgState {
         q.jobs.push_back(Job::Compact);
     }
 
-    /// Clears the compact dedupe flag when the cascade reaches
-    /// quiescence. Returns `true` if the caller should re-check the
-    /// planner (a flush may have landed during the final iteration).
-    fn compact_finished(&self) -> bool {
-        let mut q = lock(&self.q);
-        q.compact_scheduled = false;
-        true
+    /// Clears the compact dedupe flag when the cascade reaches quiescence.
+    fn compact_finished(&self) {
+        lock(&self.q).compact_scheduled = false;
     }
 
-    /// Takes the stored background error, if any. The `failed` flag stays
+    /// Takes the stored maintenance error, if any. The `failed` flag stays
     /// sticky so later calls still refuse cheaply.
     pub(crate) fn take_error(&self) -> Option<StorageError> {
         let mut q = lock(&self.q);
         match q.error.take() {
             Some(e) => Some(e),
             None if q.failed => Some(StorageError::Corruption(
-                "a background maintenance job failed earlier".into(),
+                "a maintenance job failed earlier".into(),
             )),
             None => None,
         }
-    }
-
-    pub(crate) fn has_failed(&self) -> bool {
-        lock(&self.q).failed
-    }
-
-    /// Records a *foreground* failure as the sticky engine error. Used
-    /// when a fallible step between freezing the memtable and enqueuing
-    /// its flush dies: the immutable slot is occupied but no flush will
-    /// ever drain it, so waiters must bail on `failed` instead of
-    /// blocking (or spinning) on a drain that cannot come.
-    pub(crate) fn record_failure(&self, e: StorageError) {
-        let mut q = lock(&self.q);
-        q.failed = true;
-        if q.error.is_none() {
-            q.error = Some(e);
-        }
-        drop(q);
-        self.done_cv.notify_all();
     }
 
     pub(crate) fn pause_compaction(&self) {
@@ -193,57 +235,59 @@ impl BgState {
         self.work_cv.notify_all();
     }
 
-    /// Clears `flush_pending` after an explicit (foreground) flush drained
-    /// the immutable memtable, so stalled writers stop waiting for the
-    /// queued background job.
-    pub(crate) fn flush_drained(&self) {
-        lock(&self.q).flush_pending = false;
-        self.done_cv.notify_all();
-    }
-
     /// Wakes everyone waiting for progress (version installed, L0 changed).
     pub(crate) fn notify_progress(&self) {
         self.done_cv.notify_all();
     }
 
-    /// Blocks until the pending flush completes (or shutdown/failure).
-    pub(crate) fn wait_flush_drained(&self) {
+    /// Blocks until `done` holds on the queue, a job has failed with none
+    /// still running, or shutdown. With no workers the calling thread runs
+    /// the runnable work itself, since nobody else will, and returns once
+    /// none is left and no other caller is mid-job: nothing can change
+    /// then. `done` runs under the queue mutex and must not take any
+    /// engine lock.
+    pub(crate) fn wait_until(&self, db: &DbCore, done: impl Fn(&BgQueue) -> bool) {
         let mut q = lock(&self.q);
-        while q.flush_pending && !q.shutdown && !q.failed {
-            let (g, _) = self
-                .done_cv
-                .wait_timeout(q, Duration::from_millis(20))
-                .unwrap_or_else(PoisonError::into_inner);
-            q = g;
-        }
-    }
-
-    /// Blocks until `cond()` holds (or shutdown/failure). `cond` must not
-    /// take any engine lock above the queue mutex in the hierarchy.
-    pub(crate) fn wait_progress_until(&self, cond: impl Fn() -> bool) {
-        let mut q = lock(&self.q);
-        while !cond() && !q.shutdown && !q.failed {
-            let (g, _) = self
-                .done_cv
-                .wait_timeout(q, Duration::from_millis(20))
-                .unwrap_or_else(PoisonError::into_inner);
-            q = g;
-        }
-    }
-
-    /// Blocks until no job is queued, running, or pending.
-    pub(crate) fn wait_idle(&self) {
-        let mut q = lock(&self.q);
-        while !q.shutdown && (!q.jobs.is_empty() || q.inflight > 0 || q.flush_pending) {
-            // a failed flush never clears flush_pending; don't wait on it
-            if q.failed && q.jobs.is_empty() && q.inflight == 0 {
-                break;
+        loop {
+            if done(&q) || q.shutdown || (q.failed && q.inflight == 0) {
+                return;
             }
-            let (g, _) = self
+            if self.workers == 0 {
+                match q.pop() {
+                    Some(work) => {
+                        drop(q);
+                        self.run(db, work);
+                        q = lock(&self.q);
+                        continue;
+                    }
+                    None if q.inflight == 0 => return,
+                    None => {}
+                }
+            }
+            q = self
                 .done_cv
                 .wait_timeout(q, Duration::from_millis(20))
-                .unwrap_or_else(PoisonError::into_inner);
-            q = g;
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
+        }
+    }
+
+    /// The `Inline` drain: with no workers, runs every runnable queued
+    /// job on the calling thread. A no-op when workers drain the queue.
+    pub(crate) fn run_unattended(&self, db: &DbCore) {
+        if self.workers == 0 {
+            self.wait_until(db, |q| q.runnable().is_none());
+        }
+    }
+
+    /// Gives maintenance `delay` to gain on a writer in the L0 slowdown
+    /// band: the workers' time, or — with none — the queued work, run on
+    /// the writer.
+    pub(crate) fn yield_to_maintenance(&self, db: &DbCore, delay: Duration) {
+        if self.workers == 0 {
+            self.run_unattended(db);
+        } else {
+            std::thread::sleep(delay);
         }
     }
 
@@ -253,10 +297,11 @@ impl BgState {
     /// The calling thread (the compaction coordinator) **helps**: it pops
     /// and runs queued shard tasks itself while waiting. That makes the
     /// batch deadlock-free by construction — even with every worker busy
-    /// (or a one-worker pool whose only worker *is* the coordinator), the
-    /// coordinator alone drains the queue. Shutdown mid-batch is likewise
-    /// safe: workers stop taking shard tasks, and the coordinator finishes
-    /// the remainder before returning.
+    /// (or no workers at all, where the coordinator runs the shards in
+    /// queue order, one after another), the coordinator alone drains the
+    /// queue. Shutdown mid-batch is likewise safe: workers stop taking
+    /// shard tasks, and the coordinator finishes the remainder before
+    /// returning.
     pub(crate) fn run_shard_batch(&self, tasks: Vec<ShardTask>) {
         let batch = Arc::new(ShardBatch {
             remaining: Mutex::new(tasks.len()),
@@ -307,43 +352,56 @@ impl BgState {
         self.done_cv.notify_all();
     }
 
-    /// Pops the next runnable work item; blocks while none is runnable.
-    /// Returns `None` on shutdown. Shard tasks take priority (they belong
-    /// to a compaction already in flight); flushes always run; compact
-    /// jobs are skipped while compaction is paused.
+    /// A worker's next work item; blocks while none is runnable. Returns
+    /// `None` on shutdown.
     fn next_work(&self) -> Option<Work> {
         let mut q = lock(&self.q);
         loop {
             if q.shutdown {
                 return None;
             }
-            if let Some(t) = q.shard_tasks.pop_front() {
-                return Some(Work::Shard(t));
+            if let Some(work) = q.pop() {
+                return Some(work);
             }
-            let runnable = q
-                .jobs
-                .iter()
-                .position(|j| *j == Job::Flush || !q.paused_compaction);
-            if let Some(idx) = runnable {
-                let job = q.jobs.remove(idx).unwrap();
-                q.inflight += 1;
-                return Some(Work::Job(job));
-            }
-            let (g, _) = self
+            q = self
                 .work_cv
                 .wait_timeout(q, Duration::from_millis(50))
-                .unwrap_or_else(PoisonError::into_inner);
-            q = g;
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
         }
     }
 
-    /// Records a job's completion: clears per-job flags, stores the first
+    /// Runs one popped work item; shard tasks are self-contained (they
+    /// own their inputs).
+    fn run(&self, db: &DbCore, work: Work) {
+        match work {
+            Work::Shard(t) => t(),
+            Work::Job(job) => self.run_job(db, job),
+        }
+    }
+
+    /// Runs one popped job and records its completion.
+    fn run_job(&self, db: &DbCore, job: Job) {
+        let result = match job {
+            Job::Flush => {
+                db.obs().bg_flush_jobs.inc();
+                db.run_flush()
+            }
+            Job::Compact => {
+                db.obs().bg_compact_jobs.inc();
+                run_compact_job(self, db)
+            }
+        };
+        self.complete(job, result);
+    }
+
+    /// Records a job's completion: counts a flush done, stores the first
     /// error, and wakes progress waiters.
     fn complete(&self, job: Job, result: Result<(), StorageError>) {
         let mut q = lock(&self.q);
         q.inflight -= 1;
         if job == Job::Flush {
-            q.flush_pending = false;
+            q.flushes_done += 1;
         }
         if let Err(e) = result {
             q.failed = true;
@@ -364,8 +422,6 @@ impl BgState {
 pub(crate) fn worker_loop(bg: Arc<BgState>, core: Weak<DbCore>) {
     while let Some(work) = bg.next_work() {
         let job = match work {
-            // shard tasks are self-contained (they own their inputs); run
-            // and go back for more without touching the engine
             Work::Shard(t) => {
                 t();
                 continue;
@@ -376,17 +432,7 @@ pub(crate) fn worker_loop(bg: Arc<BgState>, core: Weak<DbCore>) {
             bg.complete(job, Ok(()));
             return;
         };
-        let result = match job {
-            Job::Flush => {
-                db.obs().bg_flush_jobs.inc();
-                db.run_flush()
-            }
-            Job::Compact => {
-                db.obs().bg_compact_jobs.inc();
-                run_compact_job(&bg, &db)
-            }
-        };
-        bg.complete(job, result);
+        bg.run_job(&db, job);
         drop(db);
     }
 }

@@ -301,7 +301,8 @@ mod tests {
     /// alike: the clipped keys' old versions do not come back.
     #[test]
     fn a_merge_reads_each_input_above_its_floor() {
-        use crate::compaction::subcompact::{merge_tables_sharded_with, ShardExec};
+        use crate::background::BgState;
+        use crate::compaction::subcompact::merge_tables_sharded_with;
         let dev = device();
         let entries: Vec<(String, u64, ValueKind, String)> = (0..60u32)
             .map(|i| (format!("k{i:03}"), u64::from(i) + 1, ValueKind::Put, format!("v{i}")))
@@ -330,7 +331,7 @@ mod tests {
             inputs(),
             false,
             &boundaries,
-            ShardExec::Serial,
+            &BgState::new(0),
             &mut |_| Ok(()),
         )
         .unwrap();

@@ -37,6 +37,7 @@ use lsm_index::IndexKind;
 use lsm_storage::{StorageDevice, StorageError, StorageResult};
 
 use super::exec::{MergeResult, OnSeal, OutputWriter};
+use crate::background::{BgState, ShardTask};
 use crate::config::LsmConfig;
 use crate::entry::ValueKind;
 use crate::iter::{BoundedTableIter, MemSource, MergingIter, Source};
@@ -205,64 +206,47 @@ fn shard_ranges(boundaries: &[Vec<u8>]) -> Vec<(Vec<u8>, Option<Vec<u8>>)> {
     ranges
 }
 
-/// How the shard phase executes.
-pub(crate) enum ShardExec<'a> {
-    /// Shards run one after another on the calling thread (Inline mode
-    /// and the differential test battery).
-    Serial,
-    /// Shards fan out across the background worker pool; the calling
-    /// thread helps drain the shard queue, so a one-worker pool cannot
-    /// deadlock.
-    Pool(&'a crate::background::BgState),
-}
-
-/// Runs every shard of `boundaries` over `inputs`, serially or on the
-/// pool, returning the per-shard merges in shard (= key) order.
+/// Runs every shard of `boundaries` over `inputs` as tasks of `bg`'s
+/// queue, returning the per-shard merges in shard (= key) order. With
+/// workers the shards fan out across them; with none the calling thread
+/// runs them in queue order, one after another.
 pub(crate) fn run_shards(
     inputs: &[RunTable],
     boundaries: &[Vec<u8>],
     drop_tombstones: bool,
-    exec: ShardExec<'_>,
+    bg: &BgState,
 ) -> StorageResult<Vec<ShardMerge>> {
     let ranges = shard_ranges(boundaries);
-    match exec {
-        ShardExec::Serial => ranges
-            .iter()
-            .map(|(lo, hi)| merge_shard(inputs, lo, hi.as_deref(), drop_tombstones))
-            .collect(),
-        ShardExec::Pool(bg) => {
-            let n = ranges.len();
-            let slots: Arc<Mutex<Vec<Option<StorageResult<ShardMerge>>>>> =
-                Arc::new(Mutex::new((0..n).map(|_| None).collect()));
-            let mut tasks: Vec<Box<dyn FnOnce() + Send + 'static>> =
-                Vec::with_capacity(n);
-            for (i, (lo, hi)) in ranges.into_iter().enumerate() {
-                let inputs: Vec<RunTable> = inputs.to_vec();
-                let slots = Arc::clone(&slots);
-                tasks.push(Box::new(move || {
-                    let r = merge_shard(&inputs, &lo, hi.as_deref(), drop_tombstones);
-                    slots.lock().unwrap_or_else(PoisonError::into_inner)[i] = Some(r);
-                }));
-            }
-            bg.run_shard_batch(tasks);
-            let mut slots = slots.lock().unwrap_or_else(PoisonError::into_inner);
-            slots
-                .iter_mut()
-                .map(|s| {
-                    s.take().unwrap_or_else(|| {
-                        Err(StorageError::Corruption(
-                            "sub-compaction shard produced no result".into(),
-                        ))
-                    })
-                })
-                .collect()
-        }
+    let n = ranges.len();
+    let slots: Arc<Mutex<Vec<Option<StorageResult<ShardMerge>>>>> =
+        Arc::new(Mutex::new((0..n).map(|_| None).collect()));
+    let mut tasks: Vec<ShardTask> = Vec::with_capacity(n);
+    for (i, (lo, hi)) in ranges.into_iter().enumerate() {
+        let inputs: Vec<RunTable> = inputs.to_vec();
+        let slots = Arc::clone(&slots);
+        tasks.push(Box::new(move || {
+            let r = merge_shard(&inputs, &lo, hi.as_deref(), drop_tombstones);
+            slots.lock().unwrap_or_else(PoisonError::into_inner)[i] = Some(r);
+        }));
     }
+    bg.run_shard_batch(tasks);
+    let mut slots = slots.lock().unwrap_or_else(PoisonError::into_inner);
+    slots
+        .iter_mut()
+        .map(|s| {
+            s.take().unwrap_or_else(|| {
+                Err(StorageError::Corruption(
+                    "sub-compaction shard produced no result".into(),
+                ))
+            })
+        })
+        .collect()
 }
 
 /// Sharded equivalent of [`merge_tables`](super::exec::merge_tables):
-/// merges each boundary-induced key range independently (serially here;
-/// the engine uses the pool under `Threaded`), then stitches the shard
+/// merges each boundary-induced key range independently (one after
+/// another here; the engine's queue fans them out to its workers), then
+/// stitches the shard
 /// streams through the shared output cut loop. Output tables, accounting,
 /// and manifest effect are byte-identical to the serial merge for **any**
 /// `boundaries` — the property the differential battery enforces.
@@ -283,13 +267,13 @@ pub fn merge_tables_sharded(
         inputs_young_first.iter().cloned().map(RunTable::from).collect(),
         drop_tombstones,
         boundaries,
-        ShardExec::Serial,
+        &BgState::new(0),
         &mut |_| Ok(()),
     )
 }
 
 /// [`merge_tables_sharded`] over inputs that may carry floors, with an
-/// explicit shard executor (the engine passes the worker pool here),
+/// explicit queue to run the shards on (the engine passes its own),
 /// reporting each mid-stream seal of the stitch to `on_seal`. The inputs'
 /// handles are released once the shard phase has read them.
 #[allow(clippy::too_many_arguments)]
@@ -301,10 +285,10 @@ pub(crate) fn merge_tables_sharded_with(
     inputs_young_first: Vec<RunTable>,
     drop_tombstones: bool,
     boundaries: &[Vec<u8>],
-    exec: ShardExec<'_>,
+    bg: &BgState,
     on_seal: OnSeal<'_>,
 ) -> StorageResult<ShardedMergeResult> {
-    let shard_merges = run_shards(&inputs_young_first, boundaries, drop_tombstones, exec)?;
+    let shard_merges = run_shards(&inputs_young_first, boundaries, drop_tombstones, bg)?;
     // counted as the serial merge counts it: entries below an input's
     // floor, which no shard reads, are dropped versions there too
     let entries_in_total: u64 = inputs_young_first.iter().map(|t| t.table.meta().num_entries).sum();
@@ -406,7 +390,7 @@ mod tests {
         let boundaries = shard_boundaries(&inputs, 4);
         assert!(!boundaries.is_empty());
         let run_tables: Vec<RunTable> = inputs.iter().cloned().map(RunTable::from).collect();
-        let merges = run_shards(&run_tables, &boundaries, false, ShardExec::Serial).unwrap();
+        let merges = run_shards(&run_tables, &boundaries, false, &BgState::new(0)).unwrap();
         let pulled: u64 = merges.iter().map(|m| m.entries_in).sum();
         assert_eq!(pulled, total, "every input entry consumed by exactly one shard");
         // balanced: no shard holds more than ~2x its fair share (block

@@ -1,6 +1,13 @@
 //! Compaction on the engine side: planning against the current version,
 //! running the merge, and installing the outputs.
 //!
+//! One cascade serves every caller — the compact job, whichever thread
+//! pops it (a worker, or under `Inline` the writer that queued it), and
+//! `compact`/`major_compact` on the calling thread. It holds
+//! `compaction_lock` throughout and takes `inner` only to plan and to
+//! install, so the merges run with no engine lock and readers overlap
+//! them under both schedules.
+//!
 //! ## One install routine, at a moving frontier
 //!
 //! A merge installs its progress as it goes, not only at its end. Each
@@ -33,7 +40,7 @@ use lsm_storage::{StorageError, StorageResult};
 use super::{heat_key, DbCore, Inner};
 use crate::compaction::exec::{merge_run_tables, MergeResult, OnSeal};
 use crate::compaction::picker::pick_file;
-use crate::compaction::subcompact::{self, ShardExec};
+use crate::compaction::subcompact;
 use crate::compaction::{self, CompactionTask};
 use crate::config::CompactionGranularity;
 use crate::sstable::Table;
@@ -115,43 +122,40 @@ impl DbCore {
         self.l0_runs.load(Ordering::Acquire)
     }
 
-    /// Runs the compaction cascade to quiescence without flushing.
+    /// Runs the compaction cascade to quiescence without flushing, on the
+    /// calling thread.
     pub fn compact(&self) -> StorageResult<()> {
         self.check_bg_error()?;
-        if self.threaded() {
-            return self.compact_to_quiescence(|| false);
-        }
-        let mut inner = self.inner.write();
-        self.maybe_compact_locked(&mut inner)
+        self.compact_to_quiescence(|| false)
     }
 
     /// Major compaction: flushes, then merges *everything* into a single
     /// run at the bottom level, garbage-collecting all tombstones and
     /// obsolete versions. The classic "full compaction" maintenance knob.
     pub fn major_compact(&self) -> StorageResult<()> {
-        self.check_bg_error()?;
-        let _c = self.threaded().then(|| self.compaction_lock.lock());
-        let mut inner = self.inner.write();
-        self.flush_both_locked(&mut inner)?;
-        self.maybe_compact_locked(&mut inner)?;
-        let version = Arc::clone(&inner.version);
-        let Some(last) = version.last_occupied_level() else {
-            return Ok(());
+        self.flush()?;
+        let _c = self.compaction_lock.lock();
+        let prep = {
+            let version = Arc::clone(&self.inner.read().version);
+            let Some(last) = version.last_occupied_level() else {
+                return Ok(());
+            };
+            let inputs: Vec<RunTable> = version.levels.iter().flat_map(|l| all_tables(&l.runs)).collect();
+            if inputs.len() <= 1 && version.total_runs() <= 1 {
+                return Ok(());
+            }
+            let bits = self.bits_for_level(&version, last);
+            // a version handle held across the merge would keep every input
+            drop(version);
+            self.start_compaction(0, last, bits, inputs, true, CompactionApply::InPlace)
         };
-        let inputs: Vec<RunTable> = version.levels.iter().flat_map(|l| all_tables(&l.runs)).collect();
-        if inputs.len() <= 1 && version.total_runs() <= 1 {
-            return Ok(());
-        }
-        let bits = self.bits_for_level(&version, last);
-        // a version handle held across the merge would keep every input
-        drop(version);
-        let prep = self.start_compaction(0, last, bits, inputs, true, CompactionApply::InPlace);
-        self.run_compaction(&mut Some(&mut inner), prep)
+        self.run_compaction(prep)
     }
 
-    /// Holds queued background compactions (flushes still run). Paired
-    /// with [`DbCore::resume_compaction`]; a test hook for building L0
-    /// pressure deterministically.
+    /// Holds queued compactions (flushes still run). Paired with
+    /// [`DbCore::resume_compaction`]; a test hook for building L0
+    /// pressure deterministically. With no workers a writer that would
+    /// wait on a held compaction goes on instead.
     pub fn pause_compaction(&self) {
         self.bg.pause_compaction();
     }
@@ -161,37 +165,21 @@ impl DbCore {
         self.bg.resume_compaction();
     }
 
-    /// Whether the planner sees work to do (used by the background worker
-    /// to close the quiesce-vs-new-flush race).
+    /// Whether the planner sees work to do (used by the compact job to
+    /// close the quiesce-vs-new-flush race).
     pub(crate) fn compaction_needed(&self) -> bool {
         let cfg = self.effective_config();
         let inner = self.inner.read();
         compaction::plan(&inner.version, &cfg).is_some()
     }
 
-    /// Runs the compaction cascade to quiescence, taking `inner` only
-    /// briefly around planning and installs; the merges themselves run
-    /// without any engine lock. `stop` is polled between steps so a
-    /// pause/shutdown aborts promptly. Serialized by `compaction_lock`.
+    /// The compaction cascade: plan → prepare → merge → install until the
+    /// planner is satisfied, taking `inner` only briefly around each plan
+    /// and each install; the merges themselves run without any engine
+    /// lock. `stop` is polled between steps so a pause/shutdown aborts
+    /// promptly. Serialized by `compaction_lock`.
     pub(crate) fn compact_to_quiescence(&self, stop: impl Fn() -> bool) -> StorageResult<()> {
         let _c = self.compaction_lock.lock();
-        self.compaction_cascade(None, stop)
-    }
-
-    /// Runs the compaction cascade to quiescence under the held write
-    /// guard (the `Inline` path — merges included, deterministically).
-    pub(super) fn maybe_compact_locked(&self, inner: &mut Inner) -> StorageResult<()> {
-        self.compaction_cascade(Some(inner), || false)
-    }
-
-    /// The cascade itself: plan → prepare → merge → install until the
-    /// planner is satisfied, on the caller's guard when one is `held`,
-    /// else locking around each plan and each install.
-    fn compaction_cascade(
-        &self,
-        mut held: Option<&mut Inner>,
-        stop: impl Fn() -> bool,
-    ) -> StorageResult<()> {
         // a generous bound: each step strictly reduces pressure, so hitting
         // it means a planner bug, not a big workload
         for _ in 0..10_000 {
@@ -201,16 +189,17 @@ impl DbCore {
             // re-read per step so a retune staged mid-cascade is
             // picked up by the next planning pass
             let cfg = self.effective_config();
-            let prep = self.with_inner(&mut held, |inner| {
+            let prep = {
+                let mut inner = self.inner.write();
                 match compaction::plan(&inner.version, &cfg) {
-                    Some(task) => self.prepare_compaction(inner, task),
-                    None => Ok(None),
+                    Some(task) => self.prepare_compaction(&mut inner, task)?,
+                    None => None,
                 }
-            })?;
+            };
             let Some(prep) = prep else {
                 return Ok(());
             };
-            self.run_compaction(&mut held, prep)?;
+            self.run_compaction(prep)?;
             self.bg.notify_progress();
         }
         Err(StorageError::Corruption(
@@ -220,13 +209,8 @@ impl DbCore {
 
     /// Runs `prep`'s merge and installs it: at each frontier the merge
     /// reaches (see the module docs), then once more at its end. Takes
-    /// the engine lock for each install only, unless the caller `held`
-    /// it all along.
-    fn run_compaction(
-        &self,
-        held: &mut Option<&mut Inner>,
-        mut prep: PreparedCompaction,
-    ) -> StorageResult<()> {
+    /// the engine lock for each install only.
+    fn run_compaction(&self, mut prep: PreparedCompaction) -> StorageResult<()> {
         let inputs = std::mem::take(&mut prep.inputs);
         let mut progress = Progress {
             remaining: inputs.iter().map(|t| Arc::clone(&t.table)).collect(),
@@ -239,23 +223,22 @@ impl DbCore {
             // a frontier that releases no input would cost a manifest
             // write and free nothing
             if progress.remaining.iter().any(|t| t.meta().max_key.as_slice() <= frontier) {
-                self.with_inner(held, |inner| {
-                    self.install_merge(inner, &prep, &mut progress, Install::Frontier(frontier))
-                })?;
+                let mut inner = self.inner.write();
+                self.install_merge(&mut inner, &prep, &mut progress, Install::Frontier(frontier))?;
             }
             Ok(())
         })?;
-        self.with_inner(held, |inner| {
-            self.install_merge(inner, &prep, &mut progress, Install::Final(&result))
-        })
+        let mut inner = self.inner.write();
+        self.install_merge(&mut inner, &prep, &mut progress, Install::Final(&result))
     }
 
     /// The merge itself: serial `merge_run_tables` when
     /// `max_subcompactions` is 1 (or no boundary exists), otherwise the
-    /// sharded path — fanned out across the worker pool under `Threaded`,
-    /// executed serially under `Inline` (same shards, same bytes, no
-    /// threads). Emits per-shard `SubcompactionStart`/`End` events around
-    /// the fan-out. Both paths report the same seals to `on_seal`.
+    /// sharded path — its shards queued as tasks on the maintenance
+    /// queue, fanned out across the workers or, with none, run one after
+    /// another by this thread (same shards, same bytes). Emits per-shard
+    /// `SubcompactionStart`/`End` events around the fan-out. Both paths
+    /// report the same seals to `on_seal`.
     fn execute_merge(
         &self,
         prep: &PreparedCompaction,
@@ -292,11 +275,6 @@ impl DbCore {
                 shards: shards as u32,
             });
         }
-        let exec = if self.threaded() {
-            ShardExec::Pool(&self.bg)
-        } else {
-            ShardExec::Serial
-        };
         let sharded = subcompact::merge_tables_sharded_with(
             &self.device,
             &self.cfg,
@@ -305,7 +283,7 @@ impl DbCore {
             inputs,
             prep.drop_tombstones,
             &boundaries,
-            exec,
+            &self.bg,
             on_seal,
         )?;
         for (i, (id, acc)) in ids.iter().zip(&sharded.shards).enumerate() {
@@ -448,9 +426,9 @@ impl DbCore {
     /// in is filtered out wherever it sits; the inputs that straddle the
     /// frontier are clipped; surviving runs are kept in order; and the
     /// outputs sealed so far are spliced per the task shape. With no
-    /// concurrent version changes (the `Inline` path) the final install
-    /// is exactly the direct splice; under `Threaded`, runs flushed to L0
-    /// during the merge survive untouched — the single-compactor
+    /// concurrent version changes (a single-threaded `Inline` run) the
+    /// final install is exactly the direct splice; otherwise runs flushed
+    /// to L0 during the merge survive untouched — the single-compactor
     /// invariant (`compaction_lock`) guarantees nothing else moved.
     fn install_merge(
         &self,

@@ -1,198 +1,113 @@
-//! Flushing a memtable to an L0 table: one routine for the active and
-//! the frozen memtable, under the caller's guard or the job's own.
+//! Flushing the frozen write buffer to an L0 table: one routine, run by
+//! whichever thread pops the flush job (a worker, or under `Inline` the
+//! writer that froze the buffer, after it dropped the write guard).
 
 use std::ops::Bound;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use parking_lot::RwLock;
-
 use lsm_filters::monkey_allocation;
 use lsm_obs::EventKind;
 use lsm_storage::StorageResult;
 
-use super::{DbCore, Inner, SharedMemtable};
+use super::DbCore;
 use crate::config::FilterAllocation;
 use crate::memtable::Memtable;
 use crate::sstable::{Table, TableBuilder};
 use crate::version::{SortedRun, Version};
-use crate::wal::Wal;
-
-/// Which memtable a flush persists.
-pub(super) enum FlushSource {
-    /// The active memtable, streamed out and then emptied: cleared in
-    /// place when the engine holds its only handle, else replaced by a
-    /// fresh buffer, so a snapshot or scan sharing it keeps reading it.
-    /// Needs the caller's write guard for the whole flush: between the
-    /// emptying and the install, the engine's readers find its entries
-    /// nowhere.
-    Active,
-    /// The frozen memtable in the immutable slot, which stays readable
-    /// until the install swaps it for its table.
-    Frozen,
-}
-
-/// The buffer a flush streams into the table builder (it is never
-/// copied): the frozen memtable through its shared handle — the
-/// background job holds no engine lock while it builds — or the active
-/// one through the caller's guard.
-fn flush_buffer<'a>(frozen: &'a Option<SharedMemtable>, held: &'a Option<&mut Inner>) -> &'a SharedMemtable {
-    match (frozen, held) {
-        (Some(imm), _) => imm,
-        (None, Some(inner)) => &inner.mem,
-        (None, None) => unreachable!("the active memtable flushes under the caller's guard"),
-    }
-}
 
 impl DbCore {
-    /// The one flush routine: FlushStart → build an L0 table from the
-    /// memtable's entries → splice it in as the youngest L0 run →
-    /// FlushEnd → rotate (active) or retire (frozen) the covering WAL →
-    /// manifest → delete the old WAL.
+    /// The flush job: FlushStart → sync the value log → build an L0 table
+    /// from the frozen buffer, outside the lock (the buffer stays readable
+    /// in the frozen slot meanwhile) → install it as the youngest L0 run
+    /// and empty the slot → FlushEnd → retire the frozen buffer's WAL →
+    /// manifest → delete that WAL → queue a compaction.
     ///
-    /// With `held` the whole flush runs under the caller's write guard
-    /// (the `Inline` flush, and explicit `flush`/`major_compact`); with
-    /// `None` — the background job, `Frozen` only — the table is built
-    /// *outside* the lock from the shared `Arc`, and the install
-    /// re-checks that the same memtable is still frozen (an explicit
-    /// foreground flush may have won the race).
-    pub(super) fn flush_memtable(
-        &self,
-        source: FlushSource,
-        mut held: Option<&mut Inner>,
-    ) -> StorageResult<()> {
-        debug_assert!(held.is_some() || matches!(source, FlushSource::Frozen));
-        let claimed = self.with_inner(&mut held, |inner| {
-            let version = Arc::clone(&inner.version);
-            match source {
-                FlushSource::Active if inner.mem.read().is_empty() => None,
-                FlushSource::Active => Some((None, version)),
-                FlushSource::Frozen => Some((Some(inner.imm.clone()?), version)),
-            }
-        });
-        let Some((frozen, version)) = claimed else {
-            return Ok(());
+    /// The frozen buffer's WAL is `imm_wal` when a commit has rotated the
+    /// log since the freeze. Otherwise the buffer still shares the active
+    /// WAL, which then holds nothing else (a commit would have rotated),
+    /// and the install rotates it: a new WAL for the empty active buffer,
+    /// the manifest naming it and the table, then the old WAL goes — the
+    /// order a single-threaded `Inline` run always takes, since its
+    /// writer drains the flush before its next commit.
+    pub(crate) fn run_flush(&self) -> StorageResult<()> {
+        let (frozen, version) = {
+            let inner = self.inner.read();
+            let Some(frozen) = inner.imm.clone() else {
+                return Ok(());
+            };
+            (frozen, Arc::clone(&inner.version))
         };
-        let entries = flush_buffer(&frozen, &held).read().len() as u64;
+        let entries = frozen.read().len() as u64;
         let flush_id = self.obs.next_flush_id();
         let flush_start = self.obs.now_ns();
         self.obs.event(EventKind::FlushStart {
             id: flush_id,
             entries,
         });
-        if frozen.is_none() {
-            // Separated values referenced by these entries must be durable
-            // before the table pointing at them is: once the flush lands, the
-            // WAL that could replay the values is deleted. (A frozen
-            // memtable's logs were synced when it was frozen.)
-            self.with_inner(&mut held, |inner| match &mut inner.vlog {
-                Some(vlog) => vlog.sync(),
-                None => Ok(()),
-            })?;
+        // Separated values referenced by these entries must be durable
+        // before the table pointing at them is: once the flush lands, the
+        // WAL that could replay the values is deleted.
+        if let Some(vlog) = &mut self.inner.write().vlog {
+            vlog.sync()?;
         }
-        let table = if entries == 0 {
-            None
-        } else {
-            Some(self.build_l0_table(&version, &flush_buffer(&frozen, &held).read())?)
-        };
-        if frozen.is_none() {
-            // the entries are readable again once the table is installed,
-            // below, under the same guard
-            self.with_inner(&mut held, |inner| match Arc::get_mut(&mut inner.mem) {
-                Some(mem) => mem.get_mut().clear(),
-                None => inner.mem = Arc::new(RwLock::new(Memtable::new())),
-            });
-            self.obs.memtable_bytes_gauge.set(0);
-        }
-        let old_wal = self.with_inner(&mut held, |inner| -> StorageResult<Option<Wal>> {
-            let still_ours = frozen
-                .as_ref()
-                .is_none_or(|imm| matches!(&inner.imm, Some(cur) if Arc::ptr_eq(cur, imm)));
-            let mut output_bytes = 0;
-            match table {
-                // The foreground flush won the race and installed this
-                // memtable itself; this job produced nothing.
-                Some(table) if !still_ours => table.mark_obsolete(&self.obs.superseded_bytes),
-                Some(table) => {
-                    output_bytes = table.data_bytes();
-                    let mut new_version = (*inner.version).clone();
-                    new_version.ensure_levels(1);
-                    new_version.levels[0].runs.insert(0, SortedRun::single(table));
-                    self.install_version(inner, new_version);
-                    self.obs.stats.flushes.inc();
-                }
-                None => {}
-            }
+        let table = self.build_l0_table(&version, &frozen.read())?;
+        let old_wal = {
+            let mut inner = self.inner.write();
+            let inner = &mut *inner;
+            let output_bytes = table.data_bytes();
+            let mut new_version = (*inner.version).clone();
+            new_version.ensure_levels(1);
+            new_version.levels[0].runs.insert(0, SortedRun::single(table));
+            self.install_version(inner, new_version);
+            inner.imm = None;
+            self.obs.stats.flushes.inc();
             self.obs.event(EventKind::FlushEnd {
                 id: flush_id,
                 entries,
                 output_bytes,
                 l0_runs: self.l0_runs.load(Ordering::Acquire) as u64,
             });
-            if !still_ours {
-                return Ok(None);
-            }
-            // Rotate the WAL. Ordering matters for crash safety: the old WAL
-            // may only be deleted after the manifest naming the new table (and
-            // the new WAL) is durable. Deleting first opens a window where a
-            // crash loses the flushed entries — the old manifest survives but
-            // the WAL holding its unflushed records is gone.
-            let old_wal = if frozen.is_some() {
-                inner.imm = None;
-                inner.imm_wal.take()
-            } else {
-                self.rotate_wal(inner)?
+            // The old WAL may only be deleted after the manifest naming
+            // the new table (and the new WAL) is durable. Deleting first
+            // opens a window where a crash loses the flushed entries —
+            // the old manifest survives but the WAL holding its unflushed
+            // records is gone.
+            let old_wal = match inner.imm_wal.take() {
+                None => self.rotate_wal(inner)?,
+                rotated => rotated,
             };
             self.persist_manifest(inner)?;
-            Ok(old_wal)
-        })?;
+            old_wal
+        };
         if let Some(old) = old_wal {
-            let old_file = old.seal()?;
-            old_file.delete()?;
+            old.seal()?.delete()?;
         }
         self.obs
             .flush_ns
             .record(self.obs.now_ns().saturating_sub(flush_start));
-        match (frozen, held) {
-            // stalled writers stop waiting for the queued background job
-            (Some(_), Some(_)) => self.bg.flush_drained(),
-            (Some(_), None) => self.bg.schedule_compact(),
-            (None, _) => {}
-        }
+        self.bg.schedule_compact();
         Ok(())
     }
 
-    /// Background flush job: persist the frozen memtable as an L0 table.
-    pub(crate) fn run_flush(&self) -> StorageResult<()> {
-        self.flush_memtable(FlushSource::Frozen, None)
-    }
-
-    /// Flushes both memtables under the held guard. The older frozen
-    /// memtable goes *before* the active one, which keeps L0 runs
-    /// youngest-first.
-    pub(super) fn flush_both_locked(&self, inner: &mut Inner) -> StorageResult<()> {
-        self.flush_memtable(FlushSource::Frozen, Some(inner))?;
-        self.flush_memtable(FlushSource::Active, Some(inner))
-    }
-
-    /// Forces a memtable flush (and any resulting compaction cascade).
+    /// Forces the active write buffer into a table and runs the
+    /// compaction cascade: freezes the buffer, waits for its flush (and
+    /// any flush pending before it) — running it when no worker will —
+    /// then compacts to quiescence on the calling thread.
     pub fn flush(&self) -> StorageResult<()> {
         self.check_bg_error()?;
-        if self.threaded() {
-            self.flush_both_locked(&mut self.inner.write())?;
-            return self.compact_to_quiescence(|| false);
-        }
-        let mut inner = self.inner.write();
-        self.flush_both_locked(&mut inner)?;
-        self.maybe_compact_locked(&mut inner)
+        let ticket = self.freeze(self.inner.write(), false)?;
+        self.bg.wait_until(self, |q| q.flushed(ticket));
+        self.check_bg_error()?;
+        self.compact_to_quiescence(|| false)
     }
 
-    /// Flushes the active *and* immutable memtables and waits until all
-    /// background maintenance is quiescent. On return every acknowledged
-    /// write sits in sorted runs (no memtable or queued job holds data),
-    /// and any latched background error has been surfaced — the
-    /// precondition a serving layer needs before a graceful shutdown
-    /// hands the shard's device to a future `Db::open`.
+    /// Flushes the active *and* frozen buffers and waits until all
+    /// maintenance is quiescent. On return every acknowledged write sits
+    /// in sorted runs (no buffer or queued job holds data), and any
+    /// latched maintenance error has been surfaced — the precondition a
+    /// serving layer needs before a graceful shutdown hands the shard's
+    /// device to a future `Db::open`.
     pub fn flush_all(&self) -> StorageResult<()> {
         self.flush()?;
         self.wait_background_idle();
@@ -240,7 +155,7 @@ impl DbCore {
         }
     }
 
-    /// Builds one L0 table from a memtable's entries, streamed in key
+    /// Builds one L0 table from a buffer's entries, streamed in key
     /// order. `version` only informs the Monkey filter allocation.
     fn build_l0_table(&self, version: &Version, mem: &Memtable) -> StorageResult<Arc<Table>> {
         let bits = self.bits_for_level(version, 0);

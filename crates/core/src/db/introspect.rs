@@ -63,11 +63,9 @@ impl DbCore {
             );
         }
         *self.live_cfg.write() = Arc::new(cfg);
-        // Let the threaded picker notice a newly-violated invariant
-        // without waiting for the next write.
-        if self.threaded() {
-            self.bg.schedule_compact();
-        }
+        // Let the picker notice a newly-violated invariant: workers take
+        // the job now; with none it runs behind the next flush.
+        self.bg.schedule_compact();
         Ok(())
     }
 

@@ -1,14 +1,17 @@
 //! The public engine facade: `open → put/get/scan/delete → stats`.
 //!
 //! [`Db`] is a cheaply-clonable, `Send + Sync` handle over a shared
-//! [`DbCore`]. In [`BackgroundMode::Inline`] every maintenance step
-//! (flush, compaction cascade, manifest rewrite, cache invalidation,
-//! optional prefetch) runs synchronously inside the write that triggers
-//! it, under one write lock — deterministic by design (see the crate
-//! docs). In [`BackgroundMode::Threaded`] a full memtable is *frozen*
-//! into an immutable slot and a worker pool drains flush and compaction
-//! jobs; readers snapshot the copy-on-write [`Version`] and never block
-//! on maintenance, while writers block only on L0 backpressure.
+//! [`DbCore`]. Maintenance has one path in both modes: a full write
+//! buffer is *frozen* into an immutable slot (no I/O) and its flush
+//! queued; flush and compaction jobs drain through the one queue in
+//! `crate::background`. [`Threaded`](crate::BackgroundMode::Threaded)
+//! drains it on a worker pool. [`Inline`](crate::BackgroundMode::Inline)
+//! starts no workers: the writer
+//! that froze the buffer runs the flush and the cascade after dropping
+//! its write guard, before it returns — deterministic by design (see the
+//! crate docs). Either way readers snapshot the copy-on-write
+//! [`Version`] and never wait on maintenance; writers wait only on L0
+//! backpressure and a taken frozen slot.
 //!
 //! Lock hierarchy (outermost first): `compaction_lock` → `inner` →
 //! a write buffer's own lock (`SharedMemtable`), or `inner` → the
@@ -38,7 +41,7 @@ use lsm_cache::{HeatMap, ShardedCache};
 use lsm_storage::{Block, FileId, StorageDevice, StorageResult};
 
 use crate::background::BgState;
-use crate::config::{BackgroundMode, LsmConfig};
+use crate::config::LsmConfig;
 use crate::entry::ValueKind;
 use crate::kv_sep::ValueLog;
 use crate::manifest::{write_manifest, ManifestState};
@@ -116,10 +119,12 @@ impl WriteBatch {
 
 pub(crate) struct Inner {
     mem: SharedMemtable,
-    /// Frozen memtable awaiting a background flush (`Threaded` only).
-    /// Shared, so the flush job can build its table outside the lock.
+    /// Frozen buffer awaiting its queued flush. Shared, so the flush job
+    /// can build its table outside the lock.
     imm: Option<SharedMemtable>,
-    /// WAL covering `imm`; retired when the flush lands.
+    /// WAL covering `imm` alone, once a commit has rotated the active log
+    /// past it; `None` while `imm` still shares the active WAL. Retired
+    /// when the flush lands.
     imm_wal: Option<Wal>,
     version: Arc<Version>,
     wal: Option<Wal>,
@@ -199,17 +204,17 @@ pub struct DbCore {
     /// only when `cfg.prefetch_after_compaction` is set.
     heat: Mutex<HeatMap>,
     inner: RwLock<Inner>,
-    /// Background scheduler state; shared with the worker threads via its
-    /// own `Arc` so idle workers do not keep the engine alive.
+    /// The maintenance queue; shared with the worker threads via its own
+    /// `Arc` so idle workers do not keep the engine alive.
     bg: Arc<BgState>,
     /// Worker join handles, drained on drop.
     workers: std::sync::Mutex<Vec<std::thread::JoinHandle<()>>>,
     /// Non-empty L0 run count, mirrored from the current version so the
     /// write path can check backpressure without taking `inner`.
     l0_runs: AtomicUsize,
-    /// Serializes compaction cascades (background job vs. explicit
-    /// `compact`/`major_compact`) in `Threaded` mode. Taken *before*
-    /// `inner` per the lock hierarchy.
+    /// Serializes compaction cascades (the compact job vs. explicit
+    /// `compact`/`major_compact`). Taken *before* `inner` per the lock
+    /// hierarchy.
     compaction_lock: Mutex<()>,
     /// Live user-facing [`Db`] clones. The last one to drop joins the
     /// worker pool (see `Drop for Db`), regardless of the `Arc` count.
@@ -224,10 +229,6 @@ pub struct DbCore {
 }
 
 impl DbCore {
-    fn threaded(&self) -> bool {
-        self.cfg.background == BackgroundMode::Threaded
-    }
-
     fn count_l0_runs(version: &Version) -> usize {
         version
             .levels
@@ -244,24 +245,12 @@ impl DbCore {
         self.obs.l0_runs_gauge.set(l0 as i64);
     }
 
-    /// Runs `f` on the engine state: on the caller's guard when one is
-    /// held, else under a write lock taken for just this call.
-    fn with_inner<R>(&self, held: &mut Option<&mut Inner>, f: impl FnOnce(&mut Inner) -> R) -> R {
-        match held {
-            Some(inner) => f(inner),
-            None => f(&mut self.inner.write()),
-        }
-    }
-
-    /// Surfaces the first background-job error on the calling thread.
-    /// Cheap no-op in `Inline` mode.
+    /// Surfaces the first maintenance-job error on the calling thread.
     fn check_bg_error(&self) -> StorageResult<()> {
-        if self.threaded() && self.bg.has_failed() {
-            if let Some(e) = self.bg.take_error() {
-                return Err(e);
-            }
+        match self.bg.take_error() {
+            Some(e) => Err(e),
+            None => Ok(()),
         }
-        Ok(())
     }
 
     fn persist_manifest(&self, inner: &mut Inner) -> StorageResult<()> {
@@ -298,13 +287,12 @@ impl DbCore {
         Ok(())
     }
 
-    /// Blocks until no background job is queued, running, or pending.
-    /// No-op in `Inline` mode. A test/bench hook: after it returns, stats
-    /// and level structure are quiescent (absent concurrent writers).
+    /// Blocks until no maintenance job is queued or running, running the
+    /// queued ones itself when no worker will. A test/bench hook: after it
+    /// returns, stats and level structure are quiescent (absent concurrent
+    /// writers).
     pub fn wait_background_idle(&self) {
-        if self.threaded() {
-            self.bg.wait_idle();
-        }
+        self.bg.wait_until(self, |q| q.idle());
     }
 
     /// Stops the worker pool and joins every worker thread (skipping the

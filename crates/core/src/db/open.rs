@@ -140,8 +140,11 @@ impl Db {
             // values go to a fresh log.
             inner.vlog = Some(ValueLog::create(Arc::clone(&device))?);
         }
-        let threaded = cfg.background == BackgroundMode::Threaded;
-        let workers = cfg.background_workers;
+        // Inline starts no workers: the callers drain the queue
+        let workers = match cfg.background {
+            BackgroundMode::Inline => 0,
+            BackgroundMode::Threaded => cfg.background_workers,
+        };
         let db = Db {
             core: Arc::new(DbCore {
                 device,
@@ -150,7 +153,7 @@ impl Db {
                 cache,
                 heat: Mutex::new(HeatMap::new(1024, 100_000)),
                 inner: RwLock::new(inner),
-                bg: Arc::new(BgState::new()),
+                bg: Arc::new(BgState::new(workers)),
                 workers: std::sync::Mutex::new(Vec::new()),
                 l0_runs: AtomicUsize::new(0),
                 compaction_lock: Mutex::new(()),
@@ -173,26 +176,24 @@ impl Db {
             let _ = db.device.delete(w);
         }
         // A crash during a (possibly parallel) compaction can strand fully
-        // written output tables that no manifest ever came to reference.
+        // written output tables that no manifest ever came to reference,
+        // and a crash after a manifest retired a WAL can keep that WAL.
         // Now that the recovered state is durable, those orphans are dead
         // weight — delete them.
-        db.cleanup_orphan_tables();
-        if threaded {
-            let mut handles = db
-                .workers
+        db.cleanup_orphans();
+        for i in 0..workers {
+            let bg = Arc::clone(&db.bg);
+            let weak = Arc::downgrade(&db.core);
+            let h = std::thread::Builder::new()
+                .name(format!("lsm-bg-{i}"))
+                .spawn(move || crate::background::worker_loop(bg, weak))
+                .map_err(|e| {
+                    StorageError::Corruption(format!("failed to spawn background worker: {e}"))
+                })?;
+            db.workers
                 .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            for i in 0..workers {
-                let bg = Arc::clone(&db.bg);
-                let weak = Arc::downgrade(&db.core);
-                let h = std::thread::Builder::new()
-                    .name(format!("lsm-bg-{i}"))
-                    .spawn(move || crate::background::worker_loop(bg, weak))
-                    .map_err(|e| {
-                        StorageError::Corruption(format!("failed to spawn background worker: {e}"))
-                    })?;
-                handles.push(h);
-            }
+                .unwrap_or_else(std::sync::PoisonError::into_inner)
+                .push(h);
         }
         Ok(db)
     }
@@ -268,13 +269,16 @@ impl DbCore {
         Ok((version, mem, next_seqno))
     }
 
-    /// Deletes files that carry a valid table footer but are referenced by
-    /// nothing the engine knows — the stranded outputs of a compaction
-    /// (serial or sharded) that crashed before its manifest rewrite.
-    /// WAL/value-log/manifest files carry no table footer and are never
-    /// touched; a torn table (footer unwritten) is left behind as inert
-    /// garbage rather than misclassified.
-    fn cleanup_orphan_tables(&self) {
+    /// Deletes what a crash stranded: files referenced by nothing the
+    /// engine knows that carry a valid table footer — the outputs of a
+    /// flush or compaction (serial or sharded) that crashed before its
+    /// manifest rewrite — or hold WAL records — a log the crash kept from
+    /// being deleted after the manifest retiring it landed, or one whose
+    /// manifest was rejected. Every record recovery replayed has been
+    /// re-logged by now. Value logs and manifests carry neither and are
+    /// never touched; a torn table (footer unwritten) is left behind as
+    /// inert garbage rather than misclassified.
+    fn cleanup_orphans(&self) {
         let referenced: std::collections::HashSet<u64> = {
             let inner = self.inner.read();
             let mut r: std::collections::HashSet<u64> =
@@ -307,12 +311,11 @@ impl DbCore {
             let Ok(block) = self.device.read(f, n - 1, 1, IoCategory::Misc) else {
                 continue;
             };
-            let Some((meta_start, meta_len)) = crate::sstable::meta::decode_footer(&block) else {
-                continue;
-            };
             // bounds sanity so a lucky bit pattern in a non-table file
             // (e.g. raw value bytes) cannot pass as a footer
-            if meta_start >= n || meta_len == 0 {
+            let table = crate::sstable::meta::decode_footer(&block)
+                .is_some_and(|(meta_start, meta_len)| meta_start < n && meta_len > 0);
+            if !table && !wal::holds_records(&self.device, f) {
                 continue;
             }
             if self.device.delete(f).is_ok() {
@@ -322,7 +325,7 @@ impl DbCore {
         if deleted > 0 {
             self.obs.event(EventKind::RecoveryStep {
                 step: "orphans_deleted",
-                detail: format!("{deleted} unreferenced table file(s)"),
+                detail: format!("{deleted} unreferenced table or log file(s)"),
             });
         }
     }

@@ -1,4 +1,5 @@
 use super::*;
+use crate::config::BackgroundMode;
 
 fn small() -> LsmConfig {
     LsmConfig::small_for_tests()

@@ -1,8 +1,8 @@
 //! The write path: every write — a `put`/`delete`, a group-commit or
 //! replicated batch, a transaction's write-set — is a slice of
 //! [`Record`]s handed to [`DbCore::commit`] under the write guard, then
-//! [`DbCore::after_write`] for the memtable-full tail. Backpressure and
-//! the memtable freeze live here too.
+//! [`DbCore::after_write`] for the buffer-full tail. Backpressure, the
+//! buffer freeze and the WAL rotation it defers live here too.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -229,19 +229,18 @@ impl DbCore {
         self.inner.read().applied_seq
     }
 
-    /// Background-error check and L0 backpressure, paid once per write
-    /// call before any lock is taken. No-op in `Inline` mode.
+    /// Maintenance-error check and L0 backpressure, paid once per write
+    /// call before any lock is taken.
     fn admit_write(&self) -> StorageResult<()> {
-        if self.threaded() {
-            self.check_bg_error()?;
-            self.backpressure();
-        }
+        self.check_bg_error()?;
+        self.backpressure();
         Ok(())
     }
 
-    /// L0 backpressure (`Threaded` only): checked *before* taking `inner`
-    /// so delayed writers never hold any engine lock — readers proceed
-    /// untouched while a writer sleeps or stalls.
+    /// L0 backpressure: checked *before* taking `inner` so delayed writers
+    /// never hold any engine lock — readers proceed untouched while a
+    /// writer slows down or stalls. A writer that waits on a compaction
+    /// no worker will run runs it itself.
     fn backpressure(&self) {
         let (slowdown, stall) = self.l0_thresholds();
         let l0 = self.l0_runs.load(Ordering::Acquire);
@@ -250,7 +249,7 @@ impl DbCore {
             self.device.stats().record_write_stall();
             self.bg.schedule_compact();
             self.bg
-                .wait_progress_until(|| self.l0_runs.load(Ordering::Acquire) < stall);
+                .wait_until(self, |_| self.l0_runs.load(Ordering::Acquire) < stall);
             // Compaction drained L0 below the stall line while we slept;
             // reconcile the band so the StallExit lands in the trace now
             // rather than on some later write.
@@ -262,13 +261,13 @@ impl DbCore {
         } else if l0 >= slowdown {
             self.device.stats().record_write_slowdown();
             self.bg.schedule_compact();
-            std::thread::sleep(SLOWDOWN_DELAY);
+            self.bg.yield_to_maintenance(self, SLOWDOWN_DELAY);
         }
     }
 
     /// The shared body of every non-transactional write, timed into the
     /// put histogram (a write's latency includes any backpressure delay
-    /// and, under `Inline`, the flush/compaction cascade it triggers).
+    /// and, under `Inline`, the flush and compaction cascade it queued).
     fn write(&self, records: &mut [Record], applied_seq: Option<u64>) -> StorageResult<()> {
         self.obs.timed(&self.obs.put_ns, || {
             self.admit_write()?;
@@ -278,13 +277,14 @@ impl DbCore {
         })
     }
 
-    /// The one commit routine, run under the write guard: stage each
+    /// The one commit routine, run under the write guard: give the
+    /// records a WAL that does not cover a frozen buffer, stage each
     /// record in place (seqno, counters, key-value separation), append
     /// them to the WAL as one `framing` group, insert them into the
-    /// memtable, record them for OCC validation, and — for a replicated
+    /// buffer, record them for OCC validation, and — for a replicated
     /// batch — advance the replication watermark. Returns whether the
-    /// records left the active memtable full; the maintenance that
-    /// follows is the caller's ([`DbCore::after_write`]).
+    /// records left the active buffer full; the maintenance that follows
+    /// is the caller's ([`DbCore::after_write`]).
     fn commit(
         &self,
         inner: &mut Inner,
@@ -292,6 +292,11 @@ impl DbCore {
         framing: WalFraming,
         applied_seq: Option<u64>,
     ) -> StorageResult<bool> {
+        let shares_frozen_wal =
+            inner.imm.is_some() && inner.imm_wal.is_none() && inner.wal.is_some();
+        if shares_frozen_wal && !records.is_empty() {
+            self.rotate_past_frozen(inner)?;
+        }
         for (seqno, kind, key, value) in records.iter_mut() {
             *seqno = inner.next_seqno;
             inner.next_seqno += 1;
@@ -349,106 +354,103 @@ impl DbCore {
         Ok(full)
     }
 
-    /// Whether the active memtable reached the flush trigger.
+    /// Whether the active buffer reached the flush trigger.
     fn buffer_full(&self, inner: &Inner) -> bool {
         inner.mem.read().is_full(self.cfg.buffer_bytes)
     }
 
-    /// The memtable-full tail of every write, run when `full` (the
-    /// commit's answer, or a fresh check): `Inline` flushes and compacts
-    /// under the held guard; `Threaded` freezes the memtable for the
-    /// background flush (or waits for the previous one). Transaction
-    /// commits call it with a fresh guard after releasing their own, so
-    /// a multi-engine commit never runs maintenance under several
-    /// engines' locks.
-    fn after_write(&self, mut inner: RwLockWriteGuard<'_, Inner>, full: bool) -> StorageResult<()> {
+    /// The buffer-full tail of every write, run when `full` (the commit's
+    /// answer, or a fresh check): freeze the buffer, then — with no
+    /// workers — run the flush and compaction it queued, after dropping
+    /// the write guard. Transaction commits call it with a fresh guard
+    /// after releasing their own, so a multi-engine commit never freezes
+    /// under several engines' locks.
+    fn after_write(&self, inner: RwLockWriteGuard<'_, Inner>, full: bool) -> StorageResult<()> {
         if !full {
             return Ok(());
         }
-        if self.threaded() {
-            return self.freeze_or_wait(inner);
-        }
-        self.flush_memtable(super::flush::FlushSource::Active, Some(&mut inner))?;
-        self.maybe_compact_locked(&mut inner)
+        self.freeze(inner, true)?;
+        self.bg.run_unattended(self);
+        self.check_bg_error()
     }
 
-    /// `Threaded` write path for a full memtable: freeze it into the
-    /// immutable slot if free, else wait (counted as a stall) for the
-    /// in-flight flush to drain it. Consumes the write guard so the wait
-    /// holds no engine lock.
-    fn freeze_or_wait<'a>(&'a self, mut inner: RwLockWriteGuard<'a, Inner>) -> StorageResult<()> {
+    /// Moves the active buffer into the frozen slot and queues its flush:
+    /// a full buffer when `full_only` (a writer), any non-empty one
+    /// otherwise (`flush`). The freeze does no I/O — the frozen buffer
+    /// keeps the active WAL until a commit or its own flush rotates it.
+    /// While the slot is taken it waits for the pending flush, running it
+    /// when no worker will, counted as a stall; the wait holds no engine
+    /// lock. Returns the ticket of the flush that covers the buffer as it
+    /// was on entry.
+    pub(super) fn freeze<'a>(
+        &'a self,
+        mut inner: RwLockWriteGuard<'a, Inner>,
+        full_only: bool,
+    ) -> StorageResult<u64> {
         loop {
+            let wanted = if full_only {
+                self.buffer_full(&inner)
+            } else {
+                !inner.mem.read().is_empty()
+            };
+            // another writer froze (or a flush drained) in the window
+            if !wanted {
+                return Ok(self.bg.flush_ticket());
+            }
             if inner.imm.is_none() {
-                self.freeze_memtable(&mut inner)?;
-                return Ok(());
+                let fresh = Arc::new(RwLock::new(Memtable::new()));
+                inner.imm = Some(std::mem::replace(&mut inner.mem, fresh));
+                self.obs.memtable_bytes_gauge.set(0);
+                return Ok(self.bg.enqueue_flush());
             }
             drop(inner);
             self.device.stats().record_write_stall();
-            let l0 = self.l0_runs.load(Ordering::Acquire) as u64;
             self.obs.event(EventKind::StallEnter {
                 reason: StallReason::MemtableRotation,
-                l0_runs: l0,
+                l0_runs: self.l0_runs.load(Ordering::Acquire) as u64,
             });
-            self.bg.wait_flush_drained();
+            let pending = self.bg.flush_ticket();
+            self.bg.wait_until(self, |q| q.flushed(pending));
             self.obs.event(EventKind::StallExit {
                 reason: StallReason::MemtableRotation,
                 l0_runs: self.l0_runs.load(Ordering::Acquire) as u64,
             });
             self.check_bg_error()?;
             inner = self.inner.write();
-            if !self.buffer_full(&inner) {
-                // another writer froze (or a flush drained) in the window
-                return Ok(());
-            }
         }
     }
 
-    /// Freezes the active memtable into the immutable slot and queues its
-    /// flush. Syncs both logs first so every record covered by the frozen
-    /// memtable is durable before its WAL stops receiving writes.
-    fn freeze_memtable(&self, inner: &mut Inner) -> StorageResult<()> {
-        if inner.mem.read().is_empty() {
-            return Ok(());
-        }
+    /// Gives the active buffer a WAL of its own while the frozen buffer
+    /// still shares the active one, whose flush deletes it: syncs both
+    /// logs, so every record the frozen buffer holds is durable before
+    /// its WAL stops receiving writes, swaps in a new WAL and persists the
+    /// manifest naming the old one as `wal_prev` (a crash replays it
+    /// before the new one). A failed manifest write undoes the swap, so
+    /// the next commit retries it and no record lands in a WAL no
+    /// manifest names.
+    fn rotate_past_frozen(&self, inner: &mut Inner) -> StorageResult<()> {
         self.sync_logs(inner)?;
-        let fresh = Arc::new(RwLock::new(Memtable::new()));
-        inner.imm = Some(std::mem::replace(&mut inner.mem, fresh));
-        if let Err(e) = self.rotate_logs_for_frozen(inner) {
-            // The frozen memtable's flush never got enqueued, so the
-            // immutable slot stays occupied with nothing scheduled to
-            // drain it. Without a sticky failure, `freeze_or_wait` (and
-            // any stalled writer) would wait forever for that drain —
-            // poison the engine so they bail with this error instead.
-            let copy = StorageError::Io(std::io::Error::other(e.to_string()));
-            self.bg.record_failure(e);
-            return Err(copy);
-        }
-        self.bg.enqueue_flush();
-        Ok(())
-    }
-
-    /// The fallible tail of a memtable freeze: WAL rotation and the
-    /// manifest write that records it. Split out so `freeze_memtable`
-    /// can turn any failure here into a sticky engine error — after the
-    /// immutable slot is occupied, an unrecorded failure would strand
-    /// every later writer.
-    fn rotate_logs_for_frozen(&self, inner: &mut Inner) -> StorageResult<()> {
         inner.imm_wal = self.rotate_wal(inner)?;
-        // the manifest names both WALs, so a crash here replays the frozen
-        // records (wal_prev) before the new active WAL
-        self.persist_manifest(inner)
+        if let Err(e) = self.persist_manifest(inner) {
+            if let Some(new) = std::mem::replace(&mut inner.wal, inner.imm_wal.take()) {
+                let _ = self.device.delete(new.id());
+            }
+            return Err(e);
+        }
+        Ok(())
     }
 
     /// Swaps in a fresh active WAL and returns the one it replaces (both
     /// `None` when the WAL is disabled). The caller owns the old log's
     /// fate: it may only be deleted once a manifest no longer naming it
-    /// is durable.
+    /// is durable. A failed create leaves the active WAL in place, so no
+    /// later commit goes unlogged.
     pub(super) fn rotate_wal(&self, inner: &mut Inner) -> StorageResult<Option<Wal>> {
         if !self.cfg.wal {
             return Ok(None);
         }
-        let old = inner.wal.take();
-        inner.wal = Some(Wal::create(Arc::clone(&self.device))?);
+        let new = Wal::create(Arc::clone(&self.device))?;
+        let old = inner.wal.replace(new);
         if let (Some(old), Some(new)) = (&old, &inner.wal) {
             self.obs.event(EventKind::WalRotation {
                 old_wal: old.id().0,

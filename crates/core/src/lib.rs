@@ -11,15 +11,17 @@
 //!
 //! Design notes:
 //!
-//! - **Two maintenance modes.** In [`config::BackgroundMode::Inline`]
-//!   (the default) flushes and compactions run inline with the write that
-//!   triggers them, so experiments are deterministic and I/O attribution
-//!   is exact. [`config::BackgroundMode::Threaded`] moves them to a
-//!   background worker pool ([`background`]): a full memtable is frozen
-//!   into an immutable slot, readers snapshot the copy-on-write version
-//!   and never block on maintenance, and writers block only on L0
-//!   backpressure. The costs are identical, only the interleaving
-//!   differs.
+//! - **One maintenance path, two schedules.** A full write buffer is
+//!   frozen into an immutable slot (no I/O) and its flush queued; flush
+//!   and compaction always run as jobs of one queue ([`background`]).
+//!   [`config::BackgroundMode::Inline`] (the default) starts no workers:
+//!   the writer that queued the work runs it after dropping its write
+//!   guard, before it returns, so experiments are deterministic and I/O
+//!   attribution is exact. [`config::BackgroundMode::Threaded`] drains
+//!   the queue on a worker pool. Under both, readers snapshot the
+//!   copy-on-write version and never wait on maintenance, and writers
+//!   wait only on L0 backpressure and a taken frozen slot. The costs are
+//!   identical, only the interleaving differs.
 //! - **I/O accounting.** Every storage access is charged to the shared
 //!   [`lsm_storage::IoStats`] with a category (data/filter/index/WAL),
 //!   which is what the experiment suite reports.

@@ -226,6 +226,16 @@ pub fn recover(device: Arc<dyn StorageDevice>, id: FileId) -> StorageResult<Vec<
     Ok(records)
 }
 
+/// Whether file `id` is a log holding at least one record: its first
+/// byte opens a WAL frame and replay finds a record. A value log or a
+/// table is never mistaken for one, and is not read past its first block.
+pub(crate) fn holds_records(device: &Arc<dyn StorageDevice>, id: FileId) -> bool {
+    let opens_a_frame = device
+        .read(id, 0, 1, IoCategory::Wal)
+        .is_ok_and(|block| matches!(block.first(), Some(&(RECORD_MARKER | ATOMIC_MARKER))));
+    opens_a_frame && recover(Arc::clone(device), id).is_ok_and(|records| !records.is_empty())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -7,7 +7,7 @@
 //! refills its chunks from a buffer the flush has since swapped out.
 //!
 //! Runs in whichever background mode `LSM_BACKGROUND` selects;
-//! `scripts/verify.sh` repeats it under `threaded`.
+//! `scripts/verify.sh` repeats it under each.
 
 use std::collections::BTreeMap;
 use std::sync::mpsc;

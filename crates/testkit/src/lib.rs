@@ -9,7 +9,8 @@
 //!   [`Shadow::script`] runs the shared 23-key scripted op through it;
 //! - [`check_legal`] checks a reader (a `Db`, a `Snapshot`, a shard set
 //!   or a wire client, through get/scan closures) against a shadow;
-//! - [`no_orphan_tables`] checks that recovery left no unreferenced table;
+//! - [`no_orphan_tables`] checks that recovery left no unreferenced table,
+//!   and [`no_orphan_wals`] no WAL records the manifest does not name;
 //! - [`sweep`] takes the per-device ordinal totals of a fault-free run
 //!   and calls a per-case closure for every (device, kind, ordinal), with
 //!   every kind in [`KINDS`].
@@ -203,6 +204,33 @@ pub fn no_orphan_tables(dev: &Arc<dyn StorageDevice>, context: &str) {
                 "{context}: file {} has a valid table footer but is not in the manifest — \
                  an orphaned table survived recovery",
                 f.0
+            );
+        }
+    }
+}
+
+/// After recovery no file outside the manifest holds WAL records: a log
+/// whose records no manifest names (a rotation that lost its manifest,
+/// or a retired log that outlived the manifest retiring it) must be gone
+/// or empty. Run it on a freshly reopened engine's device, whose open
+/// re-logged every replayed record into the one WAL it names.
+pub fn no_orphan_wals(dev: &Arc<dyn StorageDevice>, context: &str) {
+    let (manifest_id, state) = find_record(dev, MANIFEST_MAGIC, ManifestState::from_bytes)
+        .unwrap_or_else(|e| panic!("{context}: manifest scan failed: {e}"))
+        .unwrap_or_else(|| panic!("{context}: no manifest after recovery"));
+    let named = [manifest_id.0, state.wal, state.wal_prev];
+    for f in dev.live_files() {
+        if named.contains(&f.0) {
+            continue;
+        }
+        if let Ok(records) = lsm_core::wal::recover(Arc::clone(dev), f) {
+            assert!(
+                records.is_empty(),
+                "{context}: file {} holds {} WAL records but the manifest names WALs {} and {}",
+                f.0,
+                records.len(),
+                state.wal,
+                state.wal_prev
             );
         }
     }

@@ -43,11 +43,15 @@ for mode in inline threaded; do
         --test txn_crash --test retune_crash --test migration_crash --test replication_crash
 done
 
-stage "write-buffer handle/ceiling protocol: paused scan, snapshot and txn, 20 runs under LSM_BACKGROUND=threaded"
+stage "write-buffer handle/ceiling protocol: paused scan, snapshot and txn, 20 runs under each LSM_BACKGROUND mode"
 # a race between a paused reader's chunk refills and the writers, flushes
-# and compactions it overlaps fails the gate here instead of flaking once
-for _ in $(seq 20); do
-    LSM_BACKGROUND=threaded cargo test -q -p lsm-core --release --test paused_reads
+# and compactions it overlaps fails the gate here instead of flaking once;
+# readers overlap maintenance under both modes (Inline runs it on the
+# writer after it drops the write guard), so both repeat
+for mode in inline threaded; do
+    for _ in $(seq 20); do
+        LSM_BACKGROUND=$mode cargo test -q -p lsm-core --release --test paused_reads
+    done
 done
 
 stage "allocation-regression battery (counting allocator + borrowed-vs-owned differential) and heap footprint (load + compaction peak, a merge's bytes beyond its inputs, WAL bytes under one-record group commits), both modes"

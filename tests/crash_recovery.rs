@@ -24,17 +24,19 @@
 //! the post-crash disk image. Only then is the device healed and the
 //! database reopened.
 
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
+use std::thread::ThreadId;
+use std::time::{Duration, Instant};
 
 use lsm_core::config::KvSeparation;
 use lsm_core::manifest::{find_record, write_manifest, ManifestState, MANIFEST_MAGIC};
 use lsm_core::{BackgroundMode, Db, LsmConfig};
 use lsm_storage::{
-    DeviceProfile, FaultDevice, FaultKind, FileId, IoCategory, MemDevice, RetryDevice,
-    RetryPolicy, StorageDevice, StorageError, WritableFile,
+    DeviceProfile, FaultDevice, FaultKind, FileId, IoCategory, IoStats, LatencyModel, MemDevice,
+    RetryDevice, RetryPolicy, StorageDevice, StorageError, StorageResult, WritableFile,
 };
 use lsm_testkit::{
-    check_db, erased, fault_device, no_orphan_tables, seed, sweep, synced, Shadow,
+    check_db, erased, fault_device, no_orphan_tables, no_orphan_wals, seed, sweep, synced, Shadow,
 };
 
 use proptest::prelude::*;
@@ -128,6 +130,196 @@ fn crash_at_every_io_point_loses_no_acked_write() {
 #[test]
 fn crash_sweep_with_kv_separation() {
     script_sweep("crash sweep (kv)", kv_cfg());
+}
+
+// ---------------------------------------------------------------------
+// Lazy WAL rotation
+// ---------------------------------------------------------------------
+
+#[derive(Default)]
+struct ParkState {
+    /// The thread whose flush parks.
+    armed: Option<ThreadId>,
+    parked: bool,
+    released: bool,
+    /// The armed thread stopped writing (its flush ran, or a write failed).
+    done: bool,
+}
+
+/// A [`FaultDevice`] front that parks the armed thread's first table
+/// write — its flush building the table — until released, so another
+/// thread can commit while a frozen buffer awaits its flush. The parked
+/// write reaches the fault device only once released, so every run sees
+/// one I/O order and the sweep stays deterministic under `Inline`.
+struct ParkFlush {
+    inner: Arc<FaultDevice>,
+    state: Mutex<ParkState>,
+    cv: Condvar,
+}
+
+impl ParkFlush {
+    fn new(inner: Arc<FaultDevice>) -> Arc<Self> {
+        Arc::new(ParkFlush { inner, state: Mutex::default(), cv: Condvar::new() })
+    }
+
+    fn update(&self, f: impl FnOnce(&mut ParkState)) {
+        f(&mut self.state.lock().unwrap());
+        self.cv.notify_all();
+    }
+
+    /// Waits until the armed thread parked or stopped writing.
+    fn wait_parked_or_done(&self) {
+        let deadline = Instant::now() + Duration::from_secs(30);
+        let mut state = self.state.lock().unwrap();
+        while !state.parked && !state.done {
+            let left = deadline.saturating_duration_since(Instant::now());
+            assert!(!left.is_zero(), "the flushing writer neither parked nor finished");
+            state = self.cv.wait_timeout(state, left).unwrap().0;
+        }
+    }
+}
+
+impl StorageDevice for ParkFlush {
+    fn block_size(&self) -> usize {
+        self.inner.block_size()
+    }
+    fn stats(&self) -> &IoStats {
+        self.inner.stats()
+    }
+    fn latency(&self) -> &LatencyModel {
+        self.inner.latency()
+    }
+    fn create(&self) -> StorageResult<FileId> {
+        self.inner.create()
+    }
+    fn write(&self, file: FileId, at: u64, data: &[u8], cat: IoCategory) -> StorageResult<()> {
+        let table = matches!(cat, IoCategory::Data | IoCategory::Index | IoCategory::Filter);
+        let mut state = self.state.lock().unwrap();
+        if table && !state.parked && state.armed == Some(std::thread::current().id()) {
+            state.parked = true;
+            self.cv.notify_all();
+            while !state.released {
+                state = self.cv.wait(state).unwrap();
+            }
+        }
+        drop(state);
+        self.inner.write(file, at, data, cat)
+    }
+    fn sync(&self, file: FileId) -> StorageResult<()> {
+        self.inner.sync(file)
+    }
+    fn seal(&self, file: FileId) -> StorageResult<()> {
+        self.inner.seal(file)
+    }
+    fn read_into(&self, file: FileId, at: u64, buf: &mut [u8], cat: IoCategory) -> StorageResult<()> {
+        self.inner.read_into(file, at, buf, cat)
+    }
+    fn len_blocks(&self, file: FileId) -> StorageResult<u64> {
+        self.inner.len_blocks(file)
+    }
+    fn delete(&self, file: FileId) -> StorageResult<()> {
+        self.inner.delete(file)
+    }
+    fn live_files(&self) -> Vec<FileId> {
+        self.inner.live_files()
+    }
+    fn live_blocks(&self) -> u64 {
+        self.inner.live_blocks()
+    }
+}
+
+/// The lazy-rotation script on `Inline`. Ops 0..40 of the shared script
+/// run on one thread, so every freeze is followed by its flush, whose
+/// install rotates the WAL the frozen buffer shares. Then, three times,
+/// a second thread writes its own keys (`keya…`) until its write freezes
+/// the buffer and its flush parks building the table; meanwhile this
+/// thread runs six more script ops, the first of which needs a log that
+/// does not cover the frozen buffer and rotates the WAL itself; then the
+/// flush installs. Both threads' writes are synced before they count as
+/// acknowledged. Returns how many rounds' flushes parked.
+fn rotation_script(park: &ParkFlush, db: &Db, shadow: &mut Shadow) -> usize {
+    shadow.script(0..40, 0, |k, v| synced(db, k, v));
+    let mut parked = 0;
+    for round in 0..3u64 {
+        park.update(|s| *s = ParkState::default());
+        let frozen = std::thread::scope(|scope| {
+            let writer = scope.spawn(|| {
+                park.update(|s| s.armed = Some(std::thread::current().id()));
+                let mut own = Shadow::default();
+                let flushes = db.stats().snapshot().flushes;
+                for i in 0.. {
+                    let key = format!("keya{round}{i:03}").into_bytes();
+                    let mut ok = false;
+                    own.write(key, Some(vec![b'a' + (i % 26) as u8; 60]), |k, v| {
+                        ok = synced(db, k, v);
+                        ok
+                    });
+                    if !ok || db.stats().snapshot().flushes > flushes {
+                        break;
+                    }
+                }
+                park.update(|s| s.done = true);
+                own
+            });
+            park.wait_parked_or_done();
+            parked += usize::from(park.state.lock().unwrap().parked);
+            let start = 40 + 6 * round as usize;
+            shadow.script(start..start + 6, 0, |k, v| synced(db, k, v));
+            park.update(|s| s.released = true);
+            writer.join().unwrap()
+        });
+        shadow.acked.extend(frozen.acked);
+        shadow.maybe.extend(frozen.maybe);
+    }
+    parked
+}
+
+/// A crash, torn write and bit flip at every I/O ordinal of
+/// [`rotation_script`], with key-value separation off and on: across a
+/// freeze whose flush install rotates the WAL, and a freeze followed by
+/// a commit that rotates it before the flush installs. After reopen
+/// every key reads a legal state, and no table or WAL record outlives
+/// the manifest that should name it.
+#[test]
+fn crash_at_every_io_point_across_lazy_wal_rotation() {
+    let seed = seed(0x1A2E_5807);
+    for (name, cfg) in [("lazy rotation sweep", small_cfg()), ("lazy rotation sweep (kv)", kv_cfg())] {
+        let run = |fault: &Arc<FaultDevice>, shadow: &mut Shadow| {
+            let park = ParkFlush::new(Arc::clone(fault));
+            let db = Db::open(Arc::clone(&park) as Arc<dyn StorageDevice>, cfg.clone());
+            db.map_or(0, |db| rotation_script(&park, &db, shadow))
+        };
+        let clean = || {
+            let fault = fault_device(seed);
+            let mut shadow = Shadow::default();
+            assert_eq!(run(&fault, &mut shadow), 3, "{name}: a flush never parked");
+            assert!(shadow.maybe.is_empty(), "{name}: fault-free run left unacked ops");
+            let ops = fault.ops_performed();
+            let db = Db::open(erased(&fault), cfg.clone()).expect("clean reopen");
+            check_db(&db, &shadow, &format!("{name}, fault-free"));
+            vec![ops]
+        };
+        sweep(name, seed, cfg.background, &[("device", 101)], clean, |case| {
+            let fault = case.armed(seed);
+            let mut shadow = Shadow::default();
+            run(&fault, &mut shadow);
+            assert!(
+                fault.pending_faults().is_empty(),
+                "{case} never fired (only {} I/Os ran); case is vacuous",
+                fault.ops_performed(),
+            );
+            fault.heal();
+            let dev = erased(&fault);
+            let db = Db::open(Arc::clone(&dev), cfg.clone())
+                .unwrap_or_else(|e| panic!("reopen after {case} failed: {e}"));
+            let context = format!("{case} ({name})");
+            check_db(&db, &shadow, &context);
+            drop(db);
+            no_orphan_tables(&dev, &context);
+            no_orphan_wals(&dev, &context);
+            true
+        });
+    }
 }
 
 // ---------------------------------------------------------------------

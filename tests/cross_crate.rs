@@ -2,7 +2,7 @@
 //! workload generator driving the engine, and the analytical models
 //! agreeing with measured engine behaviour on direction.
 
-use lsm_design_space::core::{BackgroundMode, Db, LsmConfig, MergeLayout};
+use lsm_design_space::core::{BackgroundMode, Db, LsmConfig, MergeLayout, RangeFilterKind};
 use lsm_design_space::model::{CostModel, LsmDesign, MergePolicy};
 use lsm_design_space::workload::{Operation, Trace, WorkloadGenerator, WorkloadSpec, YcsbWorkload};
 
@@ -27,11 +27,75 @@ fn drive(db: &Db, ops: impl IntoIterator<Item = Operation>) {
     }
 }
 
+/// The quickstart, through the umbrella crate: put, get and delete one
+/// key; a bulk load that flushes and compacts into a multi-level tree
+/// and writes more than it ingests; a point lookup and a range scan over
+/// it.
 #[test]
 fn umbrella_crate_quickstart_flow() {
     let db = Db::open_in_memory(LsmConfig::small_for_tests()).unwrap();
-    db.put(b"k".to_vec(), b"v".to_vec()).unwrap();
-    assert_eq!(db.get(b"k").unwrap(), Some(b"v".to_vec()));
+    db.put(b"hello".to_vec(), b"world".to_vec()).unwrap();
+    assert_eq!(db.get(b"hello").unwrap(), Some(b"world".to_vec()));
+    db.delete(b"hello".to_vec()).unwrap();
+    assert_eq!(db.get(b"hello").unwrap(), None);
+
+    for i in 0..5_000u64 {
+        let value = format!("profile-data-for-user-{i}").into_bytes();
+        db.put(format!("user{i:012}").into_bytes(), value).unwrap();
+    }
+    db.wait_background_idle();
+    let s = db.stats().snapshot();
+    assert!(s.flushes >= 10 && s.compactions > 0, "{} flushes, {} compactions", s.flushes, s.compactions);
+    let levels = db.level_summary().iter().filter(|(runs, _, _)| *runs > 0).count();
+    assert!(levels >= 2, "a 5,000-key load leaves {levels} occupied level(s)");
+    let written = db.io_stats().total_written_blocks() * db.config().block_size as u64;
+    assert!(written > s.bytes_ingested, "write amplification below 1: {written} / {}", s.bytes_ingested);
+
+    assert_eq!(db.get(b"user000000004200").unwrap(), Some(b"profile-data-for-user-4200".to_vec()));
+    let page = db.scan(b"user000000001000".to_vec()..b"user000000001010".to_vec(), 100).unwrap();
+    let keys: Vec<_> = (1_000..1_010).map(|i| format!("user{i:012}").into_bytes()).collect();
+    assert_eq!(page.into_iter().map(|(k, _)| k).collect::<Vec<_>>(), keys);
+}
+
+/// A time-series ingest (strictly increasing keys) on a tiered tree with
+/// a range filter: a recent-window scan returns exactly its window, and
+/// retention — deleting the oldest half, then a major compaction —
+/// garbage-collects every tombstone and leaves only the recent half.
+#[test]
+fn a_time_series_keeps_its_recent_window_through_retention() {
+    let key = |ts: u64, sensor: u16| format!("m{ts:012}s{sensor:04}").into_bytes();
+    let cfg = LsmConfig {
+        layout: MergeLayout::Tiered,
+        range_filter: RangeFilterKind::Surf { suffix_bits: 8 },
+        ..LsmConfig::small_for_tests()
+    };
+    let db = Db::open_in_memory(cfg).unwrap();
+    let (hours, sensors) = (4u64, 8u16);
+    for ts in (0..hours * 3600).step_by(60) {
+        for sensor in 0..sensors {
+            db.put(key(ts, sensor), format!("{{\"v\":{}.{sensor}}}", ts % 100).into_bytes()).unwrap();
+        }
+    }
+    let points = hours * 60 * u64::from(sensors);
+    assert_eq!(db.stats().snapshot().puts, points);
+    assert!(db.stats().snapshot().flushes > 0);
+
+    // the last ten minutes: ten timestamps, every sensor
+    let end = hours * 3600;
+    let window = db.scan(key(end - 600, 0)..key(end, 0), usize::MAX).unwrap();
+    assert_eq!(window.len(), 10 * usize::from(sensors));
+
+    let expired = db.scan(key(0, 0)..key(end / 2, 0), usize::MAX).unwrap();
+    assert_eq!(expired.len() as u64, points / 2);
+    for (k, _) in &expired {
+        db.delete(k.clone()).unwrap();
+    }
+    db.major_compact().unwrap();
+    assert_eq!(db.stats().snapshot().tombstones_dropped, points / 2, "every tombstone is garbage-collected");
+    assert!(db.scan(key(0, 0)..key(end / 2, 0), 10).unwrap().is_empty());
+    let remaining = db.scan(key(0, 0)..key(u64::MAX / 2, 0), usize::MAX).unwrap();
+    assert_eq!(remaining.len() as u64, points / 2);
+    assert_eq!(db.scan(key(end - 600, 0)..key(end, 0), usize::MAX).unwrap(), window);
 }
 
 #[test]
