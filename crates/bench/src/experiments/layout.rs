@@ -2,10 +2,13 @@
 //! compaction granularity and file picking (E8), hybrid shapes (E9),
 //! key-value separation (E13) and write-stall tails (E18).
 
+use std::sync::Arc;
+
 use lsm_core::config::KvSeparation;
+use lsm_core::kv_sep::{holds_records, ValueLog};
 use lsm_core::{CompactionGranularity, Db, FilePicker, LsmConfig, MergeLayout};
 use lsm_server::{ShardMap, ShardRange, ShardSet};
-use lsm_storage::DeviceProfile;
+use lsm_storage::{DeviceProfile, IoCategory, MemDevice};
 use lsm_workload::encode_key;
 
 use super::{join, within};
@@ -333,22 +336,32 @@ pub fn e13(scale: Scale, r: &mut Report) {
         let wa = write_amp(&db);
         let scan = measure_scans(&db, n, scans, 100);
         let point = measure_present_gets(&db, n, gets(n));
-        [wa, scan.blocks_per_op, point.blocks_per_op]
+        ([wa, scan.blocks_per_op, point.blocks_per_op], db)
     };
     let mut rows = Vec::new();
     let mut plain = Vec::new();
     let mut separated = Vec::new();
+    let mut gc = None;
     for value_len in [64usize, 256, 1024, 4096] {
         // shrink n as values grow so runtime stays bounded
         let n = budget / (value_len as u64 + 16) / 8;
-        let (p, s) = (run(value_len, false, n), run(value_len, true, n));
+        let ((p, _), (s, db)) = (run(value_len, false, n), run(value_len, true, n));
         rows.push(vec![value_len.to_string(), f2(p[0]), f2(s[0]), f2(p[1]), f2(s[1]), f2(p[2]), f2(s[2])]);
         plain.push(p);
         separated.push(s);
+        if value_len == 1024 {
+            gc = Some(collect(&db, n, value_len));
+        }
     }
     r.table(
         &["value B", "wa plain", "wa kv-sep", "scan plain", "scan kv-sep", "get plain", "get kv-sep"],
         &rows,
+    );
+    let gc = gc.expect("the 1024 B row ran");
+    r.line("value-log GC after the churn, 1024 B values: bytes as multiples of the live records' bytes");
+    r.table(
+        &["log before", "log after", "GC wrote to the log", "GC wrote in all"],
+        &[gc.iter().map(|&x| f2(x)).collect()],
     );
     let cite = "Module I.2 (WiscKey)";
     let wa = |v: &[[f64; 3]]| v[1..].iter().map(|x| x[0]).collect::<Vec<f64>>();
@@ -381,6 +394,40 @@ pub fn e13(scale: Scale, r: &mut Report) {
             .collect::<Vec<_>>()
             .join(", "),
     );
+    r.claim(
+        cite,
+        "GC returns the log to ≤ 1.1× its live bytes at the cost of writing them once",
+        gc[1] <= 1.1 && gc[2] <= 1.1,
+        format!("log {:.2}× → {:.2}×, GC wrote {:.2}× to the log", gc[0], gc[1], gc[2]),
+    );
+}
+
+/// Runs value-log GC on `db`, whose `n` keys each hold one live
+/// `value_len`-byte value, and returns, as multiples of the live records'
+/// bytes: the value logs on the device before and after, and what GC
+/// wrote to the log and in all (the relocated pointers' flush included).
+fn collect(db: &Db, n: u64, value_len: usize) -> [f64; 4] {
+    let dev = db.device();
+    let bs = dev.block_size() as u64;
+    let logs = || -> u64 {
+        let files = dev.live_files().into_iter().filter(|&f| holds_records(dev, f));
+        files.map(|f| dev.len_blocks(f).unwrap() * bs).sum()
+    };
+    let record = ValueLog::create(Arc::new(MemDevice::new(bs as usize, DeviceProfile::free())))
+        .unwrap()
+        .append(&encode_key(0), &value_of(0, value_len))
+        .unwrap()
+        .len;
+    let live = (n * record as u64) as f64;
+    let (before, io) = (logs(), db.io_stats());
+    db.gc_value_log().unwrap();
+    let written = db.io_stats().delta_since(&io);
+    [
+        before as f64 / live,
+        logs() as f64 / live,
+        (written.category(IoCategory::ValueLog).written_blocks * bs) as f64 / live,
+        (written.total_written_blocks() * bs) as f64 / live,
+    ]
 }
 
 /// E18 — the simulated latency of every individual put. Maintenance runs

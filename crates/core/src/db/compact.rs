@@ -429,7 +429,8 @@ impl DbCore {
     /// concurrent version changes (a single-threaded `Inline` run) the
     /// final install is exactly the direct splice; otherwise runs flushed
     /// to L0 during the merge survive untouched — the single-compactor
-    /// invariant (`compaction_lock`) guarantees nothing else moved.
+    /// invariant (`compaction_lock`) guarantees nothing else moved — and
+    /// the value logs are the current version's, whatever GC did meanwhile.
     fn install_merge(
         &self,
         inner: &mut Inner,
@@ -455,7 +456,7 @@ impl DbCore {
             .collect();
         let remaining: HashSet<u64> = progress.remaining.iter().map(|t| t.id()).collect();
         let cur = &inner.version;
-        let mut new_version = Version::new();
+        let mut new_version = Version { levels: Vec::new(), vlogs: cur.vlogs.clone() };
         new_version.ensure_levels(cur.levels.len().max(prep.target + 1));
         for (i, level) in cur.levels.iter().enumerate() {
             for run in &level.runs {

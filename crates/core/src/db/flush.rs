@@ -73,11 +73,22 @@ impl DbCore {
             // opens a window where a crash loses the flushed entries —
             // the old manifest survives but the WAL holding its unflushed
             // records is gone.
+            let rotated_here = inner.imm_wal.is_none();
             let old_wal = match inner.imm_wal.take() {
                 None => self.rotate_wal(inner)?,
                 rotated => rotated,
             };
-            self.persist_manifest(inner)?;
+            if let Err(e) = self.persist_manifest(inner) {
+                // The flushed records are in no durable table, and the old
+                // WAL rotated here holds them unsynced: it stays the one a
+                // sync makes durable, or an empty new WAL would ack them.
+                if let (true, Some(old)) = (rotated_here, old_wal) {
+                    if let Some(new) = inner.wal.replace(old) {
+                        let _ = self.device.delete(new.id());
+                    }
+                }
+                return Err(e);
+            }
             old_wal
         };
         if let Some(old) = old_wal {

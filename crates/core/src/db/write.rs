@@ -18,14 +18,20 @@ use crate::kv_sep::{encode_inline, encode_pointer};
 use crate::memtable::Memtable;
 use crate::wal::Wal;
 
-/// How a commit's records are framed in the WAL.
-enum WalFraming {
-    /// Independent records sharing one append ([`Wal::append_batch`]):
-    /// a crash may persist any prefix.
+/// What a commit's records are: how the WAL frames them, and whether
+/// they are logical writes.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub(super) enum CommitKind {
+    /// Independent writes sharing one append ([`Wal::append_batch`]): a
+    /// crash may persist any prefix.
     Stream,
     /// One all-or-nothing group ([`Wal::append_atomic`]): recovery
     /// replays all of it or none.
     Atomic,
+    /// Value-log GC moving a live value, framed like `Stream`. Not a
+    /// logical write: not counted as ingest, and no transaction conflicts
+    /// on it (OCC does not record it).
+    Relocation,
 }
 
 /// Prune `Inner::txn_recent` on transaction end once it exceeds this
@@ -133,7 +139,7 @@ pub(crate) fn commit_txn_parts(
         .collect();
     for (i, guard) in guards.iter_mut() {
         let ops = &mut parts[*i].write_set.ops;
-        let out = dbs[*i].commit(guard, ops, WalFraming::Atomic, None);
+        let out = dbs[*i].commit(guard, ops, CommitKind::Atomic, None);
         ops.clear();
         out?;
     }
@@ -204,7 +210,7 @@ impl DbCore {
     pub fn write_batch_replicated(&self, batch: &mut WriteBatch, seq: u64) -> StorageResult<()> {
         if batch.is_empty() {
             return self
-                .commit(&mut self.inner.write(), &mut [], WalFraming::Stream, Some(seq))
+                .commit(&mut self.inner.write(), &mut [], CommitKind::Stream, Some(seq))
                 .map(drop);
         }
         self.write_batch_inner(batch, Some(seq))
@@ -231,7 +237,7 @@ impl DbCore {
 
     /// Maintenance-error check and L0 backpressure, paid once per write
     /// call before any lock is taken.
-    fn admit_write(&self) -> StorageResult<()> {
+    pub(super) fn admit_write(&self) -> StorageResult<()> {
         self.check_bg_error()?;
         self.backpressure();
         Ok(())
@@ -272,7 +278,7 @@ impl DbCore {
         self.obs.timed(&self.obs.put_ns, || {
             self.admit_write()?;
             let mut inner = self.inner.write();
-            let full = self.commit(&mut inner, records, WalFraming::Stream, applied_seq)?;
+            let full = self.commit(&mut inner, records, CommitKind::Stream, applied_seq)?;
             self.after_write(inner, full)
         })
     }
@@ -280,16 +286,16 @@ impl DbCore {
     /// The one commit routine, run under the write guard: give the
     /// records a WAL that does not cover a frozen buffer, stage each
     /// record in place (seqno, counters, key-value separation), append
-    /// them to the WAL as one `framing` group, insert them into the
-    /// buffer, record them for OCC validation, and — for a replicated
-    /// batch — advance the replication watermark. Returns whether the
-    /// records left the active buffer full; the maintenance that follows
-    /// is the caller's ([`DbCore::after_write`]).
-    fn commit(
+    /// them to the WAL framed as their `kind` says, insert them into the
+    /// buffer, record logical writes for OCC validation, and — for a
+    /// replicated batch — advance the replication watermark. Returns
+    /// whether the records left the active buffer full; the maintenance
+    /// that follows is the caller's ([`DbCore::after_write`]).
+    pub(super) fn commit(
         &self,
         inner: &mut Inner,
         records: &mut [Record],
-        framing: WalFraming,
+        kind: CommitKind,
         applied_seq: Option<u64>,
     ) -> StorageResult<bool> {
         let shares_frozen_wal =
@@ -297,16 +303,19 @@ impl DbCore {
         if shares_frozen_wal && !records.is_empty() {
             self.rotate_past_frozen(inner)?;
         }
-        for (seqno, kind, key, value) in records.iter_mut() {
+        let logical = kind != CommitKind::Relocation;
+        for (seqno, op, key, value) in records.iter_mut() {
             *seqno = inner.next_seqno;
             inner.next_seqno += 1;
-            match kind {
-                ValueKind::Put => self.obs.stats.puts.inc(),
-                ValueKind::Delete => self.obs.stats.deletes.inc(),
+            if logical {
+                match op {
+                    ValueKind::Put => self.obs.stats.puts.inc(),
+                    ValueKind::Delete => self.obs.stats.deletes.inc(),
+                }
+                self.obs.stats.bytes_ingested.add((key.len() + value.len()) as u64);
             }
-            self.obs.stats.bytes_ingested.add((key.len() + value.len()) as u64);
             // key-value separation
-            if let (Some(sep), ValueKind::Put) = (self.cfg.kv_separation, *kind) {
+            if let (Some(sep), ValueKind::Put) = (self.cfg.kv_separation, *op) {
                 *value = if value.len() >= sep.min_value_bytes {
                     let vlog = inner.vlog.as_mut().ok_or_else(|| {
                         StorageError::Corruption(
@@ -324,18 +333,18 @@ impl DbCore {
         let mut full = false;
         if !records.is_empty() {
             if let Some(wal) = &mut inner.wal {
-                match framing {
-                    WalFraming::Stream => wal.append_batch(records)?,
-                    WalFraming::Atomic => wal.append_atomic(records)?,
+                match kind {
+                    CommitKind::Atomic => wal.append_atomic(records)?,
+                    CommitKind::Stream | CommitKind::Relocation => wal.append_batch(records)?,
                 }
                 self.obs.stats.wal_appends.inc();
             }
             // OCC recording only while a transaction is live, so the plain
             // write path pays one branch when none is
-            let track = !inner.txn_floors.is_empty();
+            let track = logical && !inner.txn_floors.is_empty();
             let mut mem = inner.mem.write();
-            for (seqno, kind, key, stored) in records.iter() {
-                mem.insert(key, *seqno, *kind, stored);
+            for (seqno, op, key, stored) in records.iter() {
+                mem.insert(key, *seqno, *op, stored);
                 if track {
                     match inner.txn_recent.get_mut(key) {
                         Some(s) => *s = *seqno,
@@ -365,7 +374,7 @@ impl DbCore {
     /// the write guard. Transaction commits call it with a fresh guard
     /// after releasing their own, so a multi-engine commit never freezes
     /// under several engines' locks.
-    fn after_write(&self, inner: RwLockWriteGuard<'_, Inner>, full: bool) -> StorageResult<()> {
+    pub(super) fn after_write(&self, inner: RwLockWriteGuard<'_, Inner>, full: bool) -> StorageResult<()> {
         if !full {
             return Ok(());
         }

@@ -13,6 +13,10 @@
 //! before floors existed. A crash between two frontier installs recovers
 //! the clipped version the last one wrote.
 //!
+//! The value logs GC has yet to empty (the *retiring* logs) follow as one
+//! more optional section of ascending ids, after a floor count that may
+//! be zero; a manifest with no retiring log omits both, as before.
+//!
 //! Decoding is bounded: every count and length is checked against the
 //! bytes left before anything is allocated for it, and every varint must
 //! be canonical, so a state that decodes re-encodes to the bytes it was
@@ -52,6 +56,9 @@ pub struct ManifestState {
     pub wal_prev: u64,
     /// Current value-log file id (0 = none).
     pub vlog: u64,
+    /// Value logs GC has yet to empty, ascending ids: stored pointers may
+    /// still name them, so each must exist on recovery.
+    pub retiring: Vec<u64>,
     /// Next sequence number to assign.
     pub next_seqno: u64,
     /// Replication watermark: the highest replication-log sequence this
@@ -93,7 +100,7 @@ impl ManifestState {
                 }
             }
         }
-        if !self.floors.is_empty() {
+        if !self.floors.is_empty() || !self.retiring.is_empty() {
             put_varint(&mut out, self.floors.len() as u64);
             for (id, floor) in &self.floors {
                 put_varint(&mut out, *id);
@@ -101,12 +108,19 @@ impl ManifestState {
                 out.extend_from_slice(floor);
             }
         }
+        if !self.retiring.is_empty() {
+            put_varint(&mut out, self.retiring.len() as u64);
+            for &id in &self.retiring {
+                put_varint(&mut out, id);
+            }
+        }
         out
     }
 
     /// Deserializes; `None` when the magic or framing is wrong, a count
-    /// or length overruns the bytes left, a varint is not canonical, or a
-    /// floor names no listed table or breaks the ascending id order.
+    /// or length overruns the bytes left, a varint is not canonical, a
+    /// floor names no listed table or breaks the ascending id order, or
+    /// the retiring logs are not ascending non-zero ids apart from `vlog`.
     /// Bytes past the last field (a record's zero padding) are ignored.
     pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
         if bytes.len() < 8 || u64::from_le_bytes(bytes[0..8].try_into().ok()?) != MANIFEST_MAGIC {
@@ -165,11 +179,17 @@ impl ManifestState {
                 off += len;
             }
         }
+        let n_retiring = if off < bytes.len() { count(&mut off, 1)? } else { 0 };
+        let retiring: Vec<u64> = (0..n_retiring).map(|_| next(&mut off)).collect::<Option<_>>()?;
+        if retiring.first() == Some(&0) || retiring.windows(2).any(|w| w[0] >= w[1]) || retiring.contains(&vlog) {
+            return None;
+        }
         Some(ManifestState {
             levels,
             wal,
             wal_prev,
             vlog,
+            retiring,
             next_seqno,
             applied_seq,
             floors,
@@ -180,27 +200,6 @@ impl ManifestState {
     pub fn floor_of(&self, id: u64) -> Option<&[u8]> {
         let i = self.floors.binary_search_by_key(&id, |(t, _)| *t).ok()?;
         Some(&self.floors[i].1)
-    }
-
-    /// Every table file id the manifest references.
-    pub fn referenced_files(&self) -> Vec<u64> {
-        let mut out: Vec<u64> = self
-            .levels
-            .iter()
-            .flat_map(|l| l.iter())
-            .flat_map(|r| r.iter())
-            .copied()
-            .collect();
-        if self.wal != 0 {
-            out.push(self.wal);
-        }
-        if self.wal_prev != 0 {
-            out.push(self.wal_prev);
-        }
-        if self.vlog != 0 {
-            out.push(self.vlog);
-        }
-        out
     }
 }
 
@@ -312,6 +311,7 @@ mod tests {
             wal: 42,
             wal_prev: 41,
             vlog: 0,
+            retiring: Vec::new(),
             next_seqno: 12345,
             applied_seq: 678,
             floors: Vec::new(),
@@ -322,6 +322,41 @@ mod tests {
         ManifestState {
             floors: vec![(4, b"key0042".to_vec()), (9, vec![0xFF; 130])],
             ..sample()
+        }
+    }
+
+    /// Every section present: floors and retiring logs.
+    fn sample_with_both() -> ManifestState {
+        ManifestState {
+            vlog: 300,
+            retiring: vec![7, 200, 1 << 40],
+            ..sample_with_floors()
+        }
+    }
+
+    #[test]
+    fn retiring_logs_roundtrip_with_or_without_floors() {
+        for s in [
+            sample_with_both(),
+            ManifestState { floors: Vec::new(), ..sample_with_both() },
+        ] {
+            assert_eq!(ManifestState::from_bytes(&s.to_bytes()), Some(s.clone()));
+            let mut padded = s.to_bytes();
+            padded.extend_from_slice(&[0; 7]);
+            assert_eq!(ManifestState::from_bytes(&padded), Some(s));
+        }
+        // none retiring: the bytes of a manifest that predates them
+        let plain = ManifestState { retiring: Vec::new(), ..sample_with_both() };
+        let mut before = sample_with_floors();
+        before.vlog = 300;
+        assert_eq!(plain.to_bytes(), before.to_bytes());
+    }
+
+    #[test]
+    fn retiring_logs_must_ascend_and_differ_from_the_active_one() {
+        for retiring in [vec![5, 5], vec![9, 4], vec![0], vec![300]] {
+            let s = ManifestState { vlog: 300, retiring, ..sample() };
+            assert_eq!(ManifestState::from_bytes(&s.to_bytes()), None);
         }
     }
 
@@ -351,12 +386,12 @@ mod tests {
     }
 
     /// Every truncation and every single-bit flip of a manifest with
-    /// floors decodes to nothing or to a state that re-encodes to the
+    /// floors and retiring logs decodes to nothing or to a state that re-encodes to the
     /// bytes it was read from (a prefix of them: bytes past the last
     /// field are padding), and never panics.
     #[test]
     fn every_truncation_and_bit_flip_decodes_to_nothing_or_its_own_bytes() {
-        let bytes = sample_with_floors().to_bytes();
+        let bytes = sample_with_both().to_bytes();
         let check = |mutated: &[u8], what: &str| {
             if let Some(state) = ManifestState::from_bytes(mutated) {
                 assert!(mutated.starts_with(&state.to_bytes()), "{what} decoded to {state:?}");
@@ -373,8 +408,8 @@ mod tests {
     }
 
     /// A count is checked against the bytes left before anything is
-    /// reserved for it: a short record claiming millions of tables, runs
-    /// or floors is rejected.
+    /// reserved for it: a short record claiming millions of tables, runs,
+    /// floors or retiring logs is rejected.
     #[test]
     fn a_count_past_the_record_is_rejected() {
         let head = |levels: u64, runs: u64, tables: u64| {
@@ -390,6 +425,11 @@ mod tests {
         put_varint(&mut floors, 5); // the one table
         put_varint(&mut floors, 1 << 30); // floors
         assert_eq!(ManifestState::from_bytes(&floors), None);
+        let mut retiring = head(1, 1, 1);
+        put_varint(&mut retiring, 5); // the one table
+        put_varint(&mut retiring, 0); // floors
+        put_varint(&mut retiring, 1 << 30); // retiring logs
+        assert_eq!(ManifestState::from_bytes(&retiring), None);
         // a non-canonical varint (a zero continuation group) is framing damage
         let mut padded = head(0, 0, 0);
         padded.truncate(padded.len() - 3);
@@ -449,15 +489,6 @@ mod tests {
     #[test]
     fn no_manifest_on_empty_device() {
         assert!(find_manifest(&device()).unwrap().is_none());
-    }
-
-    #[test]
-    fn referenced_files_cover_everything() {
-        let refs = sample().referenced_files();
-        for id in [10, 9, 3, 4, 5, 42, 41] {
-            assert!(refs.contains(&id), "{id} missing");
-        }
-        assert!(!refs.contains(&0), "vlog 0 means none");
     }
 
     #[test]

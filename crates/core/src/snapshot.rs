@@ -6,15 +6,15 @@
 //! ceiling and a [`Version`]. The buffers keep every version, so reading
 //! them at the ceiling hides whatever was written after the snapshot was
 //! taken; a flush installs a fresh buffer rather than clear one a handle
-//! still shares. The `Arc`ed tables keep their files alive even after
-//! compactions supersede them (physical deletion happens when the last
-//! reference drops), so a snapshot stays readable for as long as it is
-//! held — without blocking writers. Its reads run on the engine's own
+//! still shares. The version's `Arc`ed tables and value logs keep their
+//! files alive even after compactions and value-log GC supersede them
+//! (physical deletion happens when the last reference drops), so a
+//! snapshot stays readable for as long as it is held — without blocking
+//! writers or GC. Its reads run on the engine's own
 //! read view (`crate::db::ReadView`), so they take the same filter, fence
 //! and range-filter shortcuts and feed the same counters.
 
 use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use lsm_cache::ShardedCache;
@@ -38,29 +38,6 @@ pub struct Snapshot {
     pub(crate) device: Arc<dyn StorageDevice>,
     pub(crate) stats: Arc<DbStats>,
     pub(crate) kv_separation: bool,
-    /// Keeps the engine's snapshot count accurate; value-log GC refuses to
-    /// run while snapshots are outstanding (their pointers reference logs
-    /// GC would destroy). Held purely for its `Drop`.
-    #[allow(dead_code)]
-    pub(crate) pin: SnapshotPin,
-}
-
-/// RAII pin on the engine's outstanding-snapshot counter.
-pub(crate) struct SnapshotPin {
-    pub(crate) counter: Arc<AtomicUsize>,
-}
-
-impl SnapshotPin {
-    pub(crate) fn new(counter: Arc<AtomicUsize>) -> Self {
-        counter.fetch_add(1, Ordering::AcqRel);
-        SnapshotPin { counter }
-    }
-}
-
-impl Drop for SnapshotPin {
-    fn drop(&mut self) {
-        self.counter.fetch_sub(1, Ordering::AcqRel);
-    }
 }
 
 impl Snapshot {

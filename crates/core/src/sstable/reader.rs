@@ -11,7 +11,7 @@
 
 use std::ops::Bound;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use lsm_cache::{CacheKey, ShardedCache};
 use lsm_filters::serialize::SerializableRangeFilter;
@@ -26,6 +26,7 @@ use lsm_storage::{Block, ImmutableFile, IoCategory, StorageError, StorageResult}
 use crate::entry::ValueKind;
 use crate::integrity;
 use crate::sstable::block::{BlockEntry, BlockIter, EntryRef};
+use crate::version::Obsolete;
 use crate::sstable::builder::{
     FILTER_TAG_BLOCKED, FILTER_TAG_BLOOM, FILTER_TAG_CUCKOO, FILTER_TAG_RIBBON, FILTER_TAG_XOR,
 };
@@ -151,11 +152,9 @@ pub struct Table {
     /// Byte offset of each filter partition within the filter section
     /// (empty = monolithic filter held in `filter`).
     partition_offsets: Vec<u64>,
-    /// Set when a compaction supersedes this table; the file is physically
-    /// deleted when the last reference (version, snapshot, or iterator)
-    /// drops — which is what lets snapshots outlive compactions. Holds the
-    /// gauge that counts the file's bytes until then.
-    obsolete: OnceLock<Arc<Gauge>>,
+    /// Set when a compaction supersedes this table: the file is deleted
+    /// when the last reference (version, snapshot or iterator) drops.
+    obsolete: Obsolete,
 }
 
 impl Table {
@@ -226,7 +225,7 @@ impl Table {
             locator,
             accesses: AtomicU64::new(0),
             partition_offsets,
-            obsolete: OnceLock::new(),
+            obsolete: Obsolete::default(),
         }))
     }
 
@@ -238,9 +237,7 @@ impl Table {
     /// Marks the table superseded: its file is deleted when the last
     /// reference drops. Until then `superseded` counts the file's bytes.
     pub fn mark_obsolete(&self, superseded: &Arc<Gauge>) {
-        if self.obsolete.set(Arc::clone(superseded)).is_ok() {
-            superseded.add(self.file_bytes() as i64);
-        }
+        self.obsolete.mark(superseded, self.file_bytes());
     }
 
     /// The file's size in bytes.
@@ -590,11 +587,7 @@ impl Table {
 
 impl Drop for Table {
     fn drop(&mut self) {
-        if let Some(superseded) = self.obsolete.get() {
-            // best effort: the device may already have dropped the file
-            let _ = self.file.delete_in_place();
-            superseded.add(-(self.file_bytes() as i64));
-        }
+        self.obsolete.release(self.file_bytes(), || self.file.delete_in_place());
     }
 }
 

@@ -37,8 +37,10 @@
 //! transactions writing the same key without reading it both commit,
 //! last stamp wins, exactly as two plain puts would. Snapshot lifetime
 //! is bounded by the handle: dropping the last [`Txn`] releases its
-//! snapshot pin (value-log GC unblocks) and its floor (the OCC map
-//! prunes to the oldest surviving transaction, or drops entirely).
+//! snapshot (the tables and value logs it alone kept are deleted) and its
+//! floor (the OCC map prunes to the oldest surviving transaction, or
+//! drops entirely). Value-log GC never waits for a transaction: a
+//! relocation is not a logical write, so it is not a conflict either.
 
 use std::collections::{BTreeMap, HashSet};
 use std::fmt;
@@ -119,11 +121,6 @@ impl Txn {
         })
     }
 
-    /// Keys read so far (validated at commit).
-    pub fn read_set_len(&self) -> usize {
-        self.read_set.len()
-    }
-
     /// Transactional read: own buffered writes first, then the snapshot.
     /// The key joins the read-set either way.
     pub fn get(&mut self, key: &[u8]) -> StorageResult<Option<Vec<u8>>> {
@@ -175,7 +172,7 @@ impl Txn {
     /// Discards the transaction. Equivalent to dropping the handle, but
     /// reads as intent at call sites.
     pub fn abort(self) {
-        // Drop does the floor release and snapshot unpin.
+        // Drop releases the floor; the snapshot goes with the handle.
     }
 
     fn release(&mut self) {
@@ -214,7 +211,7 @@ pub struct TxnPart {
 
 impl Txn {
     /// Dismantles the handle into a [`TxnPart`] for a multi-engine
-    /// commit, releasing the snapshot pin but **keeping the floor
+    /// commit, releasing the snapshot but **keeping the floor
     /// registered** until [`commit_parts`] (or [`TxnPart::release`])
     /// runs — the conflict window must stay open through the commit.
     pub fn into_part(mut self) -> TxnPart {
@@ -239,11 +236,6 @@ impl TxnPart {
     /// commit will apply.
     pub fn writes(&self) -> &[(Vec<u8>, Option<Vec<u8>>)] {
         &self.writes
-    }
-
-    /// Keys in the part's read-set.
-    pub fn read_set_len(&self) -> usize {
-        self.read_set.len()
     }
 
     /// Releases the part's snapshot floor without committing (abort).

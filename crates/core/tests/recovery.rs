@@ -9,7 +9,10 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 
 use lsm_core::{Db, LsmConfig, MergeLayout};
-use lsm_storage::{DeviceProfile, MemDevice, StorageDevice};
+use lsm_storage::{
+    DeviceProfile, FaultDevice, FaultKind, FileId, IoCategory, IoStats, LatencyModel, MemDevice,
+    StorageDevice, StorageResult,
+};
 
 #[derive(Clone, Debug)]
 enum Op {
@@ -183,4 +186,105 @@ fn concurrent_readers_during_writes() {
             }
         });
     });
+}
+
+/// Forwards to a [`FaultDevice`] and notes the ordinal of the last
+/// manifest write (the only `Misc`-category write a flush makes).
+struct ManifestOrdinal {
+    inner: Arc<FaultDevice>,
+    last: std::sync::atomic::AtomicU64,
+}
+
+impl StorageDevice for ManifestOrdinal {
+    fn block_size(&self) -> usize {
+        self.inner.block_size()
+    }
+    fn stats(&self) -> &IoStats {
+        self.inner.stats()
+    }
+    fn latency(&self) -> &LatencyModel {
+        self.inner.latency()
+    }
+    fn create(&self) -> StorageResult<FileId> {
+        self.inner.create()
+    }
+    fn write(&self, file: FileId, at: u64, data: &[u8], cat: IoCategory) -> StorageResult<()> {
+        if cat == IoCategory::Misc {
+            self.last.store(self.inner.ops_performed(), std::sync::atomic::Ordering::SeqCst);
+        }
+        self.inner.write(file, at, data, cat)
+    }
+    fn sync(&self, file: FileId) -> StorageResult<()> {
+        self.inner.sync(file)
+    }
+    fn seal(&self, file: FileId) -> StorageResult<()> {
+        self.inner.seal(file)
+    }
+    fn read_into(&self, file: FileId, at: u64, buf: &mut [u8], cat: IoCategory) -> StorageResult<()> {
+        self.inner.read_into(file, at, buf, cat)
+    }
+    fn len_blocks(&self, file: FileId) -> StorageResult<u64> {
+        self.inner.len_blocks(file)
+    }
+    fn delete(&self, file: FileId) -> StorageResult<()> {
+        self.inner.delete(file)
+    }
+    fn live_files(&self) -> Vec<FileId> {
+        self.inner.live_files()
+    }
+    fn live_blocks(&self) -> u64 {
+        self.inner.live_blocks()
+    }
+}
+
+/// A worker's flush that dies at its manifest write has already given
+/// the active buffer a fresh WAL, while the flushed records sit unsynced
+/// in the old one and in a table no manifest names. A `sync` after that
+/// must not succeed on the empty fresh WAL: a put it acked would be lost
+/// to the crash. So `sync` either fails or the put survives the reopen.
+#[test]
+fn a_sync_after_a_flush_that_died_at_its_manifest_acks_nothing_it_loses() {
+    let cfg = LsmConfig {
+        background: lsm_core::BackgroundMode::Threaded,
+        background_workers: 1,
+        buffer_bytes: 1 << 10,
+        ..LsmConfig::small_for_tests()
+    };
+    let value = |i: u32| vec![b'a' + (i % 26) as u8; 40];
+    // puts, each synced, until one fills the buffer; its flush runs on the
+    // worker while the writer waits. Returns that put's key, whether the
+    // sync after it succeeded, and the flush's manifest-write ordinal.
+    let run = |crash_at: Option<u64>| {
+        let fault = Arc::new(FaultDevice::new(Arc::new(MemDevice::new(512, DeviceProfile::free())), 5));
+        if let Some(at) = crash_at {
+            fault.schedule(at, FaultKind::Crash);
+        }
+        let dev = Arc::new(ManifestOrdinal { inner: Arc::clone(&fault), last: 0.into() });
+        let db = Db::open(Arc::clone(&dev) as Arc<dyn StorageDevice>, cfg.clone()).unwrap();
+        let mut i = 0u32;
+        loop {
+            db.put(key(i as u16), value(i)).unwrap();
+            db.wait_background_idle();
+            if db.stats().snapshot().flushes > 0 {
+                break;
+            }
+            db.sync().unwrap();
+            i += 1;
+        }
+        let acked = db.sync().is_ok();
+        drop(db);
+        fault.heal();
+        (fault, i, acked, dev.last.load(std::sync::atomic::Ordering::SeqCst))
+    };
+    let (_, _, acked, manifest_at) = run(None);
+    assert!(acked, "a fault-free sync succeeds");
+    let (fault, i, acked, _) = run(Some(manifest_at));
+    assert!(fault.pending_faults().is_empty(), "the crash never fired");
+    let db = Db::open(fault as Arc<dyn StorageDevice>, LsmConfig { background: lsm_core::BackgroundMode::Inline, ..cfg }).unwrap();
+    if acked {
+        assert_eq!(db.get(&key(i as u16)).unwrap(), Some(value(i)), "an acked put was lost");
+    }
+    for j in 0..i {
+        assert_eq!(db.get(&key(j as u16)).unwrap(), Some(value(j)), "acked put {j} was lost");
+    }
 }

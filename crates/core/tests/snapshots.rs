@@ -3,11 +3,33 @@
 //! compactions that physically supersede every file the snapshot reads.
 
 use lsm_core::config::KvSeparation;
+use lsm_core::manifest::{find_record, ManifestState, MANIFEST_MAGIC};
 use lsm_core::{Db, LsmConfig, MergeLayout, RangeFilterKind};
-use lsm_storage::IoCategory;
+use lsm_storage::{FileId, IoCategory};
 
 fn key(i: u32) -> Vec<u8> {
     format!("user{i:08}").into_bytes()
+}
+
+/// The value logs the newest manifest names, active and retiring.
+fn named_logs(db: &Db) -> Vec<FileId> {
+    let (_, state) = find_record(db.device(), MANIFEST_MAGIC, ManifestState::from_bytes)
+        .unwrap()
+        .expect("a manifest");
+    state.retiring.iter().chain([&state.vlog]).map(|&id| FileId(id)).collect()
+}
+
+/// Bytes of files out of the version that a reader still holds, once no
+/// merge (a worker's, under `Threaded`) holds any.
+fn superseded(db: &Db) -> i64 {
+    db.wait_background_idle();
+    db.metrics().gauges["memory.device.superseded"]
+}
+
+/// Whether any of `logs` is still a file on the device.
+fn any_alive(db: &Db, logs: &[FileId]) -> bool {
+    let files = db.device().live_files();
+    logs.iter().any(|l| files.contains(l))
 }
 
 #[test]
@@ -103,15 +125,21 @@ fn snapshot_resolves_separated_values_without_the_engine() {
     for i in 0..100u32 {
         db.put(key(i), vec![0xB6; 300]).unwrap();
     }
-    // value-log GC must refuse while the snapshot is alive…
-    assert!(db.gc_value_log().is_err(), "GC must refuse with live snapshots");
+    // value-log GC runs with the snapshot alive: it moves the live
+    // values and takes the old log out of the version…
+    let old_logs = named_logs(&db);
+    assert_eq!(db.gc_value_log().unwrap(), (100, 100), "100 live values moved, 100 dead left");
+    assert!(superseded(&db) > 0, "the snapshot holds the collected log");
+    assert!(any_alive(&db, &old_logs));
+    // …while the snapshot still reads its values from that log
     for i in (0..100u32).step_by(9) {
         assert_eq!(snap.get(&key(i)).unwrap(), Some(big.clone()), "key {i}");
     }
-    // …and proceed once it drops
+    assert_eq!(db.get(&key(3)).unwrap(), Some(vec![0xB6; 300]));
+    // the log goes with its last reader
     drop(snap);
-    let (live, dead) = db.gc_value_log().unwrap();
-    assert!(live + dead > 0);
+    assert_eq!(superseded(&db), 0);
+    assert!(!any_alive(&db, &old_logs), "the collected log outlived its last reader");
     assert_eq!(db.get(&key(3)).unwrap(), Some(vec![0xB6; 300]));
 }
 
@@ -159,8 +187,11 @@ fn txn_reads_consistently_across_rotation_and_compaction() {
     assert_eq!(db.get(&key(0)).unwrap(), Some(b"v4-0".to_vec()));
 }
 
+/// Value-log GC does not wait for transactions: each keeps reading its
+/// snapshot from the collected log, and the log's file goes when the last
+/// of them does.
 #[test]
-fn dropping_the_last_txn_releases_its_snapshot_pin() {
+fn gc_under_live_txns_frees_the_log_when_the_last_one_drops() {
     let db = Db::open_in_memory(LsmConfig {
         kv_separation: Some(KvSeparation {
             min_value_bytes: 64,
@@ -177,24 +208,29 @@ fn dropping_the_last_txn_releases_its_snapshot_pin() {
     assert_eq!(a.get(&key(7)).unwrap(), Some(big.clone()));
     assert_eq!(b.get(&key(7)).unwrap(), Some(big.clone()));
     // rewrite everything: the old value-log slots are now garbage — but
-    // pinned garbage while either transaction lives
+    // garbage the transactions can still read
     for i in 0..100u32 {
         db.put(key(i), vec![0xB6; 300]).unwrap();
     }
-    assert!(db.gc_value_log().is_err(), "GC must refuse with live txns");
+    let old_logs = named_logs(&db);
+    assert_eq!(db.gc_value_log().unwrap(), (100, 100));
+    assert_eq!(a.get(&key(8)).unwrap(), Some(big.clone()), "a reads past the GC");
     drop(a);
-    assert!(
-        db.gc_value_log().is_err(),
-        "one dropped txn is not enough — b still pins the snapshot"
-    );
+    assert!(superseded(&db) > 0, "b still holds the collected log");
+    assert!(any_alive(&db, &old_logs));
+    assert_eq!(b.get(&key(9)).unwrap(), Some(big.clone()), "b reads past the GC and a's drop");
     b.abort();
-    let (live, dead) = db.gc_value_log().unwrap();
-    assert!(live + dead > 0, "GC must run once the last txn drops");
+    assert_eq!(superseded(&db), 0);
+    assert!(!any_alive(&db, &old_logs), "the collected log outlived its last txn");
     assert_eq!(db.get(&key(3)).unwrap(), Some(vec![0xB6; 300]));
 }
 
+/// A transaction that read a key commits cleanly across a GC that
+/// relocated that key: a relocation is not a logical write, so it is no
+/// conflict. The commit releases the snapshot, and the collected log with
+/// it.
 #[test]
-fn committing_a_txn_releases_its_snapshot_pin() {
+fn a_txn_commits_cleanly_across_a_gc_that_relocated_its_reads() {
     let db = Db::open_in_memory(LsmConfig {
         kv_separation: Some(KvSeparation {
             min_value_bytes: 64,
@@ -208,13 +244,19 @@ fn committing_a_txn_releases_its_snapshot_pin() {
     let mut txn = db.begin_txn().unwrap();
     assert_eq!(txn.get(&key(9)).unwrap(), Some(vec![0x11; 200]));
     txn.put(key(9), vec![0x22; 200]);
-    assert!(db.gc_value_log().is_err(), "GC must refuse mid-txn");
-    txn.commit().expect("uncontended commit");
+    let old_logs = named_logs(&db);
+    assert_eq!(db.gc_value_log().unwrap(), (50, 0), "every value is live and moves");
+    assert_eq!(txn.get(&key(10)).unwrap(), Some(vec![0x11; 200]), "the txn reads past the GC");
+    assert!(any_alive(&db, &old_logs), "the txn holds the collected log");
+    txn.commit().expect("a relocation is not a conflict");
+    assert_eq!(superseded(&db), 0);
+    assert!(!any_alive(&db, &old_logs), "the collected log outlived the txn");
+    assert_eq!(db.get(&key(9)).unwrap(), Some(vec![0x22; 200]));
+    assert_eq!(db.get(&key(10)).unwrap(), Some(vec![0x11; 200]));
     for i in 0..50u32 {
         db.put(key(i), vec![0x33; 200]).unwrap();
     }
-    db.gc_value_log()
-        .expect("commit must release the snapshot pin");
+    assert_eq!(db.gc_value_log().unwrap(), (50, 51), "the second GC collects the first's log");
     assert_eq!(db.get(&key(9)).unwrap(), Some(vec![0x33; 200]));
 }
 

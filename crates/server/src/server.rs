@@ -124,8 +124,9 @@ pub struct ServerConfig {
     /// Per-frame payload cap.
     pub max_frame_bytes: usize,
     /// Abort a connection's open transaction after this long without any
-    /// txn request on it, releasing its snapshot pin (so a stalled client
-    /// cannot block memtable releases or value-log GC forever). The
+    /// txn request on it, releasing its snapshots (so a stalled client
+    /// cannot hold write buffers, superseded tables or the value logs GC
+    /// collected forever: GC runs, but their files wait for it). The
     /// client's next txn op answers `NO_TXN`.
     pub txn_idle_timeout: Duration,
     /// `Some` runs a self-tuner per shard. Tuners are *pulled*: each
@@ -639,7 +640,7 @@ fn rebalance_loop(inner: Arc<ServerInner>, policy: RebalancePolicy) {
 }
 
 /// Reaps transactions idle past `txn_idle_timeout`: the slot flips to
-/// `TimedOut` (dropping the `ConnTxn` releases its snapshot pins and
+/// `TimedOut` (dropping the `ConnTxn` releases its snapshots and
 /// validation floors immediately), `server.txn_timeouts` counts it, and
 /// the connection's next txn op answers `NoTxn`. Runs until drain.
 fn txn_sweeper_loop(inner: Arc<ServerInner>) {

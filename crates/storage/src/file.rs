@@ -1,9 +1,7 @@
 //! File handles over a [`StorageDevice`].
 //!
 //! [`WritableFile`] writes whole blocks, holding the partial last block in
-//! one reused buffer, and seals into an [`ImmutableFile`]; the registry
-//! tracks which files a component owns so obsolete runs can be
-//! garbage-collected after compaction.
+//! one reused buffer, and seals into an [`ImmutableFile`].
 //!
 //! A log makes its partial last block durable with
 //! [`WritableFile::sync`], which writes it zero-padded and keeps filling
@@ -17,11 +15,8 @@
 //! [`crate::FaultDevice`] it takes one I/O ordinal, as each read does; a
 //! sync's barrier takes none.
 
-use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
-
-use parking_lot::Mutex;
 
 use crate::block::Block;
 use crate::device::StorageDevice;
@@ -280,50 +275,6 @@ impl ImmutableFile {
     }
 }
 
-/// Tracks which files a component owns, so compaction can retire exactly
-/// the runs it replaced.
-#[derive(Default)]
-pub struct FileRegistry {
-    owned: Mutex<BTreeSet<FileId>>,
-}
-
-impl FileRegistry {
-    /// Empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Registers ownership of `id`.
-    pub fn register(&self, id: FileId) {
-        self.owned.lock().insert(id);
-    }
-
-    /// Releases ownership; returns whether it was owned.
-    pub fn release(&self, id: FileId) -> bool {
-        self.owned.lock().remove(&id)
-    }
-
-    /// Whether `id` is currently owned.
-    pub fn contains(&self, id: FileId) -> bool {
-        self.owned.lock().contains(&id)
-    }
-
-    /// Snapshot of all owned ids.
-    pub fn all(&self) -> Vec<FileId> {
-        self.owned.lock().iter().copied().collect()
-    }
-
-    /// Number of owned files.
-    pub fn len(&self) -> usize {
-        self.owned.lock().len()
-    }
-
-    /// Whether no files are owned.
-    pub fn is_empty(&self) -> bool {
-        self.owned.lock().is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -554,19 +505,6 @@ mod tests {
     /// `len` bytes that differ per `salt`, none of them zero.
     fn pattern(len: usize, salt: usize) -> Vec<u8> {
         (0..len).map(|i| ((i + salt * 31) % 255) as u8 + 1).collect()
-    }
-
-    #[test]
-    fn registry_tracks_ownership() {
-        let r = FileRegistry::new();
-        assert!(r.is_empty());
-        r.register(FileId(1));
-        r.register(FileId(2));
-        assert_eq!(r.len(), 2);
-        assert!(r.contains(FileId(1)));
-        assert!(r.release(FileId(1)));
-        assert!(!r.release(FileId(1)));
-        assert_eq!(r.all(), vec![FileId(2)]);
     }
 
     #[test]

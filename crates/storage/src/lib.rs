@@ -33,7 +33,7 @@ pub use block::{Block, DEFAULT_BLOCK_SIZE};
 pub use device::{FileDevice, MemDevice, StorageDevice};
 pub use error::{StorageError, StorageResult};
 pub use fault::{FaultDevice, FaultKind, FaultSpec, RetryDevice, RetryPolicy};
-pub use file::{FileId, FileRegistry, ImmutableFile, WritableFile};
+pub use file::{FileId, ImmutableFile, WritableFile};
 pub use latency::{DeviceProfile, LatencyModel, SimClock};
 pub use stats::{IoCategory, IoStats, IoStatsSnapshot};
 pub use wall::WallLatencyDevice;

@@ -10,7 +10,10 @@
 //! - [`check_legal`] checks a reader (a `Db`, a `Snapshot`, a shard set
 //!   or a wire client, through get/scan closures) against a shadow;
 //! - [`no_orphan_tables`] checks that recovery left no unreferenced table,
-//!   and [`no_orphan_wals`] no WAL records the manifest does not name;
+//!   [`no_orphan_wals`] no WAL records the manifest does not name, and
+//!   [`no_orphan_value_logs`] no value log it does not name;
+//! - [`no_dangling_pointers`] checks that every live key of a recovered
+//!   engine resolves, a separated value through its value-log pointer;
 //! - [`sweep`] takes the per-device ordinal totals of a fault-free run
 //!   and calls a per-case closure for every (device, kind, ordinal), with
 //!   every kind in [`KINDS`].
@@ -23,6 +26,7 @@ use std::fmt;
 use std::ops::Range;
 use std::sync::Arc;
 
+use lsm_core::kv_sep::holds_records;
 use lsm_core::manifest::{find_record, ManifestState, MANIFEST_MAGIC};
 use lsm_core::sstable::meta::decode_footer;
 use lsm_core::{BackgroundMode, Db};
@@ -233,6 +237,42 @@ pub fn no_orphan_wals(dev: &Arc<dyn StorageDevice>, context: &str) {
                 state.wal_prev
             );
         }
+    }
+}
+
+/// After recovery no file outside the manifest holds value-log records:
+/// a log GC collected must be gone once a manifest without it landed,
+/// even if the crash kept its last handle from deleting it, and so must
+/// one whose only naming manifest was rejected. Run it on a reopened
+/// engine's device, as [`no_orphan_wals`].
+pub fn no_orphan_value_logs(dev: &Arc<dyn StorageDevice>, context: &str) {
+    let (_, state) = find_record(dev, MANIFEST_MAGIC, ManifestState::from_bytes)
+        .unwrap_or_else(|e| panic!("{context}: manifest scan failed: {e}"))
+        .unwrap_or_else(|| panic!("{context}: no manifest after recovery"));
+    for f in dev.live_files() {
+        let named = f.0 == state.vlog || state.retiring.contains(&f.0);
+        assert!(
+            named || !holds_records(dev, f),
+            "{context}: file {} holds value-log records but the manifest names logs {} and {:?}",
+            f.0,
+            state.vlog,
+            state.retiring
+        );
+    }
+}
+
+/// Every live key of a recovered engine resolves: a scan of the whole
+/// keyspace and a get of each key it returns read every value, a
+/// separated one through its pointer, so none names a log that is gone.
+pub fn no_dangling_pointers(db: &Db, context: &str) {
+    let rows = db
+        .scan(Vec::new()..vec![0xFF; 64], usize::MAX)
+        .unwrap_or_else(|e| panic!("{context}: a full scan failed to resolve: {e}"));
+    for (key, value) in rows {
+        let got = db
+            .get(&key)
+            .unwrap_or_else(|e| panic!("{context}: key {:?} failed to resolve: {e}", String::from_utf8_lossy(&key)));
+        assert_eq!(got, Some(value), "{context}: get disagrees with the scan");
     }
 }
 

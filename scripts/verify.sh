@@ -35,7 +35,7 @@ cargo test -q --workspace
 stage "LSM_BACKGROUND=threaded cargo test -q --workspace"
 LSM_BACKGROUND=threaded cargo test -q --workspace
 
-stage "crash sweeps at LSM_SEED=1, both modes: every scenario under crash, torn write and bit flip, with separated-value bit flips, multi-block txn groups and a merge installed at its frontier"
+stage "crash sweeps at LSM_SEED=1, both modes: every scenario under crash, torn write and bit flip, with separated-value bit flips, multi-block txn groups, a merge installed at its frontier and value-log GC at every step"
 # the stages above ran the default seeds; another seed moves every bit
 # flip and, in the server scenarios, the scripted workload itself
 for mode in inline threaded; do
@@ -96,7 +96,7 @@ CARGO_TARGET_DIR=.bench_build cargo test --release --offline --manifest-path lsm
 stage "RUSTDOCFLAGS=\"-D warnings\" cargo doc: no dead, private or redundant doc links"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
-stage "cargo clippy --workspace --all-targets -- -D warnings (tests and examples too)"
+stage "cargo clippy --workspace --all-targets -- -D warnings (tests too)"
 cargo clippy --workspace --all-targets -- -D warnings
 
 stage ""

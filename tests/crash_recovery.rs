@@ -36,7 +36,8 @@ use lsm_storage::{
     RetryDevice, RetryPolicy, StorageDevice, StorageError, StorageResult, WritableFile,
 };
 use lsm_testkit::{
-    check_db, erased, fault_device, no_orphan_tables, no_orphan_wals, seed, sweep, synced, Shadow,
+    check_db, erased, fault_device, no_dangling_pointers, no_orphan_tables, no_orphan_value_logs,
+    no_orphan_wals, seed, sweep, synced, Shadow,
 };
 
 use proptest::prelude::*;
@@ -130,6 +131,59 @@ fn crash_at_every_io_point_loses_no_acked_write() {
 #[test]
 fn crash_sweep_with_kv_separation() {
     script_sweep("crash sweep (kv)", kv_cfg());
+}
+
+/// Value-log GC at every I/O ordinal, under every fault kind, in the mode
+/// `LSM_BACKGROUND` names: its rotation's manifest, its scan, each
+/// relocation's check and commit, its barrier, its install and the
+/// collected log's deletion, between ops of the shared script. Two GCs
+/// run, the second collecting the first's log. After the fault the
+/// reopened engine must read every key legally and resolve every one,
+/// and no table, WAL or value log may outlive its manifest: a GC that
+/// dropped a log before its relocations were durable fails here.
+#[test]
+fn crash_at_every_io_point_of_value_log_gc() {
+    let seed = seed(0x6C06_6C00);
+    let cfg = LsmConfig {
+        buffer_bytes: 2 << 10,
+        kv_separation: Some(KvSeparation { min_value_bytes: 48 }),
+        // GC's liveness checks read their tables' blocks from the device
+        cache_bytes: 0,
+        ..LsmConfig::small_for_tests()
+    };
+    let run = |fault: &Arc<FaultDevice>, shadow: &mut Shadow| {
+        let Ok(db) = Db::open(erased(fault), cfg.clone()) else { return };
+        let write = |k: &[u8], v: Option<&[u8]>| synced(&db, k, v);
+        shadow.script(0..40, 0, write);
+        // a failed GC leaves its logs retiring: the workload goes on
+        let _ = db.gc_value_log();
+        shadow.script(40..70, 0, write);
+        let _ = db.gc_value_log();
+        db.wait_background_idle();
+    };
+    let clean = || {
+        let (fault, mut shadow) = (fault_device(seed), Shadow::default());
+        run(&fault, &mut shadow);
+        assert!(shadow.maybe.is_empty(), "fault-free run left unacked ops");
+        vec![fault.ops_performed()]
+    };
+    sweep("value-log GC sweep", seed, cfg.background, &[("device", 101)], clean, |case| {
+        let (fault, mut shadow) = (case.armed(seed), Shadow::default());
+        run(&fault, &mut shadow);
+        let fired = fault.pending_faults().is_empty();
+        fault.heal();
+        let dev = erased(&fault);
+        let context = format!("{case} (value-log GC)");
+        let db = Db::open(Arc::clone(&dev), cfg.clone())
+            .unwrap_or_else(|e| panic!("reopen after {case} failed: {e}"));
+        check_db(&db, &shadow, &context);
+        no_dangling_pointers(&db, &context);
+        drop(db);
+        no_orphan_tables(&dev, &context);
+        no_orphan_wals(&dev, &context);
+        no_orphan_value_logs(&dev, &context);
+        fired
+    });
 }
 
 // ---------------------------------------------------------------------
@@ -586,7 +640,11 @@ fn bit_flip_on_a_value_log_read_is_detected_and_counted() {
 
 /// A value-log pointer whose target file is gone (e.g. the log was
 /// deleted by an over-eager GC or lost to corruption) is a typed
-/// corruption error on read — not a panic, and not a silent `None`.
+/// corruption error on read — not a panic, and not a silent `None`. And
+/// since the manifest names every log a pointer may target, a reopen
+/// rejects it, as it rejects one naming a missing table: with no older
+/// manifest to fall back on, that is a typed error, never an engine whose
+/// reads dangle.
 #[test]
 fn dangling_vlog_pointer_is_typed_corruption() {
     let mem: Arc<dyn StorageDevice> = Arc::new(MemDevice::new(512, DeviceProfile::free()));
@@ -596,15 +654,15 @@ fn dangling_vlog_pointer_is_typed_corruption() {
     db.put(b"small".to_vec(), b"inline".to_vec()).unwrap(); // inline: < 48 bytes
     db.sync().unwrap();
     db.flush().unwrap(); // the pointer now lives in an SSTable
+    drop(db);
 
+    // reopened, the pointer's log is a retiring one, read from the device
+    let db = Db::open(Arc::clone(&mem), cfg.clone()).unwrap();
     let (_, state) = find_record(&mem, MANIFEST_MAGIC, ManifestState::from_bytes)
         .unwrap()
-        .expect("manifest exists after flush");
-    let vlog = FileId(state.vlog);
-    drop(db);
-    mem.delete(vlog).unwrap(); // the log the pointer targets vanishes
-
-    let db = Db::open(Arc::clone(&mem), cfg).unwrap();
+        .expect("manifest exists after open");
+    assert_eq!(state.retiring.len(), 1, "the first run's log retires");
+    mem.delete(FileId(state.retiring[0])).unwrap(); // the log the pointer targets vanishes
     match db.get(b"big") {
         Err(StorageError::Corruption(msg)) => {
             assert!(msg.contains("dangles"), "unexpected message: {msg}")
@@ -613,6 +671,12 @@ fn dangling_vlog_pointer_is_typed_corruption() {
     }
     // Inline values are unaffected by the missing log.
     assert_eq!(db.get(b"small").unwrap(), Some(b"inline".to_vec()));
+    drop(db);
+    match Db::open(Arc::clone(&mem), cfg) {
+        Err(StorageError::Corruption(msg)) => assert!(msg.contains("no usable manifest"), "{msg}"),
+        Ok(_) => panic!("a manifest naming a missing value log must be rejected"),
+        Err(e) => panic!("expected a typed Corruption, got {e}"),
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -626,6 +690,7 @@ fn bogus_manifest() -> ManifestState {
         wal: 0,
         wal_prev: 0,
         vlog: 0,
+        retiring: Vec::new(),
         next_seqno: 9,
         applied_seq: 0,
         floors: Vec::new(),
