@@ -20,8 +20,8 @@
 //! the single-threaded `Inline` case that is the order the writer's own
 //! flush and cascade always ran in.
 //!
-//! Lock hierarchy (outermost first): `DbCore::compaction_lock` →
-//! `DbCore::inner` → `BgState::q`. Condition-variable waits hold only the
+//! Lock hierarchy (outermost first): `DbCore::gc_lock` →
+//! `DbCore::compaction_lock` → `DbCore::inner` → `BgState::q`. Condition-variable waits hold only the
 //! innermost queue mutex, and every wait uses a bounded timeout so a
 //! missed notification degrades to a short delay, never a hang.
 //!
