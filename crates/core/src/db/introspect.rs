@@ -234,25 +234,26 @@ impl DbCore {
         let retiring = self.rotate_value_log()?;
         let (mut relocated, mut dropped) = (0u64, 0u64);
         for log in &retiring {
-            for (key, value, ptr) in log.scan()? {
+            log.scan(|key, value, ptr| {
                 // a stale pointer stays stale: every write since the
                 // rotation stores its values in the fresh log
-                let (live, seqno) = self.stores_pointer(&key, ptr)?;
+                let (live, seqno) = self.stores_pointer(key, ptr)?;
                 if !live {
                     dropped += 1;
-                    continue;
+                    return Ok(());
                 }
                 self.admit_write()?;
                 let mut inner = self.inner.write();
-                if inner.next_seqno != seqno && !self.stores_pointer_in(&inner, &key, ptr)? {
+                if inner.next_seqno != seqno && !self.stores_pointer_in(&inner, key, ptr)? {
                     dropped += 1;
-                    continue;
+                    return Ok(());
                 }
-                let record = &mut [(0, ValueKind::Put, key, value)];
+                let record = &mut [(0, ValueKind::Put, key.to_vec(), value.to_vec())];
                 let full = self.commit(&mut inner, record, CommitKind::Relocation, None)?;
                 self.after_write(inner, full)?;
                 relocated += 1;
-            }
+                Ok(())
+            })?;
         }
         if self.cfg.wal { self.sync() } else { self.flush() }?;
         let mut inner = self.inner.write();

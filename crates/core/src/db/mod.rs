@@ -74,7 +74,7 @@ fn heat_key(key: &[u8]) -> u64 {
 /// place, which is exactly the tuple the WAL frames.
 type Record = (u64, ValueKind, Vec<u8>, Vec<u8>);
 
-/// An ordered batch of writes applied by [`DbCore::write_batch`] with a
+/// An ordered batch of writes applied by [`DbCore::write_batch_mut`] with a
 /// single WAL append (group commit). Operations apply in insertion
 /// order, so a later op on the same key shadows an earlier one exactly
 /// as two separate writes would.

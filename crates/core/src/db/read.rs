@@ -306,23 +306,11 @@ impl DbCore {
         self.get_with(key, |v| v.to_vec())
     }
 
-    /// Point lookup into a caller-owned buffer: `buf` is cleared and
-    /// filled with the value when the key is live. Returns whether the
-    /// key was found. With a warm block cache this path performs no heap
-    /// allocation at all (without key-value separation) — the value bytes
-    /// are copied straight from the cached block into `buf`.
-    pub fn get_into(&self, key: &[u8], buf: &mut Vec<u8>) -> StorageResult<bool> {
-        let found = self.get_with(key, |v| {
-            buf.clear();
-            buf.extend_from_slice(v);
-        })?;
-        Ok(found.is_some())
-    }
-
     /// Point lookup through a borrowed view: `f` runs on the value bytes
     /// in place — in the memtable arena or the cached block — and its
     /// result is returned. This is the zero-copy primitive [`DbCore::get`]
-    /// and [`DbCore::get_into`] are wrappers over. `f` is called at most
+    /// wraps; a caller that copies into a reused buffer from `f` reads a
+    /// warm block with no heap allocation. `f` is called at most
     /// once, and never for a tombstone. For a buffered key it runs under
     /// the engine's and the buffer's read locks, so it must not write to
     /// this engine.

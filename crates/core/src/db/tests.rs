@@ -130,7 +130,8 @@ fn write_batch_is_one_wal_append_and_reads_like_singles() {
     batch.delete(b"bk003".to_vec());
     batch.put(b"bk004".to_vec(), b"rewritten".to_vec());
     assert_eq!(batch.len(), 22);
-    db.write_batch(batch).unwrap();
+    db.write_batch_mut(&mut batch).unwrap();
+    assert!(batch.is_empty(), "a commit drains the batch");
     let s = db.stats().snapshot();
     assert_eq!(s.wal_appends, 1, "a batch must cost one WAL append");
     assert_eq!(s.write_batches, 1);
@@ -142,7 +143,7 @@ fn write_batch_is_one_wal_append_and_reads_like_singles() {
     assert_eq!(db.get(b"bk004").unwrap(), Some(b"rewritten".to_vec()));
     assert_eq!(db.get(b"bk019").unwrap(), Some(b"bv19".to_vec()));
     // an empty batch is a no-op
-    db.write_batch(WriteBatch::new()).unwrap();
+    db.write_batch_mut(&mut batch).unwrap();
     assert_eq!(db.stats().snapshot().write_batches, 1);
 }
 
@@ -160,7 +161,7 @@ fn write_batch_survives_crash_recovery() {
         for i in 0..50u32 {
             batch.put(format!("ck{i:03}").into_bytes(), format!("cv{i}").into_bytes());
         }
-        db.write_batch(batch).unwrap();
+        db.write_batch_mut(&mut batch).unwrap();
         db.sync().unwrap();
         // drop without flush: recovery must come from the batched WAL
     }
@@ -216,7 +217,7 @@ fn write_batch_triggers_flush_when_memtable_fills() {
             let id = b * 64 + i;
             batch.put(format!("fk{id:05}").into_bytes(), vec![b as u8; 32]);
         }
-        db.write_batch(batch).unwrap();
+        db.write_batch_mut(&mut batch).unwrap();
     }
     db.wait_background_idle();
     assert!(db.stats().snapshot().flushes > 0, "batches must rotate the memtable");

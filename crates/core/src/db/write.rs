@@ -181,15 +181,11 @@ impl DbCore {
     /// batch exactly like the equivalent sequence of single writes. This
     /// is the entry point a serving layer's group-commit batcher uses to
     /// coalesce concurrent client writes per shard.
-    pub fn write_batch(&self, mut batch: WriteBatch) -> StorageResult<()> {
-        self.write_batch_mut(&mut batch)
-    }
-
-    /// [`DbCore::write_batch`] for a reusable batch: applies and drains
-    /// the operations, leaving the batch empty with its capacity intact.
-    /// The batch's own storage is what the commit stages and logs, so a
-    /// group-commit loop calling this with one long-lived batch allocates
-    /// nothing per commit beyond the engine's per-entry copies.
+    ///
+    /// The batch is drained, keeping its capacity: its own storage is what
+    /// the commit stages and logs, so a group-commit loop calling this
+    /// with one long-lived batch allocates nothing per commit beyond the
+    /// engine's per-entry copies.
     pub fn write_batch_mut(&self, batch: &mut WriteBatch) -> StorageResult<()> {
         if batch.is_empty() {
             return Ok(());

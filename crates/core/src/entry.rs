@@ -66,19 +66,6 @@ impl InternalEntry {
         }
     }
 
-    /// Whether this entry is a tombstone.
-    pub fn is_tombstone(&self) -> bool {
-        self.kind == ValueKind::Delete
-    }
-
-    /// Internal ordering: ascending user key, then descending seqno, so a
-    /// forward merge sees the newest version of each key first.
-    pub fn internal_cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.key
-            .cmp(&other.key)
-            .then_with(|| other.seqno.cmp(&self.seqno))
-    }
-
     /// Approximate in-memory footprint in bytes.
     pub fn footprint(&self) -> usize {
         self.key.len() + self.value.len() + 16
@@ -141,20 +128,10 @@ mod tests {
     }
 
     #[test]
-    fn internal_order_newest_first() {
-        let a = InternalEntry::put(b"k".to_vec(), 5, vec![]);
-        let b = InternalEntry::put(b"k".to_vec(), 9, vec![]);
-        assert_eq!(b.internal_cmp(&a), std::cmp::Ordering::Less, "newer sorts first");
-        let c = InternalEntry::put(b"a".to_vec(), 1, vec![]);
-        assert_eq!(c.internal_cmp(&a), std::cmp::Ordering::Less, "key order dominates");
-    }
-
-    #[test]
     fn tombstones() {
         let t = InternalEntry::delete(b"k".to_vec(), 3);
-        assert!(t.is_tombstone());
+        assert_eq!(t.kind, ValueKind::Delete);
         assert!(t.value.is_empty());
-        assert!(!InternalEntry::put(b"k".to_vec(), 3, vec![1]).is_tombstone());
     }
 
     #[test]

@@ -104,6 +104,12 @@ impl<'a> Frames<'a> {
     pub(crate) fn new(bytes: &'a [u8], block_size: usize, markers: &'a [u8]) -> Self {
         Frames { bytes, block_size, markers, at: 0 }
     }
+
+    /// Starts the scan at byte `at`, a frame boundary, instead of 0.
+    pub(crate) fn starting_at(mut self, at: usize) -> Self {
+        self.at = at;
+        self
+    }
 }
 
 impl<'a> Iterator for Frames<'a> {

@@ -15,7 +15,8 @@
 //! pointer covers the whole frame, so every read of a value verifies its
 //! checksum; a mismatch is `StorageError::Corruption`, counted in the
 //! device's `corruption_detected`. GC reads the log back with the frame
-//! scanner, which skips the zeros a sync left at a block's end.
+//! scanner, which skips the zeros a sync left at a block's end, one
+//! bounded window of blocks at a time.
 //!
 //! A log lives and dies like a table: the version holds a [`LogFile`] on
 //! every log a pointer may name, and GC marks one it emptied obsolete
@@ -34,6 +35,10 @@ const INLINE_TAG: u8 = 0x00;
 const POINTER_TAG: u8 = 0x01;
 /// Marks a value-log record's frame.
 pub(crate) const RECORD_MARKER: u8 = 0xB7;
+/// Bytes of a retiring log GC reads at a time, rounded down to whole
+/// blocks (at least one); a record that crosses a window's end extends
+/// the window.
+const SCAN_WINDOW_BYTES: usize = 64 * 1024;
 
 /// A pointer into the value log.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -176,28 +181,62 @@ impl LogFile {
         self.device.len_blocks(self.id).unwrap_or(0) * self.device.block_size() as u64
     }
 
-    /// Every record `(key, value, pointer)` of a retiring log, which its
-    /// rotation synced whole — GC's scan. A torn tail (unsynced records
-    /// no durable pointer names) ends it; a record that fails its frame
-    /// is corruption: GC must not drop a log under a live value it missed.
-    #[allow(clippy::type_complexity)]
-    pub fn scan(&self) -> StorageResult<Vec<(Vec<u8>, Vec<u8>, ValuePointer)>> {
+    /// Visits every record `(key, value, pointer)` of a retiring log, in
+    /// order — GC's scan. Its rotation synced the log whole. A torn tail
+    /// (unsynced records no durable pointer names) ends it; a record that
+    /// fails its frame is corruption: GC must not drop a log under a live
+    /// value it missed. The log is read one window of blocks at a time,
+    /// so the scan holds one window plus the record in hand, not the log.
+    pub fn scan(&self, visit: impl FnMut(&[u8], &[u8], ValuePointer) -> StorageResult<()>) -> StorageResult<()> {
+        self.scan_windowed(SCAN_WINDOW_BYTES, visit)
+    }
+
+    fn scan_windowed(
+        &self,
+        window_bytes: usize,
+        mut visit: impl FnMut(&[u8], &[u8], ValuePointer) -> StorageResult<()>,
+    ) -> StorageResult<()> {
         let bs = self.device.block_size();
-        let mut bytes = vec![0u8; self.device.len_blocks(self.id)? as usize * bs];
-        if !bytes.is_empty() {
-            self.device.read_into(self.id, 0, &mut bytes, IoCategory::ValueLog)?;
+        let blocks = self.device.len_blocks(self.id)?;
+        let window = (window_bytes / bs).max(1) as u64;
+        let mut bytes = Vec::new();
+        // the window: `len` blocks from block `first`, scanned from byte `skip`
+        let (mut first, mut len, mut skip) = (0u64, window, 0usize);
+        while first < blocks {
+            let n = len.min(blocks - first);
+            bytes.resize(n as usize * bs, 0);
+            let base = first * bs as u64;
+            self.device.read_into(self.id, base, &mut bytes, IoCategory::ValueLog)?;
+            // where the scan stopped: past the last intact frame
+            let (mut end, mut torn) = (skip, false);
+            for frame in Frames::new(&bytes, bs, &[RECORD_MARKER]).starting_at(skip) {
+                let record = match frame {
+                    Ok(f) => split_payload(f.payload).map(|kv| (f, kv)),
+                    Err(Damage::Torn) => {
+                        torn = true;
+                        break;
+                    }
+                    Err(Damage::Corrupt) => None,
+                };
+                let (f, (key, value)) =
+                    record.ok_or_else(|| corruption(&*self.device, "undecodable value-log record during scan"))?;
+                visit(key, value, ValuePointer { file: self.id, offset: base + f.at as u64, len: f.len as u32 })?;
+                end = f.at + f.len;
+            }
+            if first + n == blocks {
+                return Ok(());
+            }
+            if torn {
+                // the record crossing the window's end opens the next
+                // window, which doubles until it holds the record
+                len = if end == skip { len * 2 } else { window };
+                first += (end / bs) as u64;
+                skip = end % bs;
+            } else {
+                (first, len, skip) = (first + n, window, 0);
+            }
         }
-        Frames::new(&bytes, bs, &[RECORD_MARKER])
-            .take_while(|frame| *frame != Err(Damage::Torn))
-            .map(|frame| {
-                let (f, (key, value)) = frame
-                    .ok()
-                    .and_then(|f| Some((f, split_payload(f.payload)?)))
-                    .ok_or_else(|| corruption(&*self.device, "undecodable value-log record during scan"))?;
-                let ptr = ValuePointer { file: self.id, offset: f.at as u64, len: f.len as u32 };
-                Ok((key.to_vec(), value.to_vec(), ptr))
-            })
-            .collect()
+        Ok(())
     }
 }
 
@@ -286,9 +325,23 @@ mod tests {
         Arc::new(MemDevice::new(512, DeviceProfile::free()))
     }
 
+    type Records = Vec<(Vec<u8>, Vec<u8>, ValuePointer)>;
+
+    /// Every record GC's scan of `file` visits, reading `window_bytes` at
+    /// a time.
+    fn records_in(file: &LogFile, window_bytes: usize) -> Records {
+        let mut all = Vec::new();
+        file.scan_windowed(window_bytes, |k, v, p| {
+            all.push((k.to_vec(), v.to_vec(), p));
+            Ok(())
+        })
+        .unwrap();
+        all
+    }
+
     /// GC's scan of a synced log.
-    fn scan(log: &ValueLog) -> Vec<(Vec<u8>, Vec<u8>, ValuePointer)> {
-        LogFile::open(Arc::clone(&log.device), log.id()).unwrap().scan().unwrap()
+    fn scan(log: &ValueLog) -> Records {
+        records_in(&LogFile::open(Arc::clone(&log.device), log.id()).unwrap(), SCAN_WINDOW_BYTES)
     }
 
     #[test]
@@ -345,6 +398,28 @@ mod tests {
             assert_eq!(k, format!("key{i}").as_bytes());
             assert_eq!(v, format!("value{i}").as_bytes());
             assert_eq!(*p, ptrs[i]);
+        }
+    }
+
+    /// Records of every size, some far larger than a window, some synced
+    /// mid-block: a scan window by window visits exactly what one window
+    /// over the whole log does, however small its windows.
+    #[test]
+    fn a_windowed_scan_visits_every_record_once_in_order() {
+        let mut log = ValueLog::create(device()).unwrap();
+        for i in 0..60usize {
+            let value = vec![i as u8; (i * 37) % 1500 + 1];
+            log.append(format!("key{i}").as_bytes(), &value).unwrap();
+            if i % 7 == 0 {
+                log.sync().unwrap();
+            }
+        }
+        log.sync().unwrap();
+        let file = LogFile::open(Arc::clone(&log.device), log.id()).unwrap();
+        let whole = records_in(&file, usize::MAX / 2);
+        assert_eq!(whole.len(), 60);
+        for window in [1, 512, 1024, 1536, 4096] {
+            assert_eq!(records_in(&file, window), whole, "{window}-byte windows");
         }
     }
 
@@ -459,8 +534,8 @@ mod tests {
         let kept = log.append(b"kept", &[1u8; 100]).unwrap();
         log.append(b"torn", &[2u8; 1000]).unwrap(); // its whole blocks reach the device, its tail does not
         let file = LogFile::open(dev, log.id()).unwrap();
-        let records = file.scan().unwrap();
-        assert_eq!(records, vec![(b"kept".to_vec(), vec![1u8; 100], kept)]);
+        assert_eq!(records_in(&file, SCAN_WINDOW_BYTES), vec![(b"kept".to_vec(), vec![1u8; 100], kept)]);
+        assert_eq!(records_in(&file, 512), vec![(b"kept".to_vec(), vec![1u8; 100], kept)], "window by window");
     }
 
     /// A log lives like a table: marked obsolete, it counts its bytes as
@@ -479,7 +554,7 @@ mod tests {
         assert_eq!(superseded.get(), 2048, "counted once, in whole blocks");
         drop(file);
         assert!(dev.live_files().contains(&log.id()), "a reader still holds the log");
-        assert_eq!(reader.scan().unwrap().len(), 1);
+        assert_eq!(records_in(&reader, SCAN_WINDOW_BYTES).len(), 1);
         drop(reader);
         assert!(!dev.live_files().contains(&log.id()));
         assert_eq!(superseded.get(), 0);

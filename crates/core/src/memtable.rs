@@ -466,7 +466,7 @@ mod tests {
         m.insert(b"a", 1, ValueKind::Put, b"v");
         m.insert(b"a", 2, ValueKind::Delete, b"");
         let e = m.get(b"a").unwrap();
-        assert!(e.is_tombstone());
+        assert!(e.kind == ValueKind::Delete);
     }
 
     #[test]

@@ -90,33 +90,13 @@ counters! {
     /// Logical WAL appends issued (one per single write, one per
     /// group-commit batch — the denominator of the batching win).
     wal_appends,
-    /// `write_batch` calls accepted.
+    /// `write_batch_mut` / `write_batch_replicated` calls accepted.
     write_batches,
-    /// Individual operations carried inside `write_batch` calls.
+    /// Individual operations carried inside those batches.
     batched_writes,
     /// Versions a running merge installed at its frontier, before its
     /// final install: one manifest write each.
     frontier_installs,
-}
-
-impl DbStatsSnapshot {
-    /// Average sorted runs probed per get.
-    pub fn runs_per_get(&self) -> f64 {
-        if self.gets == 0 {
-            0.0
-        } else {
-            self.runs_probed as f64 / self.gets as f64
-        }
-    }
-
-    /// Average data blocks examined per get.
-    pub fn blocks_per_get(&self) -> f64 {
-        if self.gets == 0 {
-            0.0
-        } else {
-            self.blocks_examined as f64 / self.gets as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -140,19 +120,6 @@ mod tests {
         assert_eq!(m.counters["db.puts"], 2);
         assert_eq!(m.counters["db.bytes_ingested"], 100);
         assert_eq!(m.counters["db.largest_compaction_entries"], 7);
-    }
-
-    #[test]
-    fn derived_rates() {
-        let snap = DbStatsSnapshot {
-            gets: 10,
-            runs_probed: 25,
-            blocks_examined: 12,
-            ..Default::default()
-        };
-        assert!((snap.runs_per_get() - 2.5).abs() < 1e-12);
-        assert!((snap.blocks_per_get() - 1.2).abs() < 1e-12);
-        assert_eq!(DbStatsSnapshot::default().runs_per_get(), 0.0);
     }
 
     #[test]

@@ -268,22 +268,12 @@ impl Version {
         self.levels.iter().rposition(|l| !l.is_empty())
     }
 
-    /// Number of levels with data.
-    pub fn occupied_levels(&self) -> usize {
-        self.last_occupied_level().map_or(0, |i| i + 1)
-    }
-
     /// Total sorted runs (the quantity lookups probe).
     pub fn total_runs(&self) -> usize {
         self.levels
             .iter()
             .map(|l| l.runs.iter().filter(|r| !r.is_empty()).count())
             .sum()
-    }
-
-    /// Total bytes stored.
-    pub fn total_bytes(&self) -> u64 {
-        self.levels.iter().map(|l| l.bytes()).sum()
     }
 
     /// Per-level entry counts (for Monkey allocation), level 0 first;
@@ -409,7 +399,6 @@ mod tests {
         v.levels[0].runs.push(SortedRun::single(table(0..100)));
         v.levels[0].runs.push(SortedRun::single(table(100..200)));
         v.levels[2].runs.push(SortedRun::single(table(0..500)));
-        assert_eq!(v.occupied_levels(), 3);
         assert_eq!(v.last_occupied_level(), Some(2));
         assert_eq!(v.total_runs(), 3);
         assert_eq!(v.entries_per_level(), vec![200, 0, 500]);
@@ -420,10 +409,8 @@ mod tests {
     #[test]
     fn empty_version() {
         let v = Version::new();
-        assert_eq!(v.occupied_levels(), 0);
         assert_eq!(v.last_occupied_level(), None);
         assert_eq!(v.total_runs(), 0);
-        assert_eq!(v.total_bytes(), 0);
     }
 
     #[test]

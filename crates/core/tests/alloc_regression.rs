@@ -7,7 +7,8 @@
 //! per-entry `Vec` fails CI instead of a benchmark:
 //!
 //! - warm-cache point reads (no key-value separation) perform **zero**
-//!   heap allocations through [`Db::get_with`] / [`Db::get_into`];
+//!   heap allocations through [`Db::get_with`], also when it copies the
+//!   value into a caller-owned buffer;
 //! - a scan's allocation cost is its *setup* only — independent of how
 //!   many entries it visits;
 //! - that setup is O(sources + one chunk): each write buffer's cursor
@@ -126,6 +127,17 @@ fn value(i: u32) -> Vec<u8> {
     format!("value-{i:06}-padding-padding").into_bytes()
 }
 
+/// Point read into a caller-owned buffer through [`Db::get_with`]: `buf`
+/// is cleared and refilled when the key is live. Returns whether it was.
+fn get_into(db: &Db, key: &[u8], buf: &mut Vec<u8>) -> bool {
+    db.get_with(key, |v| {
+        buf.clear();
+        buf.extend_from_slice(v);
+    })
+    .unwrap()
+    .is_some()
+}
+
 /// Builds a db whose data all sits in SSTables behind a warm block
 /// cache: fill, flush to quiescence, then touch every key and run the
 /// full scan once so every block / filter / index the reads need is
@@ -138,7 +150,7 @@ fn warm_db(n: u32) -> Db {
     db.flush_all().unwrap();
     let mut buf = Vec::with_capacity(256);
     for i in 0..n {
-        assert!(db.get_into(&key(i), &mut buf).unwrap(), "warmup miss {i}");
+        assert!(get_into(&db, &key(i), &mut buf), "warmup miss {i}");
     }
     let visited = db.scan_with(&key(0), &key(n), usize::MAX, |_, _| {}).unwrap();
     assert_eq!(visited, n as usize, "warmup scan must see everything");
@@ -154,7 +166,7 @@ fn warm_get_is_allocation_free() {
     let mut total_len = 0usize;
     let allocs = count_allocs(|| {
         for k in &keys {
-            let hit = db.get_into(k, &mut buf).unwrap();
+            let hit = get_into(&db, k, &mut buf);
             assert!(hit);
             total_len += buf.len();
             let l = db.get_with(k, |v| v.len()).unwrap();
@@ -174,7 +186,7 @@ fn warm_get_miss_is_allocation_free() {
     let db = warm_db(500);
     // warm the miss path once (filters may lazily build nothing, but the
     // probe itself must be clean)
-    assert!(!db.get_into(b"allockey999999", &mut Vec::new()).unwrap());
+    assert!(!get_into(&db, b"allockey999999", &mut Vec::new()));
     let misses: Vec<Vec<u8>> = (0..50u32).map(|i| format!("zzmiss{i:04}").into_bytes()).collect();
     let allocs = count_allocs(|| {
         for k in &misses {
@@ -493,15 +505,15 @@ fn borrowed_reads_match_owned_reads_and_model() {
         }
     }
 
-    // point reads: get vs get_into vs get_with must agree with the model
+    // point reads: get vs get_with into a buffer vs get_with must agree with the model
     let mut buf = Vec::new();
     for i in 0..700u32 {
         let k = key(i);
         let owned = db.get(&k).unwrap();
-        let hit = db.get_into(&k, &mut buf).unwrap();
+        let hit = get_into(&db, &k, &mut buf);
         let with = db.get_with(&k, |v| v.to_vec()).unwrap();
         assert_eq!(owned.as_deref(), model.get(&k).map(|v| v.as_slice()), "model vs get {i}");
-        assert_eq!(hit.then(|| buf.clone()), owned, "get_into vs get {i}");
+        assert_eq!(hit.then(|| buf.clone()), owned, "get_with into a buffer vs get {i}");
         assert_eq!(with, owned, "get_with vs get {i}");
     }
 

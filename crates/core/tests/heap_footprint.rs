@@ -18,12 +18,18 @@
 //! The write-ahead log is the other device cost a workload controls: a
 //! group commit of one or two records must cost the log its bytes, not a
 //! fresh block per sync.
+//!
+//! Value-log GC reads the log it retires one bounded window at a time
+//! and copies only the live values it relocates, so its heap grows by
+//! about the live values' new log, not by the retiring log.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
+use lsm_core::config::KvSeparation;
+use lsm_core::kv_sep::holds_records;
 use lsm_core::wal::Wal;
 use lsm_core::{BackgroundMode, Db, EventKind, LsmConfig, ValueKind};
 use lsm_storage::{
@@ -279,4 +285,43 @@ fn single_record_group_commits_cost_the_wal_its_frames() {
         "the log holds {wal_bytes} bytes for {frame_bytes} bytes of frames"
     );
     assert_eq!(db.get(&encode_key(PUTS - 1)).unwrap(), Some(make_value(PUTS - 1, VALUE_LEN)));
+}
+
+/// GC of a value log whose records are three quarters dead (every key
+/// written four times): its heap peak above where it started stays below
+/// the log's own bytes. A GC that reads the log whole and copies out every
+/// record peaks at twice the log or more.
+#[test]
+fn value_log_gc_holds_a_window_of_the_log_not_the_log() {
+    let _serial = SERIAL.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+    const KEYS: u64 = 2_000;
+    const ROUNDS: u64 = 4;
+    const SEPARATED_LEN: usize = 1_000;
+    let cfg = LsmConfig {
+        background: BackgroundMode::Inline,
+        kv_separation: Some(KvSeparation { min_value_bytes: 64 }),
+        ..LsmConfig::default()
+    };
+    let bs = cfg.block_size as u64;
+    let dev: Arc<dyn StorageDevice> = Arc::new(MemDevice::new(cfg.block_size, DeviceProfile::free()));
+    let db = Db::open(Arc::clone(&dev), cfg).unwrap();
+    let value = |id: u64, round: u64| make_value(id + round * KEYS, SEPARATED_LEN);
+    for round in 0..ROUNDS {
+        for id in scattered(KEYS) {
+            db.put(encode_key(id), value(id, round)).unwrap();
+        }
+    }
+    db.sync().unwrap();
+    let logs = dev.live_files().into_iter().filter(|&f| holds_records(&dev, f));
+    let log_bytes: u64 = logs.map(|f| dev.len_blocks(f).unwrap() * bs).sum();
+    let base = LIVE_BYTES.load(Ordering::Relaxed);
+    PEAK_BYTES.store(base, Ordering::Relaxed);
+    let moved = db.gc_value_log().unwrap();
+    let peak = PEAK_BYTES.load(Ordering::Relaxed).saturating_sub(base) as u64;
+    println!("GC of a {log_bytes}-byte value log: the heap peaked {peak} bytes above its start");
+    assert_eq!(moved, (KEYS, KEYS * (ROUNDS - 1)), "(relocated, dropped)");
+    assert!(peak < log_bytes, "GC's heap peaked {peak} bytes above its start, the log holds {log_bytes}");
+    for id in (0..KEYS).step_by(97) {
+        assert_eq!(db.get(&encode_key(id)).unwrap(), Some(value(id, ROUNDS - 1)));
+    }
 }

@@ -1,16 +1,20 @@
 //! Per-shard group-commit write batcher.
 //!
 //! One committer thread per shard owns that shard's write order. Client
-//! reader threads submit [`WriteReq`]s into the committer's channel and
+//! reader threads submit [`CommitReq`]s into the committer's channel and
 //! return immediately (the response is sent from the completion
-//! callback). The committer takes one request, then drains whatever else
-//! has queued up to `MAX_BATCH`, folds them into a single
-//! [`WriteBatch`], and commits it through `Db::write_batch` — one WAL
-//! append — followed by one `Db::sync`, so an `Ok` ack implies the write
-//! survives a crash. The batch size is therefore *adaptive*: an idle shard
-//! commits singles with no added latency, while a busy shard's queue
-//! depth becomes its batch size, amortizing the sync cost exactly when
-//! it matters (the classic group-commit curve).
+//! callback). A request is a PUT/DELETE or a transaction's parts, and
+//! both take the same queue. The committer takes one request, then drains
+//! whatever writes have queued up behind it to `MAX_BATCH`, folds them
+//! into a single [`WriteBatch`], and commits it through
+//! `Db::write_batch_mut` — one WAL append — followed by one `Db::sync`,
+//! so an `Ok` ack implies the write survives a crash. A transaction
+//! commit ends the batch being collected and runs after it, so it
+//! serializes with the shard's batches. The batch size is therefore
+//! *adaptive*: an idle shard commits singles with no added latency,
+//! while a busy shard's queue depth becomes its batch size, amortizing
+//! the sync cost exactly when it matters (the classic group-commit
+//! curve).
 //!
 //! How deep the queue gets is up to the connections. A reader stops
 //! decoding only for a GET whose own key has a write in flight (see
@@ -23,7 +27,7 @@
 //! Every callback fires exactly once, also on error and also for
 //! requests still queued when the batcher shuts down (those see an
 //! error), so a pipelined connection can always account for its
-//! in-flight writes.
+//! in-flight commits.
 //!
 //! Two hooks serve live shard migration (see `migrate`):
 //!
@@ -35,11 +39,11 @@
 //!   (and been tapped) — the cut-over's "drain the in-flight writes"
 //!   step.
 
-use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 
-use lsm_core::{Db, WriteBatch};
+use lsm_core::{Db, TxnError, TxnPart, WriteBatch};
 use lsm_storage::StorageError;
 
 use crate::metrics::ServerMetrics;
@@ -50,59 +54,38 @@ use crate::replication::Replicator;
 /// latency of the first write in a batch on a saturated shard.
 const MAX_BATCH: usize = 64;
 
-/// How a submitted write ended.
+/// One commit request: what a connection hands a shard's committer.
+pub enum CommitReq {
+    /// A client PUT or DELETE, folded into the next group-commit batch.
+    Write(WriteOp),
+    /// A transaction commit, one part per involved engine: validated and
+    /// applied atomically via [`lsm_core::commit_parts`] *inside* the
+    /// committer thread, between batches, so the migration tap tee and
+    /// the replication publish stay in true commit order. Parts may span
+    /// engines (cross-shard) only when the server is neither elastic nor
+    /// replicated; the routing layer enforces that.
+    Txn(Vec<TxnPart>),
+}
+
+/// How a submitted [`CommitReq`] ended.
 #[derive(Debug)]
-pub enum WriteOutcome {
+pub enum CommitOutcome {
     /// Committed, durable per the sync policy, and (when replicating)
-    /// acked by the configured quorum.
-    Ok,
+    /// acked by the configured quorum. A transaction carries its global
+    /// commit stamp; a write carries `None`.
+    Committed(Option<u64>),
     /// Committed and durable on the primary, but the replica quorum did
     /// not ack within the timeout.
     ReplicaLag,
-    /// The batch failed to commit; nothing is promised.
-    Err(StorageError),
-}
-
-/// Completion callback: receives the batch's commit outcome.
-pub type WriteCallback = Box<dyn FnOnce(WriteOutcome) + Send + 'static>;
-
-/// One queued write and its completion callback.
-pub struct WriteReq {
-    /// The operation.
-    pub op: WriteOp,
-    /// Fired exactly once with the commit outcome.
-    pub done: WriteCallback,
-}
-
-/// How a submitted transaction commit ended.
-pub enum TxnOutcome {
-    /// Validated, applied, durable per the sync policy (and replica-acked
-    /// when replicating); carries the global commit stamp.
-    Committed(u64),
-    /// Committed and durable locally, but the replica quorum did not ack
-    /// within the timeout.
-    CommittedLag(u64),
-    /// First-committer-wins validation failed; nothing was applied.
+    /// A transaction's first-committer-wins validation failed; nothing
+    /// was applied.
     Conflict(lsm_core::Conflict),
     /// The commit failed; nothing is promised.
     Err(StorageError),
 }
 
-/// Completion callback for a transaction commit.
-pub type TxnCallback = Box<dyn FnOnce(TxnOutcome) + Send + 'static>;
-
-/// A transaction commit job: validate + apply the parts atomically via
-/// [`lsm_core::commit_parts`], *inside* the committer thread, so the
-/// commit serializes with the shard's group-commit batches — the
-/// migration tap tee and the replication publish stay in true commit
-/// order. Parts may span engines (cross-shard) only when the server is
-/// neither elastic nor replicated; the routing layer enforces that.
-pub struct TxnCommitReq {
-    /// One part per involved engine.
-    pub parts: Vec<lsm_core::TxnPart>,
-    /// Fired exactly once with the outcome.
-    pub done: TxnCallback,
-}
+/// Fired exactly once with a request's outcome.
+type Done = Box<dyn FnOnce(CommitOutcome) + Send + 'static>;
 
 /// Tees committed ops inside `[lo, hi)` (`hi` `None` = unbounded) into
 /// `tx` as encoded ops regions, one region per group-commit batch, in
@@ -126,37 +109,11 @@ impl MigrationTap {
 
 /// What travels through a committer's queue.
 enum Msg {
-    /// A client write.
-    Req(WriteReq),
+    /// A commit request and its callback.
+    Commit(CommitReq, Done),
     /// A drain marker: acked once everything queued before it has
     /// committed, synced, and been tapped.
     Barrier(Sender<()>),
-    /// A transaction commit, executed between batches.
-    Txn(TxnCommitReq),
-}
-
-/// `WriteOutcome` is not `Clone` (its error may carry an `io::Error`);
-/// duplicate an outcome for each callback in a batch.
-fn duplicate(out: &WriteOutcome) -> WriteOutcome {
-    match out {
-        WriteOutcome::Ok => WriteOutcome::Ok,
-        WriteOutcome::ReplicaLag => WriteOutcome::ReplicaLag,
-        WriteOutcome::Err(e) => {
-            WriteOutcome::Err(StorageError::Io(std::io::Error::other(e.to_string())))
-        }
-    }
-}
-
-fn shutdown_outcome() -> WriteOutcome {
-    WriteOutcome::Err(StorageError::Io(std::io::Error::other(
-        "write batcher is shut down",
-    )))
-}
-
-fn txn_shutdown_outcome() -> TxnOutcome {
-    TxnOutcome::Err(StorageError::Io(std::io::Error::other(
-        "write batcher is shut down",
-    )))
 }
 
 /// A shard's group-commit thread. Dropping (or [`shutdown`]) closes the
@@ -182,10 +139,17 @@ impl GroupCommitter {
     ) -> Self {
         let (tx, rx) = channel::<Msg>();
         let tap: Arc<Mutex<Option<MigrationTap>>> = Arc::default();
-        let tap2 = Arc::clone(&tap);
+        let committer = Committer {
+            db,
+            metrics,
+            replicator,
+            tap: Arc::clone(&tap),
+            batch: WriteBatch::new(),
+            dones: Vec::new(),
+        };
         let handle = std::thread::Builder::new()
             .name("lsm-server-committer".into())
-            .spawn(move || committer_loop(db, rx, metrics, replicator, tap2))
+            .spawn(move || committer.run(rx))
             .expect("spawn committer thread");
         GroupCommitter {
             tx: Mutex::new(Some(tx)),
@@ -194,45 +158,28 @@ impl GroupCommitter {
         }
     }
 
-    /// Queues a write. Returns `false` (and fails the callback) if the
+    /// Queues a commit request. Returns `false` (and fails `done`, which
+    /// for a transaction releases its parts' snapshot floors) if the
     /// committer has already shut down.
-    pub fn submit(&self, req: WriteReq) -> bool {
-        match &*self.tx.lock().unwrap() {
-            Some(tx) => match tx.send(Msg::Req(req)) {
-                Ok(()) => true,
-                Err(e) => {
-                    if let Msg::Req(r) = e.0 {
-                        (r.done)(shutdown_outcome());
-                    }
-                    false
-                }
+    pub fn submit(
+        &self,
+        req: CommitReq,
+        done: impl FnOnce(CommitOutcome) + Send + 'static,
+    ) -> bool {
+        let msg = Msg::Commit(req, Box::new(done));
+        let refused = match &*self.tx.lock().unwrap() {
+            Some(tx) => match tx.send(msg) {
+                Ok(()) => return true,
+                Err(e) => e.0,
             },
-            None => {
-                (req.done)(shutdown_outcome());
-                false
-            }
+            None => msg,
+        };
+        if let Msg::Commit(req, done) = refused {
+            drop(req); // releases a transaction's floors before the reply
+            let shut_down = std::io::Error::other("write batcher is shut down");
+            done(CommitOutcome::Err(StorageError::Io(shut_down)));
         }
-    }
-
-    /// Queues a transaction commit. Returns `false` (and fails the
-    /// callback, releasing the parts' snapshot floors) if the committer
-    /// has already shut down.
-    pub fn submit_txn(&self, req: TxnCommitReq) -> bool {
-        match &*self.tx.lock().unwrap() {
-            Some(tx) => match tx.send(Msg::Txn(req)) {
-                Ok(()) => true,
-                Err(e) => {
-                    if let Msg::Txn(t) = e.0 {
-                        (t.done)(txn_shutdown_outcome());
-                    }
-                    false
-                }
-            },
-            None => {
-                (req.done)(txn_shutdown_outcome());
-                false
-            }
-        }
+        false
     }
 
     /// Blocks until everything submitted before this call has committed,
@@ -276,72 +223,117 @@ impl Drop for GroupCommitter {
     }
 }
 
-fn committer_loop(
+/// A committer thread's state. One batch and one callback list live
+/// for the thread's lifetime: commits drain them but keep their
+/// capacity, so a busy shard's steady state builds every batch in
+/// recycled memory.
+struct Committer {
     db: Db,
-    rx: Receiver<Msg>,
     metrics: Arc<ServerMetrics>,
     replicator: Option<Arc<Replicator>>,
     tap: Arc<Mutex<Option<MigrationTap>>>,
-) {
-    // one batch and one callback list live for the thread's lifetime:
-    // commits drain them but keep their capacity, so a busy shard's
-    // steady state builds every batch in recycled memory
-    let mut batch = WriteBatch::new();
-    let mut dones: Vec<WriteCallback> = Vec::new();
-    let mut reqs: Vec<WriteReq> = Vec::new();
-    while let Ok(first) = rx.recv() {
-        // a barrier with nothing queued before it acks immediately
-        let mut pending_barrier: Option<Sender<()>> = None;
-        let mut pending_txn: Option<TxnCommitReq> = None;
-        match first {
-            Msg::Req(r) => reqs.push(r),
-            Msg::Barrier(ack) => {
-                let _ = ack.send(());
-                continue;
-            }
-            Msg::Txn(t) => {
-                run_txn_commit(t, &metrics, &replicator, &tap);
-                continue;
-            }
+    batch: WriteBatch,
+    dones: Vec<Done>,
+}
+
+impl Committer {
+    /// Runs requests in queue order until the queue closes and drains.
+    fn run(mut self, rx: Receiver<Msg>) {
+        // the message that ended the last batch runs next
+        let mut next: Option<Msg> = None;
+        while let Some(msg) = next.take().or_else(|| rx.recv().ok()) {
+            next = match msg {
+                // everything queued before a barrier has committed by now
+                Msg::Barrier(ack) => {
+                    let _ = ack.send(());
+                    None
+                }
+                Msg::Commit(CommitReq::Txn(parts), done) => {
+                    done(self.commit_txn(parts));
+                    None
+                }
+                Msg::Commit(CommitReq::Write(op), done) => self.commit_writes(op, done, &rx),
+            };
         }
-        while reqs.len() < MAX_BATCH && pending_barrier.is_none() && pending_txn.is_none() {
-            match rx.try_recv() {
-                Ok(Msg::Req(r)) => reqs.push(r),
-                // stop collecting: the barrier must observe this batch
-                // committed, so commit now and ack after
-                Ok(Msg::Barrier(ack)) => pending_barrier = Some(ack),
-                // likewise: the txn commit must serialize after this batch
-                Ok(Msg::Txn(t)) => pending_txn = Some(t),
-                Err(TryRecvError::Empty) | Err(TryRecvError::Disconnected) => break,
-            }
-        }
+    }
+
+    /// Folds `op` and the writes queued right behind it (up to
+    /// `MAX_BATCH`) into one group-commit batch, commits it, and fires
+    /// every callback with the batch's outcome. Returns the message that
+    /// ended the batch: a barrier or a transaction must observe this
+    /// batch committed, so it runs after.
+    fn commit_writes(&mut self, op: WriteOp, done: Done, rx: &Receiver<Msg>) -> Option<Msg> {
         // the tap guard is held across fold + commit + sync + tee, so
         // install_tap has a clean cut: batches fully before it are
         // visible to a subsequent snapshot, batches after are tapped
-        let mut outbox = Outbox::open(&tap, &replicator);
-        for r in reqs.drain(..) {
-            outbox.record(&r.op);
-            r.op.add_to(&mut batch);
-            dones.push(r.done);
+        let mut outbox = Outbox::open(&self.tap, &self.replicator);
+        let mut write = Some((op, done));
+        let mut next = None;
+        while let Some((op, done)) = write.take() {
+            outbox.record(&op);
+            op.add_to(&mut self.batch);
+            self.dones.push(done);
+            if self.dones.len() < MAX_BATCH {
+                match rx.try_recv() {
+                    Ok(Msg::Commit(CommitReq::Write(op), done)) => write = Some((op, done)),
+                    Ok(other) => next = Some(other),
+                    Err(_) => {}
+                }
+            }
         }
-        metrics.batch_ops.record(dones.len() as u64);
-        metrics.batches.inc();
+        self.metrics.batch_ops.record(self.dones.len() as u64);
+        self.metrics.batches.inc();
         // the ack promises durability: pad the WAL tail once per batch,
         // not once per operation — the group-commit win
-        let committed = db.write_batch_mut(&mut batch).and_then(|()| db.sync());
-        let outcome = match outbox.deliver(committed, &replicator, &metrics) {
-            Ok(((), true)) => WriteOutcome::Ok,
-            Ok(((), false)) => WriteOutcome::ReplicaLag,
-            Err(e) => WriteOutcome::Err(e),
-        };
-        for done in dones.drain(..) {
-            done(duplicate(&outcome));
+        let db = &self.db;
+        let committed = db.write_batch_mut(&mut self.batch).and_then(|()| db.sync());
+        let delivered = outbox.deliver(committed, &self.replicator, &self.metrics);
+        for done in self.dones.drain(..) {
+            done(match &delivered {
+                Ok(((), true)) => CommitOutcome::Committed(None),
+                Ok(((), false)) => CommitOutcome::ReplicaLag,
+                // StorageError is not Clone (it may carry an io::Error)
+                Err(e) => {
+                    CommitOutcome::Err(StorageError::Io(std::io::Error::other(e.to_string())))
+                }
+            });
         }
-        if let Some(ack) = pending_barrier {
-            let _ = ack.send(());
+        next
+    }
+
+    /// Executes one transaction commit: validate-and-apply atomically,
+    /// sync every involved engine, then hand the write-set on through the
+    /// same [`Outbox`] step a group-commit batch takes. Counts the commit
+    /// or the conflict.
+    fn commit_txn(&self, parts: Vec<TxnPart>) -> CommitOutcome {
+        // capture the involved engines and record the write-set before
+        // commit_parts consumes the parts
+        let dbs: Vec<Db> = parts.iter().map(|p| p.db().clone()).collect();
+        let mut outbox = Outbox::open(&self.tap, &self.replicator);
+        for (key, value) in parts.iter().flat_map(|p| p.writes()) {
+            outbox.record(&match value {
+                Some(value) => WriteOp::Put { key, value },
+                None => WriteOp::Delete { key },
+            });
         }
-        if let Some(t) = pending_txn {
-            run_txn_commit(t, &metrics, &replicator, &tap);
+        let committed = lsm_core::commit_parts(parts).and_then(|stamp| {
+            dbs.iter().try_for_each(|d| d.sync()).map_err(TxnError::Storage)?;
+            Ok(stamp)
+        });
+        match outbox.deliver(committed, &self.replicator, &self.metrics) {
+            Ok((stamp, acked)) => {
+                self.metrics.txn_commits.inc();
+                if acked {
+                    CommitOutcome::Committed(Some(stamp))
+                } else {
+                    CommitOutcome::ReplicaLag
+                }
+            }
+            Err(TxnError::Conflict(c)) => {
+                self.metrics.txn_conflicts.inc();
+                CommitOutcome::Conflict(c)
+            }
+            Err(TxnError::Storage(e)) => CommitOutcome::Err(e),
         }
     }
 }
@@ -418,64 +410,31 @@ impl<'t> Outbox<'t> {
     }
 }
 
-/// Executes one transaction commit inside the committer thread:
-/// validate-and-apply atomically, sync every involved engine, then hand
-/// the write-set on through the same [`Outbox`] step a group-commit batch
-/// takes.
-fn run_txn_commit(
-    req: TxnCommitReq,
-    metrics: &Arc<ServerMetrics>,
-    replicator: &Option<Arc<Replicator>>,
-    tap: &Arc<Mutex<Option<MigrationTap>>>,
-) {
-    let TxnCommitReq { parts, done } = req;
-    // capture the involved engines and record the write-set before
-    // commit_parts consumes the parts
-    let dbs: Vec<Db> = parts.iter().map(|p| p.db().clone()).collect();
-    let mut outbox = Outbox::open(tap, replicator);
-    for (key, value) in parts.iter().flat_map(|p| p.writes()) {
-        outbox.record(&match value {
-            Some(value) => WriteOp::Put { key, value },
-            None => WriteOp::Delete { key },
-        });
-    }
-    let committed = lsm_core::commit_parts(parts).and_then(|stamp| {
-        dbs.iter()
-            .try_for_each(|d| d.sync())
-            .map_err(lsm_core::TxnError::Storage)?;
-        Ok(stamp)
-    });
-    let outcome = match outbox.deliver(committed, replicator, metrics) {
-        Ok((stamp, true)) => TxnOutcome::Committed(stamp),
-        Ok((stamp, false)) => TxnOutcome::CommittedLag(stamp),
-        Err(lsm_core::TxnError::Conflict(c)) => TxnOutcome::Conflict(c),
-        Err(lsm_core::TxnError::Storage(e)) => TxnOutcome::Err(e),
-    };
-    done(outcome);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use lsm_core::LsmConfig;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
-    fn put_req(i: u32, acks: &Arc<AtomicUsize>, errs: &Arc<AtomicUsize>) -> WriteReq {
+    fn put(i: u32) -> CommitReq {
+        CommitReq::Write(WriteOp::Put {
+            key: format!("bk{i:05}").into_bytes(),
+            value: format!("bv{i}").into_bytes(),
+        })
+    }
+
+    /// A callback counting acks and failures.
+    fn tally(
+        acks: &Arc<AtomicUsize>,
+        errs: &Arc<AtomicUsize>,
+    ) -> impl FnOnce(CommitOutcome) + Send + 'static {
         let acks = Arc::clone(acks);
         let errs = Arc::clone(errs);
-        WriteReq {
-            op: WriteOp::Put {
-                key: format!("bk{i:05}").into_bytes(),
-                value: format!("bv{i}").into_bytes(),
-            },
-            done: Box::new(move |r| {
-                match r {
-                    WriteOutcome::Ok => acks.fetch_add(1, Ordering::SeqCst),
-                    WriteOutcome::ReplicaLag | WriteOutcome::Err(_) => {
-                        errs.fetch_add(1, Ordering::SeqCst)
-                    }
-                };
-            }),
+        move |r| {
+            match r {
+                CommitOutcome::Committed(_) => acks.fetch_add(1, Ordering::SeqCst),
+                _ => errs.fetch_add(1, Ordering::SeqCst),
+            };
         }
     }
 
@@ -491,7 +450,7 @@ mod tests {
         let errs = Arc::new(AtomicUsize::new(0));
         let committer = GroupCommitter::start(db.clone(), Arc::clone(&metrics), None);
         for i in 0..500u32 {
-            assert!(committer.submit(put_req(i, &acks, &errs)));
+            assert!(committer.submit(put(i), tally(&acks, &errs)));
         }
         committer.shutdown();
         assert_eq!(acks.load(Ordering::SeqCst), 500, "every write must be acked");
@@ -521,7 +480,7 @@ mod tests {
         let errs = Arc::new(AtomicUsize::new(0));
         let committer = GroupCommitter::start(db, metrics, None);
         committer.shutdown();
-        assert!(!committer.submit(put_req(0, &acks, &errs)));
+        assert!(!committer.submit(put(0), tally(&acks, &errs)));
         assert_eq!(errs.load(Ordering::SeqCst), 1);
         assert_eq!(acks.load(Ordering::SeqCst), 0);
         assert!(!committer.barrier(), "barrier on a shut-down committer");
@@ -535,18 +494,44 @@ mod tests {
         let committer = GroupCommitter::start(db, metrics, None);
         for i in 0..200u32 {
             let order = Arc::clone(&order);
-            committer.submit(WriteReq {
-                op: WriteOp::Put {
-                    key: format!("o{i:04}").into_bytes(),
-                    value: Vec::new(),
-                },
-                done: Box::new(move |_| order.lock().unwrap().push(i)),
-            });
+            let op = WriteOp::Put {
+                key: format!("o{i:04}").into_bytes(),
+                value: Vec::new(),
+            };
+            committer.submit(CommitReq::Write(op), move |_| order.lock().unwrap().push(i));
         }
         committer.shutdown();
         let seen = order.lock().unwrap();
         assert_eq!(seen.len(), 200);
         assert!(seen.windows(2).all(|w| w[0] < w[1]), "acks out of submission order");
+    }
+
+    #[test]
+    fn a_txn_commits_between_the_writes_queued_around_it() {
+        let db = Db::open_in_memory(LsmConfig::small_for_tests()).unwrap();
+        let order = Arc::new(Mutex::new(Vec::new()));
+        let committer = GroupCommitter::start(db.clone(), ServerMetrics::new(), None);
+        let mut txn = db.begin_txn().unwrap();
+        txn.put(b"t".to_vec(), b"x".to_vec());
+        let log = |tag: u32| {
+            let order = Arc::clone(&order);
+            move |r: CommitOutcome| order.lock().unwrap().push((tag, format!("{r:?}")))
+        };
+        for i in 0..10 {
+            committer.submit(put(i), log(i));
+        }
+        committer.submit(CommitReq::Txn(vec![txn.into_part()]), log(100));
+        for i in 10..20 {
+            committer.submit(put(i), log(i));
+        }
+        committer.shutdown();
+        let seen = order.lock().unwrap();
+        let tags: Vec<u32> = seen.iter().map(|(t, _)| *t).collect();
+        let expect: Vec<u32> = (0..10).chain([100]).chain(10..20).collect();
+        assert_eq!(tags, expect, "the txn commits after the writes before it, before those after");
+        assert!(seen.iter().all(|(_, r)| r.starts_with("Committed(")), "{seen:?}");
+        assert!(seen[10].1.starts_with("Committed(Some("), "a txn carries its stamp: {seen:?}");
+        assert_eq!(db.get(b"t").unwrap(), Some(b"x".to_vec()));
     }
 
     #[test]
@@ -557,7 +542,7 @@ mod tests {
         let errs = Arc::new(AtomicUsize::new(0));
         let committer = GroupCommitter::start(db.clone(), metrics, None);
         for i in 0..100u32 {
-            committer.submit(put_req(i, &acks, &errs));
+            committer.submit(put(i), tally(&acks, &errs));
         }
         assert!(committer.barrier());
         // every write submitted before the barrier is committed and acked
@@ -575,7 +560,7 @@ mod tests {
         let errs = Arc::new(AtomicUsize::new(0));
         let committer = GroupCommitter::start(db, metrics, None);
         // pre-tap write: must not be teed
-        committer.submit(put_req(0, &acks, &errs));
+        committer.submit(put(0), tally(&acks, &errs));
         assert!(committer.barrier());
         let (tx, rx) = channel();
         committer.install_tap(MigrationTap {
@@ -584,12 +569,12 @@ mod tests {
             tx,
         });
         for i in 1..100u32 {
-            committer.submit(put_req(i, &acks, &errs));
+            committer.submit(put(i), tally(&acks, &errs));
         }
         assert!(committer.barrier());
         committer.clear_tap();
         // post-tap write: must not be teed either
-        committer.submit(put_req(0, &acks, &errs));
+        committer.submit(put(0), tally(&acks, &errs));
         committer.shutdown();
         let mut teed = Vec::new();
         while let Ok(region) = rx.try_recv() {

@@ -18,8 +18,9 @@
 //! - `migrate` — online shard split/merge, one routine for both:
 //!   snapshot copy plus a group-commit tap, with an atomic map flip under
 //!   the routing lock;
-//! - [`batcher`] — per-shard group commit: concurrent writes coalesce
-//!   into one `Db::write_batch` (one WAL append, one sync) per batch;
+//! - [`batcher`] — per-shard group commit: one commit request for a
+//!   client write or a transaction; concurrent writes coalesce into one
+//!   `Db::write_batch_mut` (one WAL append, one sync) per batch;
 //! - [`server`] — [`Server::serve`], the one way to start a server, over
 //!   a [`Topology`] value (shard engines × hash or elastic routing ×
 //!   replication role); the accept loop, per-connection reader/writer
@@ -52,9 +53,7 @@ pub mod router;
 pub mod server;
 pub mod shardmap;
 
-pub use batcher::{
-    GroupCommitter, MigrationTap, TxnCommitReq, TxnOutcome, WriteOutcome, WriteReq,
-};
+pub use batcher::{CommitOutcome, CommitReq, GroupCommitter, MigrationTap};
 pub use client::{Client, ShardMapEntries, TxnCommitStatus};
 pub use failover::{promote_replica, Promotion};
 pub use metrics::ServerMetrics;

@@ -5,7 +5,7 @@
 //! ## Unit of replication
 //!
 //! The per-shard group committer already folds concurrent writes into
-//! one `Db::write_batch` — one WAL append — per batch. That batch is the
+//! one `Db::write_batch_mut` — one WAL append — per batch. That batch is the
 //! replication unit: after a batch commits (and syncs) locally, the
 //! committer publishes its ops to the [`Replicator`], which assigns the
 //! next **replication sequence** and wakes the shippers. Sequences are

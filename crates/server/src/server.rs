@@ -4,14 +4,17 @@
 //!
 //! ## Thread model
 //!
-//! One accept thread polls a non-blocking listener. Each accepted
-//! connection gets a **reader** thread and a **writer** thread. The
-//! reader decodes frames, answers every request it can answer itself
+//! One accept thread polls a non-blocking listener, and joins the
+//! connections that have finished each time it accepts one. Each
+//! accepted connection gets a **reader** thread and a **writer** thread.
+//! The reader decodes frames, answers every request it can answer itself
 //! (reads, scans, stats, errors, `Busy`, the synchronous txn replies)
-//! into one per-connection output buffer, and routes writes to the
-//! owning shard's group committer. It reads whatever the socket has
-//! ready, so a pipelined burst arrives in one call, and writes the
-//! burst's replies in one call once its last buffered frame is
+//! into one per-connection output buffer, and hands every PUT, DELETE and
+//! TXN_COMMIT to a shard's group committer as one commit request, through
+//! one function (`Conn::commit`: shed check, in-flight bookkeeping, one
+//! callback that maps the outcome to the reply). It reads whatever the
+//! socket has ready, so a pipelined burst arrives in one call, and writes
+//! the burst's replies in one call once its last buffered frame is
 //! answered: a served GET touches only the reader thread. The writer
 //! carries only the replies that complete asynchronously — write acks,
 //! quorum acks, txn commits — which committer callbacks queue on an
@@ -54,6 +57,13 @@
 //! pipeline. The replication shipper is such a client: it reads acks
 //! once it has `MAX_UNACKED_BATCHES` batches in flight.
 //!
+//! A socket write blocks for at most 25 ms (the socket's write timeout,
+//! equal to its read timeout). Both threads write through one helper
+//! that keeps a timed-out write's progress and resumes it, so a slow
+//! reader is still served whole; once the server drains, the helper gives
+//! up instead, so a client that stopped reading cannot keep
+//! [`Server::shutdown`] from joining its threads.
+//!
 //! ## Topology
 //!
 //! [`Server::serve`] starts a server from one [`Topology`] value (shards,
@@ -86,11 +96,11 @@
 //! [`Response::Busy`] instead of queueing, so a wedged shard surfaces as
 //! fast typed pushback at the edge rather than a writer thread blocked
 //! deep inside the engine. Below the shed line, the engine's own
-//! slowdown band still applies inside `write_batch` — the server sheds
+//! slowdown band still applies inside `write_batch_mut` — the server sheds
 //! where the engine would stall, and delays where it would slow down.
 
 use std::collections::HashMap;
-use std::io::Write;
+use std::io::{ErrorKind, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -102,7 +112,7 @@ use lsm_core::Db;
 use lsm_obs::EventKind;
 use lsm_storage::{FileId, StorageDevice, StorageResult};
 
-use crate::batcher::{GroupCommitter, TxnCommitReq, TxnOutcome, WriteOutcome, WriteReq};
+use crate::batcher::{CommitOutcome, CommitReq, GroupCommitter};
 use crate::metrics::ServerMetrics;
 use crate::protocol::{
     begin_entries_response, encode_response_into, encode_value_response_into, peek_request_id,
@@ -680,7 +690,13 @@ fn accept_loop(
                         serve_conn(inner2, stream, conn_id);
                     })
                     .expect("spawn connection reader");
-                conns.lock().unwrap().push(handle);
+                let mut conns = conns.lock().unwrap();
+                // join the finished connections: a long-running server holds
+                // a handle per live connection, not per connection it served
+                for finished in conns.extract_if(.., |h| h.is_finished()) {
+                    let _ = finished.join();
+                }
+                conns.push(handle);
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                 std::thread::sleep(Duration::from_millis(2));
@@ -772,10 +788,40 @@ impl ConnState {
     }
 }
 
+/// How long one socket write may block, and how often a connection's
+/// threads look up from a blocked read: the socket's read and write
+/// timeout.
+const SOCKET_TIMEOUT: Duration = Duration::from_millis(25);
+
+/// Writes `buf` whole under the socket lock, so frames never interleave.
+/// A write that times out (the client is not reading) keeps what it sent
+/// and resumes, until the server drains: then it gives up, so a stalled
+/// client cannot park a thread that shutdown joins. `false` once the
+/// socket failed or was given up.
+fn write_out(sock: &Mutex<TcpStream>, buf: &[u8], draining: &AtomicBool) -> bool {
+    let timed_out = |e: &std::io::Error| {
+        matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted)
+    };
+    let mut sock = sock.lock().unwrap();
+    let mut rest = buf;
+    while !rest.is_empty() {
+        match sock.write(rest) {
+            Ok(0) => return false,
+            Ok(n) => rest = &rest[n..],
+            Err(e) if timed_out(&e) && !draining.load(Ordering::Acquire) => {}
+            Err(_) => return false,
+        }
+    }
+    true
+}
+
 /// Writes the replies committer callbacks queue: whatever is queued is
-/// encoded into one reused buffer and written in one call, under the
-/// lock the reader writes under too, so frames never interleave.
-fn writer_loop(sock: Arc<Mutex<TcpStream>>, rx: Receiver<(u64, Response)>) {
+/// encoded into one reused buffer and written in one call.
+fn writer_loop(
+    inner: Arc<ServerInner>,
+    sock: Arc<Mutex<TcpStream>>,
+    rx: Receiver<(u64, Response)>,
+) {
     let mut batch = Vec::new();
     while let Ok((id, resp)) = rx.recv() {
         batch.clear();
@@ -783,7 +829,7 @@ fn writer_loop(sock: Arc<Mutex<TcpStream>>, rx: Receiver<(u64, Response)>) {
         while let Ok((id, resp)) = rx.try_recv() {
             encode_response_into(&mut batch, id, &resp);
         }
-        if sock.lock().unwrap().write_all(&batch).is_err() {
+        if !write_out(&sock, &batch, &inner.draining) {
             break;
         }
     }
@@ -793,7 +839,8 @@ fn writer_loop(sock: Arc<Mutex<TcpStream>>, rx: Receiver<(u64, Response)>) {
 
 fn serve_conn(inner: Arc<ServerInner>, stream: TcpStream, conn_id: u64) {
     let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(25)));
+    let _ = stream.set_read_timeout(Some(SOCKET_TIMEOUT));
+    let _ = stream.set_write_timeout(Some(SOCKET_TIMEOUT));
     let sock = match stream.try_clone() {
         Ok(s) => Arc::new(Mutex::new(s)),
         Err(_) => {
@@ -803,10 +850,11 @@ fn serve_conn(inner: Arc<ServerInner>, stream: TcpStream, conn_id: u64) {
     };
     let (resp_tx, resp_rx) = channel::<(u64, Response)>();
     let writer = {
+        let inner = Arc::clone(&inner);
         let sock = Arc::clone(&sock);
         std::thread::Builder::new()
             .name("lsm-server-conn-writer".into())
-            .spawn(move || writer_loop(sock, resp_rx))
+            .spawn(move || writer_loop(inner, sock, resp_rx))
             .expect("spawn connection writer")
     };
     // the txn slot is registered so the sweeper can reap it while this
@@ -913,7 +961,7 @@ impl Conn {
     /// once the socket has failed.
     fn flush(&mut self) -> bool {
         if self.alive && !self.out.is_empty() {
-            self.alive = self.sock.lock().unwrap().write_all(&self.out).is_ok();
+            self.alive = write_out(&self.sock, &self.out, &self.inner.draining);
         }
         self.out.clear();
         self.out.shrink_to(OUT_KEEP_BYTES);
@@ -1223,8 +1271,7 @@ impl Conn {
     /// out-of-band engine applies would race the tap tee / publish
     /// ordering.
     fn txn_commit(&mut self, id: u64) -> bool {
-        let limit = self.inner.cfg.pipeline_depth.saturating_sub(1);
-        self.wait_while(|p| p.total() > limit);
+        self.wait_for_room();
         let inner = Arc::clone(&self.inner);
         let t0 = inner.metrics.now_ns();
         let taken = std::mem::replace(&mut *self.txn_slot.lock().unwrap(), TxnSlot::Idle);
@@ -1268,74 +1315,27 @@ impl Conn {
             );
             return true;
         }
-        // admission control, same shed line as plain writes, per shard
-        for &s in &shards {
-            let db = routes.shards.db(s);
-            let l0 = db.l0_run_count();
-            if l0 >= routes.lanes[s].shed_line(db) {
-                drop(routes);
-                // the transaction survives a shed: the client may retry the
-                // commit after backing off
-                *self.txn_slot.lock().unwrap() = TxnSlot::Active {
-                    txn: ct,
-                    last_active: Instant::now(),
-                };
-                inner.metrics.sheds.inc();
-                inner.metrics.event(EventKind::ServerShed {
-                    shard: s as u32,
-                    l0_runs: l0 as u64,
-                });
-                self.reply(id, &Response::Busy);
-                return true;
-            }
-        }
-        let target = shards[0];
-        let parts: Vec<lsm_core::TxnPart> = {
-            let mut by_shard: Vec<(usize, lsm_core::Txn)> = ct.parts.into_iter().collect();
-            by_shard.sort_unstable_by_key(|(s, _)| *s);
-            by_shard.into_iter().map(|(_, t)| t.into_part()).collect()
-        };
-        self.state.add(InFlight::TxnCommit);
-        inner.metrics.inflight.add(1);
-        let metrics = Arc::clone(&inner.metrics);
-        let state = Arc::clone(&self.state);
-        let submitted = routes.lanes[target].committer.submit_txn(TxnCommitReq {
-            parts,
-            done: Box::new(move |outcome| {
-                let resp = match outcome {
-                    TxnOutcome::Committed(stamp) => {
-                        metrics.txn_commits.inc();
-                        Response::TxnCommitted { stamp }
-                    }
-                    TxnOutcome::CommittedLag(_) => {
-                        // durable + committed locally; the client learns the
-                        // redundancy guarantee was not met in time
-                        metrics.txn_commits.inc();
-                        Response::ReplicaLag
-                    }
-                    TxnOutcome::Conflict(c) => {
-                        metrics.txn_conflicts.inc();
-                        Response::TxnConflict { key: c.key }
-                    }
-                    TxnOutcome::Err(e) => Response::Error(e.to_string()),
-                };
-                metrics
-                    .txn_commit_ns
-                    .record(metrics.now_ns().saturating_sub(t0));
-                metrics.inflight.add(-1);
-                state.complete(id, resp, InFlight::TxnCommit);
-            }),
+        let mut ct = Some(ct);
+        let go_on = self.commit(id, &routes, &shards, || {
+            let mut parts = ct.take().expect("the request is built once").parts;
+            let parts = shards.iter().map(|s| parts.remove(s).expect("a part per shard"));
+            CommitReq::Txn(parts.map(lsm_core::Txn::into_part).collect())
         });
         drop(routes);
-        submitted || !inner.draining.load(Ordering::Acquire)
+        if let Some(txn) = ct {
+            // shed: the transaction survives, so the client may retry the
+            // commit after backing off
+            *self.txn_slot.lock().unwrap() = TxnSlot::Active {
+                txn,
+                last_active: Instant::now(),
+            };
+        }
+        go_on
     }
 
+    /// PUT/DELETE: routes `op` by its key and commits it.
     fn submit_write(&mut self, id: u64, op: WriteOp) -> bool {
-        // bounded pipelining: cap this connection's in-flight writes. Waits
-        // happen BEFORE the routing lock so a slow connection can never
-        // stall a migration cut-over
-        let limit = self.inner.cfg.pipeline_depth.saturating_sub(1);
-        self.wait_while(|p| p.total() > limit);
+        self.wait_for_room();
         let inner = Arc::clone(&self.inner);
         // route + shed + submit under one read lock: the write lands in the
         // committer of the map version it was routed by, and the cut-over
@@ -1343,43 +1343,73 @@ impl Conn {
         // it into the recipient
         let routes = inner.routes.read().unwrap();
         let shard = routes.shards.shard_index(op.key());
-        // admission control: shed where the engine would hard-stall
-        let db = routes.shards.db(shard);
-        let l0 = db.l0_run_count();
-        if l0 >= routes.lanes[shard].shed_line(db) {
-            drop(routes);
-            inner.metrics.sheds.inc();
-            inner.metrics.event(EventKind::ServerShed {
-                shard: shard as u32,
-                l0_runs: l0 as u64,
-            });
-            self.reply(id, &Response::Busy);
-            return true;
+        self.commit(id, &routes, &[shard], || CommitReq::Write(op))
+    }
+
+    /// Bounded pipelining: waits until this connection may put one more
+    /// commit in flight. Called BEFORE the routing lock is taken, so a
+    /// slow connection can never stall a migration cut-over.
+    fn wait_for_room(&mut self) {
+        let limit = self.inner.cfg.pipeline_depth.saturating_sub(1);
+        self.wait_while(|p| p.total() > limit);
+    }
+
+    /// The one way a commit request reaches a committer, for PUT, DELETE
+    /// and TXN_COMMIT alike. Answers `Busy` without building the request
+    /// when any of `shards` is at its shed line (admission control: shed
+    /// where the engine would hard-stall). Otherwise builds it, counts it
+    /// in flight, and queues it on the committer of `shards[0]`; its
+    /// callback maps the outcome to the reply and records the latency.
+    /// Returns `false` to close the connection: the committer is shut
+    /// down because the server drains.
+    fn commit(
+        &mut self,
+        id: u64,
+        routes: &RouteTable,
+        shards: &[usize],
+        req: impl FnOnce() -> CommitReq,
+    ) -> bool {
+        let metrics = Arc::clone(&self.inner.metrics);
+        for &s in shards {
+            let db = routes.shards.db(s);
+            let l0 = db.l0_run_count();
+            if l0 >= routes.lanes[s].shed_line(db) {
+                metrics.sheds.inc();
+                metrics.event(EventKind::ServerShed {
+                    shard: s as u32,
+                    l0_runs: l0 as u64,
+                });
+                self.reply(id, &Response::Busy);
+                return true;
+            }
         }
-        let w = InFlight::Write(fnv1a(op.key()));
+        let req = req();
+        let (w, latency) = match &req {
+            CommitReq::Write(op @ WriteOp::Put { .. }) => {
+                (InFlight::Write(fnv1a(op.key())), &metrics.put_ns)
+            }
+            CommitReq::Write(op) => (InFlight::Write(fnv1a(op.key())), &metrics.delete_ns),
+            CommitReq::Txn(_) => (InFlight::TxnCommit, &metrics.txn_commit_ns),
+        };
+        let latency = Arc::clone(latency);
         self.state.add(w);
-        inner.metrics.inflight.add(1);
-        let is_delete = matches!(op, WriteOp::Delete { .. });
-        let metrics = Arc::clone(&inner.metrics);
+        metrics.inflight.add(1);
         let state = Arc::clone(&self.state);
         let t0 = metrics.now_ns();
-        let submitted = routes.lanes[shard].committer.submit(WriteReq {
-            op,
-            done: Box::new(move |outcome| {
-                let resp = match outcome {
-                    WriteOutcome::Ok => Response::Ok,
-                    WriteOutcome::ReplicaLag => Response::ReplicaLag,
-                    WriteOutcome::Err(e) => Response::Error(e.to_string()),
-                };
-                let h = if is_delete { &metrics.delete_ns } else { &metrics.put_ns };
-                h.record(metrics.now_ns().saturating_sub(t0));
-                metrics.inflight.add(-1);
-                state.complete(id, resp, w);
-            }),
+        let submitted = routes.lanes[shards[0]].committer.submit(req, move |outcome| {
+            let resp = match outcome {
+                CommitOutcome::Committed(None) => Response::Ok,
+                CommitOutcome::Committed(Some(stamp)) => Response::TxnCommitted { stamp },
+                CommitOutcome::ReplicaLag => Response::ReplicaLag,
+                CommitOutcome::Conflict(c) => Response::TxnConflict { key: c.key },
+                CommitOutcome::Err(e) => Response::Error(e.to_string()),
+            };
+            latency.record(metrics.now_ns().saturating_sub(t0));
+            metrics.inflight.add(-1);
+            state.complete(id, resp, w);
         });
-        drop(routes);
         // on a shut-down committer the callback already fired with an error
-        submitted || !inner.draining.load(Ordering::Acquire)
+        submitted || !self.inner.draining.load(Ordering::Acquire)
     }
 }
 
@@ -1417,6 +1447,59 @@ fn txn_shard<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::client::Client;
+    use crate::protocol::{encode_request, Request};
+    use lsm_core::LsmConfig;
+
+    fn one_shard_server() -> (Server, Db) {
+        let db = Db::open_in_memory(LsmConfig::small_for_tests()).unwrap();
+        let server = Server::start(vec![db.clone()], ServerConfig::default()).unwrap();
+        (server, db)
+    }
+
+    #[test]
+    fn finished_connections_are_joined_as_new_ones_arrive() {
+        let (server, _db) = one_shard_server();
+        for i in 0..200u32 {
+            // a round trip: the connection was accepted and served
+            let mut c = Client::connect(server.addr()).unwrap();
+            c.put(format!("c{i}").as_bytes(), b"v").unwrap();
+        }
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !server.conns.lock().unwrap().iter().all(|h| h.is_finished()) {
+            assert!(Instant::now() < deadline, "closed connections never finished");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let mut live = Client::connect(server.addr()).unwrap();
+        assert_eq!(live.get(b"c199").unwrap(), Some(b"v".to_vec()));
+        let held = server.conns.lock().unwrap().len();
+        assert_eq!(held, 1, "the accept loop keeps handles only for live connections");
+    }
+
+    #[test]
+    fn a_client_that_stops_reading_cannot_wedge_shutdown() {
+        let (server, db) = one_shard_server();
+        db.put(b"big".to_vec(), vec![7; 512 * 1024]).unwrap();
+        // GETs of a 512 KiB value, and no reads: once their replies fill
+        // the socket buffers the server's reader parks writing, stops
+        // reading, and the client's own writes stall in turn
+        let mut sock = TcpStream::connect(server.addr()).unwrap();
+        sock.set_write_timeout(Some(Duration::from_millis(200))).unwrap();
+        let burst: Vec<u8> = (0..1000)
+            .flat_map(|id| encode_request(id, &Request::Get { key: b"big" }))
+            .collect();
+        let stalled = (0..2000).any(|_| sock.write_all(&burst).is_err());
+        assert!(stalled, "the server kept reading a client that reads nothing");
+        let (tx, rx) = channel();
+        let stopper = std::thread::spawn(move || {
+            let _ = server.shutdown();
+            let _ = tx.send(());
+        });
+        let returned = rx.recv_timeout(Duration::from_secs(5)).is_ok();
+        drop(sock); // frees a server that did wedge, so its shutdown ends
+        stopper.join().unwrap();
+        assert!(returned, "shutdown waited on a client that stopped reading");
+    }
 
     fn put_k() -> InFlight {
         InFlight::Write(fnv1a(b"k"))

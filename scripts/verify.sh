@@ -2,6 +2,7 @@
 # Tier-1 verification: release build, every workspace test under both
 # background modes (crash sweeps included; a failing sweep's captured
 # output names its LSM_SEED), the crash sweeps again at LSM_SEED=1 in
+# both modes, the server's transaction and pipelining suites 5 times in
 # both modes, the allocation-regression and heap-footprint tests in
 # release in both modes, the experiment registry at full scale
 # (claims + freshness of the tracked tables), the benchmark package's own
@@ -54,12 +55,23 @@ for mode in inline threaded; do
     done
 done
 
-stage "allocation-regression battery (counting allocator + borrowed-vs-owned differential) and heap footprint (load + compaction peak, a merge's bytes beyond its inputs, WAL bytes under one-record group commits), both modes"
+stage "one commit path: transaction commits interleaved with group-commit batches on one committer (transactions + pipelining suites), 5 runs under each LSM_BACKGROUND mode"
+# PUT/DELETE and TXN_COMMIT share each shard's committer queue: a commit
+# ends the batch it arrives behind and runs after it, so an ordering race
+# between them fails the gate here instead of flaking once
+for mode in inline threaded; do
+    for _ in $(seq 5); do
+        LSM_BACKGROUND=$mode cargo test -q -p lsm-server --release --test transactions --test pipelining
+    done
+done
+
+stage "allocation-regression battery (counting allocator + borrowed-vs-owned differential) and heap footprint (load + compaction peak, a merge's bytes beyond its inputs, WAL bytes under one-record group commits, value-log GC's peak), both modes"
 # the footprint tests: a device file costs its bytes plus one extent, a
 # load + full compaction peaks at a small multiple of the device's bytes,
 # a full merge holds at most a table per input run (plus the one being
-# built) beyond its inputs, and a WAL synced after every record holds its
-# frames, not a block each
+# built) beyond its inputs, a WAL synced after every record holds its
+# frames, not a block each, and value-log GC's heap grows by less than
+# the log it retires
 for mode in inline threaded; do
     LSM_BACKGROUND=$mode cargo test -q -p lsm-core --release --test alloc_regression --test heap_footprint
     LSM_BACKGROUND=$mode cargo test -q -p lsm-storage --release --test footprint
